@@ -221,17 +221,6 @@ def forward_kinematics(geom: ArmGeometry, q, base: str = "J0"):
     return joints[0], rots[0]
 
 
-def link_mass_properties(geom: ArmGeometry, q, base: str = "J0"):
-    """Per-link ``(mass, com, inertia_at_com, R)`` in base coordinates."""
-    joints, rots = link_poses(geom, q, base)
-    out = []
-    for i in range(6):
-        R = rots[i]
-        com = joints[i] + R @ geom.coms[i]
-        out.append((float(geom.masses[i]), com, geom.inertias[i], R))
-    return out
-
-
 def dls_solve(residual: Callable, q0, lower, upper, tol: float,
               max_iter: int = 200, damping: float = 1e-2,
               stall_iters: int = 25):

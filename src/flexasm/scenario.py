@@ -6,10 +6,14 @@ channel), rigid tile stack, the flexible structure built so far, and the
 three-arm robot gripping a docking tile -- optionally carrying one tile.
 The robot walks with arms 1 and 2; arm 3 only handles tiles.
 
-All wired port signals are re-expressed in the hub frame, so each block
-is wrapped by its frame's world orientation before interconnection.  The
-gripping arm stands on the structure (twist flows up from the docking
-port), the other two arms hang off the robot's central hub.
+All wired port signals are expressed in the hub frame.  The plant is
+evaluated only at trajectory waypoints, where every joint is locked, so
+the robot -- three arms, its central hub and the carried tile -- is one
+rigid body standing on the structure's docking port: a stateless 6x6
+mass block whose properties come from the same kinematic bookkeeping as
+:meth:`ScenarioModels.mass_properties`.  The port-based arm chain
+(:func:`flexasm.robot.arm_two_port`) is the independent reference for
+that block in the tests.
 
 External channels of the open-loop plant:
 
@@ -56,17 +60,14 @@ from .multibody import (
     mode_freq_lfr,
     nearest_dcm,
     rigid_nport,
-    rigid_nport_inverted,
     titop_one_port,
     titop_two_port,
     transport_inertia,
 )
 from .robot import (
     ArmGeometry,
-    arm_two_port,
     default_arm_geometry,
     dls_solve,
-    link_mass_properties,
     link_poses,
     validate_joints,
     JOINT_LIMIT,
@@ -78,8 +79,6 @@ __all__ = [
     "ScenarioModels",
     "table_scenario",
     "stack_properties",
-    "build_open_loop",
-    "total_inertia",
     "attitude_gains",
     "close_loop",
     "enumerate_model_family",
@@ -327,8 +326,6 @@ class ScenarioModels:
         cfg = self.cfg
         if state.n > cfg.n_tiles:
             raise StateInvalid(f"state has n={state.n} > N={cfg.n_tiles}")
-        fr = self._robot_frames(state, qs)
-        g, f = fr["grip"], fr["free"]
 
         hub = rigid_nport(cfg.hub, ["P1", "P2", "P3"])
         hub = split_channel(hub, "W_G", [("F_G", 3), ("T_G", 3)])
@@ -345,68 +342,25 @@ class ScenarioModels:
         arr = apply_frame(arr, "W_P", Dcm(cfg.array_dcm))
 
         count = max(cfg.n_tiles - state.n - state.delta, 0)
-        stack_body = stack_properties(cfg.n_tiles, state.n, state.delta, cfg.tile) \
-            if cfg.n_tiles - state.n - state.delta >= 0 else None
-        stk_data = ModalBodyData(
-            mass=stack_body.mass, com=cfg.stack_offset,
-            inertia_P=transport_inertia(stack_body.inertia_G, stack_body.mass,
-                                        cfg.stack_offset),
-            freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="stack") \
-            if count > 0 else ModalBodyData(0.0, np.zeros(3), np.zeros((3, 3)),
-                                            [], [], np.zeros((0, 6)), name="stack")
-        stk = titop_one_port(stk_data)
+        stk = titop_one_port(ModalBodyData(
+            mass=count * cfg.tile.mass, com=cfg.stack_offset,
+            inertia_P=transport_inertia(count * np.asarray(cfg.tile.inertia_G),
+                                        count * cfg.tile.mass, cfg.stack_offset),
+            freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="stack"))
 
         sdata = self.structure_data(state.n, state.j)
         if rigid:
             sdata = replace_modes(sdata, 0)
         fn = titop_two_port(sdata)
 
-        ga = arm_two_port(cfg.arm_geometry, fr["q"][g], base="J0")
-        for ch in ("W_tip", "xdd_tip"):
-            ga = apply_frame(ga, ch, Dcm(fr["M_l5"][g]))
-
-        rh = rigid_nport_inverted(cfg.robot_hub, f"A{g}", [f"A{f}", "A3"],
-                                  with_com_port=False)
-        for ch in [f"xdd_A{g}", f"W_A{g}", f"W_A{f}", f"xdd_A{f}", "W_A3", "xdd_A3"]:
-            rh = apply_frame(rh, ch, Dcm(fr["M_c"]))
-
-        fa = arm_two_port(cfg.arm_geometry, fr["q"][f], base="J6")
-        for ch in ("W_base", "xdd_base"):
-            fa = apply_frame(fa, ch, Dcm(fr["M_l5"][f]))
-
-        a3 = arm_two_port(cfg.arm_geometry, fr["q"][3], base="J6")
-        for ch in ("W_base", "xdd_base"):
-            a3 = apply_frame(a3, ch, Dcm(fr["M_l5"][3]))
-        if state.delta == 1:
-            # tip interface carries the tile; express it in the hub frame
-            M_l0_3 = fr["M_l5"][3] @ link_poses(cfg.arm_geometry, fr["q"][3],
-                                                base="J6")[1][0]
-            for ch in ("W_tip", "xdd_tip"):
-                a3 = apply_frame(a3, ch, Dcm(M_l0_3))
-
         blocks = [("hub", hub), ("arr", arr), ("stk", stk), ("fn", fn),
-                  ("ga", ga), ("rh", rh), ("fa", fa), ("a3", a3)]
+                  ("rb", self.robot_block(state, qs))]
         wiring = [
             ("hub.xdd_P1", "arr.xdd_P"), ("arr.W_P", "hub.W_P1"),
             ("hub.xdd_P3", "stk.xdd_P"), ("stk.W_P", "hub.W_P3"),
             ("hub.xdd_P2", "fn.xdd_P"), ("fn.W_P", "hub.W_P2"),
-            ("fn.xdd_C", "ga.xdd_base"), ("ga.W_base", "fn.W_C"),
-            ("ga.xdd_tip", f"rh.xdd_A{g}"), (f"rh.W_A{g}", "ga.W_tip"),
-            (f"rh.xdd_A{f}", "fa.xdd_base"), ("fa.W_base", f"rh.W_A{f}"),
-            ("rh.xdd_A3", "a3.xdd_base"), ("a3.W_base", "rh.W_A3"),
+            ("fn.xdd_C", "rb.xdd_P"), ("rb.W_P", "fn.W_C"),
         ]
-        if state.delta == 1:
-            M_l0_3 = fr["M_l5"][3] @ link_poses(cfg.arm_geometry, fr["q"][3],
-                                                base="J6")[1][0]
-            tl_data = ModalBodyData(
-                mass=cfg.tile.mass, com=np.zeros(3),
-                inertia_P=np.asarray(cfg.tile.inertia_G),
-                freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="carried_tile")
-            tl = titop_one_port(tl_data)
-            tl = apply_frame(tl, "xdd_P", Dcm(M_l0_3))
-            tl = apply_frame(tl, "W_P", Dcm(M_l0_3))
-            blocks.append(("tl", tl))
-            wiring += [("a3.xdd_tip", "tl.xdd_P"), ("tl.W_P", "a3.W_tip")]
 
         ext_in = [("F_G", "hub.F_G"), ("T_G", "hub.T_G"), ("W_ext", "fn.W_C")]
         ext_out = [("a_G", "hub.a_G"), ("omega_dot_G", "hub.omega_dot_G")]
@@ -421,17 +375,57 @@ class ScenarioModels:
         plant = interconnect(blocks, wiring, ext_in, ext_out)
         return pin_translation(plant) if pinned else plant
 
-    # -- mass-property oracle ----------------------------------------------
+    def robot_block(self, state: AssemblyState, qs) -> StateSpace:
+        """The locked robot as one rigid body on the docking port C.
+
+        Stateless ``xdd_P -> W_P`` block with P at C, hub frame:
+        ``W_C = -M_C xdd_C`` with ``M_C`` the composite rigid mass matrix
+        of the three arms, the robot hub and the carried tile about C.
+        """
+        fr = self._robot_frames(state, qs)
+        m, com, J_com = compose_rigid(self._robot_parts(state, fr))
+        c = com - fr["base_world"]
+        return titop_one_port(ModalBodyData(
+            mass=m, com=c, inertia_P=transport_inertia(J_com, m, c),
+            freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="robot"))
+
+    # -- mass properties -----------------------------------------------------
+
+    def _robot_parts(self, state: AssemblyState, fr) -> list:
+        """Rigid parts of the locked robot, ``(mass, com, J_com, R)`` in the
+        hub frame: the three arms' links, the robot hub, the carried tile."""
+        cfg = self.cfg
+        geom = cfg.arm_geometry
+
+        def links(joints, rots, origin, M):
+            return [(m, origin + M @ (p + R @ c), J, M @ R)
+                    for m, p, R, c, J in zip(geom.masses, joints, rots,
+                                             geom.coms, geom.inertias)]
+
+        parts = links(fr["joints_grip"], fr["rots_grip"], fr["base_world"],
+                      np.eye(3))
+        parts.append((cfg.robot_hub.mass, fr["hub_pos"],
+                      cfg.robot_hub.inertia_G, fr["M_c"]))
+        for k in (fr["free"], 3):
+            M, origin = fr["M_l5"][k], fr["j6_world"][k]
+            joints, rots = link_poses(geom, fr["q"][k], base="J6")
+            parts += links(joints, rots, origin, M)
+            if k == 3 and state.delta == 1:
+                parts.append((cfg.tile.mass, origin + M @ joints[0],
+                              cfg.tile.inertia_G, M @ rots[0]))
+        return parts
 
     def mass_properties(self, state: AssemblyState, qs):
         """Composite (mass, CoM, inertia at CoM) in the hub frame.
 
-        Pure mass bookkeeping through the kinematic chain; shares no code
-        with the state-space assembly and so cross-checks it at DC.
+        Pure mass bookkeeping through the kinematic chain.  The robot's
+        parts are shared with the rigid robot block of :meth:`open_loop`,
+        so the DC reciprocity checks cover the rest of the assembly; the
+        robot block itself is checked against the wired arm chains by
+        ``test_robot_block_matches_arm_chain_cluster``.
         """
         cfg = self.cfg
         fr = self._robot_frames(state, qs)
-        g, f = fr["grip"], fr["free"]
         array_J_com = np.asarray(cfg.array.inertia_P) - cfg.array.mass * (
             float(cfg.array.com @ cfg.array.com) * np.eye(3)
             - np.outer(cfg.array.com, cfg.array.com))
@@ -447,24 +441,7 @@ class ScenarioModels:
         for t in range(1, state.n + 1):
             parts.append((cfg.tile.mass, cfg.tile_center(t),
                           cfg.tile.inertia_G, None))
-
-        base = fr["base_world"]
-        for (m, com, J, R) in link_mass_properties(cfg.arm_geometry, fr["q"][g], "J0"):
-            parts.append((m, base + com, J, R))
-        parts.append((cfg.robot_hub.mass, fr["hub_pos"],
-                      cfg.robot_hub.inertia_G, fr["M_c"]))
-        for k in (f, 3):
-            M = fr["M_l5"][k]
-            origin = fr["j6_world"][k]
-            for (m, com, J, R) in link_mass_properties(cfg.arm_geometry,
-                                                       fr["q"][k], "J6"):
-                parts.append((m, origin + M @ com, J, M @ R))
-        if state.delta == 1:
-            joints3, rots3 = link_poses(cfg.arm_geometry, fr["q"][3], base="J6")
-            tip = fr["j6_world"][3] + fr["M_l5"][3] @ joints3[0]
-            parts.append((cfg.tile.mass, tip, cfg.tile.inertia_G,
-                          fr["M_l5"][3] @ rots3[0]))
-        return compose_rigid(parts)
+        return compose_rigid(parts + self._robot_parts(state, fr))
 
     def total_inertia(self, state: AssemblyState, qs) -> np.ndarray:
         """Composite inertia about the hub CoM G, hub frame.
@@ -605,20 +582,3 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     if plant.has_output("a_G"):
         ext_out.append(("a_G", "p.a_G"))
     return interconnect(blocks, wiring, ext_in, ext_out)
-
-
-# ---------------------------------------------------------------------------
-# spec-level convenience functions
-# ---------------------------------------------------------------------------
-
-def build_open_loop(cfg: ScenarioConfig, state: AssemblyState,
-                    q1=None, q2=None, q3=None, rigid: bool = False,
-                    pinned: bool = True) -> StateSpace:
-    qs = tuple(HOME_JOINTS if q is None else q for q in (q1, q2, q3))
-    return ScenarioModels(cfg).open_loop(state, qs, rigid=rigid, pinned=pinned)
-
-
-def total_inertia(cfg: ScenarioConfig, state: AssemblyState,
-                  q1=None, q2=None, q3=None) -> np.ndarray:
-    qs = tuple(HOME_JOINTS if q is None else q for q in (q1, q2, q3))
-    return ScenarioModels(cfg).total_inertia(state, qs)

@@ -1,11 +1,16 @@
 """Full-plant assembly: DC reciprocity, antiresonances, attitude loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flexasm import linss
 from flexasm import scenario as sc
 from flexasm.errors import NegativeCount, StateInvalid, MissingStructureData
+from flexasm.multibody import (apply_frame, dcm_about_axis, rigid_mass_matrix,
+                               rigid_nport_inverted)
+from flexasm.robot import arm_two_port, default_arm_geometry, link_poses
 
 from conftest import make_rng
 
@@ -127,6 +132,101 @@ def test_reciprocity_with_bent_arms(models):
     blk = dc_block(plant, "omega_dot_G", "T_G")
     ref = np.linalg.inv(J_G)
     assert np.max(np.abs(blk - ref)) < 1e-8 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# rigid robot block vs. the wired arm chains
+# ---------------------------------------------------------------------------
+
+def chain_cluster(cfg, state, qs):
+    """The robot wired from its parts: the gripping arm standing on the
+    docking port, the port-inverted robot hub, the free arm and arm 3
+    hanging off it, and the carried tile on arm 3's tip.  Every port is
+    re-expressed in the hub frame, with the frames derived here from the
+    joint angles and the mount DCMs.  Channels: ``xdd_C -> W_C``."""
+    geom, mounts = cfg.arm_geometry, cfg.arm_mount_dcms
+    g, f = state.arm, 3 - state.arm
+    q = {k: np.asarray(qs[k - 1], dtype=float) for k in (1, 2, 3)}
+    _, rots_g = link_poses(geom, q[g], base="J0")
+    M_c = rots_g[5] @ mounts[g].T
+    M_l5 = {g: rots_g[5], f: M_c @ mounts[f], 3: M_c @ mounts[3]}
+
+    ga = arm_two_port(geom, q[g], base="J0")
+    for ch in ("W_tip", "xdd_tip"):
+        ga = apply_frame(ga, ch, M_l5[g])
+    rh = rigid_nport_inverted(cfg.robot_hub, f"A{g}", [f"A{f}", "A3"],
+                              with_com_port=False)
+    for ch in (f"xdd_A{g}", f"W_A{g}", f"W_A{f}", f"xdd_A{f}", "W_A3", "xdd_A3"):
+        rh = apply_frame(rh, ch, M_c)
+    hanging = {}
+    for k in (f, 3):
+        arm = arm_two_port(geom, q[k], base="J6")
+        for ch in ("W_base", "xdd_base"):
+            arm = apply_frame(arm, ch, M_l5[k])
+        hanging[k] = arm
+    if state.delta == 1:
+        # the carried tile sits at arm 3's tip, in the frame of its link l0
+        M_l0 = M_l5[3] @ link_poses(geom, q[3], base="J6")[1][0]
+        for ch in ("W_tip", "xdd_tip"):
+            hanging[3] = apply_frame(hanging[3], ch, M_l0)
+
+    blocks = [("ga", ga), ("rh", rh), ("fa", hanging[f]), ("a3", hanging[3])]
+    wiring = [
+        ("ga.xdd_tip", f"rh.xdd_A{g}"), (f"rh.W_A{g}", "ga.W_tip"),
+        (f"rh.xdd_A{f}", "fa.xdd_base"), ("fa.W_base", f"rh.W_A{f}"),
+        ("rh.xdd_A3", "a3.xdd_base"), ("a3.W_base", "rh.W_A3"),
+    ]
+    if state.delta == 1:
+        tl = linss.gain(-rigid_mass_matrix(cfg.tile), (("xdd_P", 6),),
+                        (("W_P", 6),))
+        for ch in ("xdd_P", "W_P"):
+            tl = apply_frame(tl, ch, M_l0)
+        blocks.append(("tl", tl))
+        wiring += [("a3.xdd_tip", "tl.xdd_P"), ("tl.W_P", "a3.W_tip")]
+    return linss.interconnect(blocks, wiring, [("xdd_C", "ga.xdd_base")],
+                              [("W_C", "ga.W_base")])
+
+
+def skewed_robot_scenario():
+    # the published mount DCMs are symmetric (half-turns) and the link and
+    # robot-hub inertias isotropic, which would hide a transposed frame;
+    # tilt every mount and give every robot body an anisotropic inertia
+    rng = make_rng(4242)
+
+    def rotation():
+        return dcm_about_axis(rng.normal(size=3), rng.uniform(0.3, 1.2)).R
+
+    def tilted(moments):
+        R = rotation()
+        return R @ np.diag(moments) @ R.T
+
+    mounts = {k: sc.ARM_MOUNT_DCMS[k] @ rotation() for k in (1, 2, 3)}
+    geom = replace(default_arm_geometry(), inertias=[
+        tilted(j * np.array([0.6, 1.0, 1.3])) for j in (0.2, 0.2, 0.4, 0.2, 0.4, 0.2)])
+    base = sc.table_scenario(3)
+    hub = replace(base.robot_hub, inertia_G=tilted([0.4, 0.6, 0.8]))
+    return replace(base, arm_mount_dcms=mounts, arm_geometry=geom,
+                   robot_hub=hub)
+
+
+@pytest.mark.parametrize("which", ["table", "skewed"])
+def test_robot_block_matches_arm_chain_cluster(cfg, which):
+    if which == "skewed":
+        cfg = skewed_robot_scenario()
+    models = sc.ScenarioModels(cfg)
+    rng = make_rng(515)
+    for arm in (1, 2):
+        for delta in (0, 1):
+            for _ in range(3):
+                st = sc.AssemblyState(2, int(rng.integers(1, 3)), arm, delta)
+                qs = tuple(rng.uniform(-1.0, 1.0, 5) for _ in range(3))
+                ref = chain_cluster(cfg, st, qs)
+                blk = models.robot_block(st, qs)
+                assert ref.n_states == blk.n_states == 0
+                D_ref = ref.D[ref.out_slice("W_C"), :][:, ref.in_slice("xdd_C")]
+                D_blk = blk.D[blk.out_slice("W_P"), :][:, blk.in_slice("xdd_P")]
+                err = np.max(np.abs(D_blk - D_ref))
+                assert err <= 1e-10 * np.max(np.abs(D_ref)), (which, st, err)
 
 
 # ---------------------------------------------------------------------------
