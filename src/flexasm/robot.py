@@ -21,7 +21,8 @@ self-consistent inference and is overridable in configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,7 @@ from .multibody import (
     ModalBodyData,
     apply_frame,
     dcm_about_axis,
+    skew,
     titop_two_port,
     transport_inertia,
 )
@@ -52,6 +54,7 @@ __all__ = [
 ]
 
 JOINT_LIMIT = 2.0 * np.pi
+_EYE3 = np.eye(3)
 
 # Table data for one arm: six links, five joints.
 _LINK_MASSES = (5.0, 5.0, 10.0, 5.0, 10.0, 5.0)
@@ -71,6 +74,8 @@ class ArmGeometry:
 
     ``joint_offsets[i]`` is J_i -> J_{i+1} in link i's frame; ``coms[i]``
     the link CoM from J_i; ``inertias[i]`` the link inertia at its CoM.
+    ``axis_K[k]`` and ``axis_KK[k]`` are ``skew(joint_axes[k])`` and its
+    square, derived once here for the rotations of :func:`link_poses`.
     """
 
     joint_offsets: np.ndarray         # (6, 3)
@@ -78,6 +83,8 @@ class ArmGeometry:
     masses: np.ndarray                # (6,)
     coms: np.ndarray                  # (6, 3)
     inertias: np.ndarray              # (6, 3, 3)
+    axis_K: np.ndarray = field(init=False, repr=False, compare=False)
+    axis_KK: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         off = np.asarray(self.joint_offsets, dtype=float).reshape(6, 3)
@@ -90,6 +97,9 @@ class ArmGeometry:
         object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float).reshape(6))
         object.__setattr__(self, "coms", np.asarray(self.coms, dtype=float).reshape(6, 3))
         object.__setattr__(self, "inertias", np.asarray(self.inertias, dtype=float).reshape(6, 3, 3))
+        K = [skew(a) for a in axes]
+        object.__setattr__(self, "axis_K", np.array(K))
+        object.__setattr__(self, "axis_KK", np.array([k @ k for k in K]))
 
     @property
     def total_mass(self) -> float:
@@ -112,8 +122,9 @@ def default_arm_geometry() -> ArmGeometry:
 
 def validate_joints(q) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(5)
-    if np.any(np.abs(q) > JOINT_LIMIT + 1e-12):
-        raise JointOutOfRange(f"joint angles {q} exceed +-2*pi")
+    # written so that NaN fails the comparison too
+    if not np.all(np.abs(q) <= JOINT_LIMIT + 1e-12):
+        raise JointOutOfRange(f"joint angles {q} must be finite and within +-2*pi")
     return q
 
 
@@ -191,15 +202,24 @@ def link_poses(geom: ArmGeometry, q, base: str = "J0"):
 
     Returns ``(joints, rotations)``: seven joint positions J0..J6 and six
     rotation matrices mapping link-frame coordinates into the base frame.
+
+    Each joint rotation is built raw, ``I + sin(a) K + (1 - cos a) K^2``
+    with the geometry's precomputed ``K`` and ``K^2``: the same arithmetic
+    as :func:`~flexasm.multibody.dcm_about_axis` without constructing and
+    re-validating a :class:`~flexasm.multibody.Dcm` per joint.  The angles
+    are checked once, by :func:`validate_joints`.
     """
     q = validate_joints(q)
+    K, KK = geom.axis_K, geom.axis_KK
     joints = [np.zeros(3)]
     rots = []
     R = np.eye(3)
     p = np.zeros(3)
     for i in range(6):
         if i >= 1:
-            R = R @ dcm_about_axis(geom.joint_axes[i - 1], q[i - 1]).R
+            a = q[i - 1]
+            R = R @ (_EYE3 + math.sin(a) * K[i - 1]
+                     + (1.0 - math.cos(a)) * KK[i - 1])
         rots.append(R)
         p = p + R @ geom.joint_offsets[i]
         joints.append(p)

@@ -18,15 +18,17 @@ dominates the margin numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import IllPosedLoop, NominalUnstable
 from .linss import StateSpace, lft_upper, spectral_abscissa, STAB_TOL
 
-__all__ = ["MuResult", "mu_real_repeated", "destabilizing_frequency"]
+__all__ = ["MuResult", "mu_real_repeated", "real_margin",
+           "destabilizing_frequency"]
 
 
 @dataclass(frozen=True)
@@ -35,12 +37,18 @@ class MuResult:
 
     ``delta_crit`` is the signed smallest destabilizing value, or None
     when no real closure within the search range destabilizes the loop
-    (then ``mu_lower`` is 0 by convention).
+    (then ``mu_lower`` is 0 by convention).  ``mu_upper`` is computed on
+    first read, so a caller that needs only the margin never pays for the
+    frequency sweep.
     """
 
     mu_lower: float
-    mu_upper: float
     delta_crit: Optional[float]
+    upper_bound: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def mu_upper(self) -> float:
+        return self.upper_bound()
 
 
 def _destabilized(sys: StateSpace, delta: float, w_channel: str, z_channel: str) -> bool:
@@ -88,15 +96,14 @@ def destabilizing_frequency(sys: StateSpace, delta: float,
     return float(abs(ev[np.argmax(ev.real)].imag))
 
 
-def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0,
-                     w_channel: str = "w_omega", z_channel: str = "z_omega",
-                     scan_points: int = 64, tol: float = 1e-9,
-                     n_freq: int = 400) -> MuResult:
-    """Exact real margin and complex upper bound for ``delta * I``.
+def real_margin(sys: StateSpace, delta_max: float = 20.0,
+                w_channel: str = "w_omega", z_channel: str = "z_omega",
+                scan_points: int = 64, tol: float = 1e-9):
+    """Exact real margin for ``delta * I``: ``(mu_lower, delta_crit)``.
 
     The nominal loop (``delta = 0``) must be strictly stable.  Both signs
     of delta are scanned out to ``delta_max`` and the first crossing is
-    bisected; no crossing means ``mu_lower = 0``.
+    bisected; no crossing means ``mu_lower = 0`` and ``delta_crit = None``.
     """
     if sys.n_states and spectral_abscissa(sys) >= -STAB_TOL:
         raise NominalUnstable(
@@ -108,7 +115,13 @@ def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0,
     ) if d is not None]
     delta_crit = min(candidates, key=abs) if candidates else None
     mu_lower = 1.0 / abs(delta_crit) if delta_crit is not None else 0.0
+    return mu_lower, delta_crit
 
+
+def _complex_upper_bound(sys: StateSpace, delta_crit: Optional[float],
+                         w_channel: str, z_channel: str, n_freq: int) -> float:
+    """Frequency-maximized spectral radius of the w->z transfer, with the
+    critical frequency of ``delta_crit`` folded into the grid."""
     sub = sys.subsystem(outputs=[z_channel], inputs=[w_channel])
     freqs = [0.0]
     if sub.n_states:
@@ -125,4 +138,20 @@ def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0,
     for w in freqs:
         G = sub.transfer_at(1j * w) if w > 0.0 else sub.dc_gain()
         mu_upper = max(mu_upper, float(np.max(np.abs(np.linalg.eigvals(G)))))
-    return MuResult(mu_lower=mu_lower, mu_upper=mu_upper, delta_crit=delta_crit)
+    return mu_upper
+
+
+def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0,
+                     w_channel: str = "w_omega", z_channel: str = "z_omega",
+                     scan_points: int = 64, tol: float = 1e-9,
+                     n_freq: int = 400) -> MuResult:
+    """Exact real margin and complex upper bound for ``delta * I``.
+
+    The margin comes from :func:`real_margin`; the ``n_freq``-point
+    upper-bound sweep runs when ``mu_upper`` is first read.
+    """
+    mu_lower, delta_crit = real_margin(sys, delta_max, w_channel, z_channel,
+                                       scan_points, tol)
+    return MuResult(mu_lower=mu_lower, delta_crit=delta_crit,
+                    upper_bound=partial(_complex_upper_bound, sys, delta_crit,
+                                        w_channel, z_channel, n_freq))

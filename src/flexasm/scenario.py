@@ -253,12 +253,14 @@ def attitude_gains(J_tot: np.ndarray, xi_att: float = 1.0,
 # ---------------------------------------------------------------------------
 
 class ScenarioModels:
-    """Model factory with a per-size cache of generated structure data."""
+    """Model factory with a per-size cache of generated structure data
+    and a memo of walking-IK solves."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self._lattices = {}
         self._modal = {}
+        self._reach = {}
 
     # -- structure supply ----------------------------------------------------
 
@@ -490,38 +492,66 @@ class ScenarioModels:
         hub by damped least squares; returns ``(q_grip, q_reach)``.  Far
         targets can trap the descent from the upright home posture, so a
         short deterministic ladder of pre-bent seeds is tried in order.
-        """
-        cfg = self.cfg
-        g = state.arm
-        if reach_arm == g:
-            raise StateInvalid("reach arm cannot be the gripping arm")
-        target_world = np.asarray(target_world, dtype=float)
 
-        def tip_position(q10):
-            qg, qr = q10[:5], q10[5:]
-            joints_g, rots_g = link_poses(cfg.arm_geometry, qg, base="J0")
-            M_c = rots_g[5] @ np.asarray(cfg.arm_mount_dcms[g]).T
-            hub_pos = (cfg.tile_center(state.j) + joints_g[6]
-                       - M_c @ cfg.robot_hub.offset(f"A{g}"))
-            M_l5r = M_c @ np.asarray(cfg.arm_mount_dcms[reach_arm])
-            j6r = hub_pos + M_c @ cfg.robot_hub.offset(f"A{reach_arm}")
-            joints_r, _ = link_poses(cfg.arm_geometry, qr, base="J6")
-            return j6r + M_l5r @ joints_r[0]
+        Solves are memoized on ``(state.j, state.arm, reach_arm, target,
+        q_seed, pos_tol)``, everything the residual reads.  ``state.n``
+        and ``state.delta`` only change which bodies the plant carries,
+        not the kinematic chain from the docking tile to the reaching
+        tip, so they are left out of the key and the states of one walk
+        share a solve.  A failure is memoized too and raised again as an
+        :class:`IkNotConverged` with the same message; the returned
+        arrays are copies, so callers cannot alter a memoized solution.
+        """
+        if reach_arm == state.arm:
+            raise StateInvalid("reach arm cannot be the gripping arm")
+        target_world = np.asarray(target_world, dtype=float).reshape(3)
+        seed = None if q_seed is None else np.asarray(q_seed, dtype=float)
+        key = (state.j, state.arm, reach_arm, target_world.tobytes(),
+               None if seed is None else seed.tobytes(), pos_tol)
+        hit = self._reach.get(key)
+        if hit is None:
+            try:
+                hit = self._reach_solve(state.j, state.arm, reach_arm,
+                                        target_world, seed, pos_tol)
+            except IkNotConverged as exc:
+                hit = exc
+            self._reach[key] = hit
+        if isinstance(hit, IkNotConverged):
+            raise IkNotConverged(str(hit))
+        return hit[:5].copy(), hit[5:].copy()
+
+    def _reach_solve(self, j: int, g: int, reach_arm: int, target_world,
+                     seed, pos_tol: float) -> np.ndarray:
+        """The 10-vector ``(q_grip, q_reach)`` behind :meth:`solve_reach`."""
+        cfg = self.cfg
+        geom = cfg.arm_geometry
+        base_world = cfg.tile_center(j)
+        mount_g_T = np.asarray(cfg.arm_mount_dcms[g]).T
+        mount_r = np.asarray(cfg.arm_mount_dcms[reach_arm])
+        hub_off_g = cfg.robot_hub.offset(f"A{g}")
+        hub_off_r = cfg.robot_hub.offset(f"A{reach_arm}")
+
+        def residual(q10):
+            joints_g, rots_g = link_poses(geom, q10[:5], base="J0")
+            M_c = rots_g[5] @ mount_g_T
+            hub_pos = base_world + joints_g[6] - M_c @ hub_off_g
+            j6r = hub_pos + M_c @ hub_off_r
+            joints_r, _ = link_poses(geom, q10[5:], base="J6")
+            return j6r + (M_c @ mount_r) @ joints_r[0] - target_world
 
         def bent(a, b, yaw=0.0):
             return np.concatenate([[yaw, a, a, a, 0.0], [0.0, b, b, b, 0.0]])
 
-        seeds = [np.asarray(q_seed, dtype=float)] if q_seed is not None else []
+        seeds = [seed] if seed is not None else []
         seeds += [np.zeros(10)]
         seeds += [bent(a, b) for a in (0.5, -0.5) for b in (0.5, -0.5)]
         seeds += [bent(0.5, -0.5, 1.5), bent(0.5, -0.5, -1.5)]
         last = None
         for q0 in seeds:
             try:
-                q = dls_solve(lambda q10: tip_position(q10) - target_world, q0,
-                              -JOINT_LIMIT * np.ones(10), JOINT_LIMIT * np.ones(10),
-                              tol=0.5 * pos_tol, max_iter=400)
-                return q[:5], q[5:]
+                return dls_solve(residual, q0, -JOINT_LIMIT * np.ones(10),
+                                 JOINT_LIMIT * np.ones(10), tol=0.5 * pos_tol,
+                                 max_iter=400)
             except IkNotConverged as exc:
                 last = exc
         raise last

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flexasm import robot
 from flexasm.errors import IkNotConverged, JointOutOfRange
+from flexasm.multibody import dcm_about_axis
 
 from conftest import make_rng
 
@@ -62,6 +63,55 @@ def test_joint_range_enforced():
     geom = robot.default_arm_geometry()
     with pytest.raises(JointOutOfRange):
         robot.forward_kinematics(geom, [7.0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_joints_rejected(bad):
+    geom = robot.default_arm_geometry()
+    q = [0.1, bad, 0.0, 0.0, 0.0]
+    with pytest.raises(JointOutOfRange):
+        robot.validate_joints(q)
+    for base in ("J0", "J6"):
+        with pytest.raises(JointOutOfRange):
+            robot.link_poses(geom, q, base)
+
+
+def oracle_link_poses(geom, q, base):
+    """Link chain composed from validated ``dcm_about_axis`` rotations."""
+    joints = [np.zeros(3)]
+    rots = []
+    R = np.eye(3)
+    p = np.zeros(3)
+    for i in range(6):
+        if i >= 1:
+            R = R @ dcm_about_axis(geom.joint_axes[i - 1], q[i - 1]).R
+        rots.append(R)
+        p = p + R @ geom.joint_offsets[i]
+        joints.append(p)
+    joints = np.array(joints)
+    if base == "J6":
+        R6 = rots[-1]
+        joints = (joints - joints[-1]) @ R6
+        rots = [R6.T @ r for r in rots]
+    return joints, rots
+
+
+def test_link_poses_match_dcm_chain_oracle():
+    rng = make_rng(11)
+    default = robot.default_arm_geometry()
+    axes = rng.standard_normal((5, 3))
+    skewed = robot.ArmGeometry(default.joint_offsets, axes, default.masses,
+                               default.coms, default.inertias)
+    for geom in (default, skewed):
+        for _ in range(25):
+            q = rng.uniform(-robot.JOINT_LIMIT, robot.JOINT_LIMIT, 5)
+            for base in ("J0", "J6"):
+                joints, rots = robot.link_poses(geom, q, base)
+                ref_joints, ref_rots = oracle_link_poses(geom, q, base)
+                assert np.array_equal(joints, ref_joints)
+                assert len(rots) == 6
+                for r, ref in zip(rots, ref_rots):
+                    assert np.array_equal(r, ref)
 
 
 # ---------------------------------------------------------------------------

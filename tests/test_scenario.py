@@ -7,7 +7,8 @@ import pytest
 
 from flexasm import linss
 from flexasm import scenario as sc
-from flexasm.errors import NegativeCount, StateInvalid, MissingStructureData
+from flexasm.errors import (IkNotConverged, MissingStructureData,
+                            NegativeCount, StateInvalid)
 from flexasm.multibody import (apply_frame, dcm_about_axis, rigid_mass_matrix,
                                rigid_nport_inverted)
 from flexasm.robot import arm_two_port, default_arm_geometry, link_poses
@@ -344,6 +345,55 @@ def test_solve_reach_to_stack(models, cfg):
 def test_solve_reach_rejects_grip_arm(models):
     with pytest.raises(StateInvalid):
         models.solve_reach(sc.AssemblyState(1, 1, 1, 0), 1, np.zeros(3))
+
+
+def test_solve_reach_memo_ignores_n_and_delta(cfg):
+    # the walking IK reads only (j, arm, reach arm, target): every (n,
+    # delta) variant shares one solve, bitwise equal to a fresh model's
+    shared = sc.ScenarioModels(cfg)
+    # pairs of problems differ in exactly one key entry
+    problems = [(1, 1, 3, cfg.stack_center()), (1, 2, 3, cfg.stack_center()),
+                (1, 1, 3, cfg.tile_center(2)), (1, 1, 2, cfg.tile_center(2)),
+                (3, 1, 2, cfg.tile_center(2)), (2, 2, 1, cfg.tile_center(3))]
+    for j, arm, reach_arm, target in problems:
+        for n, delta in ((j, 0), (j, 1), (4, 0), (4, 1)):
+            st = sc.AssemblyState(n, j, arm, delta)
+            got = shared.solve_reach(st, reach_arm, target)
+            ref = sc.ScenarioModels(cfg).solve_reach(st, reach_arm, target)
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes()
+    assert len(shared._reach) == len(problems)
+
+
+def test_solve_reach_memo_returns_copies(cfg):
+    models = sc.ScenarioModels(cfg)
+    st = sc.AssemblyState(1, 1, 1, 0)
+    qg, qr = models.solve_reach(st, 3, cfg.stack_center())
+    ref = qg.copy(), qr.copy()
+    qg[:] = 1.0
+    qr += 0.5
+    again = models.solve_reach(st, 3, cfg.stack_center())
+    for a, b in zip(again, ref):
+        assert np.array_equal(a, b)
+
+
+def test_solve_reach_memo_reraises_unreachable_straddle(cfg, monkeypatch):
+    # tiles 1 and 3 of the table layout are diagonal neighbours: the
+    # straddle is out of reach, and its failure proof runs only once
+    models = sc.ScenarioModels(cfg)
+    calls = []
+    solve = sc.dls_solve
+    monkeypatch.setattr(sc, "dls_solve",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    target = cfg.tile_center(3)
+    with pytest.raises(IkNotConverged) as first:
+        models.solve_reach(sc.AssemblyState(3, 1, 1, 0), 2, target)
+    proof = len(calls)
+    assert proof >= 2
+    with pytest.raises(IkNotConverged) as second:
+        models.solve_reach(sc.AssemblyState(4, 1, 1, 1), 2, target)
+    assert len(calls) == proof
+    assert str(second.value) == str(first.value)
 
 
 def test_worst_case_gains_stabilize_family_at_desk_scale():
