@@ -13,7 +13,7 @@ from flexasm import multibody as mb
 
 # transport: a force at P expressed 2 m away picks up a torque
 t = mb.tau_kinematic([0.0, 2.0, 0.0])
-print("wrench transport of x-force over +2y:", t.tau.T @ [1, 0, 0, 0, 0, 0])
+print("wrench transport of x-force over +2y:", t.T @ [1, 0, 0, 0, 0, 0])
 
 # rigid body response: 1 N on a 6.0423 kg tile
 tile = mb.RigidBodyData(6.0423, np.diag([0.5041, 0.5041, 1.0071]), {})

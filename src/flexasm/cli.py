@@ -11,25 +11,32 @@ full-assembly  the complete build plan (alternating pickup/assemble),
                same outputs plus node-graph dumps.
 validate       data invariants of the scenario: pass/warn/fail report.
 
-Exit codes: 0 success, 2 configuration error, 3 modeling error,
-4 unreachable goal.  The output directory comes from ``--out`` or the
-``FLEXASM_OUTDIR`` environment variable.
+Exit codes: 0 success, 2 configuration error (a bad argument or scenario
+file), 3 modeling error, 4 unreachable goal.  The output directory comes
+from ``--out`` or the ``FLEXASM_OUTDIR`` environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import _svg, data_path
-from .errors import FlexasmError, ParseError, SchemaError, UnitError, Unreachable
-from .linss import lft_upper
+from .errors import (
+    FlexasmError,
+    ParseError,
+    SchemaError,
+    StateInvalid,
+    UnitError,
+    Unreachable,
+)
+from .linss import freq_response, lft_upper
 from .modal import (
     LatticeStiffness,
     TileLayout,
@@ -47,18 +54,7 @@ from .pathopt import (
 from .robot import ArmGeometry, default_arm_geometry
 from .scenario import AssemblyState, ScenarioModels, table_scenario
 
-__all__ = ["main", "RunManifest", "load_scenario"]
-
-
-@dataclass
-class RunManifest:
-    """One resolved invocation: scenario, command options, output sink."""
-
-    scenario_path: Path
-    command: str
-    out_dir: Path
-    seed: int = 0
-    options: dict = None
+__all__ = ["main", "load_scenario"]
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +174,67 @@ def load_scenario(path) -> tuple:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _parse_channel(text: str):
-    """'T_G[0]:omega_dot_G[0]' -> (in, in_idx, out, out_idx); indices optional."""
-    def part(p):
-        if "[" in p:
-            name, idx = p[:-1].split("[")
-            return name, int(idx)
-        return p, None
-    try:
-        pin, pout = text.split(":")
-    except ValueError:
-        raise SchemaError(f"channel spec {text!r} must be 'input:output'") from None
-    i_name, i_idx = part(pin)
-    o_name, o_idx = part(pout)
-    return i_name, i_idx, o_name, o_idx
+def _parse_channel(text: str, system):
+    """'T_G[0]:omega_dot_G[0]' -> (in, in_idx, out, out_idx); indices optional.
+
+    Names and indices are checked against the channels of ``system``.
+    """
+    def part(p, has, width):
+        name, idx = p, None
+        if p.endswith("]") and "[" in p:
+            name, _, idx = p[:-1].partition("[")
+            try:
+                idx = int(idx)
+            except ValueError:
+                raise SchemaError(f"channel index in {p!r} must be an integer") from None
+        if not has(name):
+            raise SchemaError(f"no channel {name!r} in {text!r}")
+        if idx is not None and not 0 <= idx < width(name):
+            raise SchemaError(f"index {idx} of {name!r} outside 0..{width(name) - 1}")
+        return name, idx
+
+    pin, sep, pout = text.partition(":")
+    if not sep:
+        raise SchemaError(f"channel spec {text!r} must be 'input:output'")
+    return (*part(pin, system.has_input, system.in_width),
+            *part(pout, system.has_output, system.out_width))
 
 
-def _parse_node(text: str):
+def _node(text: str):
     try:
         tile, arm = (int(v) for v in text.split(","))
-        return (tile, arm)
     except ValueError:
-        raise SchemaError(f"node {text!r} must be 'tile,arm'") from None
+        raise argparse.ArgumentTypeError(f"node {text!r} must be 'tile,arm'") from None
+    return (tile, arm)
+
+
+def _state(text: str) -> AssemblyState:
+    try:
+        return AssemblyState(*(int(v) for v in text.split(",")))
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"{text!r} must be n,j,arm,delta") from None
+    except StateInvalid as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
+def _grid_points(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 2")
+    return value
 
 
 def _write_csv(path: Path, header, rows):
@@ -244,29 +279,26 @@ def _graph_dump(out_dir: Path, graph):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(manifest: RunManifest) -> int:
-    cfg, _ = load_scenario(manifest.scenario_path)
-    opt = manifest.options
-    models = ScenarioModels(cfg)
-    state = AssemblyState(*opt["state"])
-    plant = models.open_loop(state, (np.zeros(5),) * 3)
-    i_name, i_idx, o_name, o_idx = _parse_channel(opt["channel"])
+def cmd_analyze(args) -> int:
+    cfg, _ = load_scenario(args.scenario)
+    state = args.state
+    if state.n > cfg.n_tiles:
+        raise SchemaError(f"--state has n={state.n} > N={cfg.n_tiles}")
+    plant = ScenarioModels(cfg).open_loop(state, (np.zeros(5),) * 3)
+    closed = {delta: lft_upper(plant, delta) for delta in (-1.0, 0.0, 1.0)}
+    i_name, i_idx, o_name, o_idx = _parse_channel(args.channel, closed[0.0])
 
-    f_hz = np.geomspace(opt["fmin"], opt["fmax"], opt["points"])
+    f_hz = np.geomspace(args.fmin, args.fmax, args.points)
     traces = {}
-    for delta in (-1.0, 0.0, 1.0):
-        sys = lft_upper(plant, delta)
-        sub = sys.subsystem(outputs=[o_name], inputs=[i_name])
-        vals = []
-        for f in f_hz:
-            G = sub.transfer_at(2j * np.pi * f)
-            if i_idx is not None and o_idx is not None:
-                vals.append(abs(G[o_idx, i_idx]))
-            else:
-                vals.append(float(np.linalg.svd(G, compute_uv=False)[0]))
-        traces[delta] = np.asarray(vals)
+    for delta, loop in closed.items():
+        resp = freq_response(loop.subsystem(outputs=[o_name], inputs=[i_name]),
+                             2.0 * np.pi * f_hz)
+        if i_idx is not None and o_idx is not None:
+            traces[delta] = np.abs(resp.values[:, o_idx, i_idx])
+        else:
+            traces[delta] = resp.magnitude()
 
-    out = manifest.out_dir
+    out = args.out
     _write_csv(out / "analyze.csv",
                ["freq_hz", "sigma_nominal", "sigma_delta_minus", "sigma_delta_plus"],
                [(float(f), float(traces[0.0][k]), float(traces[-1.0][k]),
@@ -275,16 +307,16 @@ def cmd_analyze(manifest: RunManifest) -> int:
                    [("delta=0", f_hz, traces[0.0]),
                     ("delta=-1", f_hz, traces[-1.0]),
                     ("delta=+1", f_hz, traces[1.0])],
-                   title=f"{opt['channel']} gain", xlabel="frequency [Hz]",
+                   title=f"{args.channel} gain", xlabel="frequency [Hz]",
                    ylabel="magnitude", xlog=True, ylog=True)
-    print(f"analyze: {len(f_hz)} points on {opt['channel']} "
+    print(f"analyze: {len(f_hz)} points on {args.channel} "
           f"-> {out / 'analyze.csv'}")
     return 0
 
 
-def _compare_plot(out_dir: Path, res, title: str):
-    w = np.array([v for _, v, _, _ in res.series])
-    u = np.array([v for _, v, _, _ in res.series_baseline])
+def _compare_plot(out_dir: Path, series, series_baseline, title: str):
+    w = np.array([v for _, v, _, _ in series])
+    u = np.array([v for _, v, _, _ in series_baseline])
     _svg.line_plot(out_dir / "plot_compare.svg",
                    [("optimized", np.arange(w.size), w),
                     ("baseline", np.arange(u.size), u)],
@@ -292,13 +324,12 @@ def _compare_plot(out_dir: Path, res, title: str):
                    xlog=False, ylog=bool(np.all(w > 0) and np.all(u > 0)))
 
 
-def cmd_optimize(manifest: RunManifest) -> int:
-    cfg, _ = load_scenario(manifest.scenario_path)
-    opt = manifest.options
-    spec = CostSpec(opt["cost"], hard_cap=opt.get("hard_cap"))
+def cmd_optimize(args) -> int:
+    cfg, _ = load_scenario(args.scenario)
+    spec = CostSpec(args.cost, hard_cap=args.hard_cap)
     planner = AssemblyPlanner(cfg)
-    n = opt.get("n") or cfg.n_tiles
-    src, dst = opt["src"], opt["dst"]
+    n = args.n or cfg.n_tiles
+    src, dst = args.src, args.dst
 
     _, graph = build_node_graphs(cfg, n)   # walking with a carried tile
     planner.weight_graph(graph, spec)
@@ -322,15 +353,11 @@ def cmd_optimize(manifest: RunManifest) -> int:
     total_w, series_w = evaluate(path_w)
     total_u, series_u = evaluate(path_u)
 
-    out = manifest.out_dir
+    out = args.out
     _series_csv(out, "metrics_weighted", series_w)
     _series_csv(out, "metrics_baseline", series_u)
     _graph_dump(out, graph)
-
-    class _Res:
-        series = series_w
-        series_baseline = series_u
-    _compare_plot(out, _Res, f"{spec.kind} along the walk")
+    _compare_plot(out, series_w, series_u, f"{spec.kind} along the walk")
 
     gap = 100.0 * (total_u - total_w) / total_w if total_w else 0.0
     lines = [f"optimized path:  {' -> '.join(str(graph.nodes[i]) for i in path_w)}",
@@ -343,14 +370,13 @@ def cmd_optimize(manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_full_assembly(manifest: RunManifest) -> int:
-    cfg, _ = load_scenario(manifest.scenario_path)
-    opt = manifest.options
-    spec = CostSpec(opt["cost"], hard_cap=opt.get("hard_cap"))
+def cmd_full_assembly(args) -> int:
+    cfg, _ = load_scenario(args.scenario)
+    spec = CostSpec(args.cost, hard_cap=args.hard_cap)
     planner = AssemblyPlanner(cfg)
-    res = planner.plan_full_assembly(spec, start=opt.get("start", (1, 1)))
+    res = planner.plan_full_assembly(spec, start=args.start)
 
-    out = manifest.out_dir
+    out = args.out
     _series_csv(out, "metrics_weighted", res.series)
     _series_csv(out, "metrics_baseline", res.series_baseline)
     _trajectory_log(out, "trajectory_weighted", res.stages)
@@ -360,7 +386,8 @@ def cmd_full_assembly(manifest: RunManifest) -> int:
             if n < cfg.n_tiles:
                 planner.weight_graph(g, spec)
             _graph_dump(out, g)
-    _compare_plot(out, res, f"{spec.kind} over the full assembly")
+    _compare_plot(out, res.series, res.series_baseline,
+                  f"{spec.kind} over the full assembly")
 
     lines = [f"cumulative optimized: {res.cumulative:.10e}",
              f"cumulative baseline:  {res.cumulative_baseline:.10e}",
@@ -372,13 +399,13 @@ def cmd_full_assembly(manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_validate(manifest: RunManifest) -> int:
+def cmd_validate(args) -> int:
     failures = []
     warnings = []
     passes = []
 
     try:
-        cfg, _ = load_scenario(manifest.scenario_path)
+        cfg, _ = load_scenario(args.scenario)
     except ParseError:
         raise                       # unreadable input: configuration error
     except (SchemaError, UnitError, FlexasmError) as exc:
@@ -431,74 +458,53 @@ def _build_parser():
                    help="scenario YAML (default: packaged desk scenario)")
     p.add_argument("--out", default=None, help="output directory "
                    "(default $FLEXASM_OUTDIR or ./flexasm_out)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed override for randomized checks")
     sub = p.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="frequency response of one channel")
     a.add_argument("--channel", default="T_G[0]:omega_dot_G[0]")
-    a.add_argument("--fmin", type=float, default=0.01)
-    a.add_argument("--fmax", type=float, default=20.0)
-    a.add_argument("--points", type=int, default=400)
-    a.add_argument("--state", default="1,1,1,0",
+    a.add_argument("--fmin", type=_positive_float, default=0.01)
+    a.add_argument("--fmax", type=_positive_float, default=20.0)
+    a.add_argument("--points", type=_grid_points, default=400)
+    a.add_argument("--state", type=_state, default="1,1,1,0",
                    help="n,j,arm,delta of the analyzed configuration")
 
     for name in ("optimize", "full-assembly"):
         o = sub.add_parser(name)
         o.add_argument("--cost", required=True,
                        choices=["hinf-wrench", "h2-theta", "hinf-isens", "mu"])
-        o.add_argument("--hard-cap", type=float, default=None)
+        o.add_argument("--hard-cap", type=_positive_float, default=None)
         if name == "optimize":
-            o.add_argument("--from", dest="src", required=True,
+            o.add_argument("--from", dest="src", type=_node, required=True,
                            help="start node tile,arm")
-            o.add_argument("--to", dest="dst", required=True,
+            o.add_argument("--to", dest="dst", type=_node, required=True,
                            help="goal node tile,arm")
             o.add_argument("--n", type=int, default=None,
                            help="structure size (default: N)")
         else:
-            o.add_argument("--start", default="1,1", help="initial tile,arm")
+            o.add_argument("--start", type=_node, default="1,1",
+                           help="initial tile,arm")
 
     sub.add_parser("validate", help="check scenario data invariants")
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    out_dir = Path(args.out or os.environ.get("FLEXASM_OUTDIR", "flexasm_out"))
-
-    options = {}
-    if args.command == "analyze":
-        try:
-            state = tuple(int(v) for v in args.state.split(","))
-            assert len(state) == 4
-        except (ValueError, AssertionError):
-            print("error: --state must be n,j,arm,delta", file=sys.stderr)
-            return 2
-        options = {"channel": args.channel, "fmin": args.fmin,
-                   "fmax": args.fmax, "points": args.points, "state": state}
-    elif args.command == "optimize":
-        options = {"cost": args.cost, "hard_cap": args.hard_cap,
-                   "src": None, "dst": None, "n": args.n}
-    elif args.command == "full-assembly":
-        options = {"cost": args.cost, "hard_cap": args.hard_cap}
+    """Run one command; a bad argument exits 2 through argparse."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "analyze" and args.fmin == args.fmax:
+        parser.error("--fmin and --fmax must differ")
+    args.scenario = Path(args.scenario)
+    args.out = Path(args.out or os.environ.get("FLEXASM_OUTDIR", "flexasm_out"))
 
     try:
-        if args.command == "optimize":
-            options["src"] = _parse_node(args.src)
-            options["dst"] = _parse_node(args.dst)
-        elif args.command == "full-assembly":
-            options["start"] = _parse_node(args.start)
-
-        scenario_path = Path(args.scenario)
-        if not scenario_path.exists():
-            print(f"error: scenario file {scenario_path} not found", file=sys.stderr)
+        if not args.scenario.exists():
+            print(f"error: scenario file {args.scenario} not found", file=sys.stderr)
             return 2
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest(scenario_path, args.command, out_dir,
-                               seed=args.seed or 0, options=options)
+        args.out.mkdir(parents=True, exist_ok=True)
         handler = {"analyze": cmd_analyze, "optimize": cmd_optimize,
                    "full-assembly": cmd_full_assembly, "validate": cmd_validate}
-        return handler[args.command](manifest)
+        return handler[args.command](args)
     except Unreachable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -107,10 +107,6 @@ class IkNotConverged(FlexasmError):
 
 # --- scenario / path optimization ------------------------------------------
 
-class NegativeCount(FlexasmError):
-    """Stack tile count N - n - delta went negative."""
-
-
 class StateInvalid(FlexasmError):
     """Assembly state violates its invariants."""
 

@@ -7,9 +7,9 @@ time model
 
 whose input and output vectors are partitioned into *named channels*
 (e.g. a 6-wide wrench ``"W_P"`` next to a 3-wide torque ``"T_G"``).  All
-structural operations -- interconnection, channel inversion, linear
-fractional transformations, frame changes -- address signals by channel
-name, never by raw index, which is what keeps large block diagrams
+structural operations -- interconnection, channel inversion, the upper
+linear fractional transformation, frame changes -- address signals by
+channel name, never by raw index, which is what keeps large block diagrams
 assemblable without bookkeeping mistakes.
 
 The module also provides the analysis layer used by every cost function:
@@ -54,7 +54,6 @@ __all__ = [
     "integrator",
     "interconnect",
     "invert_channels",
-    "lft_lower",
     "lft_upper",
     "freq_response",
     "sigma_max",
@@ -65,7 +64,6 @@ __all__ = [
     "h2_norm",
     "state_transform",
     "split_channel",
-    "rename_channels",
 ]
 
 # Stability boundary used throughout: poles with Re >= -STAB_TOL count as
@@ -234,17 +232,6 @@ def integrator(width: int, in_name: str = "u", out_name: str = "y") -> StateSpac
     eye = np.eye(width)
     return StateSpace(np.zeros((width, width)), eye, eye, np.zeros((width, width)),
                       ((in_name, width),), ((out_name, width),))
-
-
-def rename_channels(sys: StateSpace, inputs=None, outputs=None) -> StateSpace:
-    """Return the same model with channels renamed via the given mappings."""
-    inputs = inputs or {}
-    outputs = outputs or {}
-    return StateSpace(
-        sys.A, sys.B, sys.C, sys.D,
-        tuple((inputs.get(c, c), w) for c, w in sys.in_channels),
-        tuple((outputs.get(c, c), w) for c, w in sys.out_channels),
-    )
 
 
 def split_channel(sys: StateSpace, name: str, parts: Sequence) -> StateSpace:
@@ -445,22 +432,6 @@ def invert_channels(sys: StateSpace, in_names, out_names) -> StateSpace:
     new_out = tuple((c, sys.in_width(c)) for c in in_names) + tuple(
         (c, w) for c, w in sys.out_channels if c not in out_names)
     return StateSpace(A_n, B_n, C_n, D_n, new_in, new_out)
-
-
-def lft_lower(plant: StateSpace, K: StateSpace, u_channel: str, y_channel: str) -> StateSpace:
-    """Lower LFT: close ``u_channel = K * y_channel`` and drop both."""
-    if K.n_inputs != plant.out_width(y_channel) or K.n_outputs != plant.in_width(u_channel):
-        raise WidthMismatch(
-            f"K is {K.n_outputs}x{K.n_inputs}, loop needs "
-            f"{plant.in_width(u_channel)}x{plant.out_width(y_channel)}")
-    k_in = K.in_channels[0][0]
-    k_out = K.out_channels[0][0]
-    ext_in = [(c, f"p.{c}") for c, _ in plant.in_channels if c != u_channel]
-    ext_out = [(c, f"p.{c}") for c, _ in plant.out_channels if c != y_channel]
-    return interconnect(
-        [("p", plant), ("k", K)],
-        [(f"p.{y_channel}", f"k.{k_in}"), (f"k.{k_out}", f"p.{u_channel}")],
-        ext_in, ext_out)
 
 
 def lft_upper(plant: StateSpace, delta: float, w_channel: str = "w_omega",

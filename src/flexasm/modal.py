@@ -194,8 +194,8 @@ def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
     for a, b, kind in pairs:
         mid = 0.5 * (positions[a] + positions[b])
         scale = 1.0 if kind == "side" else stiffness.diag_scale
-        ta = tau_kinematic(positions[a] - mid).tau
-        tb = tau_kinematic(positions[b] - mid).tau
+        ta = tau_kinematic(positions[a] - mid)
+        tb = tau_kinematic(positions[b] - mid)
         B = np.zeros((6, ndof))
         B[:, 6 * a:6 * a + 6] = ta
         B[:, 6 * b:6 * b + 6] = -tb
@@ -205,7 +205,7 @@ def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
     clamped_tiles = [t for t in range(1, n + 1)
                      if np.linalg.norm(positions[t] - clamp_point) <= clamp_reach]
     for t in clamped_tiles:
-        tt = tau_kinematic(positions[t] - clamp_point).tau
+        tt = tau_kinematic(positions[t] - clamp_point)
         B = np.zeros((6, ndof))
         B[:, 6 * t:6 * t + 6] = tt
         B[:, 0:6] = -np.eye(6)
@@ -265,7 +265,7 @@ def _rigid_transport(model: LatticeModel, point) -> np.ndarray:
     for row, dof in enumerate(free):
         node = dof // 6
         comp = dof % 6
-        T[row, :] = tau_kinematic(point - model.node_positions[node]).tau[comp, :]
+        T[row, :] = tau_kinematic(point - model.node_positions[node])[comp, :]
     return T
 
 

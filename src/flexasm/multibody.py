@@ -45,7 +45,6 @@ from .linss import StateSpace
 __all__ = [
     "skew",
     "tau_kinematic",
-    "KinematicTransport",
     "RigidBodyData",
     "ModalBodyData",
     "Dcm",
@@ -55,7 +54,6 @@ __all__ = [
     "dcm_axis_z",
     "apply_frame",
     "rigid_mass_matrix",
-    "rigid_mass_matrix_at",
     "transport_inertia",
     "compose_rigid",
     "rigid_nport",
@@ -74,8 +72,8 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def tau_kinematic(pb) -> "KinematicTransport":
-    """Rigid kinematic transport for the point pair (P, B), ``pb = B - P``.
+def tau_kinematic(pb) -> np.ndarray:
+    """6x6 rigid kinematic transport for the point pair (P, B), ``pb = B - P``.
 
     ``tau @ twist_at_B = twist_at_P`` and ``tau.T @ wrench_at_P`` is the
     same wrench expressed at B.  Composition: tau(PB) @ tau(QP) = tau(QB).
@@ -85,22 +83,7 @@ def tau_kinematic(pb) -> "KinematicTransport":
         raise ValueError("pb must be a finite 3-vector")
     tau = np.eye(6)
     tau[0:3, 3:6] = skew(pb)
-    return KinematicTransport(pb, tau)
-
-
-@dataclass(frozen=True)
-class KinematicTransport:
-    PB: np.ndarray
-    tau: np.ndarray
-
-    def __matmul__(self, other):
-        if isinstance(other, KinematicTransport):
-            return tau_kinematic(self.PB + other.PB)
-        return self.tau @ other
-
-
-def _tau(r) -> np.ndarray:
-    return tau_kinematic(r).tau
+    return tau
 
 
 @dataclass(frozen=True)
@@ -157,12 +140,6 @@ def rigid_mass_matrix(body: RigidBodyData) -> np.ndarray:
     return D
 
 
-def rigid_mass_matrix_at(body: RigidBodyData, gp) -> np.ndarray:
-    """Full 6x6 rigid mass matrix at the point G + gp."""
-    t = _tau(np.asarray(gp, dtype=float))  # maps twist at P to twist at G
-    return t.T @ rigid_mass_matrix(body) @ t
-
-
 def transport_inertia(J_com: np.ndarray, mass: float, c) -> np.ndarray:
     """Parallel-axis transport: inertia about a point offset by c from the CoM."""
     c = np.asarray(c, dtype=float).ravel()
@@ -196,15 +173,9 @@ def compose_rigid(parts: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class Dcm:
-    """Direction cosine matrix; ``[v]_new = R @ [v]_old``.
-
-    ``tau_alpha`` carries tan(alpha/4) for single-axis rotations built by
-    the axis constructors (reporting only; models substitute R numerically
-    at trajectory waypoints).
-    """
+    """Direction cosine matrix; ``[v]_new = R @ [v]_old``."""
 
     R: np.ndarray
-    tau_alpha: Optional[float] = None
 
     def __post_init__(self):
         R = np.asarray(self.R, dtype=float).reshape(3, 3)
@@ -249,7 +220,7 @@ def dcm_about_axis(axis, alpha: float) -> Dcm:
         axis = axis / nrm
     K = skew(axis)
     R = np.eye(3) + math.sin(alpha) * K + (1.0 - math.cos(alpha)) * (K @ K)
-    return Dcm(R, tau_alpha=math.tan(alpha / 4.0))
+    return Dcm(R)
 
 
 def dcm_axis_x(alpha: float) -> Dcm:
@@ -315,7 +286,7 @@ def rigid_nport(body: RigidBodyData, ports: Sequence[str] = (),
         raise SingularInertia(f"body {body.name!r} has no mass")
     if np.linalg.cond(D_G) > 1e12:
         raise SingularInertia(f"mass matrix of {body.name!r} is singular")
-    T = np.vstack([_tau(-body.offset(p)) for p in names])
+    T = np.vstack([tau_kinematic(-body.offset(p)) for p in names])
     X = T @ np.linalg.solve(D_G, T.T)
     return StateSpace(
         np.zeros((0, 0)), np.zeros((0, 6 * len(names))),
@@ -338,7 +309,7 @@ def rigid_nport_inverted(body: RigidBodyData, inverted_port: str,
     if body.mass <= 0.0:
         raise SingularInertia(f"body {body.name!r} has no mass")
     gp1 = body.offset(inverted_port)
-    t_gp1 = _tau(gp1)          # twist at P1 -> twist at G
+    t_gp1 = tau_kinematic(gp1)  # twist at P1 -> twist at G
     D_G = rigid_mass_matrix(body)
 
     n_in = 6 * (1 + len(others))
@@ -349,8 +320,8 @@ def rigid_nport_inverted(body: RigidBodyData, inverted_port: str,
     for k, p in enumerate(others):
         gpk = body.offset(p)
         col = slice(6 * (k + 1), 6 * (k + 2))
-        D[0:6, col] = _tau(gp1 - gpk).T        # wrench at P_k expressed at P1
-        D[col, 0:6] = _tau(gp1 - gpk)          # twist at P1 transported to P_k
+        D[0:6, col] = tau_kinematic(gp1 - gpk).T  # wrench at P_k expressed at P1
+        D[col, 0:6] = tau_kinematic(gp1 - gpk)  # twist at P1 transported to P_k
     ins = ((f"xdd_{inverted_port}", 6),) + tuple(
         (f"W_{p}", 6) for p in others)
     outs = ((f"W_{inverted_port}", 6),) + tuple(
@@ -480,7 +451,7 @@ def _titop_matrices(data: ModalBodyData, two_port: bool):
     L = data.L_P
     if two_port:
         phi = data.phi_C
-        tau_cp = _tau(-data.pc)  # twist at P -> twist at C
+        tau_cp = tau_kinematic(-data.pc)  # twist at P -> twist at C
         B = np.zeros((2 * n, 12))
         B[n:, 0:6] = phi.T
         B[n:, 6:12] = -L

@@ -45,7 +45,6 @@ __all__ = [
     "grid_edge_models",
     "edge_cost",
     "AssemblyPlanner",
-    "plan_full_assembly",
     "PlanResult",
     "COST_KINDS",
 ]
@@ -191,17 +190,16 @@ class CostSpec:
 
     kind: str
     hard_cap: Optional[float] = None
-    mu_delta_max: float = 20.0
 
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise ValueError(f"cost kind must be one of {COST_KINDS}")
-        if self.hard_cap is not None and self.hard_cap <= 0:
+        if self.hard_cap is not None and not self.hard_cap > 0:
             raise ValueError("hard cap must be positive")
 
     @property
     def key(self):
-        return (self.kind, self.hard_cap, self.mu_delta_max)
+        return (self.kind, self.hard_cap)
 
 
 @dataclass
@@ -241,8 +239,7 @@ def _leg_systems(models: ScenarioModels, state: AssemblyState, sweeps, z, K_att)
 
 
 def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
-                     K_att: np.ndarray, z: Optional[int] = None,
-                     edge_id: int = 0) -> EdgeModelArray:
+                     K_att: np.ndarray, edge_id: int = 0) -> EdgeModelArray:
     """Build the 2z closed-loop models for one edge.
 
     Walking edges solve the two-arm straddle so the free arm's tip meets
@@ -251,7 +248,7 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
     home configuration under the post-action state.
     """
     cfg = models.cfg
-    z = cfg.z_grid if z is None else z
+    z = cfg.z_grid
     tile, arm = src
     delta_walk = 0 if kind == PICKUP else 1
     pre = AssemblyState(n, tile, arm, delta_walk)
@@ -263,7 +260,7 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
         else:
             if n >= cfg.n_tiles:
                 raise StateInvalid(f"no tile left to assemble after F_{n}")
-            target = cfg.hub.offset("P2") + cfg.layout.center(n + 1, cfg.pitch)
+            target = cfg.tile_center(n + 1)
             post = AssemblyState(n + 1, tile, arm, 0)
         q_grip, q_reach = models.solve_reach(pre, 3, target)
         sweeps1 = {arm: (HOME_JOINTS, q_grip), 3: (HOME_JOINTS, q_reach)}
@@ -297,7 +294,7 @@ def per_system_metric(sys: StateSpace, spec: CostSpec) -> float:
         return h2_norm(minimal_stable_projection(sys, "W_ext", "Theta_G"))
     if spec.kind == "hinf-isens":
         return hinf_norm(minimal_stable_projection(sys, "d_t", "e_t"))
-    return mu_real_repeated(sys, delta_max=spec.mu_delta_max).mu_lower
+    return mu_real_repeated(sys).mu_lower
 
 
 def edge_cost(array: EdgeModelArray, spec: CostSpec):
@@ -366,10 +363,10 @@ class PlanResult:
 class AssemblyPlanner:
     """Caches edge model arrays and costs across cost specs and searches."""
 
-    def __init__(self, cfg: ScenarioConfig, K_att: Optional[np.ndarray] = None):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.models = ScenarioModels(cfg)
-        self.K_att = self.models.design_gains() if K_att is None else K_att
+        self.K_att = self.models.design_gains()
         self._arrays = {}
         self._costs = {}
         self._next_edge_id = 0
@@ -456,8 +453,3 @@ class AssemblyPlanner:
         stages_u, cum_u, series_u, dock_u = self._run_plan(spec, start, "baseline")
         return PlanResult(spec, stages_w, stages_u, cum_w, cum_u,
                           series_w, series_u, dock_w, dock_u)
-
-
-def plan_full_assembly(cfg: ScenarioConfig, spec: CostSpec,
-                       start=(1, 1), K_att=None) -> PlanResult:
-    return AssemblyPlanner(cfg, K_att).plan_full_assembly(spec, start)

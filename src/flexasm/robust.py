@@ -14,6 +14,10 @@ transfer, the exact structured value for a repeated *complex* scalar and
 hence an upper bound for the real one.  The critical frequency found by
 the bisection is folded into the evaluation grid so the bound provably
 dominates the margin numerically.
+
+Only the search range ``delta_max`` is a parameter; the channel pair, the
+scan density, the bisection tolerance and the sweep size are the module
+constants below.
 """
 
 from __future__ import annotations
@@ -27,8 +31,17 @@ import numpy as np
 from .errors import IllPosedLoop, NominalUnstable
 from .linss import StateSpace, lft_upper, spectral_abscissa, STAB_TOL
 
-__all__ = ["MuResult", "mu_real_repeated", "real_margin",
-           "destabilizing_frequency"]
+__all__ = ["MuResult", "mu_real_repeated", "real_margin"]
+
+# The uncertainty channel pair pulled out by ``multibody.mode_freq_lfr``.
+W_CHANNEL = "w_omega"
+Z_CHANNEL = "z_omega"
+# Margin search: uniform scan points per sign, then bisection to this
+# relative width.
+SCAN_POINTS = 64
+TOL = 1e-9
+# Log-spaced frequencies of the complex upper-bound sweep.
+N_FREQ = 400
 
 
 @dataclass(frozen=True)
@@ -51,43 +64,40 @@ class MuResult:
         return self.upper_bound()
 
 
-def _destabilized(sys: StateSpace, delta: float, w_channel: str, z_channel: str) -> bool:
+def _destabilized(sys: StateSpace, delta: float) -> bool:
     try:
-        closed = lft_upper(sys, delta, w_channel, z_channel)
+        closed = lft_upper(sys, delta, W_CHANNEL, Z_CHANNEL)
     except IllPosedLoop:
         return True
     return spectral_abscissa(closed) >= -STAB_TOL
 
 
-def _first_crossing(sys, sign, delta_max, w_channel, z_channel,
-                    scan_points, tol):
+def _first_crossing(sys, sign, delta_max):
     """Smallest |delta| with the given sign losing stability, or None."""
-    grid = np.linspace(0.0, delta_max, scan_points + 1)[1:]
+    grid = np.linspace(0.0, delta_max, SCAN_POINTS + 1)[1:]
     lo = 0.0
     hit = None
     for t in grid:
-        if _destabilized(sys, sign * t, w_channel, z_channel):
+        if _destabilized(sys, sign * t):
             hit = t
             break
         lo = t
     if hit is None:
         return None
     hi = hit
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if _destabilized(sys, sign * mid, w_channel, z_channel):
+        if _destabilized(sys, sign * mid):
             hi = mid
         else:
             lo = mid
     return sign * hi
 
 
-def destabilizing_frequency(sys: StateSpace, delta: float,
-                            w_channel: str = "w_omega",
-                            z_channel: str = "z_omega") -> float:
+def _destabilizing_frequency(sys: StateSpace, delta: float) -> float:
     """|Im| of the closed-loop eigenvalue closest to the imaginary axis."""
     try:
-        closed = lft_upper(sys, delta, w_channel, z_channel)
+        closed = lft_upper(sys, delta, W_CHANNEL, Z_CHANNEL)
     except IllPosedLoop:
         return np.inf
     if closed.n_states == 0:
@@ -96,9 +106,7 @@ def destabilizing_frequency(sys: StateSpace, delta: float,
     return float(abs(ev[np.argmax(ev.real)].imag))
 
 
-def real_margin(sys: StateSpace, delta_max: float = 20.0,
-                w_channel: str = "w_omega", z_channel: str = "z_omega",
-                scan_points: int = 64, tol: float = 1e-9):
+def real_margin(sys: StateSpace, delta_max: float = 20.0):
     """Exact real margin for ``delta * I``: ``(mu_lower, delta_crit)``.
 
     The nominal loop (``delta = 0``) must be strictly stable.  Both signs
@@ -109,28 +117,26 @@ def real_margin(sys: StateSpace, delta_max: float = 20.0,
         raise NominalUnstable(
             f"nominal system unstable (abscissa {spectral_abscissa(sys):.3e})")
 
-    candidates = [d for d in (
-        _first_crossing(sys, +1.0, delta_max, w_channel, z_channel, scan_points, tol),
-        _first_crossing(sys, -1.0, delta_max, w_channel, z_channel, scan_points, tol),
-    ) if d is not None]
+    candidates = [d for d in (_first_crossing(sys, +1.0, delta_max),
+                              _first_crossing(sys, -1.0, delta_max))
+                  if d is not None]
     delta_crit = min(candidates, key=abs) if candidates else None
     mu_lower = 1.0 / abs(delta_crit) if delta_crit is not None else 0.0
     return mu_lower, delta_crit
 
 
-def _complex_upper_bound(sys: StateSpace, delta_crit: Optional[float],
-                         w_channel: str, z_channel: str, n_freq: int) -> float:
+def _complex_upper_bound(sys: StateSpace, delta_crit: Optional[float]) -> float:
     """Frequency-maximized spectral radius of the w->z transfer, with the
     critical frequency of ``delta_crit`` folded into the grid."""
-    sub = sys.subsystem(outputs=[z_channel], inputs=[w_channel])
+    sub = sys.subsystem(outputs=[Z_CHANNEL], inputs=[W_CHANNEL])
     freqs = [0.0]
     if sub.n_states:
         mags = np.abs(np.linalg.eigvals(sub.A))
         mags = mags[mags > 1e-12]
         if mags.size:
-            freqs.extend(np.geomspace(mags.min() / 10.0, mags.max() * 10.0, n_freq))
+            freqs.extend(np.geomspace(mags.min() / 10.0, mags.max() * 10.0, N_FREQ))
     if delta_crit is not None:
-        w_star = destabilizing_frequency(sys, delta_crit, w_channel, z_channel)
+        w_star = _destabilizing_frequency(sys, delta_crit)
         if np.isfinite(w_star):
             freqs.extend([w_star, w_star * 0.999, w_star * 1.001])
 
@@ -141,17 +147,12 @@ def _complex_upper_bound(sys: StateSpace, delta_crit: Optional[float],
     return mu_upper
 
 
-def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0,
-                     w_channel: str = "w_omega", z_channel: str = "z_omega",
-                     scan_points: int = 64, tol: float = 1e-9,
-                     n_freq: int = 400) -> MuResult:
+def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
     """Exact real margin and complex upper bound for ``delta * I``.
 
-    The margin comes from :func:`real_margin`; the ``n_freq``-point
+    The margin comes from :func:`real_margin`; the ``N_FREQ``-point
     upper-bound sweep runs when ``mu_upper`` is first read.
     """
-    mu_lower, delta_crit = real_margin(sys, delta_max, w_channel, z_channel,
-                                       scan_points, tol)
+    mu_lower, delta_crit = real_margin(sys, delta_max)
     return MuResult(mu_lower=mu_lower, delta_crit=delta_crit,
-                    upper_bound=partial(_complex_upper_bound, sys, delta_crit,
-                                        w_channel, z_channel, n_freq))
+                    upper_bound=partial(_complex_upper_bound, sys, delta_crit))

@@ -36,7 +36,6 @@ import numpy as np
 from .errors import (
     IkNotConverged,
     MissingStructureData,
-    NegativeCount,
     StateInvalid,
 )
 from .linss import StateSpace, gain, integrator, interconnect, split_channel
@@ -78,7 +77,6 @@ __all__ = [
     "AssemblyState",
     "ScenarioModels",
     "table_scenario",
-    "stack_properties",
     "attitude_gains",
     "close_loop",
     "enumerate_model_family",
@@ -86,6 +84,9 @@ __all__ = [
 ]
 
 HOME_JOINTS = np.zeros(5)
+
+# Tip position tolerance of the walking IK [m].
+REACH_TOL = 1e-4
 
 # Published spacecraft constants (products of inertia negated into tensors).
 HUB_MASS = 166.0
@@ -171,18 +172,10 @@ class ScenarioConfig:
     # -- geometry helpers (hub frame, G at the origin) ----------------------
 
     def tile_center(self, j: int) -> np.ndarray:
-        return GP2_of(self) + self.layout.center(j, self.pitch)
+        return self.hub.offset("P2") + self.layout.center(j, self.pitch)
 
     def stack_center(self) -> np.ndarray:
-        return GP3_of(self) + self.stack_offset
-
-
-def GP2_of(cfg: ScenarioConfig) -> np.ndarray:
-    return cfg.hub.offset("P2")
-
-
-def GP3_of(cfg: ScenarioConfig) -> np.ndarray:
-    return cfg.hub.offset("P3")
+        return self.hub.offset("P3") + self.stack_offset
 
 
 def table_scenario(n_tiles: int = 4, layout: Optional[TileLayout] = None,
@@ -215,17 +208,8 @@ def table_scenario(n_tiles: int = 4, layout: Optional[TileLayout] = None,
 
 
 # ---------------------------------------------------------------------------
-# stack bookkeeping
+# model family and attitude gains
 # ---------------------------------------------------------------------------
-
-def stack_properties(N: int, n: int, delta: int, tile: RigidBodyData) -> RigidBodyData:
-    """Remaining stack as one rigid body: count = N - n - delta tiles."""
-    count = N - n - delta
-    if count < 0:
-        raise NegativeCount(f"stack count N-n-delta = {count}")
-    return RigidBodyData(count * tile.mass, count * np.asarray(tile.inertia_G),
-                         {}, name=f"stack_{count}")
-
 
 def enumerate_model_family(N: int):
     """Every (n, j, arm, delta) variant; there are 2 N (N + 1) of them."""
@@ -484,35 +468,32 @@ class ScenarioModels:
 
     # -- combined-arm reach -----------------------------------------------
 
-    def solve_reach(self, state: AssemblyState, reach_arm: int,
-                    target_world, q_seed=None, pos_tol: float = 1e-4):
+    def solve_reach(self, state: AssemblyState, reach_arm: int, target_world):
         """Joint angles placing ``reach_arm``'s tip at a world point.
 
         Solves the 10-dof chain through the gripping arm and the robot
-        hub by damped least squares; returns ``(q_grip, q_reach)``.  Far
-        targets can trap the descent from the upright home posture, so a
-        short deterministic ladder of pre-bent seeds is tried in order.
+        hub by damped least squares to ``REACH_TOL``; returns
+        ``(q_grip, q_reach)``.  Far targets can trap the descent from the
+        upright home posture, so a short deterministic ladder of pre-bent
+        seeds is tried in order.
 
-        Solves are memoized on ``(state.j, state.arm, reach_arm, target,
-        q_seed, pos_tol)``, everything the residual reads.  ``state.n``
-        and ``state.delta`` only change which bodies the plant carries,
-        not the kinematic chain from the docking tile to the reaching
-        tip, so they are left out of the key and the states of one walk
-        share a solve.  A failure is memoized too and raised again as an
+        Solves are memoized on ``(state.j, state.arm, reach_arm, target)``,
+        everything the residual reads.  ``state.n`` and ``state.delta``
+        only change which bodies the plant carries, not the kinematic
+        chain from the docking tile to the reaching tip, so they are left
+        out of the key and the states of one walk share a solve.  A failure is memoized too and raised again as an
         :class:`IkNotConverged` with the same message; the returned
         arrays are copies, so callers cannot alter a memoized solution.
         """
         if reach_arm == state.arm:
             raise StateInvalid("reach arm cannot be the gripping arm")
         target_world = np.asarray(target_world, dtype=float).reshape(3)
-        seed = None if q_seed is None else np.asarray(q_seed, dtype=float)
-        key = (state.j, state.arm, reach_arm, target_world.tobytes(),
-               None if seed is None else seed.tobytes(), pos_tol)
+        key = (state.j, state.arm, reach_arm, target_world.tobytes())
         hit = self._reach.get(key)
         if hit is None:
             try:
                 hit = self._reach_solve(state.j, state.arm, reach_arm,
-                                        target_world, seed, pos_tol)
+                                        target_world)
             except IkNotConverged as exc:
                 hit = exc
             self._reach[key] = hit
@@ -520,8 +501,8 @@ class ScenarioModels:
             raise IkNotConverged(str(hit))
         return hit[:5].copy(), hit[5:].copy()
 
-    def _reach_solve(self, j: int, g: int, reach_arm: int, target_world,
-                     seed, pos_tol: float) -> np.ndarray:
+    def _reach_solve(self, j: int, g: int, reach_arm: int,
+                     target_world) -> np.ndarray:
         """The 10-vector ``(q_grip, q_reach)`` behind :meth:`solve_reach`."""
         cfg = self.cfg
         geom = cfg.arm_geometry
@@ -542,15 +523,14 @@ class ScenarioModels:
         def bent(a, b, yaw=0.0):
             return np.concatenate([[yaw, a, a, a, 0.0], [0.0, b, b, b, 0.0]])
 
-        seeds = [seed] if seed is not None else []
-        seeds += [np.zeros(10)]
+        seeds = [np.zeros(10)]
         seeds += [bent(a, b) for a in (0.5, -0.5) for b in (0.5, -0.5)]
         seeds += [bent(0.5, -0.5, 1.5), bent(0.5, -0.5, -1.5)]
         last = None
         for q0 in seeds:
             try:
                 return dls_solve(residual, q0, -JOINT_LIMIT * np.ones(10),
-                                 JOINT_LIMIT * np.ones(10), tol=0.5 * pos_tol,
+                                 JOINT_LIMIT * np.ones(10), tol=0.5 * REACH_TOL,
                                  max_iter=400)
             except IkNotConverged as exc:
                 last = exc

@@ -1,9 +1,11 @@
-"""Shared test helpers: random stable systems and response comparison."""
+"""Shared test helpers: random stable systems, mission closed loops and
+response comparison."""
 
 import numpy as np
 import pytest
 
 from flexasm import linss
+from flexasm import scenario as sc
 
 
 def make_rng(seed=0):
@@ -19,6 +21,17 @@ def random_stable_system(rng, n=8, m=2, p=2, margin=0.2, feedthrough=True):
     C = rng.standard_normal((p, n))
     D = rng.standard_normal((p, m)) if feedthrough else np.zeros((p, m))
     return linss.StateSpace(A, B, C, D, (("u", m),), (("y", p),))
+
+
+def mission_loops(count, seed):
+    """Closed loops of the 4-tile mission at random states and joints."""
+    models = sc.ScenarioModels(sc.table_scenario(4))
+    K = models.design_gains()
+    rng = make_rng(seed)
+    family = sc.enumerate_model_family(4)
+    for idx in rng.choice(len(family), count, replace=False):
+        qs = [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
+        yield models.closed_loop(family[idx], qs, K)
 
 
 def max_response_deviation(sys_a, sys_b, grid, chan_a=None, chan_b=None):

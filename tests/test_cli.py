@@ -1,4 +1,8 @@
-"""Command line front end: manifests, outputs, exit codes."""
+"""Command line front end: scenario files, outputs, exit codes."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +23,14 @@ def write_scenario(tmp_path, name="s.yaml", **fields):
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+def exit_code(args):
+    """``main``'s return value, or the code argparse exits with."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +70,46 @@ def test_scenario_unit_suffix_errors(tmp_path):
 def test_missing_scenario_exits_2(tmp_path):
     assert run(["--scenario", tmp_path / "nope.yaml", "--out", tmp_path,
                 "validate"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--channel", "T_G[a]:omega_dot_G[0]"],
+    ["analyze", "--channel", "T_G[9]:omega_dot_G[0]"],
+    ["analyze", "--channel", "T_G[0]:omega_dot_G[-1]"],
+    ["analyze", "--channel", "X:Y"],
+    ["analyze", "--channel", "T_G"],
+    ["analyze", "--fmin", "0"],
+    ["analyze", "--fmax", "nan"],
+    ["analyze", "--fmin", "1", "--fmax", "1"],
+    ["analyze", "--points", "0"],
+    ["analyze", "--points", "1"],
+    ["analyze", "--state", "1,1,1"],
+    ["analyze", "--state", "1,2,1,0"],
+    ["analyze", "--state", "3,1,1,0"],
+    ["optimize", "--cost", "h2-theta", "--hard-cap", "-1",
+     "--from", "1,1", "--to", "2,2"],
+    ["optimize", "--cost", "h2-theta", "--hard-cap", "nan",
+     "--from", "1,1", "--to", "2,2"],
+    ["optimize", "--cost", "h2-theta", "--from", "1", "--to", "2,2"],
+    ["full-assembly", "--cost", "mu", "--hard-cap", "0"],
+], ids=lambda a: " ".join(a))
+def test_bad_arguments_exit_2(tmp_path, capsys, args):
+    p = write_scenario(tmp_path)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", *args]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_bad_state_exits_2_without_asserts(tmp_path):
+    # the --state check must survive python -O, which strips asserts
+    src = os.path.join(os.path.dirname(flexasm.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "flexasm.cli", "--scenario",
+         str(write_scenario(tmp_path)), "--out", str(tmp_path / "o"),
+         "analyze", "--state", "1,1,1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "error: " in proc.stderr.splitlines()[-1]
 
 
 def test_validate_passes_on_desk(tmp_path, capsys):

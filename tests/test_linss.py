@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
 from flexasm import linss
 from flexasm.errors import (
@@ -15,7 +16,8 @@ from flexasm.errors import (
     WidthMismatch,
 )
 
-from conftest import make_rng, random_stable_system, max_response_deviation
+from conftest import (make_rng, max_response_deviation, mission_loops,
+                      random_stable_system)
 
 
 def siso(A, B, C, D):
@@ -151,46 +153,8 @@ def test_invert_roundtrip_identity_on_response():
 
 
 # ---------------------------------------------------------------------------
-# LFTs
+# upper LFT
 # ---------------------------------------------------------------------------
-
-def test_lft_lower_zero_gain_keeps_plant():
-    rng = make_rng(11)
-    plant = random_stable_system(rng, 4, 2, 2)
-    plant = linss.split_channel(plant, "u", [("u1", 1), ("u2", 1)])
-    plant = linss.split_channel(plant, "y", [("y1", 1), ("y2", 1)])
-    K = linss.gain([[0.0]], (("e", 1),), (("v", 1),))
-    closed = linss.lft_lower(plant, K, "u2", "y2")
-    grid = np.geomspace(1e-2, 1e2, 20)
-    assert max_response_deviation(closed, plant, grid,
-                                  ("y1", "u1"), ("y1", "u1")) < 1e-12
-
-
-def test_lft_lower_pd_on_double_integrator():
-    # positions/velocity states observed, u = -[k c] [x; v]
-    k, c = 4.0, 1.2
-    A = [[0.0, 1.0], [0.0, 0.0]]
-    B = [[0.0], [1.0]]
-    C = [[1.0, 0.0], [0.0, 1.0]]
-    D = [[0.0], [0.0]]
-    plant = linss.StateSpace(A, B, C, D, (("u", 1),), (("xv", 2),))
-    K = linss.gain([[-k, -c]], (("xv", 2),), (("u", 1),))
-    # close the loop fully; observe nothing, so add an output first
-    plant2 = linss.StateSpace(A, B, np.vstack([C, [[1.0, 0.0]]]),
-                              np.zeros((3, 1)),
-                              (("u", 1),), (("xv", 2), ("pos", 1)))
-    closed = linss.lft_lower(plant2, K, "u", "xv")
-    poles = np.sort_complex(np.linalg.eigvals(closed.A))
-    expected = np.sort_complex(np.roots([1.0, c, k]))
-    assert poles == pytest.approx(expected, rel=1e-10)
-
-
-def test_lft_lower_width_mismatch():
-    plant = linss.gain(np.zeros((2, 2)), (("u", 2),), (("y", 2),))
-    K = linss.gain([[1.0]], (("e", 1),), (("v", 1),))
-    with pytest.raises(WidthMismatch):
-        linss.lft_lower(plant, K, "u", "y")
-
 
 def test_lft_upper_zero_delta_is_nominal():
     rng = make_rng(5)
@@ -333,20 +297,74 @@ def test_hinf_dominates_grid_and_matches_peak():
         assert norm == pytest.approx(peak, rel=2e-4)
 
 
+
+
+def peak_gain(sys):
+    """Independent oracle for the H-infinity norm: the largest sigma_max
+    on a dense log grid through the pole frequencies, polished by a
+    bounded scalar search between the best point's neighbours."""
+    wp = np.abs(np.linalg.eigvals(sys.A).imag)
+    wp = np.unique(wp[wp > 1e-9])
+    grid = np.union1d(np.geomspace(wp.min() / 100.0, wp.max() * 10.0, 4000), wp)
+    vals = linss.freq_response(sys, grid).magnitude()
+    k = int(np.argmax(vals))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    res = scipy.optimize.minimize_scalar(
+        lambda w: -linss.sigma_max(sys, w), bounds=(lo, hi), method="bounded",
+        options={"xatol": 1e-12 * hi})
+    return max(vals[k], -res.fun)
+
+
 def h2_by_quadrature(sys):
-    """Independent oracle: (1/pi) * int_0^inf ||G(jw)||_F^2 dw."""
-    eigs = np.linalg.eigvals(sys.A)
-    pts = sorted({float(abs(l.imag)) for l in eigs if abs(l.imag) > 1e-9})
+    """Independent oracle: (1/pi) * int_0^inf ||G(jw)||_F^2 dw, one
+    quadrature per interval between consecutive pole frequencies, so
+    lightly damped peaks sit at interval ends."""
+    wp = np.abs(np.linalg.eigvals(sys.A).imag)
+    edges = np.concatenate([[0.0], np.unique(wp[wp > 1e-9]), [np.inf]])
 
     def frob2(w):
-        g = sys.transfer_at(1j * w)
-        return float(np.sum(np.abs(g) ** 2))
+        return float(np.sum(np.abs(sys.transfer_at(1j * w)) ** 2))
 
-    hi = 1e3 * max(1.0, max(np.abs(eigs)))
-    val, _ = scipy.integrate.quad(frob2, 0.0, hi, limit=400,
-                                  points=[p for p in pts if p < hi])
-    tail, _ = scipy.integrate.quad(frob2, hi, np.inf, limit=200)
-    return np.sqrt((val + tail) / np.pi)
+    total = sum(scipy.integrate.quad(frob2, a, b, epsabs=0.0, epsrel=1e-12,
+                                     limit=500)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
+    return np.sqrt(total / np.pi)
+
+
+@pytest.fixture(scope="module")
+def mission():
+    """Three sampled 4-tile mission closed loops."""
+    return list(mission_loops(3, 4))
+
+
+# The Hamiltonian test in hinf_norm counts an eigenvalue as imaginary only
+# when |Re| <= 1e-8 * max(1, |Im|).  Near a low-frequency peak the two
+# crossings merge into a nearly double eigenvalue whose computed real part
+# exceeds that, so the bisection lowers its upper bracket below the peak.
+_TANGENT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="hinf_norm is 1.1e-6 below the 0.187 rad/s peak: the nearly "
+           "tangent Hamiltonian crossing is not detected")
+
+
+@pytest.mark.parametrize("k, channels", [
+    pytest.param(k, ch, id=f"{k}-{'-'.join(ch)}",
+                 marks=_TANGENT if (k, ch[0]) == (0, "d_t") else ())
+    for k in range(3) for ch in (("W_ext", "omega_dot_G"), ("d_t", "e_t"))])
+def test_hinf_matches_peak_on_mission_loops(mission, k, channels):
+    sys = linss.minimal_stable_projection(mission[k], *channels)
+    norm = linss.hinf_norm(sys)
+    peak = peak_gain(sys)
+    # hinf_norm's bracket has relative width rtol = 1e-6
+    assert norm <= peak * (1.0 + 1e-6)
+    assert norm >= peak * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_h2_matches_quadrature_on_mission_loops(mission, k):
+    sys = linss.minimal_stable_projection(mission[k], "W_ext", "Theta_G")
+    assert linss.h2_norm(sys) == pytest.approx(h2_by_quadrature(sys),
+                                               rel=1e-8)
 
 
 def test_h2_first_order_analytic():

@@ -140,6 +140,8 @@ def test_cost_spec_validation():
         po.CostSpec("nope")
     with pytest.raises(ValueError):
         po.CostSpec("mu", hard_cap=-1.0)
+    with pytest.raises(ValueError):
+        po.CostSpec("mu", hard_cap=float("nan"))
 
 
 def test_edge_cost_sums_and_hard_cap(planner):

@@ -5,13 +5,12 @@ import pytest
 import scipy.optimize
 
 from flexasm import linss, robust
-from flexasm import scenario as sc
 from flexasm.errors import NominalUnstable
 from flexasm.linss import StateSpace, gain, lft_upper, spectral_abscissa, state_transform
 from flexasm.multibody import ModalBodyData, mode_freq_lfr
 from flexasm.pathopt import CostSpec, per_system_metric
 
-from conftest import make_rng
+from conftest import make_rng, mission_loops
 
 
 def wz_system(A, B, C, D):
@@ -142,17 +141,6 @@ def test_mode_frequency_collapse_margin():
     oracle = grid_sweep_oracle(lfr, delta_max=20.0)
     assert res.mu_lower == pytest.approx(1.0 / abs(oracle), rel=1e-6)
     assert res.mu_lower <= res.mu_upper + 1e-9
-
-
-def mission_loops(count, seed):
-    """Closed loops of the 4-tile mission at random states and joints."""
-    models = sc.ScenarioModels(sc.table_scenario(4))
-    K = models.design_gains()
-    rng = make_rng(seed)
-    family = sc.enumerate_model_family(4)
-    for idx in rng.choice(len(family), count, replace=False):
-        qs = [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
-        yield models.closed_loop(family[idx], qs, K)
 
 
 def test_margin_only_matches_mu_real_repeated_on_mission_loops(monkeypatch):

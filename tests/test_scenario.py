@@ -7,8 +7,7 @@ import pytest
 
 from flexasm import linss
 from flexasm import scenario as sc
-from flexasm.errors import (IkNotConverged, MissingStructureData,
-                            NegativeCount, StateInvalid)
+from flexasm.errors import IkNotConverged, MissingStructureData, StateInvalid
 from flexasm.multibody import (apply_frame, dcm_about_axis, rigid_mass_matrix,
                                rigid_nport_inverted)
 from flexasm.robot import arm_two_port, default_arm_geometry, link_poses
@@ -31,16 +30,6 @@ def models(cfg):
 # ---------------------------------------------------------------------------
 # bookkeeping
 # ---------------------------------------------------------------------------
-
-def test_stack_properties_values(cfg):
-    s = sc.stack_properties(28, 1, 0, cfg.tile)
-    assert s.mass == pytest.approx(27 * 6.0423)
-    assert s.mass == pytest.approx(163.1421)
-    empty = sc.stack_properties(28, 27, 1, cfg.tile)
-    assert empty.mass == 0.0
-    with pytest.raises(NegativeCount):
-        sc.stack_properties(28, 28, 1, cfg.tile)
-
 
 def test_enumerate_model_family_counts():
     fam = sc.enumerate_model_family(28)
