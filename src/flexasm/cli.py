@@ -237,6 +237,13 @@ def _grid_points(text: str) -> int:
     return value
 
 
+def _check_node(flag: str, node, n: int):
+    tile, arm = node
+    if not (1 <= tile <= n and arm in (1, 2)):
+        raise SchemaError(f"{flag} {tile},{arm} is not a node of the "
+                          f"{n}-tile structure (tile 1..{n}, arm 1 or 2)")
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
@@ -328,8 +335,12 @@ def cmd_optimize(args) -> int:
     cfg, _ = load_scenario(args.scenario)
     spec = CostSpec(args.cost, hard_cap=args.hard_cap)
     planner = AssemblyPlanner(cfg)
-    n = args.n or cfg.n_tiles
+    n = cfg.n_tiles if args.n is None else args.n
+    if not 1 <= n <= cfg.n_tiles:
+        raise SchemaError(f"--n {n} outside 1..{cfg.n_tiles}")
     src, dst = args.src, args.dst
+    _check_node("--from", src, n)
+    _check_node("--to", dst, n)
 
     _, graph = build_node_graphs(cfg, n)   # walking with a carried tile
     planner.weight_graph(graph, spec)
@@ -373,6 +384,7 @@ def cmd_optimize(args) -> int:
 def cmd_full_assembly(args) -> int:
     cfg, _ = load_scenario(args.scenario)
     spec = CostSpec(args.cost, hard_cap=args.hard_cap)
+    _check_node("--start", args.start, 1)   # the plan starts on one tile
     planner = AssemblyPlanner(cfg)
     res = planner.plan_full_assembly(spec, start=args.start)
 

@@ -5,6 +5,8 @@ the ``w_omega``/``z_omega`` channel pair (the pulled-out mode frequency).
 For that structure the exact real margin is cheap: march the closure
 ``w = delta * z`` along the real axis and bisect the first loss of
 stability (or of well-posedness, the crossing at infinite frequency).
+A probe reads only the eigenvalues of ``A + delta B_w (I - delta D_zw)^-1
+C_z``; the tests check that matrix against ``linss.lft_upper``.
 ``mu_lower`` is the reciprocal of that smallest destabilizing magnitude
 and is exact for this block, so the name keeps only the conventional
 "lower" role it plays against the complex-structure bound.
@@ -28,10 +30,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import IllPosedLoop, NominalUnstable
-from .linss import StateSpace, lft_upper, spectral_abscissa, STAB_TOL
+from .errors import NominalUnstable, WidthMismatch
+from .linss import StateSpace, spectral_abscissa, STAB_TOL, WELLPOSED_RCOND
 
-__all__ = ["MuResult", "mu_real_repeated", "real_margin"]
+__all__ = ["MuResult", "mu_real_repeated"]
 
 # The uncertainty channel pair pulled out by ``multibody.mode_freq_lfr``.
 W_CHANNEL = "w_omega"
@@ -64,12 +66,19 @@ class MuResult:
         return self.upper_bound()
 
 
+def _closed_A(sys: StateSpace, delta: float) -> Optional[np.ndarray]:
+    """State matrix of the loop closed by ``w = delta * z``, or None when
+    ``I - delta D_zw`` is ill posed."""
+    w, z = sys.in_slice(W_CHANNEL), sys.out_slice(Z_CHANNEL)
+    loop = np.eye(z.stop - z.start) - delta * sys.D[z, w]
+    if 1.0 / np.linalg.cond(loop, 1) < WELLPOSED_RCOND:
+        return None
+    return sys.A + (delta * sys.B[:, w]) @ np.linalg.solve(loop, sys.C[z, :])
+
+
 def _destabilized(sys: StateSpace, delta: float) -> bool:
-    try:
-        closed = lft_upper(sys, delta, W_CHANNEL, Z_CHANNEL)
-    except IllPosedLoop:
-        return True
-    return spectral_abscissa(closed) >= -STAB_TOL
+    A = _closed_A(sys, delta)
+    return A is None or spectral_abscissa(A) >= -STAB_TOL
 
 
 def _first_crossing(sys, sign, delta_max):
@@ -96,33 +105,11 @@ def _first_crossing(sys, sign, delta_max):
 
 def _destabilizing_frequency(sys: StateSpace, delta: float) -> float:
     """|Im| of the closed-loop eigenvalue closest to the imaginary axis."""
-    try:
-        closed = lft_upper(sys, delta, W_CHANNEL, Z_CHANNEL)
-    except IllPosedLoop:
+    A = _closed_A(sys, delta)
+    if A is None or A.shape[0] == 0:
         return np.inf
-    if closed.n_states == 0:
-        return np.inf
-    ev = np.linalg.eigvals(closed.A)
+    ev = np.linalg.eigvals(A)
     return float(abs(ev[np.argmax(ev.real)].imag))
-
-
-def real_margin(sys: StateSpace, delta_max: float = 20.0):
-    """Exact real margin for ``delta * I``: ``(mu_lower, delta_crit)``.
-
-    The nominal loop (``delta = 0``) must be strictly stable.  Both signs
-    of delta are scanned out to ``delta_max`` and the first crossing is
-    bisected; no crossing means ``mu_lower = 0`` and ``delta_crit = None``.
-    """
-    if sys.n_states and spectral_abscissa(sys) >= -STAB_TOL:
-        raise NominalUnstable(
-            f"nominal system unstable (abscissa {spectral_abscissa(sys):.3e})")
-
-    candidates = [d for d in (_first_crossing(sys, +1.0, delta_max),
-                              _first_crossing(sys, -1.0, delta_max))
-                  if d is not None]
-    delta_crit = min(candidates, key=abs) if candidates else None
-    mu_lower = 1.0 / abs(delta_crit) if delta_crit is not None else 0.0
-    return mu_lower, delta_crit
 
 
 def _complex_upper_bound(sys: StateSpace, delta_crit: Optional[float]) -> float:
@@ -150,9 +137,20 @@ def _complex_upper_bound(sys: StateSpace, delta_crit: Optional[float]) -> float:
 def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
     """Exact real margin and complex upper bound for ``delta * I``.
 
-    The margin comes from :func:`real_margin`; the ``N_FREQ``-point
-    upper-bound sweep runs when ``mu_upper`` is first read.
+    The nominal loop (``delta = 0``) must be strictly stable.  Both signs
+    of delta are scanned out to ``delta_max`` and the first crossing is
+    bisected; no crossing means ``mu_lower = 0`` and ``delta_crit = None``.
     """
-    mu_lower, delta_crit = real_margin(sys, delta_max)
+    if sys.in_width(W_CHANNEL) != sys.out_width(Z_CHANNEL):
+        raise WidthMismatch(f"{W_CHANNEL}/{Z_CHANNEL} widths differ")
+    if sys.n_states and spectral_abscissa(sys) >= -STAB_TOL:
+        raise NominalUnstable(
+            f"nominal system unstable (abscissa {spectral_abscissa(sys):.3e})")
+
+    candidates = [d for d in (_first_crossing(sys, +1.0, delta_max),
+                              _first_crossing(sys, -1.0, delta_max))
+                  if d is not None]
+    delta_crit = min(candidates, key=abs) if candidates else None
+    mu_lower = 1.0 / abs(delta_crit) if delta_crit is not None else 0.0
     return MuResult(mu_lower=mu_lower, delta_crit=delta_crit,
                     upper_bound=partial(_complex_upper_bound, sys, delta_crit))

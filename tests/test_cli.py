@@ -92,6 +92,20 @@ def test_missing_scenario_exits_2(tmp_path):
      "--from", "1,1", "--to", "2,2"],
     ["optimize", "--cost", "h2-theta", "--from", "1", "--to", "2,2"],
     ["full-assembly", "--cost", "mu", "--hard-cap", "0"],
+    ["optimize", "--cost", "h2-theta", "--from", "9,1", "--to", "1,1"],
+    ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "0,2"],
+    ["optimize", "--cost", "h2-theta", "--from", "1,3", "--to", "2,2"],
+    ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "2,2",
+     "--n", "1"],
+    ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "2,2",
+     "--n", "9"],
+    ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "2,2",
+     "--n", "-1"],
+    ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "2,2",
+     "--n", "0"],
+    ["full-assembly", "--cost", "h2-theta", "--start", "9,1"],
+    ["full-assembly", "--cost", "h2-theta", "--start", "2,1"],
+    ["full-assembly", "--cost", "h2-theta", "--start", "1,0"],
 ], ids=lambda a: " ".join(a))
 def test_bad_arguments_exit_2(tmp_path, capsys, args):
     p = write_scenario(tmp_path)

@@ -5,12 +5,12 @@ import pytest
 import scipy.optimize
 
 from flexasm import linss, robust
-from flexasm.errors import NominalUnstable
+from flexasm.errors import IllPosedLoop, NominalUnstable, WidthMismatch
 from flexasm.linss import StateSpace, gain, lft_upper, spectral_abscissa, state_transform
 from flexasm.multibody import ModalBodyData, mode_freq_lfr
 from flexasm.pathopt import CostSpec, per_system_metric
 
-from conftest import make_rng, mission_loops
+from conftest import make_rng, mission_loops, random_stable_system
 
 
 def wz_system(A, B, C, D):
@@ -156,6 +156,70 @@ def test_margin_only_matches_mu_real_repeated_on_mission_loops(monkeypatch):
 
     monkeypatch.setattr(robust, "_complex_upper_bound", no_sweep)
     for cl, res in zip(loops, full):
-        assert robust.real_margin(cl, delta_max=20.0) == (res.mu_lower,
-                                                          res.delta_crit)
+        again = robust.mu_real_repeated(cl, delta_max=20.0)
+        assert (again.mu_lower, again.delta_crit) == (res.mu_lower, res.delta_crit)
         assert per_system_metric(cl, CostSpec("mu")) == res.mu_lower
+
+
+def lft_closed_A(sys, delta):
+    """Reference closure: the state matrix of ``lft_upper``, None if ill posed."""
+    try:
+        return lft_upper(sys, delta).A
+    except IllPosedLoop:
+        return None
+
+
+def random_lfr(rng, n=6):
+    """Random stable system with extra channels around a w/z pair whose
+    feedthrough D_zw is nonzero."""
+    sys = random_stable_system(rng, n=n, m=4, p=3)
+    return StateSpace(sys.A, sys.B, sys.C, sys.D,
+                      (("u", 2), ("w_omega", 2)), (("y", 1), ("z_omega", 2)))
+
+
+def test_closed_state_matrix_matches_lft_upper():
+    rng = make_rng(3)
+    systems = list(mission_loops(2, 8)) + [random_lfr(rng) for _ in range(6)]
+    for sys in systems:
+        for d in (-7.5, -1.0, -0.3, 0.25, 1.0, 4.0):
+            ref = lft_closed_A(sys, d)
+            A = robust._closed_A(sys, d)
+            assert ref is not None and A is not None
+            assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert any(np.any(s.D[s.out_slice("z_omega"), s.in_slice("w_omega")])
+               for s in systems)
+
+
+def test_ill_posed_closure_counts_as_destabilized():
+    # D_zw = I: I - delta D_zw is singular at delta = 1; the closure is
+    # A - delta / (1 - delta) I, stable for every delta < 1
+    sys = wz_system([[-1.0, 0.0], [0.0, -2.0]], np.eye(2), -np.eye(2), np.eye(2))
+    assert lft_closed_A(sys, 1.0) is None
+    assert robust._closed_A(sys, 1.0) is None
+    assert robust._destabilized(sys, 1.0)
+    assert not robust._destabilized(sys, 0.5)   # poles -2 and -3
+    res = robust.mu_real_repeated(sys, delta_max=5.0)
+    assert res.delta_crit == pytest.approx(1.0, rel=1e-6)
+
+
+def test_width_mismatch_rejected():
+    sys = StateSpace([[-1.0]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]],
+                     (("w_omega", 2),), (("z_omega", 1),))
+    with pytest.raises(WidthMismatch):
+        robust.mu_real_repeated(sys)
+
+
+def test_margin_search_runs_no_interconnect(monkeypatch):
+    loops = list(mission_loops(2, 5))
+    # the same search with every probe closed through lft_upper
+    with monkeypatch.context() as m:
+        m.setattr(robust, "_closed_A", lft_closed_A)
+        ref = [robust.mu_real_repeated(cl) for cl in loops]
+
+    def no_interconnect(*args, **kwargs):
+        raise AssertionError("margin search ran linss.interconnect")
+
+    monkeypatch.setattr(linss, "interconnect", no_interconnect)
+    for cl, r in zip(loops, ref):
+        res = robust.mu_real_repeated(cl)
+        assert (res.mu_lower, res.delta_crit) == (r.mu_lower, r.delta_crit)
