@@ -3,7 +3,8 @@
 Every error raised by the library derives from :class:`FlexasmError`, so
 callers (and the CLI) can distinguish modeling failures from programming
 errors.  The classes are deliberately thin; any diagnostic detail goes in
-the message.
+the message.  The one exception is :class:`IkNotConverged`, which also
+carries the task error its solver stopped at, because callers compare it.
 """
 
 
@@ -102,7 +103,20 @@ class JointOutOfRange(FlexasmError):
 
 
 class IkNotConverged(FlexasmError):
-    """Inverse kinematics did not reach the task tolerance."""
+    """Inverse kinematics did not reach the task tolerance.
+
+    ``task_error`` is the smallest task error the solver reached, NaN when
+    no solver ran.
+    """
+
+    def __init__(self, message: str, task_error: float = float("nan")):
+        super().__init__(message)
+        self.task_error = task_error
+
+
+class IkUnreachable(IkNotConverged):
+    """The target lies beyond a closed-form bound on the chain's reach, so
+    no joint angles reach it: a property of the geometry, not of seeds."""
 
 
 # --- scenario / path optimization ------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
     "arm_two_port",
     "link_poses",
     "forward_kinematics",
+    "fixed_anchor",
     "inverse_kinematics",
     "dls_solve",
     "QuinticTrajectory",
@@ -241,6 +242,24 @@ def forward_kinematics(geom: ArmGeometry, q, base: str = "J0"):
     return joints[0], rots[0]
 
 
+def fixed_anchor(geom: ArmGeometry):
+    """Farthest joint of a J0-based chain that no joint angle moves.
+
+    ``J_{k+1} = J_k + R_k offset_k``, where ``R_k`` rotates about axes
+    ``0..k-1``, so ``J_{k+1}`` stays put exactly when ``offset_k`` is zero
+    or parallel to each of those axes.  J1 always qualifies; the search
+    stops at J5, the last joint.  Returns ``(m, J_m)`` in the base frame.
+    Parallel means within 1e-12 relative: such an offset moves by at most
+    2e-12 of its length per axis, far below any reach tolerance.
+    """
+    off, axes = geom.joint_offsets, geom.joint_axes
+    m = 1
+    while m < 5 and all(np.linalg.norm(np.cross(a, off[m]))
+                        <= 1e-12 * np.linalg.norm(off[m]) for a in axes[:m]):
+        m += 1
+    return m, off[:m].sum(axis=0)
+
+
 def dls_solve(residual: Callable, q0, lower, upper, tol: float,
               max_iter: int = 200, damping: float = 1e-2,
               stall_iters: int = 25):
@@ -251,7 +270,8 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float,
     forward differences; joint values are clipped to the bounds.  Raises
     :class:`IkNotConverged` when the error stays above ``tol`` or stops
     improving for ``stall_iters`` iterations (so alternative seeds can be
-    tried cheaply).
+    tried cheaply); only improving steps are taken, so its ``task_error``
+    is the smallest error reached.
     """
     q = np.clip(np.array(q0, dtype=float), lower, upper)
     lower = np.asarray(lower, dtype=float)
@@ -284,7 +304,7 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float,
                 break
             lam *= 5.0
         else:
-            raise IkNotConverged(f"descent stuck at task error {en:.3e}")
+            raise IkNotConverged(f"descent stuck at task error {en:.3e}", en)
         q, e, en = q_new, e_new, en_new
         if en < best * (1.0 - 1e-9):
             best = en
@@ -292,8 +312,9 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float,
         else:
             since_best += 1
             if since_best >= stall_iters:
-                raise IkNotConverged(f"stalled at task error {en:.3e}")
-    raise IkNotConverged(f"task error {en:.3e} after {max_iter} iterations")
+                raise IkNotConverged(f"stalled at task error {en:.3e}", en)
+    raise IkNotConverged(f"task error {en:.3e} after {max_iter} iterations",
+                         en)
 
 
 def inverse_kinematics(geom: ArmGeometry, target_pos, target_axis=None,

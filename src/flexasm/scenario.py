@@ -28,6 +28,7 @@ whose transfer from d_t is the classical input sensitivity.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -35,6 +36,7 @@ import numpy as np
 
 from .errors import (
     IkNotConverged,
+    IkUnreachable,
     MissingStructureData,
     StateInvalid,
 )
@@ -67,6 +69,7 @@ from .robot import (
     ArmGeometry,
     default_arm_geometry,
     dls_solve,
+    fixed_anchor,
     link_poses,
     validate_joints,
     JOINT_LIMIT,
@@ -245,6 +248,7 @@ class ScenarioModels:
         self._lattices = {}
         self._modal = {}
         self._reach = {}
+        self._bounds = {}
 
     # -- structure supply ----------------------------------------------------
 
@@ -472,18 +476,23 @@ class ScenarioModels:
         """Joint angles placing ``reach_arm``'s tip at a world point.
 
         Solves the 10-dof chain through the gripping arm and the robot
-        hub by damped least squares to ``REACH_TOL``; returns
-        ``(q_grip, q_reach)``.  Far targets can trap the descent from the
-        upright home posture, so a short deterministic ladder of pre-bent
-        seeds is tried in order.
+        hub to ``REACH_TOL``; returns ``(q_grip, q_reach)``.  A target
+        beyond the chain's closed-form reach bound (see
+        :meth:`_reach_bound`) raises :class:`IkUnreachable` at once,
+        without any descent.  Otherwise damped least squares runs a short
+        deterministic ladder of seeds: far targets can trap the descent
+        from the upright home posture, so pre-bent seeds follow.  If every
+        seed fails inside the bound, the failure is a seed artifact, not a
+        proof, and its :class:`IkNotConverged` message says so.
 
         Solves are memoized on ``(state.j, state.arm, reach_arm, target)``,
         everything the residual reads.  ``state.n`` and ``state.delta``
         only change which bodies the plant carries, not the kinematic
         chain from the docking tile to the reaching tip, so they are left
-        out of the key and the states of one walk share a solve.  A failure is memoized too and raised again as an
-        :class:`IkNotConverged` with the same message; the returned
-        arrays are copies, so callers cannot alter a memoized solution.
+        out of the key and the states of one walk share a solve.  A
+        failure is memoized too and raised again as a copy of the same
+        exception, type and message included; the returned arrays are
+        copies, so callers cannot alter a memoized solution.
         """
         if reach_arm == state.arm:
             raise StateInvalid("reach arm cannot be the gripping arm")
@@ -498,12 +507,42 @@ class ScenarioModels:
                 hit = exc
             self._reach[key] = hit
         if isinstance(hit, IkNotConverged):
-            raise IkNotConverged(str(hit))
+            raise copy.copy(hit)
         return hit[:5].copy(), hit[5:].copy()
 
-    def _reach_solve(self, j: int, g: int, reach_arm: int,
-                     target_world) -> np.ndarray:
-        """The 10-vector ``(q_grip, q_reach)`` behind :meth:`solve_reach`."""
+    def _reach_bound(self, g: int, reach_arm: int):
+        """Fixed anchor and reach bound of the walking chain, cached.
+
+        Returns ``(m, anchor, bound)``: J_m of the gripping arm is the
+        farthest joint no angle moves (:func:`~flexasm.robot.fixed_anchor`)
+        and ``anchor`` its position from the docking tile center.  From
+        there the chain runs J_m..J5 of the gripping arm, a rigid segment
+        J5(grip) -> J5(reach) through the two link-5 bodies and the robot
+        hub, then J5..J0 of the reaching arm.  Every joint-to-joint
+        distance along it is fixed, so by the triangle inequality their sum
+        ``bound`` caps the tip's distance from the anchor for all joint
+        angles.  It reads only ``cfg``, never the angles or the target.
+        """
+        key = (g, reach_arm)
+        if key not in self._bounds:
+            cfg = self.cfg
+            geom = cfg.arm_geometry
+            m, anchor = fixed_anchor(geom)
+            mount_g = np.asarray(cfg.arm_mount_dcms[g])
+            mount_r = np.asarray(cfg.arm_mount_dcms[reach_arm])
+            off5 = geom.joint_offsets[5]
+            # J5(grip) -> J5(reach) in grip link-5 coordinates (cf. residual)
+            rigid = off5 + mount_g.T @ (cfg.robot_hub.offset(f"A{reach_arm}")
+                                        - cfg.robot_hub.offset(f"A{g}")
+                                        - mount_r @ off5)
+            lengths = np.linalg.norm(geom.joint_offsets[:5], axis=1)
+            bound = float(lengths[m:].sum() + np.linalg.norm(rigid)
+                          + lengths.sum())
+            self._bounds[key] = (m, anchor, bound)
+        return self._bounds[key]
+
+    def _reach_residual(self, j: int, g: int, reach_arm: int, target_world):
+        """Tip-minus-target residual of the 10-vector ``(q_grip, q_reach)``."""
         cfg = self.cfg
         geom = cfg.arm_geometry
         base_world = cfg.tile_center(j)
@@ -520,21 +559,42 @@ class ScenarioModels:
             joints_r, _ = link_poses(geom, q10[5:], base="J6")
             return j6r + (M_c @ mount_r) @ joints_r[0] - target_world
 
+        return residual
+
+    def _reach_solve(self, j: int, g: int, reach_arm: int,
+                     target_world) -> np.ndarray:
+        """The 10-vector ``(q_grip, q_reach)`` behind :meth:`solve_reach`."""
+        tol = 0.5 * REACH_TOL
+        m, anchor, bound = self._reach_bound(g, reach_arm)
+        dist = float(np.linalg.norm(target_world - self.cfg.tile_center(j)
+                                    - anchor))
+        # every tip lies within bound of J_m, so its task error is >= the gap
+        if dist - bound >= tol:
+            raise IkUnreachable(
+                f"target {dist:.6f} m from J{m} of arm {g} lies "
+                f"{dist - bound:.6e} m beyond the {bound:.6f} m reach bound "
+                f"of the chain to arm {reach_arm}")
+        residual = self._reach_residual(j, g, reach_arm, target_world)
+
         def bent(a, b, yaw=0.0):
             return np.concatenate([[yaw, a, a, a, 0.0], [0.0, b, b, b, 0.0]])
 
         seeds = [np.zeros(10)]
         seeds += [bent(a, b) for a in (0.5, -0.5) for b in (0.5, -0.5)]
         seeds += [bent(0.5, -0.5, 1.5), bent(0.5, -0.5, -1.5)]
-        last = None
+        best = np.inf
         for q0 in seeds:
             try:
                 return dls_solve(residual, q0, -JOINT_LIMIT * np.ones(10),
-                                 JOINT_LIMIT * np.ones(10), tol=0.5 * REACH_TOL,
+                                 JOINT_LIMIT * np.ones(10), tol=tol,
                                  max_iter=400)
             except IkNotConverged as exc:
-                last = exc
-        raise last
+                best = min(best, exc.task_error)
+        raise IkNotConverged(
+            f"no IK seed reached a target {dist:.6f} m from J{m} of arm {g}, "
+            f"inside the {bound:.6f} m reach bound; best task error "
+            f"{best:.3e}: a seed artifact, not a proof of unreachability",
+            best)
 
 
 def pin_translation(plant: StateSpace) -> StateSpace:

@@ -142,8 +142,39 @@ def test_ik_with_tool_axis():
 
 def test_ik_unreachable_raises():
     geom = robot.default_arm_geometry()
-    with pytest.raises(IkNotConverged):
+    with pytest.raises(IkNotConverged) as exc:
         robot.inverse_kinematics(geom, [10.0, 0.0, 0.0])
+    # no tip lies farther than the summed link lengths from J0
+    assert 10.0 - geom.reach() <= exc.value.task_error < 10.0
+
+
+def test_fixed_anchor_default_geometry_is_j2():
+    # link 1's offset runs along the yaw axis, so J2 sits still 0.225 m up
+    m, anchor = robot.fixed_anchor(robot.default_arm_geometry())
+    assert m == 2
+    assert np.array_equal(anchor, [0.0, 0.0, 0.225])
+
+
+def test_fixed_anchor_tilted_link1_falls_back_to_j1():
+    geom = robot.default_arm_geometry()
+    offsets = np.array(geom.joint_offsets)
+    offsets[1] = 0.1 * np.array([np.sin(1e-3), 0.0, np.cos(1e-3)])
+    m, anchor = robot.fixed_anchor(simple_geometry(offsets, geom.joint_axes))
+    assert m == 1
+    assert np.array_equal(anchor, offsets[0])
+
+
+def test_fixed_anchor_stops_at_j5_and_stays_put():
+    # every offset along the common axis: the chain spins in place, and
+    # the anchor is capped at the last joint
+    offsets = [[0, 0, 0.1 * (i + 1)] for i in range(6)]
+    geom = simple_geometry(offsets)
+    m, anchor = robot.fixed_anchor(geom)
+    assert m == 5
+    rng = make_rng(11)
+    for _ in range(5):
+        joints, _ = robot.link_poses(geom, rng.uniform(-6.0, 6.0, 5))
+        assert np.allclose(joints[m], anchor, rtol=0.0, atol=1e-15)
 
 
 def test_ik_fixed_point_at_home():

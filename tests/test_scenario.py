@@ -4,10 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from flexasm import linss
 from flexasm import scenario as sc
-from flexasm.errors import IkNotConverged, MissingStructureData, StateInvalid
+from flexasm.errors import (IkNotConverged, IkUnreachable, MissingStructureData,
+                            StateInvalid)
 from flexasm.multibody import (apply_frame, dcm_about_axis, rigid_mass_matrix,
                                rigid_nport_inverted)
 from flexasm.robot import arm_two_port, default_arm_geometry, link_poses
@@ -319,15 +323,19 @@ def test_flexible_loop_stable(models):
 # combined-arm reach
 # ---------------------------------------------------------------------------
 
+def _tip(models, state, qs, reach_arm):
+    """Reaching tip by an independent forward pass through the plant frames."""
+    fr = models._robot_frames(state, qs)
+    joints, _ = link_poses(models.cfg.arm_geometry, fr["q"][reach_arm],
+                           base="J6")
+    return fr["j6_world"][reach_arm] + fr["M_l5"][reach_arm] @ joints[0]
+
+
 def test_solve_reach_to_stack(models, cfg):
     st = sc.AssemblyState(1, 1, 1, 0)
     target = cfg.stack_center()
     qg, qr = models.solve_reach(st, 3, target)
-    # verify with an independent forward pass through the plant frames
-    fr = models._robot_frames(sc.AssemblyState(1, 1, 1, 0), (qg, sc.HOME_JOINTS, qr))
-    from flexasm.robot import link_poses
-    joints3, _ = link_poses(cfg.arm_geometry, qr, base="J6")
-    tip = fr["j6_world"][3] + fr["M_l5"][3] @ joints3[0]
+    tip = _tip(models, st, (qg, sc.HOME_JOINTS, qr), 3)
     assert np.linalg.norm(tip - target) < 1e-4
 
 
@@ -368,21 +376,199 @@ def test_solve_reach_memo_returns_copies(cfg):
 
 def test_solve_reach_memo_reraises_unreachable_straddle(cfg, monkeypatch):
     # tiles 1 and 3 of the table layout are diagonal neighbours: the
-    # straddle is out of reach, and its failure proof runs only once
+    # straddle is beyond the reach bound, certified without any descent,
+    # and a memo hit raises the same type with the same message
     models = sc.ScenarioModels(cfg)
     calls = []
     solve = sc.dls_solve
     monkeypatch.setattr(sc, "dls_solve",
                         lambda *a, **k: calls.append(1) or solve(*a, **k))
     target = cfg.tile_center(3)
-    with pytest.raises(IkNotConverged) as first:
+    with pytest.raises(IkUnreachable) as first:
         models.solve_reach(sc.AssemblyState(3, 1, 1, 0), 2, target)
-    proof = len(calls)
-    assert proof >= 2
-    with pytest.raises(IkNotConverged) as second:
+    with pytest.raises(IkUnreachable) as second:
         models.solve_reach(sc.AssemblyState(4, 1, 1, 1), 2, target)
-    assert len(calls) == proof
+    assert calls == []
+    assert type(second.value) is IkUnreachable
     assert str(second.value) == str(first.value)
+    assert second.value is not first.value
+
+
+def test_solve_reach_memo_keeps_seed_artifact_type(cfg, monkeypatch):
+    # a plain IkNotConverged stays plain on a memo hit, task error included
+    models = sc.ScenarioModels(cfg)
+
+    def fail(*args, **kwargs):
+        raise IkNotConverged("stalled", 0.25)
+
+    monkeypatch.setattr(sc, "dls_solve", fail)
+    st = sc.AssemblyState(1, 1, 1, 0)
+    with pytest.raises(IkNotConverged) as first:
+        models.solve_reach(st, 3, cfg.stack_center())
+    with pytest.raises(IkNotConverged) as second:
+        models.solve_reach(st, 3, cfg.stack_center())
+    for exc in (first.value, second.value):
+        assert type(exc) is IkNotConverged
+        assert exc.task_error == 0.25
+    assert str(second.value) == str(first.value)
+
+
+# ---------------------------------------------------------------------------
+# closed-form reach bound
+# ---------------------------------------------------------------------------
+
+def test_reach_bound_default_geometry(cfg):
+    models = sc.ScenarioModels(cfg)
+    for g, r in ((1, 2), (2, 1)):
+        m, anchor, bound = models._reach_bound(g, r)
+        assert m == 2
+        assert np.allclose(anchor, [0.0, 0.0, 0.225], atol=1e-15)
+        assert bound == pytest.approx(1.3974056, abs=1e-7)
+    assert models._reach_bound(1, 2) is models._reach_bound(1, 2)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_reach_bound_gap_is_the_stall_residual(cfg, g):
+    # the diagonal straddle 1 -> 3: one descent from the home seed stalls
+    # exactly where the straightened chain points at the target
+    models = sc.ScenarioModels(cfg)
+    r = 3 - g
+    target = cfg.tile_center(3)
+    m, anchor, bound = models._reach_bound(g, r)
+    dist = np.linalg.norm(target - cfg.tile_center(1) - anchor)
+    residual = models._reach_residual(1, g, r, target)
+    with pytest.raises(IkNotConverged) as exc:
+        sc.dls_solve(residual, np.zeros(10), -sc.JOINT_LIMIT * np.ones(10),
+                     sc.JOINT_LIMIT * np.ones(10), tol=0.5 * sc.REACH_TOL,
+                     max_iter=400)
+    assert dist - bound == pytest.approx(0.0345948, abs=1e-6)
+    assert abs(dist - bound - exc.value.task_error) < 1e-6
+
+
+def test_target_just_inside_reach_bound_solves(cfg):
+    # 1e-3 m inside the rim, on the line from the anchor to the diagonal tile
+    models = sc.ScenarioModels(cfg)
+    m, anchor, bound = models._reach_bound(1, 2)
+    origin = cfg.tile_center(1) + anchor
+    ray = cfg.tile_center(3) - origin
+    target = origin + (bound - 1e-3) * ray / np.linalg.norm(ray)
+    st = sc.AssemblyState(3, 1, 1, 0)
+    qg, qr = models.solve_reach(st, 2, target)
+    tip = _tip(models, st, (qg, qr, sc.HOME_JOINTS), 2)
+    assert np.linalg.norm(tip - target) < sc.REACH_TOL
+
+
+axis_vectors = hnp.arrays(np.float64, 3, elements=hst.floats(-1.0, 1.0)).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(axes=hst.lists(axis_vectors, min_size=5, max_size=5),
+       yaw_link1=hst.booleans(),
+       q=hnp.arrays(np.float64, 15, elements=hst.floats(-6.28, 6.28)),
+       pair=hst.sampled_from([(1, 2), (2, 1), (1, 3), (2, 3)]))
+def test_reach_bound_holds_for_random_geometry(cfg, axes, yaw_link1, q, pair):
+    geom = cfg.arm_geometry
+    offsets = np.array(geom.joint_offsets)
+    axes = np.array(axes)
+    if yaw_link1:
+        # keep J2 fixed: link 1's offset along the first axis
+        axes[0] /= np.linalg.norm(axes[0])
+        offsets[1] = 0.1 * axes[0]
+    geom = replace(geom, joint_offsets=offsets, joint_axes=axes)
+    models = sc.ScenarioModels(replace(cfg, arm_geometry=geom))
+    g, r = pair
+    m, anchor, bound = models._reach_bound(g, r)
+    assert m >= 2 or not yaw_link1
+    qs = (q[:5], q[5:10], q[10:])
+    joints, _ = link_poses(geom, qs[g - 1], base="J0")
+    assert np.allclose(joints[m], anchor, rtol=0.0, atol=1e-12)
+    tip = _tip(models, sc.AssemblyState(4, 2, g, 0), qs, r)
+    assert np.linalg.norm(tip - cfg.tile_center(2) - anchor) <= bound + 1e-12
+
+
+def test_tilted_link1_anchors_at_j1_and_runs_the_ladder(cfg, monkeypatch):
+    geom = cfg.arm_geometry
+    offsets = np.array(geom.joint_offsets)
+    offsets[1] = 0.1 * np.array([np.sin(0.01), 0.0, np.cos(0.01)])
+    models = sc.ScenarioModels(replace(cfg, arm_geometry=replace(
+        geom, joint_offsets=offsets)))
+    m, anchor, bound = models._reach_bound(1, 2)
+    assert m == 1
+    assert np.array_equal(anchor, offsets[0])
+    assert bound == pytest.approx(1.3974056 + 0.1, abs=1e-7)
+    # the diagonal is inside this looser bound: no certificate, DLS runs
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(1)
+        raise IkNotConverged("stalled", 0.03)
+
+    monkeypatch.setattr(sc, "dls_solve", fail)
+    with pytest.raises(IkNotConverged) as exc:
+        models.solve_reach(sc.AssemblyState(3, 1, 1, 0), 2, cfg.tile_center(3))
+    assert type(exc.value) is IkNotConverged
+    assert len(calls) == 7
+
+
+def test_seed_ladder_failure_inside_bound_is_a_seed_artifact(cfg, monkeypatch):
+    models = sc.ScenarioModels(cfg)
+    errors = iter([0.4, 0.02, 0.3, 0.5, 0.6, 0.7, 0.8])
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(1)
+        raise IkNotConverged("stalled", next(errors))
+
+    monkeypatch.setattr(sc, "dls_solve", fail)
+    with pytest.raises(IkNotConverged) as exc:
+        models.solve_reach(sc.AssemblyState(1, 1, 1, 0), 3, cfg.stack_center())
+    _, _, bound = models._reach_bound(1, 3)
+    msg = str(exc.value)
+    assert type(exc.value) is IkNotConverged
+    assert len(calls) == 7
+    assert "seed artifact" in msg
+    assert f"{bound:.6f} m reach bound" in msg
+    assert "2.000e-02" in msg
+    assert exc.value.task_error == 0.02
+
+
+def test_desk_straddle_failures_are_all_certified(monkeypatch):
+    # every reach problem the assembly-n4 benchmark prices: the four that
+    # fail are certified by the bound, with no descent at all
+    from flexasm import data_path
+    from flexasm.cli import load_scenario
+    from flexasm.pathopt import build_node_graphs
+
+    cfg, _ = load_scenario(data_path("scenario_desk.yaml"))
+    models = sc.ScenarioModels(cfg)
+    problems = {}
+    for n in range(1, cfg.n_tiles):
+        for graph in build_node_graphs(cfg, n):
+            for i, k in graph.edges():
+                (tile, arm), dst = graph.nodes[i], graph.nodes[k]
+                if dst == "stack":
+                    reach, target = 3, cfg.stack_center()
+                elif dst == "target":
+                    reach, target = 3, cfg.tile_center(n + 1)
+                else:
+                    reach, target = dst[1], cfg.tile_center(dst[0])
+                problems[(tile, arm, reach, target.tobytes())] = (n, target)
+    calls = []
+    solve = sc.dls_solve
+    monkeypatch.setattr(sc, "dls_solve",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    failed = 0
+    for (tile, arm, reach, _), (n, target) in problems.items():
+        before = len(calls)
+        try:
+            models.solve_reach(sc.AssemblyState(n, tile, arm, 0), reach, target)
+        except IkNotConverged as exc:
+            assert type(exc) is IkUnreachable
+            assert len(calls) == before
+            failed += 1
+    assert failed == 4
+    assert len(calls) == len(problems) - failed
 
 
 def test_worst_case_gains_stabilize_family_at_desk_scale():
