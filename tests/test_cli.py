@@ -126,6 +126,20 @@ def test_bad_state_exits_2_without_asserts(tmp_path):
     assert "error: " in proc.stderr.splitlines()[-1]
 
 
+def test_planner_imports_leave_out_scipy_optimize():
+    # the H-infinity polish has its own scalar search: scipy.optimize would
+    # add about 20 MB to every planner process
+    src = os.path.join(os.path.dirname(flexasm.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, flexasm.cli, flexasm.pathopt; "
+         "print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_validate_passes_on_desk(tmp_path, capsys):
     assert run(["--out", tmp_path, "validate"]) == 0
     out = capsys.readouterr().out

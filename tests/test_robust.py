@@ -223,3 +223,115 @@ def test_margin_search_runs_no_interconnect(monkeypatch):
     for cl, r in zip(loops, ref):
         res = robust.mu_real_repeated(cl)
         assert (res.mu_lower, res.delta_crit) == (r.mu_lower, r.delta_crit)
+
+
+def two_pass_margin(sys, delta_max=20.0):
+    """The margin search as two one-sided scans, +delta then -delta, each
+    bisecting its own first crossing; the smaller magnitude wins, ties to
+    +.  The one-pass scan must give the same bits."""
+    def first_crossing(sign):
+        grid = np.linspace(0.0, delta_max, robust.SCAN_POINTS + 1)[1:]
+        lo = 0.0
+        hit = None
+        for t in grid:
+            if robust._destabilized(sys, sign * t):
+                hit = t
+                break
+            lo = t
+        if hit is None:
+            return None
+        hi = hit
+        while hi - lo > robust.TOL * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if robust._destabilized(sys, sign * mid):
+                hi = mid
+            else:
+                lo = mid
+        return sign * hi
+
+    candidates = [d for d in (first_crossing(+1.0), first_crossing(-1.0))
+                  if d is not None]
+    delta_crit = min(candidates, key=abs) if candidates else None
+    return (1.0 / abs(delta_crit) if delta_crit is not None else 0.0), delta_crit
+
+
+def two_sided_lag(k_pos, k_neg):
+    # two decoupled lags: closing w = delta z moves the poles to
+    # -1 + delta k_pos and -1 - delta k_neg, lost at +1/k_pos and -1/k_neg
+    return wz_system(-np.eye(2), np.eye(2), np.diag([k_pos, -k_neg]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("sys, sign", [
+    pytest.param(scaled_lag(0.37), 1.0, id="positive-first"),
+    pytest.param(scaled_lag(-0.37), -1.0, id="negative-first"),
+    pytest.param(two_sided_lag(0.1, 0.4), -1.0, id="negative-first-both-cross"),
+    pytest.param(two_sided_lag(1.0 / 3.0, 1.0 / 3.0), 1.0, id="tie-in-one-bin"),
+    pytest.param(two_sided_lag(1.0 / 3.1, 1.0 / 3.0), -1.0, id="same-bin-negative-smaller"),
+    pytest.param(scaled_lag(0.01), None, id="no-crossing"),
+])
+def test_one_pass_scan_matches_two_pass_oracle(sys, sign):
+    res = robust.mu_real_repeated(sys, delta_max=20.0)
+    assert (res.mu_lower, res.delta_crit) == two_pass_margin(sys, 20.0)
+    if sign is None:
+        assert res.delta_crit is None and res.mu_lower == 0.0
+    else:
+        assert np.sign(res.delta_crit) == sign
+
+
+def test_one_pass_scan_matches_two_pass_oracle_on_mission_loops():
+    for cl in mission_loops(6, 12):
+        res = robust.mu_real_repeated(cl, delta_max=20.0)
+        assert (res.mu_lower, res.delta_crit) == two_pass_margin(cl, 20.0)
+
+
+def test_one_pass_scan_halves_the_probes(monkeypatch):
+    # the mission loops lose stability only at delta = -5, the 16th scan
+    # point: the one-pass scan probes 16 points twice and bisects once
+    # (58 probes), where scanning each sign alone probes all 64 positive
+    # points as well (106 probes)
+    cl = next(mission_loops(1, 13))
+    probes = []
+    real = robust._destabilized
+
+    def counted(sys, delta):
+        probes.append(delta)
+        return real(sys, delta)
+
+    monkeypatch.setattr(robust, "_destabilized", counted)
+    res = robust.mu_real_repeated(cl, delta_max=20.0)
+    assert res.delta_crit < 0.0
+    assert len(probes) <= 58
+    probes.clear()
+    assert two_pass_margin(cl, 20.0) == (res.mu_lower, res.delta_crit)
+    assert len(probes) == 106
+
+
+def test_upper_bound_sweep_equals_per_point_loop():
+    # the pre-batching sweep: one transfer_at (or static gain at w = 0)
+    # and one eigenvalue call per frequency
+    def per_point(sys, delta_crit):
+        sub = sys.subsystem(outputs=["z_omega"], inputs=["w_omega"])
+        freqs = [0.0]
+        if sub.n_states:
+            mags = np.abs(np.linalg.eigvals(sub.A))
+            mags = mags[mags > 1e-12]
+            if mags.size:
+                freqs.extend(np.geomspace(mags.min() / 10.0, mags.max() * 10.0,
+                                          robust.N_FREQ))
+        if delta_crit is not None:
+            w_star = robust._destabilizing_frequency(sys, delta_crit)
+            if np.isfinite(w_star):
+                freqs.extend([w_star, w_star * 0.999, w_star * 1.001])
+        mu = float(np.max(np.abs(np.linalg.eigvals(sub.D))))
+        for w in freqs:
+            G = sub.transfer_at(1j * w) if w > 0.0 else sub.dc_gain()
+            mu = max(mu, float(np.max(np.abs(np.linalg.eigvals(G)))))
+        return mu
+
+    rng = make_rng(5)
+    systems = list(mission_loops(3, 14)) + [random_lfr(rng) for _ in range(3)] + [
+        scaled_lag(0.2), gain([[0.0, -1.0], [1.0, 0.0]], (("w_omega", 2),),
+                              (("z_omega", 2),))]
+    for sys in systems:
+        res = robust.mu_real_repeated(sys, delta_max=20.0)
+        assert res.mu_upper == per_point(sys, res.delta_crit)
