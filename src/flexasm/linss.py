@@ -55,6 +55,7 @@ __all__ = [
     "interconnect",
     "invert_channels",
     "lft_upper",
+    "close_static",
     "freq_response",
     "sigma_max",
     "is_stable",
@@ -447,6 +448,39 @@ def lft_upper(plant: StateSpace, delta: float, w_channel: str = "w_omega",
         [("p", plant), ("d", blk)],
         [(f"p.{z_channel}", "d.z"), ("d.w", f"p.{w_channel}")],
         ext_in, ext_out)
+
+
+def close_static(sys: StateSpace, K, w_channel: str, z_channel: str) -> StateSpace:
+    """Close ``w = K z`` with a static gain and drop the channel pair.
+
+    Works on the matrices alone: with ``Z = (I - D_zw K)^-1``, the closed
+    system is ``A + B_w K Z C_z``, ``B_u + B_w K Z D_zu``,
+    ``C_y + D_yw K Z C_z`` and ``D_yu + D_yw K Z D_zu``.  States and the
+    order of the remaining channels are unchanged; the result equals the
+    :func:`interconnect` closure of the same loop.  Raises
+    :class:`IllPosedLoop` when ``rcond(I - D_zw K)`` is below
+    ``WELLPOSED_RCOND``.
+    """
+    w, z = sys.in_slice(w_channel), sys.out_slice(z_channel)
+    K = np.asarray(K, dtype=float)
+    if K.shape != (w.stop - w.start, z.stop - z.start):
+        raise WidthMismatch(
+            f"gain {K.shape} does not map {z_channel!r} "
+            f"({z.stop - z.start}) to {w_channel!r} ({w.stop - w.start})")
+    loop = np.eye(z.stop - z.start) - sys.D[z, w] @ K
+    rcond = 1.0 / np.linalg.cond(loop, 1)
+    if rcond < WELLPOSED_RCOND:
+        raise IllPosedLoop(f"static loop is ill posed (rcond={rcond:.2e})")
+    cols = np.r_[0:w.start, w.stop:sys.n_inputs]
+    rows = np.r_[0:z.start, z.stop:sys.n_outputs]
+    # the closed loop's w as a function of [x; u]
+    G = K @ np.linalg.solve(loop, np.hstack([sys.C[z], sys.D[z][:, cols]]))
+    top = np.hstack([sys.A, sys.B[:, cols]]) + sys.B[:, w] @ G
+    bottom = np.hstack([sys.C[rows], sys.D[np.ix_(rows, cols)]]) + sys.D[rows, w] @ G
+    n = sys.n_states
+    return StateSpace(top[:, :n], top[:, n:], bottom[:, :n], bottom[:, n:],
+                      tuple(c for c in sys.in_channels if c[0] != w_channel),
+                      tuple(c for c in sys.out_channels if c[0] != z_channel))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ __all__ = [
     "compose_rigid",
     "rigid_nport",
     "rigid_nport_inverted",
+    "port_mass_matrix",
     "d_p_matrix",
     "residual_mass",
     "titop_two_port",
@@ -423,14 +424,20 @@ class ModalBodyData:
         return warnings
 
 
+def port_mass_matrix(mass: float, com, inertia_P) -> np.ndarray:
+    """Static 6x6 mass matrix at a port P of a rigid body whose CoM sits
+    at ``com`` from P and whose inertia about P is ``inertia_P``."""
+    D = np.zeros((6, 6))
+    D[0:3, 0:3] = mass * np.eye(3)
+    D[0:3, 3:6] = -mass * skew(com)
+    D[3:6, 0:3] = mass * skew(com)
+    D[3:6, 3:6] = inertia_P
+    return D
+
+
 def d_p_matrix(data: ModalBodyData) -> np.ndarray:
     """Full static mass matrix of the body at its port P."""
-    D = np.zeros((6, 6))
-    D[0:3, 0:3] = data.mass * np.eye(3)
-    D[0:3, 3:6] = -data.mass * skew(data.com)
-    D[3:6, 0:3] = data.mass * skew(data.com)
-    D[3:6, 3:6] = data.inertia_P
-    return D
+    return port_mass_matrix(data.mass, data.com, data.inertia_P)
 
 
 def residual_mass(data: ModalBodyData) -> np.ndarray:

@@ -9,11 +9,17 @@ The robot walks with arms 1 and 2; arm 3 only handles tiles.
 All wired port signals are expressed in the hub frame.  The plant is
 evaluated only at trajectory waypoints, where every joint is locked, so
 the robot -- three arms, its central hub and the carried tile -- is one
-rigid body standing on the structure's docking port: a stateless 6x6
-mass block whose properties come from the same kinematic bookkeeping as
-:meth:`ScenarioModels.mass_properties`.  The port-based arm chain
+rigid body standing on the structure's docking port: a static gain
+``W_C = -M_C(q) xdd_C`` whose 6x6 mass matrix comes from the same
+kinematic bookkeeping as :meth:`ScenarioModels.mass_properties`.  Only
+that gain reads the gripping arm and the joint angles.  The rest of the
+spacecraft -- hub, array, tile stack and structure, pinned or not -- is
+wired once per ``(n, j, delta)`` variant with the robot port left open
+and cached; each waypoint closes the robot's gain on the cached plant's
+matrices (:func:`flexasm.linss.close_static`).  The port-based arm chain
 (:func:`flexasm.robot.arm_two_port`) is the independent reference for
-that block in the tests.
+``M_C`` in the tests, and the fully wired plant is kept there as the
+reference for the cached one.
 
 External channels of the open-loop plant:
 
@@ -23,7 +29,9 @@ External channels of the open-loop plant:
 
 Closing the attitude loop adds the integrator banks (omega_G, Theta_G),
 the torque disturbance d_t, and the total actuation torque e_t = d_t + u
-whose transfer from d_t is the classical input sensitivity.
+whose transfer from d_t is the classical input sensitivity.  The loop is
+built on the plant's matrices: ``u`` reads only the integrator states, so
+no algebraic loop has to be solved.
 """
 
 from __future__ import annotations
@@ -39,8 +47,9 @@ from .errors import (
     IkUnreachable,
     MissingStructureData,
     StateInvalid,
+    WidthMismatch,
 )
-from .linss import StateSpace, gain, integrator, interconnect, split_channel
+from .linss import StateSpace, close_static, gain, interconnect, split_channel
 from .modal import (
     DEFAULT_DAMPING,
     DEFAULT_TILE_INERTIA,
@@ -60,6 +69,7 @@ from .multibody import (
     compose_rigid,
     mode_freq_lfr,
     nearest_dcm,
+    port_mass_matrix,
     rigid_nport,
     titop_one_port,
     titop_two_port,
@@ -240,13 +250,14 @@ def attitude_gains(J_tot: np.ndarray, xi_att: float = 1.0,
 # ---------------------------------------------------------------------------
 
 class ScenarioModels:
-    """Model factory with a per-size cache of generated structure data
-    and a memo of walking-IK solves."""
+    """Model factory with a per-size cache of generated structure data,
+    a cache of port-exposed plants and a memo of walking-IK solves."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self._lattices = {}
         self._modal = {}
+        self._plants = {}
         self._reach = {}
         self._bounds = {}
 
@@ -312,11 +323,33 @@ class ScenarioModels:
         composite inertia *about G*.  ``pinned=False`` returns the free-
         floating plant with its ``F_G``/``a_G`` channels, whose DC gain is
         instead set by the inertia about the composite CoM.
-        """
-        cfg = self.cfg
-        if state.n > cfg.n_tiles:
-            raise StateInvalid(f"state has n={state.n} > N={cfg.n_tiles}")
 
+        The locked robot closes ``W_r = -M_C xdd_C`` on the cached
+        port-exposed plant of :meth:`_port_plant`.
+        """
+        if state.n > self.cfg.n_tiles:
+            raise StateInvalid(f"state has n={state.n} > N={self.cfg.n_tiles}")
+        plant = self._port_plant(state.n, state.j, state.delta, rigid, pinned)
+        return close_static(plant, -self.robot_mass_matrix(state, qs),
+                            "W_r", "xdd_C")
+
+    def _port_plant(self, n: int, j: int, delta: int, rigid: bool,
+                    pinned: bool) -> StateSpace:
+        """The spacecraft without the robot, with its docking port open.
+
+        Hub, array, tile stack and structure ``F_n`` docked at tile ``j``,
+        wired once and cached on ``(n, j, delta, rigid, pinned)``; pinning
+        (:func:`pin_translation`) is applied here, once.  Besides the
+        channels of :meth:`open_loop` it carries the robot port: input
+        ``W_r``, the robot's wrench on the docking port C, and output
+        ``xdd_C``, the acceleration twist of C.  The gripping arm and the
+        joint angles are not in the key: only the robot's mass matrix
+        reads them.
+        """
+        key = (n, j, delta, rigid, pinned)
+        if key in self._plants:
+            return self._plants[key]
+        cfg = self.cfg
         hub = rigid_nport(cfg.hub, ["P1", "P2", "P3"])
         hub = split_channel(hub, "W_G", [("F_G", 3), ("T_G", 3)])
         hub = split_channel(hub, "xdd_G", [("a_G", 3), ("omega_dot_G", 3)])
@@ -331,25 +364,23 @@ class ScenarioModels:
         arr = apply_frame(arr, "xdd_P", Dcm(cfg.array_dcm))
         arr = apply_frame(arr, "W_P", Dcm(cfg.array_dcm))
 
-        count = max(cfg.n_tiles - state.n - state.delta, 0)
+        count = max(cfg.n_tiles - n - delta, 0)
         stk = titop_one_port(ModalBodyData(
             mass=count * cfg.tile.mass, com=cfg.stack_offset,
             inertia_P=transport_inertia(count * np.asarray(cfg.tile.inertia_G),
                                         count * cfg.tile.mass, cfg.stack_offset),
             freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="stack"))
 
-        sdata = self.structure_data(state.n, state.j)
+        sdata = self.structure_data(n, j)
         if rigid:
             sdata = replace_modes(sdata, 0)
         fn = titop_two_port(sdata)
 
-        blocks = [("hub", hub), ("arr", arr), ("stk", stk), ("fn", fn),
-                  ("rb", self.robot_block(state, qs))]
+        blocks = [("hub", hub), ("arr", arr), ("stk", stk), ("fn", fn)]
         wiring = [
             ("hub.xdd_P1", "arr.xdd_P"), ("arr.W_P", "hub.W_P1"),
             ("hub.xdd_P3", "stk.xdd_P"), ("stk.W_P", "hub.W_P3"),
             ("hub.xdd_P2", "fn.xdd_P"), ("fn.W_P", "hub.W_P2"),
-            ("fn.xdd_C", "rb.xdd_P"), ("rb.W_P", "fn.W_C"),
         ]
 
         ext_in = [("F_G", "hub.F_G"), ("T_G", "hub.T_G"), ("W_ext", "fn.W_C")]
@@ -361,23 +392,27 @@ class ScenarioModels:
             blocks.append(("wz", wz))
             ext_in.append(("w_omega", "wz.w_omega"))
             ext_out.append(("z_omega", "wz.z_omega"))
+        ext_in.append(("W_r", "fn.W_C"))
+        ext_out.append(("xdd_C", "fn.xdd_C"))
 
         plant = interconnect(blocks, wiring, ext_in, ext_out)
-        return pin_translation(plant) if pinned else plant
+        self._plants[key] = pin_translation(plant) if pinned else plant
+        return self._plants[key]
 
-    def robot_block(self, state: AssemblyState, qs) -> StateSpace:
-        """The locked robot as one rigid body on the docking port C.
+    def robot_mass_matrix(self, state: AssemblyState, qs) -> np.ndarray:
+        """The locked robot's 6x6 mass matrix ``M_C`` about the docking
+        port C, hub frame, laid out like :func:`~flexasm.multibody.d_p_matrix`.
 
-        Stateless ``xdd_P -> W_P`` block with P at C, hub frame:
-        ``W_C = -M_C xdd_C`` with ``M_C`` the composite rigid mass matrix
-        of the three arms, the robot hub and the carried tile about C.
+        ``M_C`` is the composite rigid mass of the three arms, the robot
+        hub and the carried tile; the robot loads the port with
+        ``W_C = -M_C xdd_C``.
         """
         fr = self._robot_frames(state, qs)
         m, com, J_com = compose_rigid(self._robot_parts(state, fr))
         c = com - fr["base_world"]
-        return titop_one_port(ModalBodyData(
-            mass=m, com=c, inertia_P=transport_inertia(J_com, m, c),
-            freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="robot"))
+        J_C = transport_inertia(J_com, m, c)
+        # the composition's rounding leaves J_C a few ulps off symmetric
+        return port_mass_matrix(m, c, 0.5 * (J_C + J_C.T))
 
     # -- mass properties -----------------------------------------------------
 
@@ -409,9 +444,9 @@ class ScenarioModels:
         """Composite (mass, CoM, inertia at CoM) in the hub frame.
 
         Pure mass bookkeeping through the kinematic chain.  The robot's
-        parts are shared with the rigid robot block of :meth:`open_loop`,
-        so the DC reciprocity checks cover the rest of the assembly; the
-        robot block itself is checked against the wired arm chains by
+        parts are shared with :meth:`robot_mass_matrix`, so the DC
+        reciprocity checks cover the rest of the assembly; the robot's
+        mass matrix itself is checked against the wired arm chains by
         ``test_robot_block_matches_arm_chain_cluster``.
         """
         cfg = self.cfg
@@ -624,31 +659,41 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     Appends the two integrator banks (angular rate, then small-angle
     attitude), feeds back ``u = K_att [Theta; omega]``, and exposes the
     torque disturbance path ``d_t -> e_t`` with ``e_t = d_t + u`` (total
-    torque entering the hub, the input-sensitivity output).
+    torque entering the hub, the input-sensitivity output).  ``K_att`` is
+    the 3 x 6 gain of :func:`attitude_gains`; any other shape raises
+    :class:`~flexasm.errors.WidthMismatch`.
+
+    The states are the plant's, then ``omega_G``, then ``Theta_G``.  The
+    loop is built on the plant's matrices: ``u`` reads only states, so
+    ``T_G = d_t + u`` adds ``B_T K`` to the state matrix and nothing has
+    to be inverted.
     """
-    K_att = np.asarray(K_att, dtype=float).reshape(3, 6)
-    iw = integrator(3, "wdot", "w")
-    it = integrator(3, "w", "theta")
-    K = gain(K_att, (("theta", 3), ("omega", 3)), (("u", 3),))
-    add = gain(np.hstack([np.eye(3), np.eye(3)]),
-               (("d", 3), ("u", 3)), (("e", 3),))
-    blocks = [("p", plant), ("iw", iw), ("it", it), ("k", K), ("add", add)]
-    wiring = [
-        ("p.omega_dot_G", "iw.wdot"),
-        ("iw.w", "it.w"), ("iw.w", "k.omega"),
-        ("it.theta", "k.theta"),
-        ("k.u", "p.T_G"), ("k.u", "add.u"),
-    ]
-    ext_in = [("d_t", ["p.T_G", "add.d"]),
-              ("W_ext", "p.W_ext"),
-              ("w_omega", "p.w_omega")]
-    ext_out = [("omega_dot_G", "p.omega_dot_G"),
-               ("omega_G", "iw.w"),
-               ("Theta_G", "it.theta"),
-               ("e_t", "add.e"),
-               ("z_omega", "p.z_omega")]
+    K_att = np.asarray(K_att, dtype=float)
+    if K_att.shape != (3, 6):
+        raise WidthMismatch(f"attitude gain must be 3 x 6, got {K_att.shape}")
+    n, m = plant.n_states, plant.n_inputs
+    wd, T = plant.out_slice("omega_dot_G"), plant.in_slice("T_G")
+    # u on the closed-loop states [x; omega_G; Theta_G]
+    Ku = np.hstack([np.zeros((3, n)), K_att[:, 3:], K_att[:, :3]])
+    A = np.zeros((n + 6, n + 6))
+    A[:n, :n] = plant.A
+    A[n:n + 3, :n] = plant.C[wd]
+    A[n + 3:, n:n + 3] = np.eye(3)
+    B = np.vstack([plant.B, plant.D[wd], np.zeros((3, m))])
+    A += B[:, T] @ Ku
+    C = np.hstack([plant.C, np.zeros((plant.n_outputs, 6))]) + plant.D[:, T] @ Ku
+
+    ins = [("d_t", "T_G"), ("W_ext", "W_ext"), ("w_omega", "w_omega")]
     if plant.has_input("F_G"):
-        ext_in.append(("F_G", "p.F_G"))
+        ins.append(("F_G", "F_G"))
+    cols = np.concatenate([np.r_[plant.in_slice(c)] for _, c in ins])
+    k = cols.size
+    loop = StateSpace(
+        A, B[:, cols], np.vstack([C, np.eye(6, n + 6, n), Ku]),
+        np.vstack([plant.D[:, cols], np.zeros((6, k)), np.eye(3, k)]),
+        tuple((name, plant.in_width(c)) for name, c in ins),
+        plant.out_channels + (("omega_G", 3), ("Theta_G", 3), ("e_t", 3)))
+    outs = ["omega_dot_G", "omega_G", "Theta_G", "e_t", "z_omega"]
     if plant.has_output("a_G"):
-        ext_out.append(("a_G", "p.a_G"))
-    return interconnect(blocks, wiring, ext_in, ext_out)
+        outs.append("a_G")
+    return loop.subsystem(outputs=outs)

@@ -23,15 +23,20 @@ def random_stable_system(rng, n=8, m=2, p=2, margin=0.2, feedthrough=True):
     return linss.StateSpace(A, B, C, D, (("u", m),), (("y", p),))
 
 
+def mission_states(count, seed):
+    """Random ``(state, qs)`` pairs of the 4-tile mission."""
+    rng = make_rng(seed)
+    family = sc.enumerate_model_family(4)
+    for idx in rng.choice(len(family), count, replace=False):
+        yield family[idx], [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
+
+
 def mission_loops(count, seed):
     """Closed loops of the 4-tile mission at random states and joints."""
     models = sc.ScenarioModels(sc.table_scenario(4))
     K = models.design_gains()
-    rng = make_rng(seed)
-    family = sc.enumerate_model_family(4)
-    for idx in rng.choice(len(family), count, replace=False):
-        qs = [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
-        yield models.closed_loop(family[idx], qs, K)
+    for state, qs in mission_states(count, seed):
+        yield models.closed_loop(state, qs, K)
 
 
 def max_response_deviation(sys_a, sys_b, grid, chan_a=None, chan_b=None):

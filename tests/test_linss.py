@@ -177,6 +177,37 @@ def test_lft_upper_singular_closure():
         linss.lft_upper(plant, 1.0)
 
 
+def test_close_static_matches_interconnect():
+    # the loop channels sit between the kept ones, so dropping them must
+    # keep the order of the rest
+    rng = make_rng(21)
+    sys = random_stable_system(rng, 6, 6, 6)
+    sys = linss.split_channel(sys, "u", [("a", 1), ("w", 3), ("b", 2)])
+    sys = linss.split_channel(sys, "y", [("c", 2), ("z", 3), ("d", 1)])
+    K = 0.3 * rng.standard_normal((3, 3))
+    got = linss.close_static(sys, K, "w", "z")
+    ref = linss.interconnect(
+        [("p", sys), ("k", linss.gain(K, (("z", 3),), (("w", 3),)))],
+        [("p.z", "k.z"), ("k.w", "p.w")],
+        [("a", "p.a"), ("b", "p.b")], [("c", "p.c"), ("d", "p.d")])
+    assert got.in_channels == ref.in_channels == (("a", 1), ("b", 2))
+    assert got.out_channels == ref.out_channels == (("c", 2), ("d", 1))
+    for M, R in ((got.A, ref.A), (got.B, ref.B), (got.C, ref.C), (got.D, ref.D)):
+        assert np.allclose(M, R, rtol=0.0, atol=1e-12)
+
+
+def test_close_static_rejects_singular_and_misshaped_loops():
+    # D_zw = I: closing w = K z with K = I leaves I - D_zw K = 0
+    D = np.zeros((3, 3))
+    D[1:, 1:] = np.eye(2)
+    plant = linss.gain(D, (("u", 1), ("w", 2)), (("y", 1), ("z", 2)))
+    with pytest.raises(IllPosedLoop):
+        linss.close_static(plant, np.eye(2), "w", "z")
+    linss.close_static(plant, 0.5 * np.eye(2), "w", "z")
+    with pytest.raises(WidthMismatch):
+        linss.close_static(plant, np.eye(3), "w", "z")
+
+
 # ---------------------------------------------------------------------------
 # frequency response / stability
 # ---------------------------------------------------------------------------

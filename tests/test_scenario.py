@@ -11,12 +11,13 @@ from hypothesis.extra import numpy as hnp
 from flexasm import linss
 from flexasm import scenario as sc
 from flexasm.errors import (IkNotConverged, IkUnreachable, MissingStructureData,
-                            StateInvalid)
+                            StateInvalid, WidthMismatch)
 from flexasm.multibody import (apply_frame, dcm_about_axis, rigid_mass_matrix,
                                rigid_nport_inverted)
 from flexasm.robot import arm_two_port, default_arm_geometry, link_poses
 
-from conftest import make_rng
+from conftest import make_rng, mission_states
+from wired import wired_close_loop, wired_open_loop
 
 HOME = (sc.HOME_JOINTS,) * 3
 
@@ -215,12 +216,76 @@ def test_robot_block_matches_arm_chain_cluster(cfg, which):
                 st = sc.AssemblyState(2, int(rng.integers(1, 3)), arm, delta)
                 qs = tuple(rng.uniform(-1.0, 1.0, 5) for _ in range(3))
                 ref = chain_cluster(cfg, st, qs)
-                blk = models.robot_block(st, qs)
-                assert ref.n_states == blk.n_states == 0
+                assert ref.n_states == 0
                 D_ref = ref.D[ref.out_slice("W_C"), :][:, ref.in_slice("xdd_C")]
-                D_blk = blk.D[blk.out_slice("W_P"), :][:, blk.in_slice("xdd_P")]
-                err = np.max(np.abs(D_blk - D_ref))
+                err = np.max(np.abs(-models.robot_mass_matrix(st, qs) - D_ref))
                 assert err <= 1e-10 * np.max(np.abs(D_ref)), (which, st, err)
+
+
+# ---------------------------------------------------------------------------
+# cached port-exposed plant vs. the fully wired spacecraft
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rigid, pinned", [(False, True), (False, False),
+                                           (True, True)],
+                         ids=["pinned", "unpinned", "rigid"])
+def test_cached_plant_matches_wired_oracle(rigid, pinned):
+    models = sc.ScenarioModels(sc.table_scenario(4))
+    K = models.design_gains()
+    deltas = set()
+    for st, qs in mission_states(12, 8):
+        deltas.add(st.delta)
+        ref_open = wired_open_loop(models, st, qs, rigid=rigid, pinned=pinned)
+        pairs = [(models.open_loop(st, qs, rigid=rigid, pinned=pinned), ref_open),
+                 (models.closed_loop(st, qs, K, rigid=rigid, pinned=pinned),
+                  wired_close_loop(ref_open, K))]
+        for got, ref in pairs:
+            assert got.n_states == ref.n_states
+            assert got.in_channels == ref.in_channels
+            assert got.out_channels == ref.out_channels
+            for w in (1e-2, 0.3, 2.0, 8.0, 40.0):
+                G, R = got.transfer_at(1j * w), ref.transfer_at(1j * w)
+                err = np.max(np.abs(G - R))
+                assert err <= 1e-10 * np.max(np.abs(R)), (st, w, err)
+    assert deltas == {0, 1}
+
+
+def test_port_plant_cache_keys(cfg, monkeypatch):
+    # only (n, j, delta, rigid, pinned) select a plant: the gripping arm
+    # and the joints reach the model through M_C alone
+    models = sc.ScenarioModels(cfg)
+    calls = []
+    wire = sc.interconnect
+    monkeypatch.setattr(sc, "interconnect",
+                        lambda *a, **k: calls.append(1) or wire(*a, **k))
+    rng = make_rng(9)
+    K = models.design_gains()
+
+    def joints():
+        return tuple(rng.uniform(-1.0, 1.0, 5) for _ in range(3))
+
+    base = sc.AssemblyState(3, 2, 1, 0)
+    models.open_loop(base, joints())
+    models.closed_loop(sc.AssemblyState(3, 2, 2, 0), joints(), K)
+    assert len(calls) == 1
+    for st, rigid, pinned in [(sc.AssemblyState(4, 2, 1, 0), False, True),
+                              (sc.AssemblyState(3, 3, 1, 0), False, True),
+                              (sc.AssemblyState(3, 2, 1, 1), False, True),
+                              (base, True, True), (base, False, False)]:
+        before = len(calls)
+        models.open_loop(st, joints(), rigid=rigid, pinned=pinned)
+        assert len(calls) == before + 1, (st, rigid, pinned)
+        models.open_loop(replace(st, arm=3 - st.arm), joints(), rigid=rigid,
+                         pinned=pinned)
+        assert len(calls) == before + 1, (st, rigid, pinned)
+
+
+def test_close_loop_rejects_misshaped_gain(models):
+    plant = models.open_loop(sc.AssemblyState(1, 1, 1, 0), HOME)
+    K = models.design_gains()
+    for bad in (K.T, K.ravel(), K[:, :3]):
+        with pytest.raises(WidthMismatch):
+            sc.close_loop(plant, bad)
 
 
 # ---------------------------------------------------------------------------
