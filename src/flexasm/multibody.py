@@ -49,9 +49,6 @@ __all__ = [
     "ModalBodyData",
     "Dcm",
     "dcm_about_axis",
-    "dcm_axis_x",
-    "dcm_axis_y",
-    "dcm_axis_z",
     "apply_frame",
     "rigid_mass_matrix",
     "transport_inertia",
@@ -151,21 +148,35 @@ def compose_rigid(parts: Sequence) -> tuple:
     """Mass-property composition of rigid parts placed in a common frame.
 
     ``parts`` is a sequence of ``(mass, com_position, inertia_at_com, R)``
-    where R rotates body coordinates into the common frame.  Returns
-    ``(mass, com, inertia_at_com)`` of the composite in the common frame.
+    where R rotates body coordinates into the common frame (None: no
+    rotation).  One entry may also stack k parts along a leading axis --
+    masses (k,), positions (k, 3), inertias and rotations (k, 3, 3) -- so a
+    whole link chain enters as one entry.  Inertias about a common point
+    simply add, so every part is rotated, moved to the composite CoM by the
+    parallel-axis theorem and summed in one stacked pass.  Returns
+    ``(mass, com, inertia_at_com)`` of the composite in the common frame,
+    the inertia symmetric.
     """
-    m_tot = 0.0
-    first = np.zeros(3)
-    for mass, pos, _, _ in parts:
-        m_tot += mass
-        first += mass * np.asarray(pos, dtype=float)
+    m, pos, J, R = (np.concatenate(f) for f in zip(*map(_part_stack, parts)))
+    m_tot = float(m.sum())
+    first = m @ pos
     com = first / m_tot if m_tot > 0 else first
-    J = np.zeros((3, 3))
-    for mass, pos, J_c, R in parts:
-        R = np.eye(3) if R is None else np.asarray(R, dtype=float)
-        J_world = R @ np.asarray(J_c, dtype=float) @ R.T
-        J += transport_inertia(J_world, mass, np.asarray(pos, dtype=float) - com)
-    return m_tot, com, J
+    d = pos - com
+    J = ((R @ J @ R.transpose(0, 2, 1)).sum(axis=0)
+         + float(m @ (d * d).sum(axis=1)) * np.eye(3) - (d.T * m) @ d)
+    return m_tot, com, 0.5 * (J + J.T)
+
+
+def _part_stack(part) -> tuple:
+    """One entry of :func:`compose_rigid` as stacked arrays."""
+    mass, pos, J, R = part
+    m = np.asarray(mass, dtype=float).reshape(-1)
+    k = m.size
+    if R is None:
+        R = np.broadcast_to(np.eye(3), (k, 3, 3))
+    return (m, np.asarray(pos, dtype=float).reshape(k, 3),
+            np.asarray(J, dtype=float).reshape(k, 3, 3),
+            np.asarray(R, dtype=float).reshape(k, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +233,6 @@ def dcm_about_axis(axis, alpha: float) -> Dcm:
     K = skew(axis)
     R = np.eye(3) + math.sin(alpha) * K + (1.0 - math.cos(alpha)) * (K @ K)
     return Dcm(R)
-
-
-def dcm_axis_x(alpha: float) -> Dcm:
-    return dcm_about_axis((1.0, 0.0, 0.0), alpha)
-
-
-def dcm_axis_y(alpha: float) -> Dcm:
-    return dcm_about_axis((0.0, 1.0, 0.0), alpha)
-
-
-def dcm_axis_z(alpha: float) -> Dcm:
-    return dcm_about_axis((0.0, 0.0, 1.0), alpha)
 
 
 def apply_frame(sys: StateSpace, channel: str, dcm) -> StateSpace:

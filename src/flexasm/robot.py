@@ -48,7 +48,6 @@ __all__ = [
     "fixed_anchor",
     "inverse_kinematics",
     "dls_solve",
-    "QuinticTrajectory",
     "quintic_scalar",
     "quintic_waypoints",
     "JOINT_LIMIT",
@@ -201,8 +200,9 @@ def arm_two_port(geom: ArmGeometry, q, base: str = "J0") -> StateSpace:
 def link_poses(geom: ArmGeometry, q, base: str = "J0"):
     """Joint positions and link-frame rotations in base coordinates.
 
-    Returns ``(joints, rotations)``: seven joint positions J0..J6 and six
-    rotation matrices mapping link-frame coordinates into the base frame.
+    Returns ``(joints, rotations)``: the seven joint positions J0..J6 as a
+    (7, 3) array and the six rotation matrices mapping link-frame
+    coordinates into the base frame as a (6, 3, 3) array.
 
     Each joint rotation is built raw, ``I + sin(a) K + (1 - cos a) K^2``
     with the geometry's precomputed ``K`` and ``K^2``: the same arithmetic
@@ -211,24 +211,20 @@ def link_poses(geom: ArmGeometry, q, base: str = "J0"):
     are checked once, by :func:`validate_joints`.
     """
     q = validate_joints(q)
-    K, KK = geom.axis_K, geom.axis_KK
-    joints = [np.zeros(3)]
-    rots = []
-    R = np.eye(3)
-    p = np.zeros(3)
-    for i in range(6):
-        if i >= 1:
-            a = q[i - 1]
-            R = R @ (_EYE3 + math.sin(a) * K[i - 1]
-                     + (1.0 - math.cos(a)) * KK[i - 1])
-        rots.append(R)
-        p = p + R @ geom.joint_offsets[i]
-        joints.append(p)
-    joints = np.array(joints)
+    sin = np.array([math.sin(a) for a in q])[:, None, None]
+    vers = np.array([1.0 - math.cos(a) for a in q])[:, None, None]
+    turns = _EYE3 + sin * geom.axis_K + vers * geom.axis_KK
+    joints = np.zeros((7, 3))
+    joints[1] = geom.joint_offsets[0]
+    rots = np.empty((6, 3, 3))
+    R = rots[0] = _EYE3
+    for i in range(1, 6):
+        R = rots[i] = R @ turns[i - 1]
+        joints[i + 1] = joints[i] + R @ geom.joint_offsets[i]
     if base == "J6":
         R6 = rots[-1]
         joints = (joints - joints[-1]) @ R6
-        rots = [R6.T @ r for r in rots]
+        rots = R6.T @ rots
     elif base != "J0":
         raise ValueError(f"base must be 'J0' or 'J6', got {base!r}")
     return joints, rots
@@ -357,26 +353,10 @@ def quintic_scalar(t: float) -> float:
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-@dataclass(frozen=True)
-class QuinticTrajectory:
-    """Rest-to-rest joint sweep q0 -> q1 on normalized time [0, 1]."""
-
-    q0: np.ndarray
-    q1: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q0", np.asarray(self.q0, dtype=float))
-        object.__setattr__(self, "q1", np.asarray(self.q1, dtype=float))
-
-    def at(self, t: float) -> np.ndarray:
-        return self.q0 + quintic_scalar(float(t)) * (self.q1 - self.q0)
-
-    def waypoints(self, z: int) -> list:
-        if z < 2:
-            raise ValueError("need at least two waypoints")
-        return [self.at(k / (z - 1)) for k in range(z)]
-
-
 def quintic_waypoints(q0, q1, z: int) -> list:
     """z equally spaced waypoints of the quintic sweep from q0 to q1."""
-    return QuinticTrajectory(q0, q1).waypoints(z)
+    if z < 2:
+        raise ValueError("need at least two waypoints")
+    q0 = np.asarray(q0, dtype=float)
+    dq = np.asarray(q1, dtype=float) - q0
+    return [q0 + quintic_scalar(k / (z - 1)) * dq for k in range(z)]

@@ -10,9 +10,12 @@ All wired port signals are expressed in the hub frame.  The plant is
 evaluated only at trajectory waypoints, where every joint is locked, so
 the robot -- three arms, its central hub and the carried tile -- is one
 rigid body standing on the structure's docking port: a static gain
-``W_C = -M_C(q) xdd_C`` whose 6x6 mass matrix comes from the same
-kinematic bookkeeping as :meth:`ScenarioModels.mass_properties`.  Only
-that gain reads the gripping arm and the joint angles.  The rest of the
+``W_C = -M_C(q) xdd_C``.  The robot hub and the hanging arms sit at fixed
+places in the gripping arm's link 5: one mount table places them for
+``M_C``, the walking IK and its reach bound, and
+:func:`flexasm.multibody.compose_rigid` sums the parts, each arm's links
+stacked from :func:`flexasm.robot.link_poses`, in one pass.  Only ``M_C``
+reads the gripping arm and the joint angles.  The rest of the
 spacecraft -- hub, array, tile stack and structure, pinned or not -- is
 wired once per ``(n, j, delta)`` variant with the robot port left open
 and cached; each waypoint closes the robot's gain on the cached plant's
@@ -46,6 +49,7 @@ from .errors import (
     IkNotConverged,
     IkUnreachable,
     MissingStructureData,
+    SchemaError,
     StateInvalid,
     WidthMismatch,
 )
@@ -81,7 +85,6 @@ from .robot import (
     dls_solve,
     fixed_anchor,
     link_poses,
-    validate_joints,
     JOINT_LIMIT,
 )
 
@@ -147,7 +150,8 @@ class AssemblyState:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """All physical data and modeling knobs for one mission scenario."""
+    """All physical data and modeling knobs for one mission scenario;
+    out-of-range grid and uncertainty values raise ``SchemaError``."""
 
     hub: RigidBodyData
     array: ModalBodyData
@@ -177,6 +181,15 @@ class ScenarioConfig:
         if len(self.layout) < self.n_tiles:
             raise MissingStructureData(
                 f"layout has {len(self.layout)} cells for N={self.n_tiles}")
+        if not self.z_grid >= 2:
+            raise SchemaError(f"z_grid = {self.z_grid}: a trajectory needs "
+                              f"at least two waypoints")
+        if not 0.0 < self.r_omega < 1.0:
+            raise SchemaError(f"r_omega = {self.r_omega} must lie in (0, 1)")
+        if not 0 <= self.uncertain_mode < self.array.n_modes:
+            raise SchemaError(
+                f"uncertain mode {self.uncertain_mode + 1} outside the "
+                f"array's modes 1..{self.array.n_modes}")
         # published mount DCMs are rounded to 4 digits; snap to rotations
         object.__setattr__(self, "arm_mount_dcms",
                            {k: nearest_dcm(v).R for k, v in self.arm_mount_dcms.items()})
@@ -260,6 +273,7 @@ class ScenarioModels:
         self._plants = {}
         self._reach = {}
         self._bounds = {}
+        self._mounts = _mount_table(cfg)
 
     # -- structure supply ----------------------------------------------------
 
@@ -278,31 +292,6 @@ class ScenarioModels:
             self._modal[key] = modal_reduce(self._lattices[n], j, n_modes,
                                             self.cfg.xi_struct)
         return self._modal[key]
-
-    # -- robot frame bookkeeping ---------------------------------------------
-
-    def _robot_frames(self, state: AssemblyState, qs):
-        """World orientations and positions of the robot cluster."""
-        cfg = self.cfg
-        g = state.arm
-        f = 3 - g
-        q = {k: validate_joints(qs[k - 1]) for k in (1, 2, 3)}
-        base_world = cfg.tile_center(state.j)
-
-        joints_g, rots_g = link_poses(cfg.arm_geometry, q[g], base="J0")
-        M_l5 = {g: rots_g[5]}
-        M_c = M_l5[g] @ np.asarray(cfg.arm_mount_dcms[g]).T
-        j6_world = {g: base_world + joints_g[6]}
-        hub_pos = j6_world[g] - M_c @ cfg.robot_hub.offset(f"A{g}")
-        for k in (f, 3):
-            M_l5[k] = M_c @ np.asarray(cfg.arm_mount_dcms[k])
-            j6_world[k] = hub_pos + M_c @ cfg.robot_hub.offset(f"A{k}")
-        return {
-            "q": q, "grip": g, "free": f,
-            "base_world": base_world, "M_l5": M_l5, "M_c": M_c,
-            "hub_pos": hub_pos, "j6_world": j6_world,
-            "joints_grip": joints_g, "rots_grip": rots_g,
-        }
 
     # -- open loop -------------------------------------------------------------
 
@@ -407,37 +396,39 @@ class ScenarioModels:
         hub and the carried tile; the robot loads the port with
         ``W_C = -M_C xdd_C``.
         """
-        fr = self._robot_frames(state, qs)
-        m, com, J_com = compose_rigid(self._robot_parts(state, fr))
-        c = com - fr["base_world"]
-        J_C = transport_inertia(J_com, m, c)
-        # the composition's rounding leaves J_C a few ulps off symmetric
-        return port_mass_matrix(m, c, 0.5 * (J_C + J_C.T))
+        m, c, J_com = compose_rigid(self._robot_parts(state, qs))
+        return port_mass_matrix(m, c, transport_inertia(J_com, m, c))
 
     # -- mass properties -----------------------------------------------------
 
-    def _robot_parts(self, state: AssemblyState, fr) -> list:
-        """Rigid parts of the locked robot, ``(mass, com, J_com, R)`` in the
-        hub frame: the three arms' links, the robot hub, the carried tile."""
+    def _robot_parts(self, state: AssemblyState, qs) -> list:
+        """The locked robot's parts as stacked entries of
+        :func:`~flexasm.multibody.compose_rigid`, hub frame, positions from
+        the docking port C: the gripping arm standing on C, then the robot
+        hub, the other arms and the carried tile, placed through
+        :func:`_mount_table` in the gripping arm's link-5 frame."""
         cfg = self.cfg
         geom = cfg.arm_geometry
+        mounts = self._mounts[state.arm]
+        joints, rots = link_poses(geom, qs[state.arm - 1], base="J0")
+        parts = [(geom.masses, _link_coms(geom, joints, rots), geom.inertias,
+                  rots)]
 
-        def links(joints, rots, origin, M):
-            return [(m, origin + M @ (p + R @ c), J, M @ R)
-                    for m, p, R, c, J in zip(geom.masses, joints, rots,
-                                             geom.coms, geom.inertias)]
+        def place(R, p):
+            """A frame fixed in the gripping arm's link 5: rotation, origin."""
+            return rots[5] @ R, joints[6] + rots[5] @ p
 
-        parts = links(fr["joints_grip"], fr["rots_grip"], fr["base_world"],
-                      np.eye(3))
-        parts.append((cfg.robot_hub.mass, fr["hub_pos"],
-                      cfg.robot_hub.inertia_G, fr["M_c"]))
-        for k in (fr["free"], 3):
-            M, origin = fr["M_l5"][k], fr["j6_world"][k]
-            joints, rots = link_poses(geom, fr["q"][k], base="J6")
-            parts += links(joints, rots, origin, M)
-            if k == 3 and state.delta == 1:
-                parts.append((cfg.tile.mass, origin + M @ joints[0],
-                              cfg.tile.inertia_G, M @ rots[0]))
+        M, o = place(*mounts["hub"])
+        parts.append((cfg.robot_hub.mass, o, cfg.robot_hub.inertia_G, M))
+        for k in (3 - state.arm, 3):
+            M, o = place(*mounts[k])
+            joints_k, rots_k = link_poses(geom, qs[k - 1], base="J6")
+            coms = o + _link_coms(geom, joints_k, rots_k) @ M.T
+            parts.append((geom.masses, coms, geom.inertias, M @ rots_k))
+        if state.delta == 1:
+            # the carried tile sits at arm 3's tip, in the frame of its link l0
+            parts.append((cfg.tile.mass, o + M @ joints_k[0],
+                          cfg.tile.inertia_G, M @ rots_k[0]))
         return parts
 
     def mass_properties(self, state: AssemblyState, qs):
@@ -450,10 +441,9 @@ class ScenarioModels:
         ``test_robot_block_matches_arm_chain_cluster``.
         """
         cfg = self.cfg
-        fr = self._robot_frames(state, qs)
-        array_J_com = np.asarray(cfg.array.inertia_P) - cfg.array.mass * (
-            float(cfg.array.com @ cfg.array.com) * np.eye(3)
-            - np.outer(cfg.array.com, cfg.array.com))
+        # the array's inertia moved from its port P back to its CoM
+        array_J_com = transport_inertia(cfg.array.inertia_P, -cfg.array.mass,
+                                        cfg.array.com)
         parts = [
             (cfg.hub.mass, np.zeros(3), cfg.hub.inertia_G, None),
             (cfg.array.mass, cfg.hub.offset("P1") + cfg.array_dcm @ cfg.array.com,
@@ -466,7 +456,10 @@ class ScenarioModels:
         for t in range(1, state.n + 1):
             parts.append((cfg.tile.mass, cfg.tile_center(t),
                           cfg.tile.inertia_G, None))
-        return compose_rigid(parts + self._robot_parts(state, fr))
+        base = cfg.tile_center(state.j)
+        parts += [(m, base + c, J, R)
+                  for m, c, J, R in self._robot_parts(state, qs)]
+        return compose_rigid(parts)
 
     def total_inertia(self, state: AssemblyState, qs) -> np.ndarray:
         """Composite inertia about the hub CoM G, hub frame.
@@ -560,16 +553,13 @@ class ScenarioModels:
         """
         key = (g, reach_arm)
         if key not in self._bounds:
-            cfg = self.cfg
-            geom = cfg.arm_geometry
+            geom = self.cfg.arm_geometry
             m, anchor = fixed_anchor(geom)
-            mount_g = np.asarray(cfg.arm_mount_dcms[g])
-            mount_r = np.asarray(cfg.arm_mount_dcms[reach_arm])
+            R, p = self._mounts[g][reach_arm]
             off5 = geom.joint_offsets[5]
-            # J5(grip) -> J5(reach) in grip link-5 coordinates (cf. residual)
-            rigid = off5 + mount_g.T @ (cfg.robot_hub.offset(f"A{reach_arm}")
-                                        - cfg.robot_hub.offset(f"A{g}")
-                                        - mount_r @ off5)
+            # J5 -> J6 of the gripping arm, on to J6 and back to J5 of the
+            # reaching arm, in the gripping arm's link-5 frame
+            rigid = off5 + p - R @ off5
             lengths = np.linalg.norm(geom.joint_offsets[:5], axis=1)
             bound = float(lengths[m:].sum() + np.linalg.norm(rigid)
                           + lengths.sum())
@@ -578,21 +568,15 @@ class ScenarioModels:
 
     def _reach_residual(self, j: int, g: int, reach_arm: int, target_world):
         """Tip-minus-target residual of the 10-vector ``(q_grip, q_reach)``."""
-        cfg = self.cfg
-        geom = cfg.arm_geometry
-        base_world = cfg.tile_center(j)
-        mount_g_T = np.asarray(cfg.arm_mount_dcms[g]).T
-        mount_r = np.asarray(cfg.arm_mount_dcms[reach_arm])
-        hub_off_g = cfg.robot_hub.offset(f"A{g}")
-        hub_off_r = cfg.robot_hub.offset(f"A{reach_arm}")
+        geom = self.cfg.arm_geometry
+        base_world = self.cfg.tile_center(j)
+        R, p = self._mounts[g][reach_arm]
 
         def residual(q10):
             joints_g, rots_g = link_poses(geom, q10[:5], base="J0")
-            M_c = rots_g[5] @ mount_g_T
-            hub_pos = base_world + joints_g[6] - M_c @ hub_off_g
-            j6r = hub_pos + M_c @ hub_off_r
             joints_r, _ = link_poses(geom, q10[5:], base="J6")
-            return j6r + (M_c @ mount_r) @ joints_r[0] - target_world
+            return (base_world + joints_g[6] + rots_g[5] @ (p + R @ joints_r[0])
+                    - target_world)
 
         return residual
 
@@ -630,6 +614,28 @@ class ScenarioModels:
             f"inside the {bound:.6f} m reach bound; best task error "
             f"{best:.3e}: a seed artifact, not a proof of unreachability",
             best)
+
+
+def _mount_table(cfg: ScenarioConfig) -> dict:
+    """``table[g][k] = (R, p)``: body ``k`` -- ``"hub"`` (the robot hub at
+    its CoM) or another arm (its link-5 frame at its J6) -- as fixed in
+    gripping arm ``g``'s link-5 frame: ``R`` rotates k's frame into it and
+    ``p`` is k's origin from g's J6.  No joint angle moves either."""
+    hub = cfg.robot_hub
+    table = {}
+    for g in (1, 2):
+        to_g = cfg.arm_mount_dcms[g].T
+        off_g = hub.offset(f"A{g}")
+        table[g] = {"hub": (to_g, -to_g @ off_g)}
+        for k in {1, 2, 3} - {g}:
+            table[g][k] = (to_g @ cfg.arm_mount_dcms[k],
+                           to_g @ (hub.offset(f"A{k}") - off_g))
+    return table
+
+
+def _link_coms(geom: ArmGeometry, joints, rots) -> np.ndarray:
+    """The six link CoMs of a chain posed by :func:`link_poses`."""
+    return joints[:6] + np.einsum("kij,kj->ki", rots, geom.coms)
 
 
 def pin_translation(plant: StateSpace) -> StateSpace:

@@ -113,6 +113,22 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", [
+    {"z_grid": 1},
+    {"z_grid": 0},
+    {"uncertainty": {"r_omega": 0.0}},
+    {"uncertainty": {"r_omega": 1.5}},
+    {"uncertainty": {"mode": 0}},
+    {"uncertainty": {"mode": 3}},
+], ids=str)
+def test_bad_scenario_values_exit_2(tmp_path, capsys, fields):
+    # rejected where the scenario is built, before any gain is designed
+    p = write_scenario(tmp_path, **fields)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o",
+                      "full-assembly", "--cost", "h2-theta"]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_bad_state_exits_2_without_asserts(tmp_path):
     # the --state check must survive python -O, which strips asserts
     src = os.path.join(os.path.dirname(flexasm.__file__), os.pardir)

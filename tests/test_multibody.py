@@ -145,31 +145,31 @@ def test_rigid_inverted_acceleration_transport():
 # ---------------------------------------------------------------------------
 
 def test_dcm_zero_angle():
-    d = mb.dcm_axis_z(0.0)
+    d = mb.dcm_about_axis((0.0, 0.0, 1.0), 0.0)
     assert np.allclose(d.R, np.eye(3))
 
 
 def test_dcm_quarter_turn():
-    d = mb.dcm_axis_z(np.pi / 2)
+    d = mb.dcm_about_axis((0.0, 0.0, 1.0), np.pi / 2)
     assert np.allclose(d.R, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
 
 
 def test_dcm_compose_inverse():
-    a = mb.dcm_axis_y(np.pi / 3)
-    b = mb.dcm_axis_y(-np.pi / 3)
+    a = mb.dcm_about_axis((0.0, 1.0, 0.0), np.pi / 3)
+    b = mb.dcm_about_axis((0.0, 1.0, 0.0), -np.pi / 3)
     assert np.allclose(a.R @ b.R, np.eye(3), atol=1e-12)
 
 
 def test_dcm_alpha_out_of_range():
     with pytest.raises(AlphaOutOfRange):
-        mb.dcm_axis_x(2.0 * np.pi + 0.1)
+        mb.dcm_about_axis((1.0, 0.0, 0.0), 2.0 * np.pi + 0.1)
 
 
 def test_apply_frame_identity_and_rotation():
     eye6 = linss.gain(np.eye(6), (("W", 6),), (("y", 6),))
-    same = mb.apply_frame(eye6, "y", mb.dcm_axis_z(0.0))
+    same = mb.apply_frame(eye6, "y", mb.dcm_about_axis((0.0, 0.0, 1.0), 0.0))
     assert np.allclose(same.D, np.eye(6))
-    rot = mb.apply_frame(eye6, "y", mb.dcm_axis_z(np.pi / 2))
+    rot = mb.apply_frame(eye6, "y", mb.dcm_about_axis((0.0, 0.0, 1.0), np.pi / 2))
     out = rot.D @ np.array([1.0, 0, 0, 0, 0, 0])
     assert np.allclose(out, [0, 1, 0, 0, 0, 0], atol=1e-12)
 
@@ -187,7 +187,7 @@ def test_apply_frame_roundtrip():
 def test_apply_frame_width_check():
     g = linss.gain(np.eye(3), (("u", 3),), (("y", 3),))
     with pytest.raises(WidthMismatch):
-        mb.apply_frame(g, "y", mb.dcm_axis_z(0.3))
+        mb.apply_frame(g, "y", mb.dcm_about_axis((0.0, 0.0, 1.0), 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +305,36 @@ def test_two_rigid_bodies_weld_to_composite():
                 + b2.inertia_G + b2.mass * (((g2_pos - com) @ (g2_pos - com)) * np.eye(3)
                                             - np.outer(g2_pos - com, g2_pos - com)))
     assert np.allclose(J, J_manual, atol=1e-12)
+
+
+def test_compose_rigid_rotated_parts_match_parallel_axis_loop():
+    # random rotations and anisotropic inertias, so a transposed rotation
+    # or a misplaced parallel-axis term shows; one stacked entry and one
+    # entry per part give the same composite
+    rng = make_rng(808)
+    k = 7
+    masses = rng.uniform(0.5, 5.0, k)
+    pos = rng.normal(size=(k, 3))
+    rots = np.array([mb.dcm_about_axis(rng.normal(size=3),
+                                       rng.uniform(0.3, 2.5)).R
+                     for _ in range(k)])
+    inertias = np.array([np.diag(rng.uniform(0.2, 1.0, 3)) for _ in range(k)])
+    inertias[:, 0, 1] = inertias[:, 1, 0] = 0.05
+
+    m_ref = masses.sum()
+    com_ref = (masses[:, None] * pos).sum(axis=0) / m_ref
+    J_ref = np.zeros((3, 3))
+    for m, p, R, J in zip(masses, pos, rots, inertias):
+        d = p - com_ref
+        J_ref += R @ J @ R.T + m * ((d @ d) * np.eye(3) - np.outer(d, d))
+
+    stacked = mb.compose_rigid([(masses, pos, inertias, rots)])
+    per_part = mb.compose_rigid(list(zip(masses, pos, inertias, rots)))
+    for m, com, J in (stacked, per_part):
+        assert m == pytest.approx(m_ref, rel=1e-14)
+        assert np.max(np.abs(com - com_ref)) <= 1e-12 * np.max(np.abs(com_ref))
+        assert np.max(np.abs(J - J_ref)) <= 1e-12 * np.max(np.abs(J_ref))
+        assert np.array_equal(J, J.T)
 
 
 # ---------------------------------------------------------------------------

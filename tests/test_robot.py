@@ -290,9 +290,10 @@ def test_arm_orientations_are_consistent():
 
 def test_quintic_midpoint_and_endpoints():
     assert robot.quintic_scalar(0.5) == pytest.approx(0.5)
-    tr = robot.QuinticTrajectory(np.zeros(5), np.ones(5))
-    assert np.allclose(tr.at(0.0), 0.0)
-    assert np.allclose(tr.at(1.0), 1.0)
+    first, mid, last = robot.quintic_waypoints(np.zeros(5), np.ones(5), 3)
+    assert np.allclose(first, 0.0)
+    assert np.allclose(mid, 0.5)
+    assert np.allclose(last, 1.0)
 
 
 def test_quintic_waypoint_count():

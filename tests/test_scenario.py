@@ -389,11 +389,18 @@ def test_flexible_loop_stable(models):
 # ---------------------------------------------------------------------------
 
 def _tip(models, state, qs, reach_arm):
-    """Reaching tip by an independent forward pass through the plant frames."""
-    fr = models._robot_frames(state, qs)
-    joints, _ = link_poses(models.cfg.arm_geometry, fr["q"][reach_arm],
-                           base="J6")
-    return fr["j6_world"][reach_arm] + fr["M_l5"][reach_arm] @ joints[0]
+    """Reaching tip by an independent forward pass: the gripping arm from
+    the docking tile, the robot hub through its mount DCM and offsets, and
+    the reaching arm hanging off its own mount, as in ``chain_cluster``."""
+    cfg = models.cfg
+    geom, mounts, hub = cfg.arm_geometry, cfg.arm_mount_dcms, cfg.robot_hub
+    g = state.arm
+    joints_g, rots_g = link_poses(geom, qs[g - 1], base="J0")
+    M_c = rots_g[5] @ mounts[g].T
+    hub_pos = cfg.tile_center(state.j) + joints_g[6] - M_c @ hub.offset(f"A{g}")
+    joints_r, _ = link_poses(geom, qs[reach_arm - 1], base="J6")
+    return hub_pos + M_c @ (hub.offset(f"A{reach_arm}")
+                            + mounts[reach_arm] @ joints_r[0])
 
 
 def test_solve_reach_to_stack(models, cfg):

@@ -12,20 +12,18 @@ import numpy as np
 
 from flexasm import scenario as sc
 from flexasm.linss import gain, integrator, interconnect, split_channel
-from flexasm.multibody import (Dcm, ModalBodyData, apply_frame, compose_rigid,
-                               mode_freq_lfr, rigid_nport, titop_one_port,
-                               titop_two_port, transport_inertia)
+from flexasm.multibody import (Dcm, ModalBodyData, apply_frame, mode_freq_lfr,
+                               rigid_nport, titop_one_port, titop_two_port,
+                               transport_inertia)
 
 
 def wired_robot_block(models, state, qs):
     """The locked robot as a stateless ``xdd_P -> W_P`` one-port block at
-    the docking port C, hub frame."""
-    fr = models._robot_frames(state, qs)
-    m, com, J_com = compose_rigid(models._robot_parts(state, fr))
-    c = com - fr["base_world"]
-    return titop_one_port(ModalBodyData(
-        mass=m, com=c, inertia_P=transport_inertia(J_com, m, c),
-        freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="robot"))
+    the docking port C, hub frame: ``W_P = -M_C xdd_P``.  Its mass matrix
+    is the library's; ``chain_cluster`` in ``test_scenario`` is the
+    independent oracle for it."""
+    return gain(-models.robot_mass_matrix(state, qs), (("xdd_P", 6),),
+                (("W_P", 6),))
 
 
 def wired_open_loop(models, state, qs, rigid=False, pinned=True):
