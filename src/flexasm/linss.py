@@ -49,7 +49,6 @@ __all__ = [
     "FrequencyGrid",
     "FreqResponse",
     "StabilityResult",
-    "ss",
     "gain",
     "integrator",
     "interconnect",
@@ -75,6 +74,9 @@ STAB_TOL = 1e-10
 
 # Well-posedness bound on rcond(I - D_loop).
 WELLPOSED_RCOND = 1e-10
+
+# Staircase rank threshold, relative to max(1, ||A||, ||B||).
+RANK_TOL = 1e-8
 
 
 def _norm_channels(spec: Iterable, total: int, kind: str):
@@ -183,18 +185,15 @@ class StateSpace:
     def has_output(self, name: str) -> bool:
         return any(c == name for c, _ in self.out_channels)
 
-    def subsystem(self, outputs=None, inputs=None) -> "StateSpace":
-        """Select a subset of channels (state dimension unchanged)."""
-        in_names = [c for c, _ in self.in_channels] if inputs is None else list(inputs)
-        out_names = [c for c, _ in self.out_channels] if outputs is None else list(outputs)
-        cols = np.concatenate([np.arange(self.in_slice(c).start, self.in_slice(c).stop)
-                               for c in in_names]) if in_names else np.array([], dtype=int)
-        rows = np.concatenate([np.arange(self.out_slice(c).start, self.out_slice(c).stop)
-                               for c in out_names]) if out_names else np.array([], dtype=int)
+    def subsystem(self, outputs, inputs) -> "StateSpace":
+        """Select the listed output and input channels, in that order
+        (state dimension unchanged)."""
+        cols = np.concatenate([np.r_[self.in_slice(c)] for c in inputs])
+        rows = np.concatenate([np.r_[self.out_slice(c)] for c in outputs])
         return StateSpace(
             self.A, self.B[:, cols], self.C[rows, :], self.D[np.ix_(rows, cols)],
-            tuple((c, self.in_width(c)) for c in in_names),
-            tuple((c, self.out_width(c)) for c in out_names),
+            tuple((c, self.in_width(c)) for c in inputs),
+            tuple((c, self.out_width(c)) for c in outputs),
         )
 
     def transfer_at(self, s: complex) -> np.ndarray:
@@ -214,11 +213,6 @@ class StateSpace:
         ins = ", ".join(f"{c}({w})" for c, w in self.in_channels)
         outs = ", ".join(f"{c}({w})" for c, w in self.out_channels)
         return f"StateSpace(n={self.n_states}, in=[{ins}], out=[{outs}])"
-
-
-def ss(A, B, C, D, in_channels=(), out_channels=()) -> StateSpace:
-    """Shorthand constructor."""
-    return StateSpace(A, B, C, D, in_channels, out_channels)
 
 
 def gain(D, in_channels=(), out_channels=()) -> StateSpace:
@@ -608,68 +602,58 @@ def is_stable(sys: StateSpace) -> StabilityResult:
 # Minimal projection
 # ---------------------------------------------------------------------------
 
-def _staircase_basis(A, B, tol):
-    """Orthogonal basis ordering controllable states first (Van Dooren).
+def _staircase_basis(A, B):
+    """Orthonormal basis of the controllable subspace of (A, B) (Van Dooren).
 
-    Returns ``(Z, k)``: columns of Z are the new basis, the first k states
-    span the controllable subspace of (A, B).
+    Each step rotates only the block that is not yet reached, by the left
+    singular vectors of its input matrix; the columns it ranks above
+    ``RANK_TOL`` (relative to the larger of 1, ||A|| and ||B||) join the
+    basis.  Returns the ``n x k`` matrix of the k controllable directions.
     """
     n = A.shape[0]
-    if n == 0:
-        return np.eye(0), 0
-    scale = max(1.0, float(np.linalg.norm(A)), float(np.linalg.norm(B)))
-    thresh = tol * scale
+    thresh = RANK_TOL * max(1.0, float(np.linalg.norm(A)), float(np.linalg.norm(B)))
     Z = np.eye(n)
-    Acur = A.copy()
-    Bcur = B.copy()
+    Acur, Bcur = A, B
     k = 0
     while k < n and Bcur.shape[1] > 0:
-        U, s, _ = np.linalg.svd(Bcur) if Bcur.size else (np.eye(n - k), np.array([]), None)
+        U, s, _ = np.linalg.svd(Bcur)
         r = int(np.sum(s > thresh))
         if r == 0:
             break
         Acur = U.T @ Acur @ U
-        Zk = np.eye(n)
-        Zk[k:, k:] = U
-        Z = Z @ Zk
+        Z[:, k:] = Z[:, k:] @ U
         k += r
         Bcur = Acur[r:, :r]
         Acur = Acur[r:, r:]
-    return Z, k
+    return Z[:, :k]
 
 
-def minimal_stable_projection(sys: StateSpace, in_channels=None, out_channels=None,
-                              tol: float = 1e-8) -> StateSpace:
-    """Project onto the selected channel pair and drop silent states.
+def minimal_stable_projection(sys: StateSpace, in_channel: str,
+                              out_channel: str) -> StateSpace:
+    """The one-input, one-output channel pair with its silent states dropped.
 
-    States that are uncontrollable from the selected inputs or unobservable
-    from the selected outputs (staircase rank test at ``tol``) are removed.
-    If any *remaining* state has a pole with Re >= -1e-10 the norm on this
-    channel is infinite and :class:`MarginalModeObservable` is raised.
+    The pair's B, C and D are sliced from ``sys``; states that are
+    uncontrollable from ``in_channel`` or unobservable from
+    ``out_channel`` (staircase rank test at ``RANK_TOL``) are removed, and
+    only the kept blocks are formed.  If any *remaining* state has a pole
+    with Re >= -1e-10 the norm on this channel is infinite and
+    :class:`MarginalModeObservable` is raised.
     """
-    if isinstance(in_channels, str):
-        in_channels = [in_channels]
-    if isinstance(out_channels, str):
-        out_channels = [out_channels]
-    sub = sys.subsystem(outputs=out_channels, inputs=in_channels)
+    i, o = sys.in_slice(in_channel), sys.out_slice(out_channel)
+    B, C = sys.B[:, i], sys.C[o]
 
-    Z, kc = _staircase_basis(sub.A, sub.B, tol)
-    A1 = (Z.T @ sub.A @ Z)[:kc, :kc]
-    B1 = (Z.T @ sub.B)[:kc, :]
-    C1 = (sub.C @ Z)[:, :kc]
-
-    W, ko = _staircase_basis(A1.T, C1.T, tol)
-    A2 = (W.T @ A1 @ W)[:ko, :ko]
-    B2 = (W.T @ B1)[:ko, :]
-    C2 = (C1 @ W)[:, :ko]
-
-    reduced = StateSpace(A2, B2, C2, sub.D, sub.in_channels, sub.out_channels)
-    alpha = spectral_abscissa(reduced)
+    Zc = _staircase_basis(sys.A, B)
+    A1, B1, C1 = Zc.T @ sys.A @ Zc, Zc.T @ B, C @ Zc
+    Zo = _staircase_basis(A1.T, C1.T)
+    A2 = Zo.T @ A1 @ Zo
+    alpha = spectral_abscissa(A2)
     if alpha >= -STAB_TOL:
         raise MarginalModeObservable(
             f"marginal or unstable mode (abscissa {alpha:.3e}) visible on "
-            f"channel pair {in_channels} -> {out_channels}")
-    return reduced
+            f"channel pair {in_channel} -> {out_channel}")
+    return StateSpace(A2, Zo.T @ B1, C1 @ Zo, sys.D[o, i],
+                      ((in_channel, i.stop - i.start),),
+                      ((out_channel, o.stop - o.start),))
 
 
 # ---------------------------------------------------------------------------

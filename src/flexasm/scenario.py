@@ -151,7 +151,7 @@ class AssemblyState:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All physical data and modeling knobs for one mission scenario;
-    out-of-range grid and uncertainty values raise ``SchemaError``."""
+    out-of-range numbers raise ``SchemaError``."""
 
     hub: RigidBodyData
     array: ModalBodyData
@@ -181,15 +181,26 @@ class ScenarioConfig:
         if len(self.layout) < self.n_tiles:
             raise MissingStructureData(
                 f"layout has {len(self.layout)} cells for N={self.n_tiles}")
-        if not self.z_grid >= 2:
-            raise SchemaError(f"z_grid = {self.z_grid}: a trajectory needs "
-                              f"at least two waypoints")
-        if not 0.0 < self.r_omega < 1.0:
-            raise SchemaError(f"r_omega = {self.r_omega} must lie in (0, 1)")
         if not 0 <= self.uncertain_mode < self.array.n_modes:
             raise SchemaError(
                 f"uncertain mode {self.uncertain_mode + 1} outside the "
                 f"array's modes 1..{self.array.n_modes}")
+        # each test is written so that NaN fails it
+        c, k = self, self.stiffness
+        for name, value, ok, want in [
+                ("z_grid", c.z_grid, c.z_grid >= 2, ">= 2 (two waypoints)"),
+                ("r_omega", c.r_omega, 0.0 < c.r_omega < 1.0, "in (0, 1)"),
+                ("controller xi", c.xi_att, c.xi_att > 0.0, "> 0"),
+                ("controller freq_hz", c.f_att_hz, 0.0 < c.f_att_hz < np.inf,
+                 "finite and > 0"),
+                ("structure n_modes", c.n_struct_modes, c.n_struct_modes >= 0, ">= 0"),
+                ("structure damping", c.xi_struct, 0.0 < c.xi_struct < 1.0, "in (0, 1)"),
+                ("stack_reach", c.stack_reach, c.stack_reach > 0.0, "> 0"),
+                ("k_trans", k.k_trans, k.k_trans > 0.0, "> 0"),
+                ("k_rot", k.k_rot, k.k_rot > 0.0, "> 0"),
+                ("diag_scale", k.diag_scale, k.diag_scale >= 0.0, ">= 0")]:
+            if not ok:
+                raise SchemaError(f"{name} = {value} must be {want}")
         # published mount DCMs are rounded to 4 digits; snap to rotations
         object.__setattr__(self, "arm_mount_dcms",
                            {k: nearest_dcm(v).R for k, v in self.arm_mount_dcms.items()})
@@ -669,10 +680,12 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     the 3 x 6 gain of :func:`attitude_gains`; any other shape raises
     :class:`~flexasm.errors.WidthMismatch`.
 
-    The states are the plant's, then ``omega_G``, then ``Theta_G``.  The
-    loop is built on the plant's matrices: ``u`` reads only states, so
-    ``T_G = d_t + u`` adds ``B_T K`` to the state matrix and nothing has
-    to be inverted.
+    The states are the plant's, then ``omega_G``, then ``Theta_G``; the
+    inputs are ``d_t, W_ext, w_omega`` (then ``F_G`` when unpinned) and the
+    outputs ``omega_dot_G, omega_G, Theta_G, e_t, z_omega`` (then ``a_G``).
+    The loop is built on the plant's matrices, each output row written
+    once in that order: ``u`` reads only states, so ``T_G = d_t + u`` adds
+    ``B_T K`` to the state matrix and nothing has to be inverted.
     """
     K_att = np.asarray(K_att, dtype=float)
     if K_att.shape != (3, 6):
@@ -687,19 +700,20 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     A[n + 3:, n:n + 3] = np.eye(3)
     B = np.vstack([plant.B, plant.D[wd], np.zeros((3, m))])
     A += B[:, T] @ Ku
-    C = np.hstack([plant.C, np.zeros((plant.n_outputs, 6))]) + plant.D[:, T] @ Ku
 
     ins = [("d_t", "T_G"), ("W_ext", "W_ext"), ("w_omega", "w_omega")]
     if plant.has_input("F_G"):
         ins.append(("F_G", "F_G"))
     cols = np.concatenate([np.r_[plant.in_slice(c)] for _, c in ins])
     k = cols.size
-    loop = StateSpace(
-        A, B[:, cols], np.vstack([C, np.eye(6, n + 6, n), Ku]),
-        np.vstack([plant.D[:, cols], np.zeros((6, k)), np.eye(3, k)]),
-        tuple((name, plant.in_width(c)) for name, c in ins),
-        plant.out_channels + (("omega_G", 3), ("Theta_G", 3), ("e_t", 3)))
-    outs = ["omega_dot_G", "omega_G", "Theta_G", "e_t", "z_omega"]
-    if plant.has_output("a_G"):
-        outs.append("a_G")
-    return loop.subsystem(outputs=outs)
+    # the plant's outputs on the closed-loop states and inputs
+    C_p = np.hstack([plant.C, np.zeros((plant.n_outputs, 6))]) + plant.D[:, T] @ Ku
+    D_p = plant.D[:, cols]
+    z = plant.out_slice("z_omega")
+    a = plant.out_slice("a_G") if plant.has_output("a_G") else slice(0, 0)
+    outs = (("omega_dot_G", 3), ("omega_G", 3), ("Theta_G", 3), ("e_t", 3),
+            ("z_omega", z.stop - z.start)) + ((("a_G", 3),) if a.stop else ())
+    return StateSpace(A, B[:, cols],
+                      np.vstack([C_p[wd], np.eye(6, n + 6, n), Ku, C_p[z], C_p[a]]),
+                      np.vstack([D_p[wd], np.zeros((6, k)), np.eye(3, k), D_p[z], D_p[a]]),
+                      tuple((name, plant.in_width(c)) for name, c in ins), outs)

@@ -120,6 +120,25 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     {"uncertainty": {"r_omega": 1.5}},
     {"uncertainty": {"mode": 0}},
     {"uncertainty": {"mode": 3}},
+    {"structure": {"n_modes": -2}},
+    {"controller": {"freq_hz": 0.0}},
+    {"controller": {"freq_hz": -0.01}},
+    {"controller": {"freq_hz": float("nan")}},
+    {"controller": {"freq_hz": float("inf")}},
+    {"controller": {"xi": 0.0}},
+    {"controller": {"xi": -1.0}},
+    {"controller": {"xi": float("nan")}},
+    {"structure": {"damping": 0.0}},
+    {"structure": {"damping": 1.5}},
+    {"structure": {"damping": float("nan")}},
+    {"structure": {"k_trans": 0.0}},
+    {"structure": {"k_trans": -5.0}},
+    {"structure": {"k_trans": float("nan")}},
+    {"structure": {"k_trans": 1e5, "k_rot": 0.0}},
+    {"structure": {"k_trans": 1e5, "diag_scale": -0.5}},
+    {"structure": {"k_trans": 1e5, "diag_scale": float("nan")}},
+    {"structure": {"stack_reach_m": -1.0}},
+    {"structure": {"stack_reach_m": float("nan")}},
 ], ids=str)
 def test_bad_scenario_values_exit_2(tmp_path, capsys, fields):
     # rejected where the scenario is built, before any gain is designed
@@ -127,6 +146,11 @@ def test_bad_scenario_values_exit_2(tmp_path, capsys, fields):
     assert exit_code(["--scenario", p, "--out", tmp_path / "o",
                       "full-assembly", "--cost", "h2-theta"]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_zero_structure_modes_stay_valid(tmp_path):
+    cfg, _ = cli.load_scenario(write_scenario(tmp_path, structure={"n_modes": 0}))
+    assert cfg.n_struct_modes == 0
 
 
 def test_bad_state_exits_2_without_asserts(tmp_path):

@@ -327,6 +327,55 @@ def test_projection_preserves_response():
     assert max_response_deviation(sys, red, grid) < 1e-8
 
 
+# the channel pairs the edge costs price
+PRICED_CHANNELS = (("W_ext", "omega_dot_G"), ("W_ext", "Theta_G"), ("d_t", "e_t"))
+
+
+@pytest.mark.parametrize("channels", [
+    pytest.param(PRICED_CHANNELS[0], marks=pytest.mark.xfail(
+        strict=True, reason="the staircase's rank threshold, 1e-8 x ||A|| with "
+        "||A|| ~ 3e5 from the stiff structure modes, cuts observable "
+        "singular values ~1e-3 and drops 2-3 states: the projected "
+        "response is off by up to 4e-3 of the peak below 1 rad/s")),
+    PRICED_CHANNELS[1], PRICED_CHANNELS[2]], ids="-".join)
+def test_projection_matches_channel_response_on_mission_loops(channels):
+    # the unprojected channel, selected by subsystem, is the oracle.  An
+    # exact orthogonal change of basis of these loops (a random Q) already
+    # moves the response by up to 9e-9 of its peak, so the bound is 1e-8.
+    inp, out = channels
+    for cl in mission_loops(6, 23):
+        red = linss.minimal_stable_projection(cl, inp, out)
+        full = cl.subsystem(outputs=[out], inputs=[inp])
+        assert red.in_channels == full.in_channels
+        assert red.out_channels == full.out_channels
+        assert np.array_equal(red.D, full.D)
+        wp = np.abs(np.linalg.eigvals(cl.A).imag)
+        wp = np.unique(wp[wp > 1e-9])
+        grid = np.union1d(np.geomspace(wp.min(), wp.max(), 200), wp)
+        scale = max(float(np.max(np.abs(full.transfer_at(1j * w)))) for w in grid)
+        assert max_response_deviation(full, red, grid) <= 1e-8 * scale
+
+
+def test_projected_hinf_matches_unprojected_channel_on_mission_loops():
+    # whatever states the projection drops, the priced norm is the channel's
+    for cl in mission_loops(4, 23):
+        for channels in (PRICED_CHANNELS[0], PRICED_CHANNELS[2]):
+            red = linss.minimal_stable_projection(cl, *channels)
+            full = cl.subsystem(outputs=[channels[1]], inputs=[channels[0]])
+            assert linss.hinf_norm(red) == pytest.approx(peak_gain(full), rel=1e-8)
+
+
+def test_one_constructor_per_projection(monkeypatch):
+    cl = next(mission_loops(1, 4))
+    calls = []
+    post_init = linss.StateSpace.__post_init__
+    monkeypatch.setattr(linss.StateSpace, "__post_init__",
+                        lambda self: calls.append(1) or post_init(self))
+    for channels in PRICED_CHANNELS:
+        linss.minimal_stable_projection(cl, *channels)
+    assert len(calls) == len(PRICED_CHANNELS)
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------

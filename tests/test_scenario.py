@@ -280,6 +280,22 @@ def test_port_plant_cache_keys(cfg, monkeypatch):
         assert len(calls) == before + 1, (st, rigid, pinned)
 
 
+def test_two_constructors_per_closed_loop(models, monkeypatch):
+    # close_static on the cached plant, then the attitude loop: no
+    # intermediate system and no channel-selection copy
+    K = models.design_gains()
+    states = list(mission_states(4, 6))
+    for st, qs in states:
+        models.closed_loop(st, qs, K)  # wires the cached plants
+    calls = []
+    post_init = linss.StateSpace.__post_init__
+    monkeypatch.setattr(linss.StateSpace, "__post_init__",
+                        lambda self: calls.append(1) or post_init(self))
+    for st, qs in states:
+        models.closed_loop(st, qs, K)
+    assert len(calls) == 2 * len(states)
+
+
 def test_close_loop_rejects_misshaped_gain(models):
     plant = models.open_loop(sc.AssemblyState(1, 1, 1, 0), HOME)
     K = models.design_gains()
