@@ -32,7 +32,7 @@ print("rigid-loop poles (worst-case gains):",
 cl = models.closed_loop(state, home, K)
 print("flexible loop stable:", linss.is_stable(cl).stable)
 
-isens = linss.minimal_stable_projection(cl, "d_t", "e_t")
+isens = cl.subsystem(["e_t"], ["d_t"])
 print("input-sensitivity peak:", round(linss.hinf_norm(isens), 4))
 
 res = robust.mu_real_repeated(cl, delta_max=20.0)

@@ -42,10 +42,6 @@ class NonzeroFeedthrough(FlexasmError):
     """H2 norm requested for a system with direct feedthrough."""
 
 
-class MarginalModeObservable(FlexasmError):
-    """A marginally stable state remains visible on the selected channel."""
-
-
 # --- multibody / modal data ----------------------------------------------
 
 class InvalidModalData(FlexasmError):

@@ -13,7 +13,7 @@ channel name, never by raw index, which is what keeps large block diagrams
 assemblable without bookkeeping mistakes.
 
 The module also provides the analysis layer used by every cost function:
-frequency response, stability, controllable/observable projection, and the
+frequency response, stability, the priced channel pair, and the
 H-infinity / H2 system norms.
 
 Conventions
@@ -35,7 +35,6 @@ import scipy.linalg as sla
 
 from .errors import (
     IllPosedLoop,
-    MarginalModeObservable,
     NonSquareSelection,
     NonzeroFeedthrough,
     SingularDBlock,
@@ -62,7 +61,6 @@ __all__ = [
     "minimal_stable_projection",
     "hinf_norm",
     "h2_norm",
-    "state_transform",
     "split_channel",
 ]
 
@@ -74,9 +72,6 @@ STAB_TOL = 1e-10
 
 # Well-posedness bound on rcond(I - D_loop).
 WELLPOSED_RCOND = 1e-10
-
-# Staircase rank threshold, relative to max(1, ||A||, ||B||).
-RANK_TOL = 1e-8
 
 
 def _norm_channels(spec: Iterable, total: int, kind: str):
@@ -255,13 +250,6 @@ def split_channel(sys: StateSpace, name: str, parts: Sequence) -> StateSpace:
     if not (hit_in or hit_out):
         raise UnknownChannel(f"channel {name!r} not present")
     return StateSpace(sys.A, sys.B, sys.C, sys.D, ins, outs)
-
-
-def state_transform(sys: StateSpace, T: np.ndarray) -> StateSpace:
-    """Similarity transform z = T^-1 x (response invariant)."""
-    Ti = np.linalg.inv(T)
-    return StateSpace(Ti @ sys.A @ T, Ti @ sys.B, sys.C @ T, sys.D,
-                      sys.in_channels, sys.out_channels)
 
 
 # ---------------------------------------------------------------------------
@@ -599,61 +587,20 @@ def is_stable(sys: StateSpace) -> StabilityResult:
 
 
 # ---------------------------------------------------------------------------
-# Minimal projection
+# Channel projection
 # ---------------------------------------------------------------------------
-
-def _staircase_basis(A, B):
-    """Orthonormal basis of the controllable subspace of (A, B) (Van Dooren).
-
-    Each step rotates only the block that is not yet reached, by the left
-    singular vectors of its input matrix; the columns it ranks above
-    ``RANK_TOL`` (relative to the larger of 1, ||A|| and ||B||) join the
-    basis.  Returns the ``n x k`` matrix of the k controllable directions.
-    """
-    n = A.shape[0]
-    thresh = RANK_TOL * max(1.0, float(np.linalg.norm(A)), float(np.linalg.norm(B)))
-    Z = np.eye(n)
-    Acur, Bcur = A, B
-    k = 0
-    while k < n and Bcur.shape[1] > 0:
-        U, s, _ = np.linalg.svd(Bcur)
-        r = int(np.sum(s > thresh))
-        if r == 0:
-            break
-        Acur = U.T @ Acur @ U
-        Z[:, k:] = Z[:, k:] @ U
-        k += r
-        Bcur = Acur[r:, :r]
-        Acur = Acur[r:, r:]
-    return Z[:, :k]
-
 
 def minimal_stable_projection(sys: StateSpace, in_channel: str,
                               out_channel: str) -> StateSpace:
-    """The one-input, one-output channel pair with its silent states dropped.
+    """The one-input, one-output channel pair a cost prices, sliced from
+    ``sys`` with every state kept.
 
-    The pair's B, C and D are sliced from ``sys``; states that are
-    uncontrollable from ``in_channel`` or unobservable from
-    ``out_channel`` (staircase rank test at ``RANK_TOL``) are removed, and
-    only the kept blocks are formed.  If any *remaining* state has a pole
-    with Re >= -1e-10 the norm on this channel is infinite and
-    :class:`MarginalModeObservable` is raised.
+    The priced closed loops are strictly stable, so the sliced channel is
+    already a stable realization and the norms take it as it is; they also
+    own the one stability test.  The name stays because
+    ``perfbench/tracer.py`` wraps this function by name.
     """
-    i, o = sys.in_slice(in_channel), sys.out_slice(out_channel)
-    B, C = sys.B[:, i], sys.C[o]
-
-    Zc = _staircase_basis(sys.A, B)
-    A1, B1, C1 = Zc.T @ sys.A @ Zc, Zc.T @ B, C @ Zc
-    Zo = _staircase_basis(A1.T, C1.T)
-    A2 = Zo.T @ A1 @ Zo
-    alpha = spectral_abscissa(A2)
-    if alpha >= -STAB_TOL:
-        raise MarginalModeObservable(
-            f"marginal or unstable mode (abscissa {alpha:.3e}) visible on "
-            f"channel pair {in_channel} -> {out_channel}")
-    return StateSpace(A2, Zo.T @ B1, C1 @ Zo, sys.D[o, i],
-                      ((in_channel, i.stop - i.start),),
-                      ((out_channel, o.stop - o.start),))
+    return sys.subsystem([out_channel], [in_channel])
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +624,9 @@ def _hamiltonian_imag_crossings(sys: StateSpace, g: float):
     return sorted(set(np.round(crossings, 12)))
 
 
-def _seed_frequencies(sys: StateSpace):
-    eigs = np.linalg.eigvals(sys.A)
+def _seed_frequencies(eigs):
+    """Seed grid from the poles ``eigs``: each pole frequency and its
+    neighbours, plus four decades."""
     ws = {1e-6, 1e-3, 1.0, 1e3}
     for l in eigs:
         w0 = abs(l.imag) if abs(l.imag) > 1e-12 else abs(l.real)
@@ -690,10 +638,12 @@ def _seed_frequencies(sys: StateSpace):
 
 # Brent's golden-section fraction, and the relative tolerance on the
 # abscissa at which a polish stops: the gain is flat to second order at a
-# peak, so the polished value is far closer to the peak than 2 * rtol.
+# peak, so the polished value is far closer to the peak than 2 * HINF_RTOL.
 _CGOLD = 0.5 * (3.0 - np.sqrt(5.0))
 _POLISH_XTOL = 1e-8
-# Certificate rounds before hinf_norm gives up.
+# Relative width of the bracket hinf_norm certifies, and the certificate
+# rounds before it gives up.
+HINF_RTOL = 1e-6
 _MAX_ROUNDS = 20
 
 
@@ -773,34 +723,39 @@ def _polish(sys: StateSpace, ws: np.ndarray, vals: np.ndarray, idx) -> float:
     return best
 
 
-def hinf_norm(sys: StateSpace, rtol: float = 1e-6) -> float:
+def hinf_norm(sys: StateSpace) -> float:
     """Peak gain sup_w sigma_max(G(jw)) by polish-then-certify.
 
-    The seeded grid (every pole frequency and its neighbours) is evaluated
-    in one batch and its three best points are polished by Brent searches
-    between their grid neighbours.  One Hamiltonian level-set test
-    at ``gamma * (1 + 2 rtol)`` then certifies that no frequency reaches
+    The poles of A are computed once: a pole with Re >= -STAB_TOL raises
+    :class:`UnstableSystem`, and the same poles seed the grid.  The seeded
+    grid (every pole frequency and its neighbours) is evaluated in one
+    batch and its three best points are polished by Brent searches
+    between their grid neighbours.  One Hamiltonian level-set test at
+    ``gamma * (1 + 2 HINF_RTOL)`` then certifies that no frequency reaches
     that level (Boyd-Balakrishnan-Kabamba 1989, Bruinsma-Steinbuch 1990).
     If it finds crossings, the crossings and their midpoints are evaluated,
     the best is polished, and the test runs again.  The result is the
-    largest gain evaluated: a lower bound within ``2 rtol`` of the norm.
-    Crossings where no evaluated gain exceeds the bound are an artefact of
-    the eigenvalue test, and the bound is returned as it stands.
+    largest gain evaluated: a lower bound within ``2 HINF_RTOL`` of the
+    norm.  Crossings where no evaluated gain exceeds the bound are an
+    artefact of the eigenvalue test, and the bound is returned as it
+    stands.
     """
     if sys.n_states == 0:
         return float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
-    if not is_stable(sys):
+    eigs = np.linalg.eigvals(sys.A)
+    alpha = float(np.max(eigs.real))
+    if alpha >= -STAB_TOL:
         raise UnstableSystem(
-            f"H-infinity norm of unstable system (abscissa {spectral_abscissa(sys):.3e})")
+            f"H-infinity norm of unstable system (abscissa {alpha:.3e})")
 
     sd = float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
-    ws = np.asarray(_seed_frequencies(sys))
+    ws = np.asarray(_seed_frequencies(eigs))
     vals = _sigma_batch(sys, ws)
     gamma = max(sd, _polish(sys, ws, vals, np.argsort(vals)[-3:]))
     if gamma <= 0.0:
         return 0.0
     for _ in range(_MAX_ROUNDS):
-        cross = _hamiltonian_imag_crossings(sys, gamma * (1.0 + 2.0 * rtol))
+        cross = _hamiltonian_imag_crossings(sys, gamma * (1.0 + 2.0 * HINF_RTOL))
         if not cross:
             return gamma
         ws = np.array(sorted(set(cross) | {0.5 * (lo + hi) for lo, hi
@@ -825,9 +780,10 @@ def h2_norm(sys: StateSpace) -> float:
         raise NonzeroFeedthrough("H2 norm needs D = 0 on the selected channel")
     if sys.n_states == 0:
         return 0.0
-    if not is_stable(sys):
+    stability = is_stable(sys)
+    if not stability:
         raise UnstableSystem(
-            f"H2 norm of unstable system (abscissa {spectral_abscissa(sys):.3e})")
+            f"H2 norm of unstable system (abscissa {stability.spectral_abscissa:.3e})")
     P = sla.solve_continuous_lyapunov(sys.A, -sys.B @ sys.B.T)
     val = float(np.trace(sys.C @ P @ sys.C.T))
     return float(np.sqrt(max(val, 0.0)))

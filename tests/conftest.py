@@ -1,5 +1,5 @@
-"""Shared test helpers: random stable systems, mission closed loops and
-response comparison."""
+"""Shared test helpers: random stable systems, similarity transforms,
+mission closed loops and response comparison."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,13 @@ def random_stable_system(rng, n=8, m=2, p=2, margin=0.2, feedthrough=True):
     C = rng.standard_normal((p, n))
     D = rng.standard_normal((p, m)) if feedthrough else np.zeros((p, m))
     return linss.StateSpace(A, B, C, D, (("u", m),), (("y", p),))
+
+
+def state_transform(sys, T):
+    """Similarity transform z = T^-1 x (response invariant)."""
+    Ti = np.linalg.inv(T)
+    return linss.StateSpace(Ti @ sys.A @ T, Ti @ sys.B, sys.C @ T, sys.D,
+                            sys.in_channels, sys.out_channels)
 
 
 def mission_states(count, seed):

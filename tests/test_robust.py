@@ -6,11 +6,11 @@ import scipy.optimize
 
 from flexasm import linss, robust
 from flexasm.errors import IllPosedLoop, NominalUnstable, WidthMismatch
-from flexasm.linss import StateSpace, gain, lft_upper, spectral_abscissa, state_transform
+from flexasm.linss import StateSpace, gain, lft_upper, spectral_abscissa
 from flexasm.multibody import ModalBodyData, mode_freq_lfr
 from flexasm.pathopt import CostSpec, per_system_metric
 
-from conftest import make_rng, mission_loops, random_stable_system
+from conftest import make_rng, mission_loops, random_stable_system, state_transform
 
 
 def wz_system(A, B, C, D):
