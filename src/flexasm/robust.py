@@ -7,7 +7,11 @@ closing ``w = +t z`` and then ``w = -t z`` at each grid point, and bisect
 the first loss of stability (or of well-posedness, the crossing at
 infinite frequency) on the sign or signs that lost it first.  A probe
 reads only the eigenvalues of ``A + delta B_w (I - delta D_zw)^-1 C_z``;
-the tests check that matrix against ``linss.lft_upper``.
+the tests check that matrix against ``linss.lft_upper``.  When ``D_zw``
+has no nonzero entry, as on every mission loop, the loop matrix is the
+identity, so a probe forms ``A + delta B_w C_z`` directly with no
+conditioning test and no solve (the same bits: solving against I is
+exact); the general closure stays for ``D_zw != 0``.
 ``mu_lower`` is the reciprocal of that smallest destabilizing magnitude
 and is exact for this block, so the name keeps only the conventional
 "lower" role it plays against the complex-structure bound.
@@ -72,8 +76,11 @@ class MuResult:
 
 def _closed_A(sys: StateSpace, delta: float) -> Optional[np.ndarray]:
     """State matrix of the loop closed by ``w = delta * z``, or None when
-    ``I - delta D_zw`` is ill posed."""
+    ``I - delta D_zw`` is ill posed.  With ``D_zw = 0`` the loop matrix is
+    I and the closure is ``A + delta B_w C_z``, the bits the solve gives."""
     w, z = sys.in_slice(W_CHANNEL), sys.out_slice(Z_CHANNEL)
+    if not sys.D[z, w].any():
+        return sys.A + (delta * sys.B[:, w]) @ sys.C[z, :]
     loop = np.eye(z.stop - z.start) - delta * sys.D[z, w]
     if 1.0 / np.linalg.cond(loop, 1) < WELLPOSED_RCOND:
         return None

@@ -257,7 +257,7 @@ def test_transfer_batch_equals_per_point_transfer():
                         if sys.n_states else [0.1, 1.0])
         G = linss._transfer_batch(sys, ws)
         assert np.array_equal(G, per_point_transfer(sys, ws))
-        assert np.array_equal(linss._sigma_batch(sys, ws),
+        assert np.array_equal(np.linalg.svd(G, compute_uv=False)[:, 0],
                               [linss.sigma_max(sys, w) for w in ws])
     # more frequencies than one chunk holds
     big = systems[-2]
@@ -449,16 +449,59 @@ def test_priced_norms_match_unprojected_channel_on_mission_loops():
 
 
 def test_one_state_eigensolve_per_priced_norm(monkeypatch):
+    # hinf_norm takes eigenvectors too (np.linalg.eig), h2_norm only the
+    # poles (np.linalg.eigvals): both are counted
     cl = next(mission_loops(1, 4))
-    eigvals = linss.np.linalg.eigvals
     shapes = []
-    monkeypatch.setattr(linss.np.linalg, "eigvals",
-                        lambda a: shapes.append(np.shape(a)) or eigvals(a))
+    for name in ("eig", "eigvals"):
+        solver = getattr(linss.np.linalg, name)
+        monkeypatch.setattr(linss.np.linalg, name,
+                            lambda a, solver=solver: shapes.append(np.shape(a))
+                            or solver(a))
     for kind in PRICED_KINDS:
         shapes.clear()
         pathopt.per_system_metric(cl, pathopt.CostSpec(kind))
         # the Hamiltonian level-set tests solve 2n x 2n matrices: not counted
         assert shapes.count((cl.n_states, cl.n_states)) == 1, kind
+
+
+def test_pole_residue_kernel_matches_stacked_solve():
+    # the kernel hinf_norm evaluates every gain through, against its
+    # oracle on the seed grid, relative to the largest entry there (which
+    # is tighter than to the channel peak).  The worst mission channel is
+    # 1.36e-12 off at w = 1e-6: its close slow real poles bound the
+    # eigenvectors' accuracy, while the stacked solve sits within 6e-15 of
+    # a 40-digit evaluation there
+    rng = make_rng(12)
+    systems = [cl.subsystem([out], [inp]) for cl in mission_loops(24, 7)
+               for inp, out in (("W_ext", "omega_dot_G"), ("d_t", "e_t"))]
+    systems += [random_stable_system(rng, int(rng.integers(1, 20)),
+                                     int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                for _ in range(8)]
+    for sys in systems:
+        eigs, V = np.linalg.eig(sys.A)
+        assert np.linalg.cond(V) < linss.MODAL_COND_MAX
+        ws = np.asarray(linss._seed_frequencies(eigs))
+        G = linss._transfer_kernel(sys, eigs, V)(ws)
+        ref = linss._transfer_batch(sys, ws)
+        assert np.max(np.abs(G - ref)) <= 2e-12 * np.max(np.abs(ref))
+
+
+def test_defective_state_matrix_takes_the_stacked_solve(monkeypatch):
+    # a Jordan-block double pole: 1 / (s + 1)^2 peaks at 1 at w = 0, and
+    # its eigenvector matrix is numerically singular
+    jordan = siso([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    assert np.linalg.cond(np.linalg.eig(jordan.A)[1]) >= linss.MODAL_COND_MAX
+    calls = []
+    batch = linss._transfer_batch
+    monkeypatch.setattr(linss, "_transfer_batch",
+                        lambda sys, ws: calls.append(sys) or batch(sys, ws))
+    assert linss.hinf_norm(jordan) == pytest.approx(1.0, rel=linss.HINF_RTOL)
+    assert calls and all(sys is jordan for sys in calls)
+    # a mission channel never reaches the stacked solve
+    calls.clear()
+    linss.hinf_norm(next(mission_loops(1, 4)).subsystem(["e_t"], ["d_t"]))
+    assert calls == []
 
 
 def test_h2_first_order_analytic():

@@ -190,6 +190,35 @@ def test_closed_state_matrix_matches_lft_upper():
                for s in systems)
 
 
+def general_closed_A(sys, delta):
+    """The closure with the conditioning test and the solve run on every
+    probe, ``D_zw = 0`` included."""
+    w, z = sys.in_slice("w_omega"), sys.out_slice("z_omega")
+    loop = np.eye(z.stop - z.start) - delta * sys.D[z, w]
+    if 1.0 / np.linalg.cond(loop, 1) < linss.WELLPOSED_RCOND:
+        return None
+    return sys.A + (delta * sys.B[:, w]) @ np.linalg.solve(loop, sys.C[z, :])
+
+
+def test_margin_probe_skips_the_identity_solve(monkeypatch):
+    # D_zw = 0 on every mission loop, so I - delta D_zw is I: a probe needs
+    # neither the conditioning test nor the solve, and gives the same bits
+    loops = list(mission_loops(4, 22))
+    with monkeypatch.context() as m:
+        m.setattr(robust, "_closed_A", general_closed_A)
+        ref = [robust.mu_real_repeated(cl) for cl in loops]
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("an identity-loop probe ran cond or solve")
+
+    monkeypatch.setattr(robust.np.linalg, "cond", no_call)
+    monkeypatch.setattr(robust.np.linalg, "solve", no_call)
+    for cl, r in zip(loops, ref):
+        assert not cl.D[cl.out_slice("z_omega"), cl.in_slice("w_omega")].any()
+        res = robust.mu_real_repeated(cl)
+        assert (res.mu_lower, res.delta_crit) == (r.mu_lower, r.delta_crit)
+
+
 def test_ill_posed_closure_counts_as_destabilized():
     # D_zw = I: I - delta D_zw is singular at delta = 1; the closure is
     # A - delta / (1 - delta) I, stable for every delta < 1
