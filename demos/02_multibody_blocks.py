@@ -2,7 +2,9 @@
 
 Shows the kinematic transport, the rigid n-port, a flexible two-port
 built from published solar-array data, and the exact weld identity: two
-rigid bodies joined at a port behave as their composite.
+rigid bodies joined at a port behave as their composite.  The second body
+is welded as the gain ``W_J = -M_J xdd_J`` of its mass matrix at the
+port, the way the planner closes the locked robot on the spacecraft.
 """
 
 import numpy as np
@@ -31,9 +33,12 @@ print("array model feedthrough equals -R_P:",
 # weld two rigid bodies and compare with the analytic composite
 b1 = mb.RigidBodyData(4.0, 1.2 * np.eye(3), {"J": np.array([0.4, 0.0, 0.2])})
 b2 = mb.RigidBodyData(2.5, 0.8 * np.eye(3), {"J": np.array([-0.3, 0.1, 0.0])})
+# b2's CoM seen from the port J, and its mass matrix there
+c2 = -b2.offset("J")
+M_J = mb.port_mass_matrix(b2.mass, c2, mb.transport_inertia(b2.inertia_G, b2.mass, c2))
 welded = linss.interconnect(
     [("a", mb.rigid_nport(b1, ["J"])),
-     ("b", mb.rigid_nport_inverted(b2, "J", with_com_port=False))],
+     ("b", linss.gain(-M_J, (("xdd_J", 6),), (("W_J", 6),)))],
     [("a.xdd_J", "b.xdd_J"), ("b.W_J", "a.W_J")],
     [("W_G", "a.W_G")], [("xdd_G", "a.xdd_G")])
 m, com, J = mb.compose_rigid([(4.0, np.zeros(3), b1.inertia_G, None),

@@ -52,7 +52,7 @@ from .pathopt import (
     shortest_path,
 )
 from .robot import ArmGeometry, default_arm_geometry
-from .scenario import AssemblyState, ScenarioModels, table_scenario
+from .scenario import ARM_MOUNT_DCMS, AssemblyState, ScenarioModels, table_scenario
 
 __all__ = ["main", "load_scenario"]
 
@@ -100,7 +100,9 @@ def load_scenario(path) -> tuple:
 
     Files start from the published-table defaults and override only the
     blocks they name, so a minimal scenario is just ``n_tiles`` and grid
-    settings.  Quantities carry unit suffixes (kg, m, hz, kgm2).
+    settings; ``robot.mount_dcms`` overrides only the arms (``A1``..``A3``)
+    it names.  Quantities carry unit suffixes (kg, m, hz, kgm2).  Bad
+    values raise ``SchemaError`` while the scenario is built.
     """
     path = Path(path)
     try:
@@ -150,9 +152,13 @@ def load_scenario(path) -> tuple:
                     {**rob["hub"], "ports_m": rob["hub"].get("mounts_m", {})},
                     "robot_hub")
             if "mount_dcms" in rob:
-                kw["arm_mount_dcms"] = {
-                    int(k[-1]): np.asarray(v, dtype=float)
-                    for k, v in rob["mount_dcms"].items()}
+                dcms = dict(ARM_MOUNT_DCMS)
+                for k, v in rob["mount_dcms"].items():
+                    if k not in ("A1", "A2", "A3"):
+                        raise SchemaError(f"{path}: mount_dcms names {k!r}; "
+                                          "the arms are A1, A2 and A3")
+                    dcms[int(k[1])] = np.asarray(v, dtype=float)
+                kw["arm_mount_dcms"] = dcms
             if "arm" in rob:
                 kw["arm_geometry"] = _arm_geometry(rob["arm"])
         array = None

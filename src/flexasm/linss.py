@@ -50,7 +50,6 @@ __all__ = [
     "FreqResponse",
     "StabilityResult",
     "gain",
-    "integrator",
     "interconnect",
     "invert_channels",
     "lft_upper",
@@ -73,6 +72,10 @@ STAB_TOL = 1e-10
 
 # Well-posedness bound on rcond(I - D_loop).
 WELLPOSED_RCOND = 1e-10
+
+# The uncertainty channel pair pulled out by ``multibody.mode_freq_lfr``.
+W_CHANNEL = "w_omega"
+Z_CHANNEL = "z_omega"
 
 
 def _norm_channels(spec: Iterable, total: int, kind: str):
@@ -216,13 +219,6 @@ def gain(D, in_channels=(), out_channels=()) -> StateSpace:
     D = np.atleast_2d(np.asarray(D, dtype=float))
     return StateSpace(np.zeros((0, 0)), np.zeros((0, D.shape[1])),
                       np.zeros((D.shape[0], 0)), D, in_channels, out_channels)
-
-
-def integrator(width: int, in_name: str = "u", out_name: str = "y") -> StateSpace:
-    """Bank of ``width`` parallel integrators 1/s."""
-    eye = np.eye(width)
-    return StateSpace(np.zeros((width, width)), eye, eye, np.zeros((width, width)),
-                      ((in_name, width),), ((out_name, width),))
 
 
 def split_channel(sys: StateSpace, name: str, parts: Sequence) -> StateSpace:
@@ -418,18 +414,18 @@ def invert_channels(sys: StateSpace, in_names, out_names) -> StateSpace:
     return StateSpace(A_n, B_n, C_n, D_n, new_in, new_out)
 
 
-def lft_upper(plant: StateSpace, delta: float, w_channel: str = "w_omega",
-              z_channel: str = "z_omega") -> StateSpace:
-    """Upper LFT with a repeated real scalar: close ``w = delta * z``."""
-    w = plant.in_width(w_channel)
-    if plant.out_width(z_channel) != w:
-        raise WidthMismatch(f"{w_channel}/{z_channel} widths differ")
+def lft_upper(plant: StateSpace, delta: float) -> StateSpace:
+    """Upper LFT with a repeated real scalar: close ``w = delta * z`` on
+    the uncertainty pair ``W_CHANNEL``/``Z_CHANNEL``."""
+    w = plant.in_width(W_CHANNEL)
+    if plant.out_width(Z_CHANNEL) != w:
+        raise WidthMismatch(f"{W_CHANNEL}/{Z_CHANNEL} widths differ")
     blk = gain(float(delta) * np.eye(w), (("z", w),), (("w", w),))
-    ext_in = [(c, f"p.{c}") for c, _ in plant.in_channels if c != w_channel]
-    ext_out = [(c, f"p.{c}") for c, _ in plant.out_channels if c != z_channel]
+    ext_in = [(c, f"p.{c}") for c, _ in plant.in_channels if c != W_CHANNEL]
+    ext_out = [(c, f"p.{c}") for c, _ in plant.out_channels if c != Z_CHANNEL]
     return interconnect(
         [("p", plant), ("d", blk)],
-        [(f"p.{z_channel}", "d.z"), ("d.w", f"p.{w_channel}")],
+        [(f"p.{Z_CHANNEL}", "d.z"), ("d.w", f"p.{W_CHANNEL}")],
         ext_in, ext_out)
 
 

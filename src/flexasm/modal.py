@@ -59,6 +59,9 @@ DEFAULT_DAMPING = 0.005
 # 0.912 Hz (one-dimensional scaling: frequencies go as sqrt(k)).
 DEFAULT_K_TRANS = 2.3268060e6
 
+# The structure's clamp sits at the layout origin.
+CLAMP_POINT = np.zeros(3)
+
 
 def _adjacent(a, b) -> str:
     dr, dc = abs(a[0] - b[0]), abs(a[1] - b[1])
@@ -163,19 +166,19 @@ class LatticeModel:
 
 def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
                   tile_inertia=None, stiffness: LatticeStiffness = LatticeStiffness(),
-                  pitch: float = 1.0, clamp_point=(0.0, 0.0, 0.0)) -> LatticeModel:
+                  pitch: float = 1.0) -> LatticeModel:
     """Assemble mass and stiffness matrices for a tile layout.
 
     Springs act on the 6-dof relative motion at the midpoint between the
-    joined tile centers; ground springs act at the clamp point itself and
-    attach every tile whose center lies within one tile diagonal of it.
+    joined tile centers; ground springs act at the clamp point
+    (``CLAMP_POINT``, the layout origin) and attach every tile whose
+    center lies within one tile diagonal of it.
     """
     if tile_inertia is None:
         tile_inertia = DEFAULT_TILE_INERTIA
     n = len(layout)
-    clamp_point = np.asarray(clamp_point, dtype=float)
-    positions = np.vstack([clamp_point] +
-                          [clamp_point + layout.center(t, pitch) for t in range(1, n + 1)])
+    positions = np.vstack([CLAMP_POINT] +
+                          [CLAMP_POINT + layout.center(t, pitch) for t in range(1, n + 1)])
     ndof = 6 * (n + 1)
     M = np.zeros((ndof, ndof))
     for t in range(1, n + 1):
@@ -203,9 +206,9 @@ def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
 
     clamp_reach = pitch * np.sqrt(2.0) / 2.0 + 1e-9
     clamped_tiles = [t for t in range(1, n + 1)
-                     if np.linalg.norm(positions[t] - clamp_point) <= clamp_reach]
+                     if np.linalg.norm(positions[t] - CLAMP_POINT) <= clamp_reach]
     for t in clamped_tiles:
-        tt = tau_kinematic(positions[t] - clamp_point)
+        tt = tau_kinematic(positions[t] - CLAMP_POINT)
         B = np.zeros((6, ndof))
         B[:, 6 * t:6 * t + 6] = tt
         B[:, 0:6] = -np.eye(6)

@@ -54,7 +54,6 @@ __all__ = [
     "transport_inertia",
     "compose_rigid",
     "rigid_nport",
-    "rigid_nport_inverted",
     "port_mass_matrix",
     "d_p_matrix",
     "residual_mass",
@@ -294,40 +293,6 @@ def rigid_nport(body: RigidBodyData, ports: Sequence[str] = (),
         tuple((f"W_{p}", 6) for p in names),
         tuple((f"xdd_{p}", 6) for p in names),
     )
-
-
-def rigid_nport_inverted(body: RigidBodyData, inverted_port: str,
-                         other_ports: Sequence[str] = (),
-                         with_com_port: bool = True) -> StateSpace:
-    """Rigid n-port with the first port inverted (twist in, wrench out).
-
-    The inverted port constrains the rigid motion, so the other ports'
-    twists follow kinematically from it while their wrenches only shape
-    the reaction returned at the inverted port.
-    """
-    others = list(other_ports) + (["G"] if with_com_port else [])
-    if body.mass <= 0.0:
-        raise SingularInertia(f"body {body.name!r} has no mass")
-    gp1 = body.offset(inverted_port)
-    t_gp1 = tau_kinematic(gp1)  # twist at P1 -> twist at G
-    D_G = rigid_mass_matrix(body)
-
-    n_in = 6 * (1 + len(others))
-    n_out = n_in
-    D = np.zeros((n_out, n_in))
-    # reaction at the inverted port
-    D[0:6, 0:6] = -t_gp1.T @ D_G @ t_gp1
-    for k, p in enumerate(others):
-        gpk = body.offset(p)
-        col = slice(6 * (k + 1), 6 * (k + 2))
-        D[0:6, col] = tau_kinematic(gp1 - gpk).T  # wrench at P_k expressed at P1
-        D[col, 0:6] = tau_kinematic(gp1 - gpk)  # twist at P1 transported to P_k
-    ins = ((f"xdd_{inverted_port}", 6),) + tuple(
-        (f"W_{p}", 6) for p in others)
-    outs = ((f"W_{inverted_port}", 6),) + tuple(
-        (f"xdd_{p}", 6) for p in others)
-    return StateSpace(np.zeros((0, 0)), np.zeros((0, n_in)),
-                      np.zeros((n_out, 0)), D, ins, outs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Serial-arm models: rigid link chains, kinematics, joint trajectories.
+"""Serial-arm geometry: rigid link chains, kinematics, joint trajectories.
 
 An arm has six rigid links L0..L5 spanning joints J0..J6, with five
 revolute joints at J1..J5.  J0 is the end-effector side (it grips tiles
@@ -6,12 +6,12 @@ or docking ports), J6 mounts on the robot's central hub.  All link frames
 align at the zero configuration; joint k rotates link k relative to link
 k-1 about ``axes[k-1]``.
 
-Chains are built in either orientation:
-
-* ``base="J0"``: twist imposed at J0 (arm standing on the structure),
-  child wrench at J6 (the hub hangs on the arm).
-* ``base="J6"``: twist imposed at J6 (arm hanging off the hub), child
-  wrench at J0 (free tip, or a carried tile).
+:func:`link_poses` expresses a chain from either end: ``base="J0"`` for
+an arm standing on the structure, ``base="J6"`` for an arm hanging off
+the robot hub.  The locked robot's mass matrix
+(:meth:`flexasm.scenario.ScenarioModels.robot_mass_matrix`) stacks every
+link from these poses, and the walking IK (``ScenarioModels.solve_reach``)
+descends with :func:`dls_solve`.
 
 Published link data gives masses, CoMs and inertias but no joint
 offsets; the default geometry places each joint pair symmetrically about
@@ -27,26 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IkNotConverged, JointOutOfRange
-from .linss import StateSpace, interconnect
-from .multibody import (
-    ModalBodyData,
-    apply_frame,
-    dcm_about_axis,
-    skew,
-    titop_two_port,
-    transport_inertia,
-)
+from .errors import IkNotConverged, JointOutOfRange, SchemaError
+from .multibody import skew
 
 __all__ = [
     "ArmGeometry",
     "default_arm_geometry",
     "validate_joints",
-    "arm_two_port",
     "link_poses",
-    "forward_kinematics",
     "fixed_anchor",
-    "inverse_kinematics",
     "dls_solve",
     "quintic_scalar",
     "quintic_waypoints",
@@ -55,6 +44,11 @@ __all__ = [
 
 JOINT_LIMIT = 2.0 * np.pi
 _EYE3 = np.eye(3)
+
+# Damped least squares: the initial damping, and how many iterations
+# without improvement end a descent.
+DLS_DAMPING = 1e-2
+STALL_ITERS = 25
 
 # Table data for one arm: six links, five joints.
 _LINK_MASSES = (5.0, 5.0, 10.0, 5.0, 10.0, 5.0)
@@ -76,6 +70,9 @@ class ArmGeometry:
     the link CoM from J_i; ``inertias[i]`` the link inertia at its CoM.
     ``axis_K[k]`` and ``axis_KK[k]`` are ``skew(joint_axes[k])`` and its
     square, derived once here for the rotations of :func:`link_poses`.
+    Non-finite data, a zero joint axis, a negative link mass or a negative
+    principal moment of inertia raise ``SchemaError``; massless links are
+    valid.
     """
 
     joint_offsets: np.ndarray         # (6, 3)
@@ -89,24 +86,33 @@ class ArmGeometry:
     def __post_init__(self):
         off = np.asarray(self.joint_offsets, dtype=float).reshape(6, 3)
         axes = np.asarray(self.joint_axes, dtype=float).reshape(5, 3)
+        masses = np.asarray(self.masses, dtype=float).reshape(6)
+        coms = np.asarray(self.coms, dtype=float).reshape(6, 3)
+        inertias = np.asarray(self.inertias, dtype=float).reshape(6, 3, 3)
         nrm = np.linalg.norm(axes, axis=1)
+        # each test is written so that NaN fails it
+        for name, ok, want in [
+                ("joint offsets", np.isfinite(off).all(), "finite"),
+                ("joint axes", np.isfinite(axes).all() and (nrm > 0.0).all(),
+                 "finite and nonzero"),
+                ("link masses", ((0.0 <= masses) & (masses < np.inf)).all(),
+                 "finite and >= 0"),
+                ("link CoMs", np.isfinite(coms).all(), "finite"),
+                ("link inertias", np.isfinite(inertias).all() and (
+                    np.linalg.eigvalsh(inertias) >= -1e-12 * np.abs(inertias).max()).all(),
+                 "finite, with no negative principal moment")]:
+            if not ok:
+                raise SchemaError(f"arm {name} must be {want}")
         if np.any(np.abs(nrm - 1.0) > 1e-9):
             axes = axes / nrm[:, None]
         object.__setattr__(self, "joint_offsets", off)
         object.__setattr__(self, "joint_axes", axes)
-        object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float).reshape(6))
-        object.__setattr__(self, "coms", np.asarray(self.coms, dtype=float).reshape(6, 3))
-        object.__setattr__(self, "inertias", np.asarray(self.inertias, dtype=float).reshape(6, 3, 3))
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "coms", coms)
+        object.__setattr__(self, "inertias", inertias)
         K = [skew(a) for a in axes]
         object.__setattr__(self, "axis_K", np.array(K))
         object.__setattr__(self, "axis_KK", np.array([k @ k for k in K]))
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
-    def reach(self) -> float:
-        return float(np.sum(np.linalg.norm(self.joint_offsets, axis=1)))
 
 
 def default_arm_geometry() -> ArmGeometry:
@@ -126,71 +132,6 @@ def validate_joints(q) -> np.ndarray:
     if not np.all(np.abs(q) <= JOINT_LIMIT + 1e-12):
         raise JointOutOfRange(f"joint angles {q} must be finite and within +-2*pi")
     return q
-
-
-# ---------------------------------------------------------------------------
-# dynamics: static chain model
-# ---------------------------------------------------------------------------
-
-def _link_body(geom: ArmGeometry, i: int, reverse: bool) -> ModalBodyData:
-    """Rigid two-port data for link i, P at J_i (or J_{i+1} when reversed)."""
-    m = float(geom.masses[i])
-    if not reverse:
-        com = geom.coms[i]
-        pc = geom.joint_offsets[i]
-    else:
-        com = geom.coms[i] - geom.joint_offsets[i]
-        pc = -geom.joint_offsets[i]
-    return ModalBodyData(
-        mass=m, com=com,
-        inertia_P=transport_inertia(geom.inertias[i], m, com),
-        freqs=[], dampings=[], L_P=np.zeros((0, 6)),
-        phi_C=np.zeros((6, 0)), pc=pc, name=f"link{i}")
-
-
-def arm_two_port(geom: ArmGeometry, q, base: str = "J0") -> StateSpace:
-    """Static 12x12 arm model at a fixed joint configuration.
-
-    Channels: inputs ``(W_tip, xdd_base)``, outputs ``(xdd_tip, W_base)``.
-    Base/tip signals are expressed in the adjacent link's frame (l0 at J0,
-    l5 at J6); joint rotations are substituted numerically, so gridding a
-    trajectory is just a loop over configurations.
-    """
-    q = validate_joints(q)
-    rots = [dcm_about_axis(geom.joint_axes[k], q[k]) for k in range(5)]
-
-    blocks = []
-    wiring = []
-    if base == "J0":
-        for i in range(6):
-            sys = titop_two_port(_link_body(geom, i, reverse=False))
-            if i >= 1:
-                # P-side signals of link i re-expressed in link i-1's frame
-                sys = apply_frame(sys, "xdd_P", rots[i - 1])
-                sys = apply_frame(sys, "W_P", rots[i - 1])
-            blocks.append((f"L{i}", sys))
-        for i in range(5):
-            wiring.append((f"L{i}.xdd_C", f"L{i + 1}.xdd_P"))
-            wiring.append((f"L{i + 1}.W_P", f"L{i}.W_C"))
-        ext_in = [("W_tip", "L5.W_C"), ("xdd_base", "L0.xdd_P")]
-        ext_out = [("xdd_tip", "L5.xdd_C"), ("W_base", "L0.W_P")]
-    elif base == "J6":
-        for i in range(6):
-            sys = titop_two_port(_link_body(geom, i, reverse=True))
-            if i <= 4:
-                # P-side now sits at J_{i+1}: express in link i+1's frame
-                sys = apply_frame(sys, "xdd_P", rots[i].R.T)
-                sys = apply_frame(sys, "W_P", rots[i].R.T)
-            blocks.append((f"L{i}", sys))
-        for i in range(5, 0, -1):
-            wiring.append((f"L{i}.xdd_C", f"L{i - 1}.xdd_P"))
-            wiring.append((f"L{i - 1}.W_P", f"L{i}.W_C"))
-        ext_in = [("W_tip", "L0.W_C"), ("xdd_base", "L5.xdd_P")]
-        ext_out = [("xdd_tip", "L0.xdd_C"), ("W_base", "L5.W_P")]
-    else:
-        raise ValueError(f"base must be 'J0' or 'J6', got {base!r}")
-
-    return interconnect(blocks, wiring, ext_in, ext_out)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +171,6 @@ def link_poses(geom: ArmGeometry, q, base: str = "J0"):
     return joints, rots
 
 
-def forward_kinematics(geom: ArmGeometry, q, base: str = "J0"):
-    """Pose (position, DCM) of the far end of the chain in base coordinates."""
-    joints, rots = link_poses(geom, q, base)
-    if base == "J0":
-        return joints[-1], rots[-1]
-    return joints[0], rots[0]
-
-
 def fixed_anchor(geom: ArmGeometry):
     """Farthest joint of a J0-based chain that no joint angle moves.
 
@@ -257,15 +190,14 @@ def fixed_anchor(geom: ArmGeometry):
 
 
 def dls_solve(residual: Callable, q0, lower, upper, tol: float,
-              max_iter: int = 200, damping: float = 1e-2,
-              stall_iters: int = 25):
+              max_iter: int = 200):
     """Damped least-squares descent on a residual vector.
 
     Levenberg-Marquardt flavor: the damping grows when a step fails to
     shrink the error and relaxes otherwise.  The Jacobian comes from
     forward differences; joint values are clipped to the bounds.  Raises
     :class:`IkNotConverged` when the error stays above ``tol`` or stops
-    improving for ``stall_iters`` iterations (so alternative seeds can be
+    improving for ``STALL_ITERS`` iterations (so alternative seeds can be
     tried cheaply); only improving steps are taken, so its ``task_error``
     is the smallest error reached.
     """
@@ -273,7 +205,7 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float,
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     h = 1e-6
-    lam = damping
+    lam = DLS_DAMPING
     e = np.asarray(residual(q), dtype=float)
     en = float(np.linalg.norm(e))
     best = en
@@ -307,41 +239,10 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float,
             since_best = 0
         else:
             since_best += 1
-            if since_best >= stall_iters:
+            if since_best >= STALL_ITERS:
                 raise IkNotConverged(f"stalled at task error {en:.3e}", en)
     raise IkNotConverged(f"task error {en:.3e} after {max_iter} iterations",
                          en)
-
-
-def inverse_kinematics(geom: ArmGeometry, target_pos, target_axis=None,
-                       q_seed=None, base: str = "J0",
-                       tool_axis=(0.0, 0.0, 1.0),
-                       pos_tol: float = 1e-4, axis_tol: float = 1e-3):
-    """Joint angles reaching a tip position (and optionally a tool axis).
-
-    A five-joint chain cannot command a full 6-dof pose, so the task is
-    position plus, when ``target_axis`` is given, the direction of the
-    tool axis.  Damped least squares from ``q_seed`` (home by default).
-    """
-    target_pos = np.asarray(target_pos, dtype=float).reshape(3)
-    tool_axis = np.asarray(tool_axis, dtype=float)
-    tool_axis = tool_axis / np.linalg.norm(tool_axis)
-    if target_axis is not None:
-        target_axis = np.asarray(target_axis, dtype=float)
-        target_axis = target_axis / np.linalg.norm(target_axis)
-    q0 = np.zeros(5) if q_seed is None else validate_joints(q_seed)
-    scale = axis_tol and pos_tol / axis_tol
-
-    def residual(q):
-        pos, R = forward_kinematics(geom, q, base)
-        e = pos - target_pos
-        if target_axis is None:
-            return e
-        return np.concatenate([e, scale * (R @ tool_axis - target_axis)])
-
-    q = dls_solve(residual, q0, -JOINT_LIMIT * np.ones(5),
-                  JOINT_LIMIT * np.ones(5), tol=0.5 * pos_tol)
-    return q
 
 
 # ---------------------------------------------------------------------------

@@ -16,36 +16,33 @@ exact); the general closure stays for ``D_zw != 0``.
 and is exact for this block, so the name keeps only the conventional
 "lower" role it plays against the complex-structure bound.
 
-``mu_upper`` is the frequency-maximized spectral radius of the w->z
-transfer, the exact structured value for a repeated *complex* scalar and
-hence an upper bound for the real one.  Its sweep evaluates all its
-frequencies in one batch (``linss._transfer_batch``) and takes their
-spectral radii with one stacked eigenvalue call.  The critical frequency
-found by the bisection is folded into the evaluation grid so the bound
-provably dominates the margin numerically.
+The complex upper bound is a separate function, :func:`mu_upper_bound`:
+the frequency-maximized spectral radius of the w->z transfer, the exact
+structured value for a repeated *complex* scalar and hence an upper bound
+for the real one.  Its sweep evaluates all its frequencies in one batch
+(``linss._transfer_batch``) and takes their spectral radii with one
+stacked eigenvalue call.  The critical frequency found by the bisection
+is folded into the evaluation grid so the bound provably dominates the
+margin numerically.  The ``mu`` edge cost reads only the margin, so it
+never runs the sweep.
 
-Only the search range ``delta_max`` is a parameter; the channel pair, the
-scan density, the bisection tolerance and the sweep size are the module
-constants below.
+Only the search range ``delta_max`` is a parameter; the channel pair
+(``linss.W_CHANNEL``/``linss.Z_CHANNEL``), the scan density, the
+bisection tolerance and the sweep size are module constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NominalUnstable, WidthMismatch
 from .linss import (StateSpace, _transfer_batch, spectral_abscissa, STAB_TOL,
-                    WELLPOSED_RCOND)
+                    WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL)
 
-__all__ = ["MuResult", "mu_real_repeated"]
+__all__ = ["mu_real_repeated", "mu_upper_bound"]
 
-# The uncertainty channel pair pulled out by ``multibody.mode_freq_lfr``.
-W_CHANNEL = "w_omega"
-Z_CHANNEL = "z_omega"
 # Margin search: uniform scan points of |delta|, each probed with both
 # signs, then bisection to this relative width.
 SCAN_POINTS = 64
@@ -54,24 +51,16 @@ TOL = 1e-9
 N_FREQ = 400
 
 
-@dataclass(frozen=True)
-class MuResult:
-    """Margins for the repeated-real-scalar uncertainty block.
+class MuResult(NamedTuple):
+    """The margin of :func:`mu_real_repeated` as a plain pair.
 
     ``delta_crit`` is the signed smallest destabilizing value, or None
     when no real closure within the search range destabilizes the loop
-    (then ``mu_lower`` is 0 by convention).  ``mu_upper`` is computed on
-    first read, so a caller that needs only the margin never pays for the
-    frequency sweep.
+    (then ``mu_lower`` is 0 by convention).
     """
 
     mu_lower: float
     delta_crit: Optional[float]
-    upper_bound: Callable[[], float] = field(repr=False, compare=False)
-
-    @cached_property
-    def mu_upper(self) -> float:
-        return self.upper_bound()
 
 
 def _closed_A(sys: StateSpace, delta: float) -> Optional[np.ndarray]:
@@ -130,9 +119,11 @@ def _destabilizing_frequency(sys: StateSpace, delta: float) -> float:
     return float(abs(ev[np.argmax(ev.real)].imag))
 
 
-def _complex_upper_bound(sys: StateSpace, delta_crit: Optional[float]) -> float:
-    """Frequency-maximized spectral radius of the w->z transfer, with the
-    critical frequency of ``delta_crit`` folded into the grid."""
+def mu_upper_bound(sys: StateSpace, delta_crit: Optional[float]) -> float:
+    """Complex upper bound on ``mu`` for ``delta * I``: the frequency-
+    maximized spectral radius of the w->z transfer, with the critical
+    frequency of ``delta_crit`` (from :func:`mu_real_repeated`) folded
+    into the grid."""
     sub = sys.subsystem(outputs=[Z_CHANNEL], inputs=[W_CHANNEL])
     freqs = []
     if sub.n_states:
@@ -153,7 +144,7 @@ def _complex_upper_bound(sys: StateSpace, delta_crit: Optional[float]) -> float:
 
 
 def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
-    """Exact real margin and complex upper bound for ``delta * I``.
+    """Exact real margin for ``delta * I``.
 
     The nominal loop (``delta = 0``) must be strictly stable.  ``|delta|``
     is scanned out to ``delta_max`` with both signs at each point, and the
@@ -168,5 +159,4 @@ def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
 
     delta_crit = _first_crossing(sys, delta_max)
     mu_lower = 1.0 / abs(delta_crit) if delta_crit is not None else 0.0
-    return MuResult(mu_lower=mu_lower, delta_crit=delta_crit,
-                    upper_bound=partial(_complex_upper_bound, sys, delta_crit))
+    return MuResult(mu_lower, delta_crit)

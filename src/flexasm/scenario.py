@@ -19,10 +19,10 @@ reads the gripping arm and the joint angles.  The rest of the
 spacecraft -- hub, array, tile stack and structure, pinned or not -- is
 wired once per ``(n, j, delta)`` variant with the robot port left open
 and cached; each waypoint closes the robot's gain on the cached plant's
-matrices (:func:`flexasm.linss.close_static`).  The port-based arm chain
-(:func:`flexasm.robot.arm_two_port`) is the independent reference for
-``M_C`` in the tests, and the fully wired plant is kept there as the
-reference for the cached one.
+matrices (:func:`flexasm.linss.close_static`).  The independent
+reference for ``M_C`` lives in the tests (``tests/wired.py``): the robot
+wired link by link from port-based arm chains and a port-inverted hub,
+beside the fully wired plant, the reference for the cached one.
 
 External channels of the open-loop plant:
 
@@ -104,6 +104,10 @@ HOME_JOINTS = np.zeros(5)
 # Tip position tolerance of the walking IK [m].
 REACH_TOL = 1e-4
 
+# Largest entry of R^T R - I accepted for a configured mount DCM before
+# it is snapped to the nearest rotation.
+DCM_TOL = 1e-3
+
 # Published spacecraft constants (products of inertia negated into tensors).
 HUB_MASS = 166.0
 HUB_INERTIA = np.array([[21.6256, -3.84, 0.0],
@@ -151,7 +155,9 @@ class AssemblyState:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All physical data and modeling knobs for one mission scenario;
-    out-of-range numbers raise ``SchemaError``."""
+    out-of-range numbers, a mount-DCM table that does not name exactly
+    arms 1..3, and a mount DCM more than ``DCM_TOL`` off a rotation raise
+    ``SchemaError``."""
 
     hub: RigidBodyData
     array: ModalBodyData
@@ -176,8 +182,8 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self):
-        if self.n_tiles < 1:
-            raise StateInvalid("need at least one tile")
+        if not self.n_tiles >= 1:
+            raise SchemaError(f"n_tiles = {self.n_tiles} must be >= 1")
         if len(self.layout) < self.n_tiles:
             raise MissingStructureData(
                 f"layout has {len(self.layout)} cells for N={self.n_tiles}")
@@ -201,7 +207,18 @@ class ScenarioConfig:
                 ("diag_scale", k.diag_scale, k.diag_scale >= 0.0, ">= 0")]:
             if not ok:
                 raise SchemaError(f"{name} = {value} must be {want}")
-        # published mount DCMs are rounded to 4 digits; snap to rotations
+        if set(self.arm_mount_dcms) != {1, 2, 3}:
+            raise SchemaError(f"mount DCMs given for arms {list(self.arm_mount_dcms)}; "
+                              "need exactly arms 1, 2 and 3")
+        # published mount DCMs are rounded to 4 digits (4.4e-5 off
+        # orthonormal); each must lie within DCM_TOL of a rotation to be
+        # snapped to it
+        for k, R in sorted(self.arm_mount_dcms.items()):
+            R = np.asarray(R, dtype=float)
+            if not (R.shape == (3, 3) and np.abs(R.T @ R - np.eye(3)).max() <= DCM_TOL
+                    and np.linalg.det(R) > 0.0):
+                raise SchemaError(f"arm {k} mount DCM {R.tolist()} is not a "
+                                  f"rotation within {DCM_TOL}")
         object.__setattr__(self, "arm_mount_dcms",
                            {k: nearest_dcm(v).R for k, v in self.arm_mount_dcms.items()})
         object.__setattr__(self, "array_dcm", nearest_dcm(self.array_dcm).R)
@@ -226,6 +243,8 @@ def table_scenario(n_tiles: int = 4, layout: Optional[TileLayout] = None,
     """
     from . import data_path
 
+    if not n_tiles >= 1:
+        raise SchemaError(f"n_tiles = {n_tiles} must be >= 1")
     hub = RigidBodyData(HUB_MASS, HUB_INERTIA,
                         {"P1": GP1, "P2": GP2, "P3": GP3}, name="hub")
     if array is None:

@@ -13,6 +13,12 @@ from flexasm import cli
 from flexasm import scenario as sc
 
 
+def mounts(**given):
+    """All three mount DCMs of the table, with the named ones replaced."""
+    table = {f"A{k}": np.asarray(v).tolist() for k, v in sc.ARM_MOUNT_DCMS.items()}
+    return {"mount_dcms": {**table, **given}}
+
+
 def write_scenario(tmp_path, name="s.yaml", **fields):
     doc = {"n_tiles": 2, "z_grid": 2, "structure": {"n_modes": 2}}
     doc.update(fields)
@@ -139,6 +145,19 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     {"structure": {"k_trans": 1e5, "diag_scale": float("nan")}},
     {"structure": {"stack_reach_m": -1.0}},
     {"structure": {"stack_reach_m": float("nan")}},
+    {"robot": {"arm": {"link_masses_kg": [5.0, -5.0, 10.0, 5.0, 10.0, 5.0]}}},
+    {"robot": {"arm": {"link_masses_kg": [5.0, float("nan"), 10.0, 5.0, 10.0, 5.0]}}},
+    {"robot": {"arm": {"link_inertia_kgm2": [0.2, 0.2, -0.4, 0.2, 0.4, 0.2]}}},
+    {"robot": {"arm": {"link_inertia_kgm2": [0.2, 0.2, float("nan"), 0.2, 0.4, 0.2]}}},
+    {"robot": mounts(A2=np.zeros((3, 3)).tolist())},
+    {"robot": mounts(A2=np.full((3, 3), float("nan")).tolist())},
+    {"robot": mounts(A1=np.diag([1.0, 1.0, -1.0]).tolist())},
+    {"robot": mounts(A7=np.eye(3).tolist())},
+    {"robot": {"arm": {"joint_axes": [[0.0, 0.0, 0.0]] + [[0.0, 1.0, 0.0]] * 4}}},
+    {"robot": {"arm": {"joint_axes": [[0.0, 0.0, float("nan")]] + [[0.0, 1.0, 0.0]] * 4}}},
+    {"robot": {"arm": {"joint_offsets_m": [[float("nan"), 0.0, 0.0]] + [[0.0, 0.0, 0.1]] * 5}}},
+    {"n_tiles": 0},
+    {"n_tiles": -1},
 ], ids=str)
 def test_bad_scenario_values_exit_2(tmp_path, capsys, fields):
     # rejected where the scenario is built, before any gain is designed
@@ -151,6 +170,16 @@ def test_bad_scenario_values_exit_2(tmp_path, capsys, fields):
 def test_zero_structure_modes_stay_valid(tmp_path):
     cfg, _ = cli.load_scenario(write_scenario(tmp_path, structure={"n_modes": 0}))
     assert cfg.n_struct_modes == 0
+
+
+def test_mount_dcm_subset_overrides_only_the_arms_it_names(tmp_path):
+    turn = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    cfg, _ = cli.load_scenario(write_scenario(
+        tmp_path, robot={"mount_dcms": {"A1": turn}}))
+    assert np.array_equal(cfg.arm_mount_dcms[1], turn)
+    table = sc.table_scenario(2)
+    for k in (2, 3):
+        assert np.array_equal(cfg.arm_mount_dcms[k], table.arm_mount_dcms[k])
 
 
 def test_bad_state_exits_2_without_asserts(tmp_path):

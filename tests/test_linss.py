@@ -17,6 +17,7 @@ from flexasm.errors import (
 
 from conftest import (make_rng, max_response_deviation, mission_loops,
                       random_stable_system, state_transform)
+from wired import integrator
 
 
 def siso(A, B, C, D):
@@ -47,7 +48,7 @@ def test_interconnect_static_gains_in_series():
 
 def test_interconnect_integrator_unity_feedback():
     # 1/s with unity negative feedback closes to 1/(s+1)
-    integ = linss.integrator(1, "u", "y")
+    integ = integrator(1, "u", "y")
     inverter = linss.gain([[-1.0]], (("u", 1),), (("y", 1),))
     closed = linss.interconnect(
         [("i", integ), ("m", inverter)],
@@ -225,7 +226,7 @@ def test_freq_response_static_gain():
 
 
 def test_freq_response_pure_integrator_and_pole_skip():
-    integ = linss.integrator(1)
+    integ = integrator(1)
     fr = linss.freq_response(integ, np.array([0.5, 2.0]))
     assert abs(fr.values[0][0, 0]) == pytest.approx(2.0, rel=1e-12)
     assert abs(fr.values[1][0, 0]) == pytest.approx(0.5, rel=1e-12)
@@ -284,7 +285,7 @@ def test_freq_response_equals_per_point_transfer():
 
 def test_is_stable():
     assert linss.is_stable(first_order_lag()).stable
-    res = linss.is_stable(linss.integrator(1))
+    res = linss.is_stable(integrator(1))
     assert not res.stable
     assert res.spectral_abscissa == pytest.approx(0.0, abs=1e-12)
 

@@ -16,6 +16,7 @@ from flexasm.errors import (
 
 import tabledata as td
 from conftest import make_rng, max_response_deviation
+from wired import rigid_nport_inverted
 
 vec3 = st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=3)
 
@@ -99,7 +100,7 @@ def test_rigid_nport_unknown_port():
 
 def test_rigid_inverted_pure_direct_model():
     body = td.hub_body()
-    sys = mb.rigid_nport_inverted(body, "G", other_ports=(), with_com_port=False)
+    sys = rigid_nport_inverted(body, "G", other_ports=(), with_com_port=False)
     assert np.allclose(sys.D, -mb.rigid_mass_matrix(body))
 
 
@@ -109,7 +110,7 @@ def test_rigid_inverted_matches_channel_inversion():
         5.0, np.diag([1.0, 2.0, 2.5]),
         {"P1": rng.standard_normal(3), "P2": rng.standard_normal(3)})
     direct = mb.rigid_nport(body, ["P1", "P2"])
-    inverted = mb.rigid_nport_inverted(body, "P1", ["P2"])
+    inverted = rigid_nport_inverted(body, "P1", ["P2"])
     via_inversion = linss.invert_channels(direct, ["W_P1"], ["xdd_P1"])
     # the inverted n-port returns the body-on-appendage wrench (reaction),
     # so its W_P1 output row is the negative of the channel-inverted model;
@@ -129,7 +130,7 @@ def test_rigid_inverted_acceleration_transport():
     # zero imposed twist: port-2 acceleration stays zero under any wrench;
     # nonzero imposed twist transports rigidly
     body = td.hub_body()
-    sys = mb.rigid_nport_inverted(body, "P1", ["P2"])
+    sys = rigid_nport_inverted(body, "P1", ["P2"])
     u = np.zeros(18)
     u[0:6] = np.array([0.1, -0.2, 0.3, 0.01, 0.02, -0.03])
     acc2 = (sys.D @ u)[sys.out_slice("xdd_P2")]
@@ -288,7 +289,7 @@ def test_two_rigid_bodies_weld_to_composite():
     g2_pos = b1.offset("J") - b2.offset("J")
     welded = linss.interconnect(
         [("a", mb.rigid_nport(b1, ["J"])),
-         ("b", mb.rigid_nport_inverted(b2, "J", with_com_port=False))],
+         ("b", rigid_nport_inverted(b2, "J", with_com_port=False))],
         [("a.xdd_J", "b.xdd_J"), ("b.W_J", "a.W_J")],
         [("W_G", "a.W_G")], [("xdd_G", "a.xdd_G")])
 

@@ -1,4 +1,4 @@
-"""Arm chain model, forward/inverse kinematics, quintic trajectories."""
+"""Arm geometry, link poses, the arm-chain oracle, quintic trajectories."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexasm import robot
-from flexasm.errors import IkNotConverged, JointOutOfRange
+from flexasm.errors import JointOutOfRange
 from flexasm.multibody import dcm_about_axis
 
 from conftest import make_rng
+from wired import arm_two_port
 
 angles = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=5, max_size=5)
 
@@ -28,41 +29,42 @@ def simple_geometry(offsets, axes=None):
 
 
 # ---------------------------------------------------------------------------
-# forward kinematics
+# link poses
 # ---------------------------------------------------------------------------
 
 def test_fk_home_is_offset_sum():
     geom = robot.default_arm_geometry()
-    pos, R = robot.forward_kinematics(geom, np.zeros(5))
-    assert np.allclose(pos, geom.joint_offsets.sum(axis=0))
-    assert np.allclose(R, np.eye(3))
+    joints, rots = robot.link_poses(geom, np.zeros(5))
+    assert np.allclose(joints[-1], geom.joint_offsets.sum(axis=0))
+    assert np.allclose(rots[-1], np.eye(3))
 
 
 def test_fk_single_joint_rotation():
     offsets = np.zeros((6, 3))
     offsets[1] = [1.0, 0.0, 0.0]  # unit x link right after joint 1
     geom = simple_geometry(offsets)
-    pos, _ = robot.forward_kinematics(geom, [np.pi / 2, 0, 0, 0, 0])
-    assert np.allclose(pos, [0.0, 1.0, 0.0], atol=1e-12)
-    pos_pi, _ = robot.forward_kinematics(geom, [np.pi, 0, 0, 0, 0])
-    assert np.allclose(pos_pi, [-1.0, 0.0, 0.0], atol=1e-12)
+    joints, _ = robot.link_poses(geom, [np.pi / 2, 0, 0, 0, 0])
+    assert np.allclose(joints[-1], [0.0, 1.0, 0.0], atol=1e-12)
+    joints_pi, _ = robot.link_poses(geom, [np.pi, 0, 0, 0, 0])
+    assert np.allclose(joints_pi[-1], [-1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_fk_base_j6_inverts_the_chain():
     geom = robot.default_arm_geometry()
     rng = make_rng(3)
     q = rng.uniform(-1.0, 1.0, 5)
-    p6, R6 = robot.forward_kinematics(geom, q, base="J0")
-    p0, R0 = robot.forward_kinematics(geom, q, base="J6")
+    joints6, rots6 = robot.link_poses(geom, q, base="J0")
+    joints0, rots0 = robot.link_poses(geom, q, base="J6")
+    p6, R6 = joints6[-1], rots6[-1]
     # J0 expressed in the J6 frame inverts the pose
-    assert np.allclose(p0, -R6.T @ p6, atol=1e-12)
-    assert np.allclose(R0, R6.T, atol=1e-12)
+    assert np.allclose(joints0[0], -R6.T @ p6, atol=1e-12)
+    assert np.allclose(rots0[0], R6.T, atol=1e-12)
 
 
 def test_joint_range_enforced():
     geom = robot.default_arm_geometry()
     with pytest.raises(JointOutOfRange):
-        robot.forward_kinematics(geom, [7.0, 0, 0, 0, 0])
+        robot.link_poses(geom, [7.0, 0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -115,38 +117,8 @@ def test_link_poses_match_dcm_chain_oracle():
 
 
 # ---------------------------------------------------------------------------
-# inverse kinematics
+# fixed anchor
 # ---------------------------------------------------------------------------
-
-def test_ik_recovers_reachable_pose():
-    geom = robot.default_arm_geometry()
-    rng = make_rng(5)
-    for _ in range(4):
-        q_true = rng.uniform(-1.2, 1.2, 5)
-        target, R = robot.forward_kinematics(geom, q_true)
-        q = robot.inverse_kinematics(geom, target)
-        pos, _ = robot.forward_kinematics(geom, q)
-        assert np.linalg.norm(pos - target) < 1e-4
-
-
-def test_ik_with_tool_axis():
-    geom = robot.default_arm_geometry()
-    q_true = np.array([0.4, -0.6, 0.5, 0.3, 0.0])
-    target, R = robot.forward_kinematics(geom, q_true)
-    axis = R @ np.array([0.0, 0.0, 1.0])
-    q = robot.inverse_kinematics(geom, target, target_axis=axis)
-    pos, Rsol = robot.forward_kinematics(geom, q)
-    assert np.linalg.norm(pos - target) < 1e-4
-    assert np.linalg.norm(Rsol @ [0, 0, 1] - axis) < 2e-3
-
-
-def test_ik_unreachable_raises():
-    geom = robot.default_arm_geometry()
-    with pytest.raises(IkNotConverged) as exc:
-        robot.inverse_kinematics(geom, [10.0, 0.0, 0.0])
-    # no tip lies farther than the summed link lengths from J0
-    assert 10.0 - geom.reach() <= exc.value.task_error < 10.0
-
 
 def test_fixed_anchor_default_geometry_is_j2():
     # link 1's offset runs along the yaw axis, so J2 sits still 0.225 m up
@@ -177,23 +149,16 @@ def test_fixed_anchor_stops_at_j5_and_stays_put():
         assert np.allclose(joints[m], anchor, rtol=0.0, atol=1e-15)
 
 
-def test_ik_fixed_point_at_home():
-    geom = robot.default_arm_geometry()
-    target, _ = robot.forward_kinematics(geom, np.zeros(5))
-    q = robot.inverse_kinematics(geom, target, q_seed=np.zeros(5))
-    assert np.allclose(q, 0.0, atol=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # arm two-port model
 # ---------------------------------------------------------------------------
 
 def test_arm_total_mass_at_base():
     geom = robot.default_arm_geometry()
-    sys = robot.arm_two_port(geom, np.zeros(5), base="J0")
+    sys = arm_two_port(geom, np.zeros(5), base="J0")
     D = sys.D[sys.out_slice("W_base"), :][:, sys.in_slice("xdd_base")]
     assert np.allclose(D[0:3, 0:3], -40.0 * np.eye(3), atol=1e-9)
-    assert geom.total_mass == pytest.approx(40.0)
+    assert np.sum(geom.masses) == pytest.approx(40.0)
 
 
 def test_arm_degenerate_chain_single_massive_link():
@@ -206,7 +171,7 @@ def test_arm_degenerate_chain_single_massive_link():
     inertias[0] = geom.inertias[0]
     light = robot.ArmGeometry(geom.joint_offsets, geom.joint_axes,
                               masses, coms, inertias)
-    sys = robot.arm_two_port(light, np.zeros(5))
+    sys = arm_two_port(light, np.zeros(5))
     # equivalent single rigid body from J0 to J6
     from flexasm.multibody import ModalBodyData, titop_two_port, transport_inertia
     total = geom.joint_offsets.sum(axis=0)
@@ -237,8 +202,8 @@ def test_arm_axis_flip_symmetry():
     q = np.array([0.3, -0.5, 0.7, 0.2, -0.1])
     q_flip = np.array(q)
     q_flip[2] = -q_flip[2]
-    a = robot.arm_two_port(geom, q)
-    b = robot.arm_two_port(flipped, q_flip)
+    a = arm_two_port(geom, q)
+    b = arm_two_port(flipped, q_flip)
     assert np.allclose(a.D, b.D, atol=1e-10)
 
 
@@ -247,7 +212,7 @@ def test_arm_clamped_base_blocks_tip_motion():
     # tip wrench cannot accelerate anything; it only loads the base
     geom = robot.default_arm_geometry()
     q = np.array([0.2, 0.4, -0.3, 0.1, 0.5])
-    sys = robot.arm_two_port(geom, q, base="J0")
+    sys = arm_two_port(geom, q, base="J0")
     blk = sys.D[sys.out_slice("xdd_tip"), :][:, sys.in_slice("W_tip")]
     assert np.allclose(blk, 0.0, atol=1e-10)
 
@@ -259,7 +224,7 @@ def test_arm_free_floating_tip_map_is_passive(q):
     # inverse mass map at the tip: symmetric positive semidefinite
     from flexasm.linss import invert_channels
     geom = robot.default_arm_geometry()
-    sys = invert_channels(robot.arm_two_port(geom, q, base="J6"),
+    sys = invert_channels(arm_two_port(geom, q, base="J6"),
                           ["xdd_base"], ["W_base"])
     blk = sys.D[sys.out_slice("xdd_tip"), :][:, sys.in_slice("W_tip")]
     assert np.allclose(blk, blk.T, atol=1e-8)
@@ -273,9 +238,9 @@ def test_arm_orientations_are_consistent():
     from flexasm.linss import invert_channels
     geom = robot.default_arm_geometry()
     q = np.array([0.2, 0.4, -0.3, 0.1, 0.5])
-    a = invert_channels(robot.arm_two_port(geom, q, base="J0"),
+    a = invert_channels(arm_two_port(geom, q, base="J0"),
                         ["xdd_base"], ["W_base"])
-    b = invert_channels(robot.arm_two_port(geom, q, base="J6"),
+    b = invert_channels(arm_two_port(geom, q, base="J6"),
                         ["xdd_base"], ["W_base"])
     blk_a = a.D[a.out_slice("xdd_tip"), :][:, a.in_slice("W_tip")]   # J6 map
     blk_b = b.D[b.out_slice("xdd_base"), :][:, b.in_slice("W_base")]  # J6 map

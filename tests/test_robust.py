@@ -49,10 +49,11 @@ def grid_sweep_oracle(sys, delta_max=20.0, n=4001):
 
 
 def test_first_order_unit_margin():
-    res = robust.mu_real_repeated(scaled_lag(1.0), delta_max=5.0)
+    sys = scaled_lag(1.0)
+    res = robust.mu_real_repeated(sys, delta_max=5.0)
     assert res.mu_lower == pytest.approx(1.0, rel=1e-6)
     assert res.delta_crit == pytest.approx(1.0, rel=1e-6)
-    assert res.mu_upper == pytest.approx(1.0, rel=1e-6)
+    assert robust.mu_upper_bound(sys, res.delta_crit) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_rotational_block_has_no_real_destabilizer():
@@ -62,8 +63,9 @@ def test_rotational_block_has_no_real_destabilizer():
     res = robust.mu_real_repeated(sys, delta_max=50.0)
     assert res.mu_lower == 0.0
     assert res.delta_crit is None
-    assert res.mu_upper == pytest.approx(1.0)
-    assert res.mu_lower <= res.mu_upper + 1e-9
+    mu_upper = robust.mu_upper_bound(sys, res.delta_crit)
+    assert mu_upper == pytest.approx(1.0)
+    assert res.mu_lower <= mu_upper + 1e-9
 
 
 def test_synthetic_margin_of_point_two():
@@ -95,7 +97,7 @@ def test_matches_grid_sweep_on_random_plants():
             hits += 1
             assert res.mu_lower == pytest.approx(1.0 / abs(oracle), rel=1e-6)
             assert res.delta_crit == pytest.approx(oracle, rel=1e-6)
-        assert res.mu_lower <= res.mu_upper + 1e-9
+        assert res.mu_lower <= robust.mu_upper_bound(sys, res.delta_crit) + 1e-9
     assert hits >= 3  # the sample must exercise real crossings
 
 
@@ -140,21 +142,21 @@ def test_mode_frequency_collapse_margin():
     assert res.mu_lower == pytest.approx(0.2, rel=1e-6)
     oracle = grid_sweep_oracle(lfr, delta_max=20.0)
     assert res.mu_lower == pytest.approx(1.0 / abs(oracle), rel=1e-6)
-    assert res.mu_lower <= res.mu_upper + 1e-9
+    assert res.mu_lower <= robust.mu_upper_bound(lfr, res.delta_crit) + 1e-9
 
 
 def test_margin_only_matches_mu_real_repeated_on_mission_loops(monkeypatch):
     loops = list(mission_loops(4, 21))
     full = [robust.mu_real_repeated(cl, delta_max=20.0) for cl in loops]
-    for res in full:
-        assert res.mu_lower <= res.mu_upper + 1e-9
+    for cl, res in zip(loops, full):
+        assert res.mu_lower <= robust.mu_upper_bound(cl, res.delta_crit) + 1e-9
 
     # the mu edge cost reads only the margin: the upper-bound sweep must
     # not run, and the value must be the same bits
     def no_sweep(*args):
         raise AssertionError("mu cost ran the upper-bound sweep")
 
-    monkeypatch.setattr(robust, "_complex_upper_bound", no_sweep)
+    monkeypatch.setattr(robust, "mu_upper_bound", no_sweep)
     for cl, res in zip(loops, full):
         again = robust.mu_real_repeated(cl, delta_max=20.0)
         assert (again.mu_lower, again.delta_crit) == (res.mu_lower, res.delta_crit)
@@ -363,4 +365,5 @@ def test_upper_bound_sweep_equals_per_point_loop():
                               (("z_omega", 2),))]
     for sys in systems:
         res = robust.mu_real_repeated(sys, delta_max=20.0)
-        assert res.mu_upper == per_point(sys, res.delta_crit)
+        bound = robust.mu_upper_bound(sys, res.delta_crit)
+        assert bound == per_point(sys, res.delta_crit)

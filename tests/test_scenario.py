@@ -12,12 +12,12 @@ from flexasm import linss
 from flexasm import scenario as sc
 from flexasm.errors import (IkNotConverged, IkUnreachable, MissingStructureData,
                             StateInvalid, WidthMismatch)
-from flexasm.multibody import (apply_frame, dcm_about_axis, rigid_mass_matrix,
-                               rigid_nport_inverted)
-from flexasm.robot import arm_two_port, default_arm_geometry, link_poses
+from flexasm.multibody import apply_frame, dcm_about_axis, rigid_mass_matrix
+from flexasm.robot import default_arm_geometry, link_poses
 
 from conftest import make_rng, mission_states
-from wired import wired_close_loop, wired_open_loop
+from wired import (arm_two_port, rigid_nport_inverted, wired_close_loop,
+                   wired_open_loop)
 
 HOME = (sc.HOME_JOINTS,) * 3
 
