@@ -32,6 +32,16 @@ def _ticks(lo, hi, log):
     return out
 
 
+def _widen_flat(lo, hi, log):
+    """A flat range widened by half a unit each way: half a decade on a
+    log axis, so both bounds stay positive."""
+    if lo != hi:
+        return lo, hi
+    if log:
+        return lo / math.sqrt(10.0), hi * math.sqrt(10.0)
+    return lo - 0.5, hi + 0.5
+
+
 def _fmt(v):
     if v == 0:
         return "0"
@@ -64,10 +74,8 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
     ylog = ylog and np.all(ys > 0)
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
-    if x_lo == x_hi:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _widen_flat(x_lo, x_hi, xlog)
+    y_lo, y_hi = _widen_flat(y_lo, y_hi, ylog)
     if not ylog:
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad

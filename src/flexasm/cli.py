@@ -30,6 +30,7 @@ import yaml
 from . import _svg, data_path
 from .errors import (
     FlexasmError,
+    InvalidModalData,
     ParseError,
     SchemaError,
     StateInvalid,
@@ -69,12 +70,19 @@ def _inertia(doc, key="inertia_kgm2", convention_key="inertia_convention"):
     return np.array([[xx, pxy, pxz], [pxy, yy, pyz], [pxz, pyz, zz]])
 
 
-def _rigid_body(doc, name):
+def _rigid_body(doc, block):
+    """Body from the scenario block ``block`` (``robot.hub`` is named
+    ``robot_hub``); bad mass or inertia values are a ``SchemaError`` naming
+    the block."""
     ports = {k: np.asarray(v, dtype=float)
              for k, v in doc.get("ports_m", {}).items()}
     if "mass" in doc or "inertia" in doc:
-        raise UnitError(f"{name}: use mass_kg / inertia_kgm2 keys")
-    return RigidBodyData(float(doc["mass_kg"]), _inertia(doc), ports, name=name)
+        raise UnitError(f"{block}: use mass_kg / inertia_kgm2 keys")
+    try:
+        return RigidBodyData(float(doc["mass_kg"]), _inertia(doc), ports,
+                             name=block.replace(".", "_"))
+    except InvalidModalData as exc:
+        raise SchemaError(f"{block}: {exc}") from exc
 
 
 def _arm_geometry(doc) -> ArmGeometry:
@@ -150,7 +158,7 @@ def load_scenario(path) -> tuple:
             if "hub" in rob:
                 kw["robot_hub"] = _rigid_body(
                     {**rob["hub"], "ports_m": rob["hub"].get("mounts_m", {})},
-                    "robot_hub")
+                    "robot.hub")
             if "mount_dcms" in rob:
                 dcms = dict(ARM_MOUNT_DCMS)
                 for k, v in rob["mount_dcms"].items():

@@ -100,8 +100,10 @@ class RigidBodyData:
         J = np.asarray(self.inertia_G, dtype=float).reshape(3, 3)
         if np.max(np.abs(J - J.T)) > 1e-9 * max(1.0, np.max(np.abs(J))):
             raise InvalidModalData(f"inertia of {self.name!r} not symmetric")
+        if self.mass < 0.0:
+            raise InvalidModalData(f"mass of {self.name!r} negative ({self.mass})")
         ev = np.linalg.eigvalsh(J)
-        if self.mass < 0.0 or (self.mass > 0.0 and np.any(ev <= 0.0)):
+        if self.mass > 0.0 and np.any(ev <= 0.0):
             raise InvalidModalData(
                 f"inertia of {self.name!r} not positive definite (eigs {ev})")
         # triangle inequality on principal moments

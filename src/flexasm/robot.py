@@ -45,10 +45,11 @@ __all__ = [
 JOINT_LIMIT = 2.0 * np.pi
 _EYE3 = np.eye(3)
 
-# Damped least squares: the initial damping, and how many iterations
-# without improvement end a descent.
+# Damped least squares: the initial damping, how many iterations without
+# improvement end a descent, and how many end it in any case.
 DLS_DAMPING = 1e-2
 STALL_ITERS = 25
+MAX_ITER = 400
 
 # Table data for one arm: six links, five joints.
 _LINK_MASSES = (5.0, 5.0, 10.0, 5.0, 10.0, 5.0)
@@ -189,17 +190,16 @@ def fixed_anchor(geom: ArmGeometry):
     return m, off[:m].sum(axis=0)
 
 
-def dls_solve(residual: Callable, q0, lower, upper, tol: float,
-              max_iter: int = 200):
+def dls_solve(residual: Callable, q0, lower, upper, tol: float):
     """Damped least-squares descent on a residual vector.
 
     Levenberg-Marquardt flavor: the damping grows when a step fails to
     shrink the error and relaxes otherwise.  The Jacobian comes from
     forward differences; joint values are clipped to the bounds.  Raises
-    :class:`IkNotConverged` when the error stays above ``tol`` or stops
-    improving for ``STALL_ITERS`` iterations (so alternative seeds can be
-    tried cheaply); only improving steps are taken, so its ``task_error``
-    is the smallest error reached.
+    :class:`IkNotConverged` when the error stays above ``tol`` for
+    ``MAX_ITER`` iterations or stops improving for ``STALL_ITERS`` (so
+    alternative seeds can be tried cheaply); only improving steps are
+    taken, so its ``task_error`` is the smallest error reached.
     """
     q = np.clip(np.array(q0, dtype=float), lower, upper)
     lower = np.asarray(lower, dtype=float)
@@ -210,7 +210,7 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float,
     en = float(np.linalg.norm(e))
     best = en
     since_best = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if en < tol:
             return q
         J = np.zeros((e.size, q.size))
@@ -241,7 +241,7 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float,
             since_best += 1
             if since_best >= STALL_ITERS:
                 raise IkNotConverged(f"stalled at task error {en:.3e}", en)
-    raise IkNotConverged(f"task error {en:.3e} after {max_iter} iterations",
+    raise IkNotConverged(f"task error {en:.3e} after {MAX_ITER} iterations",
                          en)
 
 

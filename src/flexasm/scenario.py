@@ -635,8 +635,7 @@ class ScenarioModels:
         for q0 in seeds:
             try:
                 return dls_solve(residual, q0, -JOINT_LIMIT * np.ones(10),
-                                 JOINT_LIMIT * np.ones(10), tol=tol,
-                                 max_iter=400)
+                                 JOINT_LIMIT * np.ones(10), tol=tol)
             except IkNotConverged as exc:
                 best = min(best, exc.task_error)
         raise IkNotConverged(

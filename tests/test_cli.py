@@ -167,6 +167,24 @@ def test_bad_scenario_values_exit_2(tmp_path, capsys, fields):
     assert "error: " in capsys.readouterr().err
 
 
+def body(mass_kg):
+    return {"mass_kg": mass_kg, "inertia_kgm2": [[0.6, 0.0, 0.0], [0.6, 0.0], [0.6]]}
+
+
+@pytest.mark.parametrize("block, fields", [
+    ("hub", {"hub": body(-166.0)}),
+    ("tile", {"tile": body(-6.0)}),
+    ("robot.hub", {"robot": {"hub": body(-10.0)}}),
+], ids=["hub", "tile", "robot.hub"])
+def test_negative_body_mass_exits_2(tmp_path, capsys, block, fields):
+    # a schema error naming the block, not a model error about the inertia
+    p = write_scenario(tmp_path, **fields)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o",
+                      "full-assembly", "--cost", "h2-theta"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {block}: " in err and "negative" in err
+
+
 def test_zero_structure_modes_stay_valid(tmp_path):
     cfg, _ = cli.load_scenario(write_scenario(tmp_path, structure={"n_modes": 0}))
     assert cfg.n_struct_modes == 0
@@ -312,3 +330,14 @@ def test_full_assembly_small(tmp_path, capsys):
     cfg, _ = cli.load_scenario(p)
     # grid points = 2z per traversed edge
     assert w.size % (2 * cfg.z_grid) == 0
+
+
+def test_full_assembly_mu_writes_flat_log_plot(tmp_path, capsys):
+    # mu is the same value on every loop, so the comparison plot's log
+    # axis has a flat range below 1, which must still get positive bounds
+    p = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert run(["--scenario", p, "--out", out, "full-assembly", "--cost", "mu"]) == 0
+    assert (out / "summary.txt").exists()
+    svg = (out / "plot_compare.svg").read_text()
+    assert "<polyline" in svg and "nan" not in svg

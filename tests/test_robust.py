@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from flexasm import linss, robust
@@ -17,6 +18,14 @@ def wz_system(A, B, C, D):
     """System whose only channels are the uncertainty pair."""
     return StateSpace(A, B, C, D, (("w_omega", np.shape(D)[1]),),
                       (("z_omega", np.shape(D)[0]),))
+
+
+def random_wz_system(rng):
+    n = int(rng.integers(2, 6))
+    A = rng.standard_normal((n, n))
+    A -= (np.max(np.linalg.eigvals(A).real) + 0.4) * np.eye(n)
+    return wz_system(A, rng.standard_normal((n, 2)), rng.standard_normal((2, n)),
+                     np.zeros((2, 2)))
 
 
 def scaled_lag(k):
@@ -84,11 +93,7 @@ def test_matches_grid_sweep_on_random_plants():
     rng = make_rng(99)
     hits = 0
     for _ in range(8):
-        n = int(rng.integers(2, 6))
-        A = rng.standard_normal((n, n))
-        A -= (np.max(np.linalg.eigvals(A).real) + 0.4) * np.eye(n)
-        sys = wz_system(A, rng.standard_normal((n, 2)),
-                        rng.standard_normal((2, n)), np.zeros((2, 2)))
+        sys = random_wz_system(rng)
         res = robust.mu_real_repeated(sys, delta_max=10.0)
         oracle = grid_sweep_oracle(sys, delta_max=10.0)
         if oracle is None:
@@ -317,9 +322,10 @@ def test_one_pass_scan_matches_two_pass_oracle_on_mission_loops():
 
 def test_one_pass_scan_halves_the_probes(monkeypatch):
     # the mission loops lose stability only at delta = -5, the 16th scan
-    # point: the one-pass scan probes 16 points twice and bisects once
-    # (58 probes), where scanning each sign alone probes all 64 positive
-    # points as well (106 probes)
+    # point: the certified crossing probes the final bracket and the
+    # positive sign at the hit scan point (3 probes; the scan alone makes
+    # 58), where scanning each sign alone probes all 64 positive points as
+    # well (106 probes)
     cl = next(mission_loops(1, 13))
     probes = []
     real = robust._destabilized
@@ -331,7 +337,7 @@ def test_one_pass_scan_halves_the_probes(monkeypatch):
     monkeypatch.setattr(robust, "_destabilized", counted)
     res = robust.mu_real_repeated(cl, delta_max=20.0)
     assert res.delta_crit < 0.0
-    assert len(probes) <= 58
+    assert len(probes) <= 4
     probes.clear()
     assert two_pass_margin(cl, 20.0) == (res.mu_lower, res.delta_crit)
     assert len(probes) == 106
@@ -367,3 +373,116 @@ def test_upper_bound_sweep_equals_per_point_loop():
         res = robust.mu_real_repeated(sys, delta_max=20.0)
         bound = robust.mu_upper_bound(sys, res.delta_crit)
         assert bound == per_point(sys, res.delta_crit)
+
+
+def kronecker_crossings(sys):
+    """Dense oracle for the crossing candidates: the real finite generalized
+    eigenvalues delta of the n^2 pencil of Kronecker sums ``kron(A, I) +
+    kron(I, A) + delta (kron(M, I) + kron(I, M))``, ``M = B_w C_z``, where
+    two eigenvalues of ``A + delta M`` sum to zero."""
+    A = sys.A
+    M = sys.B[:, sys.in_slice("w_omega")] @ sys.C[sys.out_slice("z_omega"), :]
+    eye = np.eye(A.shape[0])
+    alpha, beta = scipy.linalg.eigvals(np.kron(A, eye) + np.kron(eye, A),
+                                       -(np.kron(M, eye) + np.kron(eye, M)),
+                                       homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-12 * np.abs(alpha)
+    deltas = alpha[finite] / beta[finite]
+    return deltas[np.abs(deltas.imag) <= 1e-6 * np.abs(deltas)].real
+
+
+def candidates(sys):
+    eigs, V = np.linalg.eig(sys.A)
+    return robust._crossings(sys, eigs, V, np.linalg.inv(V))
+
+
+def assert_same_set(got, ref, bound):
+    """Every value of ``got`` and ``ref`` within ``bound`` in magnitude has
+    a partner in the other set within 1e-7 relative."""
+    for a, b in ((got, ref), (ref, got)):
+        for d in a[np.abs(a) <= bound]:
+            assert np.min(np.abs(b - d)) <= 1e-7 * abs(d), (d, np.sort(b))
+
+
+def test_crossings_match_kronecker_pencil():
+    rng = make_rng(41)
+    systems = [random_wz_system(rng) for _ in range(10)] + list(mission_loops(3, 7))
+    crossing = 0
+    for sys in systems:
+        got, ref = candidates(sys), kronecker_crossings(sys)
+        assert_same_set(got, ref, 50.0)
+        crossing += np.any(np.abs(got) <= 50.0)
+    assert crossing >= 8
+    # the mission loops' collapse at delta = -5 is among the candidates
+    assert np.min(np.abs(candidates(systems[-1]) + 5.0)) <= 1e-9
+
+
+def count_scans(monkeypatch):
+    scans = []
+    real = robust._scan_crossing
+
+    def counted(sys, delta_max):
+        scans.append(delta_max)
+        return real(sys, delta_max)
+
+    monkeypatch.setattr(robust, "_scan_crossing", counted)
+    return scans
+
+
+def test_mission_and_random_loops_need_no_scan(monkeypatch):
+    rng = make_rng(42)
+    systems = list(mission_loops(6, 3)) + [random_wz_system(rng) for _ in range(12)]
+    ref = [two_pass_margin(sys, 20.0) for sys in systems]
+    scans = count_scans(monkeypatch)
+    for sys, r in zip(systems, ref):
+        res = robust.mu_real_repeated(sys, delta_max=20.0)
+        assert (res.mu_lower, res.delta_crit) == r
+    assert scans == []
+
+
+def jordan_system():
+    # A = [[-1, 1], [0, -1]] is defective: its eigenvectors are parallel
+    return wz_system([[-1.0, 1.0], [0.0, -1.0]], np.eye(2),
+                     [[0.3, 0.0], [0.1, 0.4]], np.zeros((2, 2)))
+
+
+def feedthrough_system():
+    rng = make_rng(43)
+    sys = random_lfr(rng)
+    assert sys.D[sys.out_slice("z_omega"), sys.in_slice("w_omega")].any()
+    return sys
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(feedthrough_system, id="feedthrough"),
+    pytest.param(jordan_system, id="defective-A"),
+])
+def test_fallback_runs_the_scan(monkeypatch, make):
+    sys = make()
+    ref = two_pass_margin(sys, 20.0)
+    scans = count_scans(monkeypatch)
+    res = robust.mu_real_repeated(sys, delta_max=20.0)
+    assert (res.mu_lower, res.delta_crit) == ref
+    assert ref[1] is not None and len(scans) == 1
+
+
+@pytest.mark.parametrize("patch", [
+    pytest.param(("_threshold", lambda real: lambda sys, sign, c: 0.999 * real(sys, sign, c)),
+                 id="early-threshold"),
+    pytest.param(("_threshold", lambda real: lambda sys, sign, c: real(sys, sign, c) + 1e-8),
+                 id="late-threshold"),
+    pytest.param(("_crossings", lambda real: lambda *args: np.zeros(0)), id="no-candidate"),
+    pytest.param(("_crossings", lambda real: lambda *args: -real(*args)), id="wrong-sign"),
+    # past the true crossing the secant probe itself reads unstable
+    pytest.param(("_crossings", lambda real: lambda *args: 1.5 * real(*args)),
+                 id="late-candidate"),
+])
+def test_failed_certificate_runs_the_scan(monkeypatch, patch):
+    name, wrap = patch
+    cl = next(mission_loops(1, 13))
+    ref = two_pass_margin(cl, 20.0)
+    monkeypatch.setattr(robust, name, wrap(getattr(robust, name)))
+    scans = count_scans(monkeypatch)
+    res = robust.mu_real_repeated(cl, delta_max=20.0)
+    assert (res.mu_lower, res.delta_crit) == ref
+    assert len(scans) == 1

@@ -527,8 +527,7 @@ def test_reach_bound_gap_is_the_stall_residual(cfg, g):
     residual = models._reach_residual(1, g, r, target)
     with pytest.raises(IkNotConverged) as exc:
         sc.dls_solve(residual, np.zeros(10), -sc.JOINT_LIMIT * np.ones(10),
-                     sc.JOINT_LIMIT * np.ones(10), tol=0.5 * sc.REACH_TOL,
-                     max_iter=400)
+                     sc.JOINT_LIMIT * np.ones(10), tol=0.5 * sc.REACH_TOL)
     assert dist - bound == pytest.approx(0.0345948, abs=1e-6)
     assert abs(dist - bound - exc.value.task_error) < 1e-6
 
