@@ -19,12 +19,13 @@ print("26-tile strip first modes [Hz]:", np.round(freqs / (2 * np.pi), 4))
 
 # port-level data for a 4-tile structure docked at tile 3
 lay4 = modal.default_layout(4)
-data = modal.modal_reduce(modal.build_lattice(lay4), output_tile=3, n_modes=4)
+data = modal.modal_reduce(modal.build_lattice(lay4), output_tile=3, n_modes=4,
+                          xi=modal.DEFAULT_DAMPING)
 print("4-tile structure:", data.n_modes, "modes at",
       np.round(data.freqs / (2 * np.pi), 2), "Hz, mass", data.mass, "kg")
 
 # retaining every mode recovers the rigid mass matrix exactly
-full = modal.modal_reduce(modal.build_lattice(lay4), 3, 24)
+full = modal.modal_reduce(modal.build_lattice(lay4), 3, 24, modal.DEFAULT_DAMPING)
 D_P = mb.d_p_matrix(full)
 print("mass completeness |L^T L - D_P|:",
       np.max(np.abs(full.L_P.T @ full.L_P - D_P)))

@@ -18,7 +18,7 @@ state = sc.AssemblyState(2, 1, 1, 0)
 home = (sc.HOME_JOINTS,) * 3
 
 # gains sized on this very state give exact critical damping...
-K_here = models.design_gains(state, home)
+K_here = sc.attitude_gains(models.total_inertia(state, home), cfg.xi_att, cfg.f_att_hz)
 rigid = models.closed_loop(state, home, K_here, rigid=True)
 print("rigid-loop poles (state-matched gains):",
       np.round(np.linalg.eigvals(rigid.A).real, 6),

@@ -41,14 +41,15 @@ from .linss import freq_response, lft_upper
 from .modal import (
     LatticeStiffness,
     TileLayout,
+    _inertia_from_rows,
     build_lattice,
     load_body_file,
 )
 from .multibody import RigidBodyData, residual_mass
 from .pathopt import (
-    ASSEMBLE,
     AssemblyPlanner,
     CostSpec,
+    PlanResult,
     build_node_graphs,
     shortest_path,
 )
@@ -62,14 +63,6 @@ __all__ = ["main", "load_scenario"]
 # scenario files
 # ---------------------------------------------------------------------------
 
-def _inertia(doc, key="inertia_kgm2", convention_key="inertia_convention"):
-    rows = doc[key]
-    (xx, pxy, pxz), (yy, pyz), (zz,) = ([float(v) for v in r] for r in rows)
-    if doc.get(convention_key, "tensor") == "poi":
-        pxy, pxz, pyz = -pxy, -pxz, -pyz
-    return np.array([[xx, pxy, pxz], [pxy, yy, pyz], [pxz, pyz, zz]])
-
-
 def _rigid_body(doc, block):
     """Body from the scenario block ``block`` (``robot.hub`` is named
     ``robot_hub``); bad mass or inertia values are a ``SchemaError`` naming
@@ -79,9 +72,12 @@ def _rigid_body(doc, block):
     if "mass" in doc or "inertia" in doc:
         raise UnitError(f"{block}: use mass_kg / inertia_kgm2 keys")
     try:
-        return RigidBodyData(float(doc["mass_kg"]), _inertia(doc), ports,
-                             name=block.replace(".", "_"))
-    except InvalidModalData as exc:
+        return RigidBodyData(
+            float(doc["mass_kg"]),
+            _inertia_from_rows(doc["inertia_kgm2"],
+                               str(doc.get("inertia_convention", "tensor"))),
+            ports, name=block.replace(".", "_"))
+    except (InvalidModalData, SchemaError) as exc:
         raise SchemaError(f"{block}: {exc}") from exc
 
 
@@ -358,25 +354,12 @@ def cmd_optimize(args) -> int:
 
     _, graph = build_node_graphs(cfg, n)   # walking with a carried tile
     planner.weight_graph(graph, spec)
-    path_w, cost_w = shortest_path(graph, src, dst, "dijkstra")
+    path_w, _ = shortest_path(graph, src, dst, "dijkstra")
     path_u, _ = shortest_path(graph, src, dst, "bfs_unit")
-
-    def evaluate(path):
-        series = []
-        total = 0.0
-        idx = 0
-        for i in range(len(path) - 1):
-            a, b = graph.nodes[path[i]], graph.nodes[path[i + 1]]
-            arr = planner.edge_array(ASSEMBLE, n, a, b)
-            cost, values = planner.edge_values(ASSEMBLE, n, a, b, spec)
-            total += cost
-            for v in values:
-                series.append((idx, float(v), arr.edge_id, "walk"))
-                idx += 1
-        return total, series
-
-    total_w, series_w = evaluate(path_w)
-    total_u, series_u = evaluate(path_u)
+    walk = PlanResult(spec, [planner.stage(graph, path_w, spec)],
+                      [planner.stage(graph, path_u, spec)])
+    series_w = [(i, v, e, "walk") for i, v, e, _ in walk.series]
+    series_u = [(i, v, e, "walk") for i, v, e, _ in walk.series_baseline]
 
     out = args.out
     _series_csv(out, "metrics_weighted", series_w)
@@ -384,12 +367,11 @@ def cmd_optimize(args) -> int:
     _graph_dump(out, graph)
     _compare_plot(out, series_w, series_u, f"{spec.kind} along the walk")
 
-    gap = 100.0 * (total_u - total_w) / total_w if total_w else 0.0
     lines = [f"optimized path:  {' -> '.join(str(graph.nodes[i]) for i in path_w)}",
              f"baseline path:   {' -> '.join(str(graph.nodes[i]) for i in path_u)}",
-             f"cumulative optimized: {total_w:.10e}",
-             f"cumulative baseline:  {total_u:.10e}",
-             f"baseline excess: {gap:.2f}%"]
+             f"cumulative optimized: {walk.cumulative:.10e}",
+             f"cumulative baseline:  {walk.cumulative_baseline:.10e}",
+             f"baseline excess: {walk.improvement_percent:.2f}%"]
     (out / "optimize.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return 0
@@ -458,7 +440,7 @@ def cmd_validate(args) -> int:
 
     try:
         build_lattice(cfg.layout, cfg.tile.mass, cfg.tile.inertia_G,
-                      cfg.stiffness, cfg.pitch)
+                      cfg.stiffness)
         passes.append("layout connected to the clamp")
     except FlexasmError as exc:
         failures.append(f"layout: {exc}")

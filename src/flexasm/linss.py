@@ -627,9 +627,9 @@ def minimal_stable_projection(sys: StateSpace, in_channel: str,
 # ---------------------------------------------------------------------------
 
 def _hamiltonian_imag_crossings(sys: StateSpace, g: float):
-    """Imaginary-axis eigenfrequencies of the H-infinity test Hamiltonian."""
+    """Imaginary-axis eigenfrequencies of the H-infinity test Hamiltonian,
+    sorted and without repeats."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    n = A.shape[0]
     R = g * g * np.eye(sys.n_inputs) - D.T @ D
     Rinv = np.linalg.solve(R, np.eye(sys.n_inputs))
     Ah = A + B @ Rinv @ D.T @ C
@@ -638,9 +638,8 @@ def _hamiltonian_imag_crossings(sys: StateSpace, g: float):
         [-C.T @ (np.eye(sys.n_outputs) + D @ Rinv @ D.T) @ C, -Ah.T],
     ])
     ev = np.linalg.eigvals(H)
-    crossings = [abs(l.imag) for l in ev
-                 if abs(l.real) <= 1e-8 * max(1.0, abs(l.imag))]
-    return sorted(set(np.round(crossings, 12)))
+    keep = np.abs(ev.real) <= 1e-8 * np.maximum(1.0, np.abs(ev.imag))
+    return np.unique(np.round(np.abs(ev.imag[keep]), 12))
 
 
 def _seed_frequencies(eigs):
@@ -801,10 +800,9 @@ def hinf_norm(sys: StateSpace) -> float:
         return 0.0
     for _ in range(_MAX_ROUNDS):
         cross = _hamiltonian_imag_crossings(sys, gamma * (1.0 + 2.0 * HINF_RTOL))
-        if not cross:
+        if not cross.size:
             return gamma
-        ws = np.array(sorted(set(cross) | {0.5 * (lo + hi) for lo, hi
-                                           in zip(cross[:-1], cross[1:])}))
+        ws = np.unique(np.concatenate([cross, 0.5 * (cross[:-1] + cross[1:])]))
         vals = sigma(ws)
         best = _polish(sigma, ws, vals, [int(np.argmax(vals))])
         if best <= gamma:

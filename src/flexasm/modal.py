@@ -101,10 +101,11 @@ class TileLayout:
     def __len__(self):
         return len(self.cells)
 
-    def center(self, tile: int, pitch: float = 1.0) -> np.ndarray:
-        """Center of tile ``tile`` (1-based assembly index), clamp at origin."""
+    def center(self, tile: int) -> np.ndarray:
+        """Center of tile ``tile`` (1-based assembly index), clamp at origin;
+        the cells are 1 m squares."""
         r, c = self.cells[tile - 1]
-        return np.array([(c + 0.5) * pitch, (r + 0.5) * pitch, 0.0])
+        return np.array([c + 0.5, r + 0.5, 0.0])
 
     def head(self, n: int) -> "TileLayout":
         return TileLayout(self.cells[:n], ordered=self.ordered)
@@ -128,13 +129,12 @@ class LatticeStiffness:
     """Inter-tile coupling stiffness [N/m and N m/rad].
 
     Diagonal couplings are softened by ``diag_scale``; the ground springs
-    at the clamp use ``clamp_scale`` times the side values.
+    at the clamp take the side values.
     """
 
     k_trans: float = DEFAULT_K_TRANS
     k_rot: float = 0.25 * DEFAULT_K_TRANS
     diag_scale: float = 0.5
-    clamp_scale: float = 1.0
 
     def element(self, scale: float = 1.0) -> np.ndarray:
         return np.diag([self.k_trans] * 3 + [self.k_rot] * 3) * scale
@@ -154,7 +154,6 @@ class LatticeModel:
     K: np.ndarray
     clamped_dofs: tuple
     tile_map: dict                      # tile id (1-based) -> node index
-    pitch: float = 1.0
 
     @property
     def free_dofs(self) -> np.ndarray:
@@ -165,8 +164,8 @@ class LatticeModel:
 
 
 def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
-                  tile_inertia=None, stiffness: LatticeStiffness = LatticeStiffness(),
-                  pitch: float = 1.0) -> LatticeModel:
+                  tile_inertia=None,
+                  stiffness: LatticeStiffness = LatticeStiffness()) -> LatticeModel:
     """Assemble mass and stiffness matrices for a tile layout.
 
     Springs act on the 6-dof relative motion at the midpoint between the
@@ -178,7 +177,7 @@ def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
         tile_inertia = DEFAULT_TILE_INERTIA
     n = len(layout)
     positions = np.vstack([CLAMP_POINT] +
-                          [CLAMP_POINT + layout.center(t, pitch) for t in range(1, n + 1)])
+                          [CLAMP_POINT + layout.center(t) for t in range(1, n + 1)])
     ndof = 6 * (n + 1)
     M = np.zeros((ndof, ndof))
     for t in range(1, n + 1):
@@ -204,7 +203,7 @@ def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
         B[:, 6 * b:6 * b + 6] = -tb
         K += B.T @ stiffness.element(scale) @ B
 
-    clamp_reach = pitch * np.sqrt(2.0) / 2.0 + 1e-9
+    clamp_reach = np.sqrt(2.0) / 2.0 + 1e-9
     clamped_tiles = [t for t in range(1, n + 1)
                      if np.linalg.norm(positions[t] - CLAMP_POINT) <= clamp_reach]
     for t in clamped_tiles:
@@ -212,7 +211,7 @@ def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
         B = np.zeros((6, ndof))
         B[:, 6 * t:6 * t + 6] = tt
         B[:, 0:6] = -np.eye(6)
-        K += B.T @ stiffness.element(stiffness.clamp_scale) @ B
+        K += B.T @ stiffness.element() @ B
 
     # connectivity: every tile must reach a clamped tile through springs
     if not clamped_tiles:
@@ -234,7 +233,7 @@ def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
         raise DisconnectedLayout(f"tiles {missing} are not connected to the clamp")
 
     return LatticeModel(positions, M, K, tuple(range(6)),
-                        {t: t for t in range(1, n + 1)}, pitch)
+                        {t: t for t in range(1, n + 1)})
 
 
 def clamped_free_modes(model: LatticeModel, n_modes: int):
@@ -273,11 +272,12 @@ def _rigid_transport(model: LatticeModel, point) -> np.ndarray:
 
 
 def modal_reduce(model: LatticeModel, output_tile: int, n_modes: int,
-                 xi_default: float = DEFAULT_DAMPING) -> ModalBodyData:
+                 xi: float) -> ModalBodyData:
     """Condense a lattice into port-level modal data.
 
     The clamp node is the parent port P; ``output_tile`` names the tile
-    whose center acts as the child port C (the docking port).
+    whose center acts as the child port C (the docking port).  Every mode
+    takes the damping ratio ``xi``.
     """
     if output_tile not in model.tile_map:
         raise UnknownPoint(f"tile {output_tile} not in the lattice "
@@ -303,7 +303,7 @@ def modal_reduce(model: LatticeModel, output_tile: int, n_modes: int,
 
     return ModalBodyData(
         mass=mass, com=com, inertia_P=inertia_P,
-        freqs=omegas, dampings=[xi_default] * len(omegas),
+        freqs=omegas, dampings=[xi] * len(omegas),
         L_P=L, phi_C=phi_C, pc=pc,
         name=f"lattice_{len(model.tile_map)}t_port{output_tile}",
     )

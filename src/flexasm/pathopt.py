@@ -206,25 +206,15 @@ class CostSpec:
 class EdgeModelArray:
     """The 2z closed-loop models attached to one graph edge.
 
-    ``leg1`` runs from home to the action pose under the pre-action state,
-    ``leg2`` back home under the post-action one.  ``dock_distance``
-    records the gripped tile's distance to the hub CoM per waypoint.
+    ``systems`` holds leg 1, from home to the action pose under the
+    pre-action state, then leg 2, back home under the post-action one.
+    ``dock_distance`` records the gripped tile's distance to the hub CoM
+    per waypoint.  The planner's cache key names the edge.
     """
 
     edge_id: int
-    kind: str
-    n: int
-    src: tuple
-    dst: object
-    leg1: list
-    leg2: list
+    systems: list
     dock_distance: np.ndarray
-    state_pre: Optional[AssemblyState] = None
-    state_post: Optional[AssemblyState] = None
-
-    @property
-    def systems(self) -> list:
-        return self.leg1 + self.leg2
 
 
 def _leg_systems(models: ScenarioModels, state: AssemblyState, sweeps, z, K_att):
@@ -265,8 +255,6 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
         q_grip, q_reach = models.solve_reach(pre, 3, target)
         sweeps1 = {arm: (HOME_JOINTS, q_grip), 3: (HOME_JOINTS, q_reach)}
         sweeps2 = {arm: (q_grip, HOME_JOINTS), 3: (q_reach, HOME_JOINTS)}
-        leg1 = _leg_systems(models, pre, sweeps1, z, K_att)
-        leg2 = _leg_systems(models, post, sweeps2, z, K_att)
         dock = [float(np.linalg.norm(cfg.tile_center(tile)))] * (2 * z)
     else:
         tile_b, arm_b = dst
@@ -277,13 +265,12 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
         post = AssemblyState(n, tile_b, arm_b, delta_walk)
         sweeps1 = {arm: (HOME_JOINTS, q_grip), arm_b: (HOME_JOINTS, q_reach)}
         sweeps2 = {arm_b: (q_reach, HOME_JOINTS), arm: (q_grip, HOME_JOINTS)}
-        leg1 = _leg_systems(models, pre, sweeps1, z, K_att)
-        leg2 = _leg_systems(models, post, sweeps2, z, K_att)
         dock = ([float(np.linalg.norm(cfg.tile_center(tile)))] * z
                 + [float(np.linalg.norm(cfg.tile_center(tile_b)))] * z)
 
-    return EdgeModelArray(edge_id, kind, n, src, dst, leg1, leg2,
-                          np.asarray(dock), state_pre=pre, state_post=post)
+    systems = (_leg_systems(models, pre, sweeps1, z, K_att)
+               + _leg_systems(models, post, sweeps2, z, K_att))
+    return EdgeModelArray(edge_id, systems, np.asarray(dock))
 
 
 def per_system_metric(sys: StateSpace, spec: CostSpec) -> float:
@@ -335,23 +322,55 @@ class StageLog:
     cost: float
 
 
+def _plan_facts(stages):
+    """``(cumulative, series, mean_dock_distance)`` of a stage list.
+
+    Stage costs add in stage order from 0.0; ``series`` rows are
+    ``(grid_index, value, edge_id, action)`` over every edge's values.
+    """
+    edges = [e for st in stages for e in st.edges]
+    series = [(i, float(v), e.edge_id, e.kind) for i, (e, v) in
+              enumerate((e, v) for e in edges for v in e.values)]
+    dock = [d for e in edges for d in e.dock_distance]
+    return (sum((st.cost for st in stages), 0.0), series,
+            float(np.mean(dock)) if dock else 0.0)
+
+
 @dataclass
 class PlanResult:
-    """Full-assembly plan and its evaluation.
+    """Full-assembly plan: the optimized stages and the baseline's.
 
-    ``series`` rows are ``(grid_index, value, edge_id, action)`` for the
-    optimized plan; the baseline plan's rows sit in ``series_baseline``.
+    The cumulative cost, the per-grid-point ``series`` and the mean dock
+    distance of each plan are derived from its stages.
     """
 
     spec: CostSpec
     stages: list
     stages_baseline: list
-    cumulative: float
-    cumulative_baseline: float
-    series: list
-    series_baseline: list
-    mean_dock_distance: float
-    mean_dock_distance_baseline: float
+
+    @property
+    def cumulative(self) -> float:
+        return _plan_facts(self.stages)[0]
+
+    @property
+    def cumulative_baseline(self) -> float:
+        return _plan_facts(self.stages_baseline)[0]
+
+    @property
+    def series(self) -> list:
+        return _plan_facts(self.stages)[1]
+
+    @property
+    def series_baseline(self) -> list:
+        return _plan_facts(self.stages_baseline)[1]
+
+    @property
+    def mean_dock_distance(self) -> float:
+        return _plan_facts(self.stages)[2]
+
+    @property
+    def mean_dock_distance_baseline(self) -> float:
+        return _plan_facts(self.stages_baseline)[2]
 
     @property
     def improvement_percent(self) -> float:
@@ -406,41 +425,39 @@ class AssemblyPlanner:
         graph.weights = W
         return graph
 
-    def _run_plan(self, spec: CostSpec, start, mode: str):
-        cfg = self.cfg
+    def stage(self, graph: NodeGraph, path, spec: CostSpec) -> StageLog:
+        """Edge logs and cost of one node-index path through ``graph``.
+
+        An edge without an inverse-kinematics solution logs ``edge_id``
+        -1 with no values or distances.
+        """
+        edges = []
+        cost = 0.0
+        for i, k in zip(path, path[1:]):
+            src, dst = graph.nodes[i], graph.nodes[k]
+            arr = self.edge_array(graph.kind, graph.n, src, dst)
+            price, values = self.edge_values(graph.kind, graph.n, src, dst, spec)
+            edge_id, dists = ((-1, np.zeros(0)) if arr is None
+                              else (arr.edge_id, arr.dock_distance))
+            edges.append(EdgeLog(edge_id, graph.kind, graph.n, src, dst,
+                                 values, price, dists))
+            cost += price
+        return StageLog(graph.kind, graph.n, [graph.nodes[i] for i in path],
+                        edges, cost)
+
+    def _run_plan(self, spec: CostSpec, start, mode: str) -> list:
+        """Stages from ``start`` to the full set; ``mode`` is a
+        :func:`shortest_path` search mode."""
         node = start
         stages = []
-        series = []
-        dock = []
-        grid_index = 0
-        cumulative = 0.0
-        for n in range(1, cfg.n_tiles):
-            pick, asm = build_node_graphs(cfg, n)
-            for graph, goal in ((pick, "stack"), (asm, "target")):
+        for n in range(1, self.cfg.n_tiles):
+            for graph, goal in zip(build_node_graphs(self.cfg, n), ("stack", "target")):
                 self.weight_graph(graph, spec)
-                path, _ = shortest_path(graph, node, goal,
-                                        "dijkstra" if mode == "weighted" else "bfs_unit")
-                edges = []
-                stage_cost = 0.0
-                for i in range(len(path) - 1):
-                    src = graph.nodes[path[i]]
-                    dst = graph.nodes[path[i + 1]]
-                    arr = self.edge_array(graph.kind, n, src, dst)
-                    cost, values = self.edge_values(graph.kind, n, src, dst, spec)
-                    edge_id = arr.edge_id if arr is not None else -1
-                    dists = arr.dock_distance if arr is not None else np.zeros(0)
-                    edges.append(EdgeLog(edge_id, graph.kind, n, src, dst,
-                                         values, cost, dists))
-                    stage_cost += cost
-                    for v, d in zip(values, dists):
-                        series.append((grid_index, float(v), edge_id, graph.kind))
-                        dock.append(d)
-                        grid_index += 1
-                cumulative += stage_cost
-                stages.append(StageLog(graph.kind, n, [graph.nodes[i] for i in path],
-                                       edges, stage_cost))
-                node = graph.nodes[path[-2]] if len(path) > 1 else node
-        return stages, cumulative, series, float(np.mean(dock)) if dock else 0.0
+                path, _ = shortest_path(graph, node, goal, mode)
+                stages.append(self.stage(graph, path, spec))
+                if len(path) > 1:
+                    node = graph.nodes[path[-2]]
+        return stages
 
     def plan_full_assembly(self, spec: CostSpec, start=(1, 1)) -> PlanResult:
         """Alternate pickup/assemble stages from one tile to the full set.
@@ -449,7 +466,5 @@ class AssemblyPlanner:
         baseline takes minimum-hop paths and is evaluated under the same
         metric for comparison.
         """
-        stages_w, cum_w, series_w, dock_w = self._run_plan(spec, start, "weighted")
-        stages_u, cum_u, series_u, dock_u = self._run_plan(spec, start, "baseline")
-        return PlanResult(spec, stages_w, stages_u, cum_w, cum_u,
-                          series_w, series_u, dock_w, dock_u)
+        return PlanResult(spec, self._run_plan(spec, start, "dijkstra"),
+                          self._run_plan(spec, start, "bfs_unit"))

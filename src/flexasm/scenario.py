@@ -177,9 +177,7 @@ class ScenarioConfig:
     n_struct_modes: int = 4
     xi_struct: float = DEFAULT_DAMPING
     stiffness: LatticeStiffness = field(default_factory=LatticeStiffness)
-    pitch: float = 1.0
     stack_reach: float = 1.5
-    name: str = "scenario"
 
     def __post_init__(self):
         if not self.n_tiles >= 1:
@@ -226,7 +224,7 @@ class ScenarioConfig:
     # -- geometry helpers (hub frame, G at the origin) ----------------------
 
     def tile_center(self, j: int) -> np.ndarray:
-        return self.hub.offset("P2") + self.layout.center(j, self.pitch)
+        return self.hub.offset("P2") + self.layout.center(j)
 
     def stack_center(self) -> np.ndarray:
         return self.hub.offset("P3") + self.stack_offset
@@ -259,7 +257,7 @@ def table_scenario(n_tiles: int = 4, layout: Optional[TileLayout] = None,
         layout=layout if layout is not None else default_layout(n_tiles),
         arm_geometry=default_arm_geometry(), robot_hub=robot_hub,
         arm_mount_dcms=dict(ARM_MOUNT_DCMS), stack_offset=STACK_OFFSET,
-        z_grid=z_grid, n_struct_modes=n_struct_modes, name=f"table_N{n_tiles}")
+        z_grid=z_grid, n_struct_modes=n_struct_modes)
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -317,7 +315,7 @@ class ScenarioModels:
             if n not in self._lattices:
                 self._lattices[n] = build_lattice(
                     self.cfg.layout.head(n), self.cfg.tile.mass,
-                    self.cfg.tile.inertia_G, self.cfg.stiffness, self.cfg.pitch)
+                    self.cfg.tile.inertia_G, self.cfg.stiffness)
             n_modes = min(self.cfg.n_struct_modes, 6 * n)
             self._modal[key] = modal_reduce(self._lattices[n], j, n_modes,
                                             self.cfg.xi_struct)
@@ -509,18 +507,14 @@ class ScenarioModels:
         return close_loop(self.open_loop(state, qs, rigid=rigid, pinned=pinned),
                           K_att)
 
-    def design_gains(self, state: Optional[AssemblyState] = None,
-                     qs=None) -> np.ndarray:
+    def design_gains(self) -> np.ndarray:
         """Baseline gains sized on the worst-case (largest) inertia state.
 
-        Scans the model family at the home configuration when no state is
-        given; for disturbance rejection the worst case is the heaviest
-        configuration the mission reaches.
+        Scans the model family at the home configuration; for disturbance
+        rejection the worst case is the heaviest configuration the mission
+        reaches.
         """
         home = (HOME_JOINTS,) * 3
-        if state is not None:
-            J = self.total_inertia(state, qs if qs is not None else home)
-            return attitude_gains(J, self.cfg.xi_att, self.cfg.f_att_hz)
         best = None
         for cand in enumerate_model_family(self.cfg.n_tiles):
             J = self.total_inertia(cand, home)

@@ -185,6 +185,21 @@ def test_negative_body_mass_exits_2(tmp_path, capsys, block, fields):
     assert f"error: {block}: " in err and "negative" in err
 
 
+@pytest.mark.parametrize("block, fields", [
+    ("hub", {"hub": {**body(166.0), "inertia_convention": "POI"}}),
+    ("tile", {"tile": {**body(6.0), "inertia_convention": "POI"}}),
+    ("robot.hub", {"robot": {"hub": {**body(10.0), "inertia_convention": "POI"}}}),
+], ids=["hub", "tile", "robot.hub"])
+def test_unknown_inertia_convention_exits_2(tmp_path, capsys, block, fields):
+    # only the lower-case poi|tensor are conventions; anything else is a
+    # schema error naming the block, not a tensor read with flipped products
+    p = write_scenario(tmp_path, **fields)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o",
+                      "full-assembly", "--cost", "h2-theta"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {block}: " in err and "inertia_convention" in err
+
+
 def test_zero_structure_modes_stay_valid(tmp_path):
     cfg, _ = cli.load_scenario(write_scenario(tmp_path, structure={"n_modes": 0}))
     assert cfg.n_struct_modes == 0
@@ -303,6 +318,13 @@ def test_optimize_walk_and_outputs(tmp_path, capsys):
     rows = (out / "metrics_weighted.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == 2 * 2  # one edge, 2z systems
     assert (out / "graph_assemble_n2.csv").exists()
+    # every row is a walking step, and the reported total is their sum
+    cells = [r.split(",") for r in rows[1:]]
+    assert {c[3] for c in cells} == {"walk"}
+    total = next(line for line in text.splitlines()
+                 if line.startswith("cumulative optimized:"))
+    assert float(total.split(":")[1]) == pytest.approx(
+        sum(float(c[1]) for c in cells), rel=1e-9)
 
 
 def test_optimize_hard_cap_unreachable_exits_4(tmp_path):

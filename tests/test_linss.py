@@ -425,7 +425,28 @@ def test_hinf_matches_oracle_tightly_on_mission_loops():
             sys = cl.subsystem([out], [inp])
             norm = linss.hinf_norm(sys)
             assert norm == pytest.approx(peak_gain(sys), rel=1e-9, abs=0.0)
-            assert linss._hamiltonian_imag_crossings(sys, norm * (1.0 + 2e-6)) == []
+            assert linss._hamiltonian_imag_crossings(sys, norm * (1.0 + 2e-6)).size == 0
+
+
+def test_hamiltonian_crossings_match_the_loop_filter(monkeypatch):
+    # the array filter keeps, rounds and deduplicates exactly the
+    # eigenvalues a per-eigenvalue loop keeps
+    spectra = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda H: spectra.append(eigvals(H)) or spectra[-1])
+    found = 0
+    for cl in mission_loops(4, 5):
+        for inp, out in (("W_ext", "omega_dot_G"), ("d_t", "e_t")):
+            sys = cl.subsystem([out], [inp])
+            norm = linss.hinf_norm(sys)
+            for level in (0.5 * norm, 0.9 * norm, norm * (1.0 + 2e-6)):
+                got = linss._hamiltonian_imag_crossings(sys, level)
+                loop = [abs(l.imag) for l in spectra[-1]
+                        if abs(l.real) <= 1e-8 * max(1.0, abs(l.imag))]
+                assert got.tolist() == sorted(set(np.round(loop, 12)))
+                found += got.size
+    assert found > 0
 
 
 @pytest.mark.parametrize("k", range(3))

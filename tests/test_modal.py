@@ -136,7 +136,7 @@ def test_default_stiffness_calibration():
 
 def test_reduce_single_tile_rigid_block():
     m = modal.build_lattice(modal.TileLayout([(0, 0)]))
-    data = modal.modal_reduce(m, 1, 0)
+    data = modal.modal_reduce(m, 1, 0, modal.DEFAULT_DAMPING)
     assert data.n_modes == 0
     assert data.mass == pytest.approx(6.0423)
     assert np.allclose(data.com, [0.5, 0.5, 0.0])
@@ -148,11 +148,11 @@ def test_reduce_single_tile_rigid_block():
 def test_reduce_mass_completeness_with_all_modes():
     lay = modal.default_layout(4)
     m = modal.build_lattice(lay)
-    data = modal.modal_reduce(m, 3, 24)
+    data = modal.modal_reduce(m, 3, 24, modal.DEFAULT_DAMPING)
     D_P = mb.d_p_matrix(data)
     assert np.max(np.abs(data.L_P.T @ data.L_P - D_P)) < 1e-8 * np.max(np.abs(D_P))
     # truncation keeps the residual positive semidefinite
-    trunc = modal.modal_reduce(m, 3, 6)
+    trunc = modal.modal_reduce(m, 3, 6, modal.DEFAULT_DAMPING)
     ev = np.linalg.eigvalsh(mb.residual_mass(trunc))
     assert ev.min() > -1e-10 * max(1.0, ev.max())
     assert trunc.validate() == []
@@ -161,7 +161,7 @@ def test_reduce_mass_completeness_with_all_modes():
 def test_reduce_unknown_tile():
     m = modal.build_lattice(modal.TileLayout([(0, 0)]))
     with pytest.raises(UnknownPoint):
-        modal.modal_reduce(m, 9, 0)
+        modal.modal_reduce(m, 9, 0, modal.DEFAULT_DAMPING)
 
 
 def test_reduce_stiff_limit_matches_rigid_two_port():
@@ -170,7 +170,7 @@ def test_reduce_stiff_limit_matches_rigid_two_port():
         k_trans=modal.DEFAULT_K_TRANS * 1e6,
         k_rot=0.25 * modal.DEFAULT_K_TRANS * 1e6)
     m = modal.build_lattice(lay, stiffness=stiff)
-    data = modal.modal_reduce(m, 2, 12)
+    data = modal.modal_reduce(m, 2, 12, modal.DEFAULT_DAMPING)
     flex = mb.titop_two_port(data)
 
     # composite rigid body clamped at the same port

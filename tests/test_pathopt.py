@@ -144,10 +144,25 @@ def test_cost_spec_validation():
         po.CostSpec("mu", hard_cap=float("nan"))
 
 
+def same_system(a, b) -> bool:
+    return (all(np.array_equal(getattr(a, m), getattr(b, m)) for m in "ABCD")
+            and a.in_channels == b.in_channels and a.out_channels == b.out_channels)
+
+
+def assert_legs_run_home(planner, arr, pre, post):
+    # leg 1 leaves home under the pre-action state, leg 2 ends there under
+    # the post-action one
+    home = (sc.HOME_JOINTS,) * 3
+    closed = planner.models.closed_loop
+    assert same_system(arr.systems[0], closed(pre, home, planner.K_att))
+    assert same_system(arr.systems[-1], closed(post, home, planner.K_att))
+
+
 def test_edge_cost_sums_and_hard_cap(planner):
     arr = planner.edge_array("pickup", 1, (1, 1), "stack")
     assert len(arr.systems) == 2 * planner.cfg.z_grid
-    assert arr.state_pre.delta == 0 and arr.state_post.delta == 1
+    assert_legs_run_home(planner, arr, sc.AssemblyState(1, 1, 1, 0),
+                         sc.AssemblyState(1, 1, 1, 1))
     spec = po.CostSpec("hinf-wrench")
     cost, values = po.edge_cost(arr, spec)
     assert cost == pytest.approx(np.sum(values))
@@ -161,8 +176,7 @@ def test_identical_systems_cost_is_multiple(planner):
     arr = planner.edge_array("pickup", 1, (1, 1), "stack")
     sys0 = arr.systems[0]
     z = planner.cfg.z_grid
-    clone = po.EdgeModelArray(0, "pickup", 1, (1, 1), "stack",
-                              [sys0] * z, [sys0] * z, np.zeros(2 * z))
+    clone = po.EdgeModelArray(0, [sys0] * (2 * z), np.zeros(2 * z))
     spec = po.CostSpec("hinf-wrench")
     cost, values = po.edge_cost(clone, spec)
     assert np.allclose(values, values[0])
@@ -171,8 +185,8 @@ def test_identical_systems_cost_is_multiple(planner):
 
 def test_assemble_edge_grows_structure(planner):
     arr = planner.edge_array("assemble", 1, (1, 1), "target")
-    assert arr.state_pre.n == 1 and arr.state_pre.delta == 1
-    assert arr.state_post.n == 2 and arr.state_post.delta == 0
+    assert_legs_run_home(planner, arr, sc.AssemblyState(1, 1, 1, 1),
+                         sc.AssemblyState(2, 1, 1, 0))
 
 
 def test_walk_edge_requires_arm_swap(planner):
