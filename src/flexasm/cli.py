@@ -99,14 +99,21 @@ def _arm_geometry(doc) -> ArmGeometry:
     )
 
 
+# every top-level key load_scenario reads; ``name`` labels the file only
+SCENARIO_KEYS = frozenset({
+    "name", "seed", "n_tiles", "z_grid", "layout", "controller", "uncertainty",
+    "structure", "hub", "tile", "robot", "solar_array_file"})
+
+
 def load_scenario(path) -> tuple:
     """Read a scenario file; returns ``(ScenarioConfig, seed)``.
 
     Files start from the published-table defaults and override only the
     blocks they name, so a minimal scenario is just ``n_tiles`` and grid
     settings; ``robot.mount_dcms`` overrides only the arms (``A1``..``A3``)
-    it names.  Quantities carry unit suffixes (kg, m, hz, kgm2).  Bad
-    values raise ``SchemaError`` while the scenario is built.
+    it names.  Quantities carry unit suffixes (kg, m, hz, kgm2).  A
+    top-level key outside ``SCENARIO_KEYS`` (a misspelling would silently
+    keep a default) and bad values raise ``SchemaError``.
     """
     path = Path(path)
     try:
@@ -117,6 +124,10 @@ def load_scenario(path) -> tuple:
         raise ParseError(f"cannot parse scenario {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: scenario must be a mapping")
+    unknown = sorted(map(str, set(doc) - SCENARIO_KEYS))
+    if unknown:
+        raise SchemaError(f"{path}: unknown top-level keys {unknown}; "
+                          f"known keys are {sorted(SCENARIO_KEYS)}")
 
     try:
         n_tiles = int(doc.get("n_tiles", 4))
@@ -416,10 +427,11 @@ def cmd_validate(args) -> int:
         cfg, _ = load_scenario(args.scenario)
     except ParseError:
         raise                       # unreadable input: configuration error
-    except (SchemaError, UnitError, FlexasmError) as exc:
+    except FlexasmError as exc:
+        # the exit code the other commands give the same file
         print(f"FAIL  {exc}")
         print("validate: 0 pass, 0 warn, 1 fail")
-        return 3
+        return 2 if isinstance(exc, (SchemaError, UnitError)) else 3
 
     def check(name, ok):
         (passes if ok else failures).append(name)

@@ -8,10 +8,13 @@ k-1 about ``axes[k-1]``.
 
 :func:`link_poses` expresses a chain from either end: ``base="J0"`` for
 an arm standing on the structure, ``base="J6"`` for an arm hanging off
-the robot hub.  The locked robot's mass matrix
-(:meth:`flexasm.scenario.ScenarioModels.robot_mass_matrix`) stacks every
-link from these poses, and the walking IK (``ScenarioModels.solve_reach``)
-descends with :func:`dls_solve`.
+the robot hub; it also poses a ``(k, 5)`` stack of joint vectors in one
+pass, each row with the bits of posing it alone.  The locked robot's mass
+matrix (:meth:`flexasm.scenario.ScenarioModels.robot_mass_matrix`) stacks
+every link from these poses, and the walking IK
+(``ScenarioModels.solve_reach``) descends with :func:`dls_solve` on a
+stacked residual: the forward-difference Jacobian's perturbed rows are
+posed in one call.
 
 Published link data gives masses, CoMs and inertias but no joint
 offsets; the default geometry places each joint pair symmetrically about
@@ -33,7 +36,6 @@ from .multibody import skew
 __all__ = [
     "ArmGeometry",
     "default_arm_geometry",
-    "validate_joints",
     "link_poses",
     "fixed_anchor",
     "dls_solve",
@@ -127,14 +129,6 @@ def default_arm_geometry() -> ArmGeometry:
     )
 
 
-def validate_joints(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(5)
-    # written so that NaN fails the comparison too
-    if not np.all(np.abs(q) <= JOINT_LIMIT + 1e-12):
-        raise JointOutOfRange(f"joint angles {q} must be finite and within +-2*pi")
-    return q
-
-
 # ---------------------------------------------------------------------------
 # kinematics
 # ---------------------------------------------------------------------------
@@ -144,32 +138,41 @@ def link_poses(geom: ArmGeometry, q, base: str = "J0"):
 
     Returns ``(joints, rotations)``: the seven joint positions J0..J6 as a
     (7, 3) array and the six rotation matrices mapping link-frame
-    coordinates into the base frame as a (6, 3, 3) array.
+    coordinates into the base frame as a (6, 3, 3) array.  A ``(k, 5)``
+    stack of joint vectors is posed in one pass and returns ``(k, 7, 3)``
+    and ``(k, 6, 3, 3)``; each row carries the same bits as posing that
+    row alone.
 
     Each joint rotation is built raw, ``I + sin(a) K + (1 - cos a) K^2``
     with the geometry's precomputed ``K`` and ``K^2``: the same arithmetic
     as :func:`~flexasm.multibody.dcm_about_axis` without constructing and
-    re-validating a :class:`~flexasm.multibody.Dcm` per joint.  The angles
-    are checked once, by :func:`validate_joints`.
+    re-validating a :class:`~flexasm.multibody.Dcm` per joint.  Angles
+    outside +-2*pi, or not finite, raise :class:`JointOutOfRange`.
     """
-    q = validate_joints(q)
-    sin = np.array([math.sin(a) for a in q])[:, None, None]
-    vers = np.array([1.0 - math.cos(a) for a in q])[:, None, None]
+    q = np.asarray(q, dtype=float)
+    stacked = q.ndim == 2
+    rows = q.reshape(len(q) if stacked else 1, 5)
+    # written so that NaN fails the comparison too
+    if not np.all(np.abs(rows) <= JOINT_LIMIT + 1e-12):
+        raise JointOutOfRange(f"joint angles {q} must be finite and within +-2*pi")
+    k = len(rows)
+    sin = np.array([math.sin(a) for a in rows.flat]).reshape(k, 5, 1, 1)
+    vers = np.array([1.0 - math.cos(a) for a in rows.flat]).reshape(k, 5, 1, 1)
     turns = _EYE3 + sin * geom.axis_K + vers * geom.axis_KK
-    joints = np.zeros((7, 3))
-    joints[1] = geom.joint_offsets[0]
-    rots = np.empty((6, 3, 3))
-    R = rots[0] = _EYE3
+    joints = np.zeros((k, 7, 3))
+    joints[:, 1] = geom.joint_offsets[0]
+    rots = np.empty((k, 6, 3, 3))
+    R = rots[:, 0] = _EYE3
     for i in range(1, 6):
-        R = rots[i] = R @ turns[i - 1]
-        joints[i + 1] = joints[i] + R @ geom.joint_offsets[i]
+        R = rots[:, i] = R @ turns[:, i - 1]
+        joints[:, i + 1] = joints[:, i] + R @ geom.joint_offsets[i]
     if base == "J6":
-        R6 = rots[-1]
-        joints = (joints - joints[-1]) @ R6
-        rots = R6.T @ rots
+        R6 = rots[:, -1]
+        joints = (joints - joints[:, -1:]) @ R6
+        rots = np.swapaxes(R6, 1, 2)[:, None] @ rots
     elif base != "J0":
         raise ValueError(f"base must be 'J0' or 'J6', got {base!r}")
-    return joints, rots
+    return (joints, rots) if stacked else (joints[0], rots[0])
 
 
 def fixed_anchor(geom: ArmGeometry):
@@ -191,11 +194,14 @@ def fixed_anchor(geom: ArmGeometry):
 
 
 def dls_solve(residual: Callable, q0, lower, upper, tol: float):
-    """Damped least-squares descent on a residual vector.
+    """Damped least-squares descent on a stacked residual.
 
-    Levenberg-Marquardt flavor: the damping grows when a step fails to
-    shrink the error and relaxes otherwise.  The Jacobian comes from
-    forward differences; joint values are clipped to the bounds.  Raises
+    ``residual`` maps a ``(k, dof)`` stack of joint vectors to the
+    ``(k, m)`` stack of their residual vectors.  Levenberg-Marquardt
+    flavor: the damping grows when a step fails to shrink the error and
+    relaxes otherwise.  The Jacobian comes from forward differences, all
+    ``dof`` perturbed rows in one residual call; each line-search step is a
+    one-row stack.  Joint values are clipped to the bounds.  Raises
     :class:`IkNotConverged` when the error stays above ``tol`` for
     ``MAX_ITER`` iterations or stops improving for ``STALL_ITERS`` (so
     alternative seeds can be tried cheaply); only improving steps are
@@ -206,18 +212,18 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float):
     upper = np.asarray(upper, dtype=float)
     h = 1e-6
     lam = DLS_DAMPING
-    e = np.asarray(residual(q), dtype=float)
+    e = np.asarray(residual(q[None]), dtype=float)[0]
     en = float(np.linalg.norm(e))
     best = en
     since_best = 0
     for _ in range(MAX_ITER):
         if en < tol:
             return q
-        J = np.zeros((e.size, q.size))
-        for k in range(q.size):
-            dq = np.array(q)
-            dq[k] += h
-            J[:, k] = (np.asarray(residual(dq)) - e) / h
+        # row k is q with h added to joint k
+        dq = np.repeat(q[None], q.size, axis=0)
+        dq.flat[::q.size + 1] += h
+        # C-contiguous, as J @ J.T below reads it
+        J = np.ascontiguousarray(((np.asarray(residual(dq)) - e) / h).T)
         for _ in range(10):
             step = J.T @ np.linalg.solve(
                 J @ J.T + lam * lam * np.eye(e.size), -e)
@@ -225,7 +231,7 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float):
             if nrm > 0.6:
                 step *= 0.6 / nrm
             q_new = np.clip(q + step, lower, upper)
-            e_new = np.asarray(residual(q_new), dtype=float)
+            e_new = np.asarray(residual(q_new[None]), dtype=float)[0]
             en_new = float(np.linalg.norm(e_new))
             if en_new < en:
                 lam = max(lam / 3.0, 1e-5)

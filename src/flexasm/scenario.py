@@ -448,9 +448,11 @@ class ScenarioModels:
 
         M, o = place(*mounts["hub"])
         parts.append((cfg.robot_hub.mass, o, cfg.robot_hub.inertia_G, M))
-        for k in (3 - state.arm, 3):
+        hanging = (3 - state.arm, 3)
+        poses = link_poses(geom, np.array([qs[k - 1] for k in hanging], dtype=float),
+                           base="J6")
+        for k, joints_k, rots_k in zip(hanging, *poses):
             M, o = place(*mounts[k])
-            joints_k, rots_k = link_poses(geom, qs[k - 1], base="J6")
             coms = o + _link_coms(geom, joints_k, rots_k) @ M.T
             parts.append((geom.masses, coms, geom.inertias, M @ rots_k))
         if state.delta == 1:
@@ -591,16 +593,22 @@ class ScenarioModels:
         return self._bounds[key]
 
     def _reach_residual(self, j: int, g: int, reach_arm: int, target_world):
-        """Tip-minus-target residual of the 10-vector ``(q_grip, q_reach)``."""
+        """Tip-minus-target residuals of a ``(k, 10)`` stack of
+        ``(q_grip, q_reach)`` rows, as a ``(k, 3)`` stack.
+
+        Each arm's rows are posed in one :func:`link_poses` call.  The
+        matrix-vector products are taken as ``(R @ v[:, :, None])[..., 0]``,
+        which gives every row the bits of posing it alone."""
         geom = self.cfg.arm_geometry
         base_world = self.cfg.tile_center(j)
         R, p = self._mounts[g][reach_arm]
 
         def residual(q10):
-            joints_g, rots_g = link_poses(geom, q10[:5], base="J0")
-            joints_r, _ = link_poses(geom, q10[5:], base="J6")
-            return (base_world + joints_g[6] + rots_g[5] @ (p + R @ joints_r[0])
-                    - target_world)
+            joints_g, rots_g = link_poses(geom, q10[:, :5], base="J0")
+            joints_r, _ = link_poses(geom, q10[:, 5:], base="J6")
+            tip_r = p + (R @ joints_r[:, 0, :, None])[..., 0]
+            return (base_world + joints_g[:, 6]
+                    + (rots_g[:, 5] @ tip_r[:, :, None])[..., 0] - target_world)
 
         return residual
 

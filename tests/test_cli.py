@@ -200,6 +200,32 @@ def test_unknown_inertia_convention_exits_2(tmp_path, capsys, block, fields):
     assert f"error: {block}: " in err and "inertia_convention" in err
 
 
+@pytest.mark.parametrize("command", [["full-assembly", "--cost", "h2-theta"],
+                                     ["validate"]], ids=["full-assembly", "validate"])
+def test_unknown_top_level_key_exits_2(tmp_path, capsys, command):
+    # a misspelled key would otherwise keep its default silently
+    p = write_scenario(tmp_path, z_grd=3)
+    with pytest.raises(cli.SchemaError, match="z_grd"):
+        cli.load_scenario(p)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", *command]) == 2
+    captured = capsys.readouterr()
+    assert "z_grd" in (captured.out if command == ["validate"] else captured.err)
+
+
+def test_scenario_name_and_seed_keys_load(tmp_path):
+    cfg, seed = cli.load_scenario(write_scenario(tmp_path, name="strip", seed=5))
+    assert cfg.n_tiles == 2
+    assert seed == 5
+
+
+def test_validate_reports_schema_error_as_fail_and_exits_2(tmp_path, capsys):
+    p = write_scenario(tmp_path, hub={**body(166.0), "inertia_convention": "POI"})
+    assert run(["--scenario", p, "--out", tmp_path / "o", "validate"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  hub: " in out and "inertia_convention" in out
+    assert "validate: 0 pass, 0 warn, 1 fail" in out
+
+
 def test_zero_structure_modes_stay_valid(tmp_path):
     cfg, _ = cli.load_scenario(write_scenario(tmp_path, structure={"n_modes": 0}))
     assert cfg.n_struct_modes == 0
@@ -257,7 +283,8 @@ def test_validate_fails_on_zero_damping_body(tmp_path):
     }
     (tmp_path / "bad_array.yaml").write_text(yaml.safe_dump(bad_body))
     p = write_scenario(tmp_path, solar_array_file="bad_array.yaml")
-    assert run(["--scenario", p, "--out", tmp_path, "validate"]) == 3
+    # a schema error in a referenced body file: exit 2, as full-assembly
+    assert run(["--scenario", p, "--out", tmp_path, "validate"]) == 2
 
 
 def test_validate_fails_on_detached_layout(tmp_path):

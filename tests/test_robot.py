@@ -71,8 +71,6 @@ def test_joint_range_enforced():
 def test_non_finite_joints_rejected(bad):
     geom = robot.default_arm_geometry()
     q = [0.1, bad, 0.0, 0.0, 0.0]
-    with pytest.raises(JointOutOfRange):
-        robot.validate_joints(q)
     for base in ("J0", "J6"):
         with pytest.raises(JointOutOfRange):
             robot.link_poses(geom, q, base)
@@ -114,6 +112,34 @@ def test_link_poses_match_dcm_chain_oracle():
                 assert len(rots) == 6
                 for r, ref in zip(rots, ref_rots):
                     assert np.array_equal(r, ref)
+
+
+@pytest.mark.parametrize("base", ["J0", "J6"])
+def test_stacked_link_poses_equal_row_by_row_oracle(base):
+    # a (k, 5) stack poses every row with the bits of the one-vector form,
+    # which the dcm chain oracle pins bitwise above
+    rng = make_rng(12)
+    default = robot.default_arm_geometry()
+    skewed = robot.ArmGeometry(default.joint_offsets, rng.standard_normal((5, 3)),
+                               default.masses, default.coms, default.inertias)
+    for geom in (default, skewed):
+        for k in (1, 2, 10):
+            Q = rng.uniform(-robot.JOINT_LIMIT, robot.JOINT_LIMIT, (k, 5))
+            joints, rots = robot.link_poses(geom, Q, base)
+            assert joints.shape == (k, 7, 3)
+            assert rots.shape == (k, 6, 3, 3)
+            for q, J, R in zip(Q, joints, rots):
+                ref_joints, ref_rots = oracle_link_poses(geom, q, base)
+                assert J.tobytes() == np.asarray(ref_joints).tobytes()
+                assert R.tobytes() == np.asarray(ref_rots).tobytes()
+
+
+def test_stacked_link_poses_reject_any_bad_row():
+    geom = robot.default_arm_geometry()
+    Q = np.zeros((3, 5))
+    Q[2, 4] = np.nan
+    with pytest.raises(JointOutOfRange):
+        robot.link_poses(geom, Q)
 
 
 # ---------------------------------------------------------------------------

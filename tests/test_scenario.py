@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
-from flexasm import linss
+from flexasm import linss, robot
 from flexasm import scenario as sc
 from flexasm.errors import (IkNotConverged, IkUnreachable, MissingStructureData,
                             StateInvalid, WidthMismatch)
-from flexasm.multibody import apply_frame, dcm_about_axis, rigid_mass_matrix
+from flexasm.multibody import (apply_frame, compose_rigid, dcm_about_axis,
+                               port_mass_matrix, rigid_mass_matrix,
+                               transport_inertia)
 from flexasm.robot import default_arm_geometry, link_poses
 
 from conftest import make_rng, mission_states
@@ -220,6 +222,43 @@ def test_robot_block_matches_arm_chain_cluster(cfg, which):
                 D_ref = ref.D[ref.out_slice("W_C"), :][:, ref.in_slice("xdd_C")]
                 err = np.max(np.abs(-models.robot_mass_matrix(st, qs) - D_ref))
                 assert err <= 1e-10 * np.max(np.abs(D_ref)), (which, st, err)
+
+
+def robot_parts_per_arm(models, state, qs):
+    """``ScenarioModels._robot_parts`` posing each arm in its own
+    ``link_poses`` call: the oracle for the stacked hanging arms."""
+    cfg = models.cfg
+    geom = cfg.arm_geometry
+    mounts = models._mounts[state.arm]
+    joints, rots = link_poses(geom, qs[state.arm - 1], base="J0")
+    parts = [(geom.masses, sc._link_coms(geom, joints, rots), geom.inertias,
+              rots)]
+
+    def place(R, p):
+        return rots[5] @ R, joints[6] + rots[5] @ p
+
+    M, o = place(*mounts["hub"])
+    parts.append((cfg.robot_hub.mass, o, cfg.robot_hub.inertia_G, M))
+    for k in (3 - state.arm, 3):
+        M, o = place(*mounts[k])
+        joints_k, rots_k = link_poses(geom, qs[k - 1], base="J6")
+        coms = o + sc._link_coms(geom, joints_k, rots_k) @ M.T
+        parts.append((geom.masses, coms, geom.inertias, M @ rots_k))
+    if state.delta == 1:
+        parts.append((cfg.tile.mass, o + M @ joints_k[0],
+                      cfg.tile.inertia_G, M @ rots_k[0]))
+    return parts
+
+
+@pytest.mark.parametrize("which", ["table", "skewed"])
+def test_robot_mass_matrix_equals_per_arm_poses_bitwise(cfg, which):
+    if which == "skewed":
+        cfg = skewed_robot_scenario()
+    models = sc.ScenarioModels(cfg)
+    for state, qs in mission_states(12, 31):
+        m, c, J_com = compose_rigid(robot_parts_per_arm(models, state, qs))
+        ref = port_mass_matrix(m, c, transport_inertia(J_com, m, c))
+        assert models.robot_mass_matrix(state, qs).tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +569,100 @@ def test_reach_bound_gap_is_the_stall_residual(cfg, g):
                      sc.JOINT_LIMIT * np.ones(10), tol=0.5 * sc.REACH_TOL)
     assert dist - bound == pytest.approx(0.0345948, abs=1e-6)
     assert abs(dist - bound - exc.value.task_error) < 1e-6
+
+
+def row_by_row_residual(models, j, g, reach_arm, target_world):
+    """The reach residual one row per ``link_poses`` pair, each row in the
+    matrix-vector form of a single joint vector: the oracle for the
+    stacked residual."""
+    geom = models.cfg.arm_geometry
+    base_world = models.cfg.tile_center(j)
+    R, p = models._mounts[g][reach_arm]
+
+    def one(q10):
+        joints_g, rots_g = link_poses(geom, q10[:5], base="J0")
+        joints_r, _ = link_poses(geom, q10[5:], base="J6")
+        return (base_world + joints_g[6] + rots_g[5] @ (p + R @ joints_r[0])
+                - target_world)
+
+    return lambda rows: np.array([one(q) for q in rows])
+
+
+def column_by_column_dls_solve(residual, q0, lower, upper, tol):
+    """``robot.dls_solve`` with its Jacobian taken one residual call per
+    perturbed joint; ``residual`` maps one row to one residual vector.
+    The oracle for the stacked descent."""
+    q = np.clip(np.array(q0, dtype=float), lower, upper)
+    h, lam = 1e-6, robot.DLS_DAMPING
+    e = residual(q)
+    en = best = float(np.linalg.norm(e))
+    since_best = 0
+    for _ in range(robot.MAX_ITER):
+        if en < tol:
+            return q
+        J = np.zeros((e.size, q.size))
+        for k in range(q.size):
+            dq = np.array(q)
+            dq[k] += h
+            J[:, k] = (residual(dq) - e) / h
+        for _ in range(10):
+            step = J.T @ np.linalg.solve(J @ J.T + lam * lam * np.eye(e.size), -e)
+            nrm = np.linalg.norm(step)
+            if nrm > 0.6:
+                step *= 0.6 / nrm
+            q_new = np.clip(q + step, lower, upper)
+            e_new = residual(q_new)
+            en_new = float(np.linalg.norm(e_new))
+            if en_new < en:
+                lam = max(lam / 3.0, 1e-5)
+                break
+            lam *= 5.0
+        else:
+            raise IkNotConverged(f"descent stuck at task error {en:.3e}", en)
+        q, e, en = q_new, e_new, en_new
+        if en < best * (1.0 - 1e-9):
+            best, since_best = en, 0
+        else:
+            since_best += 1
+            if since_best >= robot.STALL_ITERS:
+                raise IkNotConverged(f"stalled at task error {en:.3e}", en)
+    raise IkNotConverged(f"task error {en:.3e} after {robot.MAX_ITER} iterations", en)
+
+
+def test_stacked_reach_residual_equals_row_by_row(cfg):
+    models = sc.ScenarioModels(cfg)
+    rng = make_rng(77)
+    for j, g, r, target in ((1, 1, 3, cfg.stack_center()),
+                            (2, 2, 1, cfg.tile_center(3))):
+        Q = rng.uniform(-3.0, 3.0, (11, 10))
+        got = models._reach_residual(j, g, r, target)(Q)
+        ref = row_by_row_residual(models, j, g, r, target)(Q)
+        assert got.shape == (11, 3)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("r, converges", [
+    (3, True),      # the stack straddle converges from the home seed
+    (2, False),     # the diagonal straddle stalls at the bound gap
+], ids=["converges", "stalls"])
+def test_dls_solve_on_stacked_residual_equals_row_by_row(cfg, r, converges):
+    # same q bits, or the same stall message and task error
+    j, g = 1, 1
+    target = cfg.stack_center() if r == 3 else cfg.tile_center(3)
+    models = sc.ScenarioModels(cfg)
+    args = (np.zeros(10), -sc.JOINT_LIMIT * np.ones(10),
+            sc.JOINT_LIMIT * np.ones(10))
+    rows = row_by_row_residual(models, j, g, r, target)
+    outcomes = []
+    for solve, residual in ((sc.dls_solve, models._reach_residual(j, g, r, target)),
+                            (sc.dls_solve, rows),
+                            (column_by_column_dls_solve, lambda q: rows(q[None])[0])):
+        try:
+            outcomes.append(solve(residual, *args, tol=0.5 * sc.REACH_TOL).tobytes())
+        except IkNotConverged as exc:
+            outcomes.append((str(exc), exc.task_error))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert isinstance(outcomes[0], bytes) == converges
 
 
 def test_target_just_inside_reach_bound_solves(cfg):

@@ -23,7 +23,7 @@ from flexasm.multibody import (Dcm, ModalBodyData, RigidBodyData, apply_frame,
                                dcm_about_axis, mode_freq_lfr, rigid_mass_matrix,
                                rigid_nport, tau_kinematic, titop_one_port,
                                titop_two_port, transport_inertia)
-from flexasm.robot import ArmGeometry, validate_joints
+from flexasm.robot import ArmGeometry
 
 
 def integrator(width, in_name="u", out_name="y"):
@@ -91,7 +91,7 @@ def arm_two_port(geom: ArmGeometry, q, base="J0"):
     the structure, the hub hanging on it at J6); ``base="J6"`` imposes it
     at J6 (the arm hanging off the hub, its tip free or carrying a tile).
     """
-    q = validate_joints(q)
+    q = np.asarray(q, dtype=float).reshape(5)
     rots = [dcm_about_axis(geom.joint_axes[k], q[k]) for k in range(5)]
 
     blocks = []
