@@ -113,7 +113,10 @@ def load_scenario(path) -> tuple:
     settings; ``robot.mount_dcms`` overrides only the arms (``A1``..``A3``)
     it names.  Quantities carry unit suffixes (kg, m, hz, kgm2).  A
     top-level key outside ``SCENARIO_KEYS`` (a misspelling would silently
-    keep a default) and bad values raise ``SchemaError``.
+    keep a default) and bad values raise ``SchemaError``; so does a count
+    (``n_tiles``, ``z_grid``, ``seed``, ``structure.n_modes``,
+    ``uncertainty.mode``) that is not a YAML integer, which ``int()``
+    would truncate.
     """
     path = Path(path)
     try:
@@ -129,8 +132,15 @@ def load_scenario(path) -> tuple:
         raise SchemaError(f"{path}: unknown top-level keys {unknown}; "
                           f"known keys are {sorted(SCENARIO_KEYS)}")
 
+    def integer(block, key, default, label=None):
+        value = block.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(
+                f"{path}: {label or key} must be an integer, got {value!r}")
+        return value
+
     try:
-        n_tiles = int(doc.get("n_tiles", 4))
+        n_tiles = integer(doc, "n_tiles", 4)
         layout = None
         if "layout" in doc:
             layout = TileLayout(tuple(map(tuple, doc["layout"]["cells"])))
@@ -144,10 +154,10 @@ def load_scenario(path) -> tuple:
         if "uncertainty" in doc:
             unc = doc["uncertainty"]
             kw["r_omega"] = float(unc.get("r_omega", 0.2))
-            kw["uncertain_mode"] = int(unc.get("mode", 1)) - 1
+            kw["uncertain_mode"] = integer(unc, "mode", 1, "uncertainty.mode") - 1
         if "structure" in doc:
             s = doc["structure"]
-            kw["n_struct_modes"] = int(s.get("n_modes", 4))
+            kw["n_struct_modes"] = integer(s, "n_modes", 4, "structure.n_modes")
             kw["xi_struct"] = float(s.get("damping", 0.005))
             if "k_trans" in s:
                 kw["stiffness"] = LatticeStiffness(
@@ -184,11 +194,11 @@ def load_scenario(path) -> tuple:
                 ref = cand if cand.exists() else Path(str(data_path(str(ref))))
             array = load_body_file(ref)
         cfg = table_scenario(n_tiles, layout=layout,
-                             z_grid=int(doc.get("z_grid", 7)),
+                             z_grid=integer(doc, "z_grid", 7),
                              array=array, **kw)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    return cfg, int(doc.get("seed", 0))
+    return cfg, integer(doc, "seed", 0)
 
 
 # ---------------------------------------------------------------------------

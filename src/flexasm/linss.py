@@ -32,7 +32,6 @@ from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     IllPosedLoop,
@@ -269,6 +268,18 @@ def _resolve(blocks, ref: str, direction: str):
     raise UnknownChannel(f"block {bname!r} not found for reference {ref!r}")
 
 
+def _block_diag(mats) -> np.ndarray:
+    """Block-diagonal float array of 2-D blocks.  A zero-size block still
+    takes its rows or columns: a (0, m) block adds m empty columns."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    r = c = 0
+    for m in mats:
+        p, q = m.shape
+        out[r:r + p, c:c + q] = m
+        r, c = r + p, c + q
+    return out
+
+
 def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
     """Close a block diagram of labeled systems into one system.
 
@@ -299,17 +310,9 @@ def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate block names in {names}")
 
-    n = sum(b.n_states for _, b in blocks)
     m_all = sum(b.n_inputs for _, b in blocks)
     p_all = sum(b.n_outputs for _, b in blocks)
-    A = sla.block_diag(*[b.A for _, b in blocks]) if blocks else np.zeros((0, 0))
-    B = sla.block_diag(*[b.B for _, b in blocks])
-    C = sla.block_diag(*[b.C for _, b in blocks])
-    D = sla.block_diag(*[b.D for _, b in blocks])
-    A = np.asarray(A, dtype=float).reshape(n, n)
-    B = np.asarray(B, dtype=float).reshape(n, m_all)
-    C = np.asarray(C, dtype=float).reshape(p_all, n)
-    D = np.asarray(D, dtype=float).reshape(p_all, m_all)
+    A, B, C, D = (_block_diag([getattr(b, k) for _, b in blocks]) for k in "ABCD")
 
     S = np.zeros((m_all, p_all))
     for src, dst in wiring:
@@ -562,6 +565,24 @@ def _transfer_batch(sys: StateSpace, ws) -> np.ndarray:
 MODAL_COND_MAX = 1e6
 
 
+def _stable_eig(sys: StateSpace, norm: str):
+    """Poles and eigenvectors of A; a pole with Re >= -STAB_TOL raises
+    :class:`UnstableSystem` naming ``norm``."""
+    eigs, V = np.linalg.eig(sys.A)
+    alpha = float(np.max(eigs.real))
+    if alpha >= -STAB_TOL:
+        raise UnstableSystem(f"{norm} norm of unstable system (abscissa {alpha:.3e})")
+    return eigs, V
+
+
+def _modal_form(sys: StateSpace, V: np.ndarray):
+    """``(C V, V^-1 B)`` in A's eigenbasis, or None when ``cond(V) >=
+    MODAL_COND_MAX`` (a defective or nearly defective A)."""
+    if np.linalg.cond(V) >= MODAL_COND_MAX:
+        return None
+    return sys.C @ V, np.linalg.solve(V, sys.B)
+
+
 def _transfer_kernel(sys: StateSpace, eigs: np.ndarray, V: np.ndarray):
     """Evaluator ``ws -> C (jwI - A)^-1 B + D`` stacked over angular
     frequencies, from the poles ``eigs`` and eigenvectors ``V`` of A.
@@ -572,10 +593,10 @@ def _transfer_kernel(sys: StateSpace, eigs: np.ndarray, V: np.ndarray):
     defective A (``cond(V) >= MODAL_COND_MAX``) falls back to the stacked
     solve ``_transfer_batch``.
     """
-    if np.linalg.cond(V) >= MODAL_COND_MAX:
+    modal = _modal_form(sys, V)
+    if modal is None:
         return partial(_transfer_batch, sys)
-    CV = sys.C @ V
-    VB = np.linalg.solve(V, sys.B)
+    CV, VB = modal
 
     def transfer(ws):
         R = 1.0 / (1j * np.asarray(ws, dtype=float).ravel()[:, None] - eigs)
@@ -777,12 +798,7 @@ def hinf_norm(sys: StateSpace) -> float:
     """
     if sys.n_states == 0:
         return float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
-    eigs, V = np.linalg.eig(sys.A)
-    alpha = float(np.max(eigs.real))
-    if alpha >= -STAB_TOL:
-        raise UnstableSystem(
-            f"H-infinity norm of unstable system (abscissa {alpha:.3e})")
-
+    eigs, V = _stable_eig(sys, "H-infinity")
     transfer = _transfer_kernel(sys, eigs, V)
 
     def sigma(ws):
@@ -815,18 +831,30 @@ def hinf_norm(sys: StateSpace) -> float:
 def h2_norm(sys: StateSpace) -> float:
     """H2 norm sqrt(trace(C P C^T)) with A P + P A^T + B B^T = 0.
 
-    The Lyapunov equation is solved by Schur reduction and back
-    substitution (Bartels-Stewart).  Requires strict stability and zero
-    feedthrough.
+    A is eigendecomposed once, ``A V = V diag(lambda)``: a pole with
+    Re >= -STAB_TOL raises :class:`UnstableSystem`.  When ``cond(V) <
+    MODAL_COND_MAX`` (``_modal_form``, as in ``hinf_norm``) the Gramian is
+    diagonal in the eigenbasis, ``P = V X V^H`` with
+    ``X_ij = -(B~ B~^H)_ij / (lambda_i + conj(lambda_j))``, ``B~ = V^-1 B``,
+    so ``H2^2 = Re sum_ij (C~^H C~)_ji X_ij`` with ``C~ = C V``.  A
+    defective or nearly defective A solves the Kronecker form
+    ``(I (x) A + A (x) I) vec P = -vec(B B^T)`` instead.  Requires strict
+    stability and zero feedthrough.
     """
     if np.max(np.abs(sys.D)) > 1e-12 if sys.D.size else False:
         raise NonzeroFeedthrough("H2 norm needs D = 0 on the selected channel")
     if sys.n_states == 0:
         return 0.0
-    stability = is_stable(sys)
-    if not stability:
-        raise UnstableSystem(
-            f"H2 norm of unstable system (abscissa {stability.spectral_abscissa:.3e})")
-    P = sla.solve_continuous_lyapunov(sys.A, -sys.B @ sys.B.T)
-    val = float(np.trace(sys.C @ P @ sys.C.T))
+    eigs, V = _stable_eig(sys, "H2")
+    modal = _modal_form(sys, V)
+    if modal is not None:
+        Ct, Bt = modal
+        X = -(Bt @ Bt.conj().T) / (eigs[:, None] + eigs.conj()[None, :])
+        val = float(np.sum((Ct.conj().T @ Ct).T * X).real)
+    else:
+        n = sys.n_states
+        eye = np.eye(n)
+        P = np.linalg.solve(np.kron(eye, sys.A) + np.kron(sys.A, eye),
+                            -(sys.B @ sys.B.T).ravel()).reshape(n, n)
+        val = float(np.trace(sys.C @ P @ sys.C.T))
     return float(np.sqrt(max(val, 0.0)))

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import yaml
 
 from .errors import (
@@ -239,8 +238,12 @@ def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
 def clamped_free_modes(model: LatticeModel, n_modes: int):
     """Lowest clamped-free modes: ``K phi = w^2 M phi`` on the free dofs.
 
-    Returns ascending frequencies [rad/s] and mass-normalized shapes
-    (``phi^T M phi = I``) as an ``(n_free, n_modes)`` array.
+    The pencil is reduced to a standard symmetric problem through the
+    Cholesky factor ``M = L L^T``: ``(L^-1 K L^-T) Y = Y diag(w^2)`` and
+    ``phi = L^-T Y``.  Returns ascending frequencies [rad/s] and
+    mass-normalized shapes (``phi^T M phi = I``) as an ``(n_free,
+    n_modes)`` array; each shape's sign is whatever the eigensolver
+    returns.
     """
     free = model.free_dofs
     nf = free.size
@@ -251,13 +254,15 @@ def clamped_free_modes(model: LatticeModel, n_modes: int):
     Kff = model.K[np.ix_(free, free)]
     Mff = model.M[np.ix_(free, free)]
     try:
-        vals, vecs = sla.eigh(Kff, Mff, subset_by_index=[0, n_modes - 1])
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:  # pragma: no cover
+        Linv = np.linalg.inv(np.linalg.cholesky(Mff))
+        vals, Y = np.linalg.eigh(Linv @ Kff @ Linv.T)
+    except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
+    vals = vals[:n_modes]
     if np.any(vals <= 0.0):
         raise EigenFailure(
             f"non-positive eigenvalue {vals.min():.3e}: structure not clamped")
-    return np.sqrt(vals), vecs
+    return np.sqrt(vals), Linv.T @ Y[:, :n_modes]
 
 
 def _rigid_transport(model: LatticeModel, point) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.optimize
 
 from flexasm import linss, pathopt
@@ -44,6 +45,20 @@ def test_interconnect_static_gains_in_series():
     )
     assert sys.n_states == 0
     assert sys.D == pytest.approx(np.array([[6.0]]))
+
+
+def test_block_diag_matches_scipy_bitwise():
+    # zero-size blocks still take their rows or columns: the tile stack of
+    # the open loop has no states
+    rng = make_rng(5)
+    shapes = [(2, 3), (0, 0), (0, 2), (3, 0), (1, 1), (4, 2)]
+    mats = [rng.standard_normal(shape) for shape in shapes]
+    for k in range(1, len(mats) + 1):
+        got = linss._block_diag(mats[:k])
+        want = scipy.linalg.block_diag(*mats[:k])
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert linss._block_diag([]).shape == (0, 0)
 
 
 def test_interconnect_integrator_unity_feedback():
@@ -308,6 +323,14 @@ def test_priced_norms_reject_visible_double_integrator():
             norm(linss.minimal_stable_projection(sys, "u", "y"))
 
 
+@pytest.mark.parametrize("norm", [linss.hinf_norm, linss.h2_norm])
+def test_priced_norms_reject_unstable_pole(norm):
+    # a pole at +1 behind a stable one
+    sys = siso([[-2.0, 0.0], [0.0, 1.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+    with pytest.raises(UnstableSystem, match="abscissa 1.000e"):
+        norm(sys)
+
+
 def test_one_constructor_per_projection(monkeypatch):
     cl = next(mission_loops(1, 4))
     calls = []
@@ -471,8 +494,8 @@ def test_priced_norms_match_unprojected_channel_on_mission_loops():
 
 
 def test_one_state_eigensolve_per_priced_norm(monkeypatch):
-    # hinf_norm takes eigenvectors too (np.linalg.eig), h2_norm only the
-    # poles (np.linalg.eigvals): both are counted
+    # both norms take poles and eigenvectors from one np.linalg.eig; a
+    # further np.linalg.eigvals of A would be counted too
     cl = next(mission_loops(1, 4))
     shapes = []
     for name in ("eig", "eigvals"):
@@ -592,6 +615,37 @@ def test_defective_state_matrix_takes_the_stacked_solve(monkeypatch):
 def test_h2_first_order_analytic():
     # ||1/(s+1)||_2 = sqrt(1/2)
     assert linss.h2_norm(first_order_lag()) == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+
+def kronecker_h2(sys):
+    """H2 norm from the Lyapunov equation solved as one dense Kronecker
+    system, ``(I (x) A + A (x) I) vec P = -vec(B B^T)``."""
+    n = sys.n_states
+    eye = np.eye(n)
+    P = np.linalg.solve(np.kron(eye, sys.A) + np.kron(sys.A, eye),
+                        -(sys.B @ sys.B.T).ravel()).reshape(n, n)
+    return float(np.sqrt(np.trace(sys.C @ P @ sys.C.T)))
+
+
+def test_h2_matches_kronecker_solve_on_mission_loops():
+    # the priced H2 channel of all 24 loops, through the pole-residue form
+    for k, cl in enumerate(mission_loops(24, 7)):
+        sys = cl.subsystem(["Theta_G"], ["W_ext"])
+        assert np.linalg.cond(np.linalg.eig(sys.A)[1]) < linss.MODAL_COND_MAX
+        assert linss.h2_norm(sys) == pytest.approx(kronecker_h2(sys),
+                                                   rel=1e-11, abs=0.0), k
+
+
+def test_h2_defective_state_matrix_takes_the_kronecker_solve(monkeypatch):
+    # ||1 / (s + 1)^2||_2^2 = (1 / 2 pi) int dw / (1 + w^2)^2 = 1 / 4; the
+    # Jordan block's eigenvectors cannot diagonalize the Gramian
+    jordan = siso([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    calls = []
+    kron = np.kron
+    monkeypatch.setattr(linss.np, "kron",
+                        lambda a, b: calls.append(1) or kron(a, b))
+    assert linss.h2_norm(jordan) == pytest.approx(0.5, rel=1e-12)
+    assert len(calls) == 2
 
 
 def test_h2_homogeneity():

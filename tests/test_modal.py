@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import flexasm
 from flexasm import modal
 from flexasm import multibody as mb
+from flexasm import scenario as sc
 from flexasm.errors import (
     DisconnectedLayout,
     EigenFailure,
@@ -115,6 +117,47 @@ def test_modes_single_mass():
 def test_modes_request_too_many():
     with pytest.raises(EigenFailure):
         modal.clamped_free_modes(synthetic_model(np.eye(2), np.eye(2)), 3)
+
+
+def test_modes_singular_mass_is_eigen_failure():
+    # a massless dof has no Cholesky factor
+    with pytest.raises(EigenFailure):
+        modal.clamped_free_modes(synthetic_model(np.diag([1.0, 0.0]), np.eye(2)), 1)
+
+
+def _table_lattice(layout, tile_inertia=None):
+    table = sc.table_scenario(len(layout))
+    return modal.build_lattice(
+        layout, table.tile.mass,
+        table.tile.inertia_G if tile_inertia is None else tile_inertia,
+        table.stiffness)
+
+
+_FULL_INERTIA = np.array([[0.5041, 0.03, -0.02],
+                          [0.03, 0.5041, 0.05],
+                          [-0.02, 0.05, 1.0071]])
+
+
+@pytest.mark.parametrize("n, n_modes, tile_inertia", [
+    (1, 6, None), (2, 12, None), (3, 18, None), (4, 24, None),
+    (28, 24, None),
+    # the one case whose mass matrix, and so its Cholesky factor, is not
+    # diagonal
+    (4, 24, _FULL_INERTIA),
+], ids=["desk1", "desk2", "desk3", "desk4", "table28", "full-inertia"])
+def test_modes_match_generalized_eigensolver(n, n_modes, tile_inertia):
+    model = _table_lattice(modal.default_layout(n), tile_inertia)
+    free = model.free_dofs
+    Kff = model.K[np.ix_(free, free)]
+    Mff = model.M[np.ix_(free, free)]
+    assert (np.count_nonzero(Mff - np.diag(np.diag(Mff))) > 0) == (tile_inertia is not None)
+    w, phi = modal.clamped_free_modes(model, n_modes)
+    vals, vecs = scipy.linalg.eigh(Kff, Mff, subset_by_index=[0, n_modes - 1])
+    assert w == pytest.approx(np.sqrt(vals), rel=1e-10, abs=0.0)
+    assert np.max(np.abs(phi.T @ Mff @ phi - np.eye(n_modes))) < 1e-12
+    # each shape is scipy's, up to one sign per mode
+    sign = np.sign(np.sum(phi * vecs, axis=0))
+    assert np.max(np.abs(phi * sign - vecs)) < 1e-9 * np.max(np.abs(vecs))
 
 
 def test_modes_ascending_positive():
