@@ -67,8 +67,10 @@ def _rigid_body(doc, block):
     """Body from the scenario block ``block`` (``robot.hub`` is named
     ``robot_hub``); bad mass or inertia values are a ``SchemaError`` naming
     the block."""
-    ports = {k: np.asarray(v, dtype=float)
-             for k, v in doc.get("ports_m", {}).items()}
+    ports = doc.get("ports_m", {})
+    if not isinstance(ports, dict):
+        raise SchemaError(f"{block}: ports must be a mapping, got {ports!r}")
+    ports = {k: np.asarray(v, dtype=float) for k, v in ports.items()}
     if "mass" in doc or "inertia" in doc:
         raise UnitError(f"{block}: use mass_kg / inertia_kgm2 keys")
     try:
@@ -113,10 +115,10 @@ def load_scenario(path) -> tuple:
     settings; ``robot.mount_dcms`` overrides only the arms (``A1``..``A3``)
     it names.  Quantities carry unit suffixes (kg, m, hz, kgm2).  A
     top-level key outside ``SCENARIO_KEYS`` (a misspelling would silently
-    keep a default) and bad values raise ``SchemaError``; so does a count
-    (``n_tiles``, ``z_grid``, ``seed``, ``structure.n_modes``,
-    ``uncertainty.mode``) that is not a YAML integer, which ``int()``
-    would truncate.
+    keep a default) and bad values raise ``SchemaError``; so does a block
+    that is not a mapping, and a count (``n_tiles``, ``z_grid``, ``seed``,
+    ``structure.n_modes``, ``uncertainty.mode``) that is not a YAML
+    integer, which ``int()`` would truncate.
     """
     path = Path(path)
     try:
@@ -139,24 +141,31 @@ def load_scenario(path) -> tuple:
                 f"{path}: {label or key} must be an integer, got {value!r}")
         return value
 
+    def mapping(block, key, label=None):
+        value = block[key]
+        if not isinstance(value, dict):
+            raise SchemaError(
+                f"{path}: {label or key} must be a mapping, got {value!r}")
+        return value
+
     try:
         n_tiles = integer(doc, "n_tiles", 4)
         layout = None
         if "layout" in doc:
-            layout = TileLayout(tuple(map(tuple, doc["layout"]["cells"])))
+            layout = TileLayout(tuple(map(tuple, mapping(doc, "layout")["cells"])))
         kw = {}
         if "controller" in doc:
-            ctl = doc["controller"]
+            ctl = mapping(doc, "controller")
             if "freq" in ctl:
                 raise UnitError("controller frequency must be freq_hz")
             kw["xi_att"] = float(ctl.get("xi", 1.0))
             kw["f_att_hz"] = float(ctl.get("freq_hz", 0.01))
         if "uncertainty" in doc:
-            unc = doc["uncertainty"]
+            unc = mapping(doc, "uncertainty")
             kw["r_omega"] = float(unc.get("r_omega", 0.2))
             kw["uncertain_mode"] = integer(unc, "mode", 1, "uncertainty.mode") - 1
         if "structure" in doc:
-            s = doc["structure"]
+            s = mapping(doc, "structure")
             kw["n_struct_modes"] = integer(s, "n_modes", 4, "structure.n_modes")
             kw["xi_struct"] = float(s.get("damping", 0.005))
             if "k_trans" in s:
@@ -167,25 +176,25 @@ def load_scenario(path) -> tuple:
             if "stack_reach_m" in s:
                 kw["stack_reach"] = float(s["stack_reach_m"])
         if "hub" in doc:
-            kw["hub"] = _rigid_body(doc["hub"], "hub")
+            kw["hub"] = _rigid_body(mapping(doc, "hub"), "hub")
         if "tile" in doc:
-            kw["tile"] = _rigid_body(doc["tile"], "tile")
+            kw["tile"] = _rigid_body(mapping(doc, "tile"), "tile")
         if "robot" in doc:
-            rob = doc["robot"]
+            rob = mapping(doc, "robot")
             if "hub" in rob:
+                hub = mapping(rob, "hub", "robot.hub")
                 kw["robot_hub"] = _rigid_body(
-                    {**rob["hub"], "ports_m": rob["hub"].get("mounts_m", {})},
-                    "robot.hub")
+                    {**hub, "ports_m": hub.get("mounts_m", {})}, "robot.hub")
             if "mount_dcms" in rob:
                 dcms = dict(ARM_MOUNT_DCMS)
-                for k, v in rob["mount_dcms"].items():
+                for k, v in mapping(rob, "mount_dcms", "robot.mount_dcms").items():
                     if k not in ("A1", "A2", "A3"):
                         raise SchemaError(f"{path}: mount_dcms names {k!r}; "
                                           "the arms are A1, A2 and A3")
                     dcms[int(k[1])] = np.asarray(v, dtype=float)
                 kw["arm_mount_dcms"] = dcms
             if "arm" in rob:
-                kw["arm_geometry"] = _arm_geometry(rob["arm"])
+                kw["arm_geometry"] = _arm_geometry(mapping(rob, "arm", "robot.arm"))
         array = None
         if "solar_array_file" in doc:
             ref = Path(doc["solar_array_file"])
@@ -365,7 +374,7 @@ def _compare_plot(out_dir: Path, series, series_baseline, title: str):
 def cmd_optimize(args) -> int:
     cfg, _ = load_scenario(args.scenario)
     spec = CostSpec(args.cost, hard_cap=args.hard_cap)
-    planner = AssemblyPlanner(cfg)
+    planner = AssemblyPlanner(cfg, costs=(spec.kind,))
     n = cfg.n_tiles if args.n is None else args.n
     if not 1 <= n <= cfg.n_tiles:
         raise SchemaError(f"--n {n} outside 1..{cfg.n_tiles}")
@@ -402,7 +411,7 @@ def cmd_full_assembly(args) -> int:
     cfg, _ = load_scenario(args.scenario)
     spec = CostSpec(args.cost, hard_cap=args.hard_cap)
     _check_node("--start", args.start, 1)   # the plan starts on one tile
-    planner = AssemblyPlanner(cfg)
+    planner = AssemblyPlanner(cfg, costs=(spec.kind,))
     res = planner.plan_full_assembly(spec, start=args.start)
 
     out = args.out

@@ -131,3 +131,7 @@ class NominalUnstable(FlexasmError):
 
 class Unreachable(FlexasmError):
     """No path exists between the requested graph nodes."""
+
+
+class CostNotPlanned(FlexasmError):
+    """A plan asked for a cost kind its planner was not built to price."""

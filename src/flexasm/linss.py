@@ -98,6 +98,12 @@ def _norm_channels(spec: Iterable, total: int, kind: str):
 
 
 def _ro(a) -> np.ndarray:
+    """Read-only float copy of ``a``.  An array that already is one (read
+    only, float, owning its data: another system's matrix) is kept as it
+    is, since nothing can write to it."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.owndata and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
@@ -114,6 +120,12 @@ class StateSpace:
     in_channels, out_channels:
         Ordered ``(name, width)`` pairs partitioning the input/output
         vectors.  Widths must sum to m and p respectively.
+
+    The eigendecomposition of A (:meth:`eig`) and the ``cond(V) <
+    MODAL_COND_MAX`` gate of the modal kernels are each computed at most
+    once, on first use, and :meth:`subsystem` slices share A and both with
+    their parent: every norm and margin priced on one closed loop reads one
+    ``np.linalg.eig(A)``.
     """
 
     A: np.ndarray
@@ -122,6 +134,7 @@ class StateSpace:
     D: np.ndarray
     in_channels: tuple = field(default=())
     out_channels: tuple = field(default=())
+    _modes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -140,6 +153,7 @@ class StateSpace:
         outs = self.out_channels or ((("y", p),) if p else ())
         object.__setattr__(self, "in_channels", _norm_channels(ins, m, "input"))
         object.__setattr__(self, "out_channels", _norm_channels(outs, p, "output"))
+        object.__setattr__(self, "_modes", {})
 
     # -- basic introspection ------------------------------------------------
 
@@ -184,15 +198,30 @@ class StateSpace:
         return any(c == name for c, _ in self.out_channels)
 
     def subsystem(self, outputs, inputs) -> "StateSpace":
-        """Select the listed output and input channels, in that order
-        (state dimension unchanged)."""
+        """Select the listed output and input channels, in that order.
+
+        The states are unchanged, so the slice keeps this system's A (the
+        same array, not a copy) and shares its cached eigendecomposition
+        and modal gate: whichever of the two computes them first computes
+        them for both.
+        """
         cols = np.concatenate([np.r_[self.in_slice(c)] for c in inputs])
         rows = np.concatenate([np.r_[self.out_slice(c)] for c in outputs])
-        return StateSpace(
+        sub = StateSpace(
             self.A, self.B[:, cols], self.C[rows, :], self.D[np.ix_(rows, cols)],
             tuple((c, self.in_width(c)) for c in inputs),
             tuple((c, self.out_width(c)) for c in outputs),
         )
+        object.__setattr__(sub, "_modes", self._modes)
+        return sub
+
+    def eig(self):
+        """Poles and eigenvectors ``np.linalg.eig(A)``, computed on first
+        use and shared with every :meth:`subsystem` slice."""
+        modes = self._modes
+        if "eig" not in modes:
+            modes["eig"] = np.linalg.eig(self.A)
+        return modes["eig"]
 
     def transfer_at(self, s: complex) -> np.ndarray:
         """Evaluate C (sI - A)^-1 B + D at one complex frequency."""
@@ -566,26 +595,33 @@ MODAL_COND_MAX = 1e6
 
 
 def _stable_eig(sys: StateSpace, norm: str):
-    """Poles and eigenvectors of A; a pole with Re >= -STAB_TOL raises
-    :class:`UnstableSystem` naming ``norm``."""
-    eigs, V = np.linalg.eig(sys.A)
+    """Poles and eigenvectors of A (:meth:`StateSpace.eig`); a pole with
+    Re >= -STAB_TOL raises :class:`UnstableSystem` naming ``norm``."""
+    eigs, V = sys.eig()
     alpha = float(np.max(eigs.real))
     if alpha >= -STAB_TOL:
         raise UnstableSystem(f"{norm} norm of unstable system (abscissa {alpha:.3e})")
     return eigs, V
 
 
-def _modal_form(sys: StateSpace, V: np.ndarray):
-    """``(C V, V^-1 B)`` in A's eigenbasis, or None when ``cond(V) >=
-    MODAL_COND_MAX`` (a defective or nearly defective A)."""
-    if np.linalg.cond(V) >= MODAL_COND_MAX:
+def _modal_form(sys: StateSpace):
+    """``(C V, V^-1 B)`` in the eigenbasis of A (:meth:`StateSpace.eig`),
+    or None when ``cond(V) >= MODAL_COND_MAX`` (a defective or nearly
+    defective A).  The gate is taken once per A and shared with its
+    slices, like the decomposition."""
+    modes = sys._modes
+    V = sys.eig()[1]
+    if "modal" not in modes:
+        modes["modal"] = bool(np.linalg.cond(V) < MODAL_COND_MAX)
+    if not modes["modal"]:
         return None
     return sys.C @ V, np.linalg.solve(V, sys.B)
 
 
-def _transfer_kernel(sys: StateSpace, eigs: np.ndarray, V: np.ndarray):
+def _transfer_kernel(sys: StateSpace):
     """Evaluator ``ws -> C (jwI - A)^-1 B + D`` stacked over angular
-    frequencies, from the poles ``eigs`` and eigenvectors ``V`` of A.
+    frequencies, from the poles ``eigs`` and eigenvectors ``V`` of A
+    (:meth:`StateSpace.eig`).
 
     With ``A V = V diag(eigs)`` the transfer is the pole-residue sum
     ``(C V) diag(1 / (jw - eigs)) (V^-1 B) + D`` (Laub 1981), O(n) per
@@ -593,10 +629,11 @@ def _transfer_kernel(sys: StateSpace, eigs: np.ndarray, V: np.ndarray):
     defective A (``cond(V) >= MODAL_COND_MAX``) falls back to the stacked
     solve ``_transfer_batch``.
     """
-    modal = _modal_form(sys, V)
+    modal = _modal_form(sys)
     if modal is None:
         return partial(_transfer_batch, sys)
     CV, VB = modal
+    eigs = sys.eig()[0]
 
     def transfer(ws):
         R = 1.0 / (1j * np.asarray(ws, dtype=float).ravel()[:, None] - eigs)
@@ -775,7 +812,9 @@ def _polish(sigma, ws: np.ndarray, vals: np.ndarray, idx) -> float:
 def hinf_norm(sys: StateSpace) -> float:
     """Peak gain sup_w sigma_max(G(jw)) by polish-then-certify.
 
-    A is eigendecomposed once: a pole with Re >= -STAB_TOL raises
+    A's eigendecomposition (:meth:`StateSpace.eig`, computed once and
+    shared with the loop the channel was sliced from) gives the stability
+    test: a pole with Re >= -STAB_TOL raises
     :class:`UnstableSystem`, the same poles seed the grid, and poles and
     eigenvectors build the frequency kernel (``_transfer_kernel``: the
     pole-residue form, or the stacked solve when ``cond(V) >=
@@ -798,8 +837,8 @@ def hinf_norm(sys: StateSpace) -> float:
     """
     if sys.n_states == 0:
         return float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
-    eigs, V = _stable_eig(sys, "H-infinity")
-    transfer = _transfer_kernel(sys, eigs, V)
+    eigs, _ = _stable_eig(sys, "H-infinity")
+    transfer = _transfer_kernel(sys)
 
     def sigma(ws):
         return _gram_sigma_max(transfer(ws))
@@ -831,7 +870,9 @@ def hinf_norm(sys: StateSpace) -> float:
 def h2_norm(sys: StateSpace) -> float:
     """H2 norm sqrt(trace(C P C^T)) with A P + P A^T + B B^T = 0.
 
-    A is eigendecomposed once, ``A V = V diag(lambda)``: a pole with
+    A's eigendecomposition ``A V = V diag(lambda)`` is
+    :meth:`StateSpace.eig`, computed once and shared with the loop the
+    channel was sliced from: a pole with
     Re >= -STAB_TOL raises :class:`UnstableSystem`.  When ``cond(V) <
     MODAL_COND_MAX`` (``_modal_form``, as in ``hinf_norm``) the Gramian is
     diagonal in the eigenbasis, ``P = V X V^H`` with
@@ -845,8 +886,8 @@ def h2_norm(sys: StateSpace) -> float:
         raise NonzeroFeedthrough("H2 norm needs D = 0 on the selected channel")
     if sys.n_states == 0:
         return 0.0
-    eigs, V = _stable_eig(sys, "H2")
-    modal = _modal_form(sys, V)
+    eigs, _ = _stable_eig(sys, "H2")
+    modal = _modal_form(sys)
     if modal is not None:
         Ct, Bt = modal
         X = -(Bt @ Bt.conj().T) / (eigs[:, None] + eigs.conj()[None, :])

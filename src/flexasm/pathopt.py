@@ -15,17 +15,27 @@ attitude power, input-sensitivity peak, or the frequency-uncertainty
 margin.  A hard cap turns any offending edge infinite.  Dijkstra then
 picks minimum-cost paths; a unit-weight breadth-first search provides the
 step-count baseline the optimized plans are measured against.
+
+The planner is built for the cost kinds it will plan.  It prices each
+edge's loops under all of them as soon as it builds them, so one
+eigendecomposition per loop serves every kind, and keeps only the prices.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import IkNotConverged, LayoutError, StateInvalid, Unreachable
+from .errors import (
+    CostNotPlanned,
+    IkNotConverged,
+    LayoutError,
+    StateInvalid,
+    Unreachable,
+)
 from .linss import StateSpace, h2_norm, hinf_norm, minimal_stable_projection
 from .robot import quintic_waypoints
 from .robust import mu_real_repeated
@@ -40,6 +50,7 @@ __all__ = [
     "NodeGraph",
     "CostSpec",
     "EdgeModelArray",
+    "EdgePrices",
     "build_node_graphs",
     "shortest_path",
     "grid_edge_models",
@@ -284,6 +295,14 @@ def per_system_metric(sys: StateSpace, spec: CostSpec) -> float:
     return mu_real_repeated(sys).mu_lower
 
 
+def _edge_price(values: np.ndarray, spec: CostSpec) -> float:
+    """Sum of an edge's per-system values, or infinity when any value is
+    beyond the hard cap: Dijkstra treats such an edge as impassable."""
+    if spec.hard_cap is not None and np.any(values > spec.hard_cap):
+        return np.inf
+    return float(np.sum(values))
+
+
 def edge_cost(array: EdgeModelArray, spec: CostSpec):
     """Sum of the per-system metric over the 2z models.
 
@@ -291,10 +310,20 @@ def edge_cost(array: EdgeModelArray, spec: CostSpec):
     whole edge infinite, which Dijkstra treats as impassable.
     """
     values = np.array([per_system_metric(s, spec) for s in array.systems])
-    cost = float(np.sum(values))
-    if spec.hard_cap is not None and np.any(values > spec.hard_cap):
-        cost = np.inf
-    return cost, values
+    return _edge_price(values, spec), values
+
+
+class EdgePrices(NamedTuple):
+    """What the planner keeps of one built edge.
+
+    ``values[k, c]`` is the metric of the edge's k-th closed loop (in
+    :class:`EdgeModelArray` order) under the planner's c-th cost kind;
+    ``dock_distance`` is per loop, as in :class:`EdgeModelArray`.
+    """
+
+    edge_id: int
+    dock_distance: np.ndarray
+    values: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -380,41 +409,62 @@ class PlanResult:
 
 
 class AssemblyPlanner:
-    """Caches edge model arrays and costs across cost specs and searches."""
+    """Plans under the cost kinds ``costs`` it is built for.
 
-    def __init__(self, cfg: ScenarioConfig):
+    Each edge is built once: its 2z closed loops are priced under every
+    planned kind (:func:`edge_cost`, once per kind) and dropped, and the
+    cache keeps an :class:`EdgePrices` per edge.  A loop's channel slices
+    share its eigendecomposition, so one ``eig(A)`` per loop serves every
+    kind.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, costs=COST_KINDS):
         self.cfg = cfg
+        self.costs = tuple(costs)
+        if not self.costs:
+            raise ValueError("a planner needs at least one cost kind")
+        self._specs = tuple(CostSpec(kind) for kind in self.costs)
         self.models = ScenarioModels(cfg)
         self.K_att = self.models.design_gains()
-        self._arrays = {}
-        self._costs = {}
+        self._edges = {}
         self._next_edge_id = 0
 
-    def edge_array(self, kind: str, n: int, src, dst) -> Optional[EdgeModelArray]:
-        """Models for one edge, or None when the straddle is unreachable.
+    def edge_prices(self, kind: str, n: int, src, dst) -> Optional[EdgePrices]:
+        """Prices of one edge under every planned kind, or None when the
+        straddle is unreachable.
 
         An edge whose action pose has no inverse-kinematics solution is a
         hard constraint: it stays in the adjacency but prices to infinity
         (the inferred arm geometry cannot span every diagonal).
         """
         key = (kind, n, src, dst)
-        if key not in self._arrays:
+        if key not in self._edges:
             try:
-                self._arrays[key] = grid_edge_models(
-                    self.models, kind, n, src, dst, self.K_att,
-                    edge_id=self._next_edge_id)
+                arr = grid_edge_models(self.models, kind, n, src, dst, self.K_att,
+                                       edge_id=self._next_edge_id)
             except IkNotConverged:
-                self._arrays[key] = None
+                self._edges[key] = None
+            else:
+                values = np.stack([edge_cost(arr, spec)[1] for spec in self._specs],
+                                  axis=1)
+                self._edges[key] = EdgePrices(arr.edge_id, arr.dock_distance, values)
             self._next_edge_id += 1
-        return self._arrays[key]
+        return self._edges[key]
 
     def edge_values(self, kind: str, n: int, src, dst, spec: CostSpec):
-        key = (kind, n, src, dst, spec.key)
-        if key not in self._costs:
-            arr = self.edge_array(kind, n, src, dst)
-            self._costs[key] = (np.inf, np.zeros(0)) if arr is None \
-                else edge_cost(arr, spec)
-        return self._costs[key]
+        """``(cost, values)`` of one edge under ``spec``, from its stored
+        prices; a spec whose kind the planner was not built for raises
+        :class:`CostNotPlanned`."""
+        if spec.kind not in self.costs:
+            raise CostNotPlanned(f"cost {spec.kind!r} is not planned here; "
+                                 f"the planner prices {list(self.costs)}")
+        rec = self.edge_prices(kind, n, src, dst)
+        if rec is None:
+            return np.inf, np.zeros(0)
+        # a contiguous copy: it sums as edge_cost's values do, and no
+        # caller holds a view into the cache
+        values = np.ascontiguousarray(rec.values[:, self.costs.index(spec.kind)])
+        return _edge_price(values, spec), values
 
     def weight_graph(self, graph: NodeGraph, spec: CostSpec) -> NodeGraph:
         W = np.full_like(graph.adjacency, np.inf, dtype=float)
@@ -435,10 +485,10 @@ class AssemblyPlanner:
         cost = 0.0
         for i, k in zip(path, path[1:]):
             src, dst = graph.nodes[i], graph.nodes[k]
-            arr = self.edge_array(graph.kind, graph.n, src, dst)
             price, values = self.edge_values(graph.kind, graph.n, src, dst, spec)
-            edge_id, dists = ((-1, np.zeros(0)) if arr is None
-                              else (arr.edge_id, arr.dock_distance))
+            rec = self.edge_prices(graph.kind, graph.n, src, dst)
+            edge_id, dists = ((-1, np.zeros(0)) if rec is None
+                              else (rec.edge_id, rec.dock_distance))
             edges.append(EdgeLog(edge_id, graph.kind, graph.n, src, dst,
                                  values, price, dists))
             cost += price

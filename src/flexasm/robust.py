@@ -268,8 +268,9 @@ def mu_upper_bound(sys: StateSpace, delta_crit: Optional[float]) -> float:
 def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
     """Exact real margin for ``delta * I``.
 
-    The nominal loop (``delta = 0``) must be strictly stable; A is
-    eigendecomposed once for that test and for the crossing candidates.
+    The nominal loop (``delta = 0``) must be strictly stable; A's
+    eigendecomposition (:meth:`StateSpace.eig`, shared with the loop's
+    priced channel slices) serves that test and the crossing candidates.
     The first crossing within ``delta_max`` on either sign is bisected (see
     the module docstring); no crossing means ``mu_lower = 0`` and
     ``delta_crit = None``.
@@ -278,7 +279,7 @@ def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
         raise WidthMismatch(f"{W_CHANNEL}/{Z_CHANNEL} widths differ")
     certified = False
     if sys.n_states:
-        eigs, V = np.linalg.eig(sys.A)
+        eigs, V = sys.eig()
         alpha = float(np.max(eigs.real))
         if alpha >= -STAB_TOL:
             raise NominalUnstable(f"nominal system unstable (abscissa {alpha:.3e})")

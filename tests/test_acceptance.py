@@ -351,9 +351,9 @@ def test_ac8_end_to_end_dominance(planner4):
         res = planner4.plan_full_assembly(po.CostSpec(kind))
         assert np.isfinite(res.cumulative), kind
         assert res.cumulative <= res.cumulative_baseline + 1e-9, kind
-        arr0 = next(e for st in res.stages for e in st.edges if e.edge_id >= 0)
-        assert len(planner4.edge_array(arr0.kind, arr0.n, arr0.src,
-                                       arr0.dst).systems) == 14
+        e0 = next(e for st in res.stages for e in st.edges if e.edge_id >= 0)
+        assert planner4.edge_prices(e0.kind, e0.n, e0.src,
+                                    e0.dst).values.shape == (14, len(po.COST_KINDS))
         results[kind] = res
     hw = results["hinf-wrench"]
     assert hw.mean_dock_distance <= hw.mean_dock_distance_baseline + 1e-9

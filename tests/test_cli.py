@@ -234,6 +234,39 @@ def test_non_integer_count_exits_2(tmp_path, capsys, command, fields, key, value
     assert key in (captured.out if command == ["validate"] else captured.err)
 
 
+@pytest.mark.parametrize("fields, block", [
+    ({"structure": 3}, "structure"),
+    ({"uncertainty": 3}, "uncertainty"),
+    ({"hub": 3}, "hub"),
+    ({"tile": 3}, "tile"),
+    ({"controller": 3}, "controller"),
+    ({"layout": 3}, "layout"),
+    ({"robot": 3}, "robot"),
+    ({"robot": {"hub": 3}}, "robot.hub"),
+    ({"robot": {"mount_dcms": 3}}, "robot.mount_dcms"),
+    ({"robot": {"arm": 3}}, "robot.arm"),
+], ids=str)
+@pytest.mark.parametrize("command", [["full-assembly", "--cost", "h2-theta"],
+                                     ["validate"]], ids=["full-assembly", "validate"])
+def test_scalar_block_exits_2(tmp_path, capsys, command, fields, block):
+    # a block read as a mapping is a schema error naming it, not a crash
+    p = write_scenario(tmp_path, **fields)
+    with pytest.raises(cli.SchemaError) as exc:
+        cli.load_scenario(p)
+    assert f"{block} must be a mapping, got 3" in str(exc.value)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", *command]) == 2
+    captured = capsys.readouterr()
+    assert f"{block} must be a mapping" in (
+        captured.out if command == ["validate"] else captured.err)
+
+
+def test_scalar_body_ports_exit_2(tmp_path, capsys):
+    p = write_scenario(tmp_path, hub={**body(166.0), "ports_m": 3})
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o",
+                      "full-assembly", "--cost", "h2-theta"]) == 2
+    assert "error: hub: ports must be a mapping" in capsys.readouterr().err
+
+
 def test_scenario_name_and_seed_keys_load(tmp_path):
     cfg, seed = cli.load_scenario(write_scenario(tmp_path, name="strip", seed=5))
     assert cfg.n_tiles == 2

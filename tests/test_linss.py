@@ -331,6 +331,38 @@ def test_priced_norms_reject_unstable_pole(norm):
         norm(sys)
 
 
+@pytest.mark.parametrize("first", ["parent", "slice"])
+@pytest.mark.parametrize("norm", [linss.hinf_norm, linss.h2_norm])
+def test_slice_of_unstable_system_raises_from_each_norm(norm, first):
+    # the slice reads its parent's decomposition, whoever computed it, and
+    # still runs its own stability test: a pole at +1 behind a stable one
+    sys = linss.StateSpace([[-2.0, 0.0], [0.0, 1.0]], np.eye(2), np.eye(2),
+                           np.zeros((2, 2)), (("u1", 1), ("u2", 1)),
+                           (("y1", 1), ("y2", 1)))
+    sub = sys.subsystem(["y2"], ["u1"])
+    (sys if first == "parent" else sub).eig()
+    with pytest.raises(UnstableSystem, match="abscissa 1.000e"):
+        norm(sub)
+    assert sub.eig() is sys.eig()
+
+
+def test_slices_share_their_parents_decomposition():
+    cl = next(mission_loops(1, 4))
+    eig = np.linalg.eig(cl.A)
+    subs = [linss.minimal_stable_projection(cl, *channels)
+            for channels in PRICED_CHANNELS]
+    # the first slice computes it; the parent and the other slices read it
+    first = subs[0].eig()
+    assert all(np.array_equal(a, b) for a, b in zip(first, eig))
+    for sub in subs:
+        assert sub.A is cl.A
+        assert sub.eig() is first
+        assert sub.subsystem(sub.out_channels[0][:1], sub.in_channels[0][:1]).eig() is first
+    assert cl.eig() is first
+    # a system built anew from the same matrices decomposes on its own
+    assert linss.StateSpace(cl.A, cl.B, cl.C, cl.D).eig() is not first
+
+
 def test_one_constructor_per_projection(monkeypatch):
     cl = next(mission_loops(1, 4))
     calls = []
@@ -493,21 +525,27 @@ def test_priced_norms_match_unprojected_channel_on_mission_loops():
             assert price == pytest.approx(oracle, rel=1e-9, abs=0.0), (k, kind)
 
 
-def test_one_state_eigensolve_per_priced_norm(monkeypatch):
-    # both norms take poles and eigenvectors from one np.linalg.eig; a
-    # further np.linalg.eigvals of A would be counted too
+def test_one_state_eigensolve_per_loop_for_every_cost(monkeypatch):
+    # the four costs of one loop read one np.linalg.eig of its A and one
+    # cond(V), shared by the priced channel slices; a further eig or eigvals
+    # of A, or a second cond of an n x n matrix, would be counted
     cl = next(mission_loops(1, 4))
-    shapes = []
+    n = cl.n_states
+    of_A, conds = [], []
     for name in ("eig", "eigvals"):
-        solver = getattr(linss.np.linalg, name)
-        monkeypatch.setattr(linss.np.linalg, name,
-                            lambda a, solver=solver: shapes.append(np.shape(a))
-                            or solver(a))
-    for kind in PRICED_KINDS:
-        shapes.clear()
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, solver=solver: of_A.append(
+                                np.array_equal(a, cl.A)) or solver(a))
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda a, p=None: conds.append(np.shape(a)) or cond(a, p))
+    for kind in pathopt.COST_KINDS:
         pathopt.per_system_metric(cl, pathopt.CostSpec(kind))
-        # the Hamiltonian level-set tests solve 2n x 2n matrices: not counted
-        assert shapes.count((cl.n_states, cl.n_states)) == 1, kind
+    # the margin's closed-loop probes and the Hamiltonian level-set tests
+    # solve other matrices: not counted
+    assert of_A.count(True) == 1
+    assert conds.count((n, n)) == 1
 
 
 @pytest.fixture(scope="module")
@@ -531,10 +569,10 @@ def test_pole_residue_kernel_matches_stacked_solve(hinf_channels):
                                      int(rng.integers(1, 4)), int(rng.integers(1, 4)))
                 for _ in range(8)]
     for sys in systems:
-        eigs, V = np.linalg.eig(sys.A)
+        eigs, V = sys.eig()
         assert np.linalg.cond(V) < linss.MODAL_COND_MAX
         ws = np.asarray(linss._seed_frequencies(eigs))
-        G = linss._transfer_kernel(sys, eigs, V)(ws)
+        G = linss._transfer_kernel(sys)(ws)
         ref = linss._transfer_batch(sys, ws)
         assert np.max(np.abs(G - ref)) <= 2e-12 * np.max(np.abs(ref))
 
@@ -560,8 +598,8 @@ def three_best_polish(sys):
     """The polish before peak-only searches: Brent searches from each of
     the seed grid's three best points, sigma_max by SVD.  Returns the
     polished gain and the number of sigma calls."""
-    eigs, V = np.linalg.eig(sys.A)
-    transfer = linss._transfer_kernel(sys, eigs, V)
+    eigs, _ = sys.eig()
+    transfer = linss._transfer_kernel(sys)
     calls = []
 
     def sigma(ws):

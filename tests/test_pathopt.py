@@ -1,11 +1,14 @@
 """Graphs, search, edge costs and the full-assembly planner."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from flexasm import pathopt as po
 from flexasm import scenario as sc
-from flexasm.errors import StateInvalid, Unreachable
+from flexasm.errors import CostNotPlanned, StateInvalid, Unreachable
+from flexasm.linss import StateSpace
 
 from conftest import make_rng
 
@@ -149,6 +152,10 @@ def same_system(a, b) -> bool:
             and a.in_channels == b.in_channels and a.out_channels == b.out_channels)
 
 
+def edge_models(planner, kind, n, src, dst):
+    return po.grid_edge_models(planner.models, kind, n, src, dst, planner.K_att)
+
+
 def assert_legs_run_home(planner, arr, pre, post):
     # leg 1 leaves home under the pre-action state, leg 2 ends there under
     # the post-action one
@@ -159,7 +166,7 @@ def assert_legs_run_home(planner, arr, pre, post):
 
 
 def test_edge_cost_sums_and_hard_cap(planner):
-    arr = planner.edge_array("pickup", 1, (1, 1), "stack")
+    arr = edge_models(planner, "pickup", 1, (1, 1), "stack")
     assert len(arr.systems) == 2 * planner.cfg.z_grid
     assert_legs_run_home(planner, arr, sc.AssemblyState(1, 1, 1, 0),
                          sc.AssemblyState(1, 1, 1, 1))
@@ -173,7 +180,7 @@ def test_edge_cost_sums_and_hard_cap(planner):
 
 
 def test_identical_systems_cost_is_multiple(planner):
-    arr = planner.edge_array("pickup", 1, (1, 1), "stack")
+    arr = edge_models(planner, "pickup", 1, (1, 1), "stack")
     sys0 = arr.systems[0]
     z = planner.cfg.z_grid
     clone = po.EdgeModelArray(0, [sys0] * (2 * z), np.zeros(2 * z))
@@ -184,7 +191,7 @@ def test_identical_systems_cost_is_multiple(planner):
 
 
 def test_assemble_edge_grows_structure(planner):
-    arr = planner.edge_array("assemble", 1, (1, 1), "target")
+    arr = edge_models(planner, "assemble", 1, (1, 1), "target")
     assert_legs_run_home(planner, arr, sc.AssemblyState(1, 1, 1, 1),
                          sc.AssemblyState(2, 1, 1, 0))
 
@@ -270,3 +277,44 @@ def test_hard_cap_soundness_on_returned_path(planner):
     # and a cap below every value prices everything out
     with pytest.raises(po.Unreachable):
         planner.plan_full_assembly(po.CostSpec("hinf-wrench", hard_cap=1e-12))
+
+
+def test_planner_keeps_prices_not_loops(planner):
+    planner.plan_full_assembly(po.CostSpec("h2-theta"))
+    built = [rec for rec in planner._edges.values() if rec is not None]
+    assert built and all(rec.values.shape == (2 * planner.cfg.z_grid,
+                                              len(po.COST_KINDS)) for rec in built)
+    # walk the cache's references, classes aside (they lead to modules)
+    seen, todo = set(), [planner._edges]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (StateSpace, po.EdgeModelArray)), type(obj)
+        todo.extend(gc.get_referents(obj))
+
+
+@pytest.mark.parametrize("key", [("pickup", 1, (1, 1), "stack"),
+                                 ("assemble", 2, (2, 2), (1, 1))], ids=str)
+def test_stored_prices_are_edge_cost_bits(planner, key):
+    # what the planner keeps prices the edge exactly as edge_cost prices
+    # its loops, under every kind, with and without a hard cap that bites
+    arr = edge_models(planner, *key)
+    for kind in po.COST_KINDS:
+        _, values = po.edge_cost(arr, po.CostSpec(kind))
+        for cap in (None, 0.5 * float(np.max(values)), 2.0 * float(np.max(values))):
+            spec = po.CostSpec(kind, hard_cap=cap)
+            want = po.edge_cost(arr, spec)
+            got = planner.edge_values(*key, spec)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1]), (kind, cap)
+            assert np.isinf(got[0]) == (cap is not None and cap < np.max(values))
+
+
+def test_plan_for_an_unplanned_kind_raises(cfg):
+    planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
+    with pytest.raises(CostNotPlanned, match=r"'mu'.*\['h2-theta'\]"):
+        planner.plan_full_assembly(po.CostSpec("mu"))
+    assert not planner._edges
+    with pytest.raises(ValueError):
+        po.AssemblyPlanner(cfg, costs=("hinf",))
