@@ -374,14 +374,17 @@ def _compare_plot(out_dir: Path, series, series_baseline, title: str):
 def cmd_optimize(args) -> int:
     cfg, _ = load_scenario(args.scenario)
     spec = CostSpec(args.cost, hard_cap=args.hard_cap)
-    planner = AssemblyPlanner(cfg, costs=(spec.kind,))
     n = cfg.n_tiles if args.n is None else args.n
     if not 1 <= n <= cfg.n_tiles:
         raise SchemaError(f"--n {n} outside 1..{cfg.n_tiles}")
     src, dst = args.src, args.dst
     _check_node("--from", src, n)
     _check_node("--to", dst, n)
+    if src == dst:
+        raise SchemaError(f"--from and --to are the same node {src[0]},{src[1]}: "
+                          "a walk needs two")
 
+    planner = AssemblyPlanner(cfg, costs=(spec.kind,))
     _, graph = build_node_graphs(cfg, n)   # walking with a carried tile
     planner.weight_graph(graph, spec)
     path_w, _ = shortest_path(graph, src, dst, "dijkstra")
@@ -540,7 +543,11 @@ def main(argv=None) -> int:
         if not args.scenario.exists():
             print(f"error: scenario file {args.scenario} not found", file=sys.stderr)
             return 2
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SchemaError(f"--out {args.out}: cannot make the output "
+                              f"directory ({exc.strerror})") from exc
         handler = {"analyze": cmd_analyze, "optimize": cmd_optimize,
                    "full-assembly": cmd_full_assembly, "validate": cmd_validate}
         return handler[args.command](args)

@@ -72,6 +72,11 @@ STAB_TOL = 1e-10
 # Well-posedness bound on rcond(I - D_loop).
 WELLPOSED_RCOND = 1e-10
 
+# Bound on cond_1(V) = ||V||_1 ||V^-1||_1 of the eigenvector matrix below
+# which the modal forms are used: eps * 1e6 ~ 2e-10 stays below the 1e-9
+# the priced norms are checked to.
+MODAL_COND_MAX = 1e6
+
 # The uncertainty channel pair pulled out by ``multibody.mode_freq_lfr``.
 W_CHANNEL = "w_omega"
 Z_CHANNEL = "z_omega"
@@ -121,11 +126,12 @@ class StateSpace:
         Ordered ``(name, width)`` pairs partitioning the input/output
         vectors.  Widths must sum to m and p respectively.
 
-    The eigendecomposition of A (:meth:`eig`) and the ``cond(V) <
-    MODAL_COND_MAX`` gate of the modal kernels are each computed at most
-    once, on first use, and :meth:`subsystem` slices share A and both with
-    their parent: every norm and margin priced on one closed loop reads one
-    ``np.linalg.eig(A)``.
+    The eigendecomposition ``A = V diag(lambda) V^-1`` (:meth:`eig`), the
+    modal inverse ``V^-1`` with its one gate (:meth:`modal_inverse`) and
+    the H-infinity seed grid with its resolvent (``_seed_grid``) are each
+    computed at most once, on first use, and :meth:`subsystem` slices share
+    A and all three with their parent: every norm and margin priced on one
+    closed loop reads one ``np.linalg.eig(A)`` and one ``np.linalg.inv(V)``.
     """
 
     A: np.ndarray
@@ -222,6 +228,24 @@ class StateSpace:
         if "eig" not in modes:
             modes["eig"] = np.linalg.eig(self.A)
         return modes["eig"]
+
+    def modal_inverse(self):
+        """``V^-1`` of the eigenvectors ``V`` of :meth:`eig`, or None when A
+        is defective or nearly so: ``np.linalg.inv(V)`` fails or ``cond_1(V)
+        = ||V||_1 ||V^-1||_1 >= MODAL_COND_MAX``.  Computed on first use and
+        shared with every :meth:`subsystem` slice, like :meth:`eig`."""
+        modes = self._modes
+        if "inv" not in modes:
+            V = self.eig()[1]
+            try:
+                W = np.linalg.inv(V)
+            except np.linalg.LinAlgError:
+                W = None
+            if W is not None and not (np.linalg.norm(V, 1) * np.linalg.norm(W, 1)
+                                      < MODAL_COND_MAX):
+                W = None
+            modes["inv"] = W
+        return modes["inv"]
 
     def transfer_at(self, s: complex) -> np.ndarray:
         """Evaluate C (sI - A)^-1 B + D at one complex frequency."""
@@ -588,12 +612,6 @@ def _transfer_batch(sys: StateSpace, ws) -> np.ndarray:
     return out
 
 
-# Bound on cond(V) of the eigenvector matrix below which the pole-residue
-# kernel is used: eps * 1e6 ~ 2e-10 stays below the 1e-9 the priced norms
-# are checked to.  Mission channels measure 0.9e3-2.75e3.
-MODAL_COND_MAX = 1e6
-
-
 def _stable_eig(sys: StateSpace, norm: str):
     """Poles and eigenvectors of A (:meth:`StateSpace.eig`); a pole with
     Re >= -STAB_TOL raises :class:`UnstableSystem` naming ``norm``."""
@@ -605,39 +623,59 @@ def _stable_eig(sys: StateSpace, norm: str):
 
 
 def _modal_form(sys: StateSpace):
-    """``(C V, V^-1 B)`` in the eigenbasis of A (:meth:`StateSpace.eig`),
-    or None when ``cond(V) >= MODAL_COND_MAX`` (a defective or nearly
-    defective A).  The gate is taken once per A and shared with its
-    slices, like the decomposition."""
-    modes = sys._modes
-    V = sys.eig()[1]
-    if "modal" not in modes:
-        modes["modal"] = bool(np.linalg.cond(V) < MODAL_COND_MAX)
-    if not modes["modal"]:
+    """``(C V, V^-1 B)`` in the eigenbasis of A, two products with the
+    cached :meth:`StateSpace.eig` and :meth:`StateSpace.modal_inverse`, or
+    None when the modal inverse is gated out (a defective or nearly
+    defective A)."""
+    W = sys.modal_inverse()
+    if W is None:
         return None
-    return sys.C @ V, np.linalg.solve(V, sys.B)
+    return sys.C @ sys.eig()[1], W @ sys.B
+
+
+def _resolvent(ws, eigs) -> np.ndarray:
+    """``1 / (jw - eigs)`` for each angular frequency of ``ws``, one row
+    per frequency."""
+    return 1.0 / (1j * np.asarray(ws, dtype=float).ravel()[:, None] - eigs)
+
+
+def _seed_grid(sys: StateSpace):
+    """The H-infinity seed grid ``_seed_frequencies`` of A's poles and its
+    resolvent, computed once per A and shared with every slice: both
+    H-infinity channels of a loop read them."""
+    modes = sys._modes
+    if "seeds" not in modes:
+        eigs = sys.eig()[0]
+        ws = _seed_frequencies(eigs)
+        modes["seeds"] = ws, _resolvent(ws, eigs)
+    return modes["seeds"]
 
 
 def _transfer_kernel(sys: StateSpace):
     """Evaluator ``ws -> C (jwI - A)^-1 B + D`` stacked over angular
-    frequencies, from the poles ``eigs`` and eigenvectors ``V`` of A
-    (:meth:`StateSpace.eig`).
+    frequencies, from the poles and the modal form of A (``_modal_form``).
 
     With ``A V = V diag(eigs)`` the transfer is the pole-residue sum
-    ``(C V) diag(1 / (jw - eigs)) (V^-1 B) + D`` (Laub 1981), O(n) per
-    frequency after one solve for ``V^-1 B``.  A defective or nearly
-    defective A (``cond(V) >= MODAL_COND_MAX``) falls back to the stacked
-    solve ``_transfer_batch``.
+    ``sum_k (C V)[:, k] (V^-1 B)[k, :] / (jw - eigs[k]) + D`` (Laub 1981).
+    The residues are built once per channel as the n x pm matrix ``Res[k,
+    i*m + j] = (C V)[i, k] (V^-1 B)[k, j]``, so any stack of frequencies is
+    one matrix product ``(R @ Res).reshape(-1, p, m) + D`` with the
+    resolvent ``R = 1 / (jw - eigs)``; the seed grid's resolvent is read
+    from the cache (``_seed_grid``).  A defective or nearly defective A
+    (no modal form) falls back to the stacked solve ``_transfer_batch``.
     """
     modal = _modal_form(sys)
     if modal is None:
         return partial(_transfer_batch, sys)
     CV, VB = modal
     eigs = sys.eig()[0]
+    p, m = sys.D.shape
+    res = (CV.T[:, :, None] * VB[:, None, :]).reshape(eigs.size, p * m)
+    seeds, seed_resolvent = _seed_grid(sys)
 
     def transfer(ws):
-        R = 1.0 / (1j * np.asarray(ws, dtype=float).ravel()[:, None] - eigs)
-        return (CV * R[:, None, :]) @ VB + sys.D
+        R = seed_resolvent if ws is seeds else _resolvent(ws, eigs)
+        return (R @ res).reshape(R.shape[0], p, m) + sys.D
     return transfer
 
 
@@ -686,15 +724,20 @@ def minimal_stable_projection(sys: StateSpace, in_channel: str,
 
 def _hamiltonian_imag_crossings(sys: StateSpace, g: float):
     """Imaginary-axis eigenfrequencies of the H-infinity test Hamiltonian,
-    sorted and without repeats."""
+    sorted and without repeats.  The 2n x 2n matrix is filled block by
+    block in place, ``I + D R^-1 D^T`` by adding 1 to the diagonal."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    n = sys.n_states
     R = g * g * np.eye(sys.n_inputs) - D.T @ D
     Rinv = np.linalg.solve(R, np.eye(sys.n_inputs))
-    Ah = A + B @ Rinv @ D.T @ C
-    H = np.block([
-        [Ah, B @ Rinv @ B.T],
-        [-C.T @ (np.eye(sys.n_outputs) + D @ Rinv @ D.T) @ C, -Ah.T],
-    ])
+    BR = B @ Rinv
+    Q = D @ Rinv @ D.T
+    Q[np.diag_indices_from(Q)] += 1.0
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = A + BR @ D.T @ C
+    H[:n, n:] = BR @ B.T
+    H[n:, :n] = -C.T @ Q @ C
+    H[n:, n:] = -H[:n, :n].T
     ev = np.linalg.eigvals(H)
     keep = np.abs(ev.real) <= 1e-8 * np.maximum(1.0, np.abs(ev.imag))
     return np.unique(np.round(np.abs(ev.imag[keep]), 12))
@@ -809,23 +852,54 @@ def _polish(sigma, ws: np.ndarray, vals: np.ndarray, idx) -> float:
     return best
 
 
+# Relative slack on both Frobenius bounds of the seed screen: far above
+# the rounding of ||G||_F^2 and of the Gram eigenvalue.
+_SCREEN_SLACK = 1e-9
+
+
+def _screened_sigma_max(G: np.ndarray) -> np.ndarray:
+    """sigma_max of the seed-grid stack ``G`` wherever it can decide the
+    grid's three best points or their local-maximum tests; -inf elsewhere.
+
+    With ``F^2 = ||G||_F^2`` and ``r = min(p, m)``, ``F^2 / r <= sigma_max^2
+    <= F^2``.  A point whose upper bound lies below the third-largest lower
+    bound (each with ``_SCREEN_SLACK`` relative slack) is beaten by three
+    points, so it is not among the three best; ``_gram_sigma_max`` runs
+    only at the other points and at their grid neighbours.  ``G`` is not
+    empty (``r >= 1``); with at most three points every point is taken.
+    """
+    r = min(G.shape[1:])
+    if G.shape[0] <= 3:
+        return _gram_sigma_max(G)
+    f2 = np.square(G.view(np.float64)).sum(axis=(1, 2))
+    third = np.partition(f2, -3)[-3] / r
+    keep = f2 * (1.0 + _SCREEN_SLACK) >= third * (1.0 - _SCREEN_SLACK)
+    near = keep.copy()
+    near[1:] |= keep[:-1]
+    near[:-1] |= keep[1:]
+    vals = np.full(G.shape[0], -np.inf)
+    vals[near] = _gram_sigma_max(G[near])
+    return vals
+
+
 def hinf_norm(sys: StateSpace) -> float:
     """Peak gain sup_w sigma_max(G(jw)) by polish-then-certify.
 
     A's eigendecomposition (:meth:`StateSpace.eig`, computed once and
     shared with the loop the channel was sliced from) gives the stability
-    test: a pole with Re >= -STAB_TOL raises
-    :class:`UnstableSystem`, the same poles seed the grid, and poles and
-    eigenvectors build the frequency kernel (``_transfer_kernel``: the
-    pole-residue form, or the stacked solve when ``cond(V) >=
-    MODAL_COND_MAX``).  Every gain below goes through that kernel, and
-    sigma_max comes from the Gram matrix of each transfer
+    test: a pole with Re >= -STAB_TOL raises :class:`UnstableSystem`.
+    Every gain below goes through the residue-matrix kernel
+    (``_transfer_kernel``: one matrix product per stack of frequencies, or
+    the stacked solve when :meth:`StateSpace.modal_inverse` gates the modal
+    form out), and sigma_max comes from the Gram matrix of each transfer
     (``_gram_sigma_max``).  The seeded grid (every pole frequency and its
-    neighbours) is evaluated in one call, and those of its three best
-    points that are local maxima of the grid (at least each neighbour, an
-    end compared to its one neighbour; the global maximum always is one)
-    are polished by Brent searches between their grid neighbours.  One
-    Hamiltonian level-set test at
+    neighbours, cached per A with its resolvent, ``_seed_grid``) is
+    evaluated in one call, and sigma_max is taken only where Frobenius
+    bounds leave it able to change the answer (``_screened_sigma_max``).
+    Those of the grid's three best points that are local maxima of the grid
+    (at least each neighbour, an end compared to its one neighbour; the
+    global maximum always is one) are polished by Brent searches between
+    their grid neighbours.  One Hamiltonian level-set test at
     ``gamma * (1 + 2 HINF_RTOL)``, on the state-space matrices and not on
     the eigenvectors, then certifies that no frequency reaches that level
     (Boyd-Balakrishnan-Kabamba 1989, Bruinsma-Steinbuch 1990).  If it
@@ -837,19 +911,23 @@ def hinf_norm(sys: StateSpace) -> float:
     """
     if sys.n_states == 0:
         return float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
-    eigs, _ = _stable_eig(sys, "H-infinity")
+    _stable_eig(sys, "H-infinity")
+    if min(sys.D.shape) == 0:
+        return 0.0      # no input or no output: an empty transfer
     transfer = _transfer_kernel(sys)
 
     def sigma(ws):
         return _gram_sigma_max(transfer(ws))
 
-    sd = float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
-    ws = _seed_frequencies(eigs)
-    vals = sigma(ws)
+    sd = float(np.linalg.svd(sys.D, compute_uv=False)[0])
+    ws = _seed_grid(sys)[0]
+    vals = _screened_sigma_max(transfer(ws))
     peak = np.ones(vals.size, dtype=bool)
     peak[1:] &= vals[1:] >= vals[:-1]
     peak[:-1] &= vals[:-1] >= vals[1:]
-    top = np.argsort(vals)[-3:]
+    # a stable sort breaks ties by index alone, so the screen's -inf
+    # entries cannot change which of several equal gains is kept
+    top = np.argsort(vals, kind="stable")[-3:]
     gamma = max(sd, _polish(sigma, ws, vals, top[peak[top]]))
     if gamma <= 0.0:
         return 0.0
@@ -873,11 +951,13 @@ def h2_norm(sys: StateSpace) -> float:
     A's eigendecomposition ``A V = V diag(lambda)`` is
     :meth:`StateSpace.eig`, computed once and shared with the loop the
     channel was sliced from: a pole with
-    Re >= -STAB_TOL raises :class:`UnstableSystem`.  When ``cond(V) <
-    MODAL_COND_MAX`` (``_modal_form``, as in ``hinf_norm``) the Gramian is
-    diagonal in the eigenbasis, ``P = V X V^H`` with
+    Re >= -STAB_TOL raises :class:`UnstableSystem`.  When the modal inverse
+    passes its gate (:meth:`StateSpace.modal_inverse`, ``cond_1(V) <
+    MODAL_COND_MAX``, the one ``hinf_norm`` and the margin read) the
+    Gramian is diagonal in the eigenbasis, ``P = V X V^H`` with
     ``X_ij = -(B~ B~^H)_ij / (lambda_i + conj(lambda_j))``, ``B~ = V^-1 B``,
-    so ``H2^2 = Re sum_ij (C~^H C~)_ji X_ij`` with ``C~ = C V``.  A
+    so ``H2^2 = Re sum_ij (C~^H C~)_ji X_ij`` with ``C~ = C V``
+    (``_modal_form``).  A
     defective or nearly defective A solves the Kronecker form
     ``(I (x) A + A (x) I) vec P = -vec(B B^T)`` instead.  Requires strict
     stability and zero feedthrough.

@@ -33,8 +33,12 @@ instead of probing the way there:
   the other sign, and at ``+-delta_max`` when nothing hits.  That is three
   probes on a mission loop, where the scan makes 58.
 * **Fallback.** If a certificate disagrees, ``D_zw != 0`` or the
-  eigenvectors of A are ill conditioned (``cond_1(V) >=
-  linss.MODAL_COND_MAX``), the scan runs as it stands.
+  eigenvectors of A are ill conditioned (the loop's modal inverse
+  ``V^-1``, :meth:`linss.StateSpace.modal_inverse`, is gated out at
+  ``cond_1(V) >= linss.MODAL_COND_MAX``), the scan runs as it stands.
+  The eigendecomposition and ``V^-1`` are the loop's cached ones, shared
+  with the H-infinity and H2 prices of its channel slices, so the margin
+  computes neither again.
 
 ``mu_lower`` is the reciprocal of the smallest destabilizing magnitude
 and is exact for this block, so the name keeps only the conventional
@@ -63,7 +67,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NominalUnstable, WidthMismatch
-from .linss import (MODAL_COND_MAX, StateSpace, _transfer_batch, spectral_abscissa,
+from .linss import (StateSpace, _transfer_batch, spectral_abscissa,
                     STAB_TOL, WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL)
 
 __all__ = ["mu_real_repeated", "mu_upper_bound"]
@@ -144,16 +148,6 @@ def _scan_crossing(sys, delta_max):
                         for sign in hits), key=abs)
         lo = t
     return None
-
-
-def _modal_inverse(V):
-    """``V^-1``, or None when A is defective or nearly so: ``cond_1(V) =
-    ||V||_1 ||V^-1||_1 >= MODAL_COND_MAX``."""
-    try:
-        W = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        return None
-    return W if np.linalg.norm(V, 1) * np.linalg.norm(W, 1) < MODAL_COND_MAX else None
 
 
 def _crossings(sys, eigs, V, W):
@@ -270,7 +264,8 @@ def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
 
     The nominal loop (``delta = 0``) must be strictly stable; A's
     eigendecomposition (:meth:`StateSpace.eig`, shared with the loop's
-    priced channel slices) serves that test and the crossing candidates.
+    priced channel slices) serves that test, and with the cached modal
+    inverse (:meth:`StateSpace.modal_inverse`) the crossing candidates.
     The first crossing within ``delta_max`` on either sign is bisected (see
     the module docstring); no crossing means ``mu_lower = 0`` and
     ``delta_crit = None``.
@@ -284,7 +279,7 @@ def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
         if alpha >= -STAB_TOL:
             raise NominalUnstable(f"nominal system unstable (abscissa {alpha:.3e})")
         w, z = sys.in_slice(W_CHANNEL), sys.out_slice(Z_CHANNEL)
-        W = None if sys.D[z, w].any() else _modal_inverse(V)
+        W = None if sys.D[z, w].any() else sys.modal_inverse()
         if W is not None:
             certified, delta_crit = _certified_crossing(sys, eigs, V, W, delta_max)
     if not certified:

@@ -78,6 +78,21 @@ def test_missing_scenario_exits_2(tmp_path):
                 "validate"]) == 2
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, below):
+    # --out naming an existing regular file, or a path below one, is a
+    # configuration error, not a traceback
+    p = write_scenario(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "out" if below else blocker
+    assert run(["--scenario", p, "--out", out, "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: cannot make the output directory")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
+
+
 @pytest.mark.parametrize("args", [
     ["analyze", "--channel", "T_G[a]:omega_dot_G[0]"],
     ["analyze", "--channel", "T_G[9]:omega_dot_G[0]"],
@@ -408,6 +423,16 @@ def test_optimize_walk_and_outputs(tmp_path, capsys):
                  if line.startswith("cumulative optimized:"))
     assert float(total.split(":")[1]) == pytest.approx(
         sum(float(c[1]) for c in cells), rel=1e-9)
+
+
+def test_optimize_walk_to_its_own_start_exits_2(tmp_path, capsys):
+    # a walk needs two nodes: rejected before anything is planned or written
+    p = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert run(["--scenario", p, "--out", out, "optimize", "--cost", "h2-theta",
+                "--from", "1,1", "--to", "1,1"]) == 2
+    assert "error: --from and --to are the same node 1,1" in capsys.readouterr().err
+    assert [f for f in out.rglob("*") if f.is_file()] == []
 
 
 def test_optimize_hard_cap_unreachable_exits_4(tmp_path):

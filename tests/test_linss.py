@@ -483,20 +483,41 @@ def test_hinf_matches_oracle_tightly_on_mission_loops():
             assert linss._hamiltonian_imag_crossings(sys, norm * (1.0 + 2e-6)).size == 0
 
 
+def block_hamiltonian(sys, g):
+    """The H-infinity test Hamiltonian assembled with ``np.block``."""
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    R = g * g * np.eye(sys.n_inputs) - D.T @ D
+    Rinv = np.linalg.solve(R, np.eye(sys.n_inputs))
+    Ah = A + B @ Rinv @ D.T @ C
+    return np.block([
+        [Ah, B @ Rinv @ B.T],
+        [-C.T @ (np.eye(sys.n_outputs) + D @ Rinv @ D.T) @ C, -Ah.T],
+    ])
+
+
 def test_hamiltonian_crossings_match_the_loop_filter(monkeypatch):
     # the array filter keeps, rounds and deduplicates exactly the
-    # eigenvalues a per-eigenvalue loop keeps
-    spectra = []
+    # eigenvalues a per-eigenvalue loop keeps, and the Hamiltonian filled in
+    # place has the bits of the np.block form, feedthrough or none
+    spectra, matrices = [], []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda H: spectra.append(eigvals(H)) or spectra[-1])
+                        lambda H: matrices.append(H) or spectra.append(eigvals(H))
+                        or spectra[-1])
     found = 0
+    rng = make_rng(17)
+    with_d = random_stable_system(rng, 5, 2, 3)
+    assert np.all(with_d.D != 0.0)
+    level = 2.0 * linss.hinf_norm(with_d)
+    linss._hamiltonian_imag_crossings(with_d, level)
+    assert np.array_equal(matrices[-1], block_hamiltonian(with_d, level))
     for cl in mission_loops(4, 5):
         for inp, out in (("W_ext", "omega_dot_G"), ("d_t", "e_t")):
             sys = cl.subsystem([out], [inp])
             norm = linss.hinf_norm(sys)
             for level in (0.5 * norm, 0.9 * norm, norm * (1.0 + 2e-6)):
                 got = linss._hamiltonian_imag_crossings(sys, level)
+                assert np.array_equal(matrices[-1], block_hamiltonian(sys, level))
                 loop = [abs(l.imag) for l in spectra[-1]
                         if abs(l.real) <= 1e-8 * max(1.0, abs(l.imag))]
                 assert got.tolist() == sorted(set(np.round(loop, 12)))
@@ -527,25 +548,31 @@ def test_priced_norms_match_unprojected_channel_on_mission_loops():
 
 def test_one_state_eigensolve_per_loop_for_every_cost(monkeypatch):
     # the four costs of one loop read one np.linalg.eig of its A and one
-    # cond(V), shared by the priced channel slices; a further eig or eigvals
-    # of A, or a second cond of an n x n matrix, would be counted
+    # inverse of its eigenvectors, shared by the priced channel slices, and
+    # the seed grid of the two H-infinity channels once; a further eig or
+    # eigvals of A, a second n x n inv or any n x n cond would be counted
     cl = next(mission_loops(1, 4))
     n = cl.n_states
-    of_A, conds = [], []
+    of_A, invs, conds, seeds = [], [], [], []
     for name in ("eig", "eigvals"):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda a, solver=solver: of_A.append(
                                 np.array_equal(a, cl.A)) or solver(a))
-    cond = np.linalg.cond
+    inv, cond, seed = np.linalg.inv, np.linalg.cond, linss._seed_frequencies
+    monkeypatch.setattr(np.linalg, "inv", lambda a: invs.append(np.shape(a)) or inv(a))
     monkeypatch.setattr(np.linalg, "cond",
                         lambda a, p=None: conds.append(np.shape(a)) or cond(a, p))
+    monkeypatch.setattr(linss, "_seed_frequencies",
+                        lambda eigs: seeds.append(1) or seed(eigs))
     for kind in pathopt.COST_KINDS:
         pathopt.per_system_metric(cl, pathopt.CostSpec(kind))
     # the margin's closed-loop probes and the Hamiltonian level-set tests
     # solve other matrices: not counted
     assert of_A.count(True) == 1
-    assert conds.count((n, n)) == 1
+    assert invs.count((n, n)) == 1
+    assert conds.count((n, n)) == 0
+    assert len(seeds) == 1
 
 
 @pytest.fixture(scope="module")
@@ -571,6 +598,7 @@ def test_pole_residue_kernel_matches_stacked_solve(hinf_channels):
     for sys in systems:
         eigs, V = sys.eig()
         assert np.linalg.cond(V) < linss.MODAL_COND_MAX
+        assert sys.modal_inverse() is not None
         ws = np.asarray(linss._seed_frequencies(eigs))
         G = linss._transfer_kernel(sys)(ws)
         ref = linss._transfer_batch(sys, ws)
@@ -633,11 +661,77 @@ def test_peak_only_polish_matches_three_best_polish(hinf_channels, monkeypatch):
     assert len(sigma_calls) < 0.6 * sum(calls for _, calls in old)
 
 
+def every_point_hinf(sys):
+    """``hinf_norm`` of a system with states, with sigma_max taken at
+    every seed point: no screen."""
+    transfer = linss._transfer_kernel(sys)
+
+    def sigma(ws):
+        return linss._gram_sigma_max(transfer(ws))
+
+    sd = float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
+    ws = linss._seed_grid(sys)[0]
+    vals = sigma(ws)
+    peak = np.ones(vals.size, dtype=bool)
+    peak[1:] &= vals[1:] >= vals[:-1]
+    peak[:-1] &= vals[:-1] >= vals[1:]
+    top = np.argsort(vals, kind="stable")[-3:]
+    gamma = max(sd, linss._polish(sigma, ws, vals, top[peak[top]]))
+    if gamma <= 0.0:
+        return 0.0
+    for _ in range(linss._MAX_ROUNDS):
+        cross = linss._hamiltonian_imag_crossings(sys, gamma * (1.0 + 2.0 * linss.HINF_RTOL))
+        if not cross.size:
+            return gamma
+        ws = np.unique(np.concatenate([cross, 0.5 * (cross[:-1] + cross[1:])]))
+        vals = sigma(ws)
+        best = linss._polish(sigma, ws, vals, [int(np.argmax(vals))])
+        if best <= gamma:
+            return gamma
+        gamma = best
+    raise AssertionError("no certificate")
+
+
+def test_seed_screen_keeps_the_grid_answer(hinf_channels, monkeypatch):
+    # the Frobenius screen takes sigma_max at fewer than half the seed
+    # points of the mission channels (about 1 in 7 on the wide 3 x 6 pair,
+    # 3 in 4 on the flatter square one), and every norm keeps the bits of
+    # taking it at all of them: on the mission channels, on a constant gain
+    # (every grid value ties, so the screen keeps every point) and on a
+    # channel with no input (an empty transfer, norm 0, as with no output)
+    rng = make_rng(5)
+    base = random_stable_system(rng, 6, 2, 3)
+    constant = linss.StateSpace(base.A, base.B, np.zeros_like(base.C), base.D)
+    no_input = linss.StateSpace(base.A, np.zeros((6, 0)), base.C, np.zeros((3, 0)))
+    screened, kept, seeds = [], 0, 0
+    gram = linss._gram_sigma_max
+    monkeypatch.setattr(linss, "_gram_sigma_max",
+                        lambda G: screened.append(G.shape[0]) or gram(G))
+    for sys in list(hinf_channels) + [constant, no_input]:
+        oracle = every_point_hinf(sys)
+        screened.clear()
+        norm = linss.hinf_norm(sys)
+        assert norm == oracle
+        if sys is constant:
+            assert norm == pytest.approx(np.linalg.svd(base.D, compute_uv=False)[0],
+                                         rel=1e-14)
+            assert screened[0] == linss._seed_grid(sys)[0].size
+        elif sys is no_input:
+            assert norm == 0.0
+        else:
+            kept += screened[0]
+            seeds += linss._seed_grid(sys)[0].size
+    assert kept < 0.5 * seeds
+    no_output = linss.StateSpace(base.A, base.B, np.zeros((0, 6)), np.zeros((0, 2)))
+    assert linss.hinf_norm(no_output) == 0.0
+
+
 def test_defective_state_matrix_takes_the_stacked_solve(monkeypatch):
     # a Jordan-block double pole: 1 / (s + 1)^2 peaks at 1 at w = 0, and
     # its eigenvector matrix is numerically singular
     jordan = siso([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
     assert np.linalg.cond(np.linalg.eig(jordan.A)[1]) >= linss.MODAL_COND_MAX
+    assert jordan.modal_inverse() is None
     calls = []
     batch = linss._transfer_batch
     monkeypatch.setattr(linss, "_transfer_batch",
@@ -670,6 +764,7 @@ def test_h2_matches_kronecker_solve_on_mission_loops():
     for k, cl in enumerate(mission_loops(24, 7)):
         sys = cl.subsystem(["Theta_G"], ["W_ext"])
         assert np.linalg.cond(np.linalg.eig(sys.A)[1]) < linss.MODAL_COND_MAX
+        assert sys.modal_inverse() is not None
         assert linss.h2_norm(sys) == pytest.approx(kronecker_h2(sys),
                                                    rel=1e-11, abs=0.0), k
 
