@@ -1,10 +1,11 @@
 """Attitude loop and its robustness to the array-mode uncertainty.
 
-Sizes the baseline PD gains on the worst-case inertia, closes the loop,
-and measures: critically damped rigid poles, the input-sensitivity peak,
-the exact real margin of the frequency-uncertainty block
-(``robust.mu_real_repeated``, the margin the ``mu`` edge cost reads), and
-its complex upper bound (``robust.mu_upper_bound``).
+Sizes the baseline PD gains on the worst-case inertia, closes the loop
+around the flexible plant, and measures: its slowest poles against the
+critically damped design, the input-sensitivity peak, the exact real
+margin of the frequency-uncertainty block (``robust.mu_real_repeated``,
+the margin the ``mu`` edge cost reads), and its complex upper bound
+(``robust.mu_upper_bound``).
 """
 
 import numpy as np
@@ -17,21 +18,25 @@ models = sc.ScenarioModels(cfg)
 state = sc.AssemblyState(2, 1, 1, 0)
 home = (sc.HOME_JOINTS,) * 3
 
-# gains sized on this very state give exact critical damping...
+
+def slowest_poles(loop, count=6):
+    """Real parts of the ``count`` poles nearest the origin."""
+    poles = np.linalg.eigvals(loop.A)
+    return np.round(poles[np.argsort(np.abs(poles))][:count].real, 6)
+
+
+# gains sized on this very state place the six attitude poles near the
+# critically damped design; the array and structure modes sit far above
 K_here = sc.attitude_gains(models.total_inertia(state, home), cfg.xi_att, cfg.f_att_hz)
-rigid = models.closed_loop(state, home, K_here, rigid=True)
-print("rigid-loop poles (state-matched gains):",
-      np.round(np.linalg.eigvals(rigid.A).real, 6),
+print("slowest flexible-loop poles (state-matched gains):",
+      slowest_poles(models.closed_loop(state, home, K_here)),
       "(design -2 pi 0.01 =", round(-2 * np.pi * 0.01, 6), ")")
 
 # ...while the mission controller is sized once, on the heaviest state,
 # and must merely keep every other configuration stable
 K = models.design_gains()
-rigid_wc = models.closed_loop(state, home, K, rigid=True)
-print("rigid-loop poles (worst-case gains):",
-      np.round(np.linalg.eigvals(rigid_wc.A).real, 6))
-
 cl = models.closed_loop(state, home, K)
+print("slowest flexible-loop poles (worst-case gains):", slowest_poles(cl))
 print("flexible loop stable:", linss.is_stable(cl).stable)
 
 isens = cl.subsystem(["e_t"], ["d_t"])

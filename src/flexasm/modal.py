@@ -63,6 +63,8 @@ CLAMP_POINT = np.zeros(3)
 
 
 def _adjacent(a, b) -> str:
+    """How two lattice cells touch: ``"side"``, ``"diag"``, or ``""`` when
+    they do not (a cell does not touch itself)."""
     dr, dc = abs(a[0] - b[0]), abs(a[1] - b[1])
     if dr + dc == 1:
         return "side"

@@ -374,21 +374,6 @@ class ModalBodyData:
     def n_modes(self) -> int:
         return self.freqs.size
 
-    def validate(self) -> list:
-        """Soft checks; returns human-readable warnings (empty when clean).
-
-        Residual-mass indefiniteness is reported, not raised: externally
-        supplied truncated mode sets routinely violate it numerically.
-        """
-        warnings = []
-        R = residual_mass(self)
-        ev = np.linalg.eigvalsh(R)
-        if ev[0] < -1e-10 * max(1.0, ev[-1]):
-            warnings.append(
-                f"{self.name or 'body'}: residual mass matrix indefinite "
-                f"(min eig {ev[0]:.3e}); truncated mode set suspected")
-        return warnings
-
 
 def port_mass_matrix(mass: float, com, inertia_P) -> np.ndarray:
     """Static 6x6 mass matrix at a port P of a rigid body whose CoM sits

@@ -37,6 +37,7 @@ from .errors import (
     Unreachable,
 )
 from .linss import StateSpace, h2_norm, hinf_norm, minimal_stable_projection
+from .modal import _adjacent
 from .robot import quintic_waypoints
 from .robust import mu_real_repeated
 from .scenario import (
@@ -97,11 +98,6 @@ class NodeGraph:
         return list(zip(rows.tolist(), cols.tolist()))
 
 
-def _cells_adjacent(a, b) -> bool:
-    dr, dc = abs(a[0] - b[0]), abs(a[1] - b[1])
-    return (dr, dc) != (0, 0) and dr <= 1 and dc <= 1
-
-
 def build_node_graphs(cfg: ScenarioConfig, n: int):
     """Pickup and assemble graphs for the n-tile structure.
 
@@ -119,7 +115,7 @@ def build_node_graphs(cfg: ScenarioConfig, n: int):
     walk = np.zeros((size, size))
     for a_t in range(1, n + 1):
         for b_t in range(1, n + 1):
-            if a_t == b_t or not _cells_adjacent(cells[a_t - 1], cells[b_t - 1]):
+            if not _adjacent(cells[a_t - 1], cells[b_t - 1]):
                 continue
             for arm in (1, 2):
                 src = 2 * (a_t - 1) + (arm - 1)
@@ -137,7 +133,7 @@ def build_node_graphs(cfg: ScenarioConfig, n: int):
     if n < cfg.n_tiles:
         nxt = cfg.layout.cells[n]
         for t in range(1, n + 1):
-            if _cells_adjacent(cells[t - 1], nxt):
+            if _adjacent(cells[t - 1], nxt):
                 for arm in (1, 2):
                     assemble[2 * (t - 1) + (arm - 1), 2 * n] = 1.0
 

@@ -1,10 +1,11 @@
 """Complete spacecraft plant for any assembly state, plus the attitude loop.
 
-One model instance is the free-floating stack-up of: rigid hub, flexible
-solar array (with the first-mode frequency pulled out as an uncertainty
-channel), rigid tile stack, the flexible structure built so far, and the
-three-arm robot gripping a docking tile -- optionally carrying one tile.
-The robot walks with arms 1 and 2; arm 3 only handles tiles.
+One model instance is the stack-up of: rigid hub, flexible solar array
+(with the first-mode frequency pulled out as an uncertainty channel),
+rigid tile stack, the flexible structure built so far, and the three-arm
+robot gripping a docking tile -- optionally carrying one tile -- with the
+hub translation pinned at G, as translational control is out of the
+loop.  The robot walks with arms 1 and 2; arm 3 only handles tiles.
 
 All wired port signals are expressed in the hub frame.  The plant is
 evaluated only at trajectory waypoints, where every joint is locked, so
@@ -16,19 +17,19 @@ places in the gripping arm's link 5: one mount table places them for
 :func:`flexasm.multibody.compose_rigid` sums the parts, each arm's links
 stacked from :func:`flexasm.robot.link_poses`, in one pass.  Only ``M_C``
 reads the gripping arm and the joint angles.  The rest of the
-spacecraft -- hub, array, tile stack and structure, pinned or not -- is
-wired once per ``(n, j, delta)`` variant with the robot port left open
-and cached; each waypoint closes the robot's gain on the cached plant's
-matrices (:func:`flexasm.linss.close_static`).  The independent
+spacecraft -- hub, array, tile stack and structure, its hub translation
+pinned -- is wired once per ``(n, j, delta)`` with the robot port left
+open and cached; each waypoint closes the robot's gain on the cached
+plant's matrices (:func:`flexasm.linss.close_static`).  The independent
 reference for ``M_C`` lives in the tests (``tests/wired.py``): the robot
 wired link by link from port-based arm chains and a port-inverted hub,
 beside the fully wired plant, the reference for the cached one.
 
 External channels of the open-loop plant:
 
-    inputs  F_G, T_G (hub force/torque), W_ext (wrench at the docking
-            port), w_omega (uncertainty);
-    outputs a_G, omega_dot_G, z_omega.
+    inputs  T_G (hub torque), W_ext (wrench at the docking port),
+            w_omega (uncertainty);
+    outputs omega_dot_G, z_omega.
 
 Closing the attitude loop adds the integrator banks (omega_G, Theta_G),
 the torque disturbance d_t, and the total actuation torque e_t = d_t + u
@@ -53,7 +54,7 @@ from .errors import (
     StateInvalid,
     WidthMismatch,
 )
-from .linss import StateSpace, close_static, gain, interconnect, split_channel
+from .linss import StateSpace, close_static, interconnect, split_channel
 from .modal import (
     DEFAULT_DAMPING,
     DEFAULT_TILE_INERTIA,
@@ -323,47 +324,39 @@ class ScenarioModels:
 
     # -- open loop -------------------------------------------------------------
 
-    def open_loop(self, state: AssemblyState, qs, rigid: bool = False,
-                  pinned: bool = True) -> StateSpace:
+    def open_loop(self, state: AssemblyState, qs) -> StateSpace:
         """Plant for one assembly state and arm configuration.
 
-        ``qs`` holds the three joint vectors (arm 1, arm 2, arm 3).  With
-        ``rigid=True`` every flexible body is replaced by its rigid block
-        and the uncertainty channels become a zero passthrough, which is
-        the model the attitude gains are designed against.
-
-        Attitude analysis uses the translation-pinned variant (default):
-        the hub translation is constrained at G, matching the mission
-        scope in which translational control is out of the loop.  Pinning
-        puts the torque-channel antiresonances exactly at the appendages'
+        ``qs`` holds the three joint vectors (arm 1, arm 2, arm 3).  The
+        array's first-mode frequency is the uncertainty channel
+        ``w_omega -> z_omega``, and the hub translation is constrained at
+        G (:func:`pin_translation`), matching the mission scope in which
+        translational control is out of the loop.  Pinning puts the
+        torque-channel antiresonances exactly at the appendages'
         cantilever frequencies and makes the DC gain the inverse of the
-        composite inertia *about G*.  ``pinned=False`` returns the free-
-        floating plant with its ``F_G``/``a_G`` channels, whose DC gain is
-        instead set by the inertia about the composite CoM.
+        composite inertia *about G*.
 
         The locked robot closes ``W_r = -M_C xdd_C`` on the cached
         port-exposed plant of :meth:`_port_plant`.
         """
         if state.n > self.cfg.n_tiles:
             raise StateInvalid(f"state has n={state.n} > N={self.cfg.n_tiles}")
-        plant = self._port_plant(state.n, state.j, state.delta, rigid, pinned)
+        plant = self._port_plant(state.n, state.j, state.delta)
         return close_static(plant, -self.robot_mass_matrix(state, qs),
                             "W_r", "xdd_C")
 
-    def _port_plant(self, n: int, j: int, delta: int, rigid: bool,
-                    pinned: bool) -> StateSpace:
+    def _port_plant(self, n: int, j: int, delta: int) -> StateSpace:
         """The spacecraft without the robot, with its docking port open.
 
         Hub, array, tile stack and structure ``F_n`` docked at tile ``j``,
-        wired once and cached on ``(n, j, delta, rigid, pinned)``; pinning
-        (:func:`pin_translation`) is applied here, once.  Besides the
-        channels of :meth:`open_loop` it carries the robot port: input
-        ``W_r``, the robot's wrench on the docking port C, and output
-        ``xdd_C``, the acceleration twist of C.  The gripping arm and the
-        joint angles are not in the key: only the robot's mass matrix
-        reads them.
+        wired once, pinned (:func:`pin_translation`) and cached on
+        ``(n, j, delta)``.  Besides the channels of :meth:`open_loop` it
+        carries the robot port: input ``W_r``, the robot's wrench on the
+        docking port C, and output ``xdd_C``, the acceleration twist of C.
+        The gripping arm and the joint angles are not in the key: only the
+        robot's mass matrix reads them.
         """
-        key = (n, j, delta, rigid, pinned)
+        key = (n, j, delta)
         if key in self._plants:
             return self._plants[key]
         cfg = self.cfg
@@ -371,13 +364,7 @@ class ScenarioModels:
         hub = split_channel(hub, "W_G", [("F_G", 3), ("T_G", 3)])
         hub = split_channel(hub, "xdd_G", [("a_G", 3), ("omega_dot_G", 3)])
 
-        if rigid:
-            arr_data = replace_modes(cfg.array, 0)
-            arr = titop_one_port(arr_data)
-            wz = gain(np.zeros((2, 2)), (("w_omega", 2),), (("z_omega", 2),))
-        else:
-            arr = mode_freq_lfr(cfg.array, cfg.uncertain_mode, cfg.r_omega)
-            wz = None
+        arr = mode_freq_lfr(cfg.array, cfg.uncertain_mode, cfg.r_omega)
         arr = apply_frame(arr, "xdd_P", Dcm(cfg.array_dcm))
         arr = apply_frame(arr, "W_P", Dcm(cfg.array_dcm))
 
@@ -388,10 +375,7 @@ class ScenarioModels:
                                         count * cfg.tile.mass, cfg.stack_offset),
             freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="stack"))
 
-        sdata = self.structure_data(n, j)
-        if rigid:
-            sdata = replace_modes(sdata, 0)
-        fn = titop_two_port(sdata)
+        fn = titop_two_port(self.structure_data(n, j))
 
         blocks = [("hub", hub), ("arr", arr), ("stk", stk), ("fn", fn)]
         wiring = [
@@ -399,21 +383,13 @@ class ScenarioModels:
             ("hub.xdd_P3", "stk.xdd_P"), ("stk.W_P", "hub.W_P3"),
             ("hub.xdd_P2", "fn.xdd_P"), ("fn.W_P", "hub.W_P2"),
         ]
-
-        ext_in = [("F_G", "hub.F_G"), ("T_G", "hub.T_G"), ("W_ext", "fn.W_C")]
-        ext_out = [("a_G", "hub.a_G"), ("omega_dot_G", "hub.omega_dot_G")]
-        if wz is None:
-            ext_in.append(("w_omega", "arr.w_omega"))
-            ext_out.append(("z_omega", "arr.z_omega"))
-        else:
-            blocks.append(("wz", wz))
-            ext_in.append(("w_omega", "wz.w_omega"))
-            ext_out.append(("z_omega", "wz.z_omega"))
-        ext_in.append(("W_r", "fn.W_C"))
-        ext_out.append(("xdd_C", "fn.xdd_C"))
+        ext_in = [("F_G", "hub.F_G"), ("T_G", "hub.T_G"), ("W_ext", "fn.W_C"),
+                  ("w_omega", "arr.w_omega"), ("W_r", "fn.W_C")]
+        ext_out = [("a_G", "hub.a_G"), ("omega_dot_G", "hub.omega_dot_G"),
+                   ("z_omega", "arr.z_omega"), ("xdd_C", "fn.xdd_C")]
 
         plant = interconnect(blocks, wiring, ext_in, ext_out)
-        self._plants[key] = pin_translation(plant) if pinned else plant
+        self._plants[key] = pin_translation(plant)
         return self._plants[key]
 
     def robot_mass_matrix(self, state: AssemblyState, qs) -> np.ndarray:
@@ -496,18 +472,13 @@ class ScenarioModels:
 
         The translation-pinned plant shows exactly the inverse of this
         tensor as its DC gain from hub torque to angular acceleration, so
-        it is also the tensor the attitude gains are sized with.  (The
-        free-floating variant's DC gain is instead the inverse of the
-        inertia about the composite CoM, available from
-        :meth:`mass_properties`.)
+        it is also the tensor the attitude gains are sized with.
         """
         m, com, J_com = self.mass_properties(state, qs)
         return transport_inertia(J_com, m, com)
 
-    def closed_loop(self, state: AssemblyState, qs, K_att: np.ndarray,
-                    rigid: bool = False, pinned: bool = True) -> StateSpace:
-        return close_loop(self.open_loop(state, qs, rigid=rigid, pinned=pinned),
-                          K_att)
+    def closed_loop(self, state: AssemblyState, qs, K_att: np.ndarray) -> StateSpace:
+        return close_loop(self.open_loop(state, qs), K_att)
 
     def design_gains(self) -> np.ndarray:
         """Baseline gains sized on the worst-case (largest) inertia state.
@@ -680,16 +651,6 @@ def pin_translation(plant: StateSpace) -> StateSpace:
         inputs=[c for c, _ in inv.in_channels if c != "a_G"])
 
 
-def replace_modes(data: ModalBodyData, n_modes: int) -> ModalBodyData:
-    """Truncate a modal body to its first ``n_modes`` modes."""
-    return ModalBodyData(
-        mass=data.mass, com=data.com, inertia_P=data.inertia_P,
-        freqs=data.freqs[:n_modes], dampings=data.dampings[:n_modes],
-        L_P=data.L_P[:n_modes, :],
-        phi_C=None if data.phi_C is None else data.phi_C[:, :n_modes],
-        pc=data.pc, name=data.name)
-
-
 def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     """Attitude loop around an open plant.
 
@@ -701,8 +662,8 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     :class:`~flexasm.errors.WidthMismatch`.
 
     The states are the plant's, then ``omega_G``, then ``Theta_G``; the
-    inputs are ``d_t, W_ext, w_omega`` (then ``F_G`` when unpinned) and the
-    outputs ``omega_dot_G, omega_G, Theta_G, e_t, z_omega`` (then ``a_G``).
+    inputs are ``d_t, W_ext, w_omega`` and the outputs
+    ``omega_dot_G, omega_G, Theta_G, e_t, z_omega``.
     The loop is built on the plant's matrices, each output row written
     once in that order: ``u`` reads only states, so ``T_G = d_t + u`` adds
     ``B_T K`` to the state matrix and nothing has to be inverted.
@@ -722,18 +683,15 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     A += B[:, T] @ Ku
 
     ins = [("d_t", "T_G"), ("W_ext", "W_ext"), ("w_omega", "w_omega")]
-    if plant.has_input("F_G"):
-        ins.append(("F_G", "F_G"))
     cols = np.concatenate([np.r_[plant.in_slice(c)] for _, c in ins])
     k = cols.size
     # the plant's outputs on the closed-loop states and inputs
     C_p = np.hstack([plant.C, np.zeros((plant.n_outputs, 6))]) + plant.D[:, T] @ Ku
     D_p = plant.D[:, cols]
     z = plant.out_slice("z_omega")
-    a = plant.out_slice("a_G") if plant.has_output("a_G") else slice(0, 0)
     outs = (("omega_dot_G", 3), ("omega_G", 3), ("Theta_G", 3), ("e_t", 3),
-            ("z_omega", z.stop - z.start)) + ((("a_G", 3),) if a.stop else ())
+            ("z_omega", z.stop - z.start))
     return StateSpace(A, B[:, cols],
-                      np.vstack([C_p[wd], np.eye(6, n + 6, n), Ku, C_p[z], C_p[a]]),
-                      np.vstack([D_p[wd], np.zeros((6, k)), np.eye(3, k), D_p[z], D_p[a]]),
+                      np.vstack([C_p[wd], np.eye(6, n + 6, n), Ku, C_p[z]]),
+                      np.vstack([D_p[wd], np.zeros((6, k)), np.eye(3, k), D_p[z]]),
                       tuple((name, plant.in_width(c)) for name, c in ins), outs)

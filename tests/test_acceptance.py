@@ -21,7 +21,7 @@ from flexasm import multibody as mb
 from flexasm.linss import StateSpace
 
 from conftest import make_rng, random_stable_system
-from wired import rigid_nport_inverted
+from wired import rigid_nport_inverted, wired_close_loop, wired_open_loop
 
 HOME = (sc.HOME_JOINTS,) * 3
 
@@ -369,7 +369,7 @@ def test_ac9_controller_sanity():
     models = sc.ScenarioModels(sc.table_scenario(2))
     state = sc.AssemblyState(1, 1, 1, 0)
     K = sc.attitude_gains(models.total_inertia(state, HOME), 1.0, 0.01)
-    cl = models.closed_loop(state, HOME, K, rigid=True)
+    cl = wired_close_loop(wired_open_loop(models, state, HOME, rigid=True), K)
     poles = np.linalg.eigvals(cl.A)
     assert np.max(np.abs(poles - (-0.0628319))) < 1e-6
 

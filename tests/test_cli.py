@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import flexasm
-from flexasm import cli
+from flexasm import cli, linss
 from flexasm import scenario as sc
 
 
@@ -358,6 +358,23 @@ def test_validate_fails_on_zero_damping_body(tmp_path):
     assert run(["--scenario", p, "--out", tmp_path, "validate"]) == 2
 
 
+def test_validate_warns_once_on_indefinite_residual_mass(tmp_path, capsys):
+    # one mode whose participation outweighs the body: L^T L > D_P
+    heavy = {
+        "name": "heavy_modes", "mass_kg": 10.0,
+        "inertia_kgm2": [[1.0, 0.0, 0.0], [1.0, 0.0], [1.0]],
+        "freqs_hz": [1.0], "dampings": [0.01],
+        "participation": [[5.0, 0, 0, 0, 0, 0]],
+    }
+    (tmp_path / "heavy.yaml").write_text(yaml.safe_dump(heavy))
+    p = write_scenario(tmp_path, solar_array_file="heavy.yaml")
+    assert run(["--scenario", p, "--out", tmp_path, "validate"]) == 0
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if ln.startswith("warn")] == [
+        "warn  array residual mass indefinite (min eig -1.50e+01)"]
+    assert "validate: 5 pass, 1 warn, 0 fail" in out
+
+
 def test_validate_fails_on_detached_layout(tmp_path):
     p = write_scenario(tmp_path, layout={"cells": [[0, 0], [3, 3]]})
     assert run(["--scenario", p, "--out", tmp_path, "validate"]) == 3
@@ -405,6 +422,28 @@ def test_analyze_antiresonance_shift_with_delta(tmp_path):
         assert abs(f[k] - f_target) / f_target < 0.01
 
 
+def test_analyze_one_sided_index_keeps_that_column(tmp_path):
+    p = write_scenario(tmp_path)
+    traces = {}
+    for channel in ("T_G[0]:omega_dot_G", "T_G:omega_dot_G"):
+        out = tmp_path / channel.replace(":", "-")
+        assert run(["--scenario", p, "--out", out, "analyze", "--channel", channel,
+                    "--fmin", 0.1, "--fmax", 5, "--points", 30]) == 0
+        traces[channel] = np.loadtxt(out / "analyze.csv", delimiter=",", skiprows=1)
+
+    # the nominal trace is sigma_max of column 0, the norm of that column
+    cfg, _ = cli.load_scenario(p)
+    plant = sc.ScenarioModels(cfg).open_loop(sc.AssemblyState(1, 1, 1, 0),
+                                             (sc.HOME_JOINTS,) * 3)
+    sub = linss.lft_upper(plant, 0.0).subsystem(outputs=["omega_dot_G"],
+                                                inputs=["T_G"])
+    f_hz = traces["T_G[0]:omega_dot_G"][:, 0]
+    ref = [np.linalg.norm(sub.transfer_at(2j * np.pi * f)[:, 0]) for f in f_hz]
+    assert np.allclose(traces["T_G[0]:omega_dot_G"][:, 1], ref, rtol=1e-9)
+    assert not np.allclose(traces["T_G[0]:omega_dot_G"][:, 1],
+                           traces["T_G:omega_dot_G"][:, 1], rtol=1e-3)
+
+
 def test_optimize_walk_and_outputs(tmp_path, capsys):
     p = write_scenario(tmp_path)
     out = tmp_path / "out"
@@ -432,6 +471,17 @@ def test_optimize_walk_to_its_own_start_exits_2(tmp_path, capsys):
     assert run(["--scenario", p, "--out", out, "optimize", "--cost", "h2-theta",
                 "--from", "1,1", "--to", "1,1"]) == 2
     assert "error: --from and --to are the same node 1,1" in capsys.readouterr().err
+    assert [f for f in out.rglob("*") if f.is_file()] == []
+
+
+def test_full_assembly_of_one_tile_exits_2(tmp_path, capsys):
+    # one tile is already the whole structure: rejected before anything
+    # is planned or written
+    p = write_scenario(tmp_path, n_tiles=1)
+    out = tmp_path / "out"
+    assert run(["--scenario", p, "--out", out, "full-assembly",
+                "--cost", "h2-theta"]) == 2
+    assert "error: full-assembly needs n_tiles >= 2" in capsys.readouterr().err
     assert [f for f in out.rglob("*") if f.is_file()] == []
 
 

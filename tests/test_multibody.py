@@ -260,10 +260,13 @@ def test_titop_clamped_static_compliance():
 
 
 def test_titop_residual_mass_warning_for_truncated_data():
-    data = td.f1_data()
-    assert isinstance(data.validate(), list)
-    # solar array (2 retained modes of 6) must stay clean or warn, not raise
-    td.solar_array_data().validate()
+    # the published F1 modes capture more than the body's mass, an
+    # indefinite residual that validate warns about; the solar array's 2
+    # retained modes of 6 leave it positive semidefinite
+    ev = np.linalg.eigvalsh(mb.residual_mass(td.f1_data()))
+    assert ev.min() < -1e-10 * max(1.0, ev.max())
+    ev = np.linalg.eigvalsh(mb.residual_mass(td.solar_array_data()))
+    assert ev.min() > -1e-10 * max(1.0, ev.max())
 
 
 def test_modal_data_invariants():

@@ -90,7 +90,7 @@ def test_dc_gain_matches_inertia_about_hub(models):
 
 def test_free_plant_dc_matches_inertia_about_com(models):
     st = sc.AssemblyState(3, 2, 2, 1)
-    plant = models.open_loop(st, HOME, pinned=False)
+    plant = wired_open_loop(models, st, HOME, pinned=False)
     m, com, J_com = models.mass_properties(st, HOME)
     blk = dc_block(plant, "omega_dot_G", "T_G")
     ref = np.linalg.inv(J_com)
@@ -103,7 +103,7 @@ def test_free_plant_recovers_total_mass_and_delta_conservation(models):
     masses = {}
     for delta in (0, 1):
         st = sc.AssemblyState(2, 1, 1, delta)
-        plant = models.open_loop(st, HOME, pinned=False)
+        plant = wired_open_loop(models, st, HOME, pinned=False)
         D = plant.dc_gain()
         rows = np.r_[np.arange(*_sl(plant.out_slice("a_G"))),
                      np.arange(*_sl(plant.out_slice("omega_dot_G")))]
@@ -265,19 +265,16 @@ def test_robot_mass_matrix_equals_per_arm_poses_bitwise(cfg, which):
 # cached port-exposed plant vs. the fully wired spacecraft
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("rigid, pinned", [(False, True), (False, False),
-                                           (True, True)],
-                         ids=["pinned", "unpinned", "rigid"])
-def test_cached_plant_matches_wired_oracle(rigid, pinned):
+@pytest.mark.parametrize("pinned", [True], ids=["pinned"])
+def test_cached_plant_matches_wired_oracle(pinned):
     models = sc.ScenarioModels(sc.table_scenario(4))
     K = models.design_gains()
     deltas = set()
     for st, qs in mission_states(12, 8):
         deltas.add(st.delta)
-        ref_open = wired_open_loop(models, st, qs, rigid=rigid, pinned=pinned)
-        pairs = [(models.open_loop(st, qs, rigid=rigid, pinned=pinned), ref_open),
-                 (models.closed_loop(st, qs, K, rigid=rigid, pinned=pinned),
-                  wired_close_loop(ref_open, K))]
+        ref_open = wired_open_loop(models, st, qs, pinned=pinned)
+        pairs = [(models.open_loop(st, qs), ref_open),
+                 (models.closed_loop(st, qs, K), wired_close_loop(ref_open, K))]
         for got, ref in pairs:
             assert got.n_states == ref.n_states
             assert got.in_channels == ref.in_channels
@@ -290,7 +287,7 @@ def test_cached_plant_matches_wired_oracle(rigid, pinned):
 
 
 def test_port_plant_cache_keys(cfg, monkeypatch):
-    # only (n, j, delta, rigid, pinned) select a plant: the gripping arm
+    # only (n, j, delta) select a plant: the gripping arm
     # and the joints reach the model through M_C alone
     models = sc.ScenarioModels(cfg)
     calls = []
@@ -307,16 +304,13 @@ def test_port_plant_cache_keys(cfg, monkeypatch):
     models.open_loop(base, joints())
     models.closed_loop(sc.AssemblyState(3, 2, 2, 0), joints(), K)
     assert len(calls) == 1
-    for st, rigid, pinned in [(sc.AssemblyState(4, 2, 1, 0), False, True),
-                              (sc.AssemblyState(3, 3, 1, 0), False, True),
-                              (sc.AssemblyState(3, 2, 1, 1), False, True),
-                              (base, True, True), (base, False, False)]:
+    for st in [sc.AssemblyState(4, 2, 1, 0), sc.AssemblyState(3, 3, 1, 0),
+               sc.AssemblyState(3, 2, 1, 1)]:
         before = len(calls)
-        models.open_loop(st, joints(), rigid=rigid, pinned=pinned)
-        assert len(calls) == before + 1, (st, rigid, pinned)
-        models.open_loop(replace(st, arm=3 - st.arm), joints(), rigid=rigid,
-                         pinned=pinned)
-        assert len(calls) == before + 1, (st, rigid, pinned)
+        models.open_loop(st, joints())
+        assert len(calls) == before + 1, st
+        models.open_loop(replace(st, arm=3 - st.arm), joints())
+        assert len(calls) == before + 1, st
 
 
 def test_two_constructors_per_closed_loop(models, monkeypatch):
@@ -379,10 +373,15 @@ def test_uncertainty_shifts_first_antiresonance(models):
 # attitude loop
 # ---------------------------------------------------------------------------
 
+def rigid_loop(models, st, K):
+    """The attitude loop around the wired rigid plant at home."""
+    return wired_close_loop(wired_open_loop(models, st, HOME, rigid=True), K)
+
+
 def test_rigid_loop_critically_damped(models):
     st = sc.AssemblyState(2, 1, 1, 0)
     K = sc.attitude_gains(models.total_inertia(st, HOME))
-    cl = models.closed_loop(st, HOME, K, rigid=True)
+    cl = rigid_loop(models, st, K)
     poles = np.linalg.eigvals(cl.A)
     w = 2 * np.pi * 0.01
     assert cl.n_states == 6
@@ -392,7 +391,7 @@ def test_rigid_loop_critically_damped(models):
 def test_rigid_loop_input_sensitivity_analytic(models):
     st = sc.AssemblyState(2, 1, 1, 0)
     K = sc.attitude_gains(models.total_inertia(st, HOME))
-    cl = models.closed_loop(st, HOME, K, rigid=True)
+    cl = rigid_loop(models, st, K)
     sub = cl.subsystem(outputs=["e_t"], inputs=["d_t"])
     w0 = 2 * np.pi * 0.01
     for w in (1e-3, w0, 0.1, 10.0):
@@ -428,7 +427,7 @@ def test_design_gains_stabilize_rigid_family():
     models = sc.ScenarioModels(cfg)
     K = models.design_gains()
     for st in sc.enumerate_model_family(3):
-        cl = models.closed_loop(st, HOME, K, rigid=True)
+        cl = rigid_loop(models, st, K)
         assert linss.spectral_abscissa(cl) < -1e-6, st
 
 
@@ -799,6 +798,6 @@ def test_worst_case_gains_stabilize_family_at_desk_scale():
     K = models.design_gains()
     worst = -np.inf
     for st in sc.enumerate_model_family(6):
-        cl = models.closed_loop(st, HOME, K, rigid=True)
+        cl = rigid_loop(models, st, K)
         worst = max(worst, linss.spectral_abscissa(cl))
     assert worst < -1e-6

@@ -11,7 +11,12 @@ for the tests:
   ``test_scenario`` wires the independent oracle for ``M_C``;
 * the robot as a stateless one-port block, the whole spacecraft
   interconnected per waypoint, and the loop wired from integrator
-  (:func:`integrator`) and gain blocks.
+  (:func:`integrator`) and gain blocks.  Besides the library's pinned
+  flexible plant, the wired spacecraft comes free-floating
+  (``pinned=False``, with its ``F_G``/``a_G`` channels) and rigid
+  (``rigid=True``, array and structure cut to no modes by
+  :func:`replace_modes`), the plants the conservation and controller
+  checks are made on.
 """
 
 import numpy as np
@@ -128,6 +133,16 @@ def arm_two_port(geom: ArmGeometry, q, base="J0"):
     return interconnect(blocks, wiring, ext_in, ext_out)
 
 
+def replace_modes(data: ModalBodyData, n_modes: int) -> ModalBodyData:
+    """Truncate a modal body to its first ``n_modes`` modes."""
+    return ModalBodyData(
+        mass=data.mass, com=data.com, inertia_P=data.inertia_P,
+        freqs=data.freqs[:n_modes], dampings=data.dampings[:n_modes],
+        L_P=data.L_P[:n_modes, :],
+        phi_C=None if data.phi_C is None else data.phi_C[:, :n_modes],
+        pc=data.pc, name=data.name)
+
+
 def wired_robot_block(models, state, qs):
     """The locked robot as a stateless ``xdd_P -> W_P`` one-port block at
     the docking port C, hub frame: ``W_P = -M_C xdd_P``.  Its mass matrix
@@ -145,7 +160,7 @@ def wired_open_loop(models, state, qs, rigid=False, pinned=True):
     hub = split_channel(hub, "xdd_G", [("a_G", 3), ("omega_dot_G", 3)])
 
     if rigid:
-        arr = titop_one_port(sc.replace_modes(cfg.array, 0))
+        arr = titop_one_port(replace_modes(cfg.array, 0))
         wz = gain(np.zeros((2, 2)), (("w_omega", 2),), (("z_omega", 2),))
     else:
         arr = mode_freq_lfr(cfg.array, cfg.uncertain_mode, cfg.r_omega)
@@ -162,7 +177,7 @@ def wired_open_loop(models, state, qs, rigid=False, pinned=True):
 
     sdata = models.structure_data(state.n, state.j)
     if rigid:
-        sdata = sc.replace_modes(sdata, 0)
+        sdata = replace_modes(sdata, 0)
     fn = titop_two_port(sdata)
 
     blocks = [("hub", hub), ("arr", arr), ("stk", stk), ("fn", fn),
