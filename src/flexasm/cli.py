@@ -9,11 +9,13 @@ optimize       one optimized walk across the current structure between
                baseline: trajectory log, metric CSV, comparison plot.
 full-assembly  the complete build plan (alternating pickup/assemble),
                same outputs plus node-graph dumps.
-validate       data invariants of the scenario: pass/warn/fail report.
+validate       what the constructors leave unchecked (the array's residual
+               mass, the layout's link to the clamp): pass/warn/fail report.
 
 Exit codes: 0 success, 2 configuration error (a bad argument or scenario
-file), 3 modeling error, 4 unreachable goal.  The output directory comes
-from ``--out`` or the ``FLEXASM_OUTDIR`` environment variable.
+file, an unknown key in any block), 3 modeling error, 4 unreachable goal.
+The output directory comes from ``--out`` or the ``FLEXASM_OUTDIR``
+environment variable; a command makes it just before its first write.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .pathopt import (
     build_node_graphs,
     shortest_path,
 )
-from .robot import ArmGeometry, default_arm_geometry
+from .robot import default_arm_geometry
 from .scenario import ARM_MOUNT_DCMS, AssemblyState, ScenarioModels, table_scenario
 
 __all__ = ["main", "load_scenario"]
@@ -65,62 +67,141 @@ __all__ = ["main", "load_scenario"]
 # scenario files
 # ---------------------------------------------------------------------------
 
-def _rigid_body(doc, block):
-    """Body from the scenario block ``block`` (``robot.hub`` is named
-    ``robot_hub``); bad mass or inertia values are a ``SchemaError`` naming
-    the block."""
-    ports = doc.get("ports_m", {})
+def _count(value, label):
+    """A YAML integer: ``int()`` would truncate 2.7 to a count nobody wrote."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, label):
+    return float(value)
+
+
+def _floats(value, label):
+    return np.asarray(value, dtype=float)
+
+
+UNIT_SUFFIXES = ("kg", "m", "hz", "kgm2")
+
+
+def _read(doc, block):
+    """``{field: value}`` for the keys the scenario block ``block`` names.
+
+    Keys outside the block's table are a ``ValueError`` naming the block
+    and the keys, or a ``UnitError`` for a known key without its unit
+    suffix (``freq`` for ``freq_hz``).
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{block} must be a mapping, got {doc!r}")
+    table = SCENARIO_BLOCKS[block]
+    where = block or "the top level"
+    unknown = [key for key in doc if key not in table]
+    stems = {k.rpartition("_")[0]: k for k in table if k.rpartition("_")[2] in UNIT_SUFFIXES}
+    for key in unknown:
+        if key in stems:
+            raise UnitError(f"{where}: {key!r} carries no unit; write {stems[key]!r}")
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {where}; "
+                         f"known keys are {sorted(table)}")
+    fields = {}
+    for key, value in doc.items():
+        field, read = table[key]
+        if read is not None:
+            value = read(value, f"{block}.{key}" if block else key)
+        if field is None:
+            fields.update(value)
+        else:
+            fields[field] = value
+    return fields
+
+
+def _body(value, label):
+    """Rigid body of the block ``label``; bad mass, inertia or ports are a
+    ``SchemaError`` naming the block."""
+    given = _read(value, label)
+    if not {"mass", "rows"} <= given.keys():
+        raise SchemaError(f"{label}: a body needs mass_kg and inertia_kgm2")
+    ports = given.get("port_offsets", {})
     if not isinstance(ports, dict):
-        raise SchemaError(f"{block}: ports must be a mapping, got {ports!r}")
-    ports = {k: np.asarray(v, dtype=float) for k, v in ports.items()}
-    if "mass" in doc or "inertia" in doc:
-        raise UnitError(f"{block}: use mass_kg / inertia_kgm2 keys")
+        raise SchemaError(f"{label}: ports must be a mapping, got {ports!r}")
     try:
-        return RigidBodyData(
-            float(doc["mass_kg"]),
-            _inertia_from_rows(doc["inertia_kgm2"],
-                               str(doc.get("inertia_convention", "tensor"))),
-            ports, name=block.replace(".", "_"))
+        J = _inertia_from_rows(given.pop("rows"), given.pop("convention", None))
+        return RigidBodyData(inertia_G=J, name=label.replace(".", "_"), **given)
     except (InvalidModalData, SchemaError) as exc:
-        raise SchemaError(f"{block}: {exc}") from exc
+        raise SchemaError(f"{label}: {exc}") from exc
 
 
-def _arm_geometry(doc) -> ArmGeometry:
-    base = default_arm_geometry()
-    coms = np.asarray(doc.get("link_com_m", base.coms), dtype=float)
-    offsets = np.asarray(doc.get("joint_offsets_m", 2.0 * coms), dtype=float)
-    inertias = doc.get("link_inertia_kgm2")
-    if inertias is not None:
-        inertias = np.array([j * np.eye(3) for j in np.asarray(inertias, float)])
-    else:
-        inertias = base.inertias
-    return ArmGeometry(
-        joint_offsets=offsets,
-        joint_axes=np.asarray(doc.get("joint_axes", base.joint_axes), dtype=float),
-        masses=np.asarray(doc.get("link_masses_kg", base.masses), dtype=float),
-        coms=coms,
-        inertias=inertias,
-    )
+def _structure(value, label):
+    """Structure fields, the stiffness keys gathered in a ``LatticeStiffness``."""
+    given = _read(value, label)
+    stiffness = {k: given.pop(k) for k in ("k_trans", "k_rot", "diag_scale")
+                 if k in given}
+    return {**given, "stiffness": LatticeStiffness(**stiffness)} if stiffness else given
 
 
-# every top-level key load_scenario reads; ``name`` labels the file only
-SCENARIO_KEYS = frozenset({
-    "name", "seed", "n_tiles", "z_grid", "layout", "controller", "uncertainty",
-    "structure", "hub", "tile", "robot", "solar_array_file"})
+def _arm(value, label):
+    """The default arm with the link data the block names; a link's joint
+    offset left out is twice its CoM, as on the default arm."""
+    given = _read(value, label)
+    if "coms" in given:
+        given.setdefault("joint_offsets", 2.0 * given["coms"])
+    return replace(default_arm_geometry(), **given)
+
+
+_BODY_KEYS = {"mass_kg": ("mass", _real), "inertia_kgm2": ("rows", None),
+              "inertia_convention": ("convention", None)}
+
+# Each block maps its file keys to ``(field, reader)``: the config field a
+# key fills (``None`` merges the block's fields into its parent's) and how
+# its value is read (``None``: as written).  Only the keys a file names are
+# passed on, so every default stays with the field it fills.
+SCENARIO_BLOCKS = {
+    "": {
+        "name": ("name", None), "seed": ("seed", _count),
+        "n_tiles": ("n_tiles", _count), "z_grid": ("z_grid", _count),
+        "layout": ("layout", lambda v, label: TileLayout(**_read(v, label))),
+        "controller": (None, _read), "uncertainty": (None, _read),
+        "structure": (None, _structure), "robot": (None, _read),
+        "hub": ("hub", _body), "tile": ("tile", _body),
+        "solar_array_file": ("array", None)},
+    "layout": {"cells": ("cells", None)},
+    "controller": {"xi": ("xi_att", _real), "freq_hz": ("f_att_hz", _real)},
+    "uncertainty": {"r_omega": ("r_omega", _real),
+                    "mode": ("uncertain_mode", lambda v, label: _count(v, label) - 1)},
+    "structure": {"n_modes": ("n_struct_modes", _count), "damping": ("xi_struct", _real),
+                  "k_trans": ("k_trans", _real), "k_rot": ("k_rot", _real),
+                  "diag_scale": ("diag_scale", _real),
+                  "stack_reach_m": ("stack_reach", _real)},
+    "hub": {**_BODY_KEYS, "ports_m": ("port_offsets", None)},
+    "tile": {**_BODY_KEYS, "ports_m": ("port_offsets", None)},
+    "robot": {"hub": ("robot_hub", _body),
+              "mount_dcms": ("arm_mount_dcms",
+                             lambda v, label: {**ARM_MOUNT_DCMS, **_read(v, label)}),
+              "arm": ("arm_geometry", _arm)},
+    "robot.hub": {**_BODY_KEYS, "mounts_m": ("port_offsets", None)},
+    "robot.mount_dcms": {f"A{k}": (k, _floats) for k in (1, 2, 3)},
+    "robot.arm": {
+        "link_masses_kg": ("masses", _floats), "link_com_m": ("coms", _floats),
+        "joint_offsets_m": ("joint_offsets", _floats), "joint_axes": ("joint_axes", _floats),
+        "link_inertia_kgm2": ("inertias", lambda v, label: np.array(
+            [j * np.eye(3) for j in np.asarray(v, dtype=float)]))},
+}
+
+DEFAULT_SEED = 0   # the seed of a scenario file that names none
 
 
 def load_scenario(path) -> tuple:
     """Read a scenario file; returns ``(ScenarioConfig, seed)``.
 
-    Files start from the published-table defaults and override only the
-    blocks they name, so a minimal scenario is just ``n_tiles`` and grid
-    settings; ``robot.mount_dcms`` overrides only the arms (``A1``..``A3``)
-    it names.  Quantities carry unit suffixes (kg, m, hz, kgm2).  A
-    top-level key outside ``SCENARIO_KEYS`` (a misspelling would silently
-    keep a default) and bad values raise ``SchemaError``; so does a block
-    that is not a mapping, and a count (``n_tiles``, ``z_grid``, ``seed``,
-    ``structure.n_modes``, ``uncertainty.mode``) that is not a YAML
-    integer, which ``int()`` would truncate.
+    Each block is read through its table in ``SCENARIO_BLOCKS``, and only
+    the keys a file names reach :func:`~flexasm.scenario.table_scenario`,
+    so a minimal scenario is just ``n_tiles``.  A known key without its
+    unit suffix (kg, m, hz, kgm2) raises ``UnitError``; any other unknown
+    key, in any block, raises ``SchemaError`` naming the block and the
+    key, as do a block that is not a mapping, a count that is not a YAML
+    integer (``int()`` would truncate it) and any value a constructor
+    rejects.
     """
     path = Path(path)
     try:
@@ -131,85 +212,20 @@ def load_scenario(path) -> tuple:
         raise ParseError(f"cannot parse scenario {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: scenario must be a mapping")
-    unknown = sorted(map(str, set(doc) - SCENARIO_KEYS))
-    if unknown:
-        raise SchemaError(f"{path}: unknown top-level keys {unknown}; "
-                          f"known keys are {sorted(SCENARIO_KEYS)}")
-
-    def integer(block, key, default, label=None):
-        value = block.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(
-                f"{path}: {label or key} must be an integer, got {value!r}")
-        return value
-
-    def mapping(block, key, label=None):
-        value = block[key]
-        if not isinstance(value, dict):
-            raise SchemaError(
-                f"{path}: {label or key} must be a mapping, got {value!r}")
-        return value
-
     try:
-        n_tiles = integer(doc, "n_tiles", 4)
-        layout = None
-        if "layout" in doc:
-            layout = TileLayout(tuple(map(tuple, mapping(doc, "layout")["cells"])))
-        kw = {}
-        if "controller" in doc:
-            ctl = mapping(doc, "controller")
-            if "freq" in ctl:
-                raise UnitError("controller frequency must be freq_hz")
-            kw["xi_att"] = float(ctl.get("xi", 1.0))
-            kw["f_att_hz"] = float(ctl.get("freq_hz", 0.01))
-        if "uncertainty" in doc:
-            unc = mapping(doc, "uncertainty")
-            kw["r_omega"] = float(unc.get("r_omega", 0.2))
-            kw["uncertain_mode"] = integer(unc, "mode", 1, "uncertainty.mode") - 1
-        if "structure" in doc:
-            s = mapping(doc, "structure")
-            kw["n_struct_modes"] = integer(s, "n_modes", 4, "structure.n_modes")
-            kw["xi_struct"] = float(s.get("damping", 0.005))
-            if "k_trans" in s:
-                kw["stiffness"] = LatticeStiffness(
-                    k_trans=float(s["k_trans"]),
-                    k_rot=float(s.get("k_rot", 0.25 * float(s["k_trans"]))),
-                    diag_scale=float(s.get("diag_scale", 0.5)))
-            if "stack_reach_m" in s:
-                kw["stack_reach"] = float(s["stack_reach_m"])
-        if "hub" in doc:
-            kw["hub"] = _rigid_body(mapping(doc, "hub"), "hub")
-        if "tile" in doc:
-            kw["tile"] = _rigid_body(mapping(doc, "tile"), "tile")
-        if "robot" in doc:
-            rob = mapping(doc, "robot")
-            if "hub" in rob:
-                hub = mapping(rob, "hub", "robot.hub")
-                kw["robot_hub"] = _rigid_body(
-                    {**hub, "ports_m": hub.get("mounts_m", {})}, "robot.hub")
-            if "mount_dcms" in rob:
-                dcms = dict(ARM_MOUNT_DCMS)
-                for k, v in mapping(rob, "mount_dcms", "robot.mount_dcms").items():
-                    if k not in ("A1", "A2", "A3"):
-                        raise SchemaError(f"{path}: mount_dcms names {k!r}; "
-                                          "the arms are A1, A2 and A3")
-                    dcms[int(k[1])] = np.asarray(v, dtype=float)
-                kw["arm_mount_dcms"] = dcms
-            if "arm" in rob:
-                kw["arm_geometry"] = _arm_geometry(mapping(rob, "arm", "robot.arm"))
-        array = None
-        if "solar_array_file" in doc:
-            ref = Path(doc["solar_array_file"])
+        fields = _read(doc, "")
+        fields.pop("name", None)
+        seed = fields.pop("seed", DEFAULT_SEED)
+        if "array" in fields:
+            ref = Path(fields["array"])
             if not ref.is_absolute():
                 cand = path.parent / ref
                 ref = cand if cand.exists() else Path(str(data_path(str(ref))))
-            array = load_body_file(ref)
-        cfg = table_scenario(n_tiles, layout=layout,
-                             z_grid=integer(doc, "z_grid", 7),
-                             array=array, **kw)
+            fields["array"] = load_body_file(ref)
+        cfg = table_scenario(**fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    return cfg, integer(doc, "seed", 0)
+    return cfg, seed
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +302,16 @@ def _check_node(flag: str, node, n: int):
                           f"{n}-tile structure (tile 1..{n}, arm 1 or 2)")
 
 
+def _out_dir(args) -> Path:
+    """``--out``, made just before a command's first write."""
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"--out {args.out}: cannot make the output "
+                          f"directory ({exc.strerror})") from exc
+    return args.out
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
@@ -348,7 +374,7 @@ def cmd_analyze(args) -> int:
         traces[delta] = replace(
             resp, values=resp.values[:, rows][:, :, cols]).magnitude()
 
-    out = args.out
+    out = _out_dir(args)
     _write_csv(out / "analyze.csv",
                ["freq_hz", "sigma_nominal", "sigma_delta_minus", "sigma_delta_plus"],
                [(float(f), float(traces[0.0][k]), float(traces[-1.0][k]),
@@ -397,7 +423,7 @@ def cmd_optimize(args) -> int:
     series_w = [(i, v, e, "walk") for i, v, e, _ in walk.series]
     series_u = [(i, v, e, "walk") for i, v, e, _ in walk.series_baseline]
 
-    out = args.out
+    out = _out_dir(args)
     _series_csv(out, "metrics_weighted", series_w)
     _series_csv(out, "metrics_baseline", series_u)
     _graph_dump(out, graph)
@@ -423,7 +449,7 @@ def cmd_full_assembly(args) -> int:
     planner = AssemblyPlanner(cfg, costs=(spec.kind,))
     res = planner.plan_full_assembly(spec, start=args.start)
 
-    out = args.out
+    out = _out_dir(args)
     _series_csv(out, "metrics_weighted", res.series)
     _series_csv(out, "metrics_baseline", res.series_baseline)
     _trajectory_log(out, "trajectory_weighted", res.stages)
@@ -447,10 +473,8 @@ def cmd_full_assembly(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    failures = []
-    warnings = []
-    passes = []
-
+    """What no constructor checks: the array's residual mass and the
+    layout's connection to the clamp.  Writes nothing."""
     try:
         cfg, _ = load_scenario(args.scenario)
     except ParseError:
@@ -461,37 +485,20 @@ def cmd_validate(args) -> int:
         print("validate: 0 pass, 0 warn, 1 fail")
         return 2 if isinstance(exc, (SchemaError, UnitError)) else 3
 
-    def check(name, ok):
-        (passes if ok else failures).append(name)
-
-    for body, label in ((cfg.hub, "hub"), (cfg.tile, "tile"),
-                        (cfg.robot_hub, "robot hub")):
-        ev = np.linalg.eigvalsh(body.inertia_G)
-        check(f"{label} inertia SPD", bool(np.all(ev > 0)) or body.mass == 0)
-
-    check("solar array dampings in (0,1)",
-          bool(np.all((cfg.array.dampings > 0) & (cfg.array.dampings < 1))))
     ev = np.linalg.eigvalsh(residual_mass(cfg.array))
-    if ev.min() < -1e-10 * max(1.0, ev.max()):
-        warnings.append(f"array residual mass indefinite (min eig {ev.min():.2e})")
-    else:
-        passes.append("array residual mass PSD")
-
+    report = [("warn", f"array residual mass indefinite (min eig {ev.min():.2e})")
+              if ev.min() < -1e-10 * max(1.0, ev.max()) else ("pass", "array residual mass PSD")]
     try:
-        build_lattice(cfg.layout, cfg.tile.mass, cfg.tile.inertia_G,
-                      cfg.stiffness)
-        passes.append("layout connected to the clamp")
+        build_lattice(cfg.layout, cfg.tile.mass, cfg.tile.inertia_G, cfg.stiffness)
+        report.append(("pass", "layout connected to the clamp"))
     except FlexasmError as exc:
-        failures.append(f"layout: {exc}")
+        report.append(("FAIL", f"layout: {exc}"))
 
-    for name in passes:
-        print(f"pass  {name}")
-    for w in warnings:
-        print(f"warn  {w}")
-    for f in failures:
-        print(f"FAIL  {f}")
-    print(f"validate: {len(passes)} pass, {len(warnings)} warn, {len(failures)} fail")
-    return 3 if failures else 0
+    for status, text in report:
+        print(f"{status}  {text}")
+    count = [status for status, _ in report].count
+    print(f"validate: {count('pass')} pass, {count('warn')} warn, {count('FAIL')} fail")
+    return 3 if count("FAIL") else 0
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +555,6 @@ def main(argv=None) -> int:
         if not args.scenario.exists():
             print(f"error: scenario file {args.scenario} not found", file=sys.stderr)
             return 2
-        try:
-            args.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise SchemaError(f"--out {args.out}: cannot make the output "
-                              f"directory ({exc.strerror})") from exc
         handler = {"analyze": cmd_analyze, "optimize": cmd_optimize,
                    "full-assembly": cmd_full_assembly, "validate": cmd_validate}
         return handler[args.command](args)

@@ -21,6 +21,7 @@ truncation leaves a positive-semidefinite residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -28,6 +29,7 @@ import yaml
 from .errors import (
     DisconnectedLayout,
     EigenFailure,
+    InvalidModalData,
     LayoutError,
     ParseError,
     SchemaError,
@@ -130,12 +132,17 @@ class LatticeStiffness:
     """Inter-tile coupling stiffness [N/m and N m/rad].
 
     Diagonal couplings are softened by ``diag_scale``; the ground springs
-    at the clamp take the side values.
+    at the clamp take the side values.  ``k_rot`` left out is a quarter of
+    ``k_trans``.
     """
 
     k_trans: float = DEFAULT_K_TRANS
-    k_rot: float = 0.25 * DEFAULT_K_TRANS
+    k_rot: Optional[float] = None
     diag_scale: float = 0.5
+
+    def __post_init__(self):
+        if self.k_rot is None:
+            object.__setattr__(self, "k_rot", 0.25 * self.k_trans)
 
     def element(self, scale: float = 1.0) -> np.ndarray:
         return np.diag([self.k_trans] * 3 + [self.k_rot] * 3) * scale
@@ -343,7 +350,8 @@ def _unit_checked(doc: dict, logical: str, required: bool):
     return None
 
 
-def _inertia_from_rows(rows, convention: str) -> np.ndarray:
+def _inertia_from_rows(rows, convention=None) -> np.ndarray:
+    """Tensor from upper-triangle rows; ``convention`` is poi, or tensor if None."""
     try:
         (xx, pxy, pxz), (yy, pyz), (zz,) = ([float(v) for v in r] for r in rows)
     except (TypeError, ValueError) as exc:
@@ -352,7 +360,7 @@ def _inertia_from_rows(rows, convention: str) -> np.ndarray:
         ) from exc
     if convention == "poi":
         pxy, pxz, pyz = -pxy, -pxz, -pyz
-    elif convention != "tensor":
+    elif convention not in (None, "tensor"):
         raise SchemaError(f"inertia_convention must be poi|tensor, got {convention!r}")
     return np.array([[xx, pxy, pxz], [pxy, yy, pyz], [pxz, pyz, zz]])
 
@@ -364,7 +372,8 @@ def load_body_file(path) -> ModalBodyData:
     published tables do); ``mode_rows`` then selects the rows, 1-based,
     pairing them with ``freqs_hz`` in order.  Inertia may be given at the
     CoM or at the port, products either as a tensor or as positive
-    integrals (``inertia_convention: poi``).
+    integrals (``inertia_convention: poi``).  Modal data that
+    ``ModalBodyData`` rejects is a ``SchemaError`` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -382,35 +391,19 @@ def load_body_file(path) -> ModalBodyData:
         raise SchemaError(f"{name}: mass_kg must be positive")
 
     freqs_hz = np.asarray(_unit_checked(doc, "freqs", required=False) or [], dtype=float)
-    if np.any(freqs_hz <= 0.0):
-        raise SchemaError(f"{name}: freqs_hz must be positive")
     n = freqs_hz.size
-
-    damp = doc.get("dampings")
-    if n and damp is None:
-        raise SchemaError(f"{name}: dampings required with freqs_hz")
-    damp = np.asarray(damp if damp is not None else [], dtype=float).ravel()
-    if damp.size == 1 and n > 1:
-        damp = np.full(n, damp[0])
-    if damp.size != n:
-        raise SchemaError(f"{name}: need one damping per mode")
-    if np.any(damp <= 0.0) or np.any(damp >= 1.0):
-        raise SchemaError(f"{name}: dampings must lie strictly in (0, 1)")
 
     com = _unit_checked(doc, "com", required=False)
     com = np.zeros(3) if com is None else np.asarray(com, dtype=float).ravel()
     inertia_rows = _unit_checked(doc, "inertia", required=True)
-    J = _inertia_from_rows(inertia_rows, str(doc.get("inertia_convention", "tensor")))
+    J = _inertia_from_rows(inertia_rows, doc.get("inertia_convention"))
     frame = str(doc.get("inertia_frame", "port"))
     if frame == "com":
         J = transport_inertia(J, mass, com)
     elif frame != "port":
         raise SchemaError(f"{name}: inertia_frame must be com|port, got {frame!r}")
 
-    part = doc.get("participation")
-    if n and part is None:
-        raise SchemaError(f"{name}: participation matrix required with modes")
-    L_full = np.asarray(part if part is not None else np.zeros((0, 6)), dtype=float)
+    L_full = np.asarray(doc.get("participation", np.zeros((0, 6))), dtype=float)
     if L_full.ndim != 2 or (L_full.size and L_full.shape[1] != 6):
         raise SchemaError(f"{name}: participation rows must have 6 columns")
     mode_rows = doc.get("mode_rows")
@@ -433,12 +426,13 @@ def load_body_file(path) -> ModalBodyData:
         phi_C = np.asarray(shapes, dtype=float)
         if phi_C.shape != (6, n):
             raise SchemaError(f"{name}: mode_shapes_at_c must be 6 x {n}")
-        if pc is None:
-            raise SchemaError(f"{name}: pc_m required with mode_shapes_at_c")
     if pc is not None:
         pc = np.asarray(pc, dtype=float).ravel()
 
-    return ModalBodyData(
-        mass=mass, com=com, inertia_P=J,
-        freqs=2.0 * np.pi * freqs_hz, dampings=damp,
-        L_P=L, phi_C=phi_C, pc=pc, name=name)
+    try:
+        return ModalBodyData(
+            mass=mass, com=com, inertia_P=J,
+            freqs=2.0 * np.pi * freqs_hz, dampings=doc.get("dampings", []),
+            L_P=L, phi_C=phi_C, pc=pc, name=name)
+    except InvalidModalData as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

@@ -232,18 +232,16 @@ class ScenarioConfig:
 
 
 def table_scenario(n_tiles: int = 4, layout: Optional[TileLayout] = None,
-                   z_grid: int = 7, n_struct_modes: int = 4,
                    array: Optional[ModalBodyData] = None,
                    **overrides) -> ScenarioConfig:
     """Scenario built from the published spacecraft tables.
 
     The flexible structure itself is generated by the lattice bank; only
-    its tile properties and layout are inputs.
+    its tile properties and layout are inputs.  ``overrides`` replace
+    :class:`ScenarioConfig` fields; the others keep their defaults there.
     """
     from . import data_path
 
-    if not n_tiles >= 1:
-        raise SchemaError(f"n_tiles = {n_tiles} must be >= 1")
     hub = RigidBodyData(HUB_MASS, HUB_INERTIA,
                         {"P1": GP1, "P2": GP2, "P3": GP3}, name="hub")
     if array is None:
@@ -254,11 +252,10 @@ def table_scenario(n_tiles: int = 4, layout: Optional[TileLayout] = None,
                               name="robot_hub")
     cfg = ScenarioConfig(
         hub=hub, array=array, array_dcm=ARRAY_DCM, tile=tile,
-        n_tiles=n_tiles,
-        layout=layout if layout is not None else default_layout(n_tiles),
+        n_tiles=n_tiles,   # checked before the layout: no default for n < 1
+        layout=layout if layout is not None else default_layout(max(n_tiles, 1)),
         arm_geometry=default_arm_geometry(), robot_hub=robot_hub,
-        arm_mount_dcms=dict(ARM_MOUNT_DCMS), stack_offset=STACK_OFFSET,
-        z_grid=z_grid, n_struct_modes=n_struct_modes)
+        arm_mount_dcms=dict(ARM_MOUNT_DCMS), stack_offset=STACK_OFFSET)
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -275,12 +272,12 @@ def enumerate_model_family(N: int):
             for delta in (0, 1)]
 
 
-def attitude_gains(J_tot: np.ndarray, xi_att: float = 1.0,
-                   f_att_hz: float = 0.01) -> np.ndarray:
+def attitude_gains(J_tot: np.ndarray, xi_att: float, f_att_hz: float) -> np.ndarray:
     """Proportional-derivative attitude gains [k_att c_att] (3 x 6).
 
     ``k_att = -omega^2 J`` and ``c_att = -2 xi omega J`` with the loop
-    frequency given in Hz and converted internally.
+    frequency given in Hz and converted internally; the mission's damping
+    and frequency are :class:`ScenarioConfig`'s ``xi_att`` and ``f_att_hz``.
     """
     w = 2.0 * np.pi * f_att_hz
     J = np.asarray(J_tot, dtype=float)

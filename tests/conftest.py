@@ -30,10 +30,10 @@ def state_transform(sys, T):
                             sys.in_channels, sys.out_channels)
 
 
-def mission_states(count, seed):
-    """Random ``(state, qs)`` pairs of the 4-tile mission."""
+def mission_states(count, seed, N=4):
+    """Random ``(state, qs)`` pairs of the ``N``-tile mission."""
     rng = make_rng(seed)
-    family = sc.enumerate_model_family(4)
+    family = sc.enumerate_model_family(N)
     for idx in rng.choice(len(family), count, replace=False):
         yield family[idx], [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
 

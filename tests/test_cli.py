@@ -1,6 +1,7 @@
 """Command line front end: scenario files, outputs, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -69,6 +70,32 @@ def test_scenario_unit_suffix_errors(tmp_path):
         cli.load_scenario(p)
 
 
+@pytest.mark.parametrize("fields, key", [
+    ({"hub": {"mass": 166.0, "inertia_kgm2": [[1.0, 0, 0], [1.0, 0], [1.0]]}}, "mass"),
+    ({"tile": {"mass_kg": 6.0, "inertia": [[1.0, 0, 0], [1.0, 0], [1.0]]}}, "inertia"),
+    ({"structure": {"stack_reach": 1.5}}, "stack_reach"),
+    ({"robot": {"arm": {"link_masses": [5.0] * 6}}}, "link_masses"),
+], ids=["hub", "tile", "structure", "robot.arm"])
+def test_unit_less_stem_of_a_known_key_is_a_unit_error(tmp_path, fields, key):
+    # one rule for every block: a known key without its unit suffix
+    p = write_scenario(tmp_path, **fields)
+    with pytest.raises(cli.UnitError, match=f"'{key}' carries no unit"):
+        cli.load_scenario(p)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o",
+                      "full-assembly", "--cost", "h2-theta"]) == 2
+
+
+def test_stiffness_keys_given_alone_are_honoured(tmp_path):
+    # k_rot defaults to a quarter of k_trans, whichever of the three is given
+    cfg, _ = cli.load_scenario(write_scenario(tmp_path, structure={"k_trans": 1.2e6}))
+    assert (cfg.stiffness.k_trans, cfg.stiffness.k_rot) == (1.2e6, 0.25 * 1.2e6)
+    assert cfg.stiffness.diag_scale == sc.LatticeStiffness().diag_scale
+    cfg, _ = cli.load_scenario(write_scenario(
+        tmp_path, structure={"diag_scale": 0.2, "k_rot": 1e5}))
+    assert (cfg.stiffness.diag_scale, cfg.stiffness.k_rot) == (0.2, 1e5)
+    assert cfg.stiffness.k_trans == sc.LatticeStiffness().k_trans
+
+
 # ---------------------------------------------------------------------------
 # commands and exit codes
 # ---------------------------------------------------------------------------
@@ -86,7 +113,7 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, below):
     blocker = tmp_path / "taken"
     blocker.write_text("keep\n")
     out = blocker / "out" if below else blocker
-    assert run(["--scenario", p, "--out", out, "validate"]) == 2
+    assert run(["--scenario", p, "--out", out, "analyze", "--points", 2]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out {out}: cannot make the output directory")
     assert "Traceback" not in err
@@ -275,6 +302,32 @@ def test_scalar_block_exits_2(tmp_path, capsys, command, fields, block):
         captured.out if command == ["validate"] else captured.err)
 
 
+@pytest.mark.parametrize("block, fields, keys", [
+    ("layout", {"layout": {"cels": [[0, 0], [0, 1]]}}, ["cels"]),
+    ("controller", {"controller": {"xii": 2}}, ["xii"]),
+    ("uncertainty", {"uncertainty": {"r_omgea": 0.9}}, ["r_omgea"]),
+    ("structure", {"structure": {"n_mode": 2, "dampng": 0.5}}, ["dampng", "n_mode"]),
+    ("hub", {"hub": {**body(166.0), "port_m": {"P1": [0.0, -0.5, 0.0]}}}, ["port_m"]),
+    ("tile", {"tile": {**body(6.0), "inertia_conventon": "poi"}}, ["inertia_conventon"]),
+    ("robot", {"robot": {"arms": {}}}, ["arms"]),
+    ("robot.hub", {"robot": {"hub": {**body(10.0), "mount_m": {}}}}, ["mount_m"]),
+    ("robot.arm", {"robot": {"arm": {"link_mass_kg": [5.0] * 6}}}, ["link_mass_kg"]),
+], ids=["layout", "controller", "uncertainty", "structure", "hub", "tile", "robot",
+        "robot.hub", "robot.arm"])
+@pytest.mark.parametrize("command", [["full-assembly", "--cost", "h2-theta"],
+                                     ["validate"]], ids=["full-assembly", "validate"])
+def test_unknown_key_in_any_block_exits_2(tmp_path, capsys, command, block, fields, keys):
+    # a misspelled key inside a block would otherwise keep its default
+    # silently, or load a body without its ports
+    p = write_scenario(tmp_path, **fields)
+    message = f"unknown keys {keys} in {block};"
+    with pytest.raises(cli.SchemaError, match=re.escape(message)):
+        cli.load_scenario(p)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", *command]) == 2
+    captured = capsys.readouterr()
+    assert message in (captured.out if command == ["validate"] else captured.err)
+
+
 def test_scalar_body_ports_exit_2(tmp_path, capsys):
     p = write_scenario(tmp_path, hub={**body(166.0), "ports_m": 3})
     assert exit_code(["--scenario", p, "--out", tmp_path / "o",
@@ -345,6 +398,37 @@ def test_validate_passes_on_desk(tmp_path, capsys):
     assert "fail" in out and "0 fail" in out
 
 
+def bad_body(**fields):
+    """A two-mode body file with the given fields replaced."""
+    return {"name": "bad_array", "mass_kg": 10.0,
+            "inertia_kgm2": [[1.0, 0.0, 0.0], [1.0, 0.0], [1.0]],
+            "freqs_hz": [1.0, 2.0], "dampings": [0.01, 0.02],
+            "participation": [[0.1, 0, 0, 0, 0, 0], [0, 0.1, 0, 0, 0, 0]], **fields}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"dampings": [0.01, 0.0]}, "dampings must lie in (0, 1)"),
+    ({"dampings": [1.5]}, "dampings must lie in (0, 1)"),
+    ({"dampings": [0.01, 0.02, 0.03]}, "dampings must lie in (0, 1)"),
+    ({"freqs_hz": [1.0, -2.0]}, "mode frequencies must be > 0"),
+    ({"participation": [[0.1, 0, 0, 0, 0, 0]]}, "participation has 1 rows for 2 modes"),
+], ids=["zero-damping", "damping-above-1", "damping-count", "negative-freq", "mode-count"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--points", "2"],
+    ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "2,2"],
+    ["full-assembly", "--cost", "h2-theta"],
+    ["validate"]], ids=lambda c: c[0])
+def test_bad_body_file_exits_2(tmp_path, capsys, command, fields, message):
+    # the body's constructor checks it; the loader names the file
+    (tmp_path / "bad_array.yaml").write_text(yaml.safe_dump(bad_body(**fields)))
+    p = write_scenario(tmp_path, solar_array_file="bad_array.yaml")
+    assert run(["--scenario", p, "--out", tmp_path / "o", *command]) == 2
+    captured = capsys.readouterr()
+    text = captured.out if command == ["validate"] else captured.err
+    assert message in text and "bad_array" in text
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_fails_on_zero_damping_body(tmp_path):
     bad_body = {
         "name": "bad_array", "mass_kg": 10.0,
@@ -372,7 +456,7 @@ def test_validate_warns_once_on_indefinite_residual_mass(tmp_path, capsys):
     out = capsys.readouterr().out
     assert [ln for ln in out.splitlines() if ln.startswith("warn")] == [
         "warn  array residual mass indefinite (min eig -1.50e+01)"]
-    assert "validate: 5 pass, 1 warn, 0 fail" in out
+    assert "validate: 1 pass, 1 warn, 0 fail" in out
 
 
 def test_validate_fails_on_detached_layout(tmp_path):
@@ -483,6 +567,20 @@ def test_full_assembly_of_one_tile_exits_2(tmp_path, capsys):
                 "--cost", "h2-theta"]) == 2
     assert "error: full-assembly needs n_tiles >= 2" in capsys.readouterr().err
     assert [f for f in out.rglob("*") if f.is_file()] == []
+
+
+@pytest.mark.parametrize("fields, command", [
+    ({"n_tiles": 1}, ["full-assembly", "--cost", "h2-theta"]),
+    ({}, ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "1,1"]),
+    ({}, ["validate"]),
+], ids=["one-tile-full-assembly", "optimize-to-its-start", "validate"])
+def test_run_that_writes_nothing_makes_no_out_directory(tmp_path, fields, command):
+    # --out is made just before the first write: a rejected run, and
+    # validate, which writes nothing, leave no directory behind
+    p = write_scenario(tmp_path, **fields)
+    out = tmp_path / "out"
+    assert run(["--scenario", p, "--out", out, *command]) in (0, 2)
+    assert not out.exists()
 
 
 def test_optimize_hard_cap_unreachable_exits_4(tmp_path):

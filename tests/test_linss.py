@@ -6,7 +6,8 @@ import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
-from flexasm import linss, pathopt
+from flexasm import linss, pathopt, robust
+from flexasm import scenario as sc
 from flexasm.errors import (
     IllPosedLoop,
     NonzeroFeedthrough,
@@ -17,7 +18,7 @@ from flexasm.errors import (
 )
 
 from conftest import (make_rng, max_response_deviation, mission_loops,
-                      random_stable_system, state_transform)
+                      mission_states, random_stable_system, state_transform)
 from wired import integrator
 
 
@@ -767,6 +768,23 @@ def test_h2_matches_kronecker_solve_on_mission_loops():
         assert sys.modal_inverse() is not None
         assert linss.h2_norm(sys) == pytest.approx(kronecker_h2(sys),
                                                    rel=1e-11, abs=0.0), k
+
+
+def test_priced_norms_and_margin_match_oracles_on_mission_scale_loops():
+    # four closed loops of the 28-tile mission, gains sized at N = 28: each
+    # price sits on its independent oracle, no loop falls back from the
+    # modal form, and the margin has the bits of the scan by probing alone
+    models = sc.ScenarioModels(sc.table_scenario(28))
+    K = models.design_gains()
+    oracles = dict(zip(PRICED_KINDS, (peak_gain, kronecker_h2, peak_gain)))
+    for k, (state, qs) in enumerate(mission_states(4, 5, N=28)):
+        cl = models.closed_loop(state, qs, K)
+        assert cl.modal_inverse() is not None
+        for kind, (inp, out) in zip(PRICED_KINDS, PRICED_CHANNELS):
+            price = pathopt.per_system_metric(cl, pathopt.CostSpec(kind))
+            oracle = oracles[kind](cl.subsystem([out], [inp]))
+            assert price == pytest.approx(oracle, rel=1e-9, abs=0.0), (k, kind)
+        assert robust.mu_real_repeated(cl).delta_crit == robust._scan_crossing(cl, 20.0)
 
 
 def test_h2_defective_state_matrix_takes_the_kronecker_solve(monkeypatch):

@@ -380,7 +380,8 @@ def rigid_loop(models, st, K):
 
 def test_rigid_loop_critically_damped(models):
     st = sc.AssemblyState(2, 1, 1, 0)
-    K = sc.attitude_gains(models.total_inertia(st, HOME))
+    K = sc.attitude_gains(models.total_inertia(st, HOME), models.cfg.xi_att,
+                          models.cfg.f_att_hz)
     cl = rigid_loop(models, st, K)
     poles = np.linalg.eigvals(cl.A)
     w = 2 * np.pi * 0.01
@@ -390,7 +391,8 @@ def test_rigid_loop_critically_damped(models):
 
 def test_rigid_loop_input_sensitivity_analytic(models):
     st = sc.AssemblyState(2, 1, 1, 0)
-    K = sc.attitude_gains(models.total_inertia(st, HOME))
+    K = sc.attitude_gains(models.total_inertia(st, HOME), models.cfg.xi_att,
+                          models.cfg.f_att_hz)
     cl = rigid_loop(models, st, K)
     sub = cl.subsystem(outputs=["e_t"], inputs=["d_t"])
     w0 = 2 * np.pi * 0.01
@@ -411,7 +413,8 @@ def test_zero_gains_leave_loop_open(models):
 
 def test_integrator_chain_outputs(models):
     st = sc.AssemblyState(1, 1, 1, 0)
-    K = sc.attitude_gains(models.total_inertia(st, HOME))
+    K = sc.attitude_gains(models.total_inertia(st, HOME), models.cfg.xi_att,
+                          models.cfg.f_att_hz)
     cl = models.closed_loop(st, HOME, K)
     w = 0.5
     G = cl.transfer_at(1j * w)
@@ -752,14 +755,23 @@ def test_seed_ladder_failure_inside_bound_is_a_seed_artifact(cfg, monkeypatch):
     assert exc.value.task_error == 0.02
 
 
-def test_desk_straddle_failures_are_all_certified(monkeypatch):
-    # every reach problem the assembly-n4 benchmark prices: the four that
-    # fail are certified by the bound, with no descent at all
+def desk_scenario():
     from flexasm import data_path
     from flexasm.cli import load_scenario
+
+    return load_scenario(data_path("scenario_desk.yaml"))[0]
+
+
+@pytest.mark.parametrize("scenario, count, failures", [
+    (desk_scenario, 28, 4), (lambda: sc.table_scenario(8), 88, 20)],
+    ids=["desk", "table-8"])
+def test_desk_straddle_failures_are_all_certified(monkeypatch, scenario, count, failures):
+    # every reach problem of a plan: on the desk layout the assembly-n4
+    # benchmark prices, and at N = 8, whose graphs cover every node of both
+    # arms; each failure is certified by the bound, with no descent at all
     from flexasm.pathopt import build_node_graphs
 
-    cfg, _ = load_scenario(data_path("scenario_desk.yaml"))
+    cfg = scenario()
     models = sc.ScenarioModels(cfg)
     problems = {}
     for n in range(1, cfg.n_tiles):
@@ -786,7 +798,7 @@ def test_desk_straddle_failures_are_all_certified(monkeypatch):
             assert type(exc) is IkUnreachable
             assert len(calls) == before
             failed += 1
-    assert failed == 4
+    assert (len(problems), failed) == (count, failures)
     assert len(calls) == len(problems) - failed
 
 
