@@ -22,6 +22,12 @@ Conventions
 * Channels are ``(name, width)`` pairs; names are unique per direction.
 * Systems are immutable; all operations return new objects, so concurrent
   evaluation of different systems or frequencies is safe.
+* The public constructor ``StateSpace(...)`` copies and checks its
+  matrices and channels.  The results of :meth:`StateSpace.subsystem`,
+  :class:`StaticClosure` (and so :func:`close_static`) and
+  ``scenario.close_loop`` are built from already-checked systems through
+  the private ``StateSpace._unchecked``, which only marks the arrays read
+  only: the loops the planner prices run no validating constructor.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ __all__ = [
     "invert_channels",
     "lft_upper",
     "close_static",
+    "StaticClosure",
     "freq_response",
     "sigma_max",
     "is_stable",
@@ -161,6 +168,21 @@ class StateSpace:
         object.__setattr__(self, "out_channels", _norm_channels(outs, p, "output"))
         object.__setattr__(self, "_modes", {})
 
+    @classmethod
+    def _unchecked(cls, A, B, C, D, in_channels, out_channels) -> "StateSpace":
+        """A system from float matrices of matching shapes and normalized
+        ``(name, width)`` channel tuples, such as operations on checked
+        systems produce: the arrays are marked read only, not copied, and
+        nothing is checked again."""
+        sys = object.__new__(cls)
+        for name, a in (("A", A), ("B", B), ("C", C), ("D", D)):
+            a.setflags(write=False)
+            object.__setattr__(sys, name, a)
+        object.__setattr__(sys, "in_channels", in_channels)
+        object.__setattr__(sys, "out_channels", out_channels)
+        object.__setattr__(sys, "_modes", {})
+        return sys
+
     # -- basic introspection ------------------------------------------------
 
     @property
@@ -211,12 +233,15 @@ class StateSpace:
         and modal gate: whichever of the two computes them first computes
         them for both.
         """
+        for kind, names in (("input", inputs), ("output", outputs)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate {kind} channel name in {list(names)}")
         cols = np.concatenate([np.r_[self.in_slice(c)] for c in inputs])
         rows = np.concatenate([np.r_[self.out_slice(c)] for c in outputs])
-        sub = StateSpace(
+        sub = StateSpace._unchecked(
             self.A, self.B[:, cols], self.C[rows, :], self.D[np.ix_(rows, cols)],
-            tuple((c, self.in_width(c)) for c in inputs),
-            tuple((c, self.out_width(c)) for c in outputs),
+            tuple((str(c), self.in_width(c)) for c in inputs),
+            tuple((str(c), self.out_width(c)) for c in outputs),
         )
         object.__setattr__(sub, "_modes", self._modes)
         return sub
@@ -485,6 +510,57 @@ def lft_upper(plant: StateSpace, delta: float) -> StateSpace:
         ext_in, ext_out)
 
 
+class StaticClosure:
+    """:func:`close_static` of one system and channel pair, split at the
+    gain.
+
+    Building it gathers every operand that does not depend on ``K``: the
+    channel slices, ``[C_z, D_zu]``, ``[A, B_u]``, ``[C_y, D_yu]``, the
+    columns ``B_w`` and ``D_yw`` and the remaining channels.  Calling it
+    with a gain checks the gain's shape and the loop's well-posedness and
+    closes the loop with one solve and a few products.  It reads its own
+    system's channels: a :meth:`StateSpace.subsystem` slice gets its own
+    closure, never its parent's.
+    """
+
+    __slots__ = ("_w_channel", "_z_channel", "_shape", "_n", "_D_zw", "_z_rows",
+                 "_top", "_B_w", "_bottom", "_D_yw", "_ins", "_outs")
+
+    def __init__(self, sys: StateSpace, w_channel: str, z_channel: str):
+        w, z = sys.in_slice(w_channel), sys.out_slice(z_channel)
+        cols = np.r_[0:w.start, w.stop:sys.n_inputs]
+        rows = np.r_[0:z.start, z.stop:sys.n_outputs]
+        self._w_channel, self._z_channel = w_channel, z_channel
+        self._shape = (w.stop - w.start, z.stop - z.start)
+        self._n = sys.n_states
+        self._D_zw = sys.D[z, w]
+        self._z_rows = np.hstack([sys.C[z], sys.D[z][:, cols]])
+        self._top = np.hstack([sys.A, sys.B[:, cols]])
+        self._B_w = sys.B[:, w]
+        self._bottom = np.hstack([sys.C[rows], sys.D[np.ix_(rows, cols)]])
+        self._D_yw = sys.D[rows, w]
+        self._ins = tuple(c for c in sys.in_channels if c[0] != w_channel)
+        self._outs = tuple(c for c in sys.out_channels if c[0] != z_channel)
+
+    def __call__(self, K) -> StateSpace:
+        K = np.asarray(K, dtype=float)
+        if K.shape != self._shape:
+            raise WidthMismatch(
+                f"gain {K.shape} does not map {self._z_channel!r} "
+                f"({self._shape[1]}) to {self._w_channel!r} ({self._shape[0]})")
+        loop = np.eye(self._shape[1]) - self._D_zw @ K
+        rcond = 1.0 / np.linalg.cond(loop, 1)
+        if rcond < WELLPOSED_RCOND:
+            raise IllPosedLoop(f"static loop is ill posed (rcond={rcond:.2e})")
+        # the closed loop's w as a function of [x; u]
+        G = K @ np.linalg.solve(loop, self._z_rows)
+        top = self._top + self._B_w @ G
+        bottom = self._bottom + self._D_yw @ G
+        n = self._n
+        return StateSpace._unchecked(top[:, :n], top[:, n:], bottom[:, :n],
+                                     bottom[:, n:], self._ins, self._outs)
+
+
 def close_static(sys: StateSpace, K, w_channel: str, z_channel: str) -> StateSpace:
     """Close ``w = K z`` with a static gain and drop the channel pair.
 
@@ -494,28 +570,10 @@ def close_static(sys: StateSpace, K, w_channel: str, z_channel: str) -> StateSpa
     order of the remaining channels are unchanged; the result equals the
     :func:`interconnect` closure of the same loop.  Raises
     :class:`IllPosedLoop` when ``rcond(I - D_zw K)`` is below
-    ``WELLPOSED_RCOND``.
+    ``WELLPOSED_RCOND``.  A caller closing many gains on one system
+    builds its :class:`StaticClosure` once instead.
     """
-    w, z = sys.in_slice(w_channel), sys.out_slice(z_channel)
-    K = np.asarray(K, dtype=float)
-    if K.shape != (w.stop - w.start, z.stop - z.start):
-        raise WidthMismatch(
-            f"gain {K.shape} does not map {z_channel!r} "
-            f"({z.stop - z.start}) to {w_channel!r} ({w.stop - w.start})")
-    loop = np.eye(z.stop - z.start) - sys.D[z, w] @ K
-    rcond = 1.0 / np.linalg.cond(loop, 1)
-    if rcond < WELLPOSED_RCOND:
-        raise IllPosedLoop(f"static loop is ill posed (rcond={rcond:.2e})")
-    cols = np.r_[0:w.start, w.stop:sys.n_inputs]
-    rows = np.r_[0:z.start, z.stop:sys.n_outputs]
-    # the closed loop's w as a function of [x; u]
-    G = K @ np.linalg.solve(loop, np.hstack([sys.C[z], sys.D[z][:, cols]]))
-    top = np.hstack([sys.A, sys.B[:, cols]]) + sys.B[:, w] @ G
-    bottom = np.hstack([sys.C[rows], sys.D[np.ix_(rows, cols)]]) + sys.D[rows, w] @ G
-    n = sys.n_states
-    return StateSpace(top[:, :n], top[:, n:], bottom[:, :n], bottom[:, n:],
-                      tuple(c for c in sys.in_channels if c[0] != w_channel),
-                      tuple(c for c in sys.out_channels if c[0] != z_channel))
+    return StaticClosure(sys, w_channel, z_channel)(K)
 
 
 # ---------------------------------------------------------------------------

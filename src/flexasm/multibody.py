@@ -98,10 +98,17 @@ class RigidBodyData:
 
     def __post_init__(self):
         J = np.asarray(self.inertia_G, dtype=float).reshape(3, 3)
+        offsets = {k: np.asarray(v, dtype=float).ravel()
+                   for k, v in self.port_offsets.items()}
+        # each test is written so that NaN and inf fail it
+        if not all(np.isfinite(a).all() for a in (J, *offsets.values())):
+            raise InvalidModalData(
+                f"inertia or port offsets of {self.name!r} not finite")
         if np.max(np.abs(J - J.T)) > 1e-9 * max(1.0, np.max(np.abs(J))):
             raise InvalidModalData(f"inertia of {self.name!r} not symmetric")
-        if self.mass < 0.0:
-            raise InvalidModalData(f"mass of {self.name!r} negative ({self.mass})")
+        if not 0.0 <= self.mass < np.inf:
+            raise InvalidModalData(
+                f"mass of {self.name!r} negative or not finite ({self.mass})")
         ev = np.linalg.eigvalsh(J)
         if self.mass > 0.0 and np.any(ev <= 0.0):
             raise InvalidModalData(
@@ -114,11 +121,7 @@ class RigidBodyData:
                 f"principal moments of {self.name!r} violate the triangle "
                 f"inequality: {ev}")
         object.__setattr__(self, "inertia_G", 0.5 * (J + J.T))
-        object.__setattr__(
-            self,
-            "port_offsets",
-            {k: np.asarray(v, dtype=float).ravel() for k, v in self.port_offsets.items()},
-        )
+        object.__setattr__(self, "port_offsets", offsets)
 
     def offset(self, port: str) -> np.ndarray:
         if port == "G":
@@ -341,30 +344,35 @@ class ModalBodyData:
         if damp.size == 1 and n > 1:
             damp = np.full(n, damp[0])
         L = np.asarray(self.L_P, dtype=float).reshape(n, 6) if n else np.zeros((0, 6))
-        if np.any(freqs <= 0.0):
-            raise InvalidModalData(f"{self.name!r}: mode frequencies must be > 0")
-        if damp.size != n or np.any(damp <= 0.0) or np.any(damp >= 1.0):
+        # each test is written so that NaN and inf fail it
+        if not np.all((freqs > 0.0) & (freqs < np.inf)):
+            raise InvalidModalData(f"{self.name!r}: mode frequencies must be > 0 and finite")
+        if damp.size != n or not np.all((damp > 0.0) & (damp < 1.0)):
             raise InvalidModalData(f"{self.name!r}: dampings must lie in (0, 1)")
-        if self.mass < 0.0 or (self.mass == 0.0 and n > 0):
+        if not 0.0 <= self.mass < np.inf or (self.mass == 0.0 and n > 0):
             raise InvalidModalData(
-                f"{self.name!r}: mass must be positive (zero only for a "
-                f"massless rigid transmission)")
+                f"{self.name!r}: mass must be finite and positive (zero only "
+                f"for a massless rigid transmission)")
         J = np.asarray(self.inertia_P, dtype=float).reshape(3, 3)
-        if np.max(np.abs(J - J.T)) > 1e-8 * max(1.0, np.max(np.abs(J))):
-            raise InvalidModalData(f"{self.name!r}: inertia_P not symmetric")
+        com = np.asarray(self.com, dtype=float).ravel()
         phi = self.phi_C
         if phi is not None:
             phi = np.asarray(phi, dtype=float).reshape(6, n)
             if self.pc is None:
                 raise InvalidModalData(f"{self.name!r}: phi_C given without pc")
+        pc = None if self.pc is None else np.asarray(self.pc, dtype=float).ravel()
+        if not all(np.isfinite(a).all() for a in (J, com, L, phi, pc) if a is not None):
+            raise InvalidModalData(
+                f"{self.name!r}: inertia, CoM, participation or mode shapes not finite")
+        if np.max(np.abs(J - J.T)) > 1e-8 * max(1.0, np.max(np.abs(J))):
+            raise InvalidModalData(f"{self.name!r}: inertia_P not symmetric")
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "dampings", damp)
         object.__setattr__(self, "L_P", L)
         object.__setattr__(self, "phi_C", phi)
-        object.__setattr__(self, "com", np.asarray(self.com, dtype=float).ravel())
+        object.__setattr__(self, "com", com)
         object.__setattr__(self, "inertia_P", 0.5 * (J + J.T))
-        if self.pc is not None:
-            object.__setattr__(self, "pc", np.asarray(self.pc, dtype=float).ravel())
+        object.__setattr__(self, "pc", pc)
         if self.mass > 0.0:
             dp = d_p_matrix(self)
             if np.any(np.linalg.eigvalsh(dp) <= 0.0):

@@ -16,11 +16,17 @@ places in the gripping arm's link 5: one mount table places them for
 ``M_C``, the walking IK and its reach bound, and
 :func:`flexasm.multibody.compose_rigid` sums the parts, each arm's links
 stacked from :func:`flexasm.robot.link_poses`, in one pass.  Only ``M_C``
-reads the gripping arm and the joint angles.  The rest of the
-spacecraft -- hub, array, tile stack and structure, its hub translation
-pinned -- is wired once per ``(n, j, delta)`` with the robot port left
-open and cached; each waypoint closes the robot's gain on the cached
-plant's matrices (:func:`flexasm.linss.close_static`).  The independent
+reads the gripping arm and the joint angles, and it is memoized on
+``(arm, delta, joint angles)``: waypoints repeat across structure sizes
+and every home waypoint of one ``(arm, delta)`` is the same.  The rest of
+the spacecraft -- hub, array, tile stack and structure, its hub
+translation pinned -- is wired once per ``(n, j, delta)`` with the robot
+port left open and cached, from hub and array blocks built once per
+scenario.  Beside each cached plant sits its prepared robot-port closure
+(:class:`flexasm.linss.StaticClosure`), so a waypoint's open loop is one
+6x6 solve and a few products on operands gathered once, and the loop
+closure and the attitude loop are built without re-validating
+constructors.  The independent
 reference for ``M_C`` lives in the tests (``tests/wired.py``): the robot
 wired link by link from port-based arm chains and a port-inverted hub,
 beside the fully wired plant, the reference for the cached one.
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,7 +61,7 @@ from .errors import (
     StateInvalid,
     WidthMismatch,
 )
-from .linss import StateSpace, close_static, interconnect, split_channel
+from .linss import StateSpace, StaticClosure, interconnect, split_channel
 from .modal import (
     DEFAULT_DAMPING,
     DEFAULT_TILE_INERTIA,
@@ -290,13 +297,15 @@ def attitude_gains(J_tot: np.ndarray, xi_att: float, f_att_hz: float) -> np.ndar
 
 class ScenarioModels:
     """Model factory with a per-size cache of generated structure data,
-    a cache of port-exposed plants and a memo of walking-IK solves."""
+    a cache of port-exposed plants with their robot-port closures, and
+    memos of the robot's mass matrix and of walking-IK solves."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self._lattices = {}
         self._modal = {}
         self._plants = {}
+        self._masses = {}
         self._reach = {}
         self._bounds = {}
         self._mounts = _mount_table(cfg)
@@ -334,16 +343,17 @@ class ScenarioModels:
         composite inertia *about G*.
 
         The locked robot closes ``W_r = -M_C xdd_C`` on the cached
-        port-exposed plant of :meth:`_port_plant`.
+        port-exposed plant of :meth:`_port_plant`, through the closure
+        prepared beside it.
         """
         if state.n > self.cfg.n_tiles:
             raise StateInvalid(f"state has n={state.n} > N={self.cfg.n_tiles}")
-        plant = self._port_plant(state.n, state.j, state.delta)
-        return close_static(plant, -self.robot_mass_matrix(state, qs),
-                            "W_r", "xdd_C")
+        _, close = self._port_plant(state.n, state.j, state.delta)
+        return close(-self.robot_mass_matrix(state, qs))
 
-    def _port_plant(self, n: int, j: int, delta: int) -> StateSpace:
-        """The spacecraft without the robot, with its docking port open.
+    def _port_plant(self, n: int, j: int, delta: int):
+        """The spacecraft without the robot, with its docking port open,
+        and the prepared closure of that port.
 
         Hub, array, tile stack and structure ``F_n`` docked at tile ``j``,
         wired once, pinned (:func:`pin_translation`) and cached on
@@ -351,19 +361,15 @@ class ScenarioModels:
         carries the robot port: input ``W_r``, the robot's wrench on the
         docking port C, and output ``xdd_C``, the acceleration twist of C.
         The gripping arm and the joint angles are not in the key: only the
-        robot's mass matrix reads them.
+        robot's mass matrix reads them.  Returns ``(plant, close)``, where
+        ``close`` is the plant's :class:`~flexasm.linss.StaticClosure` of
+        ``W_r = K xdd_C``, cached with it.
         """
         key = (n, j, delta)
         if key in self._plants:
             return self._plants[key]
         cfg = self.cfg
-        hub = rigid_nport(cfg.hub, ["P1", "P2", "P3"])
-        hub = split_channel(hub, "W_G", [("F_G", 3), ("T_G", 3)])
-        hub = split_channel(hub, "xdd_G", [("a_G", 3), ("omega_dot_G", 3)])
-
-        arr = mode_freq_lfr(cfg.array, cfg.uncertain_mode, cfg.r_omega)
-        arr = apply_frame(arr, "xdd_P", Dcm(cfg.array_dcm))
-        arr = apply_frame(arr, "W_P", Dcm(cfg.array_dcm))
+        hub, arr = self._fixed_blocks
 
         count = max(cfg.n_tiles - n - delta, 0)
         stk = titop_one_port(ModalBodyData(
@@ -385,9 +391,23 @@ class ScenarioModels:
         ext_out = [("a_G", "hub.a_G"), ("omega_dot_G", "hub.omega_dot_G"),
                    ("z_omega", "arr.z_omega"), ("xdd_C", "fn.xdd_C")]
 
-        plant = interconnect(blocks, wiring, ext_in, ext_out)
-        self._plants[key] = pin_translation(plant)
+        plant = pin_translation(interconnect(blocks, wiring, ext_in, ext_out))
+        self._plants[key] = plant, StaticClosure(plant, "W_r", "xdd_C")
         return self._plants[key]
+
+    @cached_property
+    def _fixed_blocks(self):
+        """The hub and array blocks of every port plant, built on first use:
+        neither reads ``n``, ``j`` or ``delta``."""
+        cfg = self.cfg
+        hub = rigid_nport(cfg.hub, ["P1", "P2", "P3"])
+        hub = split_channel(hub, "W_G", [("F_G", 3), ("T_G", 3)])
+        hub = split_channel(hub, "xdd_G", [("a_G", 3), ("omega_dot_G", 3)])
+
+        arr = mode_freq_lfr(cfg.array, cfg.uncertain_mode, cfg.r_omega)
+        arr = apply_frame(arr, "xdd_P", Dcm(cfg.array_dcm))
+        arr = apply_frame(arr, "W_P", Dcm(cfg.array_dcm))
+        return hub, arr
 
     def robot_mass_matrix(self, state: AssemblyState, qs) -> np.ndarray:
         """The locked robot's 6x6 mass matrix ``M_C`` about the docking
@@ -395,10 +415,18 @@ class ScenarioModels:
 
         ``M_C`` is the composite rigid mass of the three arms, the robot
         hub and the carried tile; the robot loads the port with
-        ``W_C = -M_C xdd_C``.
+        ``W_C = -M_C xdd_C``.  It reads only ``state.arm``, ``state.delta``
+        and the joint angles, so it is memoized on those; the returned
+        array is read only and shared by every call with the same key.
         """
-        m, c, J_com = compose_rigid(self._robot_parts(state, qs))
-        return port_mass_matrix(m, c, transport_inertia(J_com, m, c))
+        key = (state.arm, state.delta, np.asarray(qs, dtype=float).tobytes())
+        M = self._masses.get(key)
+        if M is None:
+            m, c, J_com = compose_rigid(self._robot_parts(state, qs))
+            M = port_mass_matrix(m, c, transport_inertia(J_com, m, c))
+            M.setflags(write=False)
+            self._masses[key] = M
+        return M
 
     # -- mass properties -----------------------------------------------------
 
@@ -656,7 +684,8 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     torque disturbance path ``d_t -> e_t`` with ``e_t = d_t + u`` (total
     torque entering the hub, the input-sensitivity output).  ``K_att`` is
     the 3 x 6 gain of :func:`attitude_gains`; any other shape raises
-    :class:`~flexasm.errors.WidthMismatch`.
+    :class:`~flexasm.errors.WidthMismatch`.  ``plant`` is a checked
+    system, so the loop is built without re-validating its matrices.
 
     The states are the plant's, then ``omega_G``, then ``Theta_G``; the
     inputs are ``d_t, W_ext, w_omega`` and the outputs
@@ -688,7 +717,7 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     z = plant.out_slice("z_omega")
     outs = (("omega_dot_G", 3), ("omega_G", 3), ("Theta_G", 3), ("e_t", 3),
             ("z_omega", z.stop - z.start))
-    return StateSpace(A, B[:, cols],
-                      np.vstack([C_p[wd], np.eye(6, n + 6, n), Ku, C_p[z]]),
-                      np.vstack([D_p[wd], np.zeros((6, k)), np.eye(3, k), D_p[z]]),
-                      tuple((name, plant.in_width(c)) for name, c in ins), outs)
+    return StateSpace._unchecked(
+        A, B[:, cols], np.vstack([C_p[wd], np.eye(6, n + 6, n), Ku, C_p[z]]),
+        np.vstack([D_p[wd], np.zeros((6, k)), np.eye(3, k), D_p[z]]),
+        tuple((name, plant.in_width(c)) for name, c in ins), outs)

@@ -30,6 +30,27 @@ def state_transform(sys, T):
                             sys.in_channels, sys.out_channels)
 
 
+def count_constructors(monkeypatch):
+    """``(checked, unchecked)``: lists that grow by one per validating
+    ``StateSpace(...)`` and per unchecked ``StateSpace._unchecked`` build."""
+    checked, unchecked = [], []
+    post_init = linss.StateSpace.__post_init__
+    monkeypatch.setattr(linss.StateSpace, "__post_init__",
+                        lambda self: checked.append(1) or post_init(self))
+    build = linss.StateSpace._unchecked
+    monkeypatch.setattr(linss.StateSpace, "_unchecked",
+                        classmethod(lambda cls, *a: unchecked.append(1) or build(*a)))
+    return checked, unchecked
+
+
+def assert_same_system(got, want):
+    """Bitwise equal matrices and equal channels."""
+    assert got.in_channels == want.in_channels
+    assert got.out_channels == want.out_channels
+    for a, b in zip((got.A, got.B, got.C, got.D), (want.A, want.B, want.C, want.D)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def mission_states(count, seed, N=4):
     """Random ``(state, qs)`` pairs of the ``N``-tile mission."""
     rng = make_rng(seed)

@@ -429,6 +429,34 @@ def test_bad_body_file_exits_2(tmp_path, capsys, command, fields, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("block, fields", [
+    ("tile", {"mass_kg": float("nan")}),
+    ("tile", {"mass_kg": float("inf")}),
+    ("array", {"mass_kg": float("nan")}),
+    ("array", {"freqs_hz": [1.0, float("nan")]}),
+    ("array", {"freqs_hz": [1.0, float("inf")]}),
+    ("array", {"dampings": [0.01, float("nan")]}),
+], ids=["tile-mass-nan", "tile-mass-inf", "array-mass-nan", "array-freq-nan",
+        "array-freq-inf", "array-damping-nan"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--points", "2"],
+    ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "2,2"],
+    ["full-assembly", "--cost", "h2-theta"],
+    ["validate"]], ids=lambda c: c[0])
+def test_non_finite_body_data_exits_2(tmp_path, capsys, command, block, fields):
+    # a schema error where the body is built, not a failure in the plant
+    if block == "tile":
+        p = write_scenario(tmp_path, tile={**body(6.0), **fields})
+    else:
+        (tmp_path / "bad_array.yaml").write_text(yaml.safe_dump(bad_body(**fields)))
+        p = write_scenario(tmp_path, solar_array_file="bad_array.yaml")
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", *command]) == 2
+    captured = capsys.readouterr()
+    text = captured.out if command == ["validate"] else captured.err
+    assert ("tile: " if block == "tile" else "bad_array") in text
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_fails_on_zero_damping_body(tmp_path):
     bad_body = {
         "name": "bad_array", "mass_kg": 10.0,

@@ -17,8 +17,9 @@ from flexasm.errors import (
     WidthMismatch,
 )
 
-from conftest import (make_rng, max_response_deviation, mission_loops,
-                      mission_states, random_stable_system, state_transform)
+from conftest import (count_constructors, make_rng, max_response_deviation,
+                      mission_loops, mission_states, random_stable_system,
+                      state_transform)
 from wired import integrator
 
 
@@ -365,14 +366,28 @@ def test_slices_share_their_parents_decomposition():
 
 
 def test_one_constructor_per_projection(monkeypatch):
+    # the one construction is the unchecked one: a slice of a checked
+    # system is not validated again
     cl = next(mission_loops(1, 4))
-    calls = []
-    post_init = linss.StateSpace.__post_init__
-    monkeypatch.setattr(linss.StateSpace, "__post_init__",
-                        lambda self: calls.append(1) or post_init(self))
+    checked, unchecked = count_constructors(monkeypatch)
     for channels in PRICED_CHANNELS:
         linss.minimal_stable_projection(cl, *channels)
-    assert len(calls) == len(PRICED_CHANNELS)
+    assert len(checked) == 0
+    assert len(unchecked) == len(PRICED_CHANNELS)
+
+
+def test_unchecked_systems_are_read_only():
+    rng = make_rng(22)
+    sys = random_stable_system(rng, 5, 4, 4)
+    sys = linss.split_channel(sys, "u", [("a", 1), ("w", 3)])
+    sys = linss.split_channel(sys, "y", [("z", 3), ("c", 1)])
+    closed = linss.close_static(sys, 0.2 * rng.standard_normal((3, 3)), "w", "z")
+    for built in (closed, sys.subsystem(["c"], ["w", "a"])):
+        for M in (built.A, built.B, built.C, built.D):
+            with pytest.raises(ValueError):
+                M[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sys.subsystem(["c", "c"], ["a"])
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,28 @@ def test_modal_data_invariants():
                          np.zeros((1, 6)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_body_data_rejects_non_finite_values(bad):
+    # each check is written so that NaN and inf fail it
+    def modal(**fields):
+        args = dict(mass=1.0, com=np.zeros(3), inertia_P=np.eye(3), freqs=[1.0],
+                    dampings=[0.1], L_P=np.zeros((1, 6)))
+        return mb.ModalBodyData(**{**args, **fields})
+
+    modal()
+    for fields in ({"freqs": [bad]}, {"dampings": [bad]}, {"mass": bad},
+                   {"com": [0.0, 0.0, bad]}, {"inertia_P": np.diag([1.0, 1.0, bad])},
+                   {"L_P": [[bad, 0.0, 0.0, 0.0, 0.0, 0.0]]}):
+        with pytest.raises(InvalidModalData):
+            modal(**fields)
+    mb.RigidBodyData(1.0, np.eye(3), {"P": np.zeros(3)})
+    for args in ((bad, np.eye(3)), (1.0, np.diag([1.0, 1.0, bad])),
+                 (0.0, np.diag([1.0, 1.0, bad])),
+                 (1.0, np.eye(3), {"P": [0.0, bad, 0.0]})):
+        with pytest.raises(InvalidModalData):
+            mb.RigidBodyData(*args)
+
+
 # ---------------------------------------------------------------------------
 # composition of rigid bodies
 # ---------------------------------------------------------------------------

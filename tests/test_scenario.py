@@ -17,7 +17,8 @@ from flexasm.multibody import (apply_frame, compose_rigid, dcm_about_axis,
                                transport_inertia)
 from flexasm.robot import default_arm_geometry, link_poses
 
-from conftest import make_rng, mission_states
+from conftest import (assert_same_system, count_constructors, make_rng,
+                      mission_states)
 from wired import (arm_two_port, rigid_nport_inverted, wired_close_loop,
                    wired_open_loop)
 
@@ -314,19 +315,71 @@ def test_port_plant_cache_keys(cfg, monkeypatch):
 
 
 def test_two_constructors_per_closed_loop(models, monkeypatch):
-    # close_static on the cached plant, then the attitude loop: no
-    # intermediate system and no channel-selection copy
+    # the cached plant's prepared closure, then the attitude loop: no
+    # intermediate system, no channel-selection copy, and both built
+    # unchecked from checked systems
     K = models.design_gains()
     states = list(mission_states(4, 6))
     for st, qs in states:
         models.closed_loop(st, qs, K)  # wires the cached plants
-    calls = []
-    post_init = linss.StateSpace.__post_init__
-    monkeypatch.setattr(linss.StateSpace, "__post_init__",
-                        lambda self: calls.append(1) or post_init(self))
+    checked, unchecked = count_constructors(monkeypatch)
     for st, qs in states:
         models.closed_loop(st, qs, K)
-    assert len(calls) == 2 * len(states)
+    assert len(checked) == 0
+    assert len(unchecked) == 2 * len(states)
+
+
+def test_mass_matrix_memo_is_shared_across_structure_sizes(cfg):
+    # M_C reads the gripping arm, delta and the joints, not n or j
+    models = sc.ScenarioModels(cfg)
+    rng = make_rng(3)
+    qs = [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
+    M = models.robot_mass_matrix(sc.AssemblyState(2, 1, 1, 1), qs)
+    again = models.robot_mass_matrix(sc.AssemblyState(4, 3, 1, 1),
+                                     [q.copy() for q in qs])
+    assert again is M and len(models._masses) == 1
+    with pytest.raises(ValueError):
+        M[0, 0] = 1.0
+    fresh = sc.ScenarioModels(cfg).robot_mass_matrix(sc.AssemblyState(4, 3, 1, 1), qs)
+    assert fresh.tobytes() == M.tobytes()
+    other = models.robot_mass_matrix(sc.AssemblyState(2, 1, 1, 0), qs)
+    assert other is not M and not np.array_equal(other, M)
+
+
+def test_prepared_closure_matches_a_fresh_validated_copy(cfg):
+    models = sc.ScenarioModels(cfg)
+    st, qs = next(mission_states(1, 11))
+    plant, close = models._port_plant(st.n, st.j, st.delta)
+    K = -models.robot_mass_matrix(st, qs)
+
+    def fresh(sys):
+        return linss.StateSpace(sys.A.copy(), sys.B.copy(), sys.C.copy(),
+                                sys.D.copy(), sys.in_channels, sys.out_channels)
+
+    want = linss.close_static(fresh(plant), K, "W_r", "xdd_C")
+    assert_same_system(close(K), want)
+    assert_same_system(models.open_loop(st, qs), want)
+    # a slice with other channels, in another order, closes on its own
+    # operands, not on its parent's
+    sub = plant.subsystem(["z_omega", "xdd_C", "omega_dot_G"], ["W_r", "T_G"])
+    assert_same_system(linss.close_static(sub, K, "W_r", "xdd_C"),
+                       linss.close_static(fresh(sub), K, "W_r", "xdd_C"))
+    with pytest.raises(ValueError):
+        models.closed_loop(st, qs, models.design_gains()).A[0, 0] = 1.0
+
+
+def test_hub_and_array_blocks_are_built_once(cfg, monkeypatch):
+    calls = []
+    lfr = sc.mode_freq_lfr
+    monkeypatch.setattr(sc, "mode_freq_lfr", lambda *a: calls.append(1) or lfr(*a))
+    models = sc.ScenarioModels(cfg)
+    keys = [(n, j, delta) for n in range(1, cfg.n_tiles + 1)
+            for j in range(1, n + 1) for delta in (0, 1)]
+    plants = [models._port_plant(*key)[0] for key in keys]
+    assert len(calls) == 1
+    # sharing the blocks leaves every plant as a factory of its own wires it
+    for key, plant in zip(keys, plants):
+        assert_same_system(plant, sc.ScenarioModels(cfg)._port_plant(*key)[0])
 
 
 def test_close_loop_rejects_misshaped_gain(models):
