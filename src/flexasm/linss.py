@@ -231,20 +231,29 @@ class StateSpace:
         The states are unchanged, so the slice keeps this system's A (the
         same array, not a copy) and shares its cached eigendecomposition
         and modal gate: whichever of the two computes them first computes
-        them for both.
+        them for both.  No names on a side give a system with no channels
+        there; an unknown name raises ``UnknownChannel`` and a repeated one
+        ``ValueError``.
         """
         for kind, names in (("input", inputs), ("output", outputs)):
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate {kind} channel name in {list(names)}")
-        cols = np.concatenate([np.r_[self.in_slice(c)] for c in inputs])
-        rows = np.concatenate([np.r_[self.out_slice(c)] for c in outputs])
+        cols, ins = self._index(self.in_channels, inputs)
+        rows, outs = self._index(self.out_channels, outputs)
         sub = StateSpace._unchecked(
             self.A, self.B[:, cols], self.C[rows, :], self.D[np.ix_(rows, cols)],
-            tuple((str(c), self.in_width(c)) for c in inputs),
-            tuple((str(c), self.out_width(c)) for c in outputs),
-        )
+            ins, outs)
         object.__setattr__(sub, "_modes", self._modes)
         return sub
+
+    def _index(self, channels, names):
+        """Positions of the named channels among ``channels``, in the order
+        named, and their ``(name, width)`` pairs.  No name gives no
+        positions."""
+        spans = [self._slice(channels, c) for c in names]
+        idx = np.array([i for s in spans for i in range(s.start, s.stop)],
+                       dtype=np.intp)
+        return idx, tuple((str(c), s.stop - s.start) for c, s in zip(names, spans))
 
     def eig(self):
         """Poles and eigenvectors ``np.linalg.eig(A)``, computed on first
@@ -432,9 +441,9 @@ def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
         row += width
 
     loop = np.eye(p_all) - D @ S
-    if p_all and 1.0 / np.linalg.cond(loop, 1) < WELLPOSED_RCOND:
-        raise IllPosedLoop(
-            f"static loop is ill posed (rcond={1.0 / np.linalg.cond(loop, 1):.2e})")
+    rcond = _rcond(loop) if p_all else np.inf
+    if rcond < WELLPOSED_RCOND:
+        raise IllPosedLoop(f"static loop is ill posed (rcond={rcond:.2e})")
     psi = np.linalg.solve(loop, np.eye(p_all)) if p_all else loop
 
     A_cl = A + B @ S @ psi @ C
@@ -461,10 +470,8 @@ def invert_channels(sys: StateSpace, in_names, out_names) -> StateSpace:
     if w_in != w_out:
         raise NonSquareSelection(f"invert widths {w_in} vs {w_out}")
 
-    cols1 = np.concatenate([np.arange(sys.in_slice(c).start, sys.in_slice(c).stop)
-                            for c in in_names])
-    rows1 = np.concatenate([np.arange(sys.out_slice(c).start, sys.out_slice(c).stop)
-                            for c in out_names])
+    cols1, _ = sys._index(sys.in_channels, in_names)
+    rows1, _ = sys._index(sys.out_channels, out_names)
     cols2 = np.array([i for i in range(sys.n_inputs) if i not in set(cols1)], dtype=int)
     rows2 = np.array([i for i in range(sys.n_outputs) if i not in set(rows1)], dtype=int)
 
@@ -510,6 +517,18 @@ def lft_upper(plant: StateSpace, delta: float) -> StateSpace:
         ext_in, ext_out)
 
 
+def _rcond(loop: np.ndarray) -> float:
+    """``1 / cond_1(loop)`` with the arithmetic of ``np.linalg.cond(loop,
+    1)``, and its bits: one inverse and two 1-norms.  A loop whose inverse
+    fails is singular, rcond 0.0, as ``cond`` reports it."""
+    try:
+        inv = np.linalg.inv(loop)
+    except np.linalg.LinAlgError:
+        return 0.0
+    # Python floats: an overflowing product is inf, as in ``cond``
+    return 1.0 / (float(np.linalg.norm(loop, 1)) * float(np.linalg.norm(inv, 1)))
+
+
 class StaticClosure:
     """:func:`close_static` of one system and channel pair, split at the
     gain.
@@ -517,8 +536,9 @@ class StaticClosure:
     Building it gathers every operand that does not depend on ``K``: the
     channel slices, ``[C_z, D_zu]``, ``[A, B_u]``, ``[C_y, D_yu]``, the
     columns ``B_w`` and ``D_yw`` and the remaining channels.  Calling it
-    with a gain checks the gain's shape and the loop's well-posedness and
-    closes the loop with one solve and a few products.  It reads its own
+    with a gain checks the gain's shape and the loop's well-posedness (an
+    rcond from one inverse, :func:`_rcond`) and closes the loop with one
+    solve and a few products.  It reads its own
     system's channels: a :meth:`StateSpace.subsystem` slice gets its own
     closure, never its parent's.
     """
@@ -528,8 +548,8 @@ class StaticClosure:
 
     def __init__(self, sys: StateSpace, w_channel: str, z_channel: str):
         w, z = sys.in_slice(w_channel), sys.out_slice(z_channel)
-        cols = np.r_[0:w.start, w.stop:sys.n_inputs]
-        rows = np.r_[0:z.start, z.stop:sys.n_outputs]
+        cols = np.delete(np.arange(sys.n_inputs), w)
+        rows = np.delete(np.arange(sys.n_outputs), z)
         self._w_channel, self._z_channel = w_channel, z_channel
         self._shape = (w.stop - w.start, z.stop - z.start)
         self._n = sys.n_states
@@ -549,7 +569,7 @@ class StaticClosure:
                 f"gain {K.shape} does not map {self._z_channel!r} "
                 f"({self._shape[1]}) to {self._w_channel!r} ({self._shape[0]})")
         loop = np.eye(self._shape[1]) - self._D_zw @ K
-        rcond = 1.0 / np.linalg.cond(loop, 1)
+        rcond = _rcond(loop)
         if rcond < WELLPOSED_RCOND:
             raise IllPosedLoop(f"static loop is ill posed (rcond={rcond:.2e})")
         # the closed loop's w as a function of [x; u]

@@ -9,12 +9,16 @@ k-1 about ``axes[k-1]``.
 :func:`link_poses` expresses a chain from either end: ``base="J0"`` for
 an arm standing on the structure, ``base="J6"`` for an arm hanging off
 the robot hub; it also poses a ``(k, 5)`` stack of joint vectors in one
-pass, each row with the bits of posing it alone.  The locked robot's mass
-matrix (:meth:`flexasm.scenario.ScenarioModels.robot_mass_matrix`) stacks
-every link from these poses, and the walking IK
-(``ScenarioModels.solve_reach``) descends with :func:`dls_solve` on a
-stacked residual: the forward-difference Jacobian's perturbed rows are
-posed in one call.
+pass, each row with the bits of posing it alone.  :func:`rebase_j6` is
+the one copy of the J6 arithmetic: it re-expresses any rows of a J0 stack
+from J6, with the bits ``base="J6"`` gives them, so a caller poses its
+standing and hanging arms together from J0 in one call.  The locked
+robot's mass matrix
+(:meth:`flexasm.scenario.ScenarioModels.robot_mass_matrix`) poses its
+three arms that way and stacks every link from the poses, and the walking
+IK (``ScenarioModels.solve_reach``) descends with :func:`dls_solve` on a
+stacked residual: the forward-difference Jacobian's perturbed rows, of
+both arms, are posed in one call.
 
 Published link data gives masses, CoMs and inertias but no joint
 offsets; the default geometry places each joint pair symmetrically about
@@ -37,6 +41,7 @@ __all__ = [
     "ArmGeometry",
     "default_arm_geometry",
     "link_poses",
+    "rebase_j6",
     "fixed_anchor",
     "dls_solve",
     "quintic_scalar",
@@ -167,12 +172,24 @@ def link_poses(geom: ArmGeometry, q, base: str = "J0"):
         R = rots[:, i] = R @ turns[:, i - 1]
         joints[:, i + 1] = joints[:, i] + R @ geom.joint_offsets[i]
     if base == "J6":
-        R6 = rots[:, -1]
-        joints = (joints - joints[:, -1:]) @ R6
-        rots = np.swapaxes(R6, 1, 2)[:, None] @ rots
+        joints, rots = rebase_j6(joints, rots)
     elif base != "J0":
         raise ValueError(f"base must be 'J0' or 'J6', got {base!r}")
     return (joints, rots) if stacked else (joints[0], rots[0])
+
+
+def rebase_j6(joints, rots):
+    """Re-express a stack of J0-based poses from J6.
+
+    Takes the ``(k, 7, 3)`` joints and ``(k, 6, 3, 3)`` rotations of a
+    ``base="J0"`` :func:`link_poses` call, or any row slice of them, and
+    returns what ``base="J6"`` gives for the same rows, bit for bit: J6 at
+    the origin, link 5's frame as the base frame.  A caller posing arms of
+    both kinds poses them all from J0 in one call and re-expresses the
+    hanging rows here.
+    """
+    R6 = rots[:, -1]
+    return (joints - joints[:, -1:]) @ R6, np.swapaxes(R6, 1, 2)[:, None] @ rots
 
 
 def fixed_anchor(geom: ArmGeometry):

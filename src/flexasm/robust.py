@@ -67,7 +67,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NominalUnstable, WidthMismatch
-from .linss import (StateSpace, _transfer_batch, spectral_abscissa,
+from .linss import (StateSpace, _rcond, _transfer_batch, spectral_abscissa,
                     STAB_TOL, WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL)
 
 __all__ = ["mu_real_repeated", "mu_upper_bound"]
@@ -100,7 +100,7 @@ def _closed_A(sys: StateSpace, delta: float) -> Optional[np.ndarray]:
     if not sys.D[z, w].any():
         return sys.A + (delta * sys.B[:, w]) @ sys.C[z, :]
     loop = np.eye(z.stop - z.start) - delta * sys.D[z, w]
-    if 1.0 / np.linalg.cond(loop, 1) < WELLPOSED_RCOND:
+    if _rcond(loop) < WELLPOSED_RCOND:
         return None
     return sys.A + (delta * sys.B[:, w]) @ np.linalg.solve(loop, sys.C[z, :])
 

@@ -14,8 +14,11 @@ rigid body standing on the structure's docking port: a static gain
 ``W_C = -M_C(q) xdd_C``.  The robot hub and the hanging arms sit at fixed
 places in the gripping arm's link 5: one mount table places them for
 ``M_C``, the walking IK and its reach bound, and
-:func:`flexasm.multibody.compose_rigid` sums the parts, each arm's links
-stacked from :func:`flexasm.robot.link_poses`, in one pass.  Only ``M_C``
+:func:`flexasm.multibody.compose_rigid` sums the parts in one pass, the
+links of all three arms posed from J0 in one :func:`flexasm.robot.link_poses`
+call and the hanging arms re-expressed from J6
+(:func:`flexasm.robot.rebase_j6`); the walking IK's residual poses its
+gripping and reaching rows the same way.  Only ``M_C``
 reads the gripping arm and the joint angles, and it is memoized on
 ``(arm, delta, joint angles)``: waypoints repeat across structure sizes
 and every home waypoint of one ``(arm, delta)`` is the same.  The rest of
@@ -93,6 +96,7 @@ from .robot import (
     dls_solve,
     fixed_anchor,
     link_poses,
+    rebase_j6,
     JOINT_LIMIT,
 )
 
@@ -439,7 +443,13 @@ class ScenarioModels:
         cfg = self.cfg
         geom = cfg.arm_geometry
         mounts = self._mounts[state.arm]
-        joints, rots = link_poses(geom, qs[state.arm - 1], base="J0")
+        hanging = (3 - state.arm, 3)
+        # every arm posed from J0 in one call, the hanging ones re-expressed
+        # from their J6
+        joints, rots = link_poses(geom, np.array(
+            [qs[state.arm - 1]] + [qs[k - 1] for k in hanging], dtype=float))
+        poses = rebase_j6(joints[1:], rots[1:])
+        joints, rots = joints[0], rots[0]
         parts = [(geom.masses, _link_coms(geom, joints, rots), geom.inertias,
                   rots)]
 
@@ -449,9 +459,6 @@ class ScenarioModels:
 
         M, o = place(*mounts["hub"])
         parts.append((cfg.robot_hub.mass, o, cfg.robot_hub.inertia_G, M))
-        hanging = (3 - state.arm, 3)
-        poses = link_poses(geom, np.array([qs[k - 1] for k in hanging], dtype=float),
-                           base="J6")
         for k, joints_k, rots_k in zip(hanging, *poses):
             M, o = place(*mounts[k])
             coms = o + _link_coms(geom, joints_k, rots_k) @ M.T
@@ -592,16 +599,20 @@ class ScenarioModels:
         """Tip-minus-target residuals of a ``(k, 10)`` stack of
         ``(q_grip, q_reach)`` rows, as a ``(k, 3)`` stack.
 
-        Each arm's rows are posed in one :func:`link_poses` call.  The
-        matrix-vector products are taken as ``(R @ v[:, :, None])[..., 0]``,
-        which gives every row the bits of posing it alone."""
+        The gripping rows and the reaching rows are posed from J0 in one
+        :func:`link_poses` call, and the reaching rows are re-expressed
+        from J6 by :func:`~flexasm.robot.rebase_j6`.  The matrix-vector
+        products are taken as ``(R @ v[:, :, None])[..., 0]``; every row
+        keeps the bits of posing it alone."""
         geom = self.cfg.arm_geometry
         base_world = self.cfg.tile_center(j)
         R, p = self._mounts[g][reach_arm]
 
         def residual(q10):
-            joints_g, rots_g = link_poses(geom, q10[:, :5], base="J0")
-            joints_r, _ = link_poses(geom, q10[:, 5:], base="J6")
+            k = len(q10)
+            joints, rots = link_poses(geom, np.concatenate([q10[:, :5], q10[:, 5:]]))
+            joints_g, rots_g = joints[:k], rots[:k]
+            joints_r, _ = rebase_j6(joints[k:], rots[k:])
             tip_r = p + (R @ joints_r[:, 0, :, None])[..., 0]
             return (base_world + joints_g[:, 6]
                     + (rots_g[:, 5] @ tip_r[:, :, None])[..., 0] - target_world)
@@ -709,7 +720,7 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     A += B[:, T] @ Ku
 
     ins = [("d_t", "T_G"), ("W_ext", "W_ext"), ("w_omega", "w_omega")]
-    cols = np.concatenate([np.r_[plant.in_slice(c)] for _, c in ins])
+    cols, chans = plant._index(plant.in_channels, [c for _, c in ins])
     k = cols.size
     # the plant's outputs on the closed-loop states and inputs
     C_p = np.hstack([plant.C, np.zeros((plant.n_outputs, 6))]) + plant.D[:, T] @ Ku
@@ -720,4 +731,4 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     return StateSpace._unchecked(
         A, B[:, cols], np.vstack([C_p[wd], np.eye(6, n + 6, n), Ku, C_p[z]]),
         np.vstack([D_p[wd], np.zeros((6, k)), np.eye(3, k), D_p[z]]),
-        tuple((name, plant.in_width(c)) for name, c in ins), outs)
+        tuple((name, w) for (name, _), (_, w) in zip(ins, chans)), outs)

@@ -218,8 +218,10 @@ def test_close_static_rejects_singular_and_misshaped_loops():
     D = np.zeros((3, 3))
     D[1:, 1:] = np.eye(2)
     plant = linss.gain(D, (("u", 1), ("w", 2)), (("y", 1), ("z", 2)))
-    with pytest.raises(IllPosedLoop):
+    # np.linalg.inv raises on the singular loop: rcond 0, as cond reports it
+    with pytest.raises(IllPosedLoop, match=r"ill posed \(rcond=0\.00e\+00\)"):
         linss.close_static(plant, np.eye(2), "w", "z")
+    assert linss._rcond(np.zeros((2, 2))) == 0.0
     linss.close_static(plant, 0.5 * np.eye(2), "w", "z")
     with pytest.raises(WidthMismatch):
         linss.close_static(plant, np.eye(3), "w", "z")
@@ -363,6 +365,31 @@ def test_slices_share_their_parents_decomposition():
     assert cl.eig() is first
     # a system built anew from the same matrices decomposes on its own
     assert linss.StateSpace(cl.A, cl.B, cl.C, cl.D).eig() is not first
+
+
+def test_subsystem_with_no_channels_on_one_side():
+    rng = make_rng(23)
+    sys = linss.split_channel(random_stable_system(rng, 4, 3, 2), "u",
+                              [("a", 1), ("b", 2)])
+    no_inputs = sys.subsystem(["y"], [])
+    assert no_inputs.B.shape == (4, 0) and no_inputs.D.shape == (2, 0)
+    assert no_inputs.in_channels == () and no_inputs.out_channels == (("y", 2),)
+    no_outputs = sys.subsystem([], ["b", "a"])
+    assert no_outputs.C.shape == (0, 4) and no_outputs.D.shape == (0, 3)
+    assert no_outputs.out_channels == () and no_outputs.in_channels == (("b", 2), ("a", 1))
+    assert np.array_equal(no_outputs.B, sys.B[:, [1, 2, 0]])
+    for sub in (no_inputs, no_outputs):
+        assert sub.A is sys.A
+        assert linss.hinf_norm(sub) == 0.0
+        assert linss.h2_norm(sub) == 0.0
+    with pytest.raises(UnknownChannel):
+        sys.subsystem(["y"], ["a", "c"])
+    with pytest.raises(UnknownChannel):
+        sys.subsystem(["x"], [])
+    with pytest.raises(ValueError, match="duplicate input"):
+        sys.subsystem(["y"], ["a", "a"])
+    with pytest.raises(ValueError, match="duplicate output"):
+        sys.subsystem(["y", "y"], [])
 
 
 def test_one_constructor_per_projection(monkeypatch):

@@ -134,6 +134,25 @@ def test_stacked_link_poses_equal_row_by_row_oracle(base):
                 assert R.tobytes() == np.asarray(ref_rots).tobytes()
 
 
+def test_rebase_j6_of_j0_rows_equals_j6_poses_bitwise():
+    # the callers pose every arm from J0 in one stack and re-express a row
+    # slice of it from J6: each such row carries the bits of a J6 pose
+    rng = make_rng(13)
+    default = robot.default_arm_geometry()
+    skewed = robot.ArmGeometry(default.joint_offsets, rng.standard_normal((5, 3)),
+                               default.masses, default.coms, default.inertias)
+    for geom in (default, skewed):
+        for k in (1, 2, 11):
+            Q = rng.uniform(-robot.JOINT_LIMIT, robot.JOINT_LIMIT, (2 * k, 5))
+            joints, rots = robot.link_poses(geom, Q, base="J0")
+            for rows in (slice(None), slice(k, None), slice(0, k)):
+                got = robot.rebase_j6(joints[rows], rots[rows])
+                ref = robot.link_poses(geom, Q[rows], base="J6")
+                for a, b in zip(got, ref):
+                    assert a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+
+
 def test_stacked_link_poses_reject_any_bad_row():
     geom = robot.default_arm_geometry()
     Q = np.zeros((3, 5))

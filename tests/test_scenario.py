@@ -368,6 +368,17 @@ def test_prepared_closure_matches_a_fresh_validated_copy(cfg):
         models.closed_loop(st, qs, models.design_gains()).A[0, 0] = 1.0
 
 
+def test_closure_rcond_equals_numpy_cond_on_desk_port_plants():
+    # the loops I - D_zw K that the robot-port closures check, K = -M_C
+    models = sc.ScenarioModels(desk_scenario())
+    for state, qs in mission_states(24, 41):
+        plant, _ = models._port_plant(state.n, state.j, state.delta)
+        D_zw = plant.D[plant.out_slice("xdd_C"), plant.in_slice("W_r")]
+        loop = np.eye(6) + D_zw @ models.robot_mass_matrix(state, qs)
+        want = 1.0 / np.linalg.cond(loop, 1)
+        assert np.float64(linss._rcond(loop)).tobytes() == want.tobytes()
+
+
 def test_hub_and_array_blocks_are_built_once(cfg, monkeypatch):
     calls = []
     lfr = sc.mode_freq_lfr
@@ -718,6 +729,30 @@ def test_dls_solve_on_stacked_residual_equals_row_by_row(cfg, r, converges):
             outcomes.append((str(exc), exc.task_error))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert isinstance(outcomes[0], bytes) == converges
+
+
+def test_one_link_poses_call_per_residual_and_mass_matrix(cfg, monkeypatch):
+    # a residual of any stack height poses both arms' rows in one call, and
+    # a mass-matrix miss poses all three arms in one; a memo hit poses none
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return link_poses(*args, **kwargs)
+
+    monkeypatch.setattr(sc, "link_poses", counted)
+    models = sc.ScenarioModels(cfg)
+    residual = models._reach_residual(1, 1, 3, cfg.stack_center())
+    for k in (1, 2, 10):
+        calls.clear()
+        residual(make_rng(k).uniform(-3.0, 3.0, (k, 10)))
+        assert calls == [(2 * k, 5)]
+    for state, qs in mission_states(4, 31):
+        calls.clear()
+        models.robot_mass_matrix(state, qs)
+        assert calls == [(3, 5)]
+        models.robot_mass_matrix(state, qs)
+        assert calls == [(3, 5)]
 
 
 def test_target_just_inside_reach_bound_solves(cfg):
