@@ -23,11 +23,18 @@ Conventions
 * Systems are immutable; all operations return new objects, so concurrent
   evaluation of different systems or frequencies is safe.
 * The public constructor ``StateSpace(...)`` copies and checks its
-  matrices and channels.  The results of :meth:`StateSpace.subsystem`,
+  matrices and channels.  The results of :meth:`StateSpace.subsystem`
+  (and ``_subsystems``, its form for a list of systems),
   :class:`StaticClosure` (and so :func:`close_static`) and
   ``scenario.close_loop`` are built from already-checked systems through
   the private ``StateSpace._unchecked``, which only marks the arrays read
   only: the loops the planner prices run no validating constructor.
+  ``scenario.close_loop`` of a list of plants builds its loops as views
+  of one ``(k, n, n)`` stack.
+* Stacks: ``_prime_modes`` fills the eigendecomposition caches of a list
+  of systems from one stacked ``np.linalg.eig`` and one stacked ``inv``,
+  and :func:`h2_norm` prices a list of systems in one pass.  Each result
+  has the bits of computing it for its system alone.
 """
 
 from __future__ import annotations
@@ -138,7 +145,8 @@ class StateSpace:
     the H-infinity seed grid with its resolvent (``_seed_grid``) are each
     computed at most once, on first use, and :meth:`subsystem` slices share
     A and all three with their parent: every norm and margin priced on one
-    closed loop reads one ``np.linalg.eig(A)`` and one ``np.linalg.inv(V)``.
+    closed loop reads one ``np.linalg.eig(A)`` and one ``np.linalg.inv(V)``,
+    its own or its share of a stacked pair (``_prime_modes``).
     """
 
     A: np.ndarray
@@ -235,16 +243,7 @@ class StateSpace:
         there; an unknown name raises ``UnknownChannel`` and a repeated one
         ``ValueError``.
         """
-        for kind, names in (("input", inputs), ("output", outputs)):
-            if len(set(names)) != len(names):
-                raise ValueError(f"duplicate {kind} channel name in {list(names)}")
-        cols, ins = self._index(self.in_channels, inputs)
-        rows, outs = self._index(self.out_channels, outputs)
-        sub = StateSpace._unchecked(
-            self.A, self.B[:, cols], self.C[rows, :], self.D[np.ix_(rows, cols)],
-            ins, outs)
-        object.__setattr__(sub, "_modes", self._modes)
-        return sub
+        return _subsystems([self], outputs, inputs)[0]
 
     def _index(self, channels, names):
         """Positions of the named channels among ``channels``, in the order
@@ -266,19 +265,12 @@ class StateSpace:
     def modal_inverse(self):
         """``V^-1`` of the eigenvectors ``V`` of :meth:`eig`, or None when A
         is defective or nearly so: ``np.linalg.inv(V)`` fails or ``cond_1(V)
-        = ||V||_1 ||V^-1||_1 >= MODAL_COND_MAX``.  Computed on first use and
-        shared with every :meth:`subsystem` slice, like :meth:`eig`."""
+        = ||V||_1 ||V^-1||_1 >= MODAL_COND_MAX`` (``_gated_inverse``).
+        Computed on first use and shared with every :meth:`subsystem` slice,
+        like :meth:`eig`."""
         modes = self._modes
         if "inv" not in modes:
-            V = self.eig()[1]
-            try:
-                W = np.linalg.inv(V)
-            except np.linalg.LinAlgError:
-                W = None
-            if W is not None and not (np.linalg.norm(V, 1) * np.linalg.norm(W, 1)
-                                      < MODAL_COND_MAX):
-                W = None
-            modes["inv"] = W
+            modes["inv"] = _gated_inverse(self.eig()[1])
         return modes["inv"]
 
     def transfer_at(self, s: complex) -> np.ndarray:
@@ -298,6 +290,57 @@ class StateSpace:
         ins = ", ".join(f"{c}({w})" for c, w in self.in_channels)
         outs = ", ".join(f"{c}({w})" for c, w in self.out_channels)
         return f"StateSpace(n={self.n_states}, in=[{ins}], out=[{outs}])"
+
+
+def _subsystems(systems, outputs, inputs) -> list:
+    """:meth:`StateSpace.subsystem` of each of a list of systems with the
+    same channels, the channel positions found once: a leg's loops slice
+    their priced channel in one call."""
+    for kind, names in (("input", inputs), ("output", outputs)):
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate {kind} channel name in {list(names)}")
+    first = systems[0]
+    cols, ins = first._index(first.in_channels, inputs)
+    rows, outs = first._index(first.out_channels, outputs)
+    block = np.ix_(rows, cols)
+    subs = []
+    for sys in systems:
+        sub = StateSpace._unchecked(sys.A, sys.B[:, cols], sys.C[rows, :],
+                                    sys.D[block], ins, outs)
+        object.__setattr__(sub, "_modes", sys._modes)
+        subs.append(sub)
+    return subs
+
+
+def _gated_inverse(V):
+    """``V^-1`` of an eigenvector matrix ``V``, or None where ``inv`` fails
+    or ``cond_1(V) = ||V||_1 ||V^-1||_1 >= MODAL_COND_MAX``.  A ``(k, n,
+    n)`` stack gives a list, one stacked ``inv`` and one gate per matrix;
+    when one matrix fails the stacked ``inv``, each is inverted alone."""
+    try:
+        W = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return None if V.ndim == 2 else [_gated_inverse(v) for v in V]
+    ok = (np.linalg.norm(V, 1, axis=(-2, -1)) * np.linalg.norm(W, 1, axis=(-2, -1))
+          < MODAL_COND_MAX)
+    if V.ndim == 2:
+        return W if ok else None
+    return [w if good else None for w, good in zip(W, ok)]
+
+
+def _prime_modes(systems) -> None:
+    """Fill the :meth:`StateSpace.eig` and :meth:`StateSpace.modal_inverse`
+    caches of systems with equal state counts from one stacked
+    ``np.linalg.eig`` of their A and one stacked ``inv`` of the
+    eigenvectors (``_gated_inverse``).  Each system's share has the bits
+    its own calls give it.  ``np.linalg.eig`` returns real arrays for a
+    matrix whose poles are all real, which a complex stack cannot share,
+    so such a system is left to its own calls."""
+    eigs, V = np.linalg.eig(np.stack([s.A for s in systems]))
+    for sys, w, v, W in zip(systems, eigs, V, _gated_inverse(V)):
+        if w.imag.any():
+            sys._modes["eig"] = w, v
+            sys._modes["inv"] = W
 
 
 def gain(D, in_channels=(), out_channels=()) -> StateSpace:
@@ -1023,37 +1066,70 @@ def hinf_norm(sys: StateSpace) -> float:
         f"H-infinity certificate failed after {_MAX_ROUNDS} rounds")
 
 
-def h2_norm(sys: StateSpace) -> float:
+def h2_norm(sys):
     """H2 norm sqrt(trace(C P C^T)) with A P + P A^T + B B^T = 0.
 
-    A's eigendecomposition ``A V = V diag(lambda)`` is
+    ``sys`` is one system, or a list of systems with the same shapes (the
+    priced channel of one leg's loops) priced in one pass: a list gives
+    an array of norms, each with the bits of pricing its system alone,
+    which is the list of one.  Systems are checked in order, each for zero
+    feedthrough (else :class:`NonzeroFeedthrough`) and then for strict
+    stability: A's eigendecomposition ``A V = V diag(lambda)`` is
     :meth:`StateSpace.eig`, computed once and shared with the loop the
-    channel was sliced from: a pole with
-    Re >= -STAB_TOL raises :class:`UnstableSystem`.  When the modal inverse
-    passes its gate (:meth:`StateSpace.modal_inverse`, ``cond_1(V) <
-    MODAL_COND_MAX``, the one ``hinf_norm`` and the margin read) the
-    Gramian is diagonal in the eigenbasis, ``P = V X V^H`` with
-    ``X_ij = -(B~ B~^H)_ij / (lambda_i + conj(lambda_j))``, ``B~ = V^-1 B``,
-    so ``H2^2 = Re sum_ij (C~^H C~)_ji X_ij`` with ``C~ = C V``
-    (``_modal_form``).  A
-    defective or nearly defective A solves the Kronecker form
-    ``(I (x) A + A (x) I) vec P = -vec(B B^T)`` instead.  Requires strict
-    stability and zero feedthrough.
+    channel was sliced from, and a pole with Re >= -STAB_TOL raises
+    :class:`UnstableSystem`.  When the modal inverse passes its gate
+    (:meth:`StateSpace.modal_inverse`, ``cond_1(V) < MODAL_COND_MAX``, the
+    one ``hinf_norm`` and the margin read) the Gramian is diagonal in the
+    eigenbasis, ``P = V X V^H`` with ``X_ij = -(B~ B~^H)_ij / (lambda_i +
+    conj(lambda_j))``, ``B~ = V^-1 B``, so ``H2^2 = Re sum_ij (C~^H C~)_ji
+    X_ij`` with ``C~ = C V``; the systems that pass are priced as one
+    stack of ``(k, n, n)`` products.  A defective or nearly defective A
+    solves the Kronecker form ``(I (x) A + A (x) I) vec P = -vec(B B^T)``
+    instead (``_h2_kronecker``), for that system only.
     """
-    if np.max(np.abs(sys.D)) > 1e-12 if sys.D.size else False:
-        raise NonzeroFeedthrough("H2 norm needs D = 0 on the selected channel")
-    if sys.n_states == 0:
-        return 0.0
-    eigs, _ = _stable_eig(sys, "H2")
-    modal = _modal_form(sys)
-    if modal is not None:
-        Ct, Bt = modal
-        X = -(Bt @ Bt.conj().T) / (eigs[:, None] + eigs.conj()[None, :])
-        val = float(np.sum((Ct.conj().T @ Ct).T * X).real)
-    else:
-        n = sys.n_states
-        eye = np.eye(n)
-        P = np.linalg.solve(np.kron(eye, sys.A) + np.kron(sys.A, eye),
-                            -(sys.B @ sys.B.T).ravel()).reshape(n, n)
-        val = float(np.trace(sys.C @ P @ sys.C.T))
-    return float(np.sqrt(max(val, 0.0)))
+    if isinstance(sys, StateSpace):
+        return float(_h2_norms([sys])[0])
+    return _h2_norms(list(sys))
+
+
+def _h2_norms(systems) -> np.ndarray:
+    """The H2 norms of :func:`h2_norm`'s list of systems, as an array: the
+    one body of both forms, so each ``h2_norm`` call is one call."""
+    for s in systems:
+        if np.max(np.abs(s.D)) > 1e-12 if s.D.size else False:
+            raise NonzeroFeedthrough("H2 norm needs D = 0 on the selected channel")
+        if s.n_states:
+            _stable_eig(s, "H2")
+    squares = np.zeros(len(systems))
+    if not systems or systems[0].n_states == 0:
+        return squares
+    # the modal inverse of a system whose poles are all real is real: it
+    # is priced in real arithmetic, as on its own, in a stack of its own
+    stacks = {}
+    for k, s in enumerate(systems):
+        W = s.modal_inverse()
+        stacks.setdefault(None if W is None else W.dtype, []).append(k)
+    for dtype, idx in stacks.items():
+        if dtype is None:
+            squares[idx] = [_h2_kronecker(systems[k]) for k in idx]
+            continue
+        stack = [systems[k] for k in idx]
+        eigs = np.stack([s.eig()[0] for s in stack])
+        V = np.stack([s.eig()[1] for s in stack])
+        W = np.stack([s.modal_inverse() for s in stack])
+        Ct = np.stack([s.C for s in stack]) @ V
+        Bt = W @ np.stack([s.B for s in stack])
+        X = -(Bt @ Bt.conj().swapaxes(1, 2)) / (eigs[:, :, None] + eigs.conj()[:, None, :])
+        squares[idx] = np.sum((Ct.conj().swapaxes(1, 2) @ Ct).swapaxes(1, 2) * X,
+                              axis=(1, 2)).real
+    return np.array([np.sqrt(max(v, 0.0)) for v in squares.tolist()])
+
+
+def _h2_kronecker(sys: StateSpace) -> float:
+    """``H2^2 = trace(C P C^T)`` of one strictly stable system from the
+    Kronecker form of its Lyapunov equation, for A without a modal form."""
+    n = sys.n_states
+    eye = np.eye(n)
+    P = np.linalg.solve(np.kron(eye, sys.A) + np.kron(sys.A, eye),
+                        -(sys.B @ sys.B.T).ravel()).reshape(n, n)
+    return float(np.trace(sys.C @ P @ sys.C.T))

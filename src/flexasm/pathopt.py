@@ -16,6 +16,14 @@ margin.  A hard cap turns any offending edge infinite.  Dijkstra then
 picks minimum-cost paths; a unit-weight breadth-first search provides the
 step-count baseline the optimized plans are measured against.
 
+Each leg is built as one stack: the open loop per waypoint, then the
+attitude loop closed on all z waypoints in one
+:func:`~flexasm.scenario.close_loop` call, and the z eigendecompositions
+and modal inverses in one stacked ``eig`` and one stacked ``inv``.  The
+H2 cost prices a leg in one :func:`~flexasm.linss.h2_norm` call; the
+H-infinity costs and the margin price loop by loop, from the same cached
+eigendecompositions.
+
 The planner is built for the cost kinds it will plan.  It prices each
 edge's loops under all of them as soon as it builds them, so one
 eigendecomposition per loop serves every kind, and keeps only the prices.
@@ -36,7 +44,14 @@ from .errors import (
     StateInvalid,
     Unreachable,
 )
-from .linss import StateSpace, h2_norm, hinf_norm, minimal_stable_projection
+from .linss import (
+    StateSpace,
+    _prime_modes,
+    _subsystems,
+    h2_norm,
+    hinf_norm,
+    minimal_stable_projection,
+)
 from .modal import _adjacent
 from .robot import quintic_waypoints
 from .robust import mu_real_repeated
@@ -45,6 +60,7 @@ from .scenario import (
     AssemblyState,
     ScenarioConfig,
     ScenarioModels,
+    close_loop,
 )
 
 __all__ = [
@@ -214,7 +230,10 @@ class EdgeModelArray:
     """The 2z closed-loop models attached to one graph edge.
 
     ``systems`` holds leg 1, from home to the action pose under the
-    pre-action state, then leg 2, back home under the post-action one.
+    pre-action state, then leg 2, back home under the post-action one, z
+    loops each.  A built edge's loops are read-only ``StateSpace`` views
+    of one stack per leg (:func:`~flexasm.scenario.close_loop` of a list),
+    each carrying its share of the leg's stacked eigendecomposition.
     ``dock_distance`` records the gripped tile's distance to the hub CoM
     per waypoint.  The planner's cache key names the edge.
     """
@@ -225,14 +244,23 @@ class EdgeModelArray:
 
 
 def _leg_systems(models: ScenarioModels, state: AssemblyState, sweeps, z, K_att):
-    """Closed loops along one leg; ``sweeps`` maps arm number to (q0, q1)."""
+    """Closed loops along one leg; ``sweeps`` maps arm number to (q0, q1).
+
+    The open loop is built per waypoint; the attitude loop is closed on
+    all z of them in one stacked :func:`~flexasm.scenario.close_loop`
+    call, and their eigendecompositions and modal inverses, which every
+    cost kind reads, come from one stacked ``eig`` and one stacked ``inv``
+    (``linss._prime_modes``).
+    """
     paths = {arm: quintic_waypoints(q0, q1, z) for arm, (q0, q1) in sweeps.items()}
-    out = []
+    plants = []
     for k in range(z):
         qs = tuple(paths[arm][k] if arm in paths else HOME_JOINTS
                    for arm in (1, 2, 3))
-        out.append(models.closed_loop(state, qs, K_att))
-    return out
+        plants.append(models.open_loop(state, qs))
+    loops = close_loop(plants, K_att)
+    _prime_modes(loops)
+    return loops
 
 
 def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
@@ -303,9 +331,18 @@ def edge_cost(array: EdgeModelArray, spec: CostSpec):
     """Sum of the per-system metric over the 2z models.
 
     Returns ``(cost, values)``; any value beyond the hard cap makes the
-    whole edge infinite, which Dijkstra treats as impassable.
+    whole edge infinite, which Dijkstra treats as impassable.  The H2 cost
+    prices each leg's ``W_ext -> Theta_G`` channels in one :func:`h2_norm`
+    call; the other kinds price loop by loop (:func:`per_system_metric`).
     """
-    values = np.array([per_system_metric(s, spec) for s in array.systems])
+    systems = array.systems
+    if spec.kind == "h2-theta":
+        z = len(systems) // 2
+        values = np.concatenate([
+            h2_norm(_subsystems(leg, ["Theta_G"], ["W_ext"]))
+            for leg in (systems[:z], systems[z:])])
+    else:
+        values = np.array([per_system_metric(s, spec) for s in systems])
     return _edge_price(values, spec), values
 
 
@@ -405,13 +442,14 @@ class PlanResult:
 
 
 class AssemblyPlanner:
-    """Plans under the cost kinds ``costs`` it is built for.
+    """Plans under the cost kinds ``costs`` it is built for, each named
+    once: an empty tuple or a repeated kind raises ``ValueError``.
 
     Each edge is built once: its 2z closed loops are priced under every
     planned kind (:func:`edge_cost`, once per kind) and dropped, and the
     cache keeps an :class:`EdgePrices` per edge.  A loop's channel slices
-    share its eigendecomposition, so one ``eig(A)`` per loop serves every
-    kind.
+    share its eigendecomposition, so one stacked ``eig`` per leg serves
+    every kind.
     """
 
     def __init__(self, cfg: ScenarioConfig, costs=COST_KINDS):
@@ -419,6 +457,9 @@ class AssemblyPlanner:
         self.costs = tuple(costs)
         if not self.costs:
             raise ValueError("a planner needs at least one cost kind")
+        if len(set(self.costs)) != len(self.costs):
+            raise ValueError(f"cost kinds {list(self.costs)} repeat a kind: "
+                             "each is priced once per edge")
         self._specs = tuple(CostSpec(kind) for kind in self.costs)
         self.models = ScenarioModels(cfg)
         self.K_att = self.models.design_gains()

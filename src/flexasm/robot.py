@@ -216,31 +216,39 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float):
     ``residual`` maps a ``(k, dof)`` stack of joint vectors to the
     ``(k, m)`` stack of their residual vectors.  Levenberg-Marquardt
     flavor: the damping grows when a step fails to shrink the error and
-    relaxes otherwise.  The Jacobian comes from forward differences, all
-    ``dof`` perturbed rows in one residual call; each line-search step is a
-    one-row stack.  Joint values are clipped to the bounds.  Raises
-    :class:`IkNotConverged` when the error stays above ``tol`` for
-    ``MAX_ITER`` iterations or stops improving for ``STALL_ITERS`` (so
-    alternative seeds can be tried cheaply); only improving steps are
-    taken, so its ``task_error`` is the smallest error reached.
+    relaxes otherwise.  The Jacobian comes from forward differences: the
+    starting point and every trial point are posed together with their
+    ``dof`` perturbed rows, ``[q; q + h e_k]``, in one ``(dof + 1)``-row
+    residual call, so an accepted step already carries its Jacobian: one
+    residual call per iteration plus one per rejected trial.  Joint values
+    are clipped to the bounds.  Raises :class:`IkNotConverged` when the
+    error stays above ``tol`` for ``MAX_ITER`` iterations or stops
+    improving for ``STALL_ITERS`` (so alternative seeds can be tried
+    cheaply); only improving steps are taken, so its ``task_error`` is the
+    smallest error reached.
     """
     q = np.clip(np.array(q0, dtype=float), lower, upper)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     h = 1e-6
     lam = DLS_DAMPING
-    e = np.asarray(residual(q[None]), dtype=float)[0]
+
+    def pose(q):
+        """Residual of ``q`` and its forward-difference Jacobian."""
+        # row k + 1 is q with h added to joint k
+        rows = np.repeat(q[None], q.size + 1, axis=0)
+        rows.flat[q.size::q.size + 1] += h
+        r = np.asarray(residual(rows), dtype=float)
+        # C-contiguous, as J @ J.T below reads it
+        return r[0], np.ascontiguousarray(((r[1:] - r[0]) / h).T)
+
+    e, J = pose(q)
     en = float(np.linalg.norm(e))
     best = en
     since_best = 0
     for _ in range(MAX_ITER):
         if en < tol:
             return q
-        # row k is q with h added to joint k
-        dq = np.repeat(q[None], q.size, axis=0)
-        dq.flat[::q.size + 1] += h
-        # C-contiguous, as J @ J.T below reads it
-        J = np.ascontiguousarray(((np.asarray(residual(dq)) - e) / h).T)
         for _ in range(10):
             step = J.T @ np.linalg.solve(
                 J @ J.T + lam * lam * np.eye(e.size), -e)
@@ -248,7 +256,7 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float):
             if nrm > 0.6:
                 step *= 0.6 / nrm
             q_new = np.clip(q + step, lower, upper)
-            e_new = np.asarray(residual(q_new[None]), dtype=float)[0]
+            e_new, J_new = pose(q_new)
             en_new = float(np.linalg.norm(e_new))
             if en_new < en:
                 lam = max(lam / 3.0, 1e-5)
@@ -256,7 +264,7 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float):
             lam *= 5.0
         else:
             raise IkNotConverged(f"descent stuck at task error {en:.3e}", en)
-        q, e, en = q_new, e_new, en_new
+        q, e, J, en = q_new, e_new, J_new, en_new
         if en < best * (1.0 - 1e-9):
             best = en
             since_best = 0

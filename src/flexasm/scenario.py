@@ -44,7 +44,9 @@ Closing the attitude loop adds the integrator banks (omega_G, Theta_G),
 the torque disturbance d_t, and the total actuation torque e_t = d_t + u
 whose transfer from d_t is the classical input sensitivity.  The loop is
 built on the plant's matrices: ``u`` reads only the integrator states, so
-no algebraic loop has to be solved.
+no algebraic loop has to be solved.  :func:`close_loop` closes one plant,
+or a list of plants (the open loops of one leg of a trajectory) in one
+pass of stacked arithmetic.
 """
 
 from __future__ import annotations
@@ -687,8 +689,8 @@ def pin_translation(plant: StateSpace) -> StateSpace:
         inputs=[c for c, _ in inv.in_channels if c != "a_G"])
 
 
-def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
-    """Attitude loop around an open plant.
+def close_loop(plant, K_att: np.ndarray):
+    """Attitude loop around an open plant, or around each plant of a list.
 
     Appends the two integrator banks (angular rate, then small-angle
     attitude), feeds back ``u = K_att [Theta; omega]``, and exposes the
@@ -697,6 +699,12 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     the 3 x 6 gain of :func:`attitude_gains`; any other shape raises
     :class:`~flexasm.errors.WidthMismatch`.  ``plant`` is a checked
     system, so the loop is built without re-validating its matrices.
+
+    ``plant`` may also be a list of plants with the same shapes and
+    channels, such as the open loops of one leg: they are closed in one
+    pass of stacked arithmetic on ``(k, n, n)`` arrays, and the result is
+    a list of loops, read-only views of those arrays, each with the bits
+    of closing its plant alone, which is the list of one.
 
     The states are the plant's, then ``omega_G``, then ``Theta_G``; the
     inputs are ``d_t, W_ext, w_omega`` and the outputs
@@ -708,27 +716,44 @@ def close_loop(plant: StateSpace, K_att: np.ndarray) -> StateSpace:
     K_att = np.asarray(K_att, dtype=float)
     if K_att.shape != (3, 6):
         raise WidthMismatch(f"attitude gain must be 3 x 6, got {K_att.shape}")
-    n, m = plant.n_states, plant.n_inputs
-    wd, T = plant.out_slice("omega_dot_G"), plant.in_slice("T_G")
+    if isinstance(plant, StateSpace):
+        return _close_loops([plant], K_att)[0]
+    return _close_loops(plant, K_att)
+
+
+def _close_loops(plants, K_att: np.ndarray) -> list:
+    """:func:`close_loop` of a list of plants, as a list: the one body of
+    both forms, so each ``close_loop`` call is one call."""
+    first = plants[0]
+    P_A, P_B, P_C, P_D = (np.stack([getattr(p, x) for p in plants]) for x in "ABCD")
+    count, n, m = len(P_A), first.n_states, first.n_inputs
+    wd, T = first.out_slice("omega_dot_G"), first.in_slice("T_G")
     # u on the closed-loop states [x; omega_G; Theta_G]
     Ku = np.hstack([np.zeros((3, n)), K_att[:, 3:], K_att[:, :3]])
-    A = np.zeros((n + 6, n + 6))
-    A[:n, :n] = plant.A
-    A[n:n + 3, :n] = plant.C[wd]
-    A[n + 3:, n:n + 3] = np.eye(3)
-    B = np.vstack([plant.B, plant.D[wd], np.zeros((3, m))])
-    A += B[:, T] @ Ku
+    A = np.zeros((count, n + 6, n + 6))
+    A[:, :n, :n] = P_A
+    A[:, n:n + 3, :n] = P_C[:, wd]
+    A[:, n + 3:, n:n + 3] = np.eye(3)
+    B = np.concatenate([P_B, P_D[:, wd], np.zeros((count, 3, m))], axis=1)
+    A += B[:, :, T] @ Ku
 
     ins = [("d_t", "T_G"), ("W_ext", "W_ext"), ("w_omega", "w_omega")]
-    cols, chans = plant._index(plant.in_channels, [c for _, c in ins])
+    cols, chans = first._index(first.in_channels, [c for _, c in ins])
     k = cols.size
     # the plant's outputs on the closed-loop states and inputs
-    C_p = np.hstack([plant.C, np.zeros((plant.n_outputs, 6))]) + plant.D[:, T] @ Ku
-    D_p = plant.D[:, cols]
-    z = plant.out_slice("z_omega")
+    C_p = (np.concatenate([P_C, np.zeros((count, first.n_outputs, 6))], axis=2)
+           + P_D[:, :, T] @ Ku)
+    D_p = P_D[:, :, cols]
+    z = first.out_slice("z_omega")
     outs = (("omega_dot_G", 3), ("omega_G", 3), ("Theta_G", 3), ("e_t", 3),
             ("z_omega", z.stop - z.start))
-    return StateSpace._unchecked(
-        A, B[:, cols], np.vstack([C_p[wd], np.eye(6, n + 6, n), Ku, C_p[z]]),
-        np.vstack([D_p[wd], np.zeros((6, k)), np.eye(3, k), D_p[z]]),
-        tuple((name, w) for (name, _), (_, w) in zip(ins, chans)), outs)
+    rows = np.vstack([np.eye(6, n + 6, n), Ku])
+    C = np.concatenate([C_p[:, wd], np.broadcast_to(rows, (count,) + rows.shape),
+                        C_p[:, z]], axis=1)
+    D = np.concatenate([D_p[:, wd], np.zeros((count, 6, k)),
+                        np.broadcast_to(np.eye(3, k), (count, 3, k)), D_p[:, z]], axis=1)
+    B = B[:, :, cols]
+    for a in (A, B, C, D):
+        a.setflags(write=False)
+    chans = tuple((name, w) for (name, _), (_, w) in zip(ins, chans))
+    return [StateSpace._unchecked(*mats, chans, outs) for mats in zip(A, B, C, D)]

@@ -1,16 +1,20 @@
 """Graphs, search, edge costs and the full-assembly planner."""
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from flexasm import linss
 from flexasm import pathopt as po
 from flexasm import scenario as sc
-from flexasm.errors import CostNotPlanned, StateInvalid, Unreachable
+from flexasm.errors import (CostNotPlanned, IkNotConverged, NonzeroFeedthrough,
+                            StateInvalid, Unreachable, UnstableSystem)
 from flexasm.linss import StateSpace
+from flexasm.modal import TileLayout
 
-from conftest import make_rng
+from conftest import assert_same_system, make_rng
 
 
 @pytest.fixture(scope="module")
@@ -318,3 +322,165 @@ def test_plan_for_an_unplanned_kind_raises(cfg):
     assert not planner._edges
     with pytest.raises(ValueError):
         po.AssemblyPlanner(cfg, costs=("hinf",))
+
+
+def test_planner_rejects_repeated_cost_kinds(cfg):
+    # a repeated kind would price every edge twice under one kind
+    for costs in (("h2-theta", "h2-theta"), ("mu", "hinf-wrench", "mu")):
+        with pytest.raises(ValueError, match="repeat"):
+            po.AssemblyPlanner(cfg, costs=costs)
+    with pytest.raises(ValueError):
+        po.AssemblyPlanner(cfg, costs=())
+
+
+# ---------------------------------------------------------------------------
+# leg stacks
+# ---------------------------------------------------------------------------
+
+def desk(z):
+    from flexasm import data_path
+    from flexasm.cli import load_scenario
+
+    return replace(load_scenario(data_path("scenario_desk.yaml"))[0], z_grid=z)
+
+
+def strip(z):
+    return sc.table_scenario(4, layout=TileLayout(tuple((0, c) for c in range(4))),
+                             z_grid=z)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: desk(2), lambda: desk(7), lambda: strip(4),
+    lambda: sc.table_scenario(8, z_grid=3)],
+    ids=["desk-z2", "desk-z7", "strip-z4", "table8-z3"])
+def test_leg_stacks_equal_loops_built_and_priced_alone(make, monkeypatch):
+    # every loop of every edge: the stack's view has the bits of closing
+    # its waypoint alone, and each leg's H2 prices have the bits of
+    # h2_norm on that loop's own channel slice, with its own eig and inv
+    cfg = make()
+    models = sc.ScenarioModels(cfg)
+    alone = sc.ScenarioModels(cfg)
+    K = models.design_gains()
+    waypoints = []
+    open_loop = sc.ScenarioModels.open_loop
+    monkeypatch.setattr(sc.ScenarioModels, "open_loop",
+                        lambda self, state, qs: waypoints.append((state, qs))
+                        or open_loop(self, state, qs))
+    spec = po.CostSpec("h2-theta")
+    loops = 0
+    for n in range(1, cfg.n_tiles):
+        for graph in po.build_node_graphs(cfg, n):
+            for i, k in graph.edges():
+                waypoints.clear()
+                try:
+                    arr = po.grid_edge_models(models, graph.kind, n, graph.nodes[i],
+                                              graph.nodes[k], K)
+                except IkNotConverged:
+                    continue
+                assert len(waypoints) == len(arr.systems) == 2 * cfg.z_grid
+                prices = po.edge_cost(arr, spec)[1]
+                for loop, (state, qs), price in zip(arr.systems, waypoints, prices):
+                    ref = alone.closed_loop(state, qs, K)
+                    assert_same_system(loop, ref)
+                    want = linss.h2_norm(ref.subsystem(["Theta_G"], ["W_ext"]))
+                    assert np.float64(price).tobytes() == np.float64(want).tobytes()
+                    loops += 1
+    assert loops > 0
+
+
+def test_plan_makes_one_stacked_eig_per_leg(monkeypatch):
+    shapes = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(np.shape(a)) or eig(a))
+    cfg = sc.table_scenario(3, z_grid=2)
+    planner = po.AssemblyPlanner(cfg)
+    for kind in po.COST_KINDS:
+        planner.plan_full_assembly(po.CostSpec(kind))
+    built = sum(rec is not None for rec in planner._edges.values())
+    assert built > 0
+    assert len(shapes) == 2 * built
+    assert all(len(s) == 3 and s[0] == cfg.z_grid for s in shapes)
+
+
+def stable_system(rng, A, feedthrough=0.0):
+    """A one-input, one-output system of ``A`` with random B and C."""
+    n = A.shape[0]
+    return StateSpace(A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)),
+                      [[feedthrough]])
+
+
+def complex_poles(rng, n):
+    """A stable ``n x n`` A (n even) of lightly damped complex pairs."""
+    blocks = [np.array([[-s, w], [-w, -s]])
+              for s, w in zip(rng.uniform(0.1, 1.0, n // 2), rng.uniform(1.0, 5.0, n // 2))]
+    A = np.zeros((n, n))
+    for k, b in enumerate(blocks):
+        A[2 * k:2 * k + 2, 2 * k:2 * k + 2] = b
+    T = rng.standard_normal((n, n))
+    return T @ A @ np.linalg.inv(T)
+
+
+def copies(systems):
+    """Fresh systems with the same matrices and empty caches."""
+    return [StateSpace(s.A, s.B, s.C, s.D) for s in systems]
+
+
+def test_defective_loop_of_a_leg_takes_the_kronecker_solve_alone(monkeypatch):
+    # a repeated complex pair in one Jordan chain: its eigenvectors are
+    # gated out, so that loop, and only it, solves the Kronecker form
+    rng = make_rng(8)
+    jordan = np.zeros((6, 6))
+    pair = np.array([[-0.5, 2.0], [-2.0, -0.5]])
+    jordan[:2, :2] = jordan[2:4, 2:4] = pair
+    jordan[:2, 2:4] = np.eye(2)
+    jordan[4:, 4:] = [[-1.0, 3.0], [-3.0, -1.0]]
+    leg = [stable_system(rng, complex_poles(rng, 6)) for _ in range(4)]
+    leg[2] = stable_system(rng, jordan)
+    linss._prime_modes(leg)
+    assert [s.modal_inverse() is None for s in leg] == [False, False, True, False]
+    solved = []
+    kron = linss._h2_kronecker
+    monkeypatch.setattr(linss, "_h2_kronecker",
+                        lambda sys: solved.append(sys) or kron(sys))
+    got = linss.h2_norm(leg)
+    assert len(solved) == 1 and solved[0] is leg[2]
+    want = [linss.h2_norm(s) for s in copies(leg)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_gated_inverse_of_a_stack_with_a_singular_matrix():
+    # the stacked inv fails, so each matrix is inverted alone
+    rng = make_rng(9)
+    V = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    V[1] = 0.0
+    W = linss._gated_inverse(V)
+    assert W[1] is None
+    for k in (0, 2):
+        assert W[k].tobytes() == linss._gated_inverse(V[k]).tobytes()
+
+
+def test_leg_stack_raises_the_first_loop_error_in_pricing_order():
+    # loop by loop, h2_norm checks the feedthrough and then the stability:
+    # the leg raises what pricing its loops one by one raises first
+    rng = make_rng(10)
+    leg = [stable_system(rng, complex_poles(rng, 4)) for _ in range(4)]
+    unstable = stable_system(rng, complex_poles(rng, 4) + 2.0 * np.eye(4))
+    direct = stable_system(rng, complex_poles(rng, 4), feedthrough=0.5)
+
+    def first_error(systems):
+        for s in copies(systems):
+            try:
+                linss.h2_norm(s)
+            except (UnstableSystem, NonzeroFeedthrough) as exc:
+                return type(exc), str(exc)
+
+    for bad, want in (([unstable, direct], UnstableSystem),
+                      ([direct, unstable], NonzeroFeedthrough)):
+        systems = leg[:1] + bad + leg[3:]
+        linss._prime_modes(systems)
+        kind, message = first_error(systems)
+        assert kind is want
+        with pytest.raises(kind) as info:
+            linss.h2_norm(systems)
+        assert str(info.value) == message
+    assert first_error([unstable])[1].startswith("H2 norm of unstable system (abscissa")

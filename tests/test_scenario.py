@@ -731,6 +731,48 @@ def test_dls_solve_on_stacked_residual_equals_row_by_row(cfg, r, converges):
     assert isinstance(outcomes[0], bytes) == converges
 
 
+@pytest.mark.parametrize("r", [3, 2], ids=["converges", "stalls"])
+def test_dls_solve_poses_each_trial_with_its_jacobian_rows(cfg, r):
+    # one (dof + 1)-row residual call per point, [q; q + h e_k]: the start,
+    # then each trial, accepted when it lowers the error; so one call per
+    # iteration plus one per rejected trial, where the column-by-column
+    # oracle also poses dof Jacobian rows per iteration
+    j, g, dof, h = 1, 1, 10, 1e-6
+    target = cfg.stack_center() if r == 3 else cfg.tile_center(3)
+    models = sc.ScenarioModels(cfg)
+    residual = models._reach_residual(j, g, r, target)
+    rows = row_by_row_residual(models, j, g, r, target)
+    args = (np.zeros(10), -sc.JOINT_LIMIT * np.ones(10),
+            sc.JOINT_LIMIT * np.ones(10))
+    calls, oracle_calls = [], []
+
+    def run(solve, fn):
+        try:
+            solve(fn, *args, tol=0.5 * sc.REACH_TOL)
+        except IkNotConverged:
+            pass
+
+    run(sc.dls_solve, lambda Q: calls.append(np.array(Q)) or residual(Q))
+    run(column_by_column_dls_solve,
+        lambda q: oracle_calls.append(1) or rows(q[None])[0])
+    for Q in calls:
+        assert Q.shape == (dof + 1, dof)
+        steps = np.repeat(Q[:1], dof, axis=0)
+        steps[np.arange(dof), np.arange(dof)] += h
+        assert Q[1:].tobytes() == steps.tobytes()
+    errors = [float(np.linalg.norm(residual(Q[:1])[0])) for Q in calls]
+    accepted = rejected = 0
+    en = errors[0]
+    for e in errors[1:]:
+        if e < en:
+            accepted, en = accepted + 1, e
+        else:
+            rejected += 1
+    assert accepted > 0
+    assert len(calls) == 1 + accepted + rejected
+    assert len(oracle_calls) == len(calls) + dof * accepted
+
+
 def test_one_link_poses_call_per_residual_and_mass_matrix(cfg, monkeypatch):
     # a residual of any stack height poses both arms' rows in one call, and
     # a mass-matrix miss poses all three arms in one; a memo hit poses none
