@@ -40,6 +40,7 @@ Conventions
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
@@ -754,21 +755,16 @@ def _modal_form(sys: StateSpace):
     return sys.C @ sys.eig()[1], W @ sys.B
 
 
-def _resolvent(ws, eigs) -> np.ndarray:
-    """``1 / (jw - eigs)`` for each angular frequency of ``ws``, one row
-    per frequency."""
-    return 1.0 / (1j * np.asarray(ws, dtype=float).ravel()[:, None] - eigs)
-
-
 def _seed_grid(sys: StateSpace):
     """The H-infinity seed grid ``_seed_frequencies`` of A's poles and its
-    resolvent, computed once per A and shared with every slice: both
-    H-infinity channels of a loop read them."""
+    resolvent ``1 / (jw - eigs)``, one row per frequency, computed once
+    per A and shared with every slice: both H-infinity channels of a loop
+    read them."""
     modes = sys._modes
     if "seeds" not in modes:
         eigs = sys.eig()[0]
         ws = _seed_frequencies(eigs)
-        modes["seeds"] = ws, _resolvent(ws, eigs)
+        modes["seeds"] = ws, 1.0 / (1j * ws[:, None] - eigs)
     return modes["seeds"]
 
 
@@ -795,7 +791,8 @@ def _transfer_kernel(sys: StateSpace):
     seeds, seed_resolvent = _seed_grid(sys)
 
     def transfer(ws):
-        R = seed_resolvent if ws is seeds else _resolvent(ws, eigs)
+        R = (seed_resolvent if ws is seeds
+             else 1.0 / (1j * np.array(ws, dtype=float)[:, None] - eigs))
         return (R @ res).reshape(R.shape[0], p, m) + sys.D
     return transfer
 
@@ -833,8 +830,9 @@ def minimal_stable_projection(sys: StateSpace, in_channel: str,
 
     The priced closed loops are strictly stable, so the sliced channel is
     already a stable realization and the norms take it as it is; they also
-    own the one stability test.  The name stays because
-    ``perfbench/tracer.py`` wraps this function by name.
+    own the one stability test.  The planner slices each leg's channels
+    with ``_subsystems`` instead and never calls this; the name stays
+    because ``perfbench/tracer.py`` wraps this function by name.
     """
     return sys.subsystem([out_channel], [in_channel])
 
@@ -846,14 +844,17 @@ def minimal_stable_projection(sys: StateSpace, in_channel: str,
 def _hamiltonian_imag_crossings(sys: StateSpace, g: float):
     """Imaginary-axis eigenfrequencies of the H-infinity test Hamiltonian,
     sorted and without repeats.  The 2n x 2n matrix is filled block by
-    block in place, ``I + D R^-1 D^T`` by adding 1 to the diagonal."""
+    block in place, ``I + D R^-1 D^T`` by adding 1 to the diagonal; one
+    identity serves ``R`` and its inverse.  With no imaginary eigenvalue,
+    which is the certificate's usual answer, the result is the empty array
+    without rounding or sorting."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = sys.n_states
-    R = g * g * np.eye(sys.n_inputs) - D.T @ D
-    Rinv = np.linalg.solve(R, np.eye(sys.n_inputs))
+    eye = np.eye(sys.n_inputs)
+    Rinv = np.linalg.solve(g * g * eye - D.T @ D, eye)
     BR = B @ Rinv
     Q = D @ Rinv @ D.T
-    Q[np.diag_indices_from(Q)] += 1.0
+    Q.flat[::Q.shape[0] + 1] += 1.0
     H = np.empty((2 * n, 2 * n))
     H[:n, :n] = A + BR @ D.T @ C
     H[:n, n:] = BR @ B.T
@@ -861,6 +862,8 @@ def _hamiltonian_imag_crossings(sys: StateSpace, g: float):
     H[n:, n:] = -H[:n, :n].T
     ev = np.linalg.eigvals(H)
     keep = np.abs(ev.real) <= 1e-8 * np.maximum(1.0, np.abs(ev.imag))
+    if not keep.any():
+        return np.empty(0)
     return np.unique(np.round(np.abs(ev.imag[keep]), 12))
 
 
@@ -877,7 +880,7 @@ def _seed_frequencies(eigs):
 # Brent's golden-section fraction, and the relative tolerance on the
 # abscissa at which a polish stops: the gain is flat to second order at a
 # peak, so the polished value is far closer to the peak than 2 * HINF_RTOL.
-_CGOLD = 0.5 * (3.0 - np.sqrt(5.0))
+_CGOLD = 0.5 * (3.0 - math.sqrt(5.0))
 _POLISH_XTOL = 1e-8
 # Relative width of the bracket hinf_norm certifies, and the certificate
 # rounds before it gives up.
@@ -916,11 +919,11 @@ def _brent_max(a: float, b: float, x: float, fx: float):
                 d = p / q
                 golden = False
                 if (x + d) - a < tol2 or b - (x + d) < tol2:
-                    d = np.copysign(tol1, xm - x)
+                    d = math.copysign(tol1, xm - x)
         if golden:
             e = (a - x) if x >= xm else (b - x)
             d = _CGOLD * e
-        u = x + (d if abs(d) >= tol1 else np.copysign(tol1, d))
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = yield u
         if fu >= fx:
             if u >= x:
@@ -953,23 +956,32 @@ def _polish(sigma, ws: np.ndarray, vals: np.ndarray, idx) -> float:
     between their neighbours (0 below the first point, twice the last
     above it).  ``hinf_norm`` passes only local maxima of ``vals``: a
     search from beside a higher neighbour crawls to its bracket edge and
-    the lockstep waits for it.  ``sigma`` maps angular frequencies to
-    ``sigma_max``; the searches run in lockstep, so each step is one call
-    of it."""
-    edges = np.concatenate([[0.0], ws, [2.0 * ws[-1]]])
-    best = float(np.max(vals[idx]))
-    steps = {}
-    for k in idx:
-        search = _brent_max(edges[k], edges[k + 2], ws[k], vals[k])
-        steps[search] = next(search)
-    while steps:
-        fs = sigma(list(steps.values()))
-        best = max(best, float(np.max(fs)))
-        for search, f in zip(list(steps), fs):
+    the lockstep waits for it.  ``sigma`` maps a list of angular
+    frequencies to an array of ``sigma_max``; the searches run in
+    lockstep, so each step is one call of it.  The searches and their
+    brackets are Python lists and floats, and each step's best is a plain
+    ``max``: a step costs the one ``sigma`` call and little else, and
+    every abscissa and value has the bits numpy scalars give it."""
+    wl = ws.tolist()
+    edges = [0.0] + wl + [2.0 * wl[-1]]
+    starts = [(int(k), float(vals[k])) for k in idx]
+    best = max(f for _, f in starts)
+    searches, xs = [], []
+    for k, f in starts:
+        search = _brent_max(edges[k], edges[k + 2], wl[k], f)
+        searches.append(search)
+        xs.append(next(search))
+    while searches:
+        fs = sigma(xs).tolist()
+        best = max(best, max(fs))
+        live, xs = [], []
+        for search, f in zip(searches, fs):
             try:
-                steps[search] = search.send(f)
+                xs.append(search.send(f))
+                live.append(search)
             except StopIteration:
-                del steps[search]
+                pass
+        searches = live
     return best
 
 
@@ -1020,7 +1032,10 @@ def hinf_norm(sys: StateSpace) -> float:
     Those of the grid's three best points that are local maxima of the grid
     (at least each neighbour, an end compared to its one neighbour; the
     global maximum always is one) are polished by Brent searches between
-    their grid neighbours.  One Hamiltonian level-set test at
+    their grid neighbours, in lockstep (``_polish``).  The gain at infinity
+    sigma_max(D) is at most ``||D||_F``, so D's SVD runs only when that
+    bound, with ``1e-12`` relative slack, exceeds the polished peak; the
+    larger of the two is kept.  One Hamiltonian level-set test at
     ``gamma * (1 + 2 HINF_RTOL)``, on the state-space matrices and not on
     the eigenvectors, then certifies that no frequency reaches that level
     (Boyd-Balakrishnan-Kabamba 1989, Bruinsma-Steinbuch 1990).  If it
@@ -1040,7 +1055,6 @@ def hinf_norm(sys: StateSpace) -> float:
     def sigma(ws):
         return _gram_sigma_max(transfer(ws))
 
-    sd = float(np.linalg.svd(sys.D, compute_uv=False)[0])
     ws = _seed_grid(sys)[0]
     vals = _screened_sigma_max(transfer(ws))
     peak = np.ones(vals.size, dtype=bool)
@@ -1049,7 +1063,9 @@ def hinf_norm(sys: StateSpace) -> float:
     # a stable sort breaks ties by index alone, so the screen's -inf
     # entries cannot change which of several equal gains is kept
     top = np.argsort(vals, kind="stable")[-3:]
-    gamma = max(sd, _polish(sigma, ws, vals, top[peak[top]]))
+    gamma = _polish(sigma, ws, vals, top[peak[top]])
+    if math.sqrt(float(np.square(sys.D).sum())) * (1.0 + 1e-12) > gamma:
+        gamma = max(float(np.linalg.svd(sys.D, compute_uv=False)[0]), gamma)
     if gamma <= 0.0:
         return 0.0
     for _ in range(_MAX_ROUNDS):

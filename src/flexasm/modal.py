@@ -21,6 +21,7 @@ truncation leaves a positive-semidefinite residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -82,13 +83,19 @@ class TileLayout:
     Every cell after the first must touch an earlier cell on a side or a
     diagonal, so the walking robot can always reach the next tile.  Pass
     ``ordered=False`` to skip that growth check (the lattice builder will
-    still reject disconnected sets).
+    still reject disconnected sets).  A coordinate that is not an integer
+    (a float, or a bool) raises ``TypeError`` naming the cell: ``int()``
+    would move the tile to a cell nobody wrote.
     """
 
     cells: tuple
     ordered: bool = True
 
     def __post_init__(self):
+        for k, cell in enumerate(self.cells):
+            if any(isinstance(x, bool) or not isinstance(x, Integral) for x in cell):
+                raise TypeError(f"layout cell {cell!r} (tile {k + 1}) must be "
+                                "two integers")
         cells = tuple((int(r), int(c)) for r, c in self.cells)
         if len(set(cells)) != len(cells):
             raise LayoutError("layout cells must be unique")

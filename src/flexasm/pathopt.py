@@ -19,10 +19,13 @@ step-count baseline the optimized plans are measured against.
 Each leg is built as one stack: the open loop per waypoint, then the
 attitude loop closed on all z waypoints in one
 :func:`~flexasm.scenario.close_loop` call, and the z eigendecompositions
-and modal inverses in one stacked ``eig`` and one stacked ``inv``.  The
-H2 cost prices a leg in one :func:`~flexasm.linss.h2_norm` call; the
-H-infinity costs and the margin price loop by loop, from the same cached
-eigendecompositions.
+and modal inverses in one stacked ``eig`` and one stacked ``inv``.  Every
+cost kind prices a leg at a time (``_leg_values``): a norm-priced kind
+slices the leg's channel pair once, the H2 cost prices the slices in one
+:func:`~flexasm.linss.h2_norm` call, each H-infinity cost makes one
+:func:`~flexasm.linss.hinf_norm` call per loop and the margin one
+:func:`~flexasm.robust.mu_real_repeated` per loop, all from the same
+cached eigendecompositions.
 
 The planner is built for the cost kinds it will plan.  It prices each
 edge's loops under all of them as soon as it builds them, so one
@@ -45,12 +48,10 @@ from .errors import (
     Unreachable,
 )
 from .linss import (
-    StateSpace,
     _prime_modes,
     _subsystems,
     h2_norm,
     hinf_norm,
-    minimal_stable_projection,
 )
 from .modal import _adjacent
 from .robot import quintic_waypoints
@@ -308,17 +309,6 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
     return EdgeModelArray(edge_id, systems, np.asarray(dock))
 
 
-def per_system_metric(sys: StateSpace, spec: CostSpec) -> float:
-    """One closed-loop model's contribution to an edge weight."""
-    if spec.kind == "hinf-wrench":
-        return hinf_norm(minimal_stable_projection(sys, "W_ext", "omega_dot_G"))
-    if spec.kind == "h2-theta":
-        return h2_norm(minimal_stable_projection(sys, "W_ext", "Theta_G"))
-    if spec.kind == "hinf-isens":
-        return hinf_norm(minimal_stable_projection(sys, "d_t", "e_t"))
-    return mu_real_repeated(sys).mu_lower
-
-
 def _edge_price(values: np.ndarray, spec: CostSpec) -> float:
     """Sum of an edge's per-system values, or infinity when any value is
     beyond the hard cap: Dijkstra treats such an edge as impassable."""
@@ -327,22 +317,43 @@ def _edge_price(values: np.ndarray, spec: CostSpec) -> float:
     return float(np.sum(values))
 
 
+# The channel pair ``(input, output)`` each norm-priced cost kind reads.
+_PRICED_CHANNELS = {
+    "hinf-wrench": ("W_ext", "omega_dot_G"),
+    "h2-theta": ("W_ext", "Theta_G"),
+    "hinf-isens": ("d_t", "e_t"),
+}
+
+
+def _leg_values(leg, spec: CostSpec) -> np.ndarray:
+    """Per-loop values of one leg's closed loops (loops with the same
+    channels) under ``spec.kind``.
+
+    A norm-priced kind slices the leg's channel pair once
+    (``linss._subsystems``); H2 prices the slices in one :func:`h2_norm`
+    call, H-infinity in one :func:`hinf_norm` call per loop.  The margin
+    runs one :func:`~flexasm.robust.mu_real_repeated` per loop.
+    """
+    if spec.kind == "mu":
+        return np.array([mu_real_repeated(s).mu_lower for s in leg])
+    inp, out = _PRICED_CHANNELS[spec.kind]
+    channels = _subsystems(leg, [out], [inp])
+    if spec.kind == "h2-theta":
+        return h2_norm(channels)
+    return np.array([hinf_norm(s) for s in channels])
+
+
 def edge_cost(array: EdgeModelArray, spec: CostSpec):
     """Sum of the per-system metric over the 2z models.
 
     Returns ``(cost, values)``; any value beyond the hard cap makes the
-    whole edge infinite, which Dijkstra treats as impassable.  The H2 cost
-    prices each leg's ``W_ext -> Theta_G`` channels in one :func:`h2_norm`
-    call; the other kinds price loop by loop (:func:`per_system_metric`).
+    whole edge infinite, which Dijkstra treats as impassable.  Each leg's
+    z loops are priced together (:func:`_leg_values`).
     """
     systems = array.systems
-    if spec.kind == "h2-theta":
-        z = len(systems) // 2
-        values = np.concatenate([
-            h2_norm(_subsystems(leg, ["Theta_G"], ["W_ext"]))
-            for leg in (systems[:z], systems[z:])])
-    else:
-        values = np.array([per_system_metric(s, spec) for s in systems])
+    z = len(systems) // 2
+    values = np.concatenate([_leg_values(leg, spec)
+                             for leg in (systems[:z], systems[z:])])
     return _edge_price(values, spec), values
 
 

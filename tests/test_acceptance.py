@@ -343,7 +343,7 @@ def test_ac7_graph_layer():
 
 @criterion("criterion 8: N=4, z=7 full assembly: optimized <= baseline for all "
            "four costs; H-inf wrench plan stays at least as close to the hub",
-           1200)
+           120)
 def test_ac8_end_to_end_dominance(planner4):
     assert planner4.cfg.z_grid == 7
     results = {}

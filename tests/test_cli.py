@@ -276,6 +276,21 @@ def test_non_integer_count_exits_2(tmp_path, capsys, command, fields, key, value
     assert key in (captured.out if command == ["validate"] else captured.err)
 
 
+@pytest.mark.parametrize("cell", [[0, 1.5], [0, 0.9], [0, True], [0.0, 1]], ids=str)
+@pytest.mark.parametrize("command", [["full-assembly", "--cost", "h2-theta"],
+                                     ["validate"]], ids=["full-assembly", "validate"])
+def test_non_integer_layout_cell_exits_2(tmp_path, capsys, command, cell):
+    # int() would plan tile 2 of [0, 1.5] on (0, 1), read true as 1, and
+    # report [0, 0.9] as a repeat of (0, 0)
+    p = write_scenario(tmp_path, layout={"cells": [[0, 0], cell]})
+    message = f"layout cell {cell!r} (tile 2) must be two integers"
+    with pytest.raises(cli.SchemaError, match=re.escape(message)):
+        cli.load_scenario(p)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", *command]) == 2
+    captured = capsys.readouterr()
+    assert message in (captured.out if command == ["validate"] else captured.err)
+
+
 @pytest.mark.parametrize("fields, block", [
     ({"structure": 3}, "structure"),
     ({"uncertainty": 3}, "uncertainty"),

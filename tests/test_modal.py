@@ -1,5 +1,7 @@
 """Lattice generation, clamped-free modes, reduction, body files."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,6 +42,15 @@ def test_layout_rejects_detached_growth():
         modal.TileLayout([(0, 0), (2, 2)])
     with pytest.raises(LayoutError):
         modal.TileLayout([(0, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("cell", [(0, 1.5), (0, 0.9), (0, True), (1.0, 0), (0, "1")],
+                         ids=str)
+def test_layout_rejects_non_integer_coordinates(cell):
+    # int() would plan the tile on a cell nobody wrote: (0, 1.5) on (0, 1)
+    with pytest.raises(TypeError, match=re.escape(f"layout cell {cell!r} (tile 2)")):
+        modal.TileLayout([(0, 0), cell])
+    assert modal.TileLayout([(0, 0), (np.int64(0), np.int64(1))]).cells == ((0, 0), (0, 1))
 
 
 def test_layout_centers():
