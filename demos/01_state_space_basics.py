@@ -14,12 +14,12 @@ lag = linss.StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]],
                        (("r", 1),), (("y", 1),))
 print("first-order lag 1/(s+1):", lag)
 
-fr = linss.freq_response(lag, linss.FrequencyGrid.log(0.01, 100.0, 7))
+fr = linss.freq_response(lag, np.geomspace(0.01, 100.0, 7))
 print("gain at 1 rad/s:", fr.magnitude()[3], "(analytic 1/sqrt(2) =",
       1 / np.sqrt(2), ")")
 
 print("H-inf norm:", linss.hinf_norm(lag), "(peak at DC = 1)")
-print("H2 norm:  ", linss.h2_norm(lag), "(analytic sqrt(1/2) =",
+print("H2 norm:  ", linss.h2_norm([lag])[0], "(analytic sqrt(1/2) =",
       np.sqrt(0.5), ")")
 
 # a lightly damped mode peaks at ~1/(2 xi)

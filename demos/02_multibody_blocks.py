@@ -44,6 +44,6 @@ welded = linss.interconnect(
 m, com, J = mb.compose_rigid([(4.0, np.zeros(3), b1.inertia_G, None),
                               (2.5, b1.offset("J") - b2.offset("J"),
                                b2.inertia_G, None)])
-ref = mb.rigid_nport(mb.RigidBodyData(m, J, {"P": -com}), ["P"],
-                     with_com_port=False)
+ref = mb.rigid_nport(mb.RigidBodyData(m, J, {"P": -com}), ["P"]).subsystem(
+    ["xdd_P"], ["W_P"])
 print("weld vs composite deviation:", np.max(np.abs(welded.D - ref.D)))

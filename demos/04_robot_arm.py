@@ -20,8 +20,8 @@ cfg = sc.table_scenario(3)
 geom = cfg.arm_geometry
 print("arm mass (six links):", np.sum(geom.masses), "kg")
 
-joints, _ = robot.link_poses(geom, np.zeros(5))
-print("home tip position (J6 from J0):", np.round(joints[-1], 4))
+joints, _ = robot.link_poses(geom, np.zeros((1, 5)))
+print("home tip position (J6 from J0):", np.round(joints[0, -1], 4))
 
 # standing on tile 1 with arm 1, place arm 2's tip on the next tile
 models = sc.ScenarioModels(cfg)

@@ -10,7 +10,8 @@ optimize       one optimized walk across the current structure between
 full-assembly  the complete build plan (alternating pickup/assemble),
                same outputs plus node-graph dumps.
 validate       what the constructors leave unchecked (the array's residual
-               mass, the layout's link to the clamp): pass/warn/fail report.
+               mass), once the file loads with a layout tied to the
+               clamp: pass/warn/fail report.
 
 Exit codes: 0 success, 2 configuration error (a bad argument or scenario
 file, an unknown key in any block), 3 modeling error, 4 unreachable goal.
@@ -45,7 +46,6 @@ from .modal import (
     LatticeStiffness,
     TileLayout,
     _inertia_from_rows,
-    build_lattice,
     load_body_file,
 )
 from .multibody import RigidBodyData, residual_mass
@@ -473,8 +473,10 @@ def cmd_full_assembly(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    """What no constructor checks: the array's residual mass and the
-    layout's connection to the clamp.  Writes nothing."""
+    """What no constructor checks: the array's residual mass.  Loading
+    the file checks the rest, the layout's tie to the clamp included
+    (:class:`~flexasm.modal.TileLayout`), and a file that fails it exits
+    as every other command exits on it.  Writes nothing."""
     try:
         cfg, _ = load_scenario(args.scenario)
     except ParseError:
@@ -487,18 +489,13 @@ def cmd_validate(args) -> int:
 
     ev = np.linalg.eigvalsh(residual_mass(cfg.array))
     report = [("warn", f"array residual mass indefinite (min eig {ev.min():.2e})")
-              if ev.min() < -1e-10 * max(1.0, ev.max()) else ("pass", "array residual mass PSD")]
-    try:
-        build_lattice(cfg.layout, cfg.tile.mass, cfg.tile.inertia_G, cfg.stiffness)
-        report.append(("pass", "layout connected to the clamp"))
-    except FlexasmError as exc:
-        report.append(("FAIL", f"layout: {exc}"))
-
+              if ev.min() < -1e-10 * max(1.0, ev.max()) else ("pass", "array residual mass PSD"),
+              ("pass", "layout connected to the clamp")]
     for status, text in report:
         print(f"{status}  {text}")
     count = [status for status, _ in report].count
-    print(f"validate: {count('pass')} pass, {count('warn')} warn, {count('FAIL')} fail")
-    return 3 if count("FAIL") else 0
+    print(f"validate: {count('pass')} pass, {count('warn')} warn, 0 fail")
+    return 0
 
 
 # ---------------------------------------------------------------------------

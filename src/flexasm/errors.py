@@ -73,7 +73,8 @@ class LayoutError(FlexasmError):
 
 
 class DisconnectedLayout(FlexasmError):
-    """Lattice spring network does not connect all tiles to the clamp."""
+    """Tile layout's first cell does not touch the clamp, so its lattice
+    would not tie the structure to the spacecraft."""
 
 
 class EigenFailure(FlexasmError):

@@ -25,16 +25,16 @@ Conventions
 * The public constructor ``StateSpace(...)`` copies and checks its
   matrices and channels.  The results of :meth:`StateSpace.subsystem`
   (and ``_subsystems``, its form for a list of systems),
-  :class:`StaticClosure` (and so :func:`close_static`) and
-  ``scenario.close_loop`` are built from already-checked systems through
-  the private ``StateSpace._unchecked``, which only marks the arrays read
-  only: the loops the planner prices run no validating constructor.
-  ``scenario.close_loop`` of a list of plants builds its loops as views
-  of one ``(k, n, n)`` stack.
+  :class:`StaticClosure` and ``scenario.close_loop`` are built from
+  already-checked systems through the private ``StateSpace._unchecked``,
+  which only marks the arrays read only: the loops the planner prices run
+  no validating constructor.  ``scenario.close_loop`` builds a list of
+  loops as views of one ``(k, n, n)`` stack.
 * Stacks: ``_prime_modes`` fills the eigendecomposition caches of a list
   of systems from one stacked ``np.linalg.eig`` and one stacked ``inv``,
   and :func:`h2_norm` prices a list of systems in one pass.  Each result
-  has the bits of computing it for its system alone.
+  has the bits of computing it for its system alone; a single system is
+  a list of one.
 """
 
 from __future__ import annotations
@@ -59,14 +59,12 @@ from .errors import (
 
 __all__ = [
     "StateSpace",
-    "FrequencyGrid",
     "FreqResponse",
     "StabilityResult",
     "gain",
     "interconnect",
     "invert_channels",
     "lft_upper",
-    "close_static",
     "StaticClosure",
     "freq_response",
     "sigma_max",
@@ -574,17 +572,25 @@ def _rcond(loop: np.ndarray) -> float:
 
 
 class StaticClosure:
-    """:func:`close_static` of one system and channel pair, split at the
-    gain.
+    """Close ``w = K z`` with a static gain and drop the channel pair:
+    ``StaticClosure(sys, w_channel, z_channel)(K)``.
+
+    Works on the matrices alone: with ``Z = (I - D_zw K)^-1``, the closed
+    system is ``A + B_w K Z C_z``, ``B_u + B_w K Z D_zu``,
+    ``C_y + D_yw K Z C_z`` and ``D_yu + D_yw K Z D_zu``.  States and the
+    order of the remaining channels are unchanged; the result equals the
+    :func:`interconnect` closure of the same loop.
 
     Building it gathers every operand that does not depend on ``K``: the
     channel slices, ``[C_z, D_zu]``, ``[A, B_u]``, ``[C_y, D_yu]``, the
-    columns ``B_w`` and ``D_yw`` and the remaining channels.  Calling it
-    with a gain checks the gain's shape and the loop's well-posedness (an
-    rcond from one inverse, :func:`_rcond`) and closes the loop with one
-    solve and a few products.  It reads its own
-    system's channels: a :meth:`StateSpace.subsystem` slice gets its own
-    closure, never its parent's.
+    columns ``B_w`` and ``D_yw`` and the remaining channels, so a caller
+    closing many gains on one system builds it once.  Calling it with a
+    gain checks the gain's shape (else :class:`WidthMismatch`) and the
+    loop's well-posedness: :class:`IllPosedLoop` when ``rcond(I - D_zw
+    K)``, from one inverse (:func:`_rcond`), is below ``WELLPOSED_RCOND``.
+    It closes the loop with one solve and a few products.  It reads its
+    own system's channels: a :meth:`StateSpace.subsystem` slice gets its
+    own closure, never its parent's.
     """
 
     __slots__ = ("_w_channel", "_z_channel", "_shape", "_n", "_D_zw", "_z_rows",
@@ -625,46 +631,9 @@ class StaticClosure:
                                      bottom[:, n:], self._ins, self._outs)
 
 
-def close_static(sys: StateSpace, K, w_channel: str, z_channel: str) -> StateSpace:
-    """Close ``w = K z`` with a static gain and drop the channel pair.
-
-    Works on the matrices alone: with ``Z = (I - D_zw K)^-1``, the closed
-    system is ``A + B_w K Z C_z``, ``B_u + B_w K Z D_zu``,
-    ``C_y + D_yw K Z C_z`` and ``D_yu + D_yw K Z D_zu``.  States and the
-    order of the remaining channels are unchanged; the result equals the
-    :func:`interconnect` closure of the same loop.  Raises
-    :class:`IllPosedLoop` when ``rcond(I - D_zw K)`` is below
-    ``WELLPOSED_RCOND``.  A caller closing many gains on one system
-    builds its :class:`StaticClosure` once instead.
-    """
-    return StaticClosure(sys, w_channel, z_channel)(K)
-
-
 # ---------------------------------------------------------------------------
 # Frequency response and stability
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Strictly increasing positive angular frequencies [rad/s]."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).ravel()
-        if pts.size == 0:
-            raise ValueError("frequency grid is empty")
-        if np.any(pts <= 0.0) or np.any(np.diff(pts) <= 0.0):
-            raise ValueError("grid must be strictly increasing and positive")
-        object.__setattr__(self, "points", _ro(pts))
-
-    @staticmethod
-    def log(wmin: float, wmax: float, n: int) -> "FrequencyGrid":
-        return FrequencyGrid(np.geomspace(wmin, wmax, n))
-
-    def __len__(self):
-        return self.points.size
-
 
 @dataclass(frozen=True)
 class FreqResponse:
@@ -677,22 +646,22 @@ class FreqResponse:
 
     points: np.ndarray
     values: np.ndarray
-    skipped: tuple = ()
+    skipped: tuple
 
     def magnitude(self) -> np.ndarray:
         """Largest singular value per retained grid point."""
         return np.linalg.svd(self.values, compute_uv=False)[:, 0]
 
 
-def freq_response(sys: StateSpace, grid) -> FreqResponse:
-    """Evaluate the transfer matrix on a grid of angular frequencies.
+def freq_response(sys: StateSpace, ws) -> FreqResponse:
+    """Evaluate the transfer matrix at the angular frequencies ``ws``
+    (an array or a sequence, in rad/s).
 
     Points closer than 1e-12 to an eigenvalue of A (an exactly marginal
     pole) are skipped and reported, not errored: open-loop free-floating
     plants legitimately carry such modes.
     """
-    pts = np.asarray(grid.points if isinstance(grid, FrequencyGrid) else grid,
-                     dtype=float).ravel()
+    pts = np.asarray(ws, dtype=float).ravel()
     skip = np.zeros(pts.size, dtype=bool)
     if sys.n_states and pts.size:
         eigs = np.linalg.eigvals(sys.A)
@@ -1082,35 +1051,28 @@ def hinf_norm(sys: StateSpace) -> float:
         f"H-infinity certificate failed after {_MAX_ROUNDS} rounds")
 
 
-def h2_norm(sys):
-    """H2 norm sqrt(trace(C P C^T)) with A P + P A^T + B B^T = 0.
+def h2_norm(systems) -> np.ndarray:
+    """H2 norms sqrt(trace(C P C^T)) with A P + P A^T + B B^T = 0, of a
+    list of systems with the same shapes (the priced channel of one leg's
+    loops), as an array.
 
-    ``sys`` is one system, or a list of systems with the same shapes (the
-    priced channel of one leg's loops) priced in one pass: a list gives
-    an array of norms, each with the bits of pricing its system alone,
-    which is the list of one.  Systems are checked in order, each for zero
-    feedthrough (else :class:`NonzeroFeedthrough`) and then for strict
-    stability: A's eigendecomposition ``A V = V diag(lambda)`` is
-    :meth:`StateSpace.eig`, computed once and shared with the loop the
-    channel was sliced from, and a pole with Re >= -STAB_TOL raises
-    :class:`UnstableSystem`.  When the modal inverse passes its gate
-    (:meth:`StateSpace.modal_inverse`, ``cond_1(V) < MODAL_COND_MAX``, the
-    one ``hinf_norm`` and the margin read) the Gramian is diagonal in the
-    eigenbasis, ``P = V X V^H`` with ``X_ij = -(B~ B~^H)_ij / (lambda_i +
-    conj(lambda_j))``, ``B~ = V^-1 B``, so ``H2^2 = Re sum_ij (C~^H C~)_ji
-    X_ij`` with ``C~ = C V``; the systems that pass are priced as one
-    stack of ``(k, n, n)`` products.  A defective or nearly defective A
-    solves the Kronecker form ``(I (x) A + A (x) I) vec P = -vec(B B^T)``
-    instead (``_h2_kronecker``), for that system only.
+    The list is priced in one pass, each norm with the bits of pricing
+    its system alone, which is the list of one.  Systems are checked in
+    order, each for zero feedthrough (else :class:`NonzeroFeedthrough`)
+    and then for strict stability: A's eigendecomposition ``A V = V
+    diag(lambda)`` is :meth:`StateSpace.eig`, computed once and shared
+    with the loop the channel was sliced from, and a pole with Re >=
+    -STAB_TOL raises :class:`UnstableSystem`.  When the modal inverse
+    passes its gate (:meth:`StateSpace.modal_inverse`, ``cond_1(V) <
+    MODAL_COND_MAX``, the one ``hinf_norm`` and the margin read) the
+    Gramian is diagonal in the eigenbasis, ``P = V X V^H`` with ``X_ij =
+    -(B~ B~^H)_ij / (lambda_i + conj(lambda_j))``, ``B~ = V^-1 B``, so
+    ``H2^2 = Re sum_ij (C~^H C~)_ji X_ij`` with ``C~ = C V``; the systems
+    that pass are priced as one stack of ``(k, n, n)`` products.  A
+    defective or nearly defective A solves the Kronecker form ``(I (x) A
+    + A (x) I) vec P = -vec(B B^T)`` instead (``_h2_kronecker``), for that
+    system only.
     """
-    if isinstance(sys, StateSpace):
-        return float(_h2_norms([sys])[0])
-    return _h2_norms(list(sys))
-
-
-def _h2_norms(systems) -> np.ndarray:
-    """The H2 norms of :func:`h2_norm`'s list of systems, as an array: the
-    one body of both forms, so each ``h2_norm`` call is one call."""
     for s in systems:
         if np.max(np.abs(s.D)) > 1e-12 if s.D.size else False:
             raise NonzeroFeedthrough("H2 norm needs D = 0 on the selected channel")

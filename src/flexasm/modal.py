@@ -76,20 +76,28 @@ def _adjacent(a, b) -> str:
     return ""
 
 
+def _touches_clamp(cell) -> bool:
+    """Whether a lattice cell touches the clamp corner at the layout
+    origin: the four cells with ``r`` and ``c`` in {-1, 0}, whose centers
+    lie within one tile half-diagonal of the clamp point."""
+    return cell[0] in (-1, 0) and cell[1] in (-1, 0)
+
+
 @dataclass(frozen=True)
 class TileLayout:
     """Occupied lattice cells in assembly order.
 
-    Every cell after the first must touch an earlier cell on a side or a
-    diagonal, so the walking robot can always reach the next tile.  Pass
-    ``ordered=False`` to skip that growth check (the lattice builder will
-    still reject disconnected sets).  A coordinate that is not an integer
-    (a float, or a bool) raises ``TypeError`` naming the cell: ``int()``
-    would move the tile to a cell nobody wrote.
+    The first cell is the mission's first structure, so it must touch the
+    clamp corner at the origin, its row and column in {-1, 0}, else
+    ``DisconnectedLayout``; every cell after it must touch an earlier cell
+    on a side or a diagonal, so the walking robot can always reach the
+    next tile.  Every layout, and every head of one, is therefore tied to
+    the clamp through the lattice's springs.  A coordinate that is not an
+    integer (a float, or a bool) raises ``TypeError`` naming the cell:
+    ``int()`` would move the tile to a cell nobody wrote.
     """
 
     cells: tuple
-    ordered: bool = True
 
     def __post_init__(self):
         for k, cell in enumerate(self.cells):
@@ -101,11 +109,14 @@ class TileLayout:
             raise LayoutError("layout cells must be unique")
         if not cells:
             raise LayoutError("layout is empty")
-        if self.ordered:
-            for k in range(1, len(cells)):
-                if not any(_adjacent(cells[k], cells[j]) for j in range(k)):
-                    raise LayoutError(
-                        f"cell {cells[k]} (tile {k + 1}) touches no earlier tile")
+        if not _touches_clamp(cells[0]):
+            raise DisconnectedLayout(
+                f"cell {cells[0]} (tile 1) does not touch the clamp corner: "
+                "the first cell needs row and column in {-1, 0}")
+        for k in range(1, len(cells)):
+            if not any(_adjacent(cells[k], cells[j]) for j in range(k)):
+                raise LayoutError(
+                    f"cell {cells[k]} (tile {k + 1}) touches no earlier tile")
         object.__setattr__(self, "cells", cells)
 
     def __len__(self):
@@ -118,20 +129,13 @@ class TileLayout:
         return np.array([c + 0.5, r + 0.5, 0.0])
 
     def head(self, n: int) -> "TileLayout":
-        return TileLayout(self.cells[:n], ordered=self.ordered)
+        return TileLayout(self.cells[:n])
 
 
-def default_layout(n: int, width: int = 2) -> TileLayout:
-    """Serpentine strip filling rows of the given width."""
-    cells = []
-    r = 0
-    while len(cells) < n:
-        cols = range(width) if r % 2 == 0 else range(width - 1, -1, -1)
-        for c in cols:
-            if len(cells) < n:
-                cells.append((r, c))
-        r += 1
-    return TileLayout(tuple(cells))
+def default_layout(n: int) -> TileLayout:
+    """Serpentine strip two tiles wide: (0, 0), (0, 1), (1, 1), (1, 0),
+    (2, 0), ..."""
+    return TileLayout(tuple((k // 2, (k % 2) ^ (k // 2 % 2)) for k in range(n)))
 
 
 @dataclass(frozen=True)
@@ -185,8 +189,8 @@ def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
 
     Springs act on the 6-dof relative motion at the midpoint between the
     joined tile centers; ground springs act at the clamp point
-    (``CLAMP_POINT``, the layout origin) and attach every tile whose
-    center lies within one tile diagonal of it.
+    (``CLAMP_POINT``, the layout origin) and attach every tile that
+    touches it, in assembly order.
     """
     if tile_inertia is None:
         tile_inertia = DEFAULT_TILE_INERTIA
@@ -218,34 +222,14 @@ def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
         B[:, 6 * b:6 * b + 6] = -tb
         K += B.T @ stiffness.element(scale) @ B
 
-    clamp_reach = np.sqrt(2.0) / 2.0 + 1e-9
-    clamped_tiles = [t for t in range(1, n + 1)
-                     if np.linalg.norm(positions[t] - CLAMP_POINT) <= clamp_reach]
-    for t in clamped_tiles:
-        tt = tau_kinematic(positions[t] - CLAMP_POINT)
-        B = np.zeros((6, ndof))
-        B[:, 6 * t:6 * t + 6] = tt
-        B[:, 0:6] = -np.eye(6)
-        K += B.T @ stiffness.element() @ B
-
-    # connectivity: every tile must reach a clamped tile through springs
-    if not clamped_tiles:
-        raise DisconnectedLayout("no tile lies adjacent to the clamp point")
-    reach = set(clamped_tiles)
-    frontier = list(clamped_tiles)
-    adj = {t: set() for t in range(1, n + 1)}
-    for a, b, _ in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    while frontier:
-        t = frontier.pop()
-        for u in adj[t]:
-            if u not in reach:
-                reach.add(u)
-                frontier.append(u)
-    if len(reach) != n:
-        missing = sorted(set(range(1, n + 1)) - reach)
-        raise DisconnectedLayout(f"tiles {missing} are not connected to the clamp")
+    # the layout's first cell touches the clamp and every later cell an
+    # earlier one, so every tile reaches a clamped tile through springs
+    for t, cell in enumerate(layout.cells, start=1):
+        if _touches_clamp(cell):
+            B = np.zeros((6, ndof))
+            B[:, 6 * t:6 * t + 6] = tau_kinematic(positions[t] - CLAMP_POINT)
+            B[:, 0:6] = -np.eye(6)
+            K += B.T @ stiffness.element() @ B
 
     return LatticeModel(positions, M, K, tuple(range(6)),
                         {t: t for t in range(1, n + 1)})

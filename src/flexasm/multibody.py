@@ -273,18 +273,16 @@ def apply_frame(sys: StateSpace, channel: str, dcm) -> StateSpace:
 # Rigid n-port models
 # ---------------------------------------------------------------------------
 
-def rigid_nport(body: RigidBodyData, ports: Sequence[str] = (),
-                with_com_port: bool = True) -> StateSpace:
+def rigid_nport(body: RigidBodyData, ports: Sequence[str] = ()) -> StateSpace:
     """Stateless model mapping applied wrenches to acceleration twists.
 
-    Channels ``W_<port> -> xdd_<port>`` for every named port plus, by
-    default, the CoM pair ``W_G -> xdd_G``.  The feedthrough is
-    ``T D_G^{-1} T^T`` with T stacking the port transports, hence
-    symmetric positive semidefinite.
+    Channels ``W_<port> -> xdd_<port>`` for every named port, then the
+    CoM pair ``W_G -> xdd_G``; a caller wanting some ports only slices
+    them with :meth:`~flexasm.linss.StateSpace.subsystem`.  The
+    feedthrough is ``T D_G^{-1} T^T`` with T stacking the port
+    transports, hence symmetric positive semidefinite.
     """
-    names = list(ports) + (["G"] if with_com_port else [])
-    if not names:
-        raise UnknownPort("at least one port (or the CoM) is required")
+    names = list(ports) + ["G"]
     D_G = rigid_mass_matrix(body)
     if body.mass <= 0.0:
         raise SingularInertia(f"body {body.name!r} has no mass")

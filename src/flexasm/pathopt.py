@@ -221,10 +221,6 @@ class CostSpec:
         if self.hard_cap is not None and not self.hard_cap > 0:
             raise ValueError("hard cap must be positive")
 
-    @property
-    def key(self):
-        return (self.kind, self.hard_cap)
-
 
 @dataclass
 class EdgeModelArray:

@@ -6,14 +6,12 @@ or docking ports), J6 mounts on the robot's central hub.  All link frames
 align at the zero configuration; joint k rotates link k relative to link
 k-1 about ``axes[k-1]``.
 
-:func:`link_poses` expresses a chain from either end: ``base="J0"`` for
-an arm standing on the structure, ``base="J6"`` for an arm hanging off
-the robot hub; it also poses a ``(k, 5)`` stack of joint vectors in one
-pass, each row with the bits of posing it alone.  :func:`rebase_j6` is
-the one copy of the J6 arithmetic: it re-expresses any rows of a J0 stack
-from J6, with the bits ``base="J6"`` gives them, so a caller poses its
-standing and hanging arms together from J0 in one call.  The locked
-robot's mass matrix
+:func:`link_poses` poses a ``(k, 5)`` stack of joint vectors from J0 in
+one pass, each row with the bits of posing it alone: the frame of an arm
+standing on the structure.  :func:`rebase_j6` re-expresses any rows of
+such a stack from J6, the frame of an arm hanging off the robot hub, so
+a caller poses its standing and hanging arms together in one call.  The
+locked robot's mass matrix
 (:meth:`flexasm.scenario.ScenarioModels.robot_mass_matrix`) poses its
 three arms that way and stacks every link from the poses, and the walking
 IK (``ScenarioModels.solve_reach``) descends with :func:`dls_solve` on a
@@ -138,31 +136,33 @@ def default_arm_geometry() -> ArmGeometry:
 # kinematics
 # ---------------------------------------------------------------------------
 
-def link_poses(geom: ArmGeometry, q, base: str = "J0"):
-    """Joint positions and link-frame rotations in base coordinates.
+def link_poses(geom: ArmGeometry, q):
+    """Joint positions and link-frame rotations of a stack of arms, from J0.
 
-    Returns ``(joints, rotations)``: the seven joint positions J0..J6 as a
-    (7, 3) array and the six rotation matrices mapping link-frame
-    coordinates into the base frame as a (6, 3, 3) array.  A ``(k, 5)``
-    stack of joint vectors is posed in one pass and returns ``(k, 7, 3)``
-    and ``(k, 6, 3, 3)``; each row carries the same bits as posing that
-    row alone.
+    ``q`` is a ``(k, 5)`` stack of joint vectors, posed in one pass.
+    Returns ``(joints, rotations)``: each row's seven joint positions
+    J0..J6 in the J0 frame as a ``(k, 7, 3)`` array, and the six rotation
+    matrices mapping link-frame coordinates into that frame as a ``(k, 6,
+    3, 3)`` array; each row carries the same bits as posing that row
+    alone, which is the stack of one.  :func:`rebase_j6` re-expresses any
+    rows from J6.
 
     Each joint rotation is built raw, ``I + sin(a) K + (1 - cos a) K^2``
     with the geometry's precomputed ``K`` and ``K^2``: the same arithmetic
     as :func:`~flexasm.multibody.dcm_about_axis` without constructing and
     re-validating a :class:`~flexasm.multibody.Dcm` per joint.  Angles
-    outside +-2*pi, or not finite, raise :class:`JointOutOfRange`.
+    outside +-2*pi, or not finite, raise :class:`JointOutOfRange`; any
+    other shape than ``(k, 5)`` raises ``ValueError``.
     """
     q = np.asarray(q, dtype=float)
-    stacked = q.ndim == 2
-    rows = q.reshape(len(q) if stacked else 1, 5)
+    if q.ndim != 2 or q.shape[1] != 5:
+        raise ValueError(f"joint angles must be a (k, 5) stack, got shape {q.shape}")
     # written so that NaN fails the comparison too
-    if not np.all(np.abs(rows) <= JOINT_LIMIT + 1e-12):
+    if not np.all(np.abs(q) <= JOINT_LIMIT + 1e-12):
         raise JointOutOfRange(f"joint angles {q} must be finite and within +-2*pi")
-    k = len(rows)
-    sin = np.array([math.sin(a) for a in rows.flat]).reshape(k, 5, 1, 1)
-    vers = np.array([1.0 - math.cos(a) for a in rows.flat]).reshape(k, 5, 1, 1)
+    k = len(q)
+    sin = np.array([math.sin(a) for a in q.flat]).reshape(k, 5, 1, 1)
+    vers = np.array([1.0 - math.cos(a) for a in q.flat]).reshape(k, 5, 1, 1)
     turns = _EYE3 + sin * geom.axis_K + vers * geom.axis_KK
     joints = np.zeros((k, 7, 3))
     joints[:, 1] = geom.joint_offsets[0]
@@ -171,22 +171,18 @@ def link_poses(geom: ArmGeometry, q, base: str = "J0"):
     for i in range(1, 6):
         R = rots[:, i] = R @ turns[:, i - 1]
         joints[:, i + 1] = joints[:, i] + R @ geom.joint_offsets[i]
-    if base == "J6":
-        joints, rots = rebase_j6(joints, rots)
-    elif base != "J0":
-        raise ValueError(f"base must be 'J0' or 'J6', got {base!r}")
-    return (joints, rots) if stacked else (joints[0], rots[0])
+    return joints, rots
 
 
 def rebase_j6(joints, rots):
     """Re-express a stack of J0-based poses from J6.
 
     Takes the ``(k, 7, 3)`` joints and ``(k, 6, 3, 3)`` rotations of a
-    ``base="J0"`` :func:`link_poses` call, or any row slice of them, and
-    returns what ``base="J6"`` gives for the same rows, bit for bit: J6 at
-    the origin, link 5's frame as the base frame.  A caller posing arms of
-    both kinds poses them all from J0 in one call and re-expresses the
-    hanging rows here.
+    :func:`link_poses` call, or any row slice of them, and returns the
+    same rows with J6 at the origin and link 5's frame as the base frame:
+    the pose of an arm hanging off the robot hub.  A caller posing
+    standing and hanging arms poses them all from J0 in one call and
+    re-expresses the hanging rows here.
     """
     R6 = rots[:, -1]
     return (joints - joints[:, -1:]) @ R6, np.swapaxes(R6, 1, 2)[:, None] @ rots

@@ -44,9 +44,9 @@ Closing the attitude loop adds the integrator banks (omega_G, Theta_G),
 the torque disturbance d_t, and the total actuation torque e_t = d_t + u
 whose transfer from d_t is the classical input sensitivity.  The loop is
 built on the plant's matrices: ``u`` reads only the integrator states, so
-no algebraic loop has to be solved.  :func:`close_loop` closes one plant,
-or a list of plants (the open loops of one leg of a trajectory) in one
-pass of stacked arithmetic.
+no algebraic loop has to be solved.  :func:`close_loop` closes a list of
+plants (the open loops of one leg of a trajectory, or a list of one) in
+one pass of stacked arithmetic.
 """
 
 from __future__ import annotations
@@ -512,7 +512,7 @@ class ScenarioModels:
         return transport_inertia(J_com, m, com)
 
     def closed_loop(self, state: AssemblyState, qs, K_att: np.ndarray) -> StateSpace:
-        return close_loop(self.open_loop(state, qs), K_att)
+        return close_loop([self.open_loop(state, qs)], K_att)[0]
 
     def design_gains(self) -> np.ndarray:
         """Baseline gains sized on the worst-case (largest) inertia state.
@@ -689,22 +689,21 @@ def pin_translation(plant: StateSpace) -> StateSpace:
         inputs=[c for c, _ in inv.in_channels if c != "a_G"])
 
 
-def close_loop(plant, K_att: np.ndarray):
-    """Attitude loop around an open plant, or around each plant of a list.
+def close_loop(plants, K_att: np.ndarray) -> list:
+    """Attitude loop around each open plant of a list, as a list of loops.
 
     Appends the two integrator banks (angular rate, then small-angle
     attitude), feeds back ``u = K_att [Theta; omega]``, and exposes the
     torque disturbance path ``d_t -> e_t`` with ``e_t = d_t + u`` (total
     torque entering the hub, the input-sensitivity output).  ``K_att`` is
     the 3 x 6 gain of :func:`attitude_gains`; any other shape raises
-    :class:`~flexasm.errors.WidthMismatch`.  ``plant`` is a checked
-    system, so the loop is built without re-validating its matrices.
+    :class:`~flexasm.errors.WidthMismatch`.
 
-    ``plant`` may also be a list of plants with the same shapes and
-    channels, such as the open loops of one leg: they are closed in one
-    pass of stacked arithmetic on ``(k, n, n)`` arrays, and the result is
-    a list of loops, read-only views of those arrays, each with the bits
-    of closing its plant alone, which is the list of one.
+    The plants are checked systems with the same shapes and channels,
+    such as the open loops of one leg: they are closed in one pass of
+    stacked arithmetic on ``(k, n, n)`` arrays, without re-validating
+    their matrices, and each loop is a read-only view of those arrays
+    with the bits of closing its plant alone, which is the list of one.
 
     The states are the plant's, then ``omega_G``, then ``Theta_G``; the
     inputs are ``d_t, W_ext, w_omega`` and the outputs
@@ -716,14 +715,6 @@ def close_loop(plant, K_att: np.ndarray):
     K_att = np.asarray(K_att, dtype=float)
     if K_att.shape != (3, 6):
         raise WidthMismatch(f"attitude gain must be 3 x 6, got {K_att.shape}")
-    if isinstance(plant, StateSpace):
-        return _close_loops([plant], K_att)[0]
-    return _close_loops(plant, K_att)
-
-
-def _close_loops(plants, K_att: np.ndarray) -> list:
-    """:func:`close_loop` of a list of plants, as a list: the one body of
-    both forms, so each ``close_loop`` call is one call."""
     first = plants[0]
     P_A, P_B, P_C, P_D = (np.stack([getattr(p, x) for p in plants]) for x in "ABCD")
     count, n, m = len(P_A), first.n_states, first.n_inputs

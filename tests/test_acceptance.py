@@ -147,7 +147,7 @@ def test_ac3_norm_oracles():
     for _ in range(15):
         n = int(rng.integers(2, 12))
         sys = random_stable_system(rng, n, 2, 2, margin=0.4, feedthrough=False)
-        assert linss.h2_norm(sys) == pytest.approx(h2_by_quadrature(sys), rel=1e-3)
+        assert linss.h2_norm([sys])[0] == pytest.approx(h2_by_quadrature(sys), rel=1e-3)
     xi, w0 = 0.005, 2.0 * np.pi * 1.2850
     res = StateSpace([[0.0, 1.0], [-w0 * w0, -2 * xi * w0]], [[0.0], [w0 * w0]],
                      [[1.0, 0.0]], [[0.0]], (("u", 1),), (("y", 1),))
@@ -259,8 +259,8 @@ def test_ac6_composition_physics():
         m, com, J = mb.compose_rigid([(m1, np.zeros(3), J1, None),
                                       (m2, g2, J2, None)])
         assert m == pytest.approx(m1 + m2, rel=1e-14)
-        ref = mb.rigid_nport(mb.RigidBodyData(m, J, {"P": -com}), ["P"],
-                             with_com_port=False)
+        ref = mb.rigid_nport(mb.RigidBodyData(m, J, {"P": -com}), ["P"]).subsystem(
+            ["xdd_P"], ["W_P"])
         scale = np.max(np.abs(ref.D))
         assert np.max(np.abs(welded.D - ref.D)) < 1e-8 * max(1.0, scale)
 
@@ -343,7 +343,7 @@ def test_ac7_graph_layer():
 
 @criterion("criterion 8: N=4, z=7 full assembly: optimized <= baseline for all "
            "four costs; H-inf wrench plan stays at least as close to the hub",
-           120)
+           30)
 def test_ac8_end_to_end_dominance(planner4):
     assert planner4.cfg.z_grid == 7
     results = {}

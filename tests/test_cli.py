@@ -507,6 +507,25 @@ def test_validate_fails_on_detached_layout(tmp_path):
     assert run(["--scenario", p, "--out", tmp_path, "validate"]) == 3
 
 
+@pytest.mark.parametrize("cells", [[[0, 1], [0, 0]], [[5, 5], [5, 6]]],
+                         ids=["beside-the-clamp", "far-from-the-clamp"])
+def test_first_cell_off_the_clamp_exits_3_from_every_command(tmp_path, capsys, cells):
+    # tile 1 alone is the mission's first structure, so it must touch the
+    # clamp: every command refuses the file as it loads, with one message
+    p = write_scenario(tmp_path, layout={"cells": cells})
+    messages = []
+    for command in (["validate"], ["full-assembly", "--cost", "h2-theta"],
+                    ["analyze", "--points", "2"]):
+        assert run(["--scenario", p, "--out", tmp_path / "o", *command]) == 3
+        captured = capsys.readouterr()
+        text, prefix = ((captured.out, "FAIL  ") if command == ["validate"]
+                        else (captured.err, "model error: "))
+        messages.append(text.splitlines()[0].removeprefix(prefix))
+    assert messages == [f"cell {tuple(cells[0])} (tile 1) does not touch the clamp "
+                        "corner: the first cell needs row and column in {-1, 0}"] * 3
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_outputs_and_dc_value(tmp_path):
     p = write_scenario(tmp_path)
     out = tmp_path / "out"

@@ -30,11 +30,50 @@ from conftest import max_response_deviation
 # layouts
 # ---------------------------------------------------------------------------
 
-@given(st.integers(1, 40), st.integers(1, 4))
+@given(st.integers(1, 40))
 @settings(max_examples=30)
-def test_default_layout_growth_chain(n, width):
-    lay = modal.default_layout(n, width)
+def test_default_layout_growth_chain(n):
+    lay = modal.default_layout(n)
     assert len(lay) == n  # constructor re-validates the chain
+
+
+CLAMP_CELLS = [(-1, -1), (-1, 0), (0, -1), (0, 0)]
+STEPS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
+
+
+@st.composite
+def grown_layouts(draw, max_tiles=8):
+    """Cells in growth order from a cell touching the clamp: each later
+    cell steps to a side or diagonal neighbour of an earlier one."""
+    cells = [draw(st.sampled_from(CLAMP_CELLS))]
+    for _ in range(draw(st.integers(0, max_tiles - 1))):
+        r, c = draw(st.sampled_from(cells))
+        dr, dc = draw(st.sampled_from(STEPS))
+        if (r + dr, c + dc) not in cells:
+            cells.append((r + dr, c + dc))
+    return cells
+
+
+@given(grown_layouts())
+@settings(max_examples=40, deadline=None)
+def test_every_grown_layout_builds_a_clamped_lattice(cells):
+    # growth order from a clamped first cell ties every tile to the clamp,
+    # the invariant that spares build_lattice a connectivity search: every
+    # free mode has a stiffness well above rounding (a loose tile would
+    # leave six modes at rounding level)
+    model = modal.build_lattice(modal.TileLayout(cells))
+    freqs, _ = modal.clamped_free_modes(model, 6 * len(cells))
+    assert freqs[0] > 1e-6 * freqs[-1]
+
+
+def test_clamp_cells_are_the_tiles_within_a_half_diagonal_of_the_clamp():
+    # the ground springs attach by cell what they attached by distance: a
+    # tile center within one tile half-diagonal of the clamp point
+    for r in range(-4, 5):
+        for c in range(-4, 5):
+            center = np.array([c + 0.5, r + 0.5, 0.0])
+            near = np.linalg.norm(center - modal.CLAMP_POINT) <= np.sqrt(2.0) / 2.0 + 1e-9
+            assert modal._touches_clamp((r, c)) == near, (r, c)
 
 
 def test_layout_rejects_detached_growth():
@@ -88,15 +127,16 @@ def test_lattice_total_mass_exact():
 
 
 def test_disconnected_layout_rejected():
-    lay = modal.TileLayout([(0, 0), (3, 3)], ordered=False)
-    with pytest.raises(DisconnectedLayout):
-        modal.build_lattice(lay)
+    message = "cell (3, 3) (tile 2) touches no earlier tile"
+    with pytest.raises(LayoutError, match=re.escape(message)):
+        modal.TileLayout([(0, 0), (3, 3)])
 
 
 def test_layout_away_from_clamp_rejected():
-    lay = modal.TileLayout([(5, 5), (5, 6)], ordered=False)
-    with pytest.raises(DisconnectedLayout):
-        modal.build_lattice(lay)
+    for cells in ([(5, 5), (5, 6)], [(0, 1), (0, 0)]):
+        with pytest.raises(DisconnectedLayout, match=re.escape(
+                f"cell {cells[0]} (tile 1) does not touch the clamp corner")):
+            modal.TileLayout(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,7 @@ def test_two_rigid_bodies_weld_to_composite():
         (b2.mass, g2_pos, b2.inertia_G, None)])
     assert m == pytest.approx(6.5)
     comp = mb.RigidBodyData(m, J, {"G1": -com})
-    ref = mb.rigid_nport(comp, ["G1"], with_com_port=False)
+    ref = mb.rigid_nport(comp, ["G1"]).subsystem(["xdd_G1"], ["W_G1"])
     assert np.max(np.abs(welded.D - ref.D)) < 1e-8
 
     # parallel-axis oracle on the composite inertia

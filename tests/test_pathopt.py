@@ -382,7 +382,7 @@ def test_leg_stacks_equal_loops_built_and_priced_alone(make, monkeypatch):
                 for loop, (state, qs), price in zip(arr.systems, waypoints, prices):
                     ref = alone.closed_loop(state, qs, K)
                     assert_same_system(loop, ref)
-                    want = linss.h2_norm(ref.subsystem(["Theta_G"], ["W_ext"]))
+                    want = linss.h2_norm([ref.subsystem(["Theta_G"], ["W_ext"])])[0]
                     assert np.float64(price).tobytes() == np.float64(want).tobytes()
                     loops += 1
     assert loops > 0
@@ -444,7 +444,7 @@ def test_defective_loop_of_a_leg_takes_the_kronecker_solve_alone(monkeypatch):
                         lambda sys: solved.append(sys) or kron(sys))
     got = linss.h2_norm(leg)
     assert len(solved) == 1 and solved[0] is leg[2]
-    want = [linss.h2_norm(s) for s in copies(leg)]
+    want = [linss.h2_norm([s])[0] for s in copies(leg)]
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -470,7 +470,7 @@ def test_leg_stack_raises_the_first_loop_error_in_pricing_order():
     def first_error(systems):
         for s in copies(systems):
             try:
-                linss.h2_norm(s)
+                linss.h2_norm([s])
             except (UnstableSystem, NonzeroFeedthrough) as exc:
                 return type(exc), str(exc)
 

@@ -34,7 +34,7 @@ def simple_geometry(offsets, axes=None):
 
 def test_fk_home_is_offset_sum():
     geom = robot.default_arm_geometry()
-    joints, rots = robot.link_poses(geom, np.zeros(5))
+    [joints], [rots] = robot.link_poses(geom, np.zeros((1, 5)))
     assert np.allclose(joints[-1], geom.joint_offsets.sum(axis=0))
     assert np.allclose(rots[-1], np.eye(3))
 
@@ -43,9 +43,9 @@ def test_fk_single_joint_rotation():
     offsets = np.zeros((6, 3))
     offsets[1] = [1.0, 0.0, 0.0]  # unit x link right after joint 1
     geom = simple_geometry(offsets)
-    joints, _ = robot.link_poses(geom, [np.pi / 2, 0, 0, 0, 0])
+    [joints], _ = robot.link_poses(geom, [[np.pi / 2, 0, 0, 0, 0]])
     assert np.allclose(joints[-1], [0.0, 1.0, 0.0], atol=1e-12)
-    joints_pi, _ = robot.link_poses(geom, [np.pi, 0, 0, 0, 0])
+    [joints_pi], _ = robot.link_poses(geom, [[np.pi, 0, 0, 0, 0]])
     assert np.allclose(joints_pi[-1], [-1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -53,8 +53,8 @@ def test_fk_base_j6_inverts_the_chain():
     geom = robot.default_arm_geometry()
     rng = make_rng(3)
     q = rng.uniform(-1.0, 1.0, 5)
-    joints6, rots6 = robot.link_poses(geom, q, base="J0")
-    joints0, rots0 = robot.link_poses(geom, q, base="J6")
+    [joints6], [rots6] = robot.link_poses(geom, [q])
+    [joints0], [rots0] = robot.rebase_j6(*robot.link_poses(geom, [q]))
     p6, R6 = joints6[-1], rots6[-1]
     # J0 expressed in the J6 frame inverts the pose
     assert np.allclose(joints0[0], -R6.T @ p6, atol=1e-12)
@@ -64,16 +64,15 @@ def test_fk_base_j6_inverts_the_chain():
 def test_joint_range_enforced():
     geom = robot.default_arm_geometry()
     with pytest.raises(JointOutOfRange):
-        robot.link_poses(geom, [7.0, 0, 0, 0, 0])
+        robot.link_poses(geom, [[7.0, 0, 0, 0, 0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_joints_rejected(bad):
     geom = robot.default_arm_geometry()
     q = [0.1, bad, 0.0, 0.0, 0.0]
-    for base in ("J0", "J6"):
-        with pytest.raises(JointOutOfRange):
-            robot.link_poses(geom, q, base)
+    with pytest.raises(JointOutOfRange):
+        robot.link_poses(geom, [q])
 
 
 def oracle_link_poses(geom, q, base):
@@ -106,7 +105,8 @@ def test_link_poses_match_dcm_chain_oracle():
         for _ in range(25):
             q = rng.uniform(-robot.JOINT_LIMIT, robot.JOINT_LIMIT, 5)
             for base in ("J0", "J6"):
-                joints, rots = robot.link_poses(geom, q, base)
+                poses = robot.link_poses(geom, [q])
+                [joints], [rots] = poses if base == "J0" else robot.rebase_j6(*poses)
                 ref_joints, ref_rots = oracle_link_poses(geom, q, base)
                 assert np.array_equal(joints, ref_joints)
                 assert len(rots) == 6
@@ -116,7 +116,7 @@ def test_link_poses_match_dcm_chain_oracle():
 
 @pytest.mark.parametrize("base", ["J0", "J6"])
 def test_stacked_link_poses_equal_row_by_row_oracle(base):
-    # a (k, 5) stack poses every row with the bits of the one-vector form,
+    # a (k, 5) stack poses every row with the bits of the stack of one,
     # which the dcm chain oracle pins bitwise above
     rng = make_rng(12)
     default = robot.default_arm_geometry()
@@ -125,7 +125,8 @@ def test_stacked_link_poses_equal_row_by_row_oracle(base):
     for geom in (default, skewed):
         for k in (1, 2, 10):
             Q = rng.uniform(-robot.JOINT_LIMIT, robot.JOINT_LIMIT, (k, 5))
-            joints, rots = robot.link_poses(geom, Q, base)
+            poses = robot.link_poses(geom, Q)
+            joints, rots = poses if base == "J0" else robot.rebase_j6(*poses)
             assert joints.shape == (k, 7, 3)
             assert rots.shape == (k, 6, 3, 3)
             for q, J, R in zip(Q, joints, rots):
@@ -136,7 +137,8 @@ def test_stacked_link_poses_equal_row_by_row_oracle(base):
 
 def test_rebase_j6_of_j0_rows_equals_j6_poses_bitwise():
     # the callers pose every arm from J0 in one stack and re-express a row
-    # slice of it from J6: each such row carries the bits of a J6 pose
+    # slice of it from J6: each such row carries the bits of rebasing the
+    # slice posed alone
     rng = make_rng(13)
     default = robot.default_arm_geometry()
     skewed = robot.ArmGeometry(default.joint_offsets, rng.standard_normal((5, 3)),
@@ -144,10 +146,10 @@ def test_rebase_j6_of_j0_rows_equals_j6_poses_bitwise():
     for geom in (default, skewed):
         for k in (1, 2, 11):
             Q = rng.uniform(-robot.JOINT_LIMIT, robot.JOINT_LIMIT, (2 * k, 5))
-            joints, rots = robot.link_poses(geom, Q, base="J0")
+            joints, rots = robot.link_poses(geom, Q)
             for rows in (slice(None), slice(k, None), slice(0, k)):
                 got = robot.rebase_j6(joints[rows], rots[rows])
-                ref = robot.link_poses(geom, Q[rows], base="J6")
+                ref = robot.rebase_j6(*robot.link_poses(geom, Q[rows]))
                 for a, b in zip(got, ref):
                     assert a.shape == b.shape
                     assert a.tobytes() == b.tobytes()
@@ -190,7 +192,7 @@ def test_fixed_anchor_stops_at_j5_and_stays_put():
     assert m == 5
     rng = make_rng(11)
     for _ in range(5):
-        joints, _ = robot.link_poses(geom, rng.uniform(-6.0, 6.0, 5))
+        [joints], _ = robot.link_poses(geom, [rng.uniform(-6.0, 6.0, 5)])
         assert np.allclose(joints[m], anchor, rtol=0.0, atol=1e-15)
 
 

@@ -15,7 +15,7 @@ from flexasm.errors import (IkNotConverged, IkUnreachable, MissingStructureData,
 from flexasm.multibody import (apply_frame, compose_rigid, dcm_about_axis,
                                port_mass_matrix, rigid_mass_matrix,
                                transport_inertia)
-from flexasm.robot import default_arm_geometry, link_poses
+from flexasm.robot import default_arm_geometry, link_poses, rebase_j6
 
 from conftest import (assert_same_system, count_constructors, make_rng,
                       mission_states)
@@ -145,7 +145,7 @@ def chain_cluster(cfg, state, qs):
     geom, mounts = cfg.arm_geometry, cfg.arm_mount_dcms
     g, f = state.arm, 3 - state.arm
     q = {k: np.asarray(qs[k - 1], dtype=float) for k in (1, 2, 3)}
-    _, rots_g = link_poses(geom, q[g], base="J0")
+    _, [rots_g] = link_poses(geom, [q[g]])
     M_c = rots_g[5] @ mounts[g].T
     M_l5 = {g: rots_g[5], f: M_c @ mounts[f], 3: M_c @ mounts[3]}
 
@@ -164,7 +164,7 @@ def chain_cluster(cfg, state, qs):
         hanging[k] = arm
     if state.delta == 1:
         # the carried tile sits at arm 3's tip, in the frame of its link l0
-        M_l0 = M_l5[3] @ link_poses(geom, q[3], base="J6")[1][0]
+        M_l0 = M_l5[3] @ rebase_j6(*link_poses(geom, [q[3]]))[1][0, 0]
         for ch in ("W_tip", "xdd_tip"):
             hanging[3] = apply_frame(hanging[3], ch, M_l0)
 
@@ -231,7 +231,7 @@ def robot_parts_per_arm(models, state, qs):
     cfg = models.cfg
     geom = cfg.arm_geometry
     mounts = models._mounts[state.arm]
-    joints, rots = link_poses(geom, qs[state.arm - 1], base="J0")
+    [joints], [rots] = link_poses(geom, [qs[state.arm - 1]])
     parts = [(geom.masses, sc._link_coms(geom, joints, rots), geom.inertias,
               rots)]
 
@@ -242,7 +242,7 @@ def robot_parts_per_arm(models, state, qs):
     parts.append((cfg.robot_hub.mass, o, cfg.robot_hub.inertia_G, M))
     for k in (3 - state.arm, 3):
         M, o = place(*mounts[k])
-        joints_k, rots_k = link_poses(geom, qs[k - 1], base="J6")
+        [joints_k], [rots_k] = rebase_j6(*link_poses(geom, [qs[k - 1]]))
         coms = o + sc._link_coms(geom, joints_k, rots_k) @ M.T
         parts.append((geom.masses, coms, geom.inertias, M @ rots_k))
     if state.delta == 1:
@@ -356,14 +356,14 @@ def test_prepared_closure_matches_a_fresh_validated_copy(cfg):
         return linss.StateSpace(sys.A.copy(), sys.B.copy(), sys.C.copy(),
                                 sys.D.copy(), sys.in_channels, sys.out_channels)
 
-    want = linss.close_static(fresh(plant), K, "W_r", "xdd_C")
+    want = linss.StaticClosure(fresh(plant), "W_r", "xdd_C")(K)
     assert_same_system(close(K), want)
     assert_same_system(models.open_loop(st, qs), want)
     # a slice with other channels, in another order, closes on its own
     # operands, not on its parent's
     sub = plant.subsystem(["z_omega", "xdd_C", "omega_dot_G"], ["W_r", "T_G"])
-    assert_same_system(linss.close_static(sub, K, "W_r", "xdd_C"),
-                       linss.close_static(fresh(sub), K, "W_r", "xdd_C"))
+    assert_same_system(linss.StaticClosure(sub, "W_r", "xdd_C")(K),
+                       linss.StaticClosure(fresh(sub), "W_r", "xdd_C")(K))
     with pytest.raises(ValueError):
         models.closed_loop(st, qs, models.design_gains()).A[0, 0] = 1.0
 
@@ -398,7 +398,7 @@ def test_close_loop_rejects_misshaped_gain(models):
     K = models.design_gains()
     for bad in (K.T, K.ravel(), K[:, :3]):
         with pytest.raises(WidthMismatch):
-            sc.close_loop(plant, bad)
+            sc.close_loop([plant], bad)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +516,10 @@ def _tip(models, state, qs, reach_arm):
     cfg = models.cfg
     geom, mounts, hub = cfg.arm_geometry, cfg.arm_mount_dcms, cfg.robot_hub
     g = state.arm
-    joints_g, rots_g = link_poses(geom, qs[g - 1], base="J0")
+    [joints_g], [rots_g] = link_poses(geom, [qs[g - 1]])
     M_c = rots_g[5] @ mounts[g].T
     hub_pos = cfg.tile_center(state.j) + joints_g[6] - M_c @ hub.offset(f"A{g}")
-    joints_r, _ = link_poses(geom, qs[reach_arm - 1], base="J6")
+    [joints_r], _ = rebase_j6(*link_poses(geom, [qs[reach_arm - 1]]))
     return hub_pos + M_c @ (hub.offset(f"A{reach_arm}")
                             + mounts[reach_arm] @ joints_r[0])
 
@@ -646,8 +646,8 @@ def row_by_row_residual(models, j, g, reach_arm, target_world):
     R, p = models._mounts[g][reach_arm]
 
     def one(q10):
-        joints_g, rots_g = link_poses(geom, q10[:5], base="J0")
-        joints_r, _ = link_poses(geom, q10[5:], base="J6")
+        [joints_g], [rots_g] = link_poses(geom, [q10[:5]])
+        [joints_r], _ = rebase_j6(*link_poses(geom, [q10[5:]]))
         return (base_world + joints_g[6] + rots_g[5] @ (p + R @ joints_r[0])
                 - target_world)
 
@@ -833,7 +833,7 @@ def test_reach_bound_holds_for_random_geometry(cfg, axes, yaw_link1, q, pair):
     m, anchor, bound = models._reach_bound(g, r)
     assert m >= 2 or not yaw_link1
     qs = (q[:5], q[5:10], q[10:])
-    joints, _ = link_poses(geom, qs[g - 1], base="J0")
+    [joints], _ = link_poses(geom, [qs[g - 1]])
     assert np.allclose(joints[m], anchor, rtol=0.0, atol=1e-12)
     tip = _tip(models, sc.AssemblyState(4, 2, g, 0), qs, r)
     assert np.linalg.norm(tip - cfg.tile_center(2) - anchor) <= bound + 1e-12
