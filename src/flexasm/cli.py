@@ -13,8 +13,9 @@ validate       what the constructors leave unchecked (the array's residual
                mass), once the file loads with a layout tied to the
                clamp: pass/warn/fail report.
 
-Exit codes: 0 success, 2 configuration error (a bad argument or scenario
-file, an unknown key in any block), 3 modeling error, 4 unreachable goal.
+Exit codes: 0 success, 2 configuration error (a bad argument, scenario or
+body file, an unknown key in any block of either), 3 modeling error, 4
+unreachable goal.
 The output directory comes from ``--out`` or the ``FLEXASM_OUTDIR``
 environment variable; a command makes it just before its first write.
 """
@@ -29,7 +30,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import _svg, data_path
 from .errors import (
@@ -43,10 +43,15 @@ from .errors import (
 )
 from .linss import freq_response, lft_upper
 from .modal import (
+    _BODY_KEYS,
     LatticeStiffness,
     TileLayout,
-    _inertia_from_rows,
+    _body_inertia,
+    _floats,
+    _real,
     load_body_file,
+    load_yaml,
+    read_block,
 )
 from .multibody import RigidBodyData, residual_mass
 from .pathopt import (
@@ -74,59 +79,20 @@ def _count(value, label):
     return value
 
 
-def _real(value, label):
-    return float(value)
-
-
-def _floats(value, label):
-    return np.asarray(value, dtype=float)
-
-
-UNIT_SUFFIXES = ("kg", "m", "hz", "kgm2")
-
-
 def _read(doc, block):
-    """``{field: value}`` for the keys the scenario block ``block`` names.
-
-    Keys outside the block's table are a ``ValueError`` naming the block
-    and the keys, or a ``UnitError`` for a known key without its unit
-    suffix (``freq`` for ``freq_hz``).
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{block} must be a mapping, got {doc!r}")
-    table = SCENARIO_BLOCKS[block]
-    where = block or "the top level"
-    unknown = [key for key in doc if key not in table]
-    stems = {k.rpartition("_")[0]: k for k in table if k.rpartition("_")[2] in UNIT_SUFFIXES}
-    for key in unknown:
-        if key in stems:
-            raise UnitError(f"{where}: {key!r} carries no unit; write {stems[key]!r}")
-    if unknown:
-        raise ValueError(f"unknown keys {unknown} in {where}; "
-                         f"known keys are {sorted(table)}")
-    fields = {}
-    for key, value in doc.items():
-        field, read = table[key]
-        if read is not None:
-            value = read(value, f"{block}.{key}" if block else key)
-        if field is None:
-            fields.update(value)
-        else:
-            fields[field] = value
-    return fields
+    """``{field: value}`` for the keys the scenario block ``block`` names,
+    read through its table in ``SCENARIO_BLOCKS``."""
+    return read_block(doc, SCENARIO_BLOCKS[block], block)
 
 
 def _body(value, label):
     """Rigid body of the block ``label``; bad mass, inertia or ports are a
     ``SchemaError`` naming the block."""
     given = _read(value, label)
-    if not {"mass", "rows"} <= given.keys():
-        raise SchemaError(f"{label}: a body needs mass_kg and inertia_kgm2")
-    ports = given.get("port_offsets", {})
-    if not isinstance(ports, dict):
-        raise SchemaError(f"{label}: ports must be a mapping, got {ports!r}")
     try:
-        J = _inertia_from_rows(given.pop("rows"), given.pop("convention", None))
+        J = _body_inertia(given)
+        if not isinstance(given.get("port_offsets", {}), dict):
+            raise SchemaError(f"ports must be a mapping, got {given['port_offsets']!r}")
         return RigidBodyData(inertia_G=J, name=label.replace(".", "_"), **given)
     except (InvalidModalData, SchemaError) as exc:
         raise SchemaError(f"{label}: {exc}") from exc
@@ -149,13 +115,8 @@ def _arm(value, label):
     return replace(default_arm_geometry(), **given)
 
 
-_BODY_KEYS = {"mass_kg": ("mass", _real), "inertia_kgm2": ("rows", None),
-              "inertia_convention": ("convention", None)}
-
-# Each block maps its file keys to ``(field, reader)``: the config field a
-# key fills (``None`` merges the block's fields into its parent's) and how
-# its value is read (``None``: as written).  Only the keys a file names are
-# passed on, so every default stays with the field it fills.
+# Each block's table for :func:`~flexasm.modal.read_block`.  Only the keys a
+# file names are passed on, so every default stays with the field it fills.
 SCENARIO_BLOCKS = {
     "": {
         "name": ("name", None), "seed": ("seed", _count),
@@ -201,17 +162,11 @@ def load_scenario(path) -> tuple:
     key, in any block, raises ``SchemaError`` naming the block and the
     key, as do a block that is not a mapping, a count that is not a YAML
     integer (``int()`` would truncate it) and any value a constructor
-    rejects.
+    rejects.  The body file ``solar_array_file`` names is read under the
+    same rules by :func:`~flexasm.modal.load_body_file`.
     """
     path = Path(path)
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ParseError(f"cannot parse scenario {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: scenario must be a mapping")
+    doc = load_yaml(path)
     try:
         fields = _read(doc, "")
         fields.pop("name", None)
@@ -488,13 +443,10 @@ def cmd_validate(args) -> int:
         return 2 if isinstance(exc, (SchemaError, UnitError)) else 3
 
     ev = np.linalg.eigvalsh(residual_mass(cfg.array))
-    report = [("warn", f"array residual mass indefinite (min eig {ev.min():.2e})")
-              if ev.min() < -1e-10 * max(1.0, ev.max()) else ("pass", "array residual mass PSD"),
-              ("pass", "layout connected to the clamp")]
-    for status, text in report:
-        print(f"{status}  {text}")
-    count = [status for status, _ in report].count
-    print(f"validate: {count('pass')} pass, {count('warn')} warn, 0 fail")
+    warn = ev.min() < -1e-10 * max(1.0, ev.max())
+    print(f"warn  array residual mass indefinite (min eig {ev.min():.2e})" if warn
+          else "pass  array residual mass PSD")
+    print(f"validate: {int(not warn)} pass, {int(warn)} warn, 0 fail")
     return 0
 
 

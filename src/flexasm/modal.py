@@ -1,5 +1,10 @@
 """Modal data supply: lumped-parameter tile lattices, clamped-free modes,
-reduction to port-level modal data, and body-file ingestion.
+reduction to port-level modal data, and the reading of input files.
+
+Every input file, scenario or body, is read by :func:`load_yaml` and its
+blocks by :func:`read_block` through a table of the keys they may hold
+(``BODY_FILE_KEYS`` here, ``cli.SCENARIO_BLOCKS`` for scenarios), so an
+unknown key and a key without its unit suffix are refused by one rule.
 
 The lattice generator stands in for a plate finite-element model: one
 6-dof lumped mass per tile center, 6-dof springs between side-adjacent
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -318,27 +324,62 @@ def modal_reduce(model: LatticeModel, output_tile: int, n_modes: int,
 # Body files
 # ---------------------------------------------------------------------------
 
-_REQUIRED_UNITS = {
-    "mass": "mass_kg",
-    "freqs": "freqs_hz",
-    "inertia": "inertia_kgm2",
-    "com": "com_m",
-    "pc": "pc_m",
-}
+UNIT_SUFFIXES = ("kg", "m", "hz", "kgm2")
 
 
-def _unit_checked(doc: dict, logical: str, required: bool):
-    """Fetch a field through its unit-suffixed key only."""
-    key = _REQUIRED_UNITS[logical]
-    if key in doc:
-        return doc[key]
-    bare = [k for k in doc if k == logical or k.startswith(logical + "_")]
-    if bare:
-        raise UnitError(
-            f"field {logical!r} must be written as {key!r} (found {bare})")
-    if required:
-        raise SchemaError(f"missing required field {key!r}")
-    return None
+def _real(value, label):
+    return float(value)
+
+
+def _floats(value, label):
+    return np.asarray(value, dtype=float)
+
+
+def load_yaml(path) -> dict:
+    """The top-level mapping of a YAML input file; a file that cannot be
+    read or parsed, or is not a mapping, is a ``ParseError`` naming it."""
+    try:
+        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a mapping")
+    return doc
+
+
+def read_block(doc, table, block):
+    """``{field: value}`` for the keys the block ``doc`` names.
+
+    ``table`` maps each file key to ``(field, reader)``: the field the key
+    fills (``None`` merges the reader's fields into the block's) and how
+    its value is read (``reader(value, label)``; ``None``: as written).
+    Keys outside the table are a ``ValueError`` naming the block and the
+    keys, or a ``UnitError`` for a known key without its unit suffix
+    (``freq`` for ``freq_hz``).
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{block} must be a mapping, got {doc!r}")
+    where = block or "the top level"
+    unknown = [key for key in doc if key not in table]
+    stems = {k.rpartition("_")[0]: k for k in table if k.rpartition("_")[2] in UNIT_SUFFIXES}
+    for key in unknown:
+        if key in stems:
+            raise UnitError(f"{where}: {key!r} carries no unit; write {stems[key]!r}")
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {where}; "
+                         f"known keys are {sorted(table)}")
+    fields = {}
+    for key, value in doc.items():
+        field, read = table[key]
+        if read is not None:
+            value = read(value, f"{block}.{key}" if block else key)
+        if field is None:
+            fields.update(value)
+        else:
+            fields[field] = value
+    return fields
 
 
 def _inertia_from_rows(rows, convention=None) -> np.ndarray:
@@ -356,74 +397,64 @@ def _inertia_from_rows(rows, convention=None) -> np.ndarray:
     return np.array([[xx, pxy, pxz], [pxy, yy, pyz], [pxz, pyz, zz]])
 
 
+# the keys every body block shares, scenario bodies and body files alike
+_BODY_KEYS = {"mass_kg": ("mass", _real), "inertia_kgm2": ("rows", None),
+              "inertia_convention": ("convention", None)}
+
+
+def _body_inertia(given) -> np.ndarray:
+    """Pop the inertia rows and convention of a body block read through
+    ``_BODY_KEYS``; returns the tensor.  A block without ``mass_kg`` and
+    ``inertia_kgm2`` is a ``SchemaError``."""
+    if not {"mass", "rows"} <= given.keys():
+        raise SchemaError("a body needs mass_kg and inertia_kgm2")
+    return _inertia_from_rows(given.pop("rows"), given.pop("convention", None))
+
+
+BODY_FILE_KEYS = {
+    **_BODY_KEYS, "kind": ("kind", None), "name": ("name", None),
+    "com_m": ("com", _floats), "inertia_frame": ("frame", None),
+    "freqs_hz": ("freqs_hz", _floats), "dampings": ("dampings", None),
+    "mode_rows": ("mode_rows", None), "participation": ("participation", _floats),
+    "mode_shapes_at_c": ("phi_C", None), "pc_m": ("pc", None)}
+
+
 def load_body_file(path) -> ModalBodyData:
-    """Read one flexible-body description (YAML, unit-suffixed keys).
+    """Read one flexible-body description (YAML, keys ``BODY_FILE_KEYS``).
 
     The participation block may carry more rows than retained modes (as
     published tables do); ``mode_rows`` then selects the rows, 1-based,
     pairing them with ``freqs_hz`` in order.  Inertia may be given at the
     CoM or at the port, products either as a tensor or as positive
-    integrals (``inertia_convention: poi``).  Modal data that
-    ``ModalBodyData`` rejects is a ``SchemaError`` naming the file.
+    integrals (``inertia_convention: poi``).  An unknown key, a value the
+    reader or ``ModalBodyData`` rejects is a ``SchemaError`` naming the
+    file; a known key without its unit suffix is a ``UnitError`` naming it.
     """
+    doc = load_yaml(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ParseError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be a mapping")
-
-    name = str(doc.get("name", "body"))
-    mass = float(_unit_checked(doc, "mass", required=True))
-    if mass <= 0.0:
-        raise SchemaError(f"{name}: mass_kg must be positive")
-
-    freqs_hz = np.asarray(_unit_checked(doc, "freqs", required=False) or [], dtype=float)
-    n = freqs_hz.size
-
-    com = _unit_checked(doc, "com", required=False)
-    com = np.zeros(3) if com is None else np.asarray(com, dtype=float).ravel()
-    inertia_rows = _unit_checked(doc, "inertia", required=True)
-    J = _inertia_from_rows(inertia_rows, doc.get("inertia_convention"))
-    frame = str(doc.get("inertia_frame", "port"))
-    if frame == "com":
-        J = transport_inertia(J, mass, com)
-    elif frame != "port":
-        raise SchemaError(f"{name}: inertia_frame must be com|port, got {frame!r}")
-
-    L_full = np.asarray(doc.get("participation", np.zeros((0, 6))), dtype=float)
-    if L_full.ndim != 2 or (L_full.size and L_full.shape[1] != 6):
-        raise SchemaError(f"{name}: participation rows must have 6 columns")
-    mode_rows = doc.get("mode_rows")
-    if mode_rows is not None:
-        rows = [int(r) - 1 for r in mode_rows]
-        if len(rows) != n or any(not 0 <= r < L_full.shape[0] for r in rows):
-            raise SchemaError(f"{name}: mode_rows must select one existing row "
-                              "per retained mode")
-        L = L_full[rows, :]
-    else:
-        if L_full.shape[0] < n:
-            raise SchemaError(f"{name}: participation has {L_full.shape[0]} rows "
-                              f"for {n} modes")
-        L = L_full[:n, :]
-
-    shapes = doc.get("mode_shapes_at_c")
-    pc = _unit_checked(doc, "pc", required=False)
-    phi_C = None
-    if shapes is not None:
-        phi_C = np.asarray(shapes, dtype=float)
-        if phi_C.shape != (6, n):
-            raise SchemaError(f"{name}: mode_shapes_at_c must be 6 x {n}")
-    if pc is not None:
-        pc = np.asarray(pc, dtype=float).ravel()
-
-    try:
+        given = read_block(doc, BODY_FILE_KEYS, "")
+        J = _body_inertia(given)
+        mass, com = given["mass"], given.get("com", np.zeros(3))
+        if mass <= 0.0:
+            raise SchemaError("mass_kg must be positive")
+        frame = given.get("frame", "port")
+        if frame == "com":
+            J = transport_inertia(J, mass, com)
+        elif frame != "port":
+            raise SchemaError(f"inertia_frame must be com|port, got {frame!r}")
+        freqs_hz = given.get("freqs_hz", np.zeros(0))
+        L_full = given.get("participation", np.zeros((0, 6)))
+        n = freqs_hz.size
+        rows = [int(r) - 1 for r in given.get("mode_rows", range(1, n + 1))]
+        if len(rows) != n or not all(0 <= r < len(L_full) for r in rows):
+            raise SchemaError(f"participation has {len(L_full)} rows for {n} modes: "
+                              "mode_rows must select one existing row per mode")
         return ModalBodyData(
-            mass=mass, com=com, inertia_P=J,
-            freqs=2.0 * np.pi * freqs_hz, dampings=doc.get("dampings", []),
-            L_P=L, phi_C=phi_C, pc=pc, name=name)
-    except InvalidModalData as exc:
+            mass=mass, com=com, inertia_P=J, freqs=2.0 * np.pi * freqs_hz,
+            dampings=given.get("dampings", []), L_P=L_full[rows],
+            phi_C=given.get("phi_C"), pc=given.get("pc"),
+            name=str(given.get("name", "body")))
+    except (InvalidModalData, SchemaError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    except UnitError as exc:
+        raise UnitError(f"{path}: {exc}") from exc

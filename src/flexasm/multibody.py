@@ -315,7 +315,7 @@ class ModalBodyData:
     inertia_P:
         Inertia tensor *at the port* (body frame) [kg m^2].
     freqs, dampings:
-        Clamped-free mode frequencies [rad/s] and damping ratios.
+        Clamped-free mode frequencies [rad/s] and damping ratios, one per mode.
     L_P:
         n x 6 modal participation matrix at P (Phi^T M T convention).
     phi_C:
@@ -339,25 +339,25 @@ class ModalBodyData:
         freqs = np.asarray(self.freqs, dtype=float).ravel()
         damp = np.asarray(self.dampings, dtype=float).ravel()
         n = freqs.size
-        if damp.size == 1 and n > 1:
-            damp = np.full(n, damp[0])
-        L = np.asarray(self.L_P, dtype=float).reshape(n, 6) if n else np.zeros((0, 6))
+        L = np.asarray(self.L_P, dtype=float)
+        phi = None if self.phi_C is None else np.asarray(self.phi_C, dtype=float)
+        if L.shape != (n, 6) or phi is not None and phi.shape != (6, n):
+            raise InvalidModalData(
+                f"{self.name!r}: L_P must be {n} x 6 and phi_C 6 x {n} for {n} modes")
         # each test is written so that NaN and inf fail it
         if not np.all((freqs > 0.0) & (freqs < np.inf)):
             raise InvalidModalData(f"{self.name!r}: mode frequencies must be > 0 and finite")
         if damp.size != n or not np.all((damp > 0.0) & (damp < 1.0)):
-            raise InvalidModalData(f"{self.name!r}: dampings must lie in (0, 1)")
+            raise InvalidModalData(f"{self.name!r}: dampings must lie in (0, 1), one per "
+                                   f"mode ({damp.size} for {n})")
         if not 0.0 <= self.mass < np.inf or (self.mass == 0.0 and n > 0):
             raise InvalidModalData(
                 f"{self.name!r}: mass must be finite and positive (zero only "
                 f"for a massless rigid transmission)")
         J = np.asarray(self.inertia_P, dtype=float).reshape(3, 3)
         com = np.asarray(self.com, dtype=float).ravel()
-        phi = self.phi_C
-        if phi is not None:
-            phi = np.asarray(phi, dtype=float).reshape(6, n)
-            if self.pc is None:
-                raise InvalidModalData(f"{self.name!r}: phi_C given without pc")
+        if phi is not None and self.pc is None:
+            raise InvalidModalData(f"{self.name!r}: phi_C given without pc")
         pc = None if self.pc is None else np.asarray(self.pc, dtype=float).ravel()
         if not all(np.isfinite(a).all() for a in (J, com, L, phi, pc) if a is not None):
             raise InvalidModalData(

@@ -425,9 +425,11 @@ def bad_body(**fields):
     ({"dampings": [0.01, 0.0]}, "dampings must lie in (0, 1)"),
     ({"dampings": [1.5]}, "dampings must lie in (0, 1)"),
     ({"dampings": [0.01, 0.02, 0.03]}, "dampings must lie in (0, 1)"),
+    ({"dampings": [0.01]}, "dampings must lie in (0, 1), one per mode (1 for 2)"),
     ({"freqs_hz": [1.0, -2.0]}, "mode frequencies must be > 0"),
     ({"participation": [[0.1, 0, 0, 0, 0, 0]]}, "participation has 1 rows for 2 modes"),
-], ids=["zero-damping", "damping-above-1", "damping-count", "negative-freq", "mode-count"])
+], ids=["zero-damping", "damping-above-1", "damping-count", "one-damping", "negative-freq",
+        "mode-count"])
 @pytest.mark.parametrize("command", [
     ["analyze", "--points", "2"],
     ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "2,2"],
@@ -441,6 +443,21 @@ def test_bad_body_file_exits_2(tmp_path, capsys, command, fields, message):
     captured = capsys.readouterr()
     text = captured.out if command == ["validate"] else captured.err
     assert message in text and "bad_array" in text
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["full-assembly", "--cost", "h2-theta"], ["validate"]],
+                         ids=lambda c: c[0])
+def test_misspelled_body_file_key_exits_2(tmp_path, capsys, command):
+    # mode_row for mode_rows would silently price participation rows 1-2
+    text = flexasm.data_path("solar_array.yaml").read_text(encoding="utf-8")
+    assert "\nmode_rows:" in text
+    (tmp_path / "array.yaml").write_text(text.replace("\nmode_rows:", "\nmode_row:"))
+    p = write_scenario(tmp_path, solar_array_file="array.yaml")
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", *command]) == 2
+    captured = capsys.readouterr()
+    text = captured.out if command == ["validate"] else captured.err
+    assert "array.yaml: unknown keys ['mode_row'] in the top level" in text
     assert not (tmp_path / "o").exists()
 
 
@@ -499,7 +516,7 @@ def test_validate_warns_once_on_indefinite_residual_mass(tmp_path, capsys):
     out = capsys.readouterr().out
     assert [ln for ln in out.splitlines() if ln.startswith("warn")] == [
         "warn  array residual mass indefinite (min eig -1.50e+01)"]
-    assert "validate: 1 pass, 1 warn, 0 fail" in out
+    assert "validate: 0 pass, 1 warn, 0 fail" in out
 
 
 def test_validate_fails_on_detached_layout(tmp_path):

@@ -332,20 +332,41 @@ def test_body_file_zero_damping_rejected(tmp_path):
 
 
 def test_body_file_unit_suffix_enforced(tmp_path):
-    doc = {
-        "name": "bad", "mass": 1.0,
-        "inertia_kgm2": [[1.0, 0.0, 0.0], [1.0, 0.0], [1.0]],
-    }
+    # a known key without its unit suffix, in place of the suffixed key or
+    # beside it, is a unit error, not an unknown key
+    doc = {"name": "bad", "mass_kg": 1.0,
+           "inertia_kgm2": [[1.0, 0.0, 0.0], [1.0, 0.0], [1.0]]}
     p = tmp_path / "bad.yaml"
+    for stem, value in [("mass", 1.0), ("freqs", [1.0]), ("com", [0.0, 0.0, 0.0]),
+                        ("pc", [0.0, 0.0, 0.0])]:
+        fields = {k: v for k, v in doc.items() if k != "mass_kg" or stem != "mass"}
+        p.write_text(yaml.safe_dump({**fields, stem: value}))
+        with pytest.raises(UnitError, match=f"'{stem}' carries no unit") as exc:
+            modal.load_body_file(p)
+        assert str(p) in str(exc.value)
+
+
+def packaged_body_docs():
+    return {f: yaml.safe_load(flexasm.data_path(f).read_text(encoding="utf-8"))
+            for f in ("solar_array.yaml", "structure_f1.yaml", "structure_f26.yaml")}
+
+
+def test_body_file_table_holds_the_packaged_keys():
+    used = set().union(*packaged_body_docs().values())
+    assert used == set(modal.BODY_FILE_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(modal.BODY_FILE_KEYS))
+def test_misspelled_body_file_key_is_a_schema_error(tmp_path, key):
+    # a misspelled key would otherwise keep its default silently: mode_row
+    # priced rows 1-2 of the array, inertia_conventon flipped its products
+    doc = packaged_body_docs()["solar_array.yaml"]
+    doc[key[:-1]] = doc.pop(key, None)
+    p = tmp_path / "misspelled.yaml"
     p.write_text(yaml.safe_dump(doc))
-    with pytest.raises(UnitError):
+    with pytest.raises(SchemaError) as exc:
         modal.load_body_file(p)
-    doc2 = {"name": "bad", "mass_kg": 1.0,
-            "inertia_kgm2": [[1.0, 0.0, 0.0], [1.0, 0.0], [1.0]],
-            "freqs": [1.0]}
-    p.write_text(yaml.safe_dump(doc2))
-    with pytest.raises(UnitError):
-        modal.load_body_file(p)
+    assert str(p) in str(exc.value) and repr(key[:-1]) in str(exc.value)
 
 
 def test_body_file_poi_convention_matches_geometry():

@@ -278,6 +278,20 @@ def test_modal_data_invariants():
                          np.zeros((1, 6)))
 
 
+@pytest.mark.parametrize("fields", [
+    {"L_P": np.zeros((2, 6))}, {"L_P": np.zeros((6, 1))}, {"L_P": np.zeros(6)},
+    {"phi_C": np.zeros((1, 6))}, {"phi_C": np.zeros((6, 2))}],
+    ids=["L_P-rows", "L_P-transposed", "L_P-flat", "phi_C-transposed", "phi_C-columns"])
+def test_modal_data_shapes_are_checked(fields):
+    # a block of the wrong shape is refused with a typed error, even when
+    # a flat or transposed block holds the right number of values
+    args = {"mass": 1.0, "com": np.zeros(3), "inertia_P": np.eye(3), "freqs": [1.0],
+            "dampings": [0.1], "L_P": np.zeros((1, 6)), "phi_C": np.zeros((6, 1)),
+            "pc": np.zeros(3)}
+    with pytest.raises(InvalidModalData, match="L_P must be 1 x 6 and phi_C 6 x 1"):
+        mb.ModalBodyData(**{**args, **fields})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_body_data_rejects_non_finite_values(bad):
     # each check is written so that NaN and inf fail it
