@@ -5,9 +5,9 @@ straddle with the planner's inverse kinematics
 (``ScenarioModels.solve_reach``: the gripping arm, the robot hub and the
 reaching arm as one 10-joint chain), shows a diagonal straddle refused by
 the closed-form reach bound, grids the rest-to-rest quintic sweep the
-planner prices, and reads the mass the docking port sees from
-``ScenarioModels.robot_mass_matrix``: the whole robot, locked at a
-waypoint, as one rigid body.
+planner prices, and reads the mass the docking port sees at two
+waypoints from one ``ScenarioModels.robot_mass_matrices`` call: the whole
+robot, locked at each waypoint, as one rigid body.
 """
 
 import numpy as np
@@ -40,9 +40,10 @@ wps = robot.quintic_waypoints(sc.HOME_JOINTS, q_reach, cfg.z_grid)
 print(f"quintic sweep: {len(wps)} waypoints, midpoint fraction",
       robot.quintic_scalar(0.5))
 
-home = (sc.HOME_JOINTS,) * 3
-for label, qs in (("home pose", home),
-                  ("straddle pose", (q_grip, q_reach, sc.HOME_JOINTS))):
-    M_C = models.robot_mass_matrix(state, qs)
+poses = {"home pose": (sc.HOME_JOINTS,) * 3,
+         "straddle pose": (q_grip, q_reach, sc.HOME_JOINTS)}
+# both waypoints weighed in one pass, as the planner weighs an edge's
+for label, M_C in zip(poses, models.robot_mass_matrices(
+        [(state, qs) for qs in poses.values()])):
     print(f"mass seen at the docking port, {label}:", round(M_C[0, 0], 10),
           "kg; rotational inertia diagonal", np.round(np.diag(M_C)[3:], 3))

@@ -20,7 +20,7 @@ state = sc.AssemblyState(n=2, j=1, arm=1, delta=0)
 home = (sc.HOME_JOINTS,) * 3
 
 plant = models.open_loop(state, home)
-J = models.total_inertia(state, home)
+[J] = models.total_inertia([(state, home)])
 dc = plant.dc_gain()[plant.out_slice("omega_dot_G"), :][:, plant.in_slice("T_G")]
 print("DC gain vs inverse inertia deviation:",
       np.max(np.abs(dc - np.linalg.inv(J))))

@@ -27,7 +27,7 @@ def slowest_poles(loop, count=6):
 
 # gains sized on this very state place the six attitude poles near the
 # critically damped design; the array and structure modes sit far above
-K_here = sc.attitude_gains(models.total_inertia(state, home), cfg.xi_att, cfg.f_att_hz)
+K_here = sc.attitude_gains(models.total_inertia([(state, home)])[0], cfg.xi_att, cfg.f_att_hz)
 print("slowest flexible-loop poles (state-matched gains):",
       slowest_poles(models.closed_loop(state, home, K_here)),
       "(design -2 pi 0.01 =", round(-2 * np.pi * 0.01, 6), ")")

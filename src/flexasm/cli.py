@@ -163,7 +163,9 @@ def load_scenario(path) -> tuple:
     key, as do a block that is not a mapping, a count that is not a YAML
     integer (``int()`` would truncate it) and any value a constructor
     rejects.  The body file ``solar_array_file`` names is read under the
-    same rules by :func:`~flexasm.modal.load_body_file`.
+    same rules by :func:`~flexasm.modal.load_body_file`; a relative name is
+    looked up next to the scenario, then in the packaged data, and found in
+    neither it raises ``ParseError`` naming it as written and both places.
     """
     path = Path(path)
     doc = load_yaml(path)
@@ -174,8 +176,13 @@ def load_scenario(path) -> tuple:
         if "array" in fields:
             ref = Path(fields["array"])
             if not ref.is_absolute():
-                cand = path.parent / ref
-                ref = cand if cand.exists() else Path(str(data_path(str(ref))))
+                # next to the scenario, else in the packaged data
+                tried = [path.parent / ref, Path(str(data_path(str(ref))))]
+                ref = next((p for p in tried if p.exists()), None)
+                if ref is None:
+                    raise ParseError(
+                        f"cannot find solar_array_file {fields['array']} next to the "
+                        f"scenario ({tried[0]}) or in the packaged data ({tried[1]})")
             fields["array"] = load_body_file(ref)
         cfg = table_scenario(**fields)
     except (KeyError, TypeError, ValueError) as exc:

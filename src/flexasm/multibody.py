@@ -64,9 +64,13 @@ __all__ = [
 
 
 def skew(v) -> np.ndarray:
-    """Skew-symmetric matrix with skew(v) @ w = v x w."""
-    x, y, z = np.asarray(v, dtype=float).ravel()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric matrix with skew(v) @ w = v x w; a ``(..., 3)`` stack
+    of vectors gives the ``(..., 3, 3)`` stack of their matrices."""
+    v = np.asarray(v, dtype=float)
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., [2, 0, 1], [1, 2, 0]] = v
+    S[..., [1, 2, 0], [2, 0, 1]] = -v
+    return S
 
 
 def tau_kinematic(pb) -> np.ndarray:
@@ -143,9 +147,16 @@ def rigid_mass_matrix(body: RigidBodyData) -> np.ndarray:
 
 
 def transport_inertia(J_com: np.ndarray, mass: float, c) -> np.ndarray:
-    """Parallel-axis transport: inertia about a point offset by c from the CoM."""
-    c = np.asarray(c, dtype=float).ravel()
-    return np.asarray(J_com, dtype=float) + mass * (float(c @ c) * np.eye(3) - np.outer(c, c))
+    """Parallel-axis transport: inertia about a point offset by c from the CoM.
+
+    ``c`` and ``J_com`` may carry the same leading batch axes, ``(..., 3)``
+    and ``(..., 3, 3)``, with one mass for the batch; each member gets the
+    bits of transporting it alone.
+    """
+    c = np.asarray(c, dtype=float)
+    cc = c[..., None, :] @ c[..., :, None]
+    return np.asarray(J_com, dtype=float) + mass * (
+        cc * np.eye(3) - c[..., :, None] * c[..., None, :])
 
 
 def compose_rigid(parts: Sequence) -> tuple:
@@ -155,32 +166,42 @@ def compose_rigid(parts: Sequence) -> tuple:
     where R rotates body coordinates into the common frame (None: no
     rotation).  One entry may also stack k parts along a leading axis --
     masses (k,), positions (k, 3), inertias and rotations (k, 3, 3) -- so a
-    whole link chain enters as one entry.  Inertias about a common point
-    simply add, so every part is rotated, moved to the composite CoM by the
-    parallel-axis theorem and summed in one stacked pass.  Returns
-    ``(mass, com, inertia_at_com)`` of the composite in the common frame,
-    the inertia symmetric.
+    whole link chain enters as one entry.  Positions and rotations may
+    also carry leading batch axes, ``(..., [k,] 3)`` and ``(..., [k,] 3,
+    3)``, the same on every entry: one call then composes a batch of
+    assemblies that share their masses and inertias but not their
+    placements, such as one robot at several joint configurations.
+    Inertias about a common point simply add, so every part is rotated,
+    moved to the composite CoM by the parallel-axis theorem and summed in
+    one stacked pass.  Returns ``(mass, com, inertia_at_com)`` of the
+    composite in the common frame, the inertia symmetric: the mass as a
+    float, the CoM and the inertia with the batch axes leading, each
+    member with the bits of composing it alone.
     """
-    m, pos, J, R = (np.concatenate(f) for f in zip(*map(_part_stack, parts)))
+    m, pos, J, R = zip(*map(_part_stack, parts))
+    m, pos, J, R = (np.concatenate(m), np.concatenate(pos, axis=-2),
+                    np.concatenate(J), np.concatenate(R, axis=-3))
     m_tot = float(m.sum())
     first = m @ pos
     com = first / m_tot if m_tot > 0 else first
-    d = pos - com
-    J = ((R @ J @ R.transpose(0, 2, 1)).sum(axis=0)
-         + float(m @ (d * d).sum(axis=1)) * np.eye(3) - (d.T * m) @ d)
-    return m_tot, com, 0.5 * (J + J.T)
+    d = pos - com[..., None, :]
+    dd = (d * d).sum(axis=-1)[..., None, :] @ m[:, None]
+    J = ((R @ J @ np.swapaxes(R, -1, -2)).sum(axis=-3)
+         + dd * np.eye(3) - (np.swapaxes(d, -1, -2) * m) @ d)
+    return m_tot, com, 0.5 * (J + np.swapaxes(J, -1, -2))
 
 
 def _part_stack(part) -> tuple:
-    """One entry of :func:`compose_rigid` as stacked arrays."""
+    """One entry of :func:`compose_rigid` as stacked arrays: masses (k,),
+    positions (..., k, 3), inertias (k, 3, 3), rotations (..., k, 3, 3)."""
     mass, pos, J, R = part
-    m = np.asarray(mass, dtype=float).reshape(-1)
-    k = m.size
-    if R is None:
-        R = np.broadcast_to(np.eye(3), (k, 3, 3))
-    return (m, np.asarray(pos, dtype=float).reshape(k, 3),
-            np.asarray(J, dtype=float).reshape(k, 3, 3),
-            np.asarray(R, dtype=float).reshape(k, 3, 3))
+    m, pos, J = (np.asarray(a, dtype=float) for a in (mass, pos, J))
+    R = (np.broadcast_to(np.eye(3), pos.shape[:-1] + (3, 3)) if R is None
+         else np.asarray(R, dtype=float))
+    if m.ndim == 0:
+        # a single part: give it a part axis of one
+        return m[None], pos[..., None, :], J[None], R[..., None, :, :]
+    return m, pos, J, R
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +404,17 @@ class ModalBodyData:
 
 def port_mass_matrix(mass: float, com, inertia_P) -> np.ndarray:
     """Static 6x6 mass matrix at a port P of a rigid body whose CoM sits
-    at ``com`` from P and whose inertia about P is ``inertia_P``."""
-    D = np.zeros((6, 6))
-    D[0:3, 0:3] = mass * np.eye(3)
-    D[0:3, 3:6] = -mass * skew(com)
-    D[3:6, 0:3] = mass * skew(com)
-    D[3:6, 3:6] = inertia_P
+    at ``com`` from P and whose inertia about P is ``inertia_P``.
+
+    ``com`` and ``inertia_P`` may carry the same leading batch axes, with
+    one mass for the batch: the result is then the ``(..., 6, 6)`` stack.
+    """
+    S = skew(com)
+    D = np.zeros(S.shape[:-2] + (6, 6))
+    D[..., 0:3, 0:3] = mass * np.eye(3)
+    D[..., 0:3, 3:6] = -mass * S
+    D[..., 3:6, 0:3] = mass * S
+    D[..., 3:6, 3:6] = inertia_P
     return D
 
 

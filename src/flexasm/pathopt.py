@@ -240,22 +240,24 @@ class EdgeModelArray:
     dock_distance: np.ndarray
 
 
-def _leg_systems(models: ScenarioModels, state: AssemblyState, sweeps, z, K_att):
-    """Closed loops along one leg; ``sweeps`` maps arm number to (q0, q1).
+def _leg_waypoints(sweeps, z) -> list:
+    """The z joint configurations ``(arm 1, arm 2, arm 3)`` along one leg;
+    ``sweeps`` maps arm number to (q0, q1), and the other arms stay home."""
+    paths = {arm: quintic_waypoints(q0, q1, z) for arm, (q0, q1) in sweeps.items()}
+    return [tuple(paths[arm][k] if arm in paths else HOME_JOINTS
+                  for arm in (1, 2, 3)) for k in range(z)]
+
+
+def _leg_systems(models: ScenarioModels, state: AssemblyState, waypoints, K_att):
+    """Closed loops along one leg, one per joint configuration.
 
     The open loop is built per waypoint; the attitude loop is closed on
-    all z of them in one stacked :func:`~flexasm.scenario.close_loop`
-    call, and their eigendecompositions and modal inverses, which every
-    cost kind reads, come from one stacked ``eig`` and one stacked ``inv``
+    all of them in one stacked :func:`~flexasm.scenario.close_loop` call,
+    and their eigendecompositions and modal inverses, which every cost
+    kind reads, come from one stacked ``eig`` and one stacked ``inv``
     (``linss._prime_modes``).
     """
-    paths = {arm: quintic_waypoints(q0, q1, z) for arm, (q0, q1) in sweeps.items()}
-    plants = []
-    for k in range(z):
-        qs = tuple(paths[arm][k] if arm in paths else HOME_JOINTS
-                   for arm in (1, 2, 3))
-        plants.append(models.open_loop(state, qs))
-    loops = close_loop(plants, K_att)
+    loops = close_loop([models.open_loop(state, qs) for qs in waypoints], K_att)
     _prime_modes(loops)
     return loops
 
@@ -267,7 +269,10 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
     Walking edges solve the two-arm straddle so the free arm's tip meets
     the target tile center; action edges park arm 3 on the stack (pickup)
     or on the next tile's cell (assemble).  Leg 2 always returns to the
-    home configuration under the post-action state.
+    home configuration under the post-action state.  The robot's mass
+    matrices of all 2z waypoints are weighed in one pass
+    (:meth:`~flexasm.scenario.ScenarioModels.robot_mass_matrices`) before
+    the loops are built.
     """
     cfg = models.cfg
     z = cfg.z_grid
@@ -300,8 +305,12 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
         dock = ([float(np.linalg.norm(cfg.tile_center(tile)))] * z
                 + [float(np.linalg.norm(cfg.tile_center(tile_b)))] * z)
 
-    systems = (_leg_systems(models, pre, sweeps1, z, K_att)
-               + _leg_systems(models, post, sweeps2, z, K_att))
+    legs = [(pre, _leg_waypoints(sweeps1, z)), (post, _leg_waypoints(sweeps2, z))]
+    # every mass-matrix miss of the edge weighed in one pass, so each
+    # waypoint's open loop finds its M_C memoized
+    models.robot_mass_matrices([(state, qs) for state, leg in legs for qs in leg])
+    systems = [loop for state, leg in legs
+               for loop in _leg_systems(models, state, leg, K_att)]
     return EdgeModelArray(edge_id, systems, np.asarray(dock))
 
 

@@ -11,9 +11,10 @@ one pass, each row with the bits of posing it alone: the frame of an arm
 standing on the structure.  :func:`rebase_j6` re-expresses any rows of
 such a stack from J6, the frame of an arm hanging off the robot hub, so
 a caller poses its standing and hanging arms together in one call.  The
-locked robot's mass matrix
-(:meth:`flexasm.scenario.ScenarioModels.robot_mass_matrix`) poses its
-three arms that way and stacks every link from the poses, and the walking
+locked robot's mass matrices
+(:meth:`flexasm.scenario.ScenarioModels.robot_mass_matrices`) pose the
+three arms of every waypoint of a list that way and stack every link
+from the poses, and the walking
 IK (``ScenarioModels.solve_reach``) descends with :func:`dls_solve` on a
 stacked residual: the forward-difference Jacobian's perturbed rows, of
 both arms, are posed in one call.

@@ -13,12 +13,14 @@ the robot -- three arms, its central hub and the carried tile -- is one
 rigid body standing on the structure's docking port: a static gain
 ``W_C = -M_C(q) xdd_C``.  The robot hub and the hanging arms sit at fixed
 places in the gripping arm's link 5: one mount table places them for
-``M_C``, the walking IK and its reach bound, and
-:func:`flexasm.multibody.compose_rigid` sums the parts in one pass, the
-links of all three arms posed from J0 in one :func:`flexasm.robot.link_poses`
-call and the hanging arms re-expressed from J6
-(:func:`flexasm.robot.rebase_j6`); the walking IK's residual poses its
-gripping and reaching rows the same way.  Only ``M_C``
+``M_C``, the walking IK and its reach bound.  ``M_C`` is weighed for a
+list of waypoints at once (an edge's 2z): the links of all three arms of
+every waypoint posed from J0 in one :func:`flexasm.robot.link_poses`
+call, the hanging arms re-expressed from J6 in one
+:func:`flexasm.robot.rebase_j6` call, and per ``(arm, delta)``
+:func:`flexasm.multibody.compose_rigid` sums the parts in one pass on a
+leading batch axis; the walking IK's residual poses its gripping and
+reaching rows the same way.  Only ``M_C``
 reads the gripping arm and the joint angles, and it is memoized on
 ``(arm, delta, joint angles)``: waypoints repeat across structure sizes
 and every home waypoint of one ``(arm, delta)`` is the same.  The rest of
@@ -355,7 +357,7 @@ class ScenarioModels:
         if state.n > self.cfg.n_tiles:
             raise StateInvalid(f"state has n={state.n} > N={self.cfg.n_tiles}")
         _, close = self._port_plant(state.n, state.j, state.delta)
-        return close(-self.robot_mass_matrix(state, qs))
+        return close(-self.robot_mass_matrices([(state, qs)])[0])
 
     def _port_plant(self, n: int, j: int, delta: int):
         """The spacecraft without the robot, with its docking port open,
@@ -415,101 +417,136 @@ class ScenarioModels:
         arr = apply_frame(arr, "W_P", Dcm(cfg.array_dcm))
         return hub, arr
 
-    def robot_mass_matrix(self, state: AssemblyState, qs) -> np.ndarray:
+    def robot_mass_matrices(self, waypoints) -> list:
         """The locked robot's 6x6 mass matrix ``M_C`` about the docking
-        port C, hub frame, laid out like :func:`~flexasm.multibody.d_p_matrix`.
+        port C at each ``(state, qs)`` of a list, hub frame, laid out like
+        :func:`~flexasm.multibody.d_p_matrix`.
 
         ``M_C`` is the composite rigid mass of the three arms, the robot
         hub and the carried tile; the robot loads the port with
         ``W_C = -M_C xdd_C``.  It reads only ``state.arm``, ``state.delta``
-        and the joint angles, so it is memoized on those; the returned
+        and the joint angles, so it is memoized on those; each returned
         array is read only and shared by every call with the same key.
+        The misses of a list are weighed in one pass (:meth:`_robot_parts`),
+        composed and turned into port matrices on a leading batch axis per
+        ``(arm, delta)``, each with the bits of weighing it alone, which is
+        the list of one.
         """
-        key = (state.arm, state.delta, np.asarray(qs, dtype=float).tobytes())
-        M = self._masses.get(key)
-        if M is None:
-            m, c, J_com = compose_rigid(self._robot_parts(state, qs))
-            M = port_mass_matrix(m, c, transport_inertia(J_com, m, c))
-            M.setflags(write=False)
-            self._masses[key] = M
-        return M
+        keys = [_robot_key(state, qs) for state, qs in waypoints]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._masses]
+        if missing:
+            for group, parts in self._robot_parts(missing):
+                m, c, J_com = compose_rigid(parts)
+                Ms = port_mass_matrix(m, c, transport_inertia(J_com, m, c))
+                Ms.setflags(write=False)
+                self._masses.update(zip(group, Ms))
+        return [self._masses[key] for key in keys]
 
     # -- mass properties -----------------------------------------------------
 
-    def _robot_parts(self, state: AssemblyState, qs) -> list:
-        """The locked robot's parts as stacked entries of
-        :func:`~flexasm.multibody.compose_rigid`, hub frame, positions from
-        the docking port C: the gripping arm standing on C, then the robot
-        hub, the other arms and the carried tile, placed through
-        :func:`_mount_table` in the gripping arm's link-5 frame."""
-        cfg = self.cfg
-        geom = cfg.arm_geometry
-        mounts = self._mounts[state.arm]
-        hanging = (3 - state.arm, 3)
-        # every arm posed from J0 in one call, the hanging ones re-expressed
-        # from their J6
-        joints, rots = link_poses(geom, np.array(
-            [qs[state.arm - 1]] + [qs[k - 1] for k in hanging], dtype=float))
-        poses = rebase_j6(joints[1:], rots[1:])
-        joints, rots = joints[0], rots[0]
-        parts = [(geom.masses, _link_coms(geom, joints, rots), geom.inertias,
-                  rots)]
+    def _robot_parts(self, keys) -> list:
+        """The locked robot's parts for each distinct key of
+        :func:`_robot_key` in ``keys``, as one ``(group, parts)`` pair per
+        ``(arm, delta)``: ``group`` lists its keys, and ``parts`` are
+        entries of :func:`~flexasm.multibody.compose_rigid` with those keys
+        on a leading batch axis, hub frame, positions from the docking
+        port C: the gripping arm standing on C, then the robot hub, the
+        other arms and the carried tile, placed through :func:`_mount_table`
+        in the gripping arm's link-5 frame.
 
-        def place(R, p):
-            """A frame fixed in the gripping arm's link 5: rotation, origin."""
-            return rots[5] @ R, joints[6] + rots[5] @ p
-
-        M, o = place(*mounts["hub"])
-        parts.append((cfg.robot_hub.mass, o, cfg.robot_hub.inertia_G, M))
-        for k, joints_k, rots_k in zip(hanging, *poses):
-            M, o = place(*mounts[k])
-            coms = o + _link_coms(geom, joints_k, rots_k) @ M.T
-            parts.append((geom.masses, coms, geom.inertias, M @ rots_k))
-        if state.delta == 1:
-            # the carried tile sits at arm 3's tip, in the frame of its link l0
-            parts.append((cfg.tile.mass, o + M @ joints_k[0],
-                          cfg.tile.inertia_G, M @ rots_k[0]))
-        return parts
-
-    def mass_properties(self, state: AssemblyState, qs):
-        """Composite (mass, CoM, inertia at CoM) in the hub frame.
-
-        Pure mass bookkeeping through the kinematic chain.  The robot's
-        parts are shared with :meth:`robot_mass_matrix`, so the DC
-        reciprocity checks cover the rest of the assembly; the robot's
-        mass matrix itself is checked against the wired arm chains by
-        ``test_robot_block_matches_arm_chain_cluster``.
+        Every arm of every key is posed from J0 in one :func:`link_poses`
+        call, gripping arms first, and the hanging arms are re-expressed
+        from their J6 in one :func:`rebase_j6` call.  The mount table and
+        the carried tile depend on ``(arm, delta)``, so the keys are
+        grouped on it; every key keeps the bits of posing it alone.
         """
         cfg = self.cfg
+        geom = cfg.arm_geometry
+        k = len(keys)
+        qs = [np.frombuffer(q).reshape(3, 5) for _, _, q in keys]
+        joints, rots = link_poses(geom, np.array(
+            [q[arm - 1] for (arm, _, _), q in zip(keys, qs)]
+            + [q[h - 1] for (arm, _, _), q in zip(keys, qs) for h in (3 - arm, 3)]))
+        hang_joints, hang_rots = rebase_j6(joints[k:], rots[k:])
+        hang_joints = hang_joints.reshape(k, 2, 7, 3)
+        hang_rots = hang_rots.reshape(k, 2, 6, 3, 3)
+        groups = {}
+        for r, key in enumerate(keys):
+            groups.setdefault(key[:2], []).append(r)
+        out = []
+        for (arm, delta), rows in groups.items():
+            mounts = self._mounts[arm]
+            joints_g, rots_g = joints[rows], rots[rows]
+            parts = [(geom.masses, _link_coms(geom, joints_g, rots_g),
+                      geom.inertias, rots_g)]
+
+            def place(R, p):
+                """A frame fixed in the gripping arm's link 5: rotation, origin."""
+                return rots_g[:, 5] @ R, joints_g[:, 6] + rots_g[:, 5] @ p
+
+            M, o = place(*mounts["hub"])
+            parts.append((cfg.robot_hub.mass, o, cfg.robot_hub.inertia_G, M))
+            for i, h in enumerate((3 - arm, 3)):
+                M, o = place(*mounts[h])
+                joints_h, rots_h = hang_joints[rows, i], hang_rots[rows, i]
+                coms = o[:, None] + _link_coms(geom, joints_h, rots_h) @ np.swapaxes(M, 1, 2)
+                parts.append((geom.masses, coms, geom.inertias, M[:, None] @ rots_h))
+            if delta == 1:
+                # the carried tile sits at arm 3's tip, in the frame of its link l0
+                parts.append((cfg.tile.mass, o + (M @ joints_h[:, 0, :, None])[..., 0],
+                              cfg.tile.inertia_G, M @ rots_h[:, 0]))
+            out.append(([keys[r] for r in rows], parts))
+        return out
+
+    def mass_properties(self, waypoints) -> list:
+        """Composite (mass, CoM, inertia at CoM) in the hub frame at each
+        ``(state, qs)`` of a list.
+
+        Pure mass bookkeeping through the kinematic chain.  The robot's
+        parts are those of :meth:`robot_mass_matrices`, each distinct
+        ``(arm, delta, joint angles)`` weighed once for the whole list, so
+        the DC reciprocity checks cover the rest of the assembly; the
+        robot's mass matrix itself is checked against the wired arm chains
+        by ``test_robot_block_matches_arm_chain_cluster``.
+        """
+        cfg = self.cfg
+        keys = [_robot_key(state, qs) for state, qs in waypoints]
+        robot = {}
+        for group, parts in self._robot_parts(list(dict.fromkeys(keys))):
+            for b, key in enumerate(group):
+                robot[key] = [(m, c[b], J, R[b]) for m, c, J, R in parts]
         # the array's inertia moved from its port P back to its CoM
         array_J_com = transport_inertia(cfg.array.inertia_P, -cfg.array.mass,
                                         cfg.array.com)
-        parts = [
-            (cfg.hub.mass, np.zeros(3), cfg.hub.inertia_G, None),
-            (cfg.array.mass, cfg.hub.offset("P1") + cfg.array_dcm @ cfg.array.com,
-             array_J_com, cfg.array_dcm),
-        ]
-        count = max(cfg.n_tiles - state.n - state.delta, 0)
-        if count > 0:
-            parts.append((count * cfg.tile.mass, cfg.stack_center(),
-                          count * np.asarray(cfg.tile.inertia_G), None))
-        for t in range(1, state.n + 1):
-            parts.append((cfg.tile.mass, cfg.tile_center(t),
-                          cfg.tile.inertia_G, None))
-        base = cfg.tile_center(state.j)
-        parts += [(m, base + c, J, R)
-                  for m, c, J, R in self._robot_parts(state, qs)]
-        return compose_rigid(parts)
+        out = []
+        for (state, _), key in zip(waypoints, keys):
+            parts = [
+                (cfg.hub.mass, np.zeros(3), cfg.hub.inertia_G, None),
+                (cfg.array.mass, cfg.hub.offset("P1") + cfg.array_dcm @ cfg.array.com,
+                 array_J_com, cfg.array_dcm),
+            ]
+            count = max(cfg.n_tiles - state.n - state.delta, 0)
+            if count > 0:
+                parts.append((count * cfg.tile.mass, cfg.stack_center(),
+                              count * np.asarray(cfg.tile.inertia_G), None))
+            for t in range(1, state.n + 1):
+                parts.append((cfg.tile.mass, cfg.tile_center(t),
+                              cfg.tile.inertia_G, None))
+            base = cfg.tile_center(state.j)
+            parts += [(m, base + c, J, R) for m, c, J, R in robot[key]]
+            out.append(compose_rigid(parts))
+        return out
 
-    def total_inertia(self, state: AssemblyState, qs) -> np.ndarray:
-        """Composite inertia about the hub CoM G, hub frame.
+    def total_inertia(self, waypoints) -> list:
+        """Composite inertia about the hub CoM G, hub frame, at each
+        ``(state, qs)`` of a list.
 
         The translation-pinned plant shows exactly the inverse of this
         tensor as its DC gain from hub torque to angular acceleration, so
         it is also the tensor the attitude gains are sized with.
         """
-        m, com, J_com = self.mass_properties(state, qs)
-        return transport_inertia(J_com, m, com)
+        return [transport_inertia(J_com, m, com)
+                for m, com, J_com in self.mass_properties(waypoints)]
 
     def closed_loop(self, state: AssemblyState, qs, K_att: np.ndarray) -> StateSpace:
         return close_loop([self.open_loop(state, qs)], K_att)[0]
@@ -523,8 +560,8 @@ class ScenarioModels:
         """
         home = (HOME_JOINTS,) * 3
         best = None
-        for cand in enumerate_model_family(self.cfg.n_tiles):
-            J = self.total_inertia(cand, home)
+        for J in self.total_inertia([(cand, home) for cand
+                                     in enumerate_model_family(self.cfg.n_tiles)]):
             if best is None or np.trace(J) > np.trace(best):
                 best = J
         return attitude_gains(best, self.cfg.xi_att, self.cfg.f_att_hz)
@@ -673,9 +710,16 @@ def _mount_table(cfg: ScenarioConfig) -> dict:
     return table
 
 
+def _robot_key(state: AssemblyState, qs) -> tuple:
+    """What the locked robot's mass reads of a waypoint: the gripping arm,
+    ``delta`` and the bytes of the (3, 5) joint angles."""
+    return state.arm, state.delta, np.asarray(qs, dtype=float).tobytes()
+
+
 def _link_coms(geom: ArmGeometry, joints, rots) -> np.ndarray:
-    """The six link CoMs of a chain posed by :func:`link_poses`."""
-    return joints[:6] + np.einsum("kij,kj->ki", rots, geom.coms)
+    """The six link CoMs of a chain posed by :func:`link_poses`, or of a
+    stack of chains."""
+    return joints[..., :6, :] + np.einsum("...kij,kj->...ki", rots, geom.coms)
 
 
 def pin_translation(plant: StateSpace) -> StateSpace:

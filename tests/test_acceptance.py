@@ -72,7 +72,7 @@ def test_ac1_dc_gain_inertia_reciprocity(desk6):
         qs = tuple(rng.uniform(-0.6, 0.6, 5) for _ in range(3))
         plant = models.open_loop(state, qs)
         # independent oracle: rigid mass-property composition about G
-        J = models.total_inertia(state, qs)
+        [J] = models.total_inertia([(state, qs)])
         gain_inv = np.linalg.inv(
             plant.dc_gain()[plant.out_slice("omega_dot_G"), :]
             [:, plant.in_slice("T_G")])
@@ -368,7 +368,7 @@ def test_ac8_end_to_end_dominance(planner4):
 def test_ac9_controller_sanity():
     models = sc.ScenarioModels(sc.table_scenario(2))
     state = sc.AssemblyState(1, 1, 1, 0)
-    K = sc.attitude_gains(models.total_inertia(state, HOME), 1.0, 0.01)
+    K = sc.attitude_gains(models.total_inertia([(state, HOME)])[0], 1.0, 0.01)
     cl = wired_close_loop(wired_open_loop(models, state, HOME, rigid=True), K)
     poles = np.linalg.eigvals(cl.A)
     assert np.max(np.abs(poles - (-0.0628319))) < 1e-6

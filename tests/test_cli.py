@@ -448,6 +448,20 @@ def test_bad_body_file_exits_2(tmp_path, capsys, command, fields, message):
 
 @pytest.mark.parametrize("command", [["full-assembly", "--cost", "h2-theta"], ["validate"]],
                          ids=lambda c: c[0])
+def test_missing_body_file_names_both_places_and_exits_2(tmp_path, capsys, command):
+    # a relative body file found neither next to the scenario nor in the
+    # packaged data is reported as written, with both places tried
+    p = write_scenario(tmp_path, solar_array_file="nothere.yaml")
+    assert run(["--scenario", p, "--out", tmp_path / "o", *command]) == 2
+    err = capsys.readouterr().err
+    assert "solar_array_file nothere.yaml" in err
+    assert str(tmp_path / "nothere.yaml") in err
+    assert str(flexasm.data_path("nothere.yaml")) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["full-assembly", "--cost", "h2-theta"], ["validate"]],
+                         ids=lambda c: c[0])
 def test_misspelled_body_file_key_exits_2(tmp_path, capsys, command):
     # mode_row for mode_rows would silently price participation rows 1-2
     text = flexasm.data_path("solar_array.yaml").read_text(encoding="utf-8")
@@ -557,7 +571,7 @@ def test_analyze_outputs_and_dc_value(tmp_path):
     # low-frequency nominal trace approaches 1 / J_xx of the full stack
     cfg, _ = cli.load_scenario(p)
     models = sc.ScenarioModels(cfg)
-    J = models.total_inertia(sc.AssemblyState(1, 1, 1, 0), (sc.HOME_JOINTS,) * 3)
+    J = models.total_inertia([(sc.AssemblyState(1, 1, 1, 0), (sc.HOME_JOINTS,) * 3)])[0]
     first = [float(v) for v in lines[1].split(",")]
     assert first[1] == pytest.approx(np.linalg.inv(J)[0, 0], rel=1e-4)
 

@@ -859,6 +859,38 @@ def reference_hinf(sys):
     raise AssertionError("no certificate")
 
 
+def test_sigma_bound_dominates_sigma_max():
+    # the SVD-free gate on the gain at infinity never undercuts
+    # sigma_max(D), square, wide, rank one or zero, and is exact for I
+    rng = make_rng(29)
+    cases = [rng.normal(size=(3, k)) * rng.uniform(1e-3, 1e3)
+             for k in (3, 6) for _ in range(200)]
+    cases += [np.outer(rng.normal(size=3), rng.normal(size=k))
+              for k in (3, 6) for _ in range(100)]
+    cases += [np.zeros((3, 3)), np.zeros((3, 6))]
+    for D in cases:
+        assert (np.linalg.svd(D, compute_uv=False)[0]
+                <= linss._sigma_bound(D) * (1.0 + 1e-12)), D
+    assert linss._sigma_bound(np.eye(3)) == 1.0
+    assert linss._sigma_bound(np.zeros((3, 6))) == 0.0
+
+
+def test_no_svd_on_mission_input_sensitivity(hinf_channels, monkeypatch):
+    # d_t -> e_t feeds d_t straight through (D = I): its bound 1 lies
+    # below every polished peak, so its gain at infinity costs no SVD
+    channels = [sys for sys in hinf_channels if sys.in_channels[0][0] == "d_t"]
+    assert len(channels) == 24
+    for sys in channels:
+        assert np.array_equal(sys.D, np.eye(3))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for sys in channels:
+        assert linss.hinf_norm(sys) > 1.0
+    assert calls == []
+
+
 def test_lean_norm_pieces_keep_the_bits_of_the_old_ones(hinf_channels, monkeypatch):
     # the list-based polish, the crossings without their rounding when
     # none is imaginary, the inline resolvent and the lazy svd(D) give

@@ -200,6 +200,32 @@ def test_assemble_edge_grows_structure(planner):
                          sc.AssemblyState(2, 1, 1, 0))
 
 
+def test_edge_weighs_its_mass_matrix_misses_in_one_link_poses_call(cfg, planner,
+                                                                  monkeypatch):
+    # the IK memoized first, an edge's misses cost one link_poses call of
+    # three rows each, and an edge whose mass matrices are all memoized
+    # poses nothing
+    models = sc.ScenarioModels(cfg)
+    pick, asm = po.build_node_graphs(cfg, 2)
+    walk = next((i, k) for i, k in pick.edges() if k != pick.action_index)
+    edges = [("pickup", pick.nodes[walk[0]], pick.nodes[walk[1]]),
+             ("pickup", (1, 2), "stack"), ("assemble", (2, 1), "target")]
+    calls = []
+    link_poses = sc.link_poses
+    monkeypatch.setattr(sc, "link_poses",
+                        lambda geom, q: calls.append(np.shape(q)) or link_poses(geom, q))
+    for kind, src, dst in edges:
+        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
+        models._masses.clear()
+        calls.clear()
+        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
+        assert calls == [(3 * len(models._masses), 5)], (kind, src, dst)
+        assert len(models._masses) == 2 * cfg.z_grid
+        calls.clear()
+        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
+        assert calls == []
+
+
 def test_walk_edge_requires_arm_swap(planner):
     with pytest.raises(StateInvalid):
         po.grid_edge_models(planner.models, "pickup", 2, (1, 1), (2, 1),

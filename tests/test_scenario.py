@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
-from flexasm import linss, robot
+from flexasm import data_path, linss, robot
+from flexasm import pathopt as po
 from flexasm import scenario as sc
+from flexasm.cli import load_scenario
 from flexasm.errors import (IkNotConverged, IkUnreachable, MissingStructureData,
                             StateInvalid, WidthMismatch)
 from flexasm.multibody import (apply_frame, compose_rigid, dcm_about_axis,
@@ -83,7 +85,7 @@ def dc_block(plant, out, inp):
 def test_dc_gain_matches_inertia_about_hub(models):
     st = sc.AssemblyState(2, 2, 1, 0)
     plant = models.open_loop(st, HOME)
-    J_G = models.total_inertia(st, HOME)
+    [J_G] = models.total_inertia([(st, HOME)])
     blk = dc_block(plant, "omega_dot_G", "T_G")
     ref = np.linalg.inv(J_G)
     assert np.max(np.abs(blk - ref)) < 1e-9 * np.max(np.abs(ref))
@@ -92,7 +94,7 @@ def test_dc_gain_matches_inertia_about_hub(models):
 def test_free_plant_dc_matches_inertia_about_com(models):
     st = sc.AssemblyState(3, 2, 2, 1)
     plant = wired_open_loop(models, st, HOME, pinned=False)
-    m, com, J_com = models.mass_properties(st, HOME)
+    [(m, com, J_com)] = models.mass_properties([(st, HOME)])
     blk = dc_block(plant, "omega_dot_G", "T_G")
     ref = np.linalg.inv(J_com)
     assert np.max(np.abs(blk - ref)) < 1e-9 * np.max(np.abs(ref))
@@ -111,7 +113,7 @@ def test_free_plant_recovers_total_mass_and_delta_conservation(models):
         cols = np.r_[np.arange(*_sl(plant.in_slice("F_G"))),
                      np.arange(*_sl(plant.in_slice("T_G")))]
         M6 = np.linalg.inv(D[np.ix_(rows, cols)])
-        m_expected, _, _ = models.mass_properties(st, HOME)
+        [(m_expected, _, _)] = models.mass_properties([(st, HOME)])
         assert np.max(np.abs(M6[:3, :3] - m_expected * np.eye(3))) < 1e-9 * m_expected
         masses[delta] = m_expected
     assert masses[0] == pytest.approx(masses[1], abs=1e-9)
@@ -126,7 +128,7 @@ def test_reciprocity_with_bent_arms(models):
     st = sc.AssemblyState(3, 1, 2, 1)
     qs = tuple(rng.uniform(-0.8, 0.8, 5) for _ in range(3))
     plant = models.open_loop(st, qs)
-    J_G = models.total_inertia(st, qs)
+    [J_G] = models.total_inertia([(st, qs)])
     blk = dc_block(plant, "omega_dot_G", "T_G")
     ref = np.linalg.inv(J_G)
     assert np.max(np.abs(blk - ref)) < 1e-8 * np.max(np.abs(ref))
@@ -221,7 +223,7 @@ def test_robot_block_matches_arm_chain_cluster(cfg, which):
                 ref = chain_cluster(cfg, st, qs)
                 assert ref.n_states == 0
                 D_ref = ref.D[ref.out_slice("W_C"), :][:, ref.in_slice("xdd_C")]
-                err = np.max(np.abs(-models.robot_mass_matrix(st, qs) - D_ref))
+                err = np.max(np.abs(-models.robot_mass_matrices([(st, qs)])[0] - D_ref))
                 assert err <= 1e-10 * np.max(np.abs(D_ref)), (which, st, err)
 
 
@@ -251,15 +253,63 @@ def robot_parts_per_arm(models, state, qs):
     return parts
 
 
+def per_arm_mass_matrix(models, state, qs):
+    m, c, J_com = compose_rigid(robot_parts_per_arm(models, state, qs))
+    return port_mass_matrix(m, c, transport_inertia(J_com, m, c))
+
+
 @pytest.mark.parametrize("which", ["table", "skewed"])
 def test_robot_mass_matrix_equals_per_arm_poses_bitwise(cfg, which):
+    # each waypoint weighed alone, and all of them in one list of mixed
+    # (arm, delta)
     if which == "skewed":
         cfg = skewed_robot_scenario()
+    waypoints = list(mission_states(12, 31))
     models = sc.ScenarioModels(cfg)
-    for state, qs in mission_states(12, 31):
-        m, c, J_com = compose_rigid(robot_parts_per_arm(models, state, qs))
-        ref = port_mass_matrix(m, c, transport_inertia(J_com, m, c))
-        assert models.robot_mass_matrix(state, qs).tobytes() == ref.tobytes()
+    batched = sc.ScenarioModels(cfg).robot_mass_matrices(waypoints)
+    for (state, qs), M in zip(waypoints, batched):
+        ref = per_arm_mass_matrix(models, state, qs)
+        assert models.robot_mass_matrices([(state, qs)])[0].tobytes() == ref.tobytes()
+        assert M.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("which", ["desk", "skewed"])
+def test_edge_mass_matrices_equal_per_arm_poses_bitwise(which, monkeypatch):
+    # every M_C an edge weighs in its one pass, grouped and batched on
+    # (arm, delta), against the oracle posing each arm alone: walking,
+    # pickup and assemble edges from both gripping arms, with and without
+    # a carried tile
+    if which == "desk":
+        cfg = load_scenario(data_path("scenario_desk.yaml"))[0]
+    else:
+        cfg = skewed_robot_scenario()
+    cfg = replace(cfg, z_grid=3)
+    models = sc.ScenarioModels(cfg)
+    K = models.design_gains()
+    passes = []
+    weigh = sc.ScenarioModels.robot_mass_matrices
+    monkeypatch.setattr(sc.ScenarioModels, "robot_mass_matrices",
+                        lambda self, waypoints: passes.append(waypoints)
+                        or weigh(self, waypoints))
+    seen = set()
+    for n in range(1, cfg.n_tiles):
+        for graph in po.build_node_graphs(cfg, n):
+            for i, k in graph.edges():
+                src, dst = graph.nodes[i], graph.nodes[k]
+                passes.clear()
+                try:
+                    po.grid_edge_models(models, graph.kind, n, src, dst, K)
+                except IkNotConverged:
+                    continue
+                edge_pass = passes[0]
+                assert len(edge_pass) == 2 * cfg.z_grid
+                label = "walk" if isinstance(dst, tuple) else graph.kind
+                for (state, qs), M in zip(edge_pass, weigh(models, edge_pass)):
+                    ref = per_arm_mass_matrix(models, state, qs)
+                    assert M.tobytes() == ref.tobytes(), (label, state)
+                    seen.add((label, state.arm, state.delta))
+    assert seen == {(label, arm, delta) for label in ("walk", "pickup", "assemble")
+                    for arm in (1, 2) for delta in (0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +384,26 @@ def test_mass_matrix_memo_is_shared_across_structure_sizes(cfg):
     models = sc.ScenarioModels(cfg)
     rng = make_rng(3)
     qs = [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
-    M = models.robot_mass_matrix(sc.AssemblyState(2, 1, 1, 1), qs)
-    again = models.robot_mass_matrix(sc.AssemblyState(4, 3, 1, 1),
-                                     [q.copy() for q in qs])
+    [M] = models.robot_mass_matrices([(sc.AssemblyState(2, 1, 1, 1), qs)])
+    [again] = models.robot_mass_matrices([(sc.AssemblyState(4, 3, 1, 1),
+                                           [q.copy() for q in qs])])
     assert again is M and len(models._masses) == 1
     with pytest.raises(ValueError):
         M[0, 0] = 1.0
-    fresh = sc.ScenarioModels(cfg).robot_mass_matrix(sc.AssemblyState(4, 3, 1, 1), qs)
+    [fresh] = sc.ScenarioModels(cfg).robot_mass_matrices([(sc.AssemblyState(4, 3, 1, 1), qs)])
     assert fresh.tobytes() == M.tobytes()
-    other = models.robot_mass_matrix(sc.AssemblyState(2, 1, 1, 0), qs)
+    [other] = models.robot_mass_matrices([(sc.AssemblyState(2, 1, 1, 0), qs)])
     assert other is not M and not np.array_equal(other, M)
+    # a list repeating a key weighs it once and returns the one array
+    first, second = models.robot_mass_matrices([(sc.AssemblyState(3, 1, 2, 0), qs)] * 2)
+    assert first is second and len(models._masses) == 3
 
 
 def test_prepared_closure_matches_a_fresh_validated_copy(cfg):
     models = sc.ScenarioModels(cfg)
     st, qs = next(mission_states(1, 11))
     plant, close = models._port_plant(st.n, st.j, st.delta)
-    K = -models.robot_mass_matrix(st, qs)
+    K = -models.robot_mass_matrices([(st, qs)])[0]
 
     def fresh(sys):
         return linss.StateSpace(sys.A.copy(), sys.B.copy(), sys.C.copy(),
@@ -374,7 +427,7 @@ def test_closure_rcond_equals_numpy_cond_on_desk_port_plants():
     for state, qs in mission_states(24, 41):
         plant, _ = models._port_plant(state.n, state.j, state.delta)
         D_zw = plant.D[plant.out_slice("xdd_C"), plant.in_slice("W_r")]
-        loop = np.eye(6) + D_zw @ models.robot_mass_matrix(state, qs)
+        loop = np.eye(6) + D_zw @ models.robot_mass_matrices([(state, qs)])[0]
         want = 1.0 / np.linalg.cond(loop, 1)
         assert np.float64(linss._rcond(loop)).tobytes() == want.tobytes()
 
@@ -444,7 +497,7 @@ def rigid_loop(models, st, K):
 
 def test_rigid_loop_critically_damped(models):
     st = sc.AssemblyState(2, 1, 1, 0)
-    K = sc.attitude_gains(models.total_inertia(st, HOME), models.cfg.xi_att,
+    K = sc.attitude_gains(models.total_inertia([(st, HOME)])[0], models.cfg.xi_att,
                           models.cfg.f_att_hz)
     cl = rigid_loop(models, st, K)
     poles = np.linalg.eigvals(cl.A)
@@ -455,7 +508,7 @@ def test_rigid_loop_critically_damped(models):
 
 def test_rigid_loop_input_sensitivity_analytic(models):
     st = sc.AssemblyState(2, 1, 1, 0)
-    K = sc.attitude_gains(models.total_inertia(st, HOME), models.cfg.xi_att,
+    K = sc.attitude_gains(models.total_inertia([(st, HOME)])[0], models.cfg.xi_att,
                           models.cfg.f_att_hz)
     cl = rigid_loop(models, st, K)
     sub = cl.subsystem(outputs=["e_t"], inputs=["d_t"])
@@ -477,7 +530,7 @@ def test_zero_gains_leave_loop_open(models):
 
 def test_integrator_chain_outputs(models):
     st = sc.AssemblyState(1, 1, 1, 0)
-    K = sc.attitude_gains(models.total_inertia(st, HOME), models.cfg.xi_att,
+    K = sc.attitude_gains(models.total_inertia([(st, HOME)])[0], models.cfg.xi_att,
                           models.cfg.f_att_hz)
     cl = models.closed_loop(st, HOME, K)
     w = 0.5
@@ -775,7 +828,8 @@ def test_dls_solve_poses_each_trial_with_its_jacobian_rows(cfg, r):
 
 def test_one_link_poses_call_per_residual_and_mass_matrix(cfg, monkeypatch):
     # a residual of any stack height poses both arms' rows in one call, and
-    # a mass-matrix miss poses all three arms in one; a memo hit poses none
+    # the mass-matrix misses of a list pose all their arms in one; a memo
+    # hit poses none
     calls = []
 
     def counted(*args, **kwargs):
@@ -791,10 +845,17 @@ def test_one_link_poses_call_per_residual_and_mass_matrix(cfg, monkeypatch):
         assert calls == [(2 * k, 5)]
     for state, qs in mission_states(4, 31):
         calls.clear()
-        models.robot_mass_matrix(state, qs)
+        models.robot_mass_matrices([(state, qs)])
         assert calls == [(3, 5)]
-        models.robot_mass_matrix(state, qs)
+        models.robot_mass_matrices([(state, qs)])
         assert calls == [(3, 5)]
+    # a list's misses, of every (arm, delta), are posed in one call
+    waypoints = list(mission_states(12, 32))
+    calls.clear()
+    models.robot_mass_matrices(waypoints)
+    assert calls == [(3 * len(waypoints), 5)]
+    models.robot_mass_matrices(waypoints)
+    assert calls == [(3 * len(waypoints), 5)]
 
 
 def test_target_just_inside_reach_bound_solves(cfg):

@@ -148,7 +148,7 @@ def wired_robot_block(models, state, qs):
     the docking port C, hub frame: ``W_P = -M_C xdd_P``.  Its mass matrix
     is the library's; ``chain_cluster`` in ``test_scenario`` is the
     independent oracle for it."""
-    return gain(-models.robot_mass_matrix(state, qs), (("xdd_P", 6),),
+    return gain(-models.robot_mass_matrices([(state, qs)])[0], (("xdd_P", 6),),
                 (("W_P", 6),))
 
 
