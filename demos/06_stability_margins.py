@@ -37,7 +37,7 @@ print("slowest flexible-loop poles (state-matched gains):",
 K = models.design_gains()
 cl = models.closed_loop(state, home, K)
 print("slowest flexible-loop poles (worst-case gains):", slowest_poles(cl))
-print("flexible loop stable:", linss.is_stable(cl).stable)
+print("flexible loop stable:", linss.spectral_abscissa(cl.A) < -linss.STAB_TOL)
 
 isens = cl.subsystem(["e_t"], ["d_t"])
 print("input-sensitivity peak:", round(linss.hinf_norm(isens), 4))

@@ -48,6 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    EigenFailure,
     IllPosedLoop,
     NonSquareSelection,
     NonzeroFeedthrough,
@@ -60,7 +61,6 @@ from .errors import (
 __all__ = [
     "StateSpace",
     "FreqResponse",
-    "StabilityResult",
     "gain",
     "interconnect",
     "invert_channels",
@@ -68,7 +68,6 @@ __all__ = [
     "StaticClosure",
     "freq_response",
     "sigma_max",
-    "is_stable",
     "spectral_abscissa",
     "minimal_stable_projection",
     "hinf_norm",
@@ -342,7 +341,7 @@ def _prime_modes(systems) -> None:
             sys._modes["inv"] = W
 
 
-def gain(D, in_channels=(), out_channels=()) -> StateSpace:
+def gain(D, in_channels, out_channels) -> StateSpace:
     """Static (stateless) gain block."""
     D = np.atleast_2d(np.asarray(D, dtype=float))
     return StateSpace(np.zeros((0, 0)), np.zeros((0, D.shape[1])),
@@ -422,9 +421,9 @@ def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
         width.  Several sources may target one input (signals add), and one
         source may fan out to several inputs.
     external_in:
-        ``(new_name, target_or_targets)`` pairs.  External inputs add on
-        top of any wired signal at the same target.  Inputs that are
-        neither wired nor external are held at zero.
+        ``(new_name, target)`` pairs naming one input channel each.
+        External inputs add on top of any wired signal at the same target.
+        Inputs that are neither wired nor external are held at zero.
     external_out:
         ``(new_name, source)`` pairs selecting which internal outputs the
         closed system exposes.
@@ -454,21 +453,14 @@ def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
         S[si, so] += np.eye(so.stop - so.start)
 
     ext_in = []
-    for entry in external_in:
-        new_name, targets = entry
-        if isinstance(targets, str):
-            targets = [targets]
-        slices = [_resolve(blocks, t, "in") for t in targets]
-        widths = {s.stop - s.start for s in slices}
-        if len(widths) != 1:
-            raise WidthMismatch(f"external input {new_name!r} targets differ in width")
-        ext_in.append((str(new_name), widths.pop(), slices))
+    for new_name, dst in external_in:
+        s = _resolve(blocks, dst, "in")
+        ext_in.append((str(new_name), s.stop - s.start, s))
     m_ext = sum(w for _, w, _ in ext_in)
     E = np.zeros((m_all, m_ext))
     col = 0
-    for _, width, slices in ext_in:
-        for s in slices:
-            E[s, col:col + width] += np.eye(width)
+    for _, width, s in ext_in:
+        E[s, col:col + width] = np.eye(width)
         col += width
 
     ext_out = []
@@ -499,14 +491,13 @@ def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
 
 
 def invert_channels(sys: StateSpace, in_names, out_names) -> StateSpace:
-    """Swap the roles of selected input and output channels.
+    """Swap the roles of the input channels listed in ``in_names`` and
+    the output channels listed in ``out_names``.
 
     The feedthrough block from the selected inputs to the selected outputs
     must be square and invertible.  New inputs are the former outputs (in
     listed order) followed by the untouched inputs; dually for outputs.
     """
-    in_names = [in_names] if isinstance(in_names, str) else list(in_names)
-    out_names = [out_names] if isinstance(out_names, str) else list(out_names)
     w_in = sum(sys.in_width(c) for c in in_names)
     w_out = sum(sys.out_width(c) for c in out_names)
     if w_in != w_out:
@@ -766,26 +757,14 @@ def _transfer_kernel(sys: StateSpace):
     return transfer
 
 
-@dataclass(frozen=True)
-class StabilityResult:
-    stable: bool
-    spectral_abscissa: float
-
-    def __bool__(self):
-        return self.stable
-
-
-def spectral_abscissa(sys_or_A) -> float:
-    A = sys_or_A.A if isinstance(sys_or_A, StateSpace) else np.asarray(sys_or_A)
+def spectral_abscissa(A) -> float:
+    """Largest real part of the eigenvalues of the square array ``A``, -inf
+    for an empty one; a system is strictly stable when this is below
+    ``-STAB_TOL``."""
+    A = np.asarray(A)
     if A.shape[0] == 0:
         return -np.inf
     return float(np.max(np.linalg.eigvals(A).real))
-
-
-def is_stable(sys: StateSpace) -> StabilityResult:
-    """Strict Hurwitz test: every pole must satisfy Re < -1e-10."""
-    alpha = spectral_abscissa(sys)
-    return StabilityResult(alpha < -STAB_TOL, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +1000,9 @@ def hinf_norm(sys: StateSpace) -> float:
     best is polished, and the test runs again.  The result is the largest
     gain evaluated: a lower bound within ``2 HINF_RTOL`` of the norm.
     Crossings where no evaluated gain exceeds the bound are an artefact of
-    the eigenvalue test, and the bound is returned as it stands.
+    the eigenvalue test, and the bound is returned as it stands.  A norm
+    still uncertified after ``_MAX_ROUNDS`` rounds raises
+    :class:`EigenFailure`.
     """
     if sys.n_states == 0:
         return float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
@@ -1056,8 +1037,7 @@ def hinf_norm(sys: StateSpace) -> float:
         if best <= gamma:
             return gamma
         gamma = best
-    raise ArithmeticError(  # pragma: no cover - defensive
-        f"H-infinity certificate failed after {_MAX_ROUNDS} rounds")
+    raise EigenFailure(f"H-infinity certificate failed after {_MAX_ROUNDS} rounds")
 
 
 def h2_norm(systems) -> np.ndarray:

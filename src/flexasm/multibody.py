@@ -47,7 +47,6 @@ __all__ = [
     "tau_kinematic",
     "RigidBodyData",
     "ModalBodyData",
-    "Dcm",
     "dcm_about_axis",
     "apply_frame",
     "rigid_mass_matrix",
@@ -208,44 +207,23 @@ def _part_stack(part) -> tuple:
 # Rotations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Dcm:
-    """Direction cosine matrix; ``[v]_new = R @ [v]_old``."""
-
-    R: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.R, dtype=float).reshape(3, 3)
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-10:
-            raise ValueError("DCM is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > 1e-10:
-            raise ValueError("DCM determinant is not +1")
-        object.__setattr__(self, "R", R)
-
-    @property
-    def x2(self) -> np.ndarray:
-        """diag(R, R) acting on stacked 6-wide port signals."""
-        out = np.zeros((6, 6))
-        out[0:3, 0:3] = self.R
-        out[3:6, 3:6] = self.R
-        return out
-
-
-def nearest_dcm(R) -> Dcm:
+def nearest_dcm(R) -> np.ndarray:
     """Snap a nearly orthonormal matrix to the closest exact rotation.
 
     Published tables round DCM entries (0.866 for sqrt(3)/2); the polar
-    factor restores an exact rotation before the strict Dcm checks.
+    factor restores an exact rotation before :func:`apply_frame` checks it.
     """
     U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float).reshape(3, 3))
     W = U @ Vt
     if np.linalg.det(W) < 0:
         W = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-    return Dcm(W)
+    return W
 
 
-def dcm_about_axis(axis, alpha: float) -> Dcm:
-    """Rotation by alpha about a unit axis (axis-angle form), |alpha| <= 2*pi."""
+def dcm_about_axis(axis, alpha: float) -> np.ndarray:
+    """Rotation by alpha about an axis (axis-angle form), |alpha| <= 2*pi;
+    ``[v]_new = R @ [v]_old``.  A zero or non-finite axis raises
+    ``ValueError``."""
     if not math.isfinite(alpha):
         raise AlphaOutOfRange("alpha must be finite")
     if abs(alpha) > 2.0 * math.pi + 1e-12:
@@ -253,22 +231,32 @@ def dcm_about_axis(axis, alpha: float) -> Dcm:
             f"|alpha| = {abs(alpha):.6f} exceeds 2*pi: tan(alpha/4) leaves [-1, 1]")
     axis = np.asarray(axis, dtype=float).ravel()
     nrm = np.linalg.norm(axis)
+    if not (math.isfinite(nrm) and nrm > 0.0):
+        raise ValueError(f"rotation axis must be finite and nonzero, got {axis}")
     if abs(nrm - 1.0) > 1e-9:
         axis = axis / nrm
     K = skew(axis)
-    R = np.eye(3) + math.sin(alpha) * K + (1.0 - math.cos(alpha)) * (K @ K)
-    return Dcm(R)
+    return np.eye(3) + math.sin(alpha) * K + (1.0 - math.cos(alpha)) * (K @ K)
 
 
 def apply_frame(sys: StateSpace, channel: str, dcm) -> StateSpace:
-    """Re-express one 6-wide channel in the frame reached by the DCM.
+    """Re-express one 6-wide channel in the frame reached by the 3x3
+    rotation ``dcm`` (``[v]_new = R @ [v]_old``).
 
     For an output channel the emitted signal becomes ``diag(R,R) @ y``;
     for an input channel the system now accepts the new-frame signal and
     internally applies ``diag(R,R)^T``.  Applying R then R^T restores the
-    original system.
+    original system.  A matrix that is not orthonormal with determinant +1
+    to 1e-10, or holds a NaN, raises ``ValueError``.
     """
-    R2 = dcm.x2 if isinstance(dcm, Dcm) else Dcm(dcm).x2
+    R = np.asarray(dcm, dtype=float).reshape(3, 3)
+    if not np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-10:
+        raise ValueError("DCM is not orthonormal")
+    if not abs(np.linalg.det(R) - 1.0) <= 1e-10:
+        raise ValueError("DCM determinant is not +1")
+    R2 = np.zeros((6, 6))
+    R2[0:3, 0:3] = R
+    R2[3:6, 3:6] = R
     B, C, D = np.array(sys.B), np.array(sys.C), np.array(sys.D)
     hit = False
     if sys.has_input(channel):

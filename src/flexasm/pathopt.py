@@ -103,7 +103,7 @@ class NodeGraph:
         return 2 * self.n
 
     def node_index(self, node) -> int:
-        if node in ("stack", "target", "action"):
+        if node in ("stack", "target"):
             return self.action_index
         tile, arm = node
         if not (1 <= tile <= self.n and arm in (1, 2)):
@@ -158,12 +158,12 @@ def build_node_graphs(cfg: ScenarioConfig, n: int):
             NodeGraph(ASSEMBLE, n, nodes + ["target"], assemble))
 
 
-def shortest_path(graph: NodeGraph, src, dst, mode: str = "dijkstra"):
-    """Minimum-cost (or minimum-hop) path.
+def shortest_path(graph: NodeGraph, src, dst, mode: str):
+    """Minimum-cost (``mode`` ``"dijkstra"``) or minimum-hop
+    (``"bfs_unit"``, every edge weight one) path.
 
     Returns ``(path_indices, total_weight)``.  Ties break on fewer hops,
     then on lexicographic node order, so results are deterministic.
-    ``bfs_unit`` treats every edge as weight one.
     """
     s = src if isinstance(src, int) else graph.node_index(src)
     t = dst if isinstance(dst, int) else graph.node_index(dst)
@@ -263,7 +263,7 @@ def _leg_systems(models: ScenarioModels, state: AssemblyState, waypoints, K_att)
 
 
 def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
-                     K_att: np.ndarray, edge_id: int = 0) -> EdgeModelArray:
+                     K_att: np.ndarray, edge_id: int) -> EdgeModelArray:
     """Build the 2z closed-loop models for one edge.
 
     Walking edges solve the two-arm straddle so the free arm's tip meets

@@ -150,10 +150,10 @@ def link_poses(geom: ArmGeometry, q):
 
     Each joint rotation is built raw, ``I + sin(a) K + (1 - cos a) K^2``
     with the geometry's precomputed ``K`` and ``K^2``: the same arithmetic
-    as :func:`~flexasm.multibody.dcm_about_axis` without constructing and
-    re-validating a :class:`~flexasm.multibody.Dcm` per joint.  Angles
-    outside +-2*pi, or not finite, raise :class:`JointOutOfRange`; any
-    other shape than ``(k, 5)`` raises ``ValueError``.
+    as :func:`~flexasm.multibody.dcm_about_axis`, for every joint of the
+    stack at once.  Angles outside +-2*pi, or not finite, raise
+    :class:`JointOutOfRange`; any other shape than ``(k, 5)`` raises
+    ``ValueError``.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[1] != 5:

@@ -61,6 +61,7 @@ bisection tolerance and the sweep size are module constants.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -268,8 +269,11 @@ def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
     inverse (:meth:`StateSpace.modal_inverse`) the crossing candidates.
     The first crossing within ``delta_max`` on either sign is bisected (see
     the module docstring); no crossing means ``mu_lower = 0`` and
-    ``delta_crit = None``.
+    ``delta_crit = None``.  A ``delta_max`` that is not finite and > 0
+    raises ``ValueError``.
     """
+    if not (math.isfinite(delta_max) and delta_max > 0.0):
+        raise ValueError(f"delta_max must be finite and > 0, got {delta_max}")
     if sys.in_width(W_CHANNEL) != sys.out_width(Z_CHANNEL):
         raise WidthMismatch(f"{W_CHANNEL}/{Z_CHANNEL} widths differ")
     certified = False

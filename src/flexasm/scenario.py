@@ -81,7 +81,6 @@ from .modal import (
     modal_reduce,
 )
 from .multibody import (
-    Dcm,
     ModalBodyData,
     RigidBodyData,
     apply_frame,
@@ -234,8 +233,8 @@ class ScenarioConfig:
                 raise SchemaError(f"arm {k} mount DCM {R.tolist()} is not a "
                                   f"rotation within {DCM_TOL}")
         object.__setattr__(self, "arm_mount_dcms",
-                           {k: nearest_dcm(v).R for k, v in self.arm_mount_dcms.items()})
-        object.__setattr__(self, "array_dcm", nearest_dcm(self.array_dcm).R)
+                           {k: nearest_dcm(v) for k, v in self.arm_mount_dcms.items()})
+        object.__setattr__(self, "array_dcm", nearest_dcm(self.array_dcm))
 
     # -- geometry helpers (hub frame, G at the origin) ----------------------
 
@@ -413,8 +412,8 @@ class ScenarioModels:
         hub = split_channel(hub, "xdd_G", [("a_G", 3), ("omega_dot_G", 3)])
 
         arr = mode_freq_lfr(cfg.array, cfg.uncertain_mode, cfg.r_omega)
-        arr = apply_frame(arr, "xdd_P", Dcm(cfg.array_dcm))
-        arr = apply_frame(arr, "W_P", Dcm(cfg.array_dcm))
+        arr = apply_frame(arr, "xdd_P", cfg.array_dcm)
+        arr = apply_frame(arr, "W_P", cfg.array_dcm)
         return hub, arr
 
     def robot_mass_matrices(self, waypoints) -> list:

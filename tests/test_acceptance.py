@@ -182,7 +182,7 @@ def test_ac4_lfr_closure_exact():
 def brentq_margin(sys, delta_max=10.0, n=2001):
     def alpha(d):
         try:
-            return linss.spectral_abscissa(linss.lft_upper(sys, d))
+            return linss.spectral_abscissa(linss.lft_upper(sys, d).A)
         except Exception:
             return 1.0
 
@@ -229,7 +229,7 @@ def test_ac5_mu_exactness():
     res = robust.mu_real_repeated(sys02, delta_max=20.0)
     assert res.mu_lower == pytest.approx(0.2, rel=1e-6)
     for d in list(np.linspace(-4.99, 4.99, 21)) + [1.0, -1.0]:
-        assert linss.spectral_abscissa(linss.lft_upper(sys02, d)) < -linss.STAB_TOL
+        assert linss.spectral_abscissa(linss.lft_upper(sys02, d).A) < -linss.STAB_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -703,6 +703,15 @@ def test_full_assembly_small(tmp_path, capsys):
     assert w.size % (2 * cfg.z_grid) == 0
 
 
+def test_uncertified_hinf_norm_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(linss, "_MAX_ROUNDS", 0)
+    p = write_scenario(tmp_path)
+    assert run(["--scenario", p, "--out", tmp_path / "out", "full-assembly",
+                "--cost", "hinf-wrench"]) == 3
+    assert capsys.readouterr().err == (
+        "model error: H-infinity certificate failed after 0 rounds\n")
+
+
 def test_full_assembly_mu_writes_flat_log_plot(tmp_path, capsys):
     # mu is the same value on every loop, so the comparison plot's log
     # axis has a flat range below 1, which must still get positive bounds

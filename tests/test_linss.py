@@ -9,6 +9,7 @@ import scipy.optimize
 from flexasm import linss, pathopt, robust
 from flexasm import scenario as sc
 from flexasm.errors import (
+    EigenFailure,
     IllPosedLoop,
     NonzeroFeedthrough,
     SingularDBlock,
@@ -303,10 +304,12 @@ def test_freq_response_equals_per_point_transfer():
 
 
 def test_is_stable():
-    assert linss.is_stable(first_order_lag()).stable
-    res = linss.is_stable(integrator(1))
-    assert not res.stable
-    assert res.spectral_abscissa == pytest.approx(0.0, abs=1e-12)
+    # strictly stable means a spectral abscissa below -STAB_TOL
+    assert linss.spectral_abscissa(first_order_lag().A) < -linss.STAB_TOL
+    alpha = linss.spectral_abscissa(integrator(1).A)
+    assert not alpha < -linss.STAB_TOL
+    assert alpha == pytest.approx(0.0, abs=1e-12)
+    assert linss.spectral_abscissa(np.zeros((0, 0))) == -np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +443,13 @@ def test_hinf_resonant_peak_lightly_damped():
 def test_hinf_unstable_rejected():
     with pytest.raises(UnstableSystem):
         linss.hinf_norm(siso([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
+
+
+def test_hinf_uncertified_norm_is_an_eigen_failure(monkeypatch):
+    # no certificate round left: the typed error the CLI maps to exit 3
+    monkeypatch.setattr(linss, "_MAX_ROUNDS", 0)
+    with pytest.raises(EigenFailure, match="certificate failed after 0 rounds"):
+        linss.hinf_norm(first_order_lag())
 
 
 def test_hinf_static_gain():

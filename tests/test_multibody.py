@@ -147,23 +147,30 @@ def test_rigid_inverted_acceleration_transport():
 
 def test_dcm_zero_angle():
     d = mb.dcm_about_axis((0.0, 0.0, 1.0), 0.0)
-    assert np.allclose(d.R, np.eye(3))
+    assert np.allclose(d, np.eye(3))
 
 
 def test_dcm_quarter_turn():
     d = mb.dcm_about_axis((0.0, 0.0, 1.0), np.pi / 2)
-    assert np.allclose(d.R, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
+    assert np.allclose(d, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
 
 
 def test_dcm_compose_inverse():
     a = mb.dcm_about_axis((0.0, 1.0, 0.0), np.pi / 3)
     b = mb.dcm_about_axis((0.0, 1.0, 0.0), -np.pi / 3)
-    assert np.allclose(a.R @ b.R, np.eye(3), atol=1e-12)
+    assert np.allclose(a @ b, np.eye(3), atol=1e-12)
 
 
 def test_dcm_alpha_out_of_range():
     with pytest.raises(AlphaOutOfRange):
         mb.dcm_about_axis((1.0, 0.0, 0.0), 2.0 * np.pi + 0.1)
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0)],
+                         ids=["zero", "nan"])
+def test_dcm_rejects_degenerate_axis(axis):
+    with pytest.raises(ValueError, match="axis"):
+        mb.dcm_about_axis(axis, 0.5)
 
 
 def test_apply_frame_identity_and_rotation():
@@ -181,7 +188,7 @@ def test_apply_frame_roundtrip():
         -np.eye(2), rng.standard_normal((2, 6)), rng.standard_normal((6, 2)),
         rng.standard_normal((6, 6)), (("u", 6),), (("y", 6),))
     d = mb.dcm_about_axis(rng.standard_normal(3), 1.1)
-    back = mb.apply_frame(mb.apply_frame(sys, "y", d), "y", mb.Dcm(d.R.T))
+    back = mb.apply_frame(mb.apply_frame(sys, "y", d), "y", d.T)
     assert max_response_deviation(sys, back, [0.1, 1.0, 10.0]) < 1e-12
 
 
@@ -189,6 +196,17 @@ def test_apply_frame_width_check():
     g = linss.gain(np.eye(3), (("u", 3),), (("y", 3),))
     with pytest.raises(WidthMismatch):
         mb.apply_frame(g, "y", mb.dcm_about_axis((0.0, 0.0, 1.0), 0.3))
+
+
+@pytest.mark.parametrize("R, message", [
+    (np.full((3, 3), np.nan), "orthonormal"),
+    (np.diag([1.0, 1.0, -1.0]), "determinant"),
+    (1.001 * np.eye(3), "orthonormal"),
+], ids=["nan", "reflection", "not-orthonormal"])
+def test_apply_frame_rejects_a_matrix_that_is_not_a_rotation(R, message):
+    eye6 = linss.gain(np.eye(6), (("W", 6),), (("y", 6),))
+    with pytest.raises(ValueError, match=message):
+        mb.apply_frame(eye6, "y", R)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +374,7 @@ def test_compose_rigid_rotated_parts_match_parallel_axis_loop():
     masses = rng.uniform(0.5, 5.0, k)
     pos = rng.normal(size=(k, 3))
     rots = np.array([mb.dcm_about_axis(rng.normal(size=3),
-                                       rng.uniform(0.3, 2.5)).R
+                                       rng.uniform(0.3, 2.5))
                      for _ in range(k)])
     inertias = np.array([np.diag(rng.uniform(0.2, 1.0, 3)) for _ in range(k)])
     inertias[:, 0, 1] = inertias[:, 1, 0] = 0.05

@@ -157,7 +157,7 @@ def same_system(a, b) -> bool:
 
 
 def edge_models(planner, kind, n, src, dst):
-    return po.grid_edge_models(planner.models, kind, n, src, dst, planner.K_att)
+    return po.grid_edge_models(planner.models, kind, n, src, dst, planner.K_att, 0)
 
 
 def assert_legs_run_home(planner, arr, pre, post):
@@ -215,21 +215,21 @@ def test_edge_weighs_its_mass_matrix_misses_in_one_link_poses_call(cfg, planner,
     monkeypatch.setattr(sc, "link_poses",
                         lambda geom, q: calls.append(np.shape(q)) or link_poses(geom, q))
     for kind, src, dst in edges:
-        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
+        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att, 0)
         models._masses.clear()
         calls.clear()
-        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
+        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att, 0)
         assert calls == [(3 * len(models._masses), 5)], (kind, src, dst)
         assert len(models._masses) == 2 * cfg.z_grid
         calls.clear()
-        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
+        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att, 0)
         assert calls == []
 
 
 def test_walk_edge_requires_arm_swap(planner):
     with pytest.raises(StateInvalid):
         po.grid_edge_models(planner.models, "pickup", 2, (1, 1), (2, 1),
-                            planner.K_att)
+                            planner.K_att, 0)
 
 
 @pytest.fixture(scope="module")
@@ -400,7 +400,7 @@ def test_leg_stacks_equal_loops_built_and_priced_alone(make, monkeypatch):
                 waypoints.clear()
                 try:
                     arr = po.grid_edge_models(models, graph.kind, n, graph.nodes[i],
-                                              graph.nodes[k], K)
+                                              graph.nodes[k], K, 0)
                 except IkNotConverged:
                     continue
                 assert len(waypoints) == len(arr.systems) == 2 * cfg.z_grid

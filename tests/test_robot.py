@@ -83,7 +83,7 @@ def oracle_link_poses(geom, q, base):
     p = np.zeros(3)
     for i in range(6):
         if i >= 1:
-            R = R @ dcm_about_axis(geom.joint_axes[i - 1], q[i - 1]).R
+            R = R @ dcm_about_axis(geom.joint_axes[i - 1], q[i - 1])
         rots.append(R)
         p = p + R @ geom.joint_offsets[i]
         joints.append(p)

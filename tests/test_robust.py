@@ -37,7 +37,7 @@ def grid_sweep_oracle(sys, delta_max=20.0, n=4001):
     """Independent margin: dense scan + root solve on the abscissa."""
     def alpha(d):
         try:
-            return spectral_abscissa(lft_upper(sys, d))
+            return spectral_abscissa(lft_upper(sys, d).A)
         except Exception:
             return 1.0
 
@@ -84,9 +84,9 @@ def test_synthetic_margin_of_point_two():
     res = robust.mu_real_repeated(sys, delta_max=20.0)
     assert res.mu_lower == pytest.approx(0.2, rel=1e-6)
     for d in (1.0, -1.0):
-        assert spectral_abscissa(lft_upper(sys, d)) < -linss.STAB_TOL
+        assert spectral_abscissa(lft_upper(sys, d).A) < -linss.STAB_TOL
     for d in np.linspace(-4.999, 4.999, 21):
-        assert spectral_abscissa(lft_upper(sys, d)) < -linss.STAB_TOL
+        assert spectral_abscissa(lft_upper(sys, d).A) < -linss.STAB_TOL
 
 
 def test_matches_grid_sweep_on_random_plants():
@@ -112,7 +112,7 @@ def test_monotone_stability_inside_margin():
     res = robust.mu_real_repeated(sys, delta_max=10.0)
     assert res.mu_lower > 0
     for d in rng.uniform(-1.0, 1.0, 20) * (1.0 / res.mu_lower) * 0.999:
-        assert spectral_abscissa(lft_upper(sys, d)) < -linss.STAB_TOL
+        assert spectral_abscissa(lft_upper(sys, d).A) < -linss.STAB_TOL
 
 
 def test_similarity_invariance():
@@ -236,6 +236,13 @@ def test_ill_posed_closure_counts_as_destabilized():
     assert not robust._destabilized(sys, 0.5)   # poles -2 and -3
     res = robust.mu_real_repeated(sys, delta_max=5.0)
     assert res.delta_crit == pytest.approx(1.0, rel=1e-6)
+
+
+def test_delta_max_must_be_finite_and_positive():
+    cl = next(mission_loops(1, 5))
+    for delta_max in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta_max"):
+            robust.mu_real_repeated(cl, delta_max)
 
 
 def test_width_mismatch_rejected():

@@ -24,7 +24,7 @@ import numpy as np
 from flexasm import scenario as sc
 from flexasm.errors import SingularInertia
 from flexasm.linss import StateSpace, gain, interconnect, split_channel
-from flexasm.multibody import (Dcm, ModalBodyData, RigidBodyData, apply_frame,
+from flexasm.multibody import (ModalBodyData, RigidBodyData, apply_frame,
                                dcm_about_axis, mode_freq_lfr, rigid_mass_matrix,
                                rigid_nport, tau_kinematic, titop_one_port,
                                titop_two_port, transport_inertia)
@@ -119,8 +119,8 @@ def arm_two_port(geom: ArmGeometry, q, base="J0"):
             sys = titop_two_port(_link_body(geom, i, reverse=True))
             if i <= 4:
                 # P-side now sits at J_{i+1}: express in link i+1's frame
-                sys = apply_frame(sys, "xdd_P", rots[i].R.T)
-                sys = apply_frame(sys, "W_P", rots[i].R.T)
+                sys = apply_frame(sys, "xdd_P", rots[i].T)
+                sys = apply_frame(sys, "W_P", rots[i].T)
             blocks.append((f"L{i}", sys))
         for i in range(5, 0, -1):
             wiring.append((f"L{i}.xdd_C", f"L{i - 1}.xdd_P"))
@@ -165,8 +165,8 @@ def wired_open_loop(models, state, qs, rigid=False, pinned=True):
     else:
         arr = mode_freq_lfr(cfg.array, cfg.uncertain_mode, cfg.r_omega)
         wz = None
-    arr = apply_frame(arr, "xdd_P", Dcm(cfg.array_dcm))
-    arr = apply_frame(arr, "W_P", Dcm(cfg.array_dcm))
+    arr = apply_frame(arr, "xdd_P", cfg.array_dcm)
+    arr = apply_frame(arr, "W_P", cfg.array_dcm)
 
     count = max(cfg.n_tiles - state.n - state.delta, 0)
     stk = titop_one_port(ModalBodyData(
@@ -207,16 +207,18 @@ def wired_close_loop(plant, K_att):
     iw = integrator(3, "wdot", "w")
     it = integrator(3, "w", "theta")
     K = gain(K_att, (("theta", 3), ("omega", 3)), (("u", 3),))
-    add = gain(np.hstack([np.eye(3), np.eye(3)]),
-               (("d", 3), ("u", 3)), (("e", 3),))
+    # the summing block adds the disturbance to the control torque; the
+    # sum drives the plant (t) and is the input-sensitivity output (e)
+    eye2 = np.hstack([np.eye(3), np.eye(3)])
+    add = gain(np.vstack([eye2, eye2]), (("d", 3), ("u", 3)), (("e", 3), ("t", 3)))
     blocks = [("p", plant), ("iw", iw), ("it", it), ("k", K), ("add", add)]
     wiring = [
         ("p.omega_dot_G", "iw.wdot"),
         ("iw.w", "it.w"), ("iw.w", "k.omega"),
         ("it.theta", "k.theta"),
-        ("k.u", "p.T_G"), ("k.u", "add.u"),
+        ("k.u", "add.u"), ("add.t", "p.T_G"),
     ]
-    ext_in = [("d_t", ["p.T_G", "add.d"]),
+    ext_in = [("d_t", "add.d"),
               ("W_ext", "p.W_ext"),
               ("w_omega", "p.w_omega")]
     ext_out = [("omega_dot_G", "p.omega_dot_G"),
