@@ -20,7 +20,8 @@ print("wrench transport of x-force over +2y:", t.T @ [1, 0, 0, 0, 0, 0])
 # rigid body response: 1 N on a 6.0423 kg tile
 tile = mb.RigidBodyData(6.0423, np.diag([0.5041, 0.5041, 1.0071]), {})
 print("tile translational response:",
-      mb.rigid_nport(tile).D[0, 0], "m/s^2 per N (1/m =", 1 / 6.0423, ")")
+      mb.rigid_nport(tile, []).D[0, 0],
+      "m/s^2 per N (1/m =", 1 / 6.0423, ")")
 
 # flexible solar array: feedthrough is minus the residual mass
 array = modal.load_body_file(flexasm.data_path("solar_array.yaml"))

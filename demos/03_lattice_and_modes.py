@@ -12,20 +12,21 @@ import numpy as np
 from flexasm import modal
 from flexasm import multibody as mb
 
+# every tile of the default mass and inertia, joined by the default springs
+defaults = (modal.DEFAULT_TILE_MASS, modal.DEFAULT_TILE_INERTIA, modal.LatticeStiffness())
 lay26 = modal.default_layout(26)
-model = modal.build_lattice(lay26)
+model = modal.build_lattice(lay26, *defaults)
 freqs, _ = modal.clamped_free_modes(model, 4)
 print("26-tile strip first modes [Hz]:", np.round(freqs / (2 * np.pi), 4))
 
 # port-level data for a 4-tile structure docked at tile 3
-lay4 = modal.default_layout(4)
-data = modal.modal_reduce(modal.build_lattice(lay4), output_tile=3, n_modes=4,
-                          xi=modal.DEFAULT_DAMPING)
+lat4 = modal.build_lattice(modal.default_layout(4), *defaults)
+data = modal.modal_reduce(lat4, output_tile=3, n_modes=4, xi=modal.DEFAULT_DAMPING)
 print("4-tile structure:", data.n_modes, "modes at",
       np.round(data.freqs / (2 * np.pi), 2), "Hz, mass", data.mass, "kg")
 
 # retaining every mode recovers the rigid mass matrix exactly
-full = modal.modal_reduce(modal.build_lattice(lay4), 3, 24, modal.DEFAULT_DAMPING)
+full = modal.modal_reduce(lat4, 3, 24, modal.DEFAULT_DAMPING)
 D_P = mb.d_p_matrix(full)
 print("mass completeness |L^T L - D_P|:",
       np.max(np.abs(full.L_P.T @ full.L_P - D_P)))

@@ -31,7 +31,7 @@ for kind in ("hinf-wrench", "h2-theta"):
                    [("optimized", np.arange(w.size), w),
                     ("baseline", np.arange(u.size), u)],
                    title=f"{kind} per grid point", xlabel="grid point",
-                   ylabel="metric")
+                   ylabel="metric", xlog=False, ylog=False)
     print(f"  wrote out/plan_{kind}.svg")
 
 # graph bookkeeping at mission scale: graphs only, no dynamics

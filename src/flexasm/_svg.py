@@ -50,8 +50,7 @@ def _fmt(v):
     return f"{v:g}"
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="",
-              xlog=False, ylog=False):
+def line_plot(path, series, *, title, xlabel, ylabel, xlog, ylog):
     """Write a multi-series line plot.
 
     ``series`` is a list of ``(label, x, y)``; non-finite samples are

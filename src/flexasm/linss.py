@@ -136,7 +136,7 @@ class StateSpace:
         Real matrices with the usual shapes (n x n, n x m, p x n, p x m).
     in_channels, out_channels:
         Ordered ``(name, width)`` pairs partitioning the input/output
-        vectors.  Widths must sum to m and p respectively.
+        vectors.  Widths must sum to m and p respectively (``()`` for none).
 
     The eigendecomposition ``A = V diag(lambda) V^-1`` (:meth:`eig`), the
     modal inverse ``V^-1`` with its one gate (:meth:`modal_inverse`) and
@@ -151,8 +151,8 @@ class StateSpace:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    in_channels: tuple = field(default=())
-    out_channels: tuple = field(default=())
+    in_channels: tuple
+    out_channels: tuple
     _modes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,18 +160,16 @@ class StateSpace:
         D = np.atleast_2d(np.asarray(self.D, dtype=float))
         n = A.shape[0]
         p, m = D.shape
-        B = np.zeros((n, m)) if self.B is None else np.asarray(self.B, dtype=float).reshape(n, m)
-        C = np.zeros((p, n)) if self.C is None else np.asarray(self.C, dtype=float).reshape(p, n)
+        B = np.asarray(self.B, dtype=float).reshape(n, m)
+        C = np.asarray(self.C, dtype=float).reshape(p, n)
         if A.shape != (n, n):
             raise ValueError("A must be square")
         object.__setattr__(self, "A", _ro(A))
         object.__setattr__(self, "B", _ro(B))
         object.__setattr__(self, "C", _ro(C))
         object.__setattr__(self, "D", _ro(D))
-        ins = self.in_channels or ((("u", m),) if m else ())
-        outs = self.out_channels or ((("y", p),) if p else ())
-        object.__setattr__(self, "in_channels", _norm_channels(ins, m, "input"))
-        object.__setattr__(self, "out_channels", _norm_channels(outs, p, "output"))
+        object.__setattr__(self, "in_channels", _norm_channels(self.in_channels, m, "input"))
+        object.__setattr__(self, "out_channels", _norm_channels(self.out_channels, p, "output"))
         object.__setattr__(self, "_modes", {})
 
     @classmethod

@@ -188,18 +188,16 @@ class LatticeModel:
         return np.nonzero(mask)[0]
 
 
-def build_lattice(layout: TileLayout, tile_mass: float = DEFAULT_TILE_MASS,
-                  tile_inertia=None,
-                  stiffness: LatticeStiffness = LatticeStiffness()) -> LatticeModel:
-    """Assemble mass and stiffness matrices for a tile layout.
+def build_lattice(layout: TileLayout, tile_mass: float, tile_inertia,
+                  stiffness: LatticeStiffness) -> LatticeModel:
+    """Assemble mass and stiffness matrices for a tile layout of tiles of
+    one mass and one 3x3 inertia about their centers.
 
     Springs act on the 6-dof relative motion at the midpoint between the
     joined tile centers; ground springs act at the clamp point
     (``CLAMP_POINT``, the layout origin) and attach every tile that
     touches it, in assembly order.
     """
-    if tile_inertia is None:
-        tile_inertia = DEFAULT_TILE_INERTIA
     n = len(layout)
     positions = np.vstack([CLAMP_POINT] +
                           [CLAMP_POINT + layout.center(t) for t in range(1, n + 1)])

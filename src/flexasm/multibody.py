@@ -282,7 +282,7 @@ def apply_frame(sys: StateSpace, channel: str, dcm) -> StateSpace:
 # Rigid n-port models
 # ---------------------------------------------------------------------------
 
-def rigid_nport(body: RigidBodyData, ports: Sequence[str] = ()) -> StateSpace:
+def rigid_nport(body: RigidBodyData, ports: Sequence[str]) -> StateSpace:
     """Stateless model mapping applied wrenches to acceleration twists.
 
     Channels ``W_<port> -> xdd_<port>`` for every named port, then the

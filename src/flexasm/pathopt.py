@@ -29,7 +29,8 @@ cached eigendecompositions.
 
 The planner is built for the cost kinds it will plan.  It prices each
 edge's loops under all of them as soon as it builds them, so one
-eigendecomposition per loop serves every kind, and keeps only the prices.
+eigendecomposition per loop serves every kind, and keeps only the prices,
+under edge ids it numbers itself.
 """
 
 from __future__ import annotations
@@ -232,10 +233,9 @@ class EdgeModelArray:
     of one stack per leg (:func:`~flexasm.scenario.close_loop` of a list),
     each carrying its share of the leg's stacked eigendecomposition.
     ``dock_distance`` records the gripped tile's distance to the hub CoM
-    per waypoint.  The planner's cache key names the edge.
+    per waypoint.  The planner numbers the edge (:class:`EdgePrices`).
     """
 
-    edge_id: int
     systems: list
     dock_distance: np.ndarray
 
@@ -263,7 +263,7 @@ def _leg_systems(models: ScenarioModels, state: AssemblyState, waypoints, K_att)
 
 
 def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
-                     K_att: np.ndarray, edge_id: int) -> EdgeModelArray:
+                     K_att: np.ndarray) -> EdgeModelArray:
     """Build the 2z closed-loop models for one edge.
 
     Walking edges solve the two-arm straddle so the free arm's tip meets
@@ -311,7 +311,7 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
     models.robot_mass_matrices([(state, qs) for state, leg in legs for qs in leg])
     systems = [loop for state, leg in legs
                for loop in _leg_systems(models, state, leg, K_att)]
-    return EdgeModelArray(edge_id, systems, np.asarray(dock))
+    return EdgeModelArray(systems, np.asarray(dock))
 
 
 def _edge_price(values: np.ndarray, spec: CostSpec) -> float:
@@ -365,9 +365,11 @@ def edge_cost(array: EdgeModelArray, spec: CostSpec):
 class EdgePrices(NamedTuple):
     """What the planner keeps of one built edge.
 
-    ``values[k, c]`` is the metric of the edge's k-th closed loop (in
-    :class:`EdgeModelArray` order) under the planner's c-th cost kind;
-    ``dock_distance`` is per loop, as in :class:`EdgeModelArray`.
+    ``edge_id`` is the planner's running number of its edges, unreachable
+    ones included.  ``values[k, c]`` is the metric of the edge's k-th
+    closed loop (in :class:`EdgeModelArray` order) under the planner's
+    c-th cost kind; ``dock_distance`` is per loop, as in
+    :class:`EdgeModelArray`.
     """
 
     edge_id: int
@@ -493,14 +495,13 @@ class AssemblyPlanner:
         key = (kind, n, src, dst)
         if key not in self._edges:
             try:
-                arr = grid_edge_models(self.models, kind, n, src, dst, self.K_att,
-                                       edge_id=self._next_edge_id)
+                arr = grid_edge_models(self.models, kind, n, src, dst, self.K_att)
             except IkNotConverged:
                 self._edges[key] = None
             else:
                 values = np.stack([edge_cost(arr, spec)[1] for spec in self._specs],
                                   axis=1)
-                self._edges[key] = EdgePrices(arr.edge_id, arr.dock_distance, values)
+                self._edges[key] = EdgePrices(self._next_edge_id, arr.dock_distance, values)
             self._next_edge_id += 1
         return self._edges[key]
 

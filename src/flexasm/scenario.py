@@ -7,12 +7,14 @@ robot gripping a docking tile -- optionally carrying one tile -- with the
 hub translation pinned at G, as translational control is out of the
 loop.  The robot walks with arms 1 and 2; arm 3 only handles tiles.
 
-All wired port signals are expressed in the hub frame.  The plant is
-evaluated only at trajectory waypoints, where every joint is locked, so
-the robot -- three arms, its central hub and the carried tile -- is one
-rigid body standing on the structure's docking port: a static gain
-``W_C = -M_C(q) xdd_C``.  The robot hub and the hanging arms sit at fixed
-places in the gripping arm's link 5: one mount table places them for
+All wired port signals are expressed in the hub frame.  The array's
+mounting ``ARRAY_DCM`` and the tile stack's offset ``STACK_OFFSET`` from
+the hub port P3 are published constants, not scenario settings.  The
+plant is evaluated only at trajectory waypoints, where every joint is
+locked, so the robot -- three arms, its central hub and the carried tile
+-- is one rigid body standing on the structure's docking port: a static
+gain ``W_C = -M_C(q) xdd_C``.  The robot hub and the hanging arms sit at
+fixed places in the gripping arm's link 5: one mount table places them for
 ``M_C``, the walking IK and its reach bound.  ``M_C`` is weighed for a
 list of waypoints at once (an edge's 2z): the links of all three arms of
 every waypoint posed from J0 in one :func:`flexasm.robot.link_poses`
@@ -176,14 +178,12 @@ class ScenarioConfig:
 
     hub: RigidBodyData
     array: ModalBodyData
-    array_dcm: np.ndarray
     tile: RigidBodyData
     n_tiles: int
     layout: TileLayout
     arm_geometry: ArmGeometry
     robot_hub: RigidBodyData
     arm_mount_dcms: dict
-    stack_offset: np.ndarray
     xi_att: float = 1.0
     f_att_hz: float = 0.01
     r_omega: float = 0.2
@@ -234,7 +234,6 @@ class ScenarioConfig:
                                   f"rotation within {DCM_TOL}")
         object.__setattr__(self, "arm_mount_dcms",
                            {k: nearest_dcm(v) for k, v in self.arm_mount_dcms.items()})
-        object.__setattr__(self, "array_dcm", nearest_dcm(self.array_dcm))
 
     # -- geometry helpers (hub frame, G at the origin) ----------------------
 
@@ -242,7 +241,7 @@ class ScenarioConfig:
         return self.hub.offset("P2") + self.layout.center(j)
 
     def stack_center(self) -> np.ndarray:
-        return self.hub.offset("P3") + self.stack_offset
+        return self.hub.offset("P3") + STACK_OFFSET
 
 
 def table_scenario(n_tiles: int = 4, layout: Optional[TileLayout] = None,
@@ -265,11 +264,11 @@ def table_scenario(n_tiles: int = 4, layout: Optional[TileLayout] = None,
                               {f"A{k}": ARM_MOUNTS[k] for k in (1, 2, 3)},
                               name="robot_hub")
     cfg = ScenarioConfig(
-        hub=hub, array=array, array_dcm=ARRAY_DCM, tile=tile,
+        hub=hub, array=array, tile=tile,
         n_tiles=n_tiles,   # checked before the layout: no default for n < 1
         layout=layout if layout is not None else default_layout(max(n_tiles, 1)),
         arm_geometry=default_arm_geometry(), robot_hub=robot_hub,
-        arm_mount_dcms=dict(ARM_MOUNT_DCMS), stack_offset=STACK_OFFSET)
+        arm_mount_dcms=dict(ARM_MOUNT_DCMS))
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -380,9 +379,9 @@ class ScenarioModels:
 
         count = max(cfg.n_tiles - n - delta, 0)
         stk = titop_one_port(ModalBodyData(
-            mass=count * cfg.tile.mass, com=cfg.stack_offset,
+            mass=count * cfg.tile.mass, com=STACK_OFFSET,
             inertia_P=transport_inertia(count * np.asarray(cfg.tile.inertia_G),
-                                        count * cfg.tile.mass, cfg.stack_offset),
+                                        count * cfg.tile.mass, STACK_OFFSET),
             freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="stack"))
 
         fn = titop_two_port(self.structure_data(n, j))
@@ -412,8 +411,8 @@ class ScenarioModels:
         hub = split_channel(hub, "xdd_G", [("a_G", 3), ("omega_dot_G", 3)])
 
         arr = mode_freq_lfr(cfg.array, cfg.uncertain_mode, cfg.r_omega)
-        arr = apply_frame(arr, "xdd_P", cfg.array_dcm)
-        arr = apply_frame(arr, "W_P", cfg.array_dcm)
+        arr = apply_frame(arr, "xdd_P", ARRAY_DCM)
+        arr = apply_frame(arr, "W_P", ARRAY_DCM)
         return hub, arr
 
     def robot_mass_matrices(self, waypoints) -> list:
@@ -521,8 +520,8 @@ class ScenarioModels:
         for (state, _), key in zip(waypoints, keys):
             parts = [
                 (cfg.hub.mass, np.zeros(3), cfg.hub.inertia_G, None),
-                (cfg.array.mass, cfg.hub.offset("P1") + cfg.array_dcm @ cfg.array.com,
-                 array_J_com, cfg.array_dcm),
+                (cfg.array.mass, cfg.hub.offset("P1") + ARRAY_DCM @ cfg.array.com,
+                 array_J_com, ARRAY_DCM),
             ]
             count = max(cfg.n_tiles - state.n - state.delta, 0)
             if count > 0:

@@ -61,7 +61,7 @@ def test_tau_transports_wrenches():
 # ---------------------------------------------------------------------------
 
 def test_rigid_nport_tile_translation():
-    sys = mb.rigid_nport(td.tile_body(), ports=())
+    sys = mb.rigid_nport(td.tile_body(), [])
     acc = sys.D @ np.array([1.0, 0, 0, 0, 0, 0])
     assert acc[0] == pytest.approx(1.0 / 6.0423, rel=1e-12)
     assert acc[0] == pytest.approx(0.16550, abs=5e-6)
@@ -69,7 +69,7 @@ def test_rigid_nport_tile_translation():
 
 def test_rigid_nport_diagonal_inertia_torque():
     body = mb.RigidBodyData(1.0, np.diag([1.0, 1.5, 2.0]), {})
-    sys = mb.rigid_nport(body)
+    sys = mb.rigid_nport(body, [])
     acc = sys.D @ np.array([0, 0, 0, 0, 0, 1.0])
     assert acc[5] == pytest.approx(0.5)
 

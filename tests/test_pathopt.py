@@ -157,7 +157,7 @@ def same_system(a, b) -> bool:
 
 
 def edge_models(planner, kind, n, src, dst):
-    return po.grid_edge_models(planner.models, kind, n, src, dst, planner.K_att, 0)
+    return po.grid_edge_models(planner.models, kind, n, src, dst, planner.K_att)
 
 
 def assert_legs_run_home(planner, arr, pre, post):
@@ -187,7 +187,7 @@ def test_identical_systems_cost_is_multiple(planner):
     arr = edge_models(planner, "pickup", 1, (1, 1), "stack")
     sys0 = arr.systems[0]
     z = planner.cfg.z_grid
-    clone = po.EdgeModelArray(0, [sys0] * (2 * z), np.zeros(2 * z))
+    clone = po.EdgeModelArray([sys0] * (2 * z), np.zeros(2 * z))
     spec = po.CostSpec("hinf-wrench")
     cost, values = po.edge_cost(clone, spec)
     assert np.allclose(values, values[0])
@@ -215,21 +215,21 @@ def test_edge_weighs_its_mass_matrix_misses_in_one_link_poses_call(cfg, planner,
     monkeypatch.setattr(sc, "link_poses",
                         lambda geom, q: calls.append(np.shape(q)) or link_poses(geom, q))
     for kind, src, dst in edges:
-        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att, 0)
+        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
         models._masses.clear()
         calls.clear()
-        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att, 0)
+        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
         assert calls == [(3 * len(models._masses), 5)], (kind, src, dst)
         assert len(models._masses) == 2 * cfg.z_grid
         calls.clear()
-        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att, 0)
+        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
         assert calls == []
 
 
 def test_walk_edge_requires_arm_swap(planner):
     with pytest.raises(StateInvalid):
         po.grid_edge_models(planner.models, "pickup", 2, (1, 1), (2, 1),
-                            planner.K_att, 0)
+                            planner.K_att)
 
 
 @pytest.fixture(scope="module")
@@ -400,7 +400,7 @@ def test_leg_stacks_equal_loops_built_and_priced_alone(make, monkeypatch):
                 waypoints.clear()
                 try:
                     arr = po.grid_edge_models(models, graph.kind, n, graph.nodes[i],
-                                              graph.nodes[k], K, 0)
+                                              graph.nodes[k], K)
                 except IkNotConverged:
                     continue
                 assert len(waypoints) == len(arr.systems) == 2 * cfg.z_grid
@@ -432,7 +432,7 @@ def stable_system(rng, A, feedthrough=0.0):
     """A one-input, one-output system of ``A`` with random B and C."""
     n = A.shape[0]
     return StateSpace(A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)),
-                      [[feedthrough]])
+                      [[feedthrough]], (("u", 1),), (("y", 1),))
 
 
 def complex_poles(rng, n):
@@ -448,7 +448,8 @@ def complex_poles(rng, n):
 
 def copies(systems):
     """Fresh systems with the same matrices and empty caches."""
-    return [StateSpace(s.A, s.B, s.C, s.D) for s in systems]
+    return [StateSpace(s.A, s.B, s.C, s.D, s.in_channels, s.out_channels)
+            for s in systems]
 
 
 def test_defective_loop_of_a_leg_takes_the_kronecker_solve_alone(monkeypatch):

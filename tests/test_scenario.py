@@ -48,6 +48,20 @@ def test_enumerate_model_family_counts():
     assert all(s.j <= s.n for s in fam)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("array_dcm", np.diag([2.0, 0.5, 3.0])),    # no rotation at all
+    ("array_dcm", np.diag([1.0, 1.0, -1.0])),   # a reflection
+    ("stack_offset", np.zeros(3)),
+], ids=["array_dcm-scaled", "array_dcm-reflection", "stack_offset"])
+def test_array_mounting_and_stack_offset_are_not_settable(name, value):
+    # both are published constants: a configuration cannot carry a
+    # mounting that would be snapped to some rotation nobody asked for
+    with pytest.raises(TypeError, match=name):
+        replace(sc.table_scenario(2), **{name: value})
+    assert np.array_equal(sc.ARRAY_DCM, np.diag([-1.0, -1.0, 1.0]))
+    assert np.array_equal(sc.STACK_OFFSET, [0.5, 0.0, 0.0])
+
+
 def test_assembly_state_invariants():
     with pytest.raises(StateInvalid):
         sc.AssemblyState(2, 3, 1, 0)
@@ -298,7 +312,7 @@ def test_edge_mass_matrices_equal_per_arm_poses_bitwise(which, monkeypatch):
                 src, dst = graph.nodes[i], graph.nodes[k]
                 passes.clear()
                 try:
-                    po.grid_edge_models(models, graph.kind, n, src, dst, K, 0)
+                    po.grid_edge_models(models, graph.kind, n, src, dst, K)
                 except IkNotConverged:
                     continue
                 edge_pass = passes[0]

@@ -165,14 +165,14 @@ def wired_open_loop(models, state, qs, rigid=False, pinned=True):
     else:
         arr = mode_freq_lfr(cfg.array, cfg.uncertain_mode, cfg.r_omega)
         wz = None
-    arr = apply_frame(arr, "xdd_P", cfg.array_dcm)
-    arr = apply_frame(arr, "W_P", cfg.array_dcm)
+    arr = apply_frame(arr, "xdd_P", sc.ARRAY_DCM)
+    arr = apply_frame(arr, "W_P", sc.ARRAY_DCM)
 
     count = max(cfg.n_tiles - state.n - state.delta, 0)
     stk = titop_one_port(ModalBodyData(
-        mass=count * cfg.tile.mass, com=cfg.stack_offset,
+        mass=count * cfg.tile.mass, com=sc.STACK_OFFSET,
         inertia_P=transport_inertia(count * np.asarray(cfg.tile.inertia_G),
-                                    count * cfg.tile.mass, cfg.stack_offset),
+                                    count * cfg.tile.mass, sc.STACK_OFFSET),
         freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="stack"))
 
     sdata = models.structure_data(state.n, state.j)
