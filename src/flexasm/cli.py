@@ -47,6 +47,7 @@ from .modal import (
     LatticeStiffness,
     TileLayout,
     _body_inertia,
+    _count,
     _floats,
     _real,
     load_body_file,
@@ -72,13 +73,6 @@ __all__ = ["main", "load_scenario"]
 # scenario files
 # ---------------------------------------------------------------------------
 
-def _count(value, label):
-    """A YAML integer: ``int()`` would truncate 2.7 to a count nobody wrote."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{label} must be an integer, got {value!r}")
-    return value
-
-
 def _read(doc, block):
     """``{field: value}`` for the keys the scenario block ``block`` names,
     read through its table in ``SCENARIO_BLOCKS``."""
@@ -91,9 +85,12 @@ def _body(value, label):
     given = _read(value, label)
     try:
         J = _body_inertia(given)
-        if not isinstance(given.get("port_offsets", {}), dict):
-            raise SchemaError(f"ports must be a mapping, got {given['port_offsets']!r}")
-        return RigidBodyData(inertia_G=J, name=label.replace(".", "_"), **given)
+        offsets = given.pop("port_offsets", {})
+        if not isinstance(offsets, dict):
+            raise SchemaError(f"ports must be a mapping, got {offsets!r}")
+        offsets = {k: _floats(v, f"{label}.{k}") for k, v in offsets.items()}
+        return RigidBodyData(inertia_G=J, port_offsets=offsets,
+                             name=label.replace(".", "_"), **given)
     except (InvalidModalData, SchemaError) as exc:
         raise SchemaError(f"{label}: {exc}") from exc
 
@@ -146,7 +143,7 @@ SCENARIO_BLOCKS = {
         "link_masses_kg": ("masses", _floats), "link_com_m": ("coms", _floats),
         "joint_offsets_m": ("joint_offsets", _floats), "joint_axes": ("joint_axes", _floats),
         "link_inertia_kgm2": ("inertias", lambda v, label: np.array(
-            [j * np.eye(3) for j in np.asarray(v, dtype=float)]))},
+            [j * np.eye(3) for j in _floats(v, label)]))},
 }
 
 DEFAULT_SEED = 0   # the seed of a scenario file that names none
@@ -161,7 +158,8 @@ def load_scenario(path) -> tuple:
     unit suffix (kg, m, hz, kgm2) raises ``UnitError``; any other unknown
     key, in any block, raises ``SchemaError`` naming the block and the
     key, as do a block that is not a mapping, a count that is not a YAML
-    integer (``int()`` would truncate it) and any value a constructor
+    integer (``int()`` would truncate it), a boolean where a real number
+    belongs (``float()`` would read it as 1) and any value a constructor
     rejects.  The body file ``solar_array_file`` names is read under the
     same rules by :func:`~flexasm.modal.load_body_file`; a relative name is
     looked up next to the scenario, then in the packaged data, and found in

@@ -5,6 +5,8 @@ Every input file, scenario or body, is read by :func:`load_yaml` and its
 blocks by :func:`read_block` through a table of the keys they may hold
 (``BODY_FILE_KEYS`` here, ``cli.SCENARIO_BLOCKS`` for scenarios), so an
 unknown key and a key without its unit suffix are refused by one rule.
+Counts and mode rows are read by one integer rule (:func:`_count`), and
+no real value may be a boolean.
 
 The lattice generator stands in for a plate finite-element model: one
 6-dof lumped mass per tile center, 6-dof springs between side-adjacent
@@ -169,16 +171,16 @@ class LatticeStiffness:
 class LatticeModel:
     """Assembled lumped-parameter model.
 
-    Node 0 is the massless clamp node at the attachment point; its six
-    dofs are the ``clamped_dofs``.  M is positive definite on the free
-    dofs, K on the free dofs once the clamp springs are in.
+    Numbered by construction: node 0 is the massless clamp node at the
+    attachment point, its six dofs the ``clamped_dofs``, and tile t
+    (1-based) is node t.  M is positive definite on the free dofs, K on
+    the free dofs once the clamp springs are in.
     """
 
     node_positions: np.ndarray          # (n_nodes, 3)
     M: np.ndarray
     K: np.ndarray
     clamped_dofs: tuple
-    tile_map: dict                      # tile id (1-based) -> node index
 
     @property
     def free_dofs(self) -> np.ndarray:
@@ -235,8 +237,7 @@ def build_lattice(layout: TileLayout, tile_mass: float, tile_inertia,
             B[:, 0:6] = -np.eye(6)
             K += B.T @ stiffness.element() @ B
 
-    return LatticeModel(positions, M, K, tuple(range(6)),
-                        {t: t for t in range(1, n + 1)})
+    return LatticeModel(positions, M, K, tuple(range(6)))
 
 
 def clamped_free_modes(model: LatticeModel, n_modes: int):
@@ -270,27 +271,23 @@ def clamped_free_modes(model: LatticeModel, n_modes: int):
 
 
 def _rigid_transport(model: LatticeModel, point) -> np.ndarray:
-    """Free-dof displacements from a unit rigid twist at ``point``."""
-    free = model.free_dofs
-    T = np.zeros((free.size, 6))
-    for row, dof in enumerate(free):
-        node = dof // 6
-        comp = dof % 6
-        T[row, :] = tau_kinematic(point - model.node_positions[node])[comp, :]
-    return T
+    """Free-dof displacements from a unit rigid twist at ``point``: one
+    transport per node, its free rows kept."""
+    T = np.vstack([tau_kinematic(point - x) for x in model.node_positions])
+    return T[model.free_dofs]
 
 
 def modal_reduce(model: LatticeModel, output_tile: int, n_modes: int,
                  xi: float) -> ModalBodyData:
     """Condense a lattice into port-level modal data.
 
-    The clamp node is the parent port P; ``output_tile`` names the tile
-    whose center acts as the child port C (the docking port).  Every mode
-    takes the damping ratio ``xi``.
+    The clamp node is the parent port P; ``output_tile`` names the tile,
+    and so the node, whose center acts as the child port C (the docking
+    port).  Every mode takes the damping ratio ``xi``.
     """
-    if output_tile not in model.tile_map:
-        raise UnknownPoint(f"tile {output_tile} not in the lattice "
-                           f"(tiles {sorted(model.tile_map)})")
+    n_tiles = len(model.node_positions) - 1
+    if not 1 <= output_tile <= n_tiles:
+        raise UnknownPoint(f"tile {output_tile} not in the lattice (tiles 1..{n_tiles})")
     free = model.free_dofs
     Mff = model.M[np.ix_(free, free)]
     P = model.node_positions[0]
@@ -305,16 +302,14 @@ def modal_reduce(model: LatticeModel, output_tile: int, n_modes: int,
     com = np.array([S[2, 1], S[0, 2], S[1, 0]])
     inertia_P = D_P[3:6, 3:6]
 
-    node = model.tile_map[output_tile]
-    rows = [np.where(free == 6 * node + k)[0][0] for k in range(6)]
-    phi_C = phi[rows, :]
-    pc = model.node_positions[node] - P
+    phi_C = phi[free // 6 == output_tile]
+    pc = model.node_positions[output_tile] - P
 
     return ModalBodyData(
         mass=mass, com=com, inertia_P=inertia_P,
         freqs=omegas, dampings=[xi] * len(omegas),
         L_P=L, phi_C=phi_C, pc=pc,
-        name=f"lattice_{len(model.tile_map)}t_port{output_tile}",
+        name=f"lattice_{n_tiles}t_port{output_tile}",
     )
 
 
@@ -325,11 +320,31 @@ def modal_reduce(model: LatticeModel, output_tile: int, n_modes: int,
 UNIT_SUFFIXES = ("kg", "m", "hz", "kgm2")
 
 
+def _count(value, label):
+    """A YAML integer: ``int()`` would truncate 2.7 to a count nobody wrote,
+    and read ``true`` as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
+def _has_bool(value) -> bool:
+    """Whether a YAML boolean sits anywhere in ``value``: ``float(True)``
+    would read it as 1."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_bool, value))
+    return isinstance(value, bool)
+
+
 def _real(value, label):
+    if _has_bool(value):
+        raise ValueError(f"{label} must be a real number, got {value!r}")
     return float(value)
 
 
 def _floats(value, label):
+    if _has_bool(value):
+        raise ValueError(f"{label} must hold real numbers, got {value!r}")
     return np.asarray(value, dtype=float)
 
 
@@ -382,6 +397,8 @@ def read_block(doc, table, block):
 
 def _inertia_from_rows(rows, convention=None) -> np.ndarray:
     """Tensor from upper-triangle rows; ``convention`` is poi, or tensor if None."""
+    if _has_bool(rows):
+        raise SchemaError(f"inertia_kgm2 must hold real numbers, got {rows!r}")
     try:
         (xx, pxy, pxz), (yy, pyz), (zz,) = ([float(v) for v in r] for r in rows)
     except (TypeError, ValueError) as exc:
@@ -412,9 +429,10 @@ def _body_inertia(given) -> np.ndarray:
 BODY_FILE_KEYS = {
     **_BODY_KEYS, "kind": ("kind", None), "name": ("name", None),
     "com_m": ("com", _floats), "inertia_frame": ("frame", None),
-    "freqs_hz": ("freqs_hz", _floats), "dampings": ("dampings", None),
-    "mode_rows": ("mode_rows", None), "participation": ("participation", _floats),
-    "mode_shapes_at_c": ("phi_C", None), "pc_m": ("pc", None)}
+    "freqs_hz": ("freqs_hz", _floats), "dampings": ("dampings", _floats),
+    "mode_rows": ("mode_rows", lambda v, label: [_count(r, f"{label} entry") for r in v]),
+    "participation": ("participation", _floats),
+    "mode_shapes_at_c": ("phi_C", _floats), "pc_m": ("pc", _floats)}
 
 
 def load_body_file(path) -> ModalBodyData:
@@ -422,7 +440,8 @@ def load_body_file(path) -> ModalBodyData:
 
     The participation block may carry more rows than retained modes (as
     published tables do); ``mode_rows`` then selects the rows, 1-based,
-    pairing them with ``freqs_hz`` in order.  Inertia may be given at the
+    pairing them with ``freqs_hz`` in order; each row must be a YAML
+    integer, and no real value may be a boolean.  Inertia may be given at the
     CoM or at the port, products either as a tensor or as positive
     integrals (``inertia_convention: poi``).  An unknown key, a value the
     reader or ``ModalBodyData`` rejects is a ``SchemaError`` naming the
@@ -443,7 +462,7 @@ def load_body_file(path) -> ModalBodyData:
         freqs_hz = given.get("freqs_hz", np.zeros(0))
         L_full = given.get("participation", np.zeros((0, 6)))
         n = freqs_hz.size
-        rows = [int(r) - 1 for r in given.get("mode_rows", range(1, n + 1))]
+        rows = [r - 1 for r in given.get("mode_rows", range(1, n + 1))]
         if len(rows) != n or not all(0 <= r < len(L_full) for r in rows):
             raise SchemaError(f"participation has {len(L_full)} rows for {n} modes: "
                               "mode_rows must select one existing row per mode")

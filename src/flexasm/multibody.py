@@ -1,5 +1,11 @@
-"""Multibody building blocks: kinematic transport, flexible two-ports,
+"""Multibody building blocks: kinematic transport, flexible-body models,
 rigid n-ports, frame rotations, and the modal-frequency uncertainty LFR.
+
+Every flexible-body model is one block, the clamped-free body at its
+port P (``xdd_P -> W_P``): :func:`titop_one_port` is that block,
+:func:`titop_two_port` extends it with the child port C, and
+:func:`mode_freq_lfr` perturbs one of its mode frequencies.  The
+frequency LFR models the P port only.
 
 Sign and transport conventions
 ------------------------------
@@ -308,7 +314,7 @@ def rigid_nport(body: RigidBodyData, ports: Sequence[str]) -> StateSpace:
 
 
 # ---------------------------------------------------------------------------
-# Flexible body data and two-port models
+# Flexible body data and port models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -416,45 +422,29 @@ def residual_mass(data: ModalBodyData) -> np.ndarray:
     return d_p_matrix(data) - data.L_P.T @ data.L_P
 
 
-def _titop_matrices(data: ModalBodyData, two_port: bool):
-    n = data.n_modes
+def _mode_rates(data: ModalBodyData) -> tuple:
+    """The modal stiffness and damping diagonals ``(omega^2, 2 xi omega)``."""
     om = data.freqs
-    om2 = om * om
-    two_xi_om = 2.0 * data.dampings * om
+    return om * om, 2.0 * data.dampings * om
+
+
+def _p_port(data: ModalBodyData) -> tuple:
+    """``(A, B, C, D)`` of the clamped-free block at P, ``xdd_P -> W_P``:
+    states ``(eta, eta')``, ``B = -L_P`` on the rates, ``D = -R_P`` and
+    ``C = [L_P^T diag(omega^2), L_P^T diag(2 xi omega)]``."""
+    n, L = data.n_modes, data.L_P
+    rates = _mode_rates(data)
     A = np.zeros((2 * n, 2 * n))
     A[:n, n:] = np.eye(n)
-    A[n:, :n] = -np.diag(om2)
-    A[n:, n:] = -np.diag(two_xi_om)
-
-    L = data.L_P
-    if two_port:
-        phi = data.phi_C
-        tau_cp = tau_kinematic(-data.pc)  # twist at P -> twist at C
-        B = np.zeros((2 * n, 12))
-        B[n:, 0:6] = phi.T
-        B[n:, 6:12] = -L
-        C = np.zeros((12, 2 * n))
-        C[0:6, :n] = -phi @ np.diag(om2)
-        C[0:6, n:] = -phi @ np.diag(two_xi_om)
-        C[6:12, :n] = L.T @ np.diag(om2)
-        C[6:12, n:] = L.T @ np.diag(two_xi_om)
-        D = np.zeros((12, 12))
-        D[0:6, 0:6] = phi @ phi.T
-        D[0:6, 6:12] = tau_cp - phi @ L
-        D[6:12, 0:6] = (tau_cp - phi @ L).T
-        D[6:12, 6:12] = -(d_p_matrix(data) - L.T @ L)
-    else:
-        B = np.zeros((2 * n, 6))
-        B[n:, :] = -L
-        C = np.zeros((6, 2 * n))
-        C[:, :n] = L.T @ np.diag(om2)
-        C[:, n:] = L.T @ np.diag(two_xi_om)
-        D = -(d_p_matrix(data) - L.T @ L)
-    return A, B, C, D
+    A[n:, :] = -np.hstack([np.diag(g) for g in rates])
+    B = np.zeros((2 * n, 6))
+    B[n:, :] = -L
+    C = np.hstack([L.T @ np.diag(g) for g in rates])
+    return A, B, C, -residual_mass(data)
 
 
 def titop_two_port(data: ModalBodyData) -> StateSpace:
-    """Two-port flexible body model.
+    """Two-port flexible body model: the P-port block with the C port added.
 
     Inputs ``(W_C, xdd_P)``: child wrench applied at C and imposed twist
     at P.  Outputs ``(xdd_C, W_P)``: twist at C and the wrench the body
@@ -464,27 +454,33 @@ def titop_two_port(data: ModalBodyData) -> StateSpace:
     """
     if data.phi_C is None:
         raise InvalidModalData(f"{data.name!r}: two-port model needs phi_C and pc")
-    A, B, C, D = _titop_matrices(data, two_port=True)
-    return StateSpace(A, B, C, D,
+    A, B, C, D = _p_port(data)
+    phi = data.phi_C
+    B_C = np.zeros_like(B)
+    B_C[data.n_modes:, :] = phi.T
+    C_C = np.hstack([-phi @ np.diag(g) for g in _mode_rates(data)])
+    D_CP = tau_kinematic(-data.pc) - phi @ data.L_P   # tau: twist at P -> at C
+    return StateSpace(A, np.hstack([B_C, B]), np.vstack([C_C, C]),
+                      np.block([[phi @ phi.T, D_CP], [D_CP.T, D]]),
                       (("W_C", 6), ("xdd_P", 6)),
                       (("xdd_C", 6), ("W_P", 6)))
 
 
 def titop_one_port(data: ModalBodyData) -> StateSpace:
     """Direct dynamic model at P only: ``xdd_P -> W_P`` (end appendage)."""
-    A, B, C, D = _titop_matrices(data, two_port=False)
-    return StateSpace(A, B, C, D, (("xdd_P", 6),), (("W_P", 6),))
+    return StateSpace(*_p_port(data), (("xdd_P", 6),), (("W_P", 6),))
 
 
 def mode_freq_lfr(data: ModalBodyData, mode_index: int, r: float) -> StateSpace:
-    """Body model with one mode frequency pulled out as an uncertainty.
+    """P-port body model with one mode frequency pulled out as an uncertainty.
 
     The returned system carries an extra channel pair ``w_omega``/
     ``z_omega`` of width 2 such that closing ``w = delta * z`` (see
     :func:`flexasm.linss.lft_upper`) reproduces exactly the body whose
     selected mode frequency is ``omega0 * (1 + r * delta)``.  The scalar
     appears twice because the frequency enters both integrator couplings
-    of the mode, which is the minimal repetition count.
+    of the mode, which is the minimal repetition count.  A C port the data
+    may carry is left out, as in :func:`titop_one_port`.
 
     The uncertain mode's states are rescaled to ``(omega0 * eta, eta')``;
     the transfer behavior at ``delta = 0`` is unchanged.
@@ -495,9 +491,7 @@ def mode_freq_lfr(data: ModalBodyData, mode_index: int, r: float) -> StateSpace:
     if not 0.0 < r < 1.0:
         raise InvalidMode(f"relative bound r={r} must lie in (0, 1)")
 
-    two_port = data.phi_C is not None
-    A, B, C, D = _titop_matrices(data, two_port=two_port)
-    A = np.array(A)
+    A, B, C, D = _p_port(data)
     n = data.n_modes
     om0 = float(data.freqs[j])
     xi = float(data.dampings[j])
@@ -505,6 +499,7 @@ def mode_freq_lfr(data: ModalBodyData, mode_index: int, r: float) -> StateSpace:
 
     A[j, n + j] = om0
     A[n + j, j] = -om0
+    C[:, j] = L_j * om0
 
     nw = 2
     B_w = np.zeros((2 * n, nw))
@@ -514,30 +509,7 @@ def mode_freq_lfr(data: ModalBodyData, mode_index: int, r: float) -> StateSpace:
     C_z = np.zeros((nw, 2 * n))
     C_z[0, j] = om0 * r
     C_z[1, n + j] = om0 * r
-
-    C = np.array(C)
-    if two_port:
-        phi_j = data.phi_C[:, j]
-        C[0:6, j] = -phi_j * om0
-        C[6:12, j] = L_j * om0
-        D_w = np.zeros((12, nw))
-        D_w[0:6, 0] = -phi_j
-        D_w[0:6, 1] = -2.0 * xi * phi_j
-        D_w[6:12, 0] = L_j
-        D_w[6:12, 1] = 2.0 * xi * L_j
-        ins = (("W_C", 6), ("xdd_P", 6), ("w_omega", nw))
-        outs = (("xdd_C", 6), ("W_P", 6), ("z_omega", nw))
-    else:
-        C[:, j] = L_j * om0
-        D_w = np.zeros((6, nw))
-        D_w[:, 0] = L_j
-        D_w[:, 1] = 2.0 * xi * L_j
-        ins = (("xdd_P", 6), ("w_omega", nw))
-        outs = (("W_P", 6), ("z_omega", nw))
-
-    B_full = np.hstack([B, B_w])
-    C_full = np.vstack([C, C_z])
-    D_full = np.zeros((C_full.shape[0], B_full.shape[1]))
-    D_full[: D.shape[0], : D.shape[1]] = D
-    D_full[: D.shape[0], D.shape[1]:] = D_w
-    return StateSpace(A, B_full, C_full, D_full, ins, outs)
+    D_w = np.column_stack([L_j, 2.0 * xi * L_j])
+    return StateSpace(A, np.hstack([B, B_w]), np.vstack([C, C_z]),
+                      np.block([[D, D_w], [np.zeros((nw, 6 + nw))]]),
+                      (("xdd_P", 6), ("w_omega", nw)), (("W_P", 6), ("z_omega", nw)))

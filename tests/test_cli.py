@@ -428,8 +428,13 @@ def bad_body(**fields):
     ({"dampings": [0.01]}, "dampings must lie in (0, 1), one per mode (1 for 2)"),
     ({"freqs_hz": [1.0, -2.0]}, "mode frequencies must be > 0"),
     ({"participation": [[0.1, 0, 0, 0, 0, 0]]}, "participation has 1 rows for 2 modes"),
+    # int() read [1.5, 2] and [true, 2] as rows 1 and 2, float() true as 1
+    ({"mode_rows": [1.5, 2]}, "mode_rows entry must be an integer, got 1.5"),
+    ({"mode_rows": [True, 2]}, "mode_rows entry must be an integer, got True"),
+    ({"freqs_hz": [True, 2.0]}, "freqs_hz must hold real numbers"),
+    ({"dampings": [0.01, True]}, "dampings must hold real numbers"),
 ], ids=["zero-damping", "damping-above-1", "damping-count", "one-damping", "negative-freq",
-        "mode-count"])
+        "mode-count", "fractional-row", "boolean-row", "boolean-freq", "boolean-damping"])
 @pytest.mark.parametrize("command", [
     ["analyze", "--points", "2"],
     ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "2,2"],
@@ -472,6 +477,29 @@ def test_misspelled_body_file_key_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     text = captured.out if command == ["validate"] else captured.err
     assert "array.yaml: unknown keys ['mode_row'] in the top level" in text
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"controller": {"xi": True}}, "controller.xi must be a real number, got True"),
+    ({"uncertainty": {"r_omega": False}}, "uncertainty.r_omega must be a real number"),
+    ({"tile": {"mass_kg": 6.0, "inertia_kgm2": [[0.6, 0.0, 0.0], [0.6, True], [0.6]]}},
+     "tile: inertia_kgm2 must hold real numbers"),
+    ({"robot": {"arm": {"link_masses_kg": [5, 5, True, 5, 10, 5]}}},
+     "robot.arm.link_masses_kg must hold real numbers"),
+    ({"hub": {**body(166.0), "ports_m": {"P1": [0.0, True, 0.0]}}},
+     "hub.P1 must hold real numbers"),
+], ids=["controller-xi", "uncertainty-r", "tile-inertia", "arm-link-mass", "hub-port"])
+@pytest.mark.parametrize("command", [["full-assembly", "--cost", "h2-theta"],
+                                     ["validate"]], ids=["full-assembly", "validate"])
+def test_boolean_real_value_exits_2(tmp_path, capsys, command, fields, message):
+    # float(True) is 1: controller {xi: true} would plan with xi = 1
+    p = write_scenario(tmp_path, **fields)
+    with pytest.raises(cli.SchemaError, match=re.escape(message)):
+        cli.load_scenario(p)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", *command]) == 2
+    captured = capsys.readouterr()
+    assert message in (captured.out if command == ["validate"] else captured.err)
     assert not (tmp_path / "o").exists()
 
 

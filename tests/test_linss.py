@@ -453,6 +453,32 @@ def test_hinf_uncertified_norm_is_an_eigen_failure(monkeypatch):
         linss.hinf_norm(first_order_lag())
 
 
+def test_hinf_certificate_round_polishes_a_peak_the_seeds_missed(monkeypatch):
+    # decade seeds alone miss the sharp mode at 13 rad/s: the first
+    # Hamiltonian test finds its crossings, one round evaluates them and
+    # their midpoints and polishes the best, and the next test certifies
+    modes = [(2.0, 0.3), (13.0, 1e-3)]     # (omega, xi), unit static gains
+    A, B = np.zeros((4, 4)), np.zeros((4, 1))
+    for k, (w, xi) in enumerate(modes):
+        A[2 * k, 2 * k + 1] = 1.0
+        A[2 * k + 1, 2 * k:2 * k + 2] = -w * w, -2.0 * xi * w
+        B[2 * k + 1, 0] = w * w
+    sys = siso(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
+    monkeypatch.setattr(linss, "_seed_frequencies",
+                        lambda eigs: np.array([1e-6, 1e-3, 1.0, 1e3]))
+    found, crossings = [], linss._hamiltonian_imag_crossings
+    monkeypatch.setattr(linss, "_hamiltonian_imag_crossings",
+                        lambda s, g: found.append(crossings(s, g)) or found[-1])
+    norm = linss.hinf_norm(sys)
+    # one round ran, and after its polish the certificate passes
+    assert [c.size > 0 for c in found] == [True, False]
+    ws = np.linspace(0.99 * 13.0, 1.01 * 13.0, 200_001)
+    peak = np.abs(sum(w * w / (w * w - ws * ws + 2j * xi * w * ws)
+                      for w, xi in modes)).max()
+    assert peak <= norm <= peak * (1.0 + 2.0 * linss.HINF_RTOL)
+    assert norm == pytest.approx(500.0024988, abs=1e-6)
+
+
 def test_hinf_static_gain():
     g = linss.gain([[3.0, 0.0], [0.0, 1.0]], (("u", 2),), (("y", 2),))
     assert linss.hinf_norm(g) == pytest.approx(3.0)

@@ -152,7 +152,7 @@ def test_layout_away_from_clamp_rejected():
 
 def synthetic_model(M, K):
     n = M.shape[0]
-    return modal.LatticeModel(np.zeros((n, 3)), M, K, (), {})
+    return modal.LatticeModel(np.zeros((n, 3)), M, K, ())
 
 
 def test_modes_two_mass_chain_analytic():
@@ -356,6 +356,27 @@ def test_load_f1_and_f26_fixtures():
     assert np.allclose(f26.L_P, td.F26_L)
     ev = np.linalg.eigvalsh(mb.residual_mass(f26))
     assert ev.min() > -1e-10 * max(1.0, ev.max())
+
+
+@pytest.mark.parametrize("name", ["solar_array.yaml", "structure_f1.yaml",
+                                  "structure_f26.yaml"])
+def test_packaged_body_files_load_the_numbers_they_write(name):
+    # the readers pass every real value through with its bits: no reader
+    # rounds, and the boolean and integer checks change no number
+    path = flexasm.data_path(name)
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    data = modal.load_body_file(path)
+    rows = [r - 1 for r in doc.get("mode_rows", range(1, len(doc["freqs_hz"]) + 1))]
+    want = {"freqs": 2.0 * np.pi * np.array(doc["freqs_hz"]),
+            "dampings": np.array(doc["dampings"]),
+            "L_P": np.array(doc["participation"])[rows],
+            "phi_C": np.array(doc.get("mode_shapes_at_c", [])),
+            "pc": np.array(doc.get("pc_m", []))}
+    for field, value in want.items():
+        got = getattr(data, field)
+        got = np.zeros(0) if got is None else got
+        assert got.dtype == np.float64 and got.tobytes() == value.tobytes(), field
+    assert data.mass == doc["mass_kg"]
 
 
 def test_body_file_zero_damping_rejected(tmp_path):

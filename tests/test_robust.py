@@ -473,6 +473,30 @@ def test_fallback_runs_the_scan(monkeypatch, make):
     assert ref[1] is not None and len(scans) == 1
 
 
+def test_certificate_catches_a_crossing_missed_on_the_other_sign(monkeypatch):
+    # A + delta B_w C_z = diag(delta - 1, -2 - delta) crosses at +1 and -2;
+    # with the + candidates dropped only -2 is refined, and the probe of
+    # + at the hit scan point finds the loop already unstable there
+    sys = wz_system(np.diag([-1.0, -2.0]), np.eye(2), np.diag([1.0, -1.0]),
+                    np.zeros((2, 2)))
+    crossings, certified = robust._crossings, robust._certified_crossing
+
+    def minus_only(*args):
+        deltas = crossings(*args)
+        return deltas[deltas < 0.0]
+
+    monkeypatch.setattr(robust, "_crossings", minus_only)
+    verdicts = []
+    monkeypatch.setattr(robust, "_certified_crossing",
+                        lambda *args: verdicts.append(certified(*args)) or verdicts[-1])
+    scans = count_scans(monkeypatch)
+    res = robust.mu_real_repeated(sys, delta_max=20.0)
+    assert verdicts == [(False, None)] and len(scans) == 1
+    ref = robust._scan_crossing(sys, 20.0)
+    assert res.delta_crit == ref and res.mu_lower == 1.0 / abs(ref)
+    assert ref == pytest.approx(1.0, rel=1e-8)
+
+
 @pytest.mark.parametrize("patch", [
     pytest.param(("_threshold", lambda real: lambda sys, sign, c: 0.999 * real(sys, sign, c)),
                  id="early-threshold"),

@@ -351,6 +351,22 @@ def test_cached_plant_matches_wired_oracle(pinned):
     assert deltas == {0, 1}
 
 
+def test_a_c_port_on_the_array_leaves_the_plant_unchanged():
+    # the array is wired at its port P only, and its frequency LFR models
+    # P only: mode shapes at a C port the data carries reach no plant
+    cfg = sc.table_scenario(3)
+    arr = cfg.array
+    ported = replace(cfg, array=replace(
+        arr, phi_C=np.linspace(-2.0, 2.0, 6 * arr.n_modes).reshape(6, arr.n_modes),
+        pc=np.array([0.3, 2.2, 0.1])))
+    models, with_c = sc.ScenarioModels(cfg), sc.ScenarioModels(ported)
+    rng = make_rng(5)
+    for st in [sc.AssemblyState(2, 1, 1, 0), sc.AssemblyState(1, 1, 2, 1),
+               sc.AssemblyState(3, 2, 2, 0), sc.AssemblyState(3, 3, 1, 1)]:
+        qs = [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
+        assert_same_system(with_c.open_loop(st, qs), models.open_loop(st, qs))
+
+
 def test_port_plant_cache_keys(cfg, monkeypatch):
     # only (n, j, delta) select a plant: the gripping arm
     # and the joints reach the model through M_C alone
