@@ -158,12 +158,13 @@ def load_scenario(path) -> tuple:
     unit suffix (kg, m, hz, kgm2) raises ``UnitError``; any other unknown
     key, in any block, raises ``SchemaError`` naming the block and the
     key, as do a block that is not a mapping, a count that is not a YAML
-    integer (``int()`` would truncate it), a boolean where a real number
-    belongs (``float()`` would read it as 1) and any value a constructor
-    rejects.  The body file ``solar_array_file`` names is read under the
-    same rules by :func:`~flexasm.modal.load_body_file`; a relative name is
-    looked up next to the scenario, then in the packaged data, and found in
-    neither it raises ``ParseError`` naming it as written and both places.
+    integer (``int()`` would truncate it), a boolean or a quoted string
+    where a real number belongs (``float()`` would read ``true`` as 1 and
+    ``"0.5"`` as 0.5) and any value a constructor rejects.  The body file
+    ``solar_array_file`` names is read under the same rules by
+    :func:`~flexasm.modal.load_body_file`; a relative name is looked up
+    next to the scenario, then in the packaged data, and found in neither
+    it raises ``ParseError`` naming it as written and both places.
     """
     path = Path(path)
     doc = load_yaml(path)

@@ -65,7 +65,7 @@ class SingularInertia(FlexasmError):
 
 
 class AlphaOutOfRange(FlexasmError):
-    """Rotation angle exceeds the tan(alpha/4) parameterization range."""
+    """Rotation angle is not finite or exceeds 2*pi in magnitude."""
 
 
 class LayoutError(FlexasmError):

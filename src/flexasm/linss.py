@@ -25,11 +25,12 @@ Conventions
 * The public constructor ``StateSpace(...)`` copies and checks its
   matrices and channels.  The results of :meth:`StateSpace.subsystem`
   (and ``_subsystems``, its form for a list of systems),
-  :class:`StaticClosure` and ``scenario.close_loop`` are built from
-  already-checked systems through the private ``StateSpace._unchecked``,
-  which only marks the arrays read only: the loops the planner prices run
-  no validating constructor.  ``scenario.close_loop`` builds a list of
-  loops as views of one ``(k, n, n)`` stack.
+  :class:`StaticClosure` (and so :func:`lft_upper`) and
+  ``scenario.close_loop`` are built from already-checked systems through
+  the private ``StateSpace._unchecked``, which only marks the arrays read
+  only: the loops the planner prices run no validating constructor.
+  ``scenario.close_loop`` builds a list of loops as views of one ``(k, n,
+  n)`` stack.
 * Stacks: ``_prime_modes`` fills the eigendecomposition caches of a list
   of systems from one stacked ``np.linalg.eig`` and one stacked ``inv``,
   and :func:`h2_norm` prices a list of systems in one pass.  Each result
@@ -533,21 +534,6 @@ def invert_channels(sys: StateSpace, in_names, out_names) -> StateSpace:
     return StateSpace(A_n, B_n, C_n, D_n, new_in, new_out)
 
 
-def lft_upper(plant: StateSpace, delta: float) -> StateSpace:
-    """Upper LFT with a repeated real scalar: close ``w = delta * z`` on
-    the uncertainty pair ``W_CHANNEL``/``Z_CHANNEL``."""
-    w = plant.in_width(W_CHANNEL)
-    if plant.out_width(Z_CHANNEL) != w:
-        raise WidthMismatch(f"{W_CHANNEL}/{Z_CHANNEL} widths differ")
-    blk = gain(float(delta) * np.eye(w), (("z", w),), (("w", w),))
-    ext_in = [(c, f"p.{c}") for c, _ in plant.in_channels if c != W_CHANNEL]
-    ext_out = [(c, f"p.{c}") for c, _ in plant.out_channels if c != Z_CHANNEL]
-    return interconnect(
-        [("p", plant), ("d", blk)],
-        [(f"p.{Z_CHANNEL}", "d.z"), ("d.w", f"p.{W_CHANNEL}")],
-        ext_in, ext_out)
-
-
 def _rcond(loop: np.ndarray) -> float:
     """``1 / cond_1(loop)`` with the arithmetic of ``np.linalg.cond(loop,
     1)``, and its bits: one inverse and two 1-norms.  A loop whose inverse
@@ -620,6 +606,15 @@ class StaticClosure:
                                      bottom[:, n:], self._ins, self._outs)
 
 
+def lft_upper(plant: StateSpace, delta: float) -> StateSpace:
+    """Upper LFT with a repeated real scalar: close ``w = delta * z`` on
+    the uncertainty pair ``W_CHANNEL``/``Z_CHANNEL``, through the plant's
+    :class:`StaticClosure` (a pair of unequal widths raises
+    :class:`WidthMismatch`, an ill-posed loop :class:`IllPosedLoop`)."""
+    w = plant.in_width(W_CHANNEL)
+    return StaticClosure(plant, W_CHANNEL, Z_CHANNEL)(float(delta) * np.eye(w))
+
+
 # ---------------------------------------------------------------------------
 # Frequency response and stability
 # ---------------------------------------------------------------------------
@@ -666,8 +661,8 @@ def sigma_max(sys: StateSpace, w: float) -> float:
 
 
 # Complex bytes of the stacked (jw I - A) matrices in one batched solve.
-# Larger chunks run no faster on the mission loops and raise the
-# planner's peak memory.
+# The planner prices through ``_transfer_kernel``; this chunk only bounds
+# the memory of long sweeps such as ``analyze --points``.
 _BATCH_BYTES = 1 << 16
 
 
@@ -945,11 +940,10 @@ def _screened_sigma_max(G: np.ndarray) -> np.ndarray:
     bound (each with ``_SCREEN_SLACK`` relative slack) is beaten by three
     points, so it is not among the three best; ``_gram_sigma_max`` runs
     only at the other points and at their grid neighbours.  ``G`` is not
-    empty (``r >= 1``); with at most three points every point is taken.
+    empty (``r >= 1``) and holds at least the four decade points of
+    ``_seed_frequencies``.
     """
     r = min(G.shape[1:])
-    if G.shape[0] <= 3:
-        return _gram_sigma_max(G)
     f2 = np.square(G.view(np.float64)).sum(axis=(1, 2))
     third = np.partition(f2, -3)[-3] / r
     keep = f2 * (1.0 + _SCREEN_SLACK) >= third * (1.0 - _SCREEN_SLACK)

@@ -6,7 +6,7 @@ blocks by :func:`read_block` through a table of the keys they may hold
 (``BODY_FILE_KEYS`` here, ``cli.SCENARIO_BLOCKS`` for scenarios), so an
 unknown key and a key without its unit suffix are refused by one rule.
 Counts and mode rows are read by one integer rule (:func:`_count`), and
-no real value may be a boolean.
+no real value may be a boolean or a quoted string.
 
 The lattice generator stands in for a plate finite-element model: one
 6-dof lumped mass per tile center, 6-dof springs between side-adjacent
@@ -328,22 +328,22 @@ def _count(value, label):
     return value
 
 
-def _has_bool(value) -> bool:
-    """Whether a YAML boolean sits anywhere in ``value``: ``float(True)``
-    would read it as 1."""
+def _has_non_number(value) -> bool:
+    """Whether a YAML boolean or string sits anywhere in ``value``:
+    ``float()`` would read ``true`` as 1 and ``"0.5"`` as 0.5."""
     if isinstance(value, (list, tuple)):
-        return any(map(_has_bool, value))
-    return isinstance(value, bool)
+        return any(map(_has_non_number, value))
+    return isinstance(value, (bool, str, bytes))
 
 
 def _real(value, label):
-    if _has_bool(value):
+    if _has_non_number(value):
         raise ValueError(f"{label} must be a real number, got {value!r}")
     return float(value)
 
 
 def _floats(value, label):
-    if _has_bool(value):
+    if _has_non_number(value):
         raise ValueError(f"{label} must hold real numbers, got {value!r}")
     return np.asarray(value, dtype=float)
 
@@ -397,7 +397,7 @@ def read_block(doc, table, block):
 
 def _inertia_from_rows(rows, convention=None) -> np.ndarray:
     """Tensor from upper-triangle rows; ``convention`` is poi, or tensor if None."""
-    if _has_bool(rows):
+    if _has_non_number(rows):
         raise SchemaError(f"inertia_kgm2 must hold real numbers, got {rows!r}")
     try:
         (xx, pxy, pxz), (yy, pyz), (zz,) = ([float(v) for v in r] for r in rows)
@@ -441,9 +441,10 @@ def load_body_file(path) -> ModalBodyData:
     The participation block may carry more rows than retained modes (as
     published tables do); ``mode_rows`` then selects the rows, 1-based,
     pairing them with ``freqs_hz`` in order; each row must be a YAML
-    integer, and no real value may be a boolean.  Inertia may be given at the
-    CoM or at the port, products either as a tensor or as positive
-    integrals (``inertia_convention: poi``).  An unknown key, a value the
+    integer, no row may repeat, and no real value may be a boolean or a
+    quoted string.  Inertia may be given at the CoM or at the port,
+    products either as a tensor or as positive integrals
+    (``inertia_convention: poi``).  An unknown key, a value the
     reader or ``ModalBodyData`` rejects is a ``SchemaError`` naming the
     file; a known key without its unit suffix is a ``UnitError`` naming it.
     """
@@ -463,9 +464,9 @@ def load_body_file(path) -> ModalBodyData:
         L_full = given.get("participation", np.zeros((0, 6)))
         n = freqs_hz.size
         rows = [r - 1 for r in given.get("mode_rows", range(1, n + 1))]
-        if len(rows) != n or not all(0 <= r < len(L_full) for r in rows):
+        if len(rows) != n or len(set(rows)) != n or not all(0 <= r < len(L_full) for r in rows):
             raise SchemaError(f"participation has {len(L_full)} rows for {n} modes: "
-                              "mode_rows must select one existing row per mode")
+                              "mode_rows must select one existing row per mode, none twice")
         return ModalBodyData(
             mass=mass, com=com, inertia_P=J, freqs=2.0 * np.pi * freqs_hz,
             dampings=given.get("dampings", []), L_P=L_full[rows],

@@ -46,7 +46,7 @@ from .errors import (
     UnknownPort,
     WidthMismatch,
 )
-from .linss import StateSpace
+from .linss import W_CHANNEL, Z_CHANNEL, StateSpace
 
 __all__ = [
     "skew",
@@ -228,13 +228,13 @@ def nearest_dcm(R) -> np.ndarray:
 
 def dcm_about_axis(axis, alpha: float) -> np.ndarray:
     """Rotation by alpha about an axis (axis-angle form), |alpha| <= 2*pi;
-    ``[v]_new = R @ [v]_old``.  A zero or non-finite axis raises
+    ``[v]_new = R @ [v]_old``.  A non-finite alpha or one beyond that
+    range raises ``AlphaOutOfRange``, a zero or non-finite axis
     ``ValueError``."""
     if not math.isfinite(alpha):
         raise AlphaOutOfRange("alpha must be finite")
     if abs(alpha) > 2.0 * math.pi + 1e-12:
-        raise AlphaOutOfRange(
-            f"|alpha| = {abs(alpha):.6f} exceeds 2*pi: tan(alpha/4) leaves [-1, 1]")
+        raise AlphaOutOfRange(f"|alpha| = {abs(alpha):.6f} exceeds 2*pi")
     axis = np.asarray(axis, dtype=float).ravel()
     nrm = np.linalg.norm(axis)
     if not (math.isfinite(nrm) and nrm > 0.0):
@@ -512,4 +512,4 @@ def mode_freq_lfr(data: ModalBodyData, mode_index: int, r: float) -> StateSpace:
     D_w = np.column_stack([L_j, 2.0 * xi * L_j])
     return StateSpace(A, np.hstack([B, B_w]), np.vstack([C, C_z]),
                       np.block([[D, D_w], [np.zeros((nw, 6 + nw))]]),
-                      (("xdd_P", 6), ("w_omega", nw)), (("W_P", 6), ("z_omega", nw)))
+                      (("xdd_P", 6), (W_CHANNEL, nw)), (("W_P", 6), (Z_CHANNEL, nw)))

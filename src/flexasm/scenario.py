@@ -70,7 +70,8 @@ from .errors import (
     StateInvalid,
     WidthMismatch,
 )
-from .linss import StateSpace, StaticClosure, interconnect, split_channel
+from .linss import (W_CHANNEL, Z_CHANNEL, StateSpace, StaticClosure, gain, interconnect,
+                    split_channel)
 from .modal import (
     DEFAULT_DAMPING,
     DEFAULT_TILE_INERTIA,
@@ -91,7 +92,6 @@ from .multibody import (
     nearest_dcm,
     port_mass_matrix,
     rigid_nport,
-    titop_one_port,
     titop_two_port,
     transport_inertia,
 )
@@ -209,15 +209,15 @@ class ScenarioConfig:
         for name, value, ok, want in [
                 ("z_grid", c.z_grid, c.z_grid >= 2, ">= 2 (two waypoints)"),
                 ("r_omega", c.r_omega, 0.0 < c.r_omega < 1.0, "in (0, 1)"),
-                ("controller xi", c.xi_att, c.xi_att > 0.0, "> 0"),
+                ("controller xi", c.xi_att, 0.0 < c.xi_att < np.inf, "finite and > 0"),
                 ("controller freq_hz", c.f_att_hz, 0.0 < c.f_att_hz < np.inf,
                  "finite and > 0"),
                 ("structure n_modes", c.n_struct_modes, c.n_struct_modes >= 0, ">= 0"),
                 ("structure damping", c.xi_struct, 0.0 < c.xi_struct < 1.0, "in (0, 1)"),
                 ("stack_reach", c.stack_reach, c.stack_reach > 0.0, "> 0"),
-                ("k_trans", k.k_trans, k.k_trans > 0.0, "> 0"),
-                ("k_rot", k.k_rot, k.k_rot > 0.0, "> 0"),
-                ("diag_scale", k.diag_scale, k.diag_scale >= 0.0, ">= 0")]:
+                ("k_trans", k.k_trans, 0.0 < k.k_trans < np.inf, "finite and > 0"),
+                ("k_rot", k.k_rot, 0.0 < k.k_rot < np.inf, "finite and > 0"),
+                ("diag_scale", k.diag_scale, 0.0 <= k.diag_scale < np.inf, "finite and >= 0")]:
             if not ok:
                 raise SchemaError(f"{name} = {value} must be {want}")
         if set(self.arm_mount_dcms) != {1, 2, 3}:
@@ -363,9 +363,11 @@ class ScenarioModels:
 
         Hub, array, tile stack and structure ``F_n`` docked at tile ``j``,
         wired once, pinned (:func:`pin_translation`) and cached on
-        ``(n, j, delta)``.  Besides the channels of :meth:`open_loop` it
-        carries the robot port: input ``W_r``, the robot's wrench on the
-        docking port C, and output ``xdd_C``, the acceleration twist of C.
+        ``(n, j, delta)``; the rigid tile stack is the static gain
+        ``W_P = -M_P xdd_P`` of its port mass matrix.  Besides the channels
+        of :meth:`open_loop` it carries the robot port: input ``W_r``, the
+        robot's wrench on the docking port C, and output ``xdd_C``, the
+        acceleration twist of C.
         The gripping arm and the joint angles are not in the key: only the
         robot's mass matrix reads them.  Returns ``(plant, close)``, where
         ``close`` is the plant's :class:`~flexasm.linss.StaticClosure` of
@@ -378,11 +380,9 @@ class ScenarioModels:
         hub, arr = self._fixed_blocks
 
         count = max(cfg.n_tiles - n - delta, 0)
-        stk = titop_one_port(ModalBodyData(
-            mass=count * cfg.tile.mass, com=STACK_OFFSET,
-            inertia_P=transport_inertia(count * np.asarray(cfg.tile.inertia_G),
-                                        count * cfg.tile.mass, STACK_OFFSET),
-            freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="stack"))
+        mass = count * cfg.tile.mass
+        J_P = transport_inertia(count * cfg.tile.inertia_G, mass, STACK_OFFSET)
+        stk = gain(-port_mass_matrix(mass, STACK_OFFSET, J_P), (("xdd_P", 6),), (("W_P", 6),))
 
         fn = titop_two_port(self.structure_data(n, j))
 
@@ -393,9 +393,9 @@ class ScenarioModels:
             ("hub.xdd_P2", "fn.xdd_P"), ("fn.W_P", "hub.W_P2"),
         ]
         ext_in = [("F_G", "hub.F_G"), ("T_G", "hub.T_G"), ("W_ext", "fn.W_C"),
-                  ("w_omega", "arr.w_omega"), ("W_r", "fn.W_C")]
+                  (W_CHANNEL, f"arr.{W_CHANNEL}"), ("W_r", "fn.W_C")]
         ext_out = [("a_G", "hub.a_G"), ("omega_dot_G", "hub.omega_dot_G"),
-                   ("z_omega", "arr.z_omega"), ("xdd_C", "fn.xdd_C")]
+                   (Z_CHANNEL, f"arr.{Z_CHANNEL}"), ("xdd_C", "fn.xdd_C")]
 
         plant = pin_translation(interconnect(blocks, wiring, ext_in, ext_out))
         self._plants[key] = plant, StaticClosure(plant, "W_r", "xdd_C")
@@ -770,16 +770,16 @@ def close_loop(plants, K_att: np.ndarray) -> list:
     B = np.concatenate([P_B, P_D[:, wd], np.zeros((count, 3, m))], axis=1)
     A += B[:, :, T] @ Ku
 
-    ins = [("d_t", "T_G"), ("W_ext", "W_ext"), ("w_omega", "w_omega")]
+    ins = [("d_t", "T_G"), ("W_ext", "W_ext"), (W_CHANNEL, W_CHANNEL)]
     cols, chans = first._index(first.in_channels, [c for _, c in ins])
     k = cols.size
     # the plant's outputs on the closed-loop states and inputs
     C_p = (np.concatenate([P_C, np.zeros((count, first.n_outputs, 6))], axis=2)
            + P_D[:, :, T] @ Ku)
     D_p = P_D[:, :, cols]
-    z = first.out_slice("z_omega")
+    z = first.out_slice(Z_CHANNEL)
     outs = (("omega_dot_G", 3), ("omega_G", 3), ("Theta_G", 3), ("e_t", 3),
-            ("z_omega", z.stop - z.start))
+            (Z_CHANNEL, z.stop - z.start))
     rows = np.vstack([np.eye(6, n + 6, n), Ku])
     C = np.concatenate([C_p[:, wd], np.broadcast_to(rows, (count,) + rows.shape),
                         C_p[:, z]], axis=1)

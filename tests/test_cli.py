@@ -200,13 +200,22 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     {"robot": {"arm": {"joint_offsets_m": [[float("nan"), 0.0, 0.0]] + [[0.0, 0.0, 0.1]] * 5}}},
     {"n_tiles": 0},
     {"n_tiles": -1},
+    # an infinite damping used to fail in the gains, an infinite
+    # stiffness in the lattice's eigensolver
+    {"controller": {"xi": float("inf")}},
+    {"structure": {"k_trans": float("inf")}},
+    {"structure": {"k_trans": 1e5, "k_rot": float("inf")}},
+    {"structure": {"k_trans": 1e5, "diag_scale": float("inf")}},
 ], ids=str)
 def test_bad_scenario_values_exit_2(tmp_path, capsys, fields):
-    # rejected where the scenario is built, before any gain is designed
+    # rejected where the scenario is built, before any gain is designed,
+    # by full-assembly and validate alike
     p = write_scenario(tmp_path, **fields)
     assert exit_code(["--scenario", p, "--out", tmp_path / "o",
                       "full-assembly", "--cost", "h2-theta"]) == 2
     assert "error: " in capsys.readouterr().err
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", "validate"]) == 2
+    assert "FAIL" in capsys.readouterr().out
 
 
 def body(mass_kg):
@@ -433,8 +442,14 @@ def bad_body(**fields):
     ({"mode_rows": [True, 2]}, "mode_rows entry must be an integer, got True"),
     ({"freqs_hz": [True, 2.0]}, "freqs_hz must hold real numbers"),
     ({"dampings": [0.01, True]}, "dampings must hold real numbers"),
+    # float("2.0") is 2.0, and a repeated row prices two modes on one row
+    ({"freqs_hz": [1.0, "2.0"]}, "freqs_hz must hold real numbers, got [1.0, '2.0']"),
+    ({"mass_kg": "10.0"}, "mass_kg must be a real number, got '10.0'"),
+    ({"mode_rows": [1, 1]}, "participation has 2 rows for 2 modes: mode_rows must select "
+                            "one existing row per mode, none twice"),
 ], ids=["zero-damping", "damping-above-1", "damping-count", "one-damping", "negative-freq",
-        "mode-count", "fractional-row", "boolean-row", "boolean-freq", "boolean-damping"])
+        "mode-count", "fractional-row", "boolean-row", "boolean-freq", "boolean-damping",
+        "quoted-freq", "quoted-mass", "repeated-row"])
 @pytest.mark.parametrize("command", [
     ["analyze", "--points", "2"],
     ["optimize", "--cost", "h2-theta", "--from", "1,1", "--to", "2,2"],
@@ -489,11 +504,23 @@ def test_misspelled_body_file_key_exits_2(tmp_path, capsys, command):
      "robot.arm.link_masses_kg must hold real numbers"),
     ({"hub": {**body(166.0), "ports_m": {"P1": [0.0, True, 0.0]}}},
      "hub.P1 must hold real numbers"),
-], ids=["controller-xi", "uncertainty-r", "tile-inertia", "arm-link-mass", "hub-port"])
+    ({"controller": {"xi": "0.5"}}, "controller.xi must be a real number, got '0.5'"),
+    ({"uncertainty": {"r_omega": "nan"}}, "uncertainty.r_omega must be a real number"),
+    ({"tile": {"mass_kg": 6.0, "inertia_kgm2": [[0.6, 0.0, 0.0], [0.6, "0"], [0.6]]}},
+     "tile: inertia_kgm2 must hold real numbers"),
+    ({"robot": {"arm": {"link_masses_kg": [5, 5, "10", 5, 10, 5]}}},
+     "robot.arm.link_masses_kg must hold real numbers"),
+    ({"hub": {**body(166.0), "ports_m": {"P1": [0.0, "1e3", 0.0]}}},
+     "hub.P1 must hold real numbers"),
+], ids=["controller-xi", "uncertainty-r", "tile-inertia", "arm-link-mass", "hub-port",
+        "quoted-controller-xi", "quoted-uncertainty-r", "quoted-tile-inertia",
+        "quoted-arm-link-mass", "quoted-hub-port"])
 @pytest.mark.parametrize("command", [["full-assembly", "--cost", "h2-theta"],
                                      ["validate"]], ids=["full-assembly", "validate"])
 def test_boolean_real_value_exits_2(tmp_path, capsys, command, fields, message):
-    # float(True) is 1: controller {xi: true} would plan with xi = 1
+    # float(True) is 1 and float("0.5") is 0.5: controller {xi: true} would
+    # plan with xi = 1, while the integer rule refuses z_grid: "2"; a quoted
+    # string is no real number either
     p = write_scenario(tmp_path, **fields)
     with pytest.raises(cli.SchemaError, match=re.escape(message)):
         cli.load_scenario(p)

@@ -1,5 +1,8 @@
 """State-space algebra: interconnection, inversion, LFTs, norms."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -18,9 +21,9 @@ from flexasm.errors import (
     WidthMismatch,
 )
 
-from conftest import (count_constructors, make_rng, max_response_deviation,
-                      mission_loops, mission_states, random_stable_system,
-                      state_transform)
+from conftest import (assert_same_system, count_constructors, make_rng,
+                      max_response_deviation, mission_loops, mission_states,
+                      random_stable_system, state_transform)
 from wired import integrator
 
 
@@ -193,6 +196,34 @@ def test_lft_upper_singular_closure():
     plant = linss.gain(D, (("u", 1), ("w_omega", 1)), (("y", 1), ("z_omega", 1)))
     with pytest.raises(IllPosedLoop):
         linss.lft_upper(plant, 1.0)
+
+
+def test_lft_upper_is_a_static_closure(monkeypatch):
+    # no diagram is wired: the pair closes on the plant's matrices, and an
+    # unequal pair is a width mismatch
+    rng = make_rng(6)
+    base = random_stable_system(rng, 4, 3, 3)
+    plant = linss.split_channel(base, "u", [("u", 1), ("w_omega", 2)])
+    for name in ("interconnect", "gain"):
+        monkeypatch.setattr(linss, name, lambda *a, name=name: pytest.fail(name))
+    unequal = linss.split_channel(plant, "y", [("y", 2), ("z_omega", 1)])
+    plant = linss.split_channel(plant, "y", [("y", 1), ("z_omega", 2)])
+    want = linss.StaticClosure(plant, "w_omega", "z_omega")(0.5 * np.eye(2))
+    assert_same_system(linss.lft_upper(plant, 0.5), want)
+    with pytest.raises(WidthMismatch):
+        linss.lft_upper(unequal, 0.5)
+
+
+def test_uncertainty_channels_are_named_once():
+    # the library names the pair through linss.W_CHANNEL / Z_CHANNEL only
+    src = Path(linss.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in ("w_omega", "z_omega"):
+                found.append((path.name, node.lineno))
+    assert [name for name, _ in found] == ["linss.py", "linss.py"]
+    assert (linss.W_CHANNEL, linss.Z_CHANNEL) == ("w_omega", "z_omega")
 
 
 def test_static_closure_matches_interconnect():
@@ -482,6 +513,21 @@ def test_hinf_certificate_round_polishes_a_peak_the_seeds_missed(monkeypatch):
 def test_hinf_static_gain():
     g = linss.gain([[3.0, 0.0], [0.0, 1.0]], (("u", 2),), (("y", 2),))
     assert linss.hinf_norm(g) == pytest.approx(3.0)
+
+
+def test_hinf_of_a_stable_system_with_no_gain_is_zero():
+    # C = 0 and D = 0: every gain of the seed grid is 0
+    A = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    sys = linss.StateSpace(A, np.ones((2, 2)), np.zeros((3, 2)), np.zeros((3, 2)),
+                           (("u", 2),), (("y", 3),))
+    assert linss.hinf_norm(sys) == 0.0
+
+
+def test_seed_frequencies_of_no_poles_are_the_four_decades():
+    # every seed grid holds these four points, so the seed screen of
+    # hinf_norm always sees at least four
+    ws = linss._seed_frequencies(np.empty(0, dtype=complex))
+    assert ws.tolist() == [1e-6, 1e-3, 1.0, 1e3]
 
 
 def test_hinf_dominates_grid_and_matches_peak():
@@ -1123,6 +1169,12 @@ def test_h2_homogeneity():
     scaled = linss.StateSpace(sys.A, sys.B, k * sys.C, sys.D,
                               sys.in_channels, sys.out_channels)
     assert linss.h2_norm([scaled])[0] == pytest.approx(k * linss.h2_norm([sys])[0], rel=1e-12)
+
+
+def test_h2_of_zero_state_gains_is_zero():
+    gains = [linss.gain(np.zeros((2, 3)), (("u", 3),), (("y", 2),)) for _ in range(3)]
+    norms = linss.h2_norm(gains)
+    assert norms.shape == (3,) and not norms.any()
 
 
 def test_h2_feedthrough_rejected():

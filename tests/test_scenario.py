@@ -14,15 +14,15 @@ from flexasm import scenario as sc
 from flexasm.cli import load_scenario
 from flexasm.errors import (IkNotConverged, IkUnreachable, MissingStructureData,
                             StateInvalid, WidthMismatch)
-from flexasm.multibody import (apply_frame, compose_rigid, dcm_about_axis,
-                               port_mass_matrix, rigid_mass_matrix,
+from flexasm.multibody import (ModalBodyData, apply_frame, compose_rigid,
+                               dcm_about_axis, port_mass_matrix, rigid_mass_matrix,
                                transport_inertia)
 from flexasm.robot import default_arm_geometry, link_poses, rebase_j6
 
 from conftest import (assert_same_system, count_constructors, make_rng,
                       mission_states)
 from wired import (arm_two_port, rigid_nport_inverted, wired_close_loop,
-                   wired_open_loop)
+                   wired_lft_upper, wired_open_loop, wired_stack_block)
 
 HOME = (sc.HOME_JOINTS,) * 3
 
@@ -365,6 +365,55 @@ def test_a_c_port_on_the_array_leaves_the_plant_unchanged():
                sc.AssemblyState(3, 2, 2, 0), sc.AssemblyState(3, 3, 1, 1)]:
         qs = [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
         assert_same_system(with_c.open_loop(st, qs), models.open_loop(st, qs))
+
+
+@pytest.mark.parametrize("which", ["table", "desk"])
+def test_stack_block_is_the_zero_mode_body_bitwise(which, monkeypatch):
+    # the rigid stack enters every port plant as the gain -M_P, with no
+    # flexible-body data built for it, and its D has the bits of the
+    # zero-mode body's; the plants build every count 0..N-1 (n >= 1)
+    cfg = (sc.table_scenario(5) if which == "table"
+           else load_scenario(data_path("scenario_desk.yaml"))[0])
+    models = sc.ScenarioModels(cfg)
+    N = cfg.n_tiles
+    for n in range(1, N + 1):
+        for j in range(1, n + 1):
+            models.structure_data(n, j)
+    stacks, bodies = [], []
+    wire = sc.interconnect
+    monkeypatch.setattr(sc, "interconnect", lambda blocks, *a: stacks.append(
+        dict(blocks)["stk"]) or wire(blocks, *a))
+    post_init = ModalBodyData.__post_init__
+    monkeypatch.setattr(ModalBodyData, "__post_init__",
+                        lambda self: bodies.append(1) or post_init(self))
+    counts = []
+    for n in range(1, N + 1):
+        for delta in (0, 1):
+            models._port_plant(n, 1, delta)
+            counts.append(max(N - n - delta, 0))
+    assert not bodies
+    assert len(stacks) == len(counts) and set(counts) == set(range(N))
+    for count, stk in zip(counts, stacks):
+        ref = wired_stack_block(cfg, count)
+        assert stk.n_states == 0
+        assert (stk.in_channels, stk.out_channels) == (ref.in_channels, ref.out_channels)
+        assert stk.D.tobytes() == ref.D.tobytes(), count
+
+
+def test_lft_upper_matches_the_wired_closure_on_the_desk_family():
+    # lft_upper closes the pair through StaticClosure; the oracle wires a
+    # gain block to the plant and closes it through interconnect
+    cfg = load_scenario(data_path("scenario_desk.yaml"))[0]
+    models = sc.ScenarioModels(cfg)
+    for st in sc.enumerate_model_family(cfg.n_tiles):
+        plant = models.open_loop(st, HOME)
+        for delta in (-1.0, 0.0, 1.0):
+            got, ref = linss.lft_upper(plant, delta), wired_lft_upper(plant, delta)
+            assert got.in_channels == ref.in_channels
+            assert got.out_channels == ref.out_channels
+            for M, R in ((got.A, ref.A), (got.B, ref.B), (got.C, ref.C), (got.D, ref.D)):
+                assert M.shape == R.shape, (st, delta)
+                assert np.allclose(M, R, rtol=0.0, atol=1e-12), (st, delta)
 
 
 def test_port_plant_cache_keys(cfg, monkeypatch):

@@ -9,9 +9,13 @@ for the tests:
   the robot hub as a port-inverted rigid n-port
   (:func:`rigid_nport_inverted`), from which ``chain_cluster`` in
   ``test_scenario`` wires the independent oracle for ``M_C``;
+* the tile stack as a flexible body with no modes
+  (:func:`wired_stack_block`), the oracle for the library's port-mass
+  gain;
 * the robot as a stateless one-port block, the whole spacecraft
   interconnected per waypoint, and the loop wired from integrator
-  (:func:`integrator`) and gain blocks.  Besides the library's pinned
+  (:func:`integrator`) and gain blocks, and the uncertainty closed by
+  wiring a gain block to the plant (:func:`wired_lft_upper`).  Besides the library's pinned
   flexible plant, the wired spacecraft comes free-floating
   (``pinned=False``, with its ``F_G``/``a_G`` channels) and rigid
   (``rigid=True``, array and structure cut to no modes by
@@ -23,7 +27,8 @@ import numpy as np
 
 from flexasm import scenario as sc
 from flexasm.errors import SingularInertia
-from flexasm.linss import StateSpace, gain, interconnect, split_channel
+from flexasm.linss import (W_CHANNEL, Z_CHANNEL, StateSpace, gain, interconnect,
+                           split_channel)
 from flexasm.multibody import (ModalBodyData, RigidBodyData, apply_frame,
                                dcm_about_axis, mode_freq_lfr, rigid_mass_matrix,
                                rigid_nport, tau_kinematic, titop_one_port,
@@ -152,6 +157,17 @@ def wired_robot_block(models, state, qs):
                 (("W_P", 6),))
 
 
+def wired_stack_block(cfg, count):
+    """The rigid stack of ``count`` tiles as a flexible body with no modes
+    at its port P, through ``titop_one_port``: the independent oracle for
+    the library's port-mass gain."""
+    return titop_one_port(ModalBodyData(
+        mass=count * cfg.tile.mass, com=sc.STACK_OFFSET,
+        inertia_P=transport_inertia(count * np.asarray(cfg.tile.inertia_G),
+                                    count * cfg.tile.mass, sc.STACK_OFFSET),
+        freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="stack"))
+
+
 def wired_open_loop(models, state, qs, rigid=False, pinned=True):
     """Hub, array, stack, structure and robot wired in one interconnect."""
     cfg = models.cfg
@@ -168,12 +184,7 @@ def wired_open_loop(models, state, qs, rigid=False, pinned=True):
     arr = apply_frame(arr, "xdd_P", sc.ARRAY_DCM)
     arr = apply_frame(arr, "W_P", sc.ARRAY_DCM)
 
-    count = max(cfg.n_tiles - state.n - state.delta, 0)
-    stk = titop_one_port(ModalBodyData(
-        mass=count * cfg.tile.mass, com=sc.STACK_OFFSET,
-        inertia_P=transport_inertia(count * np.asarray(cfg.tile.inertia_G),
-                                    count * cfg.tile.mass, sc.STACK_OFFSET),
-        freqs=[], dampings=[], L_P=np.zeros((0, 6)), name="stack"))
+    stk = wired_stack_block(cfg, max(cfg.n_tiles - state.n - state.delta, 0))
 
     sdata = models.structure_data(state.n, state.j)
     if rigid:
@@ -200,6 +211,18 @@ def wired_open_loop(models, state, qs, rigid=False, pinned=True):
 
     plant = interconnect(blocks, wiring, ext_in, ext_out)
     return sc.pin_translation(plant) if pinned else plant
+
+
+def wired_lft_upper(plant, delta):
+    """``w = delta * z`` closed on the uncertainty pair by wiring a gain
+    block to the plant: the oracle for ``linss.lft_upper``."""
+    w = plant.in_width(W_CHANNEL)
+    blk = gain(float(delta) * np.eye(w), (("z", w),), (("w", w),))
+    ext_in = [(c, f"p.{c}") for c, _ in plant.in_channels if c != W_CHANNEL]
+    ext_out = [(c, f"p.{c}") for c, _ in plant.out_channels if c != Z_CHANNEL]
+    return interconnect([("p", plant), ("d", blk)],
+                        [(f"p.{Z_CHANNEL}", "d.z"), ("d.w", f"p.{W_CHANNEL}")],
+                        ext_in, ext_out)
 
 
 def wired_close_loop(plant, K_att):
