@@ -5,7 +5,8 @@ around the flexible plant, and measures: its slowest poles against the
 critically damped design, the input-sensitivity peak, the exact real
 margin of the frequency-uncertainty block (``robust.mu_real_repeated``,
 the margin the ``mu`` edge cost reads), and its complex upper bound
-(``robust.mu_upper_bound``).
+(``robust.mu_upper_bound``: the peak over frequency of the spectral
+radius of the w_omega -> z_omega transfer).
 """
 
 import numpy as np
@@ -43,7 +44,7 @@ isens = cl.subsystem(["e_t"], ["d_t"])
 print("input-sensitivity peak:", round(linss.hinf_norm(isens), 4))
 
 res = robust.mu_real_repeated(cl, delta_max=20.0)
-mu_upper = robust.mu_upper_bound(cl, res.delta_crit)
+mu_upper = robust.mu_upper_bound(cl)
 print(f"frequency-uncertainty margin: mu_lower={res.mu_lower:.4f} "
       f"(critical delta {res.delta_crit}), complex bound "
       f"mu_upper={mu_upper:.4f}")

@@ -560,9 +560,10 @@ class StaticClosure:
     channel slices, ``[C_z, D_zu]``, ``[A, B_u]``, ``[C_y, D_yu]``, the
     columns ``B_w`` and ``D_yw`` and the remaining channels, so a caller
     closing many gains on one system builds it once.  Calling it with a
-    gain checks the gain's shape (else :class:`WidthMismatch`) and the
-    loop's well-posedness: :class:`IllPosedLoop` when ``rcond(I - D_zw
-    K)``, from one inverse (:func:`_rcond`), is below ``WELLPOSED_RCOND``.
+    gain checks its shape (else :class:`WidthMismatch`), then raises
+    :class:`IllPosedLoop` for a non-finite gain or an ill-posed loop:
+    ``rcond(I - D_zw K)``, from one inverse (:func:`_rcond`), below
+    ``WELLPOSED_RCOND``.
     It closes the loop with one solve and a few products.  It reads its
     own system's channels: a :meth:`StateSpace.subsystem` slice gets its
     own closure, never its parent's.
@@ -593,6 +594,8 @@ class StaticClosure:
             raise WidthMismatch(
                 f"gain {K.shape} does not map {self._z_channel!r} "
                 f"({self._shape[1]}) to {self._w_channel!r} ({self._shape[0]})")
+        if not np.isfinite(K).all():
+            raise IllPosedLoop(f"static gain {K.tolist()} is not finite")
         loop = np.eye(self._shape[1]) - self._D_zw @ K
         rcond = _rcond(loop)
         if rcond < WELLPOSED_RCOND:
@@ -609,10 +612,10 @@ class StaticClosure:
 def lft_upper(plant: StateSpace, delta: float) -> StateSpace:
     """Upper LFT with a repeated real scalar: close ``w = delta * z`` on
     the uncertainty pair ``W_CHANNEL``/``Z_CHANNEL``, through the plant's
-    :class:`StaticClosure` (a pair of unequal widths raises
-    :class:`WidthMismatch`, an ill-posed loop :class:`IllPosedLoop`)."""
-    w = plant.in_width(W_CHANNEL)
-    return StaticClosure(plant, W_CHANNEL, Z_CHANNEL)(float(delta) * np.eye(w))
+    :class:`StaticClosure` (unequal widths raise :class:`WidthMismatch`, a
+    non-finite delta or an ill-posed loop :class:`IllPosedLoop`)."""
+    K = np.diag(np.full(plant.in_width(W_CHANNEL), float(delta)))
+    return StaticClosure(plant, W_CHANNEL, Z_CHANNEL)(K)
 
 
 # ---------------------------------------------------------------------------
@@ -895,10 +898,10 @@ def _gram_sigma_max(G: np.ndarray) -> np.ndarray:
 def _polish(sigma, ws: np.ndarray, vals: np.ndarray, idx) -> float:
     """Largest gain seen by Brent searches from the points ``ws[idx]``
     between their neighbours (0 below the first point, twice the last
-    above it).  ``hinf_norm`` passes only local maxima of ``vals``: a
+    above it).  Its callers pass only local maxima of ``vals``: a
     search from beside a higher neighbour crawls to its bracket edge and
     the lockstep waits for it.  ``sigma`` maps a list of angular
-    frequencies to an array of ``sigma_max``; the searches run in
+    frequencies to an array of gains; the searches run in
     lockstep, so each step is one call of it.  The searches and their
     brackets are Python lists and floats, and each step's best is a plain
     ``max``: a step costs the one ``sigma`` call and little else, and
@@ -924,6 +927,19 @@ def _polish(sigma, ws: np.ndarray, vals: np.ndarray, idx) -> float:
                 pass
         searches = live
     return best
+
+
+def _grid_peak(f, ws: np.ndarray, vals: np.ndarray) -> float:
+    """Peak of ``f`` (sigma_max, or the mu bound's spectral radius) from its
+    values ``vals`` on the grid ``ws``: :func:`_polish` from those of the
+    three best points that are local maxima (the global maximum always is)."""
+    peak = np.ones(vals.size, dtype=bool)
+    peak[1:] &= vals[1:] >= vals[:-1]
+    peak[:-1] &= vals[:-1] >= vals[1:]
+    # a stable sort breaks ties by index alone, so the screen's -inf
+    # entries cannot change which of several equal gains is kept
+    top = np.argsort(vals, kind="stable")[-3:]
+    return _polish(f, ws, vals, top[peak[top]])
 
 
 # Relative slack on both Frobenius bounds of the seed screen: far above
@@ -977,24 +993,22 @@ def hinf_norm(sys: StateSpace) -> float:
     neighbours, cached per A with its resolvent, ``_seed_grid``) is
     evaluated in one call, and sigma_max is taken only where Frobenius
     bounds leave it able to change the answer (``_screened_sigma_max``).
-    Those of the grid's three best points that are local maxima of the grid
-    (at least each neighbour, an end compared to its one neighbour; the
-    global maximum always is one) are polished by Brent searches between
-    their grid neighbours, in lockstep (``_polish``).  The gain at infinity
-    sigma_max(D) is at most ``sqrt(||D||_1 ||D||_inf)`` (``_sigma_bound``,
-    1 for the identity feedthrough of ``d_t -> e_t``), so D's SVD runs only
-    when that bound, with ``1e-12`` relative slack, exceeds the polished
-    peak; the larger of the two is kept.  One Hamiltonian level-set test at
-    ``gamma * (1 + 2 HINF_RTOL)``, on the state-space matrices and not on
-    the eigenvectors, then certifies that no frequency reaches that level
-    (Boyd-Balakrishnan-Kabamba 1989, Bruinsma-Steinbuch 1990).  If it
-    finds crossings, the crossings and their midpoints are evaluated, the
-    best is polished, and the test runs again.  The result is the largest
-    gain evaluated: a lower bound within ``2 HINF_RTOL`` of the norm.
-    Crossings where no evaluated gain exceeds the bound are an artefact of
-    the eigenvalue test, and the bound is returned as it stands.  A norm
-    still uncertified after ``_MAX_ROUNDS`` rounds raises
-    :class:`EigenFailure`.
+    The grid's best local maxima are polished by Brent searches between
+    their grid neighbours, in lockstep (``_grid_peak``).  The gain at
+    infinity sigma_max(D) is at most ``sqrt(||D||_1 ||D||_inf)``
+    (``_sigma_bound``, 1 for the identity feedthrough of ``d_t -> e_t``), so
+    D's SVD runs only when that bound, with ``1e-12`` relative slack,
+    exceeds the polished peak; the larger of the two is kept.  One
+    Hamiltonian level-set test at ``gamma * (1 + 2 HINF_RTOL)``, on the
+    state-space matrices and not on the eigenvectors, then certifies that no
+    frequency reaches that level (Boyd-Balakrishnan-Kabamba 1989,
+    Bruinsma-Steinbuch 1990).  If it finds crossings, the crossings and
+    their midpoints are evaluated, the best is polished, and the test runs
+    again.  The result is the largest gain evaluated: a lower bound within
+    ``2 HINF_RTOL`` of the norm.  Crossings where no evaluated gain exceeds
+    the bound are an artefact of the eigenvalue test, and the bound is
+    returned as it stands.  A norm still uncertified after ``_MAX_ROUNDS``
+    rounds raises :class:`EigenFailure`.
     """
     if sys.n_states == 0:
         return float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
@@ -1007,14 +1021,7 @@ def hinf_norm(sys: StateSpace) -> float:
         return _gram_sigma_max(transfer(ws))
 
     ws = _seed_grid(sys)[0]
-    vals = _screened_sigma_max(transfer(ws))
-    peak = np.ones(vals.size, dtype=bool)
-    peak[1:] &= vals[1:] >= vals[:-1]
-    peak[:-1] &= vals[:-1] >= vals[1:]
-    # a stable sort breaks ties by index alone, so the screen's -inf
-    # entries cannot change which of several equal gains is kept
-    top = np.argsort(vals, kind="stable")[-3:]
-    gamma = _polish(sigma, ws, vals, top[peak[top]])
+    gamma = _grid_peak(sigma, ws, _screened_sigma_max(transfer(ws)))
     if _sigma_bound(sys.D) * (1.0 + 1e-12) > gamma:
         gamma = max(float(np.linalg.svd(sys.D, compute_uv=False)[0]), gamma)
     if gamma <= 0.0:

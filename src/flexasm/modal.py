@@ -27,6 +27,7 @@ truncation leaves a positive-semidefinite residual.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -348,11 +349,19 @@ def _floats(value, label):
     return np.asarray(value, dtype=float)
 
 
+# The safe loader with YAML 1.2 floats (YAML 1.1 leaves 2.3e6 a string)
+_Loader = type("_Loader", (yaml.SafeLoader,), {})
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
+
+
 def load_yaml(path) -> dict:
-    """The top-level mapping of a YAML input file; a file that cannot be
-    read or parsed, or is not a mapping, is a ``ParseError`` naming it."""
+    """The top-level mapping of a YAML input file (read by ``_Loader``); a
+    file that cannot be read or parsed, or is not a mapping, is a
+    ``ParseError`` naming it."""
     try:
-        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_Loader)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -44,32 +44,30 @@ instead of probing the way there:
 and is exact for this block, so the name keeps only the conventional
 "lower" role it plays against the complex-structure bound.
 
-The complex upper bound is a separate function, :func:`mu_upper_bound`:
-the frequency-maximized spectral radius of the w->z transfer, the exact
-structured value for a repeated *complex* scalar and hence an upper bound
-for the real one.  Its sweep evaluates all its frequencies in one batch
-(``linss._transfer_batch``) and takes their spectral radii with one
-stacked eigenvalue call.  The critical frequency found by the bisection
-is folded into the evaluation grid so the bound provably dominates the
-margin numerically.  The ``mu`` edge cost reads only the margin, so it
-never runs the sweep.
+The complex upper bound, :func:`mu_upper_bound`, is the peak over
+frequency of the spectral radius of the w->z transfer: the exact value for
+a repeated *complex* scalar (Packard & Doyle 1993), so it bounds the real
+one.  It runs ``linss.hinf_norm``'s search with the spectral radius for
+sigma_max: the slice shares the loop's seed grid and residue kernel, and
+the grid's best local maxima are polished (``linss._grid_peak``).  The
+``mu`` edge cost reads only the margin and never runs the bound.
 
 Only the search range ``delta_max`` is a parameter; the channel pair
-(``linss.W_CHANNEL``/``linss.Z_CHANNEL``), the scan density, the
-bisection tolerance and the sweep size are module constants.
+(``linss.W_CHANNEL``/``linss.Z_CHANNEL``), the scan density and the
+bisection tolerance are module constants.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NominalUnstable, WidthMismatch
-from .linss import (StateSpace, _rcond, _transfer_batch, spectral_abscissa,
-                    STAB_TOL, WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL)
+from .linss import (StateSpace, _grid_peak, _rcond, _seed_grid, _transfer_kernel,
+                    spectral_abscissa, STAB_TOL, WELLPOSED_RCOND, W_CHANNEL,
+                    Z_CHANNEL)
 
 __all__ = ["mu_real_repeated", "mu_upper_bound"]
 
@@ -77,8 +75,6 @@ __all__ = ["mu_real_repeated", "mu_upper_bound"]
 # signs, then bisection to this relative width.
 SCAN_POINTS = 64
 TOL = 1e-9
-# Log-spaced frequencies of the complex upper-bound sweep.
-N_FREQ = 400
 
 
 class MuResult(NamedTuple):
@@ -128,10 +124,6 @@ def _scan_grid(delta_max):
     return np.linspace(0.0, delta_max, SCAN_POINTS + 1)[1:]
 
 
-def _probe(sys, sign, t):
-    return _destabilized(sys, sign * t)
-
-
 def _scan_crossing(sys, delta_max):
     """Signed smallest destabilizing delta within ``delta_max``, or None,
     by probing alone.
@@ -145,7 +137,7 @@ def _scan_crossing(sys, delta_max):
     for t in _scan_grid(delta_max):
         hits = [sign for sign in (1.0, -1.0) if _destabilized(sys, sign * t)]
         if hits:
-            return min((sign * _bisect(lo, t, partial(_probe, sys, sign))[1]
+            return min((sign * _bisect(lo, t, lambda mid: _destabilized(sys, sign * mid))[1]
                         for sign in hits), key=abs)
         lo = t
     return None
@@ -227,37 +219,32 @@ def _certified_crossing(sys, eigs, V, W, delta_max):
     return True, min(hits, key=abs)
 
 
-def _destabilizing_frequency(sys: StateSpace, delta: float) -> float:
-    """|Im| of the closed-loop eigenvalue closest to the imaginary axis."""
-    A = _closed_A(sys, delta)
-    if A is None or A.shape[0] == 0:
-        return np.inf
-    ev = np.linalg.eigvals(A)
-    return float(abs(ev[np.argmax(ev.real)].imag))
+def _check_nominal(sys: StateSpace) -> None:
+    """Unequal w/z widths, or a nominal (``delta = 0``) pole at Re >= -STAB_TOL."""
+    if sys.in_width(W_CHANNEL) != sys.out_width(Z_CHANNEL):
+        raise WidthMismatch(f"{W_CHANNEL}/{Z_CHANNEL} widths differ")
+    if sys.n_states:
+        alpha = float(np.max(sys.eig()[0].real))
+        if alpha >= -STAB_TOL:
+            raise NominalUnstable(f"nominal system unstable (abscissa {alpha:.3e})")
 
 
-def mu_upper_bound(sys: StateSpace, delta_crit: Optional[float]) -> float:
-    """Complex upper bound on ``mu`` for ``delta * I``: the frequency-
-    maximized spectral radius of the w->z transfer, with the critical
-    frequency of ``delta_crit`` (from :func:`mu_real_repeated`) folded
-    into the grid."""
+def mu_upper_bound(sys: StateSpace) -> float:
+    """Complex upper bound on ``mu`` for ``delta * I``: the largest spectral
+    radius of the w->z transfer at 0, at infinity (``rho(D)``) and on the
+    polished seed grid (see the module docstring)."""
+    _check_nominal(sys)
     sub = sys.subsystem(outputs=[Z_CHANNEL], inputs=[W_CHANNEL])
-    freqs = []
+    bound = float(np.max(np.abs(np.linalg.eigvals(sub.D))))
     if sub.n_states:
-        mags = np.abs(np.linalg.eigvals(sub.A))
-        mags = mags[mags > 1e-12]
-        if mags.size:
-            freqs.extend(np.geomspace(mags.min() / 10.0, mags.max() * 10.0, N_FREQ))
-    if delta_crit is not None:
-        w_star = _destabilizing_frequency(sys, delta_crit)
-        # w_star = 0 is the static gain, which the stack below holds
-        if np.isfinite(w_star) and w_star > 0.0:
-            freqs.extend([w_star, w_star * 0.999, w_star * 1.001])
+        transfer = _transfer_kernel(sub)
 
-    stacks = [sub.D[None], sub.dc_gain()[None]]
-    if freqs:
-        stacks.append(_transfer_batch(sub, freqs))
-    return float(max(np.max(np.abs(np.linalg.eigvals(G))) for G in stacks))
+        def rho(ws):
+            return np.abs(np.linalg.eigvals(transfer(ws))).max(axis=-1)
+
+        ws = _seed_grid(sub)[0]
+        bound = max(bound, float(rho([0.0])[0]), _grid_peak(rho, ws, rho(ws)))
+    return bound
 
 
 def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
@@ -274,14 +261,10 @@ def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
     """
     if not (math.isfinite(delta_max) and delta_max > 0.0):
         raise ValueError(f"delta_max must be finite and > 0, got {delta_max}")
-    if sys.in_width(W_CHANNEL) != sys.out_width(Z_CHANNEL):
-        raise WidthMismatch(f"{W_CHANNEL}/{Z_CHANNEL} widths differ")
+    _check_nominal(sys)
     certified = False
     if sys.n_states:
         eigs, V = sys.eig()
-        alpha = float(np.max(eigs.real))
-        if alpha >= -STAB_TOL:
-            raise NominalUnstable(f"nominal system unstable (abscissa {alpha:.3e})")
         w, z = sys.in_slice(W_CHANNEL), sys.out_slice(Z_CHANNEL)
         W = None if sys.D[z, w].any() else sys.modal_inverse()
         if W is not None:

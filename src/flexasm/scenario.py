@@ -214,7 +214,7 @@ class ScenarioConfig:
                  "finite and > 0"),
                 ("structure n_modes", c.n_struct_modes, c.n_struct_modes >= 0, ">= 0"),
                 ("structure damping", c.xi_struct, 0.0 < c.xi_struct < 1.0, "in (0, 1)"),
-                ("stack_reach", c.stack_reach, c.stack_reach > 0.0, "> 0"),
+                ("stack_reach", c.stack_reach, 0.0 < c.stack_reach < np.inf, "finite and > 0"),
                 ("k_trans", k.k_trans, 0.0 < k.k_trans < np.inf, "finite and > 0"),
                 ("k_rot", k.k_rot, 0.0 < k.k_rot < np.inf, "finite and > 0"),
                 ("diag_scale", k.diag_scale, 0.0 <= k.diag_scale < np.inf, "finite and >= 0")]:

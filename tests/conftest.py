@@ -67,6 +67,18 @@ def mission_loops(count, seed):
         yield models.closed_loop(state, qs, K)
 
 
+def dense_spectral_radius_peak(sys, points=20_000):
+    """Largest spectral radius of the w_omega -> z_omega transfer over
+    ``points`` log-spaced frequencies of the stacked solve across the seed
+    grid's range, at w = 0 (the static gain) and at infinity (D): the
+    oracle for ``robust.mu_upper_bound``."""
+    sub = sys.subsystem(outputs=["z_omega"], inputs=["w_omega"])
+    seeds = linss._seed_grid(sub)[0]
+    ws = np.geomspace(seeds.min(), seeds.max(), points)
+    stack = np.concatenate([linss._transfer_batch(sub, ws), [sub.dc_gain(), sub.D]])
+    return float(np.abs(np.linalg.eigvals(stack)).max())
+
+
 def max_response_deviation(sys_a, sys_b, grid, chan_a=None, chan_b=None):
     """Max |G_a - G_b| over a grid, optionally on named channel pairs."""
     dev = 0.0

@@ -220,7 +220,7 @@ def test_ac5_mu_exactness():
         else:
             crossings += 1
             assert abs(res.mu_lower - 1.0 / abs(oracle)) <= 1e-6 / abs(oracle)
-        assert res.mu_lower <= robust.mu_upper_bound(sys, res.delta_crit) + 1e-9
+        assert res.mu_lower <= robust.mu_upper_bound(sys) + 1e-9
     assert crossings >= 8
 
     # margin 0.2 tolerates a 400 percent uncertainty increase

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import flexasm
-from flexasm import cli, linss
+from flexasm import cli, linss, modal
 from flexasm import scenario as sc
 
 
@@ -20,11 +20,17 @@ def mounts(**given):
     return {"mount_dcms": {**table, **given}}
 
 
+class ScenarioDumper(yaml.SafeDumper):
+    """Quotes every string the input reader would resolve to a number, the
+    YAML 1.2 floats such as ``1e3`` included."""
+    yaml_implicit_resolvers = modal._Loader.yaml_implicit_resolvers
+
+
 def write_scenario(tmp_path, name="s.yaml", **fields):
     doc = {"n_tiles": 2, "z_grid": 2, "structure": {"n_modes": 2}}
     doc.update(fields)
     p = tmp_path / name
-    p.write_text(yaml.safe_dump(doc))
+    p.write_text(yaml.dump(doc, Dumper=ScenarioDumper))
     return p
 
 
@@ -187,6 +193,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     {"structure": {"k_trans": 1e5, "diag_scale": float("nan")}},
     {"structure": {"stack_reach_m": -1.0}},
     {"structure": {"stack_reach_m": float("nan")}},
+    # an infinite reach offered a pickup edge from every tile
+    {"structure": {"stack_reach_m": float("inf")}},
     {"robot": {"arm": {"link_masses_kg": [5.0, -5.0, 10.0, 5.0, 10.0, 5.0]}}},
     {"robot": {"arm": {"link_masses_kg": [5.0, float("nan"), 10.0, 5.0, 10.0, 5.0]}}},
     {"robot": {"arm": {"link_inertia_kgm2": [0.2, 0.2, -0.4, 0.2, 0.4, 0.2]}}},
@@ -528,6 +536,31 @@ def test_boolean_real_value_exits_2(tmp_path, capsys, command, fields, message):
     captured = capsys.readouterr()
     assert message in (captured.out if command == ["validate"] else captured.err)
     assert not (tmp_path / "o").exists()
+
+
+def test_scientific_notation_loads(tmp_path):
+    # YAML 1.1 reads an exponent without a sign or a number without a dot
+    # as a string; the reader takes them as the YAML 1.2 floats they are
+    p = tmp_path / "s.yaml"
+    p.write_text("n_tiles: 2\nz_grid: 2\n"
+                 "structure: {n_modes: 2, k_trans: 2.3268060e6, damping: 5e-3}\n"
+                 "controller: {xi: 1e0}\n")
+    cfg, _ = cli.load_scenario(p)
+    assert (cfg.stiffness.k_trans, cfg.xi_struct, cfg.xi_att) == (2326806.0, 0.005, 1.0)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", "validate"]) == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("controller: {xi: '5e-3'}", "controller.xi must be a real number, got '5e-3'"),
+    ("n_tiles: 4e0", "n_tiles must be an integer, got 4.0"),
+], ids=["quoted-exponent", "exponent-count"])
+def test_quoted_or_fractional_scientific_notation_exits_2(tmp_path, capsys, text, message):
+    # a quoted scalar is never resolved, and an exponent is no integer
+    p = tmp_path / "s.yaml"
+    p.write_text(f"z_grid: 2\nstructure: {{n_modes: 2}}\n{text}\n"
+                 + ("" if text.startswith("n_tiles") else "n_tiles: 2\n"))
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", "validate"]) == 2
+    assert message in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("block, fields", [

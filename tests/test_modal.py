@@ -412,6 +412,27 @@ def packaged_body_docs():
             for f in ("solar_array.yaml", "structure_f1.yaml", "structure_f26.yaml")}
 
 
+def test_load_yaml_reads_yaml_1_2_floats(tmp_path):
+    # 2.3e6, 5e-3 and 1e0 are strings to YAML 1.1; quoted scalars stay
+    # strings, and integers stay integers
+    p = tmp_path / "doc.yaml"
+    p.write_text("a: 2.3268060e6\nb: 5e-3\nc: [1e0, -2E+1, .5e1]\n"
+                 "d: '5e-3'\ne: \"0.5\"\nf: 4\ng: 1.5\nh: 1e\n")
+    doc = modal.load_yaml(p)
+    assert doc == {"a": 2326806.0, "b": 0.005, "c": [1.0, -20.0, 5.0], "d": "5e-3",
+                   "e": "0.5", "f": 4, "g": 1.5, "h": "1e"}
+    assert [type(doc[k]) for k in "abdefg"] == [float, float, str, str, int, float]
+
+
+@pytest.mark.parametrize("name", ["scenario_desk.yaml", "solar_array.yaml",
+                                  "structure_f1.yaml", "structure_f26.yaml"])
+def test_packaged_files_read_as_yaml_1_1_reads_them(name):
+    # every value, and its type, as PyYAML's YAML 1.1 reader gives it
+    text = flexasm.data_path(name).read_text(encoding="utf-8")
+    got, want = modal.load_yaml(flexasm.data_path(name)), yaml.safe_load(text)
+    assert repr(got) == repr(want)
+
+
 def test_body_file_table_holds_the_packaged_keys():
     used = set().union(*packaged_body_docs().values())
     assert used == set(modal.BODY_FILE_KEYS)

@@ -12,7 +12,7 @@ from flexasm import data_path, linss, robot
 from flexasm import pathopt as po
 from flexasm import scenario as sc
 from flexasm.cli import load_scenario
-from flexasm.errors import (IkNotConverged, IkUnreachable, MissingStructureData,
+from flexasm.errors import (IkNotConverged, IkUnreachable, IllPosedLoop, MissingStructureData,
                             StateInvalid, WidthMismatch)
 from flexasm.multibody import (ModalBodyData, apply_frame, compose_rigid,
                                dcm_about_axis, port_mass_matrix, rigid_mass_matrix,
@@ -563,6 +563,16 @@ def test_uncertainty_shifts_first_antiresonance(models):
         f_min, interior = find_dip(ch, f_hz)
         assert interior
         assert abs(f_min - f_hz) / f_hz < 0.01
+
+
+@pytest.mark.parametrize("delta", [np.inf, np.nan], ids=["inf", "nan"])
+def test_lft_upper_rejects_a_non_finite_delta(delta):
+    # an infinite delta used to return a non-finite A after a RuntimeWarning,
+    # a NaN one to return it silently: the gain is refused before any product
+    plant = sc.ScenarioModels(sc.table_scenario(2)).open_loop(
+        sc.AssemblyState(1, 1, 1, 0), HOME)
+    with pytest.raises(IllPosedLoop, match="not finite"):
+        linss.lft_upper(plant, delta)
 
 
 # ---------------------------------------------------------------------------
