@@ -29,13 +29,12 @@ Conventions
   ``scenario.close_loop`` are built from already-checked systems through
   the private ``StateSpace._unchecked``, which only marks the arrays read
   only: the loops the planner prices run no validating constructor.
-  ``scenario.close_loop`` builds a list of loops as views of one ``(k, n,
-  n)`` stack.
-* Stacks: ``_prime_modes`` fills the eigendecomposition caches of a list
-  of systems from one stacked ``np.linalg.eig`` and one stacked ``inv``,
-  and :func:`h2_norm` prices a list of systems in one pass.  Each result
-  has the bits of computing it for its system alone; a single system is
-  a list of one.
+* Stacks: ``scenario.close_loop`` builds a list of loops as views of
+  ``(k, n, n)`` stacks, ``_prime_modes`` fills their eigendecomposition
+  caches from one stacked ``np.linalg.eig`` and one stacked ``inv``, and
+  :func:`h2_norm` prices a list of systems in one pass, each per run of
+  equal shapes (``_shape_runs``).  Each result has the bits of computing
+  it for its system alone; a single system is a list of one.
 """
 
 from __future__ import annotations
@@ -291,8 +290,8 @@ class StateSpace:
 
 def _subsystems(systems, outputs, inputs) -> list:
     """:meth:`StateSpace.subsystem` of each of a list of systems with the
-    same channels, the channel positions found once: a leg's loops slice
-    their priced channel in one call."""
+    same channels, the channel positions found once: an edge's loops, of
+    one or two state counts, slice their priced channel in one call."""
     for kind, names in (("input", inputs), ("output", outputs)):
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate {kind} channel name in {list(names)}")
@@ -325,19 +324,29 @@ def _gated_inverse(V):
     return [w if good else None for w, good in zip(W, ok)]
 
 
+def _shape_runs(systems) -> list:
+    """Slices cutting a list into runs of consecutive systems with equal
+    matrix shapes, the stacks of stacked arithmetic: one per edge, or two
+    where its legs load structures of different state counts."""
+    shapes = [(s.A.shape, s.D.shape) for s in systems]
+    cuts = [k for k in range(1, len(shapes)) if shapes[k] != shapes[k - 1]]
+    return [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(shapes)])]
+
+
 def _prime_modes(systems) -> None:
     """Fill the :meth:`StateSpace.eig` and :meth:`StateSpace.modal_inverse`
-    caches of systems with equal state counts from one stacked
-    ``np.linalg.eig`` of their A and one stacked ``inv`` of the
-    eigenvectors (``_gated_inverse``).  Each system's share has the bits
+    caches of a list of systems, per run of equal shapes (``_shape_runs``),
+    from one stacked ``np.linalg.eig`` of their A and one stacked ``inv`` of
+    the eigenvectors (``_gated_inverse``).  Each system's share has the bits
     its own calls give it.  ``np.linalg.eig`` returns real arrays for a
     matrix whose poles are all real, which a complex stack cannot share,
     so such a system is left to its own calls."""
-    eigs, V = np.linalg.eig(np.stack([s.A for s in systems]))
-    for sys, w, v, W in zip(systems, eigs, V, _gated_inverse(V)):
-        if w.imag.any():
-            sys._modes["eig"] = w, v
-            sys._modes["inv"] = W
+    for run in _shape_runs(systems):
+        eigs, V = np.linalg.eig(np.stack([s.A for s in systems[run]]))
+        for sys, w, v, W in zip(systems[run], eigs, V, _gated_inverse(V)):
+            if w.imag.any():
+                sys._modes["eig"] = w, v
+                sys._modes["inv"] = W
 
 
 def gain(D, in_channels, out_channels) -> StateSpace:
@@ -774,7 +783,7 @@ def minimal_stable_projection(sys: StateSpace, in_channel: str,
 
     The priced closed loops are strictly stable, so the sliced channel is
     already a stable realization and the norms take it as it is; they also
-    own the one stability test.  The planner slices each leg's channels
+    own the one stability test.  The planner slices each edge's channels
     with ``_subsystems`` instead and never calls this; the name stays
     because ``perfbench/tracer.py`` wraps this function by name.
     """
@@ -1041,8 +1050,8 @@ def hinf_norm(sys: StateSpace) -> float:
 
 def h2_norm(systems) -> np.ndarray:
     """H2 norms sqrt(trace(C P C^T)) with A P + P A^T + B B^T = 0, of a
-    list of systems with the same shapes (the priced channel of one leg's
-    loops), as an array.
+    list of systems with the same channels (the priced channel of one
+    edge's loops), as an array.
 
     The list is priced in one pass, each norm with the bits of pricing
     its system alone, which is the list of one.  Systems are checked in
@@ -1056,10 +1065,10 @@ def h2_norm(systems) -> np.ndarray:
     Gramian is diagonal in the eigenbasis, ``P = V X V^H`` with ``X_ij =
     -(B~ B~^H)_ij / (lambda_i + conj(lambda_j))``, ``B~ = V^-1 B``, so
     ``H2^2 = Re sum_ij (C~^H C~)_ji X_ij`` with ``C~ = C V``; the systems
-    that pass are priced as one stack of ``(k, n, n)`` products.  A
-    defective or nearly defective A solves the Kronecker form ``(I (x) A
-    + A (x) I) vec P = -vec(B B^T)`` instead (``_h2_kronecker``), for that
-    system only.
+    that pass are priced as one stack of ``(k, n, n)`` products per run of
+    equal shapes.  A defective or nearly defective A solves the Kronecker
+    form ``(I (x) A + A (x) I) vec P = -vec(B B^T)`` instead
+    (``_h2_kronecker``), for that system only.
     """
     for s in systems:
         if np.max(np.abs(s.D)) > 1e-12 if s.D.size else False:
@@ -1067,15 +1076,16 @@ def h2_norm(systems) -> np.ndarray:
         if s.n_states:
             _stable_eig(s, "H2")
     squares = np.zeros(len(systems))
-    if not systems or systems[0].n_states == 0:
-        return squares
-    # the modal inverse of a system whose poles are all real is real: it
-    # is priced in real arithmetic, as on its own, in a stack of its own
+    # one stack per run of equal shapes (``_shape_runs``) and per dtype: a
+    # system whose poles are all real has a real modal inverse and is
+    # priced in real arithmetic, as on its own
     stacks = {}
-    for k, s in enumerate(systems):
-        W = s.modal_inverse()
-        stacks.setdefault(None if W is None else W.dtype, []).append(k)
-    for dtype, idx in stacks.items():
+    for run in _shape_runs(systems):
+        for k in range(len(systems))[run]:
+            if systems[k].n_states:
+                W = systems[k].modal_inverse()
+                stacks.setdefault((run.start, None if W is None else W.dtype), []).append(k)
+    for (_, dtype), idx in stacks.items():
         if dtype is None:
             squares[idx] = [_h2_kronecker(systems[k]) for k in idx]
             continue

@@ -16,16 +16,16 @@ margin.  A hard cap turns any offending edge infinite.  Dijkstra then
 picks minimum-cost paths; a unit-weight breadth-first search provides the
 step-count baseline the optimized plans are measured against.
 
-Each leg is built as one stack: the open loop per waypoint, then the
-attitude loop closed on all z waypoints in one
-:func:`~flexasm.scenario.close_loop` call, and the z eigendecompositions
-and modal inverses in one stacked ``eig`` and one stacked ``inv``.  Every
-cost kind prices a leg at a time (``_leg_values``): a norm-priced kind
-slices the leg's channel pair once, the H2 cost prices the slices in one
-:func:`~flexasm.linss.h2_norm` call, each H-infinity cost makes one
-:func:`~flexasm.linss.hinf_norm` call per loop and the margin one
-:func:`~flexasm.robust.mu_real_repeated` per loop, all from the same
-cached eigendecompositions.
+Each edge is built as one stack (two, ``linss._shape_runs``, where its
+legs differ in state count): the open loop per waypoint, then the attitude
+loop closed on all 2z waypoints in one :func:`~flexasm.scenario.close_loop`
+call, and the eigendecompositions and modal inverses in one stacked ``eig``
+and one stacked ``inv``.  Every cost kind prices an edge at a time
+(``_leg_values``): a norm-priced kind slices the edge's channel pair once,
+the H2 cost prices the slices in one :func:`~flexasm.linss.h2_norm` call,
+each H-infinity cost makes one :func:`~flexasm.linss.hinf_norm` call per
+loop and the margin one :func:`~flexasm.robust.mu_real_repeated` per
+loop, all from the same cached eigendecompositions.
 
 The planner is built for the cost kinds it will plan.  It prices each
 edge's loops under all of them as soon as it builds them, so one
@@ -230,8 +230,8 @@ class EdgeModelArray:
     ``systems`` holds leg 1, from home to the action pose under the
     pre-action state, then leg 2, back home under the post-action one, z
     loops each.  A built edge's loops are read-only ``StateSpace`` views
-    of one stack per leg (:func:`~flexasm.scenario.close_loop` of a list),
-    each carrying its share of the leg's stacked eigendecomposition.
+    of one stack (:func:`~flexasm.scenario.close_loop` of a list), each
+    carrying its share of the stacked eigendecomposition.
     ``dock_distance`` records the gripped tile's distance to the hub CoM
     per waypoint.  The planner numbers the edge (:class:`EdgePrices`).
     """
@@ -246,20 +246,6 @@ def _leg_waypoints(sweeps, z) -> list:
     paths = {arm: quintic_waypoints(q0, q1, z) for arm, (q0, q1) in sweeps.items()}
     return [tuple(paths[arm][k] if arm in paths else HOME_JOINTS
                   for arm in (1, 2, 3)) for k in range(z)]
-
-
-def _leg_systems(models: ScenarioModels, state: AssemblyState, waypoints, K_att):
-    """Closed loops along one leg, one per joint configuration.
-
-    The open loop is built per waypoint; the attitude loop is closed on
-    all of them in one stacked :func:`~flexasm.scenario.close_loop` call,
-    and their eigendecompositions and modal inverses, which every cost
-    kind reads, come from one stacked ``eig`` and one stacked ``inv``
-    (``linss._prime_modes``).
-    """
-    loops = close_loop([models.open_loop(state, qs) for qs in waypoints], K_att)
-    _prime_modes(loops)
-    return loops
 
 
 def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
@@ -309,8 +295,9 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
     # every mass-matrix miss of the edge weighed in one pass, so each
     # waypoint's open loop finds its M_C memoized
     models.robot_mass_matrices([(state, qs) for state, leg in legs for qs in leg])
-    systems = [loop for state, leg in legs
-               for loop in _leg_systems(models, state, leg, K_att)]
+    systems = close_loop([models.open_loop(state, qs) for state, leg in legs
+                          for qs in leg], K_att)
+    _prime_modes(systems)
     return EdgeModelArray(systems, np.asarray(dock))
 
 
@@ -330,19 +317,19 @@ _PRICED_CHANNELS = {
 }
 
 
-def _leg_values(leg, spec: CostSpec) -> np.ndarray:
-    """Per-loop values of one leg's closed loops (loops with the same
-    channels) under ``spec.kind``.
+def _leg_values(loops, spec: CostSpec) -> np.ndarray:
+    """Per-loop values of an edge's closed loops (both legs' loops, with
+    the same channels) under ``spec.kind``.
 
-    A norm-priced kind slices the leg's channel pair once
+    A norm-priced kind slices the edge's channel pair once
     (``linss._subsystems``); H2 prices the slices in one :func:`h2_norm`
     call, H-infinity in one :func:`hinf_norm` call per loop.  The margin
     runs one :func:`~flexasm.robust.mu_real_repeated` per loop.
     """
     if spec.kind == "mu":
-        return np.array([mu_real_repeated(s).mu_lower for s in leg])
+        return np.array([mu_real_repeated(s).mu_lower for s in loops])
     inp, out = _PRICED_CHANNELS[spec.kind]
-    channels = _subsystems(leg, [out], [inp])
+    channels = _subsystems(loops, [out], [inp])
     if spec.kind == "h2-theta":
         return h2_norm(channels)
     return np.array([hinf_norm(s) for s in channels])
@@ -352,13 +339,10 @@ def edge_cost(array: EdgeModelArray, spec: CostSpec):
     """Sum of the per-system metric over the 2z models.
 
     Returns ``(cost, values)``; any value beyond the hard cap makes the
-    whole edge infinite, which Dijkstra treats as impassable.  Each leg's
-    z loops are priced together (:func:`_leg_values`).
+    whole edge infinite, which Dijkstra treats as impassable.  The 2z
+    loops are priced together (:func:`_leg_values`).
     """
-    systems = array.systems
-    z = len(systems) // 2
-    values = np.concatenate([_leg_values(leg, spec)
-                             for leg in (systems[:z], systems[z:])])
+    values = _leg_values(array.systems, spec)
     return _edge_price(values, spec), values
 
 
@@ -466,7 +450,7 @@ class AssemblyPlanner:
     Each edge is built once: its 2z closed loops are priced under every
     planned kind (:func:`edge_cost`, once per kind) and dropped, and the
     cache keeps an :class:`EdgePrices` per edge.  A loop's channel slices
-    share its eigendecomposition, so one stacked ``eig`` per leg serves
+    share its eigendecomposition, so one stacked ``eig`` per edge serves
     every kind.
     """
 

@@ -49,8 +49,8 @@ the torque disturbance d_t, and the total actuation torque e_t = d_t + u
 whose transfer from d_t is the classical input sensitivity.  The loop is
 built on the plant's matrices: ``u`` reads only the integrator states, so
 no algebraic loop has to be solved.  :func:`close_loop` closes a list of
-plants (the open loops of one leg of a trajectory, or a list of one) in
-one pass of stacked arithmetic.
+plants (the open loops of one trajectory edge's two legs, or a list of
+one) in one pass of stacked arithmetic per run of equal shapes.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ from .errors import (
     StateInvalid,
     WidthMismatch,
 )
-from .linss import (W_CHANNEL, Z_CHANNEL, StateSpace, StaticClosure, gain, interconnect,
-                    split_channel)
+from .linss import (W_CHANNEL, Z_CHANNEL, StateSpace, StaticClosure, _shape_runs, gain,
+                    interconnect, split_channel)
 from .modal import (
     DEFAULT_DAMPING,
     DEFAULT_TILE_INERTIA,
@@ -214,7 +214,8 @@ class ScenarioConfig:
                  "finite and > 0"),
                 ("structure n_modes", c.n_struct_modes, c.n_struct_modes >= 0, ">= 0"),
                 ("structure damping", c.xi_struct, 0.0 < c.xi_struct < 1.0, "in (0, 1)"),
-                ("stack_reach", c.stack_reach, 0.0 < c.stack_reach < np.inf, "finite and > 0"),
+                ("structure stack_reach_m", c.stack_reach, 0.0 < c.stack_reach < np.inf,
+                 "finite and > 0"),
                 ("k_trans", k.k_trans, 0.0 < k.k_trans < np.inf, "finite and > 0"),
                 ("k_rot", k.k_rot, 0.0 < k.k_rot < np.inf, "finite and > 0"),
                 ("diag_scale", k.diag_scale, 0.0 <= k.diag_scale < np.inf, "finite and >= 0")]:
@@ -741,11 +742,11 @@ def close_loop(plants, K_att: np.ndarray) -> list:
     the 3 x 6 gain of :func:`attitude_gains`; any other shape raises
     :class:`~flexasm.errors.WidthMismatch`.
 
-    The plants are checked systems with the same shapes and channels,
-    such as the open loops of one leg: they are closed in one pass of
-    stacked arithmetic on ``(k, n, n)`` arrays, without re-validating
-    their matrices, and each loop is a read-only view of those arrays
-    with the bits of closing its plant alone, which is the list of one.
+    The plants are checked systems with the same channels, such as an
+    edge's open loops: each run of equal shapes (``linss._shape_runs``) is
+    closed in one pass of stacked arithmetic on ``(k, n, n)`` arrays,
+    without re-validating the matrices, and each loop is a read-only view
+    of those arrays with the bits of closing its plant alone.
 
     The states are the plant's, then ``omega_G``, then ``Theta_G``; the
     inputs are ``d_t, W_ext, w_omega`` and the outputs
@@ -757,6 +758,11 @@ def close_loop(plants, K_att: np.ndarray) -> list:
     K_att = np.asarray(K_att, dtype=float)
     if K_att.shape != (3, 6):
         raise WidthMismatch(f"attitude gain must be 3 x 6, got {K_att.shape}")
+    return [loop for run in _shape_runs(plants) for loop in _close_run(plants[run], K_att)]
+
+
+def _close_run(plants, K_att: np.ndarray) -> list:
+    """:func:`close_loop` of plants with the same shapes, as one stack."""
     first = plants[0]
     P_A, P_B, P_C, P_D = (np.stack([getattr(p, x) for p in plants]) for x in "ABCD")
     count, n, m = len(P_A), first.n_states, first.n_inputs

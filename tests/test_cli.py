@@ -221,7 +221,11 @@ def test_bad_scenario_values_exit_2(tmp_path, capsys, fields):
     p = write_scenario(tmp_path, **fields)
     assert exit_code(["--scenario", p, "--out", tmp_path / "o",
                       "full-assembly", "--cost", "h2-theta"]) == 2
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: " in err
+    # a bad reach is named by the key the scenario file writes
+    if "stack_reach_m" in fields.get("structure", {}):
+        assert "structure stack_reach_m = " in err
     assert exit_code(["--scenario", p, "--out", tmp_path / "o", "validate"]) == 2
     assert "FAIL" in capsys.readouterr().out
 

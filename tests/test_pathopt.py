@@ -377,12 +377,15 @@ def strip(z):
 
 @pytest.mark.parametrize("make", [
     lambda: desk(2), lambda: desk(7), lambda: strip(4),
-    lambda: sc.table_scenario(8, z_grid=3)],
-    ids=["desk-z2", "desk-z7", "strip-z4", "table8-z3"])
+    lambda: sc.table_scenario(8, z_grid=3),
+    lambda: sc.table_scenario(3, z_grid=2, n_struct_modes=8)],
+    ids=["desk-z2", "desk-z7", "strip-z4", "table8-z3", "table3-z2-modes8"])
 def test_leg_stacks_equal_loops_built_and_priced_alone(make, monkeypatch):
-    # every loop of every edge: the stack's view has the bits of closing
-    # its waypoint alone, and each leg's H2 prices have the bits of
-    # h2_norm on that loop's own channel slice, with its own eig and inv
+    # every loop of every edge: the edge's stack (two runs where its legs
+    # differ in state count, as F_1 -> F_2 does with 8 structure modes)
+    # gives each loop the bits of closing its waypoint alone, and the
+    # edge's H2 prices have the bits of h2_norm on that loop's own channel
+    # slice, with its own eig and inv
     cfg = make()
     models = sc.ScenarioModels(cfg)
     alone = sc.ScenarioModels(cfg)
@@ -414,7 +417,7 @@ def test_leg_stacks_equal_loops_built_and_priced_alone(make, monkeypatch):
     assert loops > 0
 
 
-def test_plan_makes_one_stacked_eig_per_leg(monkeypatch):
+def test_plan_makes_one_stacked_eig_per_edge(monkeypatch):
     shapes = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(np.shape(a)) or eig(a))
@@ -424,8 +427,32 @@ def test_plan_makes_one_stacked_eig_per_leg(monkeypatch):
         planner.plan_full_assembly(po.CostSpec(kind))
     built = sum(rec is not None for rec in planner._edges.values())
     assert built > 0
-    assert len(shapes) == 2 * built
-    assert all(len(s) == 3 and s[0] == cfg.z_grid for s in shapes)
+    assert len(shapes) == built
+    assert all(len(s) == 3 and s[0] == 2 * cfg.z_grid for s in shapes)
+
+
+def test_a_list_of_two_state_counts_is_stacked_by_runs(monkeypatch):
+    # runs of equal shapes, in order: each run is one stacked eig, and
+    # every loop's modes and H2 price keep the bits of its own calls
+    rng = make_rng(11)
+    systems = ([stable_system(rng, complex_poles(rng, 4)) for _ in range(2)]
+               + [stable_system(rng, complex_poles(rng, 6)) for _ in range(3)]
+               + [stable_system(rng, complex_poles(rng, 4))])
+    assert linss._shape_runs(systems) == [slice(0, 2), slice(2, 5), slice(5, 6)]
+    assert linss._shape_runs(systems[:2]) == [slice(0, 2)]
+    shapes = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(np.shape(a)) or eig(a))
+    linss._prime_modes(systems)
+    assert shapes == [(2, 4, 4), (3, 6, 6), (1, 4, 4)]
+    got = linss.h2_norm(systems)
+    alone = copies(systems)
+    for sys, ref in zip(systems, alone):
+        for mine, theirs in zip(sys.eig() + (sys.modal_inverse(),),
+                                ref.eig() + (ref.modal_inverse(),)):
+            assert mine.tobytes() == theirs.tobytes()
+    want = [linss.h2_norm([s])[0] for s in alone]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def stable_system(rng, A, feedthrough=0.0):
