@@ -938,17 +938,25 @@ def _polish(sigma, ws: np.ndarray, vals: np.ndarray, idx) -> float:
     return best
 
 
-def _grid_peak(f, ws: np.ndarray, vals: np.ndarray) -> float:
-    """Peak of ``f`` (sigma_max, or the mu bound's spectral radius) from its
-    values ``vals`` on the grid ``ws``: :func:`_polish` from those of the
-    three best points that are local maxima (the global maximum always is)."""
+def _seed_bound(sys: StateSpace, gain):
+    """Bound stage of a frequency-peak search: the evaluator ``transfer``
+    (``_transfer_kernel``), the seed grid ``ws`` (``_seed_grid``), the
+    grid gains ``vals = gain(transfer(ws))`` and the indices ``starts`` of
+    those of the three best grid points that are local maxima (the global
+    maximum always is), where the exact stage polishes (:func:`_polish`).
+    ``gain`` maps a stack of transfers to an array: ``_screened_sigma_max``
+    for :func:`hinf_norm`, the spectral radius for ``robust.mu_upper_bound``.
+    ``vals.max()`` is a lower bound on the peak."""
+    transfer = _transfer_kernel(sys)
+    ws = _seed_grid(sys)[0]
+    vals = gain(transfer(ws))
     peak = np.ones(vals.size, dtype=bool)
     peak[1:] &= vals[1:] >= vals[:-1]
     peak[:-1] &= vals[:-1] >= vals[1:]
     # a stable sort breaks ties by index alone, so the screen's -inf
     # entries cannot change which of several equal gains is kept
     top = np.argsort(vals, kind="stable")[-3:]
-    return _polish(f, ws, vals, top[peak[top]])
+    return transfer, ws, vals, top[peak[top]]
 
 
 # Relative slack on both Frobenius bounds of the seed screen: far above
@@ -980,14 +988,6 @@ def _screened_sigma_max(G: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _sigma_bound(D: np.ndarray) -> float:
-    """``sqrt(||D||_1 ||D||_inf)``, the geometric mean of the largest
-    column and row sums of ``|D|``: an upper bound on sigma_max(D) that
-    needs no SVD and, unlike ``||D||_F``, is tight for the identity."""
-    a = np.abs(D)
-    return math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
-
-
 def hinf_norm(sys: StateSpace) -> float:
     """Peak gain sup_w sigma_max(G(jw)) by polish-then-certify.
 
@@ -998,16 +998,13 @@ def hinf_norm(sys: StateSpace) -> float:
     (``_transfer_kernel``: one matrix product per stack of frequencies, or
     the stacked solve when :meth:`StateSpace.modal_inverse` gates the modal
     form out), and sigma_max comes from the Gram matrix of each transfer
-    (``_gram_sigma_max``).  The seeded grid (every pole frequency and its
-    neighbours, cached per A with its resolvent, ``_seed_grid``) is
-    evaluated in one call, and sigma_max is taken only where Frobenius
-    bounds leave it able to change the answer (``_screened_sigma_max``).
-    The grid's best local maxima are polished by Brent searches between
-    their grid neighbours, in lockstep (``_grid_peak``).  The gain at
-    infinity sigma_max(D) is at most ``sqrt(||D||_1 ||D||_inf)``
-    (``_sigma_bound``, 1 for the identity feedthrough of ``d_t -> e_t``), so
-    D's SVD runs only when that bound, with ``1e-12`` relative slack,
-    exceeds the polished peak; the larger of the two is kept.  One
+    (``_gram_sigma_max``).  The bound stage (``_seed_bound``) evaluates
+    the seed grid (every pole frequency and its neighbours, ``_seed_grid``)
+    in one call, with sigma_max only where Frobenius bounds leave it able to
+    change the answer (``_screened_sigma_max``).  The exact stage polishes
+    the grid's best local maxima by Brent searches in lockstep
+    (:func:`_polish`) and keeps the larger of that peak and sigma_max(D),
+    the gain at infinity.  One
     Hamiltonian level-set test at ``gamma * (1 + 2 HINF_RTOL)``, on the
     state-space matrices and not on the eigenvectors, then certifies that no
     frequency reaches that level (Boyd-Balakrishnan-Kabamba 1989,
@@ -1024,15 +1021,13 @@ def hinf_norm(sys: StateSpace) -> float:
     _stable_eig(sys, "H-infinity")
     if min(sys.D.shape) == 0:
         return 0.0      # no input or no output: an empty transfer
-    transfer = _transfer_kernel(sys)
+    transfer, ws, vals, starts = _seed_bound(sys, _screened_sigma_max)
 
     def sigma(ws):
         return _gram_sigma_max(transfer(ws))
 
-    ws = _seed_grid(sys)[0]
-    gamma = _grid_peak(sigma, ws, _screened_sigma_max(transfer(ws)))
-    if _sigma_bound(sys.D) * (1.0 + 1e-12) > gamma:
-        gamma = max(float(np.linalg.svd(sys.D, compute_uv=False)[0]), gamma)
+    gamma = max(float(np.linalg.svd(sys.D, compute_uv=False)[0]),
+                _polish(sigma, ws, vals, starts))
     if gamma <= 0.0:
         return 0.0
     for _ in range(_MAX_ROUNDS):

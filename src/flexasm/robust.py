@@ -47,10 +47,10 @@ and is exact for this block, so the name keeps only the conventional
 The complex upper bound, :func:`mu_upper_bound`, is the peak over
 frequency of the spectral radius of the w->z transfer: the exact value for
 a repeated *complex* scalar (Packard & Doyle 1993), so it bounds the real
-one.  It runs ``linss.hinf_norm``'s search with the spectral radius for
-sigma_max: the slice shares the loop's seed grid and residue kernel, and
-the grid's best local maxima are polished (``linss._grid_peak``).  The
-``mu`` edge cost reads only the margin and never runs the bound.
+one.  It runs ``linss.hinf_norm``'s two stages with the spectral radius
+for sigma_max: the seed-grid bound stage (``linss._seed_bound``, on the
+loop's grid and residue kernel), then the polish (``linss._polish``).
+The ``mu`` edge cost reads only the margin and never runs the bound.
 
 Only the search range ``delta_max`` is a parameter; the channel pair
 (``linss.W_CHANNEL``/``linss.Z_CHANNEL``), the scan density and the
@@ -65,9 +65,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NominalUnstable, WidthMismatch
-from .linss import (StateSpace, _grid_peak, _rcond, _seed_grid, _transfer_kernel,
-                    spectral_abscissa, STAB_TOL, WELLPOSED_RCOND, W_CHANNEL,
-                    Z_CHANNEL)
+from .linss import (StateSpace, _polish, _rcond, _seed_bound, spectral_abscissa,
+                    STAB_TOL, WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL)
 
 __all__ = ["mu_real_repeated", "mu_upper_bound"]
 
@@ -229,21 +228,25 @@ def _check_nominal(sys: StateSpace) -> None:
             raise NominalUnstable(f"nominal system unstable (abscissa {alpha:.3e})")
 
 
+def _spectral_radius(G: np.ndarray) -> np.ndarray:
+    """Spectral radius of each matrix of the stack ``G``."""
+    return np.abs(np.linalg.eigvals(G)).max(axis=-1)
+
+
 def mu_upper_bound(sys: StateSpace) -> float:
     """Complex upper bound on ``mu`` for ``delta * I``: the largest spectral
     radius of the w->z transfer at 0, at infinity (``rho(D)``) and on the
     polished seed grid (see the module docstring)."""
     _check_nominal(sys)
     sub = sys.subsystem(outputs=[Z_CHANNEL], inputs=[W_CHANNEL])
-    bound = float(np.max(np.abs(np.linalg.eigvals(sub.D))))
+    bound = float(_spectral_radius(sub.D))
     if sub.n_states:
-        transfer = _transfer_kernel(sub)
+        transfer, ws, vals, starts = _seed_bound(sub, _spectral_radius)
 
         def rho(ws):
-            return np.abs(np.linalg.eigvals(transfer(ws))).max(axis=-1)
+            return _spectral_radius(transfer(ws))
 
-        ws = _seed_grid(sub)[0]
-        bound = max(bound, float(rho([0.0])[0]), _grid_peak(rho, ws, rho(ws)))
+        bound = max(bound, float(rho([0.0])[0]), _polish(rho, ws, vals, starts))
     return bound
 
 

@@ -241,7 +241,7 @@ def coarse_planner():
     pytest.param(kind, marks=pytest.mark.xfail(
         strict=True, reason="the mu margin is the array-mode collapse at "
         "delta = -1/r_omega on every loop, so the mu plan is a hop count "
-        "(FOUND line on the mu edge cost in CHANGES.md; ROADMAP item 2)"))
+        "(FOUND line on the mu edge cost in CHANGES.md; ROADMAP item 3)"))
     if kind == "mu" else kind for kind in po.COST_KINDS])
 def test_every_cost_ranks_edges(coarse_planner, kind):
     # a cost that prices every edge alike cannot steer the plan
