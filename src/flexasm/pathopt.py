@@ -30,7 +30,14 @@ loop, all from the same cached eigendecompositions.
 The planner is built for the cost kinds it will plan.  It prices each
 edge's loops under all of them as soon as it builds them, so one
 eigendecomposition per loop serves every kind, and keeps only the prices,
-under edge ids it numbers itself.
+under edge ids it numbers itself.  Before a plan's first stage, its pose
+pass poses every edge of the plan's graphs that is not built yet, in
+batches of at most ``POSE_BATCH`` edges: the walking IK of a batch's
+distinct reach targets descends in lockstep, and the robot's mass matrices
+at all its waypoints are weighed in one call.  The pass only fills the
+reach and mass memos; each edge is still built once, by
+:func:`grid_edge_models`, which reads its reach target and legs from the
+same helper (``_EdgePose``).
 """
 
 from __future__ import annotations
@@ -83,6 +90,11 @@ COST_KINDS = ("hinf-wrench", "h2-theta", "hinf-isens", "mu")
 
 PICKUP = "pickup"
 ASSEMBLE = "assemble"
+
+# Edges per batch of the planner's pose pass: a batch poses the IK of its
+# distinct targets in lockstep and the 3 arm chains of each of its edges'
+# 2z waypoints in one call, so this bounds what one call holds.
+POSE_BATCH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -240,65 +252,79 @@ class EdgeModelArray:
     dock_distance: np.ndarray
 
 
-def _leg_waypoints(sweeps, z) -> list:
-    """The z joint configurations ``(arm 1, arm 2, arm 3)`` along one leg;
-    ``sweeps`` maps arm number to (q0, q1), and the other arms stay home."""
-    paths = {arm: quintic_waypoints(q0, q1, z) for arm, (q0, q1) in sweeps.items()}
-    return [tuple(paths[arm][k] if arm in paths else HOME_JOINTS
-                  for arm in (1, 2, 3)) for k in range(z)]
+class _EdgePose(NamedTuple):
+    """What an edge's poses read besides its IK solution: the pre- and
+    post-action states, the reaching arm and its world target, and the
+    gripped tile's distance to the hub CoM per waypoint.
+
+    Walking edges solve the two-arm straddle so the free arm's tip meets
+    the target tile center; action edges park arm 3 on the stack (pickup)
+    or on the next tile's cell (assemble).  Leg 2 always returns to the
+    home configuration under the post-action state.
+    """
+
+    pre: AssemblyState
+    post: AssemblyState
+    reach_arm: int
+    target: np.ndarray
+    dock: list
+
+    @classmethod
+    def of(cls, cfg: ScenarioConfig, kind: str, n: int, src, dst) -> "_EdgePose":
+        z = cfg.z_grid
+        tile, arm = src
+        delta_walk = 0 if kind == PICKUP else 1
+        pre = AssemblyState(n, tile, arm, delta_walk)
+        dock = [float(np.linalg.norm(cfg.tile_center(tile)))] * z
+        if dst == "stack":
+            return cls(pre, AssemblyState(n, tile, arm, 1), 3, cfg.stack_center(), dock * 2)
+        if dst == "target":
+            if n >= cfg.n_tiles:
+                raise StateInvalid(f"no tile left to assemble after F_{n}")
+            return cls(pre, AssemblyState(n + 1, tile, arm, 0), 3,
+                       cfg.tile_center(n + 1), dock * 2)
+        tile_b, arm_b = dst
+        if arm_b != 3 - arm:
+            raise StateInvalid("walking must swap the gripping arm")
+        return cls(pre, AssemblyState(n, tile_b, arm_b, delta_walk), arm_b,
+                   cfg.tile_center(tile_b),
+                   dock + [float(np.linalg.norm(cfg.tile_center(tile_b)))] * z)
+
+    def waypoints(self, q_grip, q_reach, z: int) -> list:
+        """The edge's 2z ``(state, qs)``: leg 1 under ``pre``, then leg 2
+        under ``post``, z configurations ``(arm 1, arm 2, arm 3)`` each.
+        The gripping and reaching arms sweep home -> ``(q_grip, q_reach)``
+        -> home on quintics; the other arm stays home."""
+        ends = {self.pre.arm: (HOME_JOINTS, q_grip), self.reach_arm: (HOME_JOINTS, q_reach)}
+        out = []
+        for state, outbound in ((self.pre, True), (self.post, False)):
+            paths = {arm: quintic_waypoints(*(pair if outbound else pair[::-1]), z)
+                     for arm, pair in ends.items()}
+            out += [(state, tuple(paths[arm][k] if arm in paths else HOME_JOINTS
+                                  for arm in (1, 2, 3))) for k in range(z)]
+        return out
 
 
 def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
                      K_att: np.ndarray) -> EdgeModelArray:
     """Build the 2z closed-loop models for one edge.
 
-    Walking edges solve the two-arm straddle so the free arm's tip meets
-    the target tile center; action edges park arm 3 on the stack (pickup)
-    or on the next tile's cell (assemble).  Leg 2 always returns to the
-    home configuration under the post-action state.  The robot's mass
-    matrices of all 2z waypoints are weighed in one pass
+    The edge's states, reach target and legs are those of
+    :class:`_EdgePose`; its IK is :meth:`~flexasm.scenario.ScenarioModels.solve_reach`.
+    The robot's mass matrices of all 2z waypoints are weighed in one pass
     (:meth:`~flexasm.scenario.ScenarioModels.robot_mass_matrices`) before
-    the loops are built.
+    the loops are built; in a planned run the planner's pose pass has
+    filled both memos already.
     """
-    cfg = models.cfg
-    z = cfg.z_grid
-    tile, arm = src
-    delta_walk = 0 if kind == PICKUP else 1
-    pre = AssemblyState(n, tile, arm, delta_walk)
-
-    if dst in ("stack", "target"):
-        if dst == "stack":
-            target = cfg.stack_center()
-            post = AssemblyState(n, tile, arm, 1)
-        else:
-            if n >= cfg.n_tiles:
-                raise StateInvalid(f"no tile left to assemble after F_{n}")
-            target = cfg.tile_center(n + 1)
-            post = AssemblyState(n + 1, tile, arm, 0)
-        q_grip, q_reach = models.solve_reach(pre, 3, target)
-        sweeps1 = {arm: (HOME_JOINTS, q_grip), 3: (HOME_JOINTS, q_reach)}
-        sweeps2 = {arm: (q_grip, HOME_JOINTS), 3: (q_reach, HOME_JOINTS)}
-        dock = [float(np.linalg.norm(cfg.tile_center(tile)))] * (2 * z)
-    else:
-        tile_b, arm_b = dst
-        if arm_b != 3 - arm:
-            raise StateInvalid("walking must swap the gripping arm")
-        target = cfg.tile_center(tile_b)
-        q_grip, q_reach = models.solve_reach(pre, arm_b, target)
-        post = AssemblyState(n, tile_b, arm_b, delta_walk)
-        sweeps1 = {arm: (HOME_JOINTS, q_grip), arm_b: (HOME_JOINTS, q_reach)}
-        sweeps2 = {arm_b: (q_reach, HOME_JOINTS), arm: (q_grip, HOME_JOINTS)}
-        dock = ([float(np.linalg.norm(cfg.tile_center(tile)))] * z
-                + [float(np.linalg.norm(cfg.tile_center(tile_b)))] * z)
-
-    legs = [(pre, _leg_waypoints(sweeps1, z)), (post, _leg_waypoints(sweeps2, z))]
+    z = models.cfg.z_grid
+    pose = _EdgePose.of(models.cfg, kind, n, src, dst)
+    waypoints = pose.waypoints(*models.solve_reach(pose.pre, pose.reach_arm, pose.target), z)
     # every mass-matrix miss of the edge weighed in one pass, so each
     # waypoint's open loop finds its M_C memoized
-    models.robot_mass_matrices([(state, qs) for state, leg in legs for qs in leg])
-    systems = close_loop([models.open_loop(state, qs) for state, leg in legs
-                          for qs in leg], K_att)
+    models.robot_mass_matrices(waypoints)
+    systems = close_loop([models.open_loop(state, qs) for state, qs in waypoints], K_att)
     _prime_modes(systems)
-    return EdgeModelArray(systems, np.asarray(dock))
+    return EdgeModelArray(systems, np.asarray(pose.dock))
 
 
 def _edge_price(values: np.ndarray, spec: CostSpec) -> float:
@@ -451,7 +477,9 @@ class AssemblyPlanner:
     planned kind (:func:`edge_cost`, once per kind) and dropped, and the
     cache keeps an :class:`EdgePrices` per edge.  A loop's channel slices
     share its eigendecomposition, so one stacked ``eig`` per edge serves
-    every kind.
+    every kind.  A plan first poses the edges it will build
+    (:meth:`_pose_edges`): their IK and robot masses in batches, not one
+    edge at a time; construction poses nothing.
     """
 
     def __init__(self, cfg: ScenarioConfig, costs=COST_KINDS):
@@ -547,12 +575,34 @@ class AssemblyPlanner:
                     node = graph.nodes[path[-2]]
         return stages
 
+    def _pose_edges(self) -> None:
+        """Pose every edge of the plan's stage graphs that is not built yet:
+        per batch of ``POSE_BATCH`` edges, one
+        :meth:`~flexasm.scenario.ScenarioModels.solve_reaches` of their
+        reach targets and one
+        :meth:`~flexasm.scenario.ScenarioModels.robot_mass_matrices` of
+        their waypoints.  It fills only those two memos."""
+        cfg = self.cfg
+        todo = [(g.kind, n, g.nodes[i], g.nodes[k]) for n in range(1, cfg.n_tiles)
+                for g in build_node_graphs(cfg, n) for i, k in g.edges()]
+        todo = [key for key in todo if key not in self._edges]
+        for b in range(0, len(todo), POSE_BATCH):
+            poses = [_EdgePose.of(cfg, *key) for key in todo[b:b + POSE_BATCH]]
+            reaches = self.models.solve_reaches(
+                [(p.pre, p.reach_arm, p.target) for p in poses])
+            self.models.robot_mass_matrices(
+                [wp for p, hit in zip(poses, reaches) if not isinstance(hit, IkNotConverged)
+                 for wp in p.waypoints(*hit, cfg.z_grid)])
+
     def plan_full_assembly(self, spec: CostSpec, start=(1, 1)) -> PlanResult:
         """Alternate pickup/assemble stages from one tile to the full set.
 
         The optimized plan runs Dijkstra on metric-weighted graphs; the
         baseline takes minimum-hop paths and is evaluated under the same
-        metric for comparison.
+        metric for comparison.  Before the first stage, the pose pass
+        (:meth:`_pose_edges`) poses every edge the plan's graphs hold that
+        is not built yet.
         """
+        self._pose_edges()
         return PlanResult(spec, self._run_plan(spec, start, "dijkstra"),
                           self._run_plan(spec, start, "bfs_unit"))

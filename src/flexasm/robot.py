@@ -14,10 +14,10 @@ a caller poses its standing and hanging arms together in one call.  The
 locked robot's mass matrices
 (:meth:`flexasm.scenario.ScenarioModels.robot_mass_matrices`) pose the
 three arms of every waypoint of a list that way and stack every link
-from the poses, and the walking
-IK (``ScenarioModels.solve_reach``) descends with :func:`dls_solve` on a
-stacked residual: the forward-difference Jacobian's perturbed rows, of
-both arms, are posed in one call.
+from the poses.  The walking IK (``ScenarioModels.solve_reaches``) runs
+the descents of any number of reach targets in lockstep with
+:func:`dls_solve`: each round poses every live descent's pending point
+and its forward-difference Jacobian rows, of both arms, in one call.
 
 Published link data gives masses, CoMs and inertias but no joint
 offsets; the default geometry places each joint pair symmetrically about
@@ -207,39 +207,63 @@ def fixed_anchor(geom: ArmGeometry):
     return m, off[:m].sum(axis=0)
 
 
-def dls_solve(residual: Callable, q0, lower, upper, tol: float):
-    """Damped least-squares descent on a stacked residual.
+def dls_solve(residual: Callable, q0, lower, upper, tol: float) -> list:
+    """Damped least-squares descents in lockstep on one stacked residual.
 
-    ``residual`` maps a ``(k, dof)`` stack of joint vectors to the
-    ``(k, m)`` stack of their residual vectors.  Levenberg-Marquardt
-    flavor: the damping grows when a step fails to shrink the error and
-    relaxes otherwise.  The Jacobian comes from forward differences: the
-    starting point and every trial point are posed together with their
-    ``dof`` perturbed rows, ``[q; q + h e_k]``, in one ``(dof + 1)``-row
-    residual call, so an accepted step already carries its Jacobian: one
-    residual call per iteration plus one per rejected trial.  Joint values
-    are clipped to the bounds.  Raises :class:`IkNotConverged` when the
-    error stays above ``tol`` for ``MAX_ITER`` iterations or stops
-    improving for ``STALL_ITERS`` (so alternative seeds can be tried
-    cheaply); only improving steps are taken, so its ``task_error`` is the
-    smallest error reached.
+    ``q0`` is a ``(d, dof)`` stack of starting points, one per descent (a
+    single descent is a stack of one), and ``residual(owner, Q)`` maps a
+    ``(k, dof)`` stack of joint vectors, row ``i`` of descent ``owner[i]``,
+    to the ``(k, m)`` stack of their residual vectors.  Each descent runs
+    :func:`_descent`.  Its Jacobian comes from forward differences: a point
+    is posed with its ``dof`` perturbed rows, ``[q; q + h e_k]``, so an
+    accepted step already carries its Jacobian.  Each round poses the
+    pending point of every live descent in one residual call; a descent
+    takes one round per iteration plus one per rejected trial and ends
+    with the bits of running alone.  Returns, per descent, its joint
+    vector or the :class:`IkNotConverged` that ended it.
     """
-    q = np.clip(np.array(q0, dtype=float), lower, upper)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    q0 = np.clip(np.array(q0, dtype=float), lower, upper)
+    d, dof = q0.shape
     h = 1e-6
+    out = [None] * d
+    live = {i: _descent(q.copy(), lower, upper, tol) for i, q in enumerate(q0)}
+    points = {i: next(descent) for i, descent in live.items()}
+    while live:
+        order = list(live)
+        # block b is [q; q + h e_k] of the b-th live descent
+        rows = np.repeat([points[i] for i in order], dof + 1, axis=0)
+        rows.reshape(len(order), -1)[:, dof::dof + 1] += h
+        r = np.asarray(residual(np.repeat(order, dof + 1), rows), dtype=float)
+        for i, rb in zip(order, r.reshape(len(order), dof + 1, -1)):
+            # the Jacobian C-contiguous, as J @ J.T in _descent reads it
+            J = np.ascontiguousarray(((rb[1:] - rb[0]) / h).T)
+            try:
+                points[i] = live[i].send((rb[0], J))
+            except StopIteration as done:
+                out[i] = done.value
+                del live[i]
+            except IkNotConverged as exc:
+                out[i] = exc
+                del live[i]
+    return out
+
+
+def _descent(q, lower, upper, tol: float):
+    """One damped least-squares descent from ``q``, as a generator that
+    yields each point to pose and is sent its residual and Jacobian.
+
+    Levenberg-Marquardt flavor: the damping grows when a step fails to
+    shrink the error and relaxes otherwise; joint values are clipped to
+    the bounds.  Returns the joint vector once the error is below ``tol``.
+    Raises :class:`IkNotConverged` when it is not within ``MAX_ITER``
+    iterations or stops improving for ``STALL_ITERS`` (so alternative
+    seeds can be tried cheaply); only improving steps are taken, so its
+    ``task_error`` is the smallest error reached.
+    """
     lam = DLS_DAMPING
-
-    def pose(q):
-        """Residual of ``q`` and its forward-difference Jacobian."""
-        # row k + 1 is q with h added to joint k
-        rows = np.repeat(q[None], q.size + 1, axis=0)
-        rows.flat[q.size::q.size + 1] += h
-        r = np.asarray(residual(rows), dtype=float)
-        # C-contiguous, as J @ J.T below reads it
-        return r[0], np.ascontiguousarray(((r[1:] - r[0]) / h).T)
-
-    e, J = pose(q)
+    e, J = yield q
     en = float(np.linalg.norm(e))
     best = en
     since_best = 0
@@ -253,7 +277,7 @@ def dls_solve(residual: Callable, q0, lower, upper, tol: float):
             if nrm > 0.6:
                 step *= 0.6 / nrm
             q_new = np.clip(q + step, lower, upper)
-            e_new, J_new = pose(q_new)
+            e_new, J_new = yield q_new
             en_new = float(np.linalg.norm(e_new))
             if en_new < en:
                 lam = max(lam / 3.0, 1e-5)

@@ -16,18 +16,18 @@ locked, so the robot -- three arms, its central hub and the carried tile
 gain ``W_C = -M_C(q) xdd_C``.  The robot hub and the hanging arms sit at
 fixed places in the gripping arm's link 5: one mount table places them for
 ``M_C``, the walking IK and its reach bound.  ``M_C`` is weighed for a
-list of waypoints at once (an edge's 2z): the links of all three arms of
-every waypoint posed from J0 in one :func:`flexasm.robot.link_poses`
-call, the hanging arms re-expressed from J6 in one
-:func:`flexasm.robot.rebase_j6` call, and per ``(arm, delta)``
+list of waypoints at once (an edge's 2z, or a planner's batch of edges):
+the links of all three arms of every waypoint posed from J0 in one
+:func:`flexasm.robot.link_poses` call, the hanging arms re-expressed from
+J6 in one :func:`flexasm.robot.rebase_j6` call, and per ``(arm, delta)``
 :func:`flexasm.multibody.compose_rigid` sums the parts in one pass on a
-leading batch axis; the walking IK's residual poses its gripping and
-reaching rows the same way.  Only ``M_C``
-reads the gripping arm and the joint angles, and it is memoized on
-``(arm, delta, joint angles)``: waypoints repeat across structure sizes
-and every home waypoint of one ``(arm, delta)`` is the same.  The rest of
-the spacecraft -- hub, array, tile stack and structure, its hub
-translation pinned -- is wired once per ``(n, j, delta)`` with the robot
+leading batch axis.  The walking IK's stacked residual poses the gripping
+and reaching rows of all the reach targets it solves in lockstep the same
+way.  Only ``M_C`` reads the gripping arm and the joint angles, and it is
+memoized on ``(arm, delta, joint angles)``: waypoints repeat across
+structure sizes and every home waypoint of one ``(arm, delta)`` is the
+same.  The rest of the spacecraft -- hub, array, tile stack and structure,
+its hub translation pinned -- is wired once per ``(n, j, delta)`` with the robot
 port left open and cached, from hub and array blocks built once per
 scenario.  Beside each cached plant sits its prepared robot-port closure
 (:class:`flexasm.linss.StaticClosure`), so a waypoint's open loop is one
@@ -568,42 +568,53 @@ class ScenarioModels:
     # -- combined-arm reach -----------------------------------------------
 
     def solve_reach(self, state: AssemblyState, reach_arm: int, target_world):
-        """Joint angles placing ``reach_arm``'s tip at a world point.
+        """Joint angles ``(q_grip, q_reach)`` placing ``reach_arm``'s tip at a
+        world point: :meth:`solve_reaches` of one problem, a failure raised."""
+        hit = self.solve_reaches([(state, reach_arm, target_world)])[0]
+        if isinstance(hit, IkNotConverged):
+            raise hit
+        return hit
+
+    def solve_reaches(self, problems) -> list:
+        """Walking IK of each ``(state, reach_arm, target_world)`` of a list:
+        per problem ``(q_grip, q_reach)``, or the :class:`IkNotConverged`
+        that :meth:`solve_reach` raises.
 
         Solves the 10-dof chain through the gripping arm and the robot
-        hub to ``REACH_TOL``; returns ``(q_grip, q_reach)``.  A target
-        beyond the chain's closed-form reach bound (see
-        :meth:`_reach_bound`) raises :class:`IkUnreachable` at once,
+        hub to ``REACH_TOL``.  A target beyond the chain's closed-form reach
+        bound (see :meth:`_reach_bound`) is :class:`IkUnreachable` at once,
         without any descent.  Otherwise damped least squares runs a short
         deterministic ladder of seeds: far targets can trap the descent
         from the upright home posture, so pre-bent seeds follow.  If every
         seed fails inside the bound, the failure is a seed artifact, not a
-        proof, and its :class:`IkNotConverged` message says so.
+        proof, and its message says so.  The distinct misses of a list
+        descend together (:meth:`_reach_solve`), each with the bits of
+        solving it alone, which is the list of one.
 
         Solves are memoized on ``(state.j, state.arm, reach_arm, target)``,
         everything the residual reads.  ``state.n`` and ``state.delta``
         only change which bodies the plant carries, not the kinematic
         chain from the docking tile to the reaching tip, so they are left
-        out of the key and the states of one walk share a solve.  A
-        failure is memoized too and raised again as a copy of the same
-        exception, type and message included; the returned arrays are
-        copies, so callers cannot alter a memoized solution.
+        out of the key and the states of one walk share a solve.  A failure
+        is memoized too and returned as a copy, type, message and task
+        error included; the returned arrays are copies, so callers cannot
+        alter a memoized solution.
         """
-        if reach_arm == state.arm:
-            raise StateInvalid("reach arm cannot be the gripping arm")
-        target_world = np.asarray(target_world, dtype=float).reshape(3)
-        key = (state.j, state.arm, reach_arm, target_world.tobytes())
-        hit = self._reach.get(key)
-        if hit is None:
-            try:
-                hit = self._reach_solve(state.j, state.arm, reach_arm,
-                                        target_world)
-            except IkNotConverged as exc:
-                hit = exc
-            self._reach[key] = hit
-        if isinstance(hit, IkNotConverged):
-            raise copy.copy(hit)
-        return hit[:5].copy(), hit[5:].copy()
+        keys = []
+        for state, reach_arm, target_world in problems:
+            if reach_arm == state.arm:
+                raise StateInvalid("reach arm cannot be the gripping arm")
+            target_world = np.asarray(target_world, dtype=float).reshape(3)
+            keys.append((state.j, state.arm, reach_arm, target_world.tobytes()))
+        missing = [key for key in dict.fromkeys(keys) if key not in self._reach]
+        if missing:
+            self._reach.update(zip(missing, self._reach_solve(missing)))
+        out = []
+        for key in keys:
+            hit = self._reach[key]
+            out.append(copy.copy(hit) if isinstance(hit, IkNotConverged)
+                       else (hit[:5].copy(), hit[5:].copy()))
+        return out
 
     def _reach_bound(self, g: int, reach_arm: int):
         """Fixed anchor and reach bound of the walking chain, cached.
@@ -633,44 +644,67 @@ class ScenarioModels:
             self._bounds[key] = (m, anchor, bound)
         return self._bounds[key]
 
-    def _reach_residual(self, j: int, g: int, reach_arm: int, target_world):
-        """Tip-minus-target residuals of a ``(k, 10)`` stack of
-        ``(q_grip, q_reach)`` rows, as a ``(k, 3)`` stack.
+    def _reach_residual(self, problems):
+        """``residual(owner, Q)``: tip-minus-target residuals of a ``(k, 10)``
+        stack of ``(q_grip, q_reach)`` rows as a ``(k, 3)`` stack, row ``i``
+        of problem ``owner[i]`` of a list of ``(j, g, reach_arm,
+        target_world)``.
 
-        The gripping rows and the reaching rows are posed from J0 in one
-        :func:`link_poses` call, and the reaching rows are re-expressed
-        from J6 by :func:`~flexasm.robot.rebase_j6`.  The matrix-vector
-        products are taken as ``(R @ v[:, :, None])[..., 0]``; every row
-        keeps the bits of posing it alone."""
+        The gripping and the reaching rows are posed from J0 in one
+        :func:`link_poses` call, and the reaching rows are re-expressed from
+        J6 by :func:`~flexasm.robot.rebase_j6`.  The matrix-vector products
+        are taken as ``(R @ v[:, :, None])[..., 0]``, the mount product with
+        one 2-D ``R`` per group of rows sharing a ``(g, reach_arm)`` mount;
+        every row keeps the bits of posing it alone."""
         geom = self.cfg.arm_geometry
-        base_world = self.cfg.tile_center(j)
-        R, p = self._mounts[g][reach_arm]
+        base_world = np.array([self.cfg.tile_center(j) for j, _, _, _ in problems])
+        target_world = np.array([t for _, _, _, t in problems], dtype=float)
+        pairs = list(dict.fromkeys((g, r) for _, g, r, _ in problems))
+        mount_of = np.array([pairs.index((g, r)) for _, g, r, _ in problems])
+        mounts = [self._mounts[g][r] for g, r in pairs]
 
-        def residual(q10):
+        def residual(owner, q10):
             k = len(q10)
             joints, rots = link_poses(geom, np.concatenate([q10[:, :5], q10[:, 5:]]))
             joints_g, rots_g = joints[:k], rots[:k]
             joints_r, _ = rebase_j6(joints[k:], rots[k:])
-            tip_r = p + (R @ joints_r[:, 0, :, None])[..., 0]
-            return (base_world + joints_g[:, 6]
-                    + (rots_g[:, 5] @ tip_r[:, :, None])[..., 0] - target_world)
+            on_mount = mount_of[owner]
+            tip_r = np.empty((k, 3))
+            for u, (R, p) in enumerate(mounts):
+                rows = on_mount == u
+                tip_r[rows] = p + (R @ joints_r[rows, 0, :, None])[..., 0]
+            return (base_world[owner] + joints_g[:, 6]
+                    + (rots_g[:, 5] @ tip_r[:, :, None])[..., 0] - target_world[owner])
 
         return residual
 
-    def _reach_solve(self, j: int, g: int, reach_arm: int,
-                     target_world) -> np.ndarray:
-        """The 10-vector ``(q_grip, q_reach)`` behind :meth:`solve_reach`."""
+    def _reach_solve(self, keys) -> list:
+        """The 10-vector ``(q_grip, q_reach)``, or the failure, behind
+        :meth:`solve_reaches` for each distinct memo key of a list.
+
+        Targets beyond the reach bound are certified one by one; the rest
+        climb the seed ladder together, each rung one lockstep
+        :func:`~flexasm.robot.dls_solve` of the problems still unsolved on
+        one stacked residual (:meth:`_reach_residual`)."""
         tol = 0.5 * REACH_TOL
-        m, anchor, bound = self._reach_bound(g, reach_arm)
-        dist = float(np.linalg.norm(target_world - self.cfg.tile_center(j)
-                                    - anchor))
-        # every tip lies within bound of J_m, so its task error is >= the gap
-        if dist - bound >= tol:
-            raise IkUnreachable(
-                f"target {dist:.6f} m from J{m} of arm {g} lies "
-                f"{dist - bound:.6e} m beyond the {bound:.6f} m reach bound "
-                f"of the chain to arm {reach_arm}")
-        residual = self._reach_residual(j, g, reach_arm, target_world)
+        out = [None] * len(keys)
+        live = {}
+        for i, (j, g, reach_arm, target) in enumerate(keys):
+            m, anchor, bound = self._reach_bound(g, reach_arm)
+            target = np.frombuffer(target)
+            dist = float(np.linalg.norm(target - self.cfg.tile_center(j) - anchor))
+            # every tip lies within bound of J_m, so its task error is >= the gap
+            if dist - bound >= tol:
+                out[i] = IkUnreachable(
+                    f"target {dist:.6f} m from J{m} of arm {g} lies "
+                    f"{dist - bound:.6e} m beyond the {bound:.6f} m reach bound "
+                    f"of the chain to arm {reach_arm}")
+            else:
+                # the problem, its seed-artifact message and best task error
+                live[i] = [(j, g, reach_arm, target),
+                           f"no IK seed reached a target {dist:.6f} m from J{m} of arm "
+                           f"{g}, inside the {bound:.6f} m reach bound; best task error ",
+                           np.inf]
 
         def bent(a, b, yaw=0.0):
             return np.concatenate([[yaw, a, a, a, 0.0], [0.0, b, b, b, 0.0]])
@@ -678,18 +712,24 @@ class ScenarioModels:
         seeds = [np.zeros(10)]
         seeds += [bent(a, b) for a in (0.5, -0.5) for b in (0.5, -0.5)]
         seeds += [bent(0.5, -0.5, 1.5), bent(0.5, -0.5, -1.5)]
-        best = np.inf
         for q0 in seeds:
-            try:
-                return dls_solve(residual, q0, -JOINT_LIMIT * np.ones(10),
-                                 JOINT_LIMIT * np.ones(10), tol=tol)
-            except IkNotConverged as exc:
-                best = min(best, exc.task_error)
-        raise IkNotConverged(
-            f"no IK seed reached a target {dist:.6f} m from J{m} of arm {g}, "
-            f"inside the {bound:.6f} m reach bound; best task error "
-            f"{best:.3e}: a seed artifact, not a proof of unreachability",
-            best)
+            if not live:
+                break
+            rows = list(live)
+            residual = self._reach_residual([live[i][0] for i in rows])
+            solved = dls_solve(residual, np.repeat(q0[None], len(rows), axis=0),
+                               -JOINT_LIMIT * np.ones(10), JOINT_LIMIT * np.ones(10),
+                               tol=tol)
+            for i, q in zip(rows, solved):
+                if isinstance(q, IkNotConverged):
+                    live[i][2] = min(live[i][2], q.task_error)
+                else:
+                    out[i] = q
+                    del live[i]
+        for i, (_, msg, best) in live.items():
+            out[i] = IkNotConverged(
+                f"{msg}{best:.3e}: a seed artifact, not a proof of unreachability", best)
+        return out
 
 
 def _mount_table(cfg: ScenarioConfig) -> dict:

@@ -226,6 +226,37 @@ def test_edge_weighs_its_mass_matrix_misses_in_one_link_poses_call(cfg, planner,
         assert calls == []
 
 
+def _desk_z2():
+    from flexasm import data_path
+    from flexasm.cli import load_scenario
+
+    return replace(load_scenario(data_path("scenario_desk.yaml"))[0], z_grid=2)
+
+
+@pytest.mark.parametrize("scenario, count", [
+    (_desk_z2, 28), (lambda: sc.table_scenario(8, z_grid=3), 88)],
+    ids=["desk-z2", "table-8-z3"])
+def test_pose_pass_solves_each_target_as_alone(scenario, count):
+    # every reach target the planner poses, solved in lockstep batches,
+    # has the q bits of solve_reach on a fresh model, or its exception
+    # type, message and task error
+    cfg = scenario()
+    planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
+    planner._pose_edges()
+    memo = planner.models._reach
+    assert len(memo) == count
+    for (j, arm, reach_arm, target), hit in memo.items():
+        state = sc.AssemblyState(cfg.n_tiles, j, arm, 0)
+        try:
+            ref = np.concatenate(sc.ScenarioModels(cfg).solve_reach(
+                state, reach_arm, np.frombuffer(target)))
+        except IkNotConverged as exc:
+            assert (type(hit), str(hit), np.float64(hit.task_error).tobytes()) == \
+                (type(exc), str(exc), np.float64(exc.task_error).tobytes())
+        else:
+            assert hit.tobytes() == ref.tobytes()
+
+
 def test_walk_edge_requires_arm_swap(planner):
     with pytest.raises(StateInvalid):
         po.grid_edge_models(planner.models, "pickup", 2, (1, 1), (2, 1),

@@ -716,8 +716,8 @@ def test_solve_reach_memo_reraises_unreachable_straddle(cfg, monkeypatch):
     models = sc.ScenarioModels(cfg)
     calls = []
     solve = sc.dls_solve
-    monkeypatch.setattr(sc, "dls_solve",
-                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    monkeypatch.setattr(sc, "dls_solve", lambda residual, q0, *a, **k:
+                        calls.append(len(q0)) or solve(residual, q0, *a, **k))
     target = cfg.tile_center(3)
     with pytest.raises(IkUnreachable) as first:
         models.solve_reach(sc.AssemblyState(3, 1, 1, 0), 2, target)
@@ -733,8 +733,8 @@ def test_solve_reach_memo_keeps_seed_artifact_type(cfg, monkeypatch):
     # a plain IkNotConverged stays plain on a memo hit, task error included
     models = sc.ScenarioModels(cfg)
 
-    def fail(*args, **kwargs):
-        raise IkNotConverged("stalled", 0.25)
+    def fail(residual, q0, *args, **kwargs):
+        return [IkNotConverged("stalled", 0.25) for _ in q0]
 
     monkeypatch.setattr(sc, "dls_solve", fail)
     st = sc.AssemblyState(1, 1, 1, 0)
@@ -771,12 +771,12 @@ def test_reach_bound_gap_is_the_stall_residual(cfg, g):
     target = cfg.tile_center(3)
     m, anchor, bound = models._reach_bound(g, r)
     dist = np.linalg.norm(target - cfg.tile_center(1) - anchor)
-    residual = models._reach_residual(1, g, r, target)
-    with pytest.raises(IkNotConverged) as exc:
-        sc.dls_solve(residual, np.zeros(10), -sc.JOINT_LIMIT * np.ones(10),
-                     sc.JOINT_LIMIT * np.ones(10), tol=0.5 * sc.REACH_TOL)
+    residual = models._reach_residual([(1, g, r, target)])
+    [exc] = sc.dls_solve(residual, np.zeros((1, 10)), -sc.JOINT_LIMIT * np.ones(10),
+                         sc.JOINT_LIMIT * np.ones(10), tol=0.5 * sc.REACH_TOL)
+    assert type(exc) is IkNotConverged
     assert dist - bound == pytest.approx(0.0345948, abs=1e-6)
-    assert abs(dist - bound - exc.value.task_error) < 1e-6
+    assert abs(dist - bound - exc.task_error) < 1e-6
 
 
 def row_by_row_residual(models, j, g, reach_arm, target_world):
@@ -840,13 +840,34 @@ def column_by_column_dls_solve(residual, q0, lower, upper, tol):
 def test_stacked_reach_residual_equals_row_by_row(cfg):
     models = sc.ScenarioModels(cfg)
     rng = make_rng(77)
-    for j, g, r, target in ((1, 1, 3, cfg.stack_center()),
-                            (2, 2, 1, cfg.tile_center(3))):
+    problems = [(1, 1, 3, cfg.stack_center()), (2, 2, 1, cfg.tile_center(3)),
+                (1, 1, 2, cfg.tile_center(3)), (3, 2, 3, cfg.tile_center(4))]
+    for problem in problems[:2]:
         Q = rng.uniform(-3.0, 3.0, (11, 10))
-        got = models._reach_residual(j, g, r, target)(Q)
-        ref = row_by_row_residual(models, j, g, r, target)(Q)
+        got = models._reach_residual([problem])(np.zeros(11, dtype=int), Q)
+        ref = row_by_row_residual(models, *problem)(Q)
         assert got.shape == (11, 3)
         assert got.tobytes() == ref.tobytes()
+    # rows of four problems, on all four (gripping arm, reach arm) mounts,
+    # interleaved in one stack
+    owner = rng.permutation(np.repeat(np.arange(4), 5))
+    Q = rng.uniform(-3.0, 3.0, (20, 10))
+    got = models._reach_residual(problems)(owner, Q)
+    for i, problem in enumerate(problems):
+        rows = owner == i
+        assert got[rows].tobytes() == row_by_row_residual(models, *problem)(Q[rows]).tobytes()
+
+
+def _outcome(run):
+    """The bytes of the joint vector ``run()`` returns, or the type, message
+    and task error of the :class:`IkNotConverged` it returns or raises."""
+    try:
+        q = run()
+    except IkNotConverged as exc:
+        q = exc
+    if isinstance(q, IkNotConverged):
+        return type(q), str(q), np.float64(q.task_error).tobytes()
+    return q.tobytes()
 
 
 @pytest.mark.parametrize("r, converges", [
@@ -861,16 +882,43 @@ def test_dls_solve_on_stacked_residual_equals_row_by_row(cfg, r, converges):
     args = (np.zeros(10), -sc.JOINT_LIMIT * np.ones(10),
             sc.JOINT_LIMIT * np.ones(10))
     rows = row_by_row_residual(models, j, g, r, target)
-    outcomes = []
-    for solve, residual in ((sc.dls_solve, models._reach_residual(j, g, r, target)),
-                            (sc.dls_solve, rows),
-                            (column_by_column_dls_solve, lambda q: rows(q[None])[0])):
-        try:
-            outcomes.append(solve(residual, *args, tol=0.5 * sc.REACH_TOL).tobytes())
-        except IkNotConverged as exc:
-            outcomes.append((str(exc), exc.task_error))
+    tol = 0.5 * sc.REACH_TOL
+    stacked = models._reach_residual([(j, g, r, target)])
+    outcomes = [
+        _outcome(lambda: sc.dls_solve(stacked, args[0][None], *args[1:], tol=tol)[0]),
+        _outcome(lambda: sc.dls_solve(lambda owner, Q: rows(Q), args[0][None], *args[1:],
+                                      tol=tol)[0]),
+        _outcome(lambda: column_by_column_dls_solve(lambda q: rows(q[None])[0], *args,
+                                                    tol=tol))]
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert isinstance(outcomes[0], bytes) == converges
+
+
+def test_lockstep_descents_equal_each_descent_alone(cfg):
+    # converging targets beside the diagonal straddle that stalls from the
+    # home seed, and a repeated problem: each descent of the lockstep
+    # batch ends with the q bits, or the message and task error, of
+    # descending alone
+    models = sc.ScenarioModels(cfg)
+    problems = [(1, 1, 3, cfg.stack_center()), (1, 1, 2, cfg.tile_center(3)),
+                (2, 2, 1, cfg.tile_center(3)), (1, 1, 3, cfg.stack_center()),
+                (1, 2, 3, cfg.tile_center(2)), (2, 1, 2, cfg.tile_center(1))]
+    bounds = (-sc.JOINT_LIMIT * np.ones(10), sc.JOINT_LIMIT * np.ones(10))
+    tol = 0.5 * sc.REACH_TOL
+    rounds = []
+    stacked = models._reach_residual(problems)
+    batch = sc.dls_solve(lambda owner, Q: rounds.append(owner) or stacked(owner, Q),
+                         np.zeros((len(problems), 10)), *bounds, tol=tol)
+    alone = [sc.dls_solve(models._reach_residual([p]), np.zeros((1, 10)), *bounds,
+                          tol=tol)[0] for p in problems]
+    got = [_outcome(lambda: q) for q in batch]
+    assert got == [_outcome(lambda: q) for q in alone]
+    assert sum(isinstance(o, bytes) for o in got) == len(problems) - 1
+    assert got[1][0] is IkNotConverged and "stalled" in got[1][1]
+    # every round poses the pending point, dof + 1 rows, of each live descent
+    assert all(np.array_equal(np.unique(o, return_counts=True)[1], [11] * len(set(o)))
+               for o in rounds)
+    assert len(rounds[0]) == 11 * len(problems)
 
 
 @pytest.mark.parametrize("r", [3, 2], ids=["converges", "stalls"])
@@ -882,7 +930,7 @@ def test_dls_solve_poses_each_trial_with_its_jacobian_rows(cfg, r):
     j, g, dof, h = 1, 1, 10, 1e-6
     target = cfg.stack_center() if r == 3 else cfg.tile_center(3)
     models = sc.ScenarioModels(cfg)
-    residual = models._reach_residual(j, g, r, target)
+    residual = models._reach_residual([(j, g, r, target)])
     rows = row_by_row_residual(models, j, g, r, target)
     args = (np.zeros(10), -sc.JOINT_LIMIT * np.ones(10),
             sc.JOINT_LIMIT * np.ones(10))
@@ -894,7 +942,8 @@ def test_dls_solve_poses_each_trial_with_its_jacobian_rows(cfg, r):
         except IkNotConverged:
             pass
 
-    run(sc.dls_solve, lambda Q: calls.append(np.array(Q)) or residual(Q))
+    run(lambda fn, q0, *a, **k: sc.dls_solve(fn, q0[None], *a, **k)[0],
+        lambda owner, Q: calls.append(np.array(Q)) or residual(owner, Q))
     run(column_by_column_dls_solve,
         lambda q: oracle_calls.append(1) or rows(q[None])[0])
     for Q in calls:
@@ -902,7 +951,8 @@ def test_dls_solve_poses_each_trial_with_its_jacobian_rows(cfg, r):
         steps = np.repeat(Q[:1], dof, axis=0)
         steps[np.arange(dof), np.arange(dof)] += h
         assert Q[1:].tobytes() == steps.tobytes()
-    errors = [float(np.linalg.norm(residual(Q[:1])[0])) for Q in calls]
+    errors = [float(np.linalg.norm(residual(np.zeros(1, dtype=int), Q[:1])[0]))
+              for Q in calls]
     accepted = rejected = 0
     en = errors[0]
     for e in errors[1:]:
@@ -927,10 +977,11 @@ def test_one_link_poses_call_per_residual_and_mass_matrix(cfg, monkeypatch):
 
     monkeypatch.setattr(sc, "link_poses", counted)
     models = sc.ScenarioModels(cfg)
-    residual = models._reach_residual(1, 1, 3, cfg.stack_center())
+    residual = models._reach_residual([(1, 1, 3, cfg.stack_center()),
+                                       (2, 2, 1, cfg.tile_center(3))])
     for k in (1, 2, 10):
         calls.clear()
-        residual(make_rng(k).uniform(-3.0, 3.0, (k, 10)))
+        residual(np.arange(k) % 2, make_rng(k).uniform(-3.0, 3.0, (k, 10)))
         assert calls == [(2 * k, 5)]
     for state, qs in mission_states(4, 31):
         calls.clear()
@@ -945,6 +996,28 @@ def test_one_link_poses_call_per_residual_and_mass_matrix(cfg, monkeypatch):
     assert calls == [(3 * len(waypoints), 5)]
     models.robot_mass_matrices(waypoints)
     assert calls == [(3 * len(waypoints), 5)]
+    # a plan poses in one call per lockstep round of its pose pass and one
+    # per mass batch, and nothing more while it builds its edges; each
+    # built edge still calls solve_reach once, a memo hit
+    from flexasm import pathopt as po
+
+    planner = po.AssemblyPlanner(sc.table_scenario(3, z_grid=2), costs=("h2-theta",))
+    rounds, batches, reaches = [], [], []
+    solve, parts, solve_reach = sc.dls_solve, sc.ScenarioModels._robot_parts, \
+        sc.ScenarioModels.solve_reach
+    monkeypatch.setattr(sc, "dls_solve", lambda residual, *a, **k: solve(
+        lambda owner, Q: rounds.append(len(Q)) or residual(owner, Q), *a, **k))
+    monkeypatch.setattr(sc.ScenarioModels, "_robot_parts",
+                        lambda self, keys: batches.append(len(keys)) or parts(self, keys))
+    monkeypatch.setattr(sc.ScenarioModels, "solve_reach",
+                        lambda self, *a: reaches.append(a) or solve_reach(self, *a))
+    calls.clear()
+    planner.plan_full_assembly(po.CostSpec("h2-theta"))
+    edges = sum(len(g.edges()) for n in (1, 2) for g in po.build_node_graphs(planner.cfg, n))
+    assert len(calls) == len(rounds) + len(batches)
+    assert [k for k, _ in calls[:len(rounds)]] == [2 * r for r in rounds]
+    assert len(batches) == -(-edges // po.POSE_BATCH)
+    assert len(reaches) == len(planner._edges) == edges
 
 
 def test_target_just_inside_reach_bound_solves(cfg):
@@ -1002,15 +1075,15 @@ def test_tilted_link1_anchors_at_j1_and_runs_the_ladder(cfg, monkeypatch):
     # the diagonal is inside this looser bound: no certificate, DLS runs
     calls = []
 
-    def fail(*args, **kwargs):
-        calls.append(1)
-        raise IkNotConverged("stalled", 0.03)
+    def fail(residual, q0, *args, **kwargs):
+        calls.append(len(q0))
+        return [IkNotConverged("stalled", 0.03) for _ in q0]
 
     monkeypatch.setattr(sc, "dls_solve", fail)
     with pytest.raises(IkNotConverged) as exc:
         models.solve_reach(sc.AssemblyState(3, 1, 1, 0), 2, cfg.tile_center(3))
     assert type(exc.value) is IkNotConverged
-    assert len(calls) == 7
+    assert calls == [1] * 7
 
 
 def test_seed_ladder_failure_inside_bound_is_a_seed_artifact(cfg, monkeypatch):
@@ -1018,9 +1091,9 @@ def test_seed_ladder_failure_inside_bound_is_a_seed_artifact(cfg, monkeypatch):
     errors = iter([0.4, 0.02, 0.3, 0.5, 0.6, 0.7, 0.8])
     calls = []
 
-    def fail(*args, **kwargs):
-        calls.append(1)
-        raise IkNotConverged("stalled", next(errors))
+    def fail(residual, q0, *args, **kwargs):
+        calls.append(len(q0))
+        return [IkNotConverged("stalled", next(errors)) for _ in q0]
 
     monkeypatch.setattr(sc, "dls_solve", fail)
     with pytest.raises(IkNotConverged) as exc:
@@ -1028,7 +1101,7 @@ def test_seed_ladder_failure_inside_bound_is_a_seed_artifact(cfg, monkeypatch):
     _, _, bound = models._reach_bound(1, 3)
     msg = str(exc.value)
     assert type(exc.value) is IkNotConverged
-    assert len(calls) == 7
+    assert calls == [1] * 7
     assert "seed artifact" in msg
     assert f"{bound:.6f} m reach bound" in msg
     assert "2.000e-02" in msg

@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python tools/plan_digest.py
+    PYTHONPATH=src python tools/plan_digest.py [--mission]
 
 For each configuration below a cold :class:`flexasm.pathopt.AssemblyPlanner`
 of all four cost kinds plans the full assembly under every kind, from
@@ -15,13 +15,16 @@ Floats enter as their bytes, so two trees print the same digest only when
 every planned value is bitwise the same.
 
 Configurations: the packaged desk layout at z = 2 and z = 7, a 4-tile
-straight strip at z = 4 and ``table_scenario(8, z_grid=3)``.  The script
-reports; it gates nothing.  It takes about 11 s on a two-core x86-64 box
-with one BLAS thread.
+straight strip at z = 4 and ``table_scenario(8, z_grid=3)``.  With
+``--mission`` the digest covers the mission scale instead,
+``table_scenario(28, z_grid=7)``, in the same way.  The script reports; it
+gates nothing.  The default run takes about 11 s on a two-core x86-64 box
+with one BLAS thread, the mission run about 3 minutes.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 from dataclasses import replace
 
@@ -65,9 +68,13 @@ def digest_planner(h, cfg) -> None:
         h.update(rec.values.tobytes())
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--mission", action="store_true",
+                        help="digest table_scenario(28, z_grid=7) instead")
+    args = parser.parse_args(argv)
     h = hashlib.sha256()
-    for cfg in configurations():
+    for cfg in ([table_scenario(28, z_grid=7)] if args.mission else configurations()):
         digest_planner(h, cfg)
     print(h.hexdigest())
     return 0
