@@ -27,17 +27,13 @@ each H-infinity cost makes one :func:`~flexasm.linss.hinf_norm` call per
 loop and the margin one :func:`~flexasm.robust.mu_real_repeated` per
 loop, all from the same cached eigendecompositions.
 
-The planner is built for the cost kinds it will plan.  It prices each
-edge's loops under all of them as soon as it builds them, so one
-eigendecomposition per loop serves every kind, and keeps only the prices,
-under edge ids it numbers itself.  Before a plan's first stage, its pose
-pass poses every edge of the plan's graphs that is not built yet, in
-batches of at most ``POSE_BATCH`` edges: the walking IK of a batch's
-distinct reach targets descends in lockstep, and the robot's mass matrices
-at all its waypoints are weighed in one call.  The pass only fills the
-reach and mass memos; each edge is still built once, by
-:func:`grid_edge_models`, which reads its reach target and legs from the
-same helper (``_EdgePose``).
+The planner is built for the cost kinds it will plan, and builds its edges
+in batches of at most ``POSE_BATCH``: the walking IK of a batch's distinct
+reach targets descends in lockstep, and the robot's mass matrices at all
+its waypoints are weighed in one call.  Then it builds each edge's loops
+(:func:`grid_edge_models`) and prices them under every planned kind at
+once, so one eigendecomposition per loop serves every kind, and keeps only
+the prices, under edge ids it numbers itself.
 """
 
 from __future__ import annotations
@@ -91,9 +87,9 @@ COST_KINDS = ("hinf-wrench", "h2-theta", "hinf-isens", "mu")
 PICKUP = "pickup"
 ASSEMBLE = "assemble"
 
-# Edges per batch of the planner's pose pass: a batch poses the IK of its
-# distinct targets in lockstep and the 3 arm chains of each of its edges'
-# 2z waypoints in one call, so this bounds what one call holds.
+# Edges per batch the planner builds: a batch poses the IK of its distinct
+# targets in lockstep and the 3 arm chains of each of its edges' 2z
+# waypoints in one call, so this bounds what one call holds.
 POSE_BATCH = 64
 
 
@@ -311,17 +307,10 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
 
     The edge's states, reach target and legs are those of
     :class:`_EdgePose`; its IK is :meth:`~flexasm.scenario.ScenarioModels.solve_reach`.
-    The robot's mass matrices of all 2z waypoints are weighed in one pass
-    (:meth:`~flexasm.scenario.ScenarioModels.robot_mass_matrices`) before
-    the loops are built; in a planned run the planner's pose pass has
-    filled both memos already.
     """
     z = models.cfg.z_grid
     pose = _EdgePose.of(models.cfg, kind, n, src, dst)
     waypoints = pose.waypoints(*models.solve_reach(pose.pre, pose.reach_arm, pose.target), z)
-    # every mass-matrix miss of the edge weighed in one pass, so each
-    # waypoint's open loop finds its M_C memoized
-    models.robot_mass_matrices(waypoints)
     systems = close_loop([models.open_loop(state, qs) for state, qs in waypoints], K_att)
     _prime_modes(systems)
     return EdgeModelArray(systems, np.asarray(pose.dock))
@@ -469,17 +458,21 @@ class PlanResult:
         return 100.0 * (self.cumulative_baseline - self.cumulative) / self.cumulative
 
 
+def _edge_keys(graph: NodeGraph) -> list:
+    """The planner's key ``(kind, n, src, dst)`` of each edge of ``graph``,
+    in :meth:`NodeGraph.edges` order."""
+    return [(graph.kind, graph.n, graph.nodes[i], graph.nodes[k]) for i, k in graph.edges()]
+
+
 class AssemblyPlanner:
     """Plans under the cost kinds ``costs`` it is built for, each named
     once: an empty tuple or a repeated kind raises ``ValueError``.
 
-    Each edge is built once: its 2z closed loops are priced under every
-    planned kind (:func:`edge_cost`, once per kind) and dropped, and the
-    cache keeps an :class:`EdgePrices` per edge.  A loop's channel slices
-    share its eigendecomposition, so one stacked ``eig`` per edge serves
-    every kind.  A plan first poses the edges it will build
-    (:meth:`_pose_edges`): their IK and robot masses in batches, not one
-    edge at a time; construction poses nothing.
+    Each edge is built once, on demand (:meth:`_build`): its 2z closed
+    loops are priced under every planned kind (:func:`edge_cost`, once per
+    kind) and dropped, and the cache keeps an :class:`EdgePrices` per edge.
+    A loop's channel slices share its eigendecomposition, so one stacked
+    ``eig`` per edge serves every kind.
     """
 
     def __init__(self, cfg: ScenarioConfig, costs=COST_KINDS):
@@ -494,50 +487,69 @@ class AssemblyPlanner:
         self.models = ScenarioModels(cfg)
         self.K_att = self.models.design_gains()
         self._edges = {}
-        self._next_edge_id = 0
+
+    def _build(self, keys) -> None:
+        """Build and price the unbuilt edges ``(kind, n, src, dst)`` of
+        ``keys`` in order, ``POSE_BATCH`` at a time: one ``solve_reaches``
+        of a batch's reach targets, one ``robot_mass_matrices`` of its
+        waypoints, then :func:`grid_edge_models` and one :func:`edge_cost`
+        per planned kind for each edge.  An edge whose action pose has no
+        IK solution is a hard constraint, stored as None (the inferred arm
+        geometry cannot span every diagonal).  Edge ids follow build
+        order."""
+        cfg, models = self.cfg, self.models
+        todo = [key for key in dict.fromkeys(keys) if key not in self._edges]
+        for b in range(0, len(todo), POSE_BATCH):
+            batch = todo[b:b + POSE_BATCH]
+            poses = [_EdgePose.of(cfg, *key) for key in batch]
+            reaches = models.solve_reaches([(p.pre, p.reach_arm, p.target) for p in poses])
+            models.robot_mass_matrices(
+                [wp for p, hit in zip(poses, reaches) if not isinstance(hit, IkNotConverged)
+                 for wp in p.waypoints(*hit, cfg.z_grid)])
+            for key in batch:
+                try:
+                    arr = grid_edge_models(models, *key, self.K_att)
+                except IkNotConverged:
+                    self._edges[key] = None
+                    continue
+                values = np.stack([edge_cost(arr, spec)[1] for spec in self._specs], axis=1)
+                self._edges[key] = EdgePrices(len(self._edges), arr.dock_distance, values)
+
+    def _column(self, spec: CostSpec) -> int:
+        """``spec.kind``'s index in ``costs``, or :class:`CostNotPlanned`."""
+        if spec.kind not in self.costs:
+            raise CostNotPlanned(f"cost {spec.kind!r} is not planned here; "
+                                 f"the planner prices {list(self.costs)}")
+        return self.costs.index(spec.kind)
 
     def edge_prices(self, kind: str, n: int, src, dst) -> Optional[EdgePrices]:
-        """Prices of one edge under every planned kind, or None when the
-        straddle is unreachable.
-
-        An edge whose action pose has no inverse-kinematics solution is a
-        hard constraint: it stays in the adjacency but prices to infinity
-        (the inferred arm geometry cannot span every diagonal).
-        """
+        """Prices of one edge under every planned kind, built on a miss, or
+        None when the straddle is unreachable."""
         key = (kind, n, src, dst)
-        if key not in self._edges:
-            try:
-                arr = grid_edge_models(self.models, kind, n, src, dst, self.K_att)
-            except IkNotConverged:
-                self._edges[key] = None
-            else:
-                values = np.stack([edge_cost(arr, spec)[1] for spec in self._specs],
-                                  axis=1)
-                self._edges[key] = EdgePrices(self._next_edge_id, arr.dock_distance, values)
-            self._next_edge_id += 1
+        self._build([key])
         return self._edges[key]
 
     def edge_values(self, kind: str, n: int, src, dst, spec: CostSpec):
         """``(cost, values)`` of one edge under ``spec``, from its stored
         prices; a spec whose kind the planner was not built for raises
         :class:`CostNotPlanned`."""
-        if spec.kind not in self.costs:
-            raise CostNotPlanned(f"cost {spec.kind!r} is not planned here; "
-                                 f"the planner prices {list(self.costs)}")
+        column = self._column(spec)
         rec = self.edge_prices(kind, n, src, dst)
         if rec is None:
             return np.inf, np.zeros(0)
         # a contiguous copy: it sums as edge_cost's values do, and no
         # caller holds a view into the cache
-        values = np.ascontiguousarray(rec.values[:, self.costs.index(spec.kind)])
+        values = np.ascontiguousarray(rec.values[:, column])
         return _edge_price(values, spec), values
 
     def weight_graph(self, graph: NodeGraph, spec: CostSpec) -> NodeGraph:
+        """Weigh ``graph``'s edges under ``spec``, building them together."""
+        self._column(spec)
+        keys = _edge_keys(graph)
+        self._build(keys)
         W = np.full_like(graph.adjacency, np.inf, dtype=float)
-        for i, k in graph.edges():
-            src = graph.nodes[i]
-            dst = graph.nodes[k]
-            W[i, k] = self.edge_values(graph.kind, graph.n, src, dst, spec)[0]
+        for (i, k), key in zip(graph.edges(), keys):
+            W[i, k] = self.edge_values(*key, spec)[0]
         graph.weights = W
         return graph
 
@@ -561,48 +573,30 @@ class AssemblyPlanner:
         return StageLog(graph.kind, graph.n, [graph.nodes[i] for i in path],
                         edges, cost)
 
-    def _run_plan(self, spec: CostSpec, start, mode: str) -> list:
-        """Stages from ``start`` to the full set; ``mode`` is a
-        :func:`shortest_path` search mode."""
+    def _run_plan(self, graphs, spec: CostSpec, start, mode: str) -> list:
+        """Stages from ``start`` to the full set through the weighted stage
+        ``graphs``; ``mode`` is a :func:`shortest_path` search mode."""
         node = start
         stages = []
-        for n in range(1, self.cfg.n_tiles):
-            for graph, goal in zip(build_node_graphs(self.cfg, n), ("stack", "target")):
-                self.weight_graph(graph, spec)
-                path, _ = shortest_path(graph, node, goal, mode)
-                stages.append(self.stage(graph, path, spec))
-                if len(path) > 1:
-                    node = graph.nodes[path[-2]]
+        for graph in graphs:
+            path, _ = shortest_path(graph, node, graph.action_index, mode)
+            stages.append(self.stage(graph, path, spec))
+            if len(path) > 1:
+                node = graph.nodes[path[-2]]
         return stages
-
-    def _pose_edges(self) -> None:
-        """Pose every edge of the plan's stage graphs that is not built yet:
-        per batch of ``POSE_BATCH`` edges, one
-        :meth:`~flexasm.scenario.ScenarioModels.solve_reaches` of their
-        reach targets and one
-        :meth:`~flexasm.scenario.ScenarioModels.robot_mass_matrices` of
-        their waypoints.  It fills only those two memos."""
-        cfg = self.cfg
-        todo = [(g.kind, n, g.nodes[i], g.nodes[k]) for n in range(1, cfg.n_tiles)
-                for g in build_node_graphs(cfg, n) for i, k in g.edges()]
-        todo = [key for key in todo if key not in self._edges]
-        for b in range(0, len(todo), POSE_BATCH):
-            poses = [_EdgePose.of(cfg, *key) for key in todo[b:b + POSE_BATCH]]
-            reaches = self.models.solve_reaches(
-                [(p.pre, p.reach_arm, p.target) for p in poses])
-            self.models.robot_mass_matrices(
-                [wp for p, hit in zip(poses, reaches) if not isinstance(hit, IkNotConverged)
-                 for wp in p.waypoints(*hit, cfg.z_grid)])
 
     def plan_full_assembly(self, spec: CostSpec, start=(1, 1)) -> PlanResult:
         """Alternate pickup/assemble stages from one tile to the full set.
 
         The optimized plan runs Dijkstra on metric-weighted graphs; the
         baseline takes minimum-hop paths and is evaluated under the same
-        metric for comparison.  Before the first stage, the pose pass
-        (:meth:`_pose_edges`) poses every edge the plan's graphs hold that
-        is not built yet.
+        metric for comparison.  Both search the same stage graphs, whose
+        edges are all built (:meth:`_build`) before any is weighed.
         """
-        self._pose_edges()
-        return PlanResult(spec, self._run_plan(spec, start, "dijkstra"),
-                          self._run_plan(spec, start, "bfs_unit"))
+        self._column(spec)
+        graphs = [g for n in range(1, self.cfg.n_tiles) for g in build_node_graphs(self.cfg, n)]
+        self._build([key for graph in graphs for key in _edge_keys(graph)])
+        for graph in graphs:
+            self.weight_graph(graph, spec)
+        return PlanResult(spec, self._run_plan(graphs, spec, start, "dijkstra"),
+                          self._run_plan(graphs, spec, start, "bfs_unit"))

@@ -162,8 +162,9 @@ def link_poses(geom: ArmGeometry, q):
     if not np.all(np.abs(q) <= JOINT_LIMIT + 1e-12):
         raise JointOutOfRange(f"joint angles {q} must be finite and within +-2*pi")
     k = len(q)
-    sin = np.array([math.sin(a) for a in q.flat]).reshape(k, 5, 1, 1)
-    vers = np.array([1.0 - math.cos(a) for a in q.flat]).reshape(k, 5, 1, 1)
+    angles = q.ravel().tolist()
+    sin = np.array([math.sin(a) for a in angles]).reshape(k, 5, 1, 1)
+    vers = np.array([1.0 - math.cos(a) for a in angles]).reshape(k, 5, 1, 1)
     turns = _EYE3 + sin * geom.axis_K + vers * geom.axis_KK
     joints = np.zeros((k, 7, 3))
     joints[:, 1] = geom.joint_offsets[0]

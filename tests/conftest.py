@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flexasm import linss
+from flexasm import pathopt as po
 from flexasm import scenario as sc
 
 
@@ -57,6 +58,13 @@ def mission_states(count, seed, N=4):
     family = sc.enumerate_model_family(N)
     for idx in rng.choice(len(family), count, replace=False):
         yield family[idx], [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
+
+
+def plan_keys(cfg):
+    """The planner's key of every edge of a full-assembly plan's stage
+    graphs, in build order."""
+    return [key for n in range(1, cfg.n_tiles) for g in po.build_node_graphs(cfg, n)
+            for key in po._edge_keys(g)]
 
 
 def mission_loops(count, seed):

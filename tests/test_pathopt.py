@@ -14,7 +14,7 @@ from flexasm.errors import (CostNotPlanned, IkNotConverged, NonzeroFeedthrough,
 from flexasm.linss import StateSpace
 from flexasm.modal import TileLayout
 
-from conftest import assert_same_system, make_rng
+from conftest import assert_same_system, make_rng, plan_keys
 
 
 @pytest.fixture(scope="module")
@@ -200,30 +200,69 @@ def test_assemble_edge_grows_structure(planner):
                          sc.AssemblyState(2, 1, 1, 0))
 
 
-def test_edge_weighs_its_mass_matrix_misses_in_one_link_poses_call(cfg, planner,
-                                                                  monkeypatch):
-    # the IK memoized first, an edge's misses cost one link_poses call of
-    # three rows each, and an edge whose mass matrices are all memoized
+def test_edge_weighs_its_mass_matrix_misses_in_one_link_poses_call(cfg, monkeypatch):
+    # the IK memoized first, building an edge costs one link_poses call of
+    # three rows per mass-matrix miss, in its batch, and nothing more while
+    # its loops are built; an edge whose mass matrices are all memoized
     # poses nothing
-    models = sc.ScenarioModels(cfg)
+    planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
+    models = planner.models
     pick, asm = po.build_node_graphs(cfg, 2)
     walk = next((i, k) for i, k in pick.edges() if k != pick.action_index)
-    edges = [("pickup", pick.nodes[walk[0]], pick.nodes[walk[1]]),
-             ("pickup", (1, 2), "stack"), ("assemble", (2, 1), "target")]
+    keys = [("pickup", 2, pick.nodes[walk[0]], pick.nodes[walk[1]]),
+            ("pickup", 2, (1, 2), "stack"), ("assemble", 2, (2, 1), "target")]
     calls = []
     link_poses = sc.link_poses
     monkeypatch.setattr(sc, "link_poses",
                         lambda geom, q: calls.append(np.shape(q)) or link_poses(geom, q))
-    for kind, src, dst in edges:
-        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
+    for key in keys:
+        planner._build([key])
+        del planner._edges[key]
         models._masses.clear()
         calls.clear()
-        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
-        assert calls == [(3 * len(models._masses), 5)], (kind, src, dst)
+        planner._build([key])
+        assert calls == [(3 * len(models._masses), 5)], key
         assert len(models._masses) == 2 * cfg.z_grid
+        del planner._edges[key]
         calls.clear()
-        po.grid_edge_models(models, kind, 2, src, dst, planner.K_att)
+        planner._build([key])
         assert calls == []
+
+
+def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
+    # a cold planner weighing a graph makes one solve_reaches per batch
+    # besides each built edge's own solve_reach, and keeps the edge ids and
+    # price bits of building each edge alone
+    monkeypatch.setattr(po, "POSE_BATCH", 3)
+    graph = po.build_node_graphs(cfg, 2)[0]
+    keys = po._edge_keys(graph)
+    assert len(keys) > 2 * po.POSE_BATCH
+    events = []
+    solve_reach, solve_reaches = sc.ScenarioModels.solve_reach, sc.ScenarioModels.solve_reaches
+    monkeypatch.setattr(sc.ScenarioModels, "solve_reach",
+                        lambda self, *a: events.append("edge") or solve_reach(self, *a))
+    monkeypatch.setattr(sc.ScenarioModels, "solve_reaches",
+                        lambda self, problems: events.append(len(problems))
+                        or solve_reaches(self, problems))
+    batched = po.AssemblyPlanner(cfg, costs=("hinf-wrench", "h2-theta"))
+    batched.weight_graph(graph, po.CostSpec("h2-theta"))
+    batches, calls = [], iter(events)
+    for event in calls:
+        if event == "edge":
+            assert next(calls) == 1     # solve_reach is solve_reaches of one
+        else:
+            batches.append(event)
+    assert batches == [3] * (len(keys) // 3) + [len(keys) % 3] * (len(keys) % 3 > 0)
+    assert events.count("edge") == len(keys)
+    alone = po.AssemblyPlanner(cfg, costs=("hinf-wrench", "h2-theta"))
+    for key in keys:
+        alone.edge_prices(*key)
+    assert list(alone._edges) == list(batched._edges) == keys
+    for key in keys:
+        got, want = batched._edges[key], alone._edges[key]
+        assert got.edge_id == want.edge_id
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.dock_distance.tobytes() == want.dock_distance.tobytes()
 
 
 def _desk_z2():
@@ -236,13 +275,13 @@ def _desk_z2():
 @pytest.mark.parametrize("scenario, count", [
     (_desk_z2, 28), (lambda: sc.table_scenario(8, z_grid=3), 88)],
     ids=["desk-z2", "table-8-z3"])
-def test_pose_pass_solves_each_target_as_alone(scenario, count):
-    # every reach target the planner poses, solved in lockstep batches,
-    # has the q bits of solve_reach on a fresh model, or its exception
-    # type, message and task error
+def test_build_solves_each_target_as_alone(scenario, count):
+    # every reach target of a plan's edges, solved in the lockstep batches
+    # of _build, has the q bits of solve_reach on a fresh model, or its
+    # exception type, message and task error
     cfg = scenario()
     planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
-    planner._pose_edges()
+    planner._build(plan_keys(cfg))
     memo = planner.models._reach
     assert len(memo) == count
     for (j, arm, reach_arm, target), hit in memo.items():
@@ -376,7 +415,11 @@ def test_plan_for_an_unplanned_kind_raises(cfg):
     planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
     with pytest.raises(CostNotPlanned, match=r"'mu'.*\['h2-theta'\]"):
         planner.plan_full_assembly(po.CostSpec("mu"))
+    with pytest.raises(CostNotPlanned):
+        planner.weight_graph(po.build_node_graphs(cfg, 2)[0], po.CostSpec("mu"))
+    # the kind is checked before any edge is posed
     assert not planner._edges
+    assert not planner.models._reach and not planner.models._masses
     with pytest.raises(ValueError):
         po.AssemblyPlanner(cfg, costs=("hinf",))
 

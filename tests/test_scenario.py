@@ -20,7 +20,7 @@ from flexasm.multibody import (ModalBodyData, apply_frame, compose_rigid,
 from flexasm.robot import default_arm_geometry, link_poses, rebase_j6
 
 from conftest import (assert_same_system, count_constructors, make_rng,
-                      mission_states)
+                      mission_states, plan_keys)
 from wired import (arm_two_port, rigid_nport_inverted, wired_close_loop,
                    wired_lft_upper, wired_open_loop, wired_stack_block)
 
@@ -289,39 +289,39 @@ def test_robot_mass_matrix_equals_per_arm_poses_bitwise(cfg, which):
 
 @pytest.mark.parametrize("which", ["desk", "skewed"])
 def test_edge_mass_matrices_equal_per_arm_poses_bitwise(which, monkeypatch):
-    # every M_C an edge weighs in its one pass, grouped and batched on
-    # (arm, delta), against the oracle posing each arm alone: walking,
-    # pickup and assemble edges from both gripping arms, with and without
-    # a carried tile
+    # every M_C the planner weighs in one pass per batch of edges, grouped
+    # and batched on (arm, delta), against the oracle posing each arm
+    # alone: walking, pickup and assemble edges from both gripping arms,
+    # with and without a carried tile
     if which == "desk":
         cfg = load_scenario(data_path("scenario_desk.yaml"))[0]
     else:
         cfg = skewed_robot_scenario()
     cfg = replace(cfg, z_grid=3)
-    models = sc.ScenarioModels(cfg)
-    K = models.design_gains()
+    planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
+    models = planner.models
     passes = []
     weigh = sc.ScenarioModels.robot_mass_matrices
     monkeypatch.setattr(sc.ScenarioModels, "robot_mass_matrices",
                         lambda self, waypoints: passes.append(waypoints)
                         or weigh(self, waypoints))
+    keys = plan_keys(cfg)
+    planner._build(keys)
+    # each open loop weighs its one waypoint, a memo hit; a batch's pass
+    # holds the 2z waypoints of each of its edges with an IK solution
+    batch_passes = [p for p in passes if len(p) != 1]
+    assert len(batch_passes) == -(-len(keys) // po.POSE_BATCH)
+    waypoints = [wp for p in batch_passes for wp in p]
+    built = [key for key in keys if planner._edges[key] is not None]
+    assert len(waypoints) == 2 * cfg.z_grid * len(built)
     seen = set()
-    for n in range(1, cfg.n_tiles):
-        for graph in po.build_node_graphs(cfg, n):
-            for i, k in graph.edges():
-                src, dst = graph.nodes[i], graph.nodes[k]
-                passes.clear()
-                try:
-                    po.grid_edge_models(models, graph.kind, n, src, dst, K)
-                except IkNotConverged:
-                    continue
-                edge_pass = passes[0]
-                assert len(edge_pass) == 2 * cfg.z_grid
-                label = "walk" if isinstance(dst, tuple) else graph.kind
-                for (state, qs), M in zip(edge_pass, weigh(models, edge_pass)):
-                    ref = per_arm_mass_matrix(models, state, qs)
-                    assert M.tobytes() == ref.tobytes(), (label, state)
-                    seen.add((label, state.arm, state.delta))
+    for e, (kind, n, src, dst) in enumerate(built):
+        edge_pass = waypoints[2 * cfg.z_grid * e:2 * cfg.z_grid * (e + 1)]
+        label = "walk" if isinstance(dst, tuple) else kind
+        for (state, qs), M in zip(edge_pass, weigh(models, edge_pass)):
+            ref = per_arm_mass_matrix(models, state, qs)
+            assert M.tobytes() == ref.tobytes(), (label, state)
+            seen.add((label, state.arm, state.delta))
     assert seen == {(label, arm, delta) for label in ("walk", "pickup", "assemble")
                     for arm in (1, 2) for delta in (0, 1)}
 
@@ -996,9 +996,10 @@ def test_one_link_poses_call_per_residual_and_mass_matrix(cfg, monkeypatch):
     assert calls == [(3 * len(waypoints), 5)]
     models.robot_mass_matrices(waypoints)
     assert calls == [(3 * len(waypoints), 5)]
-    # a plan poses in one call per lockstep round of its pose pass and one
-    # per mass batch, and nothing more while it builds its edges; each
-    # built edge still calls solve_reach once, a memo hit
+    # a plan poses in one call per lockstep round of the IK of its edge
+    # batches (pathopt's AssemblyPlanner._build) and one per mass batch,
+    # and nothing more while it builds its edges' loops; each built edge
+    # still calls solve_reach once, a memo hit
     from flexasm import pathopt as po
 
     planner = po.AssemblyPlanner(sc.table_scenario(3, z_grid=2), costs=("h2-theta",))

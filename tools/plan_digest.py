@@ -2,7 +2,8 @@
 
 Usage::
 
-    PYTHONPATH=src python tools/plan_digest.py [--mission]
+    PYTHONPATH=src python tools/plan_digest.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/plan_digest.py --mission
 
 For each configuration below a cold :class:`flexasm.pathopt.AssemblyPlanner`
 of all four cost kinds plans the full assembly under every kind, from
@@ -20,6 +21,12 @@ straight strip at z = 4 and ``table_scenario(8, z_grid=3)``.  With
 ``table_scenario(28, z_grid=7)``, in the same way.  The script reports; it
 gates nothing.  The default run takes about 11 s on a two-core x86-64 box
 with one BLAS thread, the mission run about 3 minutes.
+
+The mission digest depends on the BLAS thread count: some N = 28 loops
+close with other bits under one OpenBLAS thread than under two, so quote
+and compare it with ``OPENBLAS_NUM_THREADS=1``, the setting of the
+benchmark workers.  The default digest is the same under one thread and
+under two.
 """
 
 from __future__ import annotations
