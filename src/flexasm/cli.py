@@ -64,7 +64,7 @@ from .pathopt import (
     shortest_path,
 )
 from .robot import default_arm_geometry
-from .scenario import ARM_MOUNT_DCMS, AssemblyState, ScenarioModels, table_scenario
+from .scenario import ARM_MOUNT_DCMS, HOME_JOINTS, AssemblyState, ScenarioModels, table_scenario
 
 __all__ = ["main", "load_scenario"]
 
@@ -320,7 +320,7 @@ def cmd_analyze(args) -> int:
     state = args.state
     if state.n > cfg.n_tiles:
         raise SchemaError(f"--state has n={state.n} > N={cfg.n_tiles}")
-    plant = ScenarioModels(cfg).open_loop(state, (np.zeros(5),) * 3)
+    plant = ScenarioModels(cfg).open_loop(state, (HOME_JOINTS,) * 3)
     closed = {delta: lft_upper(plant, delta) for delta in (-1.0, 0.0, 1.0)}
     i_name, i_idx, o_name, o_idx = _parse_channel(args.channel, closed[0.0])
 

@@ -362,7 +362,7 @@ def split_channel(sys: StateSpace, name: str, parts: Sequence) -> StateSpace:
     ``parts`` is a list of ``(name, width)`` whose widths must sum to the
     original channel width.  Works on whichever direction carries ``name``.
     """
-    def _split(channels, is_input):
+    def _split(channels):
         out = []
         hit = False
         for chan, width in channels:
@@ -377,8 +377,8 @@ def split_channel(sys: StateSpace, name: str, parts: Sequence) -> StateSpace:
                 out.append((chan, width))
         return tuple(out), hit
 
-    ins, hit_in = _split(sys.in_channels, True)
-    outs, hit_out = _split(sys.out_channels, False)
+    ins, hit_in = _split(sys.in_channels)
+    outs, hit_out = _split(sys.out_channels)
     if not (hit_in or hit_out):
         raise UnknownChannel(f"channel {name!r} not present")
     return StateSpace(sys.A, sys.B, sys.C, sys.D, ins, outs)

@@ -21,7 +21,7 @@ legs differ in state count): the open loop per waypoint, then the attitude
 loop closed on all 2z waypoints in one :func:`~flexasm.scenario.close_loop`
 call, and the eigendecompositions and modal inverses in one stacked ``eig``
 and one stacked ``inv``.  Every cost kind prices an edge at a time
-(``_leg_values``): a norm-priced kind slices the edge's channel pair once,
+(``_loop_values``): a norm-priced kind slices the edge's channel pair once,
 the H2 cost prices the slices in one :func:`~flexasm.linss.h2_norm` call,
 each H-infinity cost makes one :func:`~flexasm.linss.hinf_norm` call per
 loop and the margin one :func:`~flexasm.robust.mu_real_repeated` per
@@ -33,13 +33,14 @@ reach targets descends in lockstep, and the robot's mass matrices at all
 its waypoints are weighed in one call.  Then it builds each edge's loops
 (:func:`grid_edge_models`) and prices them under every planned kind at
 once, so one eigendecomposition per loop serves every kind, and keeps only
-the prices, under edge ids it numbers itself.
+the prices, under edge ids it numbers itself: the rest follows from the key.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -112,12 +113,10 @@ class NodeGraph:
         return 2 * self.n
 
     def node_index(self, node) -> int:
-        if node in ("stack", "target"):
-            return self.action_index
-        tile, arm = node
-        if not (1 <= tile <= self.n and arm in (1, 2)):
-            raise StateInvalid(f"no node {node} in a {self.n}-tile graph")
-        return 2 * (tile - 1) + (arm - 1)
+        """``node``'s index; only this graph's kind has its action node."""
+        if node not in self.nodes:
+            raise StateInvalid(f"no node {node!r} in a {self.n}-tile {self.kind} graph")
+        return self.nodes.index(node)
 
     def edges(self):
         rows, cols = np.nonzero(self.adjacency)
@@ -141,27 +140,22 @@ def build_node_graphs(cfg: ScenarioConfig, n: int):
     walk = np.zeros((size, size))
     for a_t in range(1, n + 1):
         for b_t in range(1, n + 1):
-            if not _adjacent(cells[a_t - 1], cells[b_t - 1]):
-                continue
-            for arm in (1, 2):
-                src = 2 * (a_t - 1) + (arm - 1)
-                dst = 2 * (b_t - 1) + (2 - arm)
-                walk[src, dst] = 1.0
+            if _adjacent(cells[a_t - 1], cells[b_t - 1]):
+                # (a_t, 1) -> (b_t, 2) and (a_t, 2) -> (b_t, 1)
+                walk[2 * a_t - 2:2 * a_t, 2 * b_t - 2:2 * b_t] = [[0.0, 1.0], [1.0, 0.0]]
 
     pickup = np.array(walk)
     c0 = cfg.stack_center()
     for t in range(1, n + 1):
         if np.linalg.norm(cfg.tile_center(t) - c0) <= cfg.stack_reach:
-            for arm in (1, 2):
-                pickup[2 * (t - 1) + (arm - 1), 2 * n] = 1.0
+            pickup[2 * t - 2:2 * t, 2 * n] = 1.0
 
     assemble = np.array(walk)
     if n < cfg.n_tiles:
         nxt = cfg.layout.cells[n]
         for t in range(1, n + 1):
             if _adjacent(cells[t - 1], nxt):
-                for arm in (1, 2):
-                    assemble[2 * (t - 1) + (arm - 1), 2 * n] = 1.0
+                assemble[2 * t - 2:2 * t, 2 * n] = 1.0
 
     return (NodeGraph(PICKUP, n, nodes + ["stack"], pickup),
             NodeGraph(ASSEMBLE, n, nodes + ["target"], assemble))
@@ -239,23 +233,21 @@ class EdgeModelArray:
     pre-action state, then leg 2, back home under the post-action one, z
     loops each.  A built edge's loops are read-only ``StateSpace`` views
     of one stack (:func:`~flexasm.scenario.close_loop` of a list), each
-    carrying its share of the stacked eigendecomposition.
-    ``dock_distance`` records the gripped tile's distance to the hub CoM
-    per waypoint.  The planner numbers the edge (:class:`EdgePrices`).
+    carrying its share of the stacked eigendecomposition.  The planner
+    keeps only their prices (:class:`EdgePrices`).
     """
 
     systems: list
-    dock_distance: np.ndarray
 
 
 class _EdgePose(NamedTuple):
     """What an edge's poses read besides its IK solution: the pre- and
-    post-action states, the reaching arm and its world target, and the
-    gripped tile's distance to the hub CoM per waypoint.
+    post-action states, the reaching arm and its world target.
 
     Walking edges solve the two-arm straddle so the free arm's tip meets
     the target tile center; action edges park arm 3 on the stack (pickup)
-    or on the next tile's cell (assemble).  Leg 2 always returns to the
+    or on the next tile's cell (assemble); an action node of the other
+    graph kind raises :class:`StateInvalid`.  Leg 2 always returns to the
     home configuration under the post-action state.
     """
 
@@ -263,28 +255,29 @@ class _EdgePose(NamedTuple):
     post: AssemblyState
     reach_arm: int
     target: np.ndarray
-    dock: list
 
     @classmethod
     def of(cls, cfg: ScenarioConfig, kind: str, n: int, src, dst) -> "_EdgePose":
-        z = cfg.z_grid
         tile, arm = src
-        delta_walk = 0 if kind == PICKUP else 1
-        pre = AssemblyState(n, tile, arm, delta_walk)
-        dock = [float(np.linalg.norm(cfg.tile_center(tile)))] * z
-        if dst == "stack":
-            return cls(pre, AssemblyState(n, tile, arm, 1), 3, cfg.stack_center(), dock * 2)
-        if dst == "target":
+        pre = AssemblyState(n, tile, arm, 0 if kind == PICKUP else 1)
+        if dst == "stack" and kind == PICKUP:
+            return cls(pre, AssemblyState(n, tile, arm, 1), 3, cfg.stack_center())
+        if dst == "target" and kind == ASSEMBLE:
             if n >= cfg.n_tiles:
                 raise StateInvalid(f"no tile left to assemble after F_{n}")
-            return cls(pre, AssemblyState(n + 1, tile, arm, 0), 3,
-                       cfg.tile_center(n + 1), dock * 2)
+            return cls(pre, AssemblyState(n + 1, tile, arm, 0), 3, cfg.tile_center(n + 1))
+        if isinstance(dst, str):
+            raise StateInvalid(f"a {kind} edge cannot end at {dst!r}")
         tile_b, arm_b = dst
         if arm_b != 3 - arm:
             raise StateInvalid("walking must swap the gripping arm")
-        return cls(pre, AssemblyState(n, tile_b, arm_b, delta_walk), arm_b,
-                   cfg.tile_center(tile_b),
-                   dock + [float(np.linalg.norm(cfg.tile_center(tile_b)))] * z)
+        return cls(pre, AssemblyState(n, tile_b, arm_b, pre.delta), arm_b,
+                   cfg.tile_center(tile_b))
+
+    def dock_distance(self, cfg: ScenarioConfig) -> np.ndarray:
+        """The gripped tile's distance to the hub CoM per waypoint."""
+        return np.repeat([float(np.linalg.norm(cfg.tile_center(state.j)))
+                          for state in (self.pre, self.post)], cfg.z_grid)
 
     def waypoints(self, q_grip, q_reach, z: int) -> list:
         """The edge's 2z ``(state, qs)``: leg 1 under ``pre``, then leg 2
@@ -313,7 +306,7 @@ def grid_edge_models(models: ScenarioModels, kind: str, n: int, src, dst,
     waypoints = pose.waypoints(*models.solve_reach(pose.pre, pose.reach_arm, pose.target), z)
     systems = close_loop([models.open_loop(state, qs) for state, qs in waypoints], K_att)
     _prime_modes(systems)
-    return EdgeModelArray(systems, np.asarray(pose.dock))
+    return EdgeModelArray(systems)
 
 
 def _edge_price(values: np.ndarray, spec: CostSpec) -> float:
@@ -332,7 +325,7 @@ _PRICED_CHANNELS = {
 }
 
 
-def _leg_values(loops, spec: CostSpec) -> np.ndarray:
+def _loop_values(loops, spec: CostSpec) -> np.ndarray:
     """Per-loop values of an edge's closed loops (both legs' loops, with
     the same channels) under ``spec.kind``.
 
@@ -355,9 +348,9 @@ def edge_cost(array: EdgeModelArray, spec: CostSpec):
 
     Returns ``(cost, values)``; any value beyond the hard cap makes the
     whole edge infinite, which Dijkstra treats as impassable.  The 2z
-    loops are priced together (:func:`_leg_values`).
+    loops are priced together (:func:`_loop_values`).
     """
-    values = _leg_values(array.systems, spec)
+    values = _loop_values(array.systems, spec)
     return _edge_price(values, spec), values
 
 
@@ -367,12 +360,10 @@ class EdgePrices(NamedTuple):
     ``edge_id`` is the planner's running number of its edges, unreachable
     ones included.  ``values[k, c]`` is the metric of the edge's k-th
     closed loop (in :class:`EdgeModelArray` order) under the planner's
-    c-th cost kind; ``dock_distance`` is per loop, as in
-    :class:`EdgeModelArray`.
+    c-th cost kind.  Everything else of the edge follows from its key.
     """
 
     edge_id: int
-    dock_distance: np.ndarray
     values: np.ndarray
 
 
@@ -398,7 +389,11 @@ class StageLog:
     n: int
     path_nodes: list
     edges: list
-    cost: float
+
+    @property
+    def cost(self) -> float:
+        """Its edges' costs, a running sum from 0.0 (``sum`` compensates on 3.12+)."""
+        return reduce(lambda total, e: total + e.cost, self.edges, 0.0)
 
 
 def _plan_facts(stages):
@@ -458,10 +453,11 @@ class PlanResult:
         return 100.0 * (self.cumulative_baseline - self.cumulative) / self.cumulative
 
 
-def _edge_keys(graph: NodeGraph) -> list:
-    """The planner's key ``(kind, n, src, dst)`` of each edge of ``graph``,
-    in :meth:`NodeGraph.edges` order."""
-    return [(graph.kind, graph.n, graph.nodes[i], graph.nodes[k]) for i, k in graph.edges()]
+def _edge_keys(graph: NodeGraph, pairs=None) -> list:
+    """The planner's key ``(kind, n, src, dst)`` of each node-index pair of
+    ``graph``, by default its edges in :meth:`NodeGraph.edges` order."""
+    return [(graph.kind, graph.n, graph.nodes[i], graph.nodes[k])
+            for i, k in (graph.edges() if pairs is None else pairs)]
 
 
 class AssemblyPlanner:
@@ -470,9 +466,10 @@ class AssemblyPlanner:
 
     Each edge is built once, on demand (:meth:`_build`): its 2z closed
     loops are priced under every planned kind (:func:`edge_cost`, once per
-    kind) and dropped, and the cache keeps an :class:`EdgePrices` per edge.
-    A loop's channel slices share its eigendecomposition, so one stacked
-    ``eig`` per edge serves every kind.
+    kind) and dropped, and the cache keeps an :class:`EdgePrices` per edge,
+    which every reader prices through :meth:`_priced`.  A loop's channel
+    slices share its eigendecomposition, so one stacked ``eig`` per edge
+    serves every kind.
     """
 
     def __init__(self, cfg: ScenarioConfig, costs=COST_KINDS):
@@ -513,7 +510,7 @@ class AssemblyPlanner:
                     self._edges[key] = None
                     continue
                 values = np.stack([edge_cost(arr, spec)[1] for spec in self._specs], axis=1)
-                self._edges[key] = EdgePrices(len(self._edges), arr.dock_distance, values)
+                self._edges[key] = EdgePrices(len(self._edges), values)
 
     def _column(self, spec: CostSpec) -> int:
         """``spec.kind``'s index in ``costs``, or :class:`CostNotPlanned`."""
@@ -521,6 +518,15 @@ class AssemblyPlanner:
             raise CostNotPlanned(f"cost {spec.kind!r} is not planned here; "
                                  f"the planner prices {list(self.costs)}")
         return self.costs.index(spec.kind)
+
+    def _priced(self, key, spec: CostSpec):
+        """``(cost, values)`` of the built edge ``key`` under ``spec``, ``values`` a
+        contiguous copy that sums as edge_cost's; inf and no values without IK."""
+        rec = self._edges[key]
+        if rec is None:
+            return np.inf, np.zeros(0)
+        values = np.ascontiguousarray(rec.values[:, self._column(spec)])
+        return _edge_price(values, spec), values
 
     def edge_prices(self, kind: str, n: int, src, dst) -> Optional[EdgePrices]:
         """Prices of one edge under every planned kind, built on a miss, or
@@ -533,14 +539,9 @@ class AssemblyPlanner:
         """``(cost, values)`` of one edge under ``spec``, from its stored
         prices; a spec whose kind the planner was not built for raises
         :class:`CostNotPlanned`."""
-        column = self._column(spec)
-        rec = self.edge_prices(kind, n, src, dst)
-        if rec is None:
-            return np.inf, np.zeros(0)
-        # a contiguous copy: it sums as edge_cost's values do, and no
-        # caller holds a view into the cache
-        values = np.ascontiguousarray(rec.values[:, column])
-        return _edge_price(values, spec), values
+        self._column(spec)
+        self.edge_prices(kind, n, src, dst)
+        return self._priced((kind, n, src, dst), spec)
 
     def weight_graph(self, graph: NodeGraph, spec: CostSpec) -> NodeGraph:
         """Weigh ``graph``'s edges under ``spec``, building them together."""
@@ -549,29 +550,28 @@ class AssemblyPlanner:
         self._build(keys)
         W = np.full_like(graph.adjacency, np.inf, dtype=float)
         for (i, k), key in zip(graph.edges(), keys):
-            W[i, k] = self.edge_values(*key, spec)[0]
+            W[i, k] = self._priced(key, spec)[0]
         graph.weights = W
         return graph
 
     def stage(self, graph: NodeGraph, path, spec: CostSpec) -> StageLog:
-        """Edge logs and cost of one node-index path through ``graph``.
+        """Edge logs of one node-index path through ``graph``, its edges
+        built together.
 
         An edge without an inverse-kinematics solution logs ``edge_id``
         -1 with no values or distances.
         """
+        self._column(spec)
+        keys = _edge_keys(graph, zip(path, path[1:]))
+        self._build(keys)
         edges = []
-        cost = 0.0
-        for i, k in zip(path, path[1:]):
-            src, dst = graph.nodes[i], graph.nodes[k]
-            price, values = self.edge_values(graph.kind, graph.n, src, dst, spec)
-            rec = self.edge_prices(graph.kind, graph.n, src, dst)
-            edge_id, dists = ((-1, np.zeros(0)) if rec is None
-                              else (rec.edge_id, rec.dock_distance))
-            edges.append(EdgeLog(edge_id, graph.kind, graph.n, src, dst,
-                                 values, price, dists))
-            cost += price
-        return StageLog(graph.kind, graph.n, [graph.nodes[i] for i in path],
-                        edges, cost)
+        for key in keys:
+            rec = self._edges[key]
+            edge_id, dists = ((-1, np.zeros(0)) if rec is None else
+                              (rec.edge_id, _EdgePose.of(self.cfg, *key).dock_distance(self.cfg)))
+            price, values = self._priced(key, spec)
+            edges.append(EdgeLog(edge_id, *key, values, price, dists))
+        return StageLog(graph.kind, graph.n, [graph.nodes[i] for i in path], edges)
 
     def _run_plan(self, graphs, spec: CostSpec, start, mode: str) -> list:
         """Stages from ``start`` to the full set through the weighted stage

@@ -16,7 +16,7 @@ locked, so the robot -- three arms, its central hub and the carried tile
 gain ``W_C = -M_C(q) xdd_C``.  The robot hub and the hanging arms sit at
 fixed places in the gripping arm's link 5: one mount table places them for
 ``M_C``, the walking IK and its reach bound.  ``M_C`` is weighed for a
-list of waypoints at once (an edge's 2z, or a planner's batch of edges):
+list of waypoints at once (a planner's batch of edges):
 the links of all three arms of every waypoint posed from J0 in one
 :func:`flexasm.robot.link_poses` call, the hanging arms re-expressed from
 J6 in one :func:`flexasm.robot.rebase_j6` call, and per ``(arm, delta)``

@@ -671,7 +671,7 @@ def test_priced_norms_match_unprojected_channel_on_mission_loops():
         for kind, (inp, out) in zip(PRICED_KINDS, PRICED_CHANNELS):
             if kind == "h2-theta" and k % 3:
                 continue
-            price = pathopt._leg_values([cl], pathopt.CostSpec(kind))[0]
+            price = pathopt._loop_values([cl], pathopt.CostSpec(kind))[0]
             oracle = oracles[kind](cl.subsystem([out], [inp]))
             assert price == pytest.approx(oracle, rel=1e-9, abs=0.0), (k, kind)
 
@@ -696,7 +696,7 @@ def test_one_state_eigensolve_per_loop_for_every_cost(monkeypatch):
     monkeypatch.setattr(linss, "_seed_frequencies",
                         lambda eigs: seeds.append(1) or seed(eigs))
     for kind in pathopt.COST_KINDS:
-        pathopt._leg_values([cl], pathopt.CostSpec(kind))
+        pathopt._loop_values([cl], pathopt.CostSpec(kind))
     # the margin's closed-loop probes and the Hamiltonian level-set tests
     # solve other matrices: not counted
     assert of_A.count(True) == 1
@@ -1077,7 +1077,7 @@ def test_priced_norms_and_margin_match_oracles_on_mission_scale_loops():
         cl = models.closed_loop(state, qs, K)
         assert cl.modal_inverse() is not None
         for kind, (inp, out) in zip(PRICED_KINDS, PRICED_CHANNELS):
-            price = pathopt._leg_values([cl], pathopt.CostSpec(kind))[0]
+            price = pathopt._loop_values([cl], pathopt.CostSpec(kind))[0]
             oracle = oracles[kind](cl.subsystem([out], [inp]))
             assert price == pytest.approx(oracle, rel=1e-9, abs=0.0), (k, kind)
         assert robust.mu_real_repeated(cl).delta_crit == robust._scan_crossing(cl, 20.0)
@@ -1116,7 +1116,7 @@ def test_hinf_prices_match_a_dense_stacked_solve_grid_on_mission_scale_loops():
         for kind, (inp, out) in zip(PRICED_KINDS, PRICED_CHANNELS):
             if kind == "h2-theta":
                 continue
-            price = pathopt._leg_values([cl], pathopt.CostSpec(kind))[0]
+            price = pathopt._loop_values([cl], pathopt.CostSpec(kind))[0]
             sys = cl.subsystem([out], [inp])
             seeds = linss._seed_grid(sys)[0]
             ws = np.geomspace(seeds.min(), seeds.max(), 20_000)

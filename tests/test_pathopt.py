@@ -1,7 +1,7 @@
 """Graphs, search, edge costs and the full-assembly planner."""
 
 import gc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -69,6 +69,21 @@ def test_pickup_adjacency_respects_reach(cfg):
             has_edge = pick.adjacency[pick.node_index((t, arm)),
                                       pick.action_index] > 0
             assert has_edge == reachable
+
+
+def test_an_action_node_of_the_other_kind_is_no_node(cfg):
+    # the pickup graph ends at the stack, the assemble graph at the target:
+    # neither graph nor an edge key takes the other's action node
+    pick, asm = po.build_node_graphs(cfg, 2)
+    assert pick.node_index("stack") == asm.node_index("target") == pick.action_index
+    for graph, node in ((pick, "target"), (asm, "stack"), (pick, (3, 1)), (asm, (1, 3))):
+        with pytest.raises(StateInvalid):
+            graph.node_index(node)
+    planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
+    for key in (("pickup", 1, (1, 1), "target"), ("assemble", 1, (1, 1), "stack")):
+        with pytest.raises(StateInvalid):
+            planner.edge_prices(*key)
+    assert not planner._edges and not planner.models._reach
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +202,7 @@ def test_identical_systems_cost_is_multiple(planner):
     arr = edge_models(planner, "pickup", 1, (1, 1), "stack")
     sys0 = arr.systems[0]
     z = planner.cfg.z_grid
-    clone = po.EdgeModelArray([sys0] * (2 * z), np.zeros(2 * z))
+    clone = po.EdgeModelArray([sys0] * (2 * z))
     spec = po.CostSpec("hinf-wrench")
     cost, values = po.edge_cost(clone, spec)
     assert np.allclose(values, values[0])
@@ -262,7 +277,6 @@ def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
         got, want = batched._edges[key], alone._edges[key]
         assert got.edge_id == want.edge_id
         assert got.values.tobytes() == want.values.tobytes()
-        assert got.dock_distance.tobytes() == want.dock_distance.tobytes()
 
 
 def _desk_z2():
@@ -380,6 +394,10 @@ def test_hard_cap_soundness_on_returned_path(planner):
 
 
 def test_planner_keeps_prices_not_loops(planner):
+    # the store and the logs hold only what no key derives
+    assert po.EdgePrices._fields == ("edge_id", "values")
+    assert [f.name for f in fields(po.EdgeModelArray)] == ["systems"]
+    assert "cost" not in [f.name for f in fields(po.StageLog)]
     planner.plan_full_assembly(po.CostSpec("h2-theta"))
     built = [rec for rec in planner._edges.values() if rec is not None]
     assert built and all(rec.values.shape == (2 * planner.cfg.z_grid,
@@ -393,6 +411,45 @@ def test_planner_keeps_prices_not_loops(planner):
         seen.add(id(obj))
         assert not isinstance(obj, (StateSpace, po.EdgeModelArray)), type(obj)
         todo.extend(gc.get_referents(obj))
+
+
+def test_stage_derives_the_dock_distances_of_its_edges():
+    # per waypoint the gripped tile's distance to the hub CoM: the source
+    # tile on leg 1, the tile gripped after the action on leg 2; an edge
+    # with no IK solution (a diagonal straddle of the square) logs none
+    square = TileLayout(((0, 0), (0, 1), (1, 0), (1, 1)))
+    cfg = sc.table_scenario(4, layout=square, z_grid=2)
+    planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
+    spec = po.CostSpec("h2-theta")
+    pick, asm = po.build_node_graphs(cfg, 3)
+
+    def dock(*tiles):
+        return np.array([np.linalg.norm(cfg.tile_center(t)) for t in tiles
+                         for _ in range(cfg.z_grid)])
+
+    for graph, path, legs in ((pick, [(1, 1), (2, 2), "stack"], [(1, 2), (2, 2)]),
+                              (asm, [(3, 1), "target"], [(3, 3)])):
+        log = planner.stage(graph, [graph.node_index(v) for v in path], spec)
+        assert len(log.edges) == len(legs)
+        for e, tiles in zip(log.edges, legs):
+            assert e.edge_id == planner._edges[(e.kind, e.n, e.src, e.dst)].edge_id
+            assert e.dock_distance.tobytes() == dock(*tiles).tobytes()
+        assert log.cost == sum(e.cost for e in log.edges)
+    (e,) = planner.stage(pick, [pick.node_index((2, 1)), pick.node_index((3, 2))], spec).edges
+    assert planner._edges[(e.kind, e.n, e.src, e.dst)] is None
+    assert (e.edge_id, e.dock_distance.size, e.values.size, e.cost) == (-1, 0, 0, np.inf)
+
+
+def test_a_plan_builds_once_per_weighed_graph_and_stage(planner, monkeypatch):
+    # one _build of the plan's edges, then one per weighed graph and one
+    # per logged stage, not one per edge
+    calls = []
+    build = po.AssemblyPlanner._build
+    monkeypatch.setattr(po.AssemblyPlanner, "_build",
+                        lambda self, keys: calls.append(keys) or build(self, keys))
+    planner.plan_full_assembly(po.CostSpec("hinf-isens"))
+    graphs = 2 * (planner.cfg.n_tiles - 1)
+    assert len(calls) == 1 + graphs + 2 * graphs
 
 
 @pytest.mark.parametrize("key", [("pickup", 1, (1, 1), "stack"),

@@ -9,7 +9,7 @@ from flexasm import linss, robust
 from flexasm.errors import IllPosedLoop, NominalUnstable, WidthMismatch
 from flexasm.linss import StateSpace, gain, lft_upper, spectral_abscissa
 from flexasm.multibody import ModalBodyData, mode_freq_lfr
-from flexasm.pathopt import CostSpec, _leg_values
+from flexasm.pathopt import CostSpec, _loop_values
 
 from conftest import (dense_spectral_radius_peak, make_rng, mission_loops,
                       random_stable_system, state_transform)
@@ -169,7 +169,7 @@ def test_margin_only_matches_mu_real_repeated_on_mission_loops(monkeypatch):
     for cl, res in zip(loops, full):
         again = robust.mu_real_repeated(cl, delta_max=20.0)
         assert (again.mu_lower, again.delta_crit) == (res.mu_lower, res.delta_crit)
-        assert _leg_values([cl], CostSpec("mu"))[0] == res.mu_lower
+        assert _loop_values([cl], CostSpec("mu"))[0] == res.mu_lower
 
 
 def lft_closed_A(sys, delta):

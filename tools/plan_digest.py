@@ -10,8 +10,9 @@ of all four cost kinds plans the full assembly under every kind, from
 tile 1 on arm 1 and then on arm 2.  The digest covers, in order: the
 attitude gain ``K_att``; every stage's path, cost and the plan's
 cumulative cost, optimized and baseline; then every edge the planner
-stored, in key order, with its edge id, dock distances and per-loop
-prices (an edge without an inverse-kinematics solution as ``None``).
+stored, in key order, with its edge id, its dock distances (derived from
+its key, as a stage log derives them) and its per-loop prices (an edge
+without an inverse-kinematics solution as ``None``).
 Floats enter as their bytes, so two trees print the same digest only when
 every planned value is bitwise the same.
 
@@ -37,7 +38,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from flexasm import data_path
+from flexasm import data_path, pathopt
 from flexasm.cli import load_scenario
 from flexasm.modal import TileLayout
 from flexasm.pathopt import COST_KINDS, AssemblyPlanner, CostSpec
@@ -71,7 +72,7 @@ def digest_planner(h, cfg) -> None:
             h.update(b"None")
             continue
         h.update(repr(rec.edge_id).encode())
-        h.update(rec.dock_distance.tobytes())
+        h.update(pathopt._EdgePose.of(cfg, *key).dock_distance(cfg).tobytes())
         h.update(rec.values.tobytes())
 
 
