@@ -1,7 +1,8 @@
 """Rigid and flexible body blocks and their sanity identities.
 
-Shows the kinematic transport, the rigid n-port, a flexible two-port
-built from published solar-array data, and the exact weld identity: two
+Shows the kinematic transport, the rigid n-port, the flexible P-port
+block built from published solar-array data (read through the P channels
+of its mode-frequency LFR), and the exact weld identity: two
 rigid bodies joined at a port behave as their composite.  The second body
 is welded as the gain ``W_J = -M_J xdd_J`` of its mass matrix at the
 port, the way the planner closes the locked robot on the spacecraft.
@@ -25,7 +26,8 @@ print("tile translational response:",
 
 # flexible solar array: feedthrough is minus the residual mass
 array = modal.load_body_file(flexasm.data_path("solar_array.yaml"))
-sys = mb.titop_one_port(array)
+# the P block (xdd_P -> W_P) of the LFR that pulls out mode 1's frequency
+sys = mb.mode_freq_lfr(array, 0, 0.2).subsystem(["W_P"], ["xdd_P"])
 R = mb.residual_mass(array)
 print("array model feedthrough equals -R_P:",
       np.allclose(sys.D, -R), "| residual mass (min eig):",

@@ -30,13 +30,13 @@ def slowest_poles(loop, count=6):
 # critically damped design; the array and structure modes sit far above
 K_here = sc.attitude_gains(models.total_inertia([(state, home)])[0], cfg.xi_att, cfg.f_att_hz)
 print("slowest flexible-loop poles (state-matched gains):",
-      slowest_poles(models.closed_loop(state, home, K_here)),
+      slowest_poles(sc.close_loop([models.open_loop(state, home)], K_here)[0]),
       "(design -2 pi 0.01 =", round(-2 * np.pi * 0.01, 6), ")")
 
 # ...while the mission controller is sized once, on the heaviest state,
 # and must merely keep every other configuration stable
 K = models.design_gains()
-cl = models.closed_loop(state, home, K)
+cl = sc.close_loop([models.open_loop(state, home)], K)[0]
 print("slowest flexible-loop poles (worst-case gains):", slowest_poles(cl))
 print("flexible loop stable:", linss.spectral_abscissa(cl.A) < -linss.STAB_TOL)
 

@@ -817,7 +817,17 @@ def _hamiltonian_imag_crossings(sys: StateSpace, g: float):
     keep = np.abs(ev.real) <= 1e-8 * np.maximum(1.0, np.abs(ev.imag))
     if not keep.any():
         return np.empty(0)
-    return np.unique(np.round(np.abs(ev.imag[keep]), 12))
+    return _distinct(np.round(np.abs(ev.imag[keep]), 12))
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a finite 1-D array, with the bits of
+    ``np.unique(x)``, which sorts the same way but imports ``numpy.ma``
+    on its first call."""
+    x = np.sort(x)
+    keep = np.ones(x.shape, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 def _seed_frequencies(eigs):
@@ -826,7 +836,7 @@ def _seed_frequencies(eigs):
     w0 = np.where(np.abs(eigs.imag) > 1e-12, np.abs(eigs.imag), np.abs(eigs.real))
     w0 = w0[w0 > 1e-12]
     factors = (0.2, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 5.0)
-    return np.unique(np.concatenate([[1e-6, 1e-3, 1.0, 1e3],
+    return _distinct(np.concatenate([[1e-6, 1e-3, 1.0, 1e3],
                                      np.outer(w0, factors).ravel()]))
 
 
@@ -1034,7 +1044,7 @@ def hinf_norm(sys: StateSpace) -> float:
         cross = _hamiltonian_imag_crossings(sys, gamma * (1.0 + 2.0 * HINF_RTOL))
         if not cross.size:
             return gamma
-        ws = np.unique(np.concatenate([cross, 0.5 * (cross[:-1] + cross[1:])]))
+        ws = _distinct(np.concatenate([cross, 0.5 * (cross[:-1] + cross[1:])]))
         vals = sigma(ws)
         best = _polish(sigma, ws, vals, [int(np.argmax(vals))])
         if best <= gamma:

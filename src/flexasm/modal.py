@@ -349,17 +349,26 @@ def _floats(value, label):
     return np.asarray(value, dtype=float)
 
 
-# The safe loader with YAML 1.2 floats (YAML 1.1 leaves 2.3e6 a string)
-_Loader = type("_Loader", (yaml.SafeLoader,), {})
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float", re.compile(
-        r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
+def _loader(base):
+    """The safe loader ``base`` with YAML 1.2 floats (YAML 1.1 leaves
+    2.3e6 a string)."""
+    loader = type("_Loader", (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float", re.compile(
+            r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
+    return loader
+
+
+# libyaml's parser where PyYAML was built with it, else the pure-Python one
+_Loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def load_yaml(path) -> dict:
-    """The top-level mapping of a YAML input file (read by ``_Loader``); a
+    """The top-level mapping of a YAML input file (read by ``_Loader``,
+    libyaml's safe loader when PyYAML has it, with YAML 1.2 floats); a
     file that cannot be read or parsed, or is not a mapping, is a
-    ``ParseError`` naming it."""
+    ``ParseError`` naming it.  Under libyaml a syntax error names the
+    line and column but shows no snippet of the file."""
     try:
         doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_Loader)
     except OSError as exc:

@@ -2,10 +2,9 @@
 rigid n-ports, frame rotations, and the modal-frequency uncertainty LFR.
 
 Every flexible-body model is one block, the clamped-free body at its
-port P (``xdd_P -> W_P``): :func:`titop_one_port` is that block,
-:func:`titop_two_port` extends it with the child port C, and
-:func:`mode_freq_lfr` perturbs one of its mode frequencies.  The
-frequency LFR models the P port only.
+port P (``xdd_P -> W_P``, built by ``_p_port``): :func:`titop_two_port`
+extends it with the child port C, and :func:`mode_freq_lfr` perturbs one
+of its mode frequencies.  The frequency LFR models the P port only.
 
 Sign and transport conventions
 ------------------------------
@@ -63,7 +62,6 @@ __all__ = [
     "d_p_matrix",
     "residual_mass",
     "titop_two_port",
-    "titop_one_port",
     "mode_freq_lfr",
 ]
 
@@ -466,11 +464,6 @@ def titop_two_port(data: ModalBodyData) -> StateSpace:
                       (("xdd_C", 6), ("W_P", 6)))
 
 
-def titop_one_port(data: ModalBodyData) -> StateSpace:
-    """Direct dynamic model at P only: ``xdd_P -> W_P`` (end appendage)."""
-    return StateSpace(*_p_port(data), (("xdd_P", 6),), (("W_P", 6),))
-
-
 def mode_freq_lfr(data: ModalBodyData, mode_index: int, r: float) -> StateSpace:
     """P-port body model with one mode frequency pulled out as an uncertainty.
 
@@ -480,7 +473,8 @@ def mode_freq_lfr(data: ModalBodyData, mode_index: int, r: float) -> StateSpace:
     selected mode frequency is ``omega0 * (1 + r * delta)``.  The scalar
     appears twice because the frequency enters both integrator couplings
     of the mode, which is the minimal repetition count.  A C port the data
-    may carry is left out, as in :func:`titop_one_port`.
+    may carry is left out: the system is the P-port block with the
+    uncertainty channels added.
 
     The uncertain mode's states are rescaled to ``(omega0 * eta, eta')``;
     the transfer behavior at ``delta = 0`` is unchanged.

@@ -528,21 +528,6 @@ class AssemblyPlanner:
         values = np.ascontiguousarray(rec.values[:, self._column(spec)])
         return _edge_price(values, spec), values
 
-    def edge_prices(self, kind: str, n: int, src, dst) -> Optional[EdgePrices]:
-        """Prices of one edge under every planned kind, built on a miss, or
-        None when the straddle is unreachable."""
-        key = (kind, n, src, dst)
-        self._build([key])
-        return self._edges[key]
-
-    def edge_values(self, kind: str, n: int, src, dst, spec: CostSpec):
-        """``(cost, values)`` of one edge under ``spec``, from its stored
-        prices; a spec whose kind the planner was not built for raises
-        :class:`CostNotPlanned`."""
-        self._column(spec)
-        self.edge_prices(kind, n, src, dst)
-        return self._priced((kind, n, src, dst), spec)
-
     def weight_graph(self, graph: NodeGraph, spec: CostSpec) -> NodeGraph:
         """Weigh ``graph``'s edges under ``spec``, building them together."""
         self._column(spec)

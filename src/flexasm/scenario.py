@@ -547,9 +547,6 @@ class ScenarioModels:
         return [transport_inertia(J_com, m, com)
                 for m, com, J_com in self.mass_properties(waypoints)]
 
-    def closed_loop(self, state: AssemblyState, qs, K_att: np.ndarray) -> StateSpace:
-        return close_loop([self.open_loop(state, qs)], K_att)[0]
-
     def design_gains(self) -> np.ndarray:
         """Baseline gains sized on the worst-case (largest) inertia state.
 

@@ -67,12 +67,18 @@ def plan_keys(cfg):
             for key in po._edge_keys(g)]
 
 
+def closed_loop(models, state, qs, K):
+    """The attitude loop ``close_loop`` closes with gain ``K`` around the
+    open loop of one ``(state, qs)`` waypoint of ``models``."""
+    return sc.close_loop([models.open_loop(state, qs)], K)[0]
+
+
 def mission_loops(count, seed):
     """Closed loops of the 4-tile mission at random states and joints."""
     models = sc.ScenarioModels(sc.table_scenario(4))
     K = models.design_gains()
     for state, qs in mission_states(count, seed):
-        yield models.closed_loop(state, qs, K)
+        yield closed_loop(models, state, qs, K)
 
 
 def dense_spectral_radius_peak(sys, points=20_000):

@@ -353,8 +353,9 @@ def test_ac8_end_to_end_dominance(planner4):
         assert np.isfinite(res.cumulative), kind
         assert res.cumulative <= res.cumulative_baseline + 1e-9, kind
         e0 = next(e for st in res.stages for e in st.edges if e.edge_id >= 0)
-        assert planner4.edge_prices(e0.kind, e0.n, e0.src,
-                                    e0.dst).values.shape == (14, len(po.COST_KINDS))
+        key = (e0.kind, e0.n, e0.src, e0.dst)
+        planner4._build([key])
+        assert planner4._edges[key].values.shape == (14, len(po.COST_KINDS))
         results[kind] = res
     hw = results["hinf-wrench"]
     assert hw.mean_dock_distance <= hw.mean_dock_distance_baseline + 1e-9

@@ -428,6 +428,23 @@ def test_planner_imports_leave_out_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_a_planned_norm_leaves_out_numpy_ma():
+    # np.unique imports numpy.ma (about 8 ms and 1.3 MB) on its first call
+    # since numpy 2.3: a plan priced by H-infinity norms makes none
+    src = os.path.join(os.path.dirname(flexasm.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from flexasm import pathopt as po, scenario as sc; "
+         "spec = po.CostSpec('hinf-wrench'); "
+         "po.AssemblyPlanner(sc.table_scenario(2, z_grid=2), (spec.kind,))"
+         ".plan_full_assembly(spec); "
+         "print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_validate_passes_on_desk(tmp_path, capsys):
     assert run(["--out", tmp_path, "validate"]) == 0
     out = capsys.readouterr().out

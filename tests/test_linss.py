@@ -22,7 +22,7 @@ from flexasm.errors import (
     WidthMismatch,
 )
 
-from conftest import (assert_same_system, count_constructors,
+from conftest import (assert_same_system, closed_loop, count_constructors,
                       dense_spectral_radius_peak, make_rng, max_response_deviation,
                       mission_loops, mission_states, random_stable_system,
                       state_transform)
@@ -530,6 +530,22 @@ def test_seed_frequencies_of_no_poles_are_the_four_decades():
     # hinf_norm always sees at least four
     ws = linss._seed_frequencies(np.empty(0, dtype=complex))
     assert ws.tolist() == [1e-6, 1e-3, 1.0, 1e3]
+
+
+def test_distinct_has_the_bits_of_np_unique():
+    # linss drops repeated frequencies without np.unique, which imports
+    # numpy.ma on its first call; the result keeps np.unique's bits
+    rng = make_rng(21)
+    ev = np.linalg.eigvals(rng.standard_normal((12, 12)))
+    cases = [rng.choice(rng.standard_normal(8), 40),      # random, with repeats
+             rng.integers(0, 6, 50) / 4.0,
+             np.round(np.abs(ev.imag), 12),               # conjugate pairs
+             np.array([0.0, -0.0, 1.0, -0.0, 0.0]),       # signed zeros
+             np.array([-0.0, 0.0, -1.5]),
+             np.array([2.5]), np.empty(0)]
+    for x in cases:
+        got, want = linss._distinct(x.copy()), np.unique(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), x
 
 
 def test_hinf_dominates_grid_and_matches_peak():
@@ -1074,7 +1090,7 @@ def test_priced_norms_and_margin_match_oracles_on_mission_scale_loops():
     K = models.design_gains()
     oracles = dict(zip(PRICED_KINDS, (peak_gain, kronecker_h2, peak_gain)))
     for k, (state, qs) in enumerate(mission_states(4, 5, N=28)):
-        cl = models.closed_loop(state, qs, K)
+        cl = closed_loop(models, state, qs, K)
         assert cl.modal_inverse() is not None
         for kind, (inp, out) in zip(PRICED_KINDS, PRICED_CHANNELS):
             price = pathopt._loop_values([cl], pathopt.CostSpec(kind))[0]
@@ -1109,7 +1125,7 @@ def test_hinf_prices_match_a_dense_stacked_solve_grid_on_mission_scale_loops():
     models = sc.ScenarioModels(sc.table_scenario(28))
     K = models.design_gains()
     for k, (state, qs) in enumerate(mission_states(4, 5, N=28)):
-        cl = models.closed_loop(state, qs, K)
+        cl = closed_loop(models, state, qs, K)
         bound, peak = robust.mu_upper_bound(cl), dense_spectral_radius_peak(cl)
         assert peak <= bound * (1.0 + 1e-9), k
         assert bound == pytest.approx(peak, rel=1e-3, abs=0.0), k
@@ -1131,7 +1147,7 @@ def mission_scale_loops():
     """The four N = 28 closed loops of the two tests above."""
     models = sc.ScenarioModels(sc.table_scenario(28))
     K = models.design_gains()
-    return [models.closed_loop(state, qs, K) for state, qs in mission_states(4, 5, N=28)]
+    return [closed_loop(models, state, qs, K) for state, qs in mission_states(4, 5, N=28)]
 
 
 HINF_PAIRS = (("W_ext", "omega_dot_G"), ("d_t", "e_t"))

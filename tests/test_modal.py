@@ -17,6 +17,7 @@ from flexasm.errors import (
     DisconnectedLayout,
     EigenFailure,
     LayoutError,
+    ParseError,
     SchemaError,
     UnitError,
     UnknownPoint,
@@ -431,6 +432,30 @@ def test_packaged_files_read_as_yaml_1_1_reads_them(name):
     text = flexasm.data_path(name).read_text(encoding="utf-8")
     got, want = modal.load_yaml(flexasm.data_path(name)), yaml.safe_load(text)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("base", [
+    pytest.param("SafeLoader", id="python"),
+    pytest.param("CSafeLoader", id="libyaml", marks=pytest.mark.skipif(
+        not yaml.__with_libyaml__, reason="PyYAML is built without libyaml"))])
+def test_load_yaml_reads_alike_on_either_loader_base(base, tmp_path, monkeypatch):
+    # load_yaml parses with libyaml where PyYAML has it: either base reads
+    # every packaged file to the pure-Python base's document, types and
+    # float bits included, reads YAML 1.2 floats and refuses a syntax error
+    paths = sorted(flexasm.data_path("solar_array.yaml").parent.glob("*.yaml"))
+    assert len(paths) == 4
+    python = modal._loader(yaml.SafeLoader)
+    want = [repr(yaml.load(p.read_text(encoding="utf-8"), Loader=python)) for p in paths]
+    monkeypatch.setattr(modal, "_Loader", modal._loader(getattr(yaml, base)))
+    assert [repr(modal.load_yaml(p)) for p in paths] == want
+    p = tmp_path / "doc.yaml"
+    p.write_text("a: 2.3268060e6\nb: 5e-3\n")
+    doc = modal.load_yaml(p)
+    assert doc == {"a": 2326806.0, "b": 0.005}
+    assert [type(v) for v in doc.values()] == [float, float]
+    p.write_text("a: [1, 2\n")
+    with pytest.raises(ParseError, match="cannot parse"):
+        modal.load_yaml(p)
 
 
 def test_body_file_table_holds_the_packaged_keys():

@@ -16,7 +16,7 @@ from flexasm.errors import (
 
 import tabledata as td
 from conftest import make_rng, max_response_deviation
-from wired import rigid_nport_inverted
+from wired import rigid_nport_inverted, titop_one_port
 
 vec3 = st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=3)
 
@@ -237,10 +237,20 @@ def test_titop_zero_modes_is_rigid_transmission():
 
 def test_titop_feedthrough_is_minus_residual_mass():
     data = td.solar_array_data()
-    sys = mb.titop_one_port(data)
+    sys = titop_one_port(data)
     assert np.allclose(sys.D, -mb.residual_mass(data), atol=1e-12)
     # steady base acceleration drags the whole body: static gain is -D_P
     assert np.allclose(sys.dc_gain(), -mb.d_p_matrix(data), atol=1e-9)
+
+
+def test_two_port_p_block_is_the_written_out_body():
+    # titop_two_port extends the library's P block with the C port: its
+    # xdd_P -> W_P channels are the body written out from its modal equations
+    data = td.f1_data()
+    two = mb.titop_two_port(data).subsystem(["W_P"], ["xdd_P"])
+    ref = titop_one_port(data)
+    for m in "ABCD":
+        assert np.array_equal(getattr(two, m), getattr(ref, m)), m
 
 
 def test_titop_d_block_symmetry_pattern():
@@ -412,7 +422,7 @@ def test_mode_lfr_closure_matches_shifted_model(delta):
     r = 0.2
     lfr = mb.mode_freq_lfr(td.solar_array_data(), 0, r)
     closed = linss.lft_upper(lfr, delta)
-    ref = mb.titop_one_port(shifted_array(delta, r))
+    ref = titop_one_port(shifted_array(delta, r))
     eig_c = np.sort_complex(np.linalg.eigvals(closed.A))
     eig_r = np.sort_complex(np.linalg.eigvals(ref.A))
     assert np.allclose(eig_c, eig_r, rtol=1e-9)

@@ -14,7 +14,7 @@ from flexasm.errors import (CostNotPlanned, IkNotConverged, NonzeroFeedthrough,
 from flexasm.linss import StateSpace
 from flexasm.modal import TileLayout
 
-from conftest import assert_same_system, make_rng, plan_keys
+from conftest import assert_same_system, closed_loop, make_rng, plan_keys
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def test_an_action_node_of_the_other_kind_is_no_node(cfg):
     planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
     for key in (("pickup", 1, (1, 1), "target"), ("assemble", 1, (1, 1), "stack")):
         with pytest.raises(StateInvalid):
-            planner.edge_prices(*key)
+            planner._build([key])
     assert not planner._edges and not planner.models._reach
 
 
@@ -179,9 +179,9 @@ def assert_legs_run_home(planner, arr, pre, post):
     # leg 1 leaves home under the pre-action state, leg 2 ends there under
     # the post-action one
     home = (sc.HOME_JOINTS,) * 3
-    closed = planner.models.closed_loop
-    assert same_system(arr.systems[0], closed(pre, home, planner.K_att))
-    assert same_system(arr.systems[-1], closed(post, home, planner.K_att))
+    models, K = planner.models, planner.K_att
+    assert same_system(arr.systems[0], closed_loop(models, pre, home, K))
+    assert same_system(arr.systems[-1], closed_loop(models, post, home, K))
 
 
 def test_edge_cost_sums_and_hard_cap(planner):
@@ -271,7 +271,7 @@ def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
     assert events.count("edge") == len(keys)
     alone = po.AssemblyPlanner(cfg, costs=("hinf-wrench", "h2-theta"))
     for key in keys:
-        alone.edge_prices(*key)
+        alone._build([key])
     assert list(alone._edges) == list(batched._edges) == keys
     for key in keys:
         got, want = batched._edges[key], alone._edges[key]
@@ -463,7 +463,8 @@ def test_stored_prices_are_edge_cost_bits(planner, key):
         for cap in (None, 0.5 * float(np.max(values)), 2.0 * float(np.max(values))):
             spec = po.CostSpec(kind, hard_cap=cap)
             want = po.edge_cost(arr, spec)
-            got = planner.edge_values(*key, spec)
+            planner._build([key])
+            got = planner._priced(key, spec)
             assert got[0] == want[0] and np.array_equal(got[1], want[1]), (kind, cap)
             assert np.isinf(got[0]) == (cap is not None and cap < np.max(values))
 
@@ -540,7 +541,7 @@ def test_leg_stacks_equal_loops_built_and_priced_alone(make, monkeypatch):
                 assert len(waypoints) == len(arr.systems) == 2 * cfg.z_grid
                 prices = po.edge_cost(arr, spec)[1]
                 for loop, (state, qs), price in zip(arr.systems, waypoints, prices):
-                    ref = alone.closed_loop(state, qs, K)
+                    ref = closed_loop(alone, state, qs, K)
                     assert_same_system(loop, ref)
                     want = linss.h2_norm([ref.subsystem(["Theta_G"], ["W_ext"])])[0]
                     assert np.float64(price).tobytes() == np.float64(want).tobytes()

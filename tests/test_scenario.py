@@ -19,7 +19,7 @@ from flexasm.multibody import (ModalBodyData, apply_frame, compose_rigid,
                                transport_inertia)
 from flexasm.robot import default_arm_geometry, link_poses, rebase_j6
 
-from conftest import (assert_same_system, count_constructors, make_rng,
+from conftest import (assert_same_system, closed_loop, count_constructors, make_rng,
                       mission_states, plan_keys)
 from wired import (arm_two_port, rigid_nport_inverted, wired_close_loop,
                    wired_lft_upper, wired_open_loop, wired_stack_block)
@@ -339,7 +339,7 @@ def test_cached_plant_matches_wired_oracle(pinned):
         deltas.add(st.delta)
         ref_open = wired_open_loop(models, st, qs, pinned=pinned)
         pairs = [(models.open_loop(st, qs), ref_open),
-                 (models.closed_loop(st, qs, K), wired_close_loop(ref_open, K))]
+                 (closed_loop(models, st, qs, K), wired_close_loop(ref_open, K))]
         for got, ref in pairs:
             assert got.n_states == ref.n_states
             assert got.in_channels == ref.in_channels
@@ -432,7 +432,7 @@ def test_port_plant_cache_keys(cfg, monkeypatch):
 
     base = sc.AssemblyState(3, 2, 1, 0)
     models.open_loop(base, joints())
-    models.closed_loop(sc.AssemblyState(3, 2, 2, 0), joints(), K)
+    closed_loop(models, sc.AssemblyState(3, 2, 2, 0), joints(), K)
     assert len(calls) == 1
     for st in [sc.AssemblyState(4, 2, 1, 0), sc.AssemblyState(3, 3, 1, 0),
                sc.AssemblyState(3, 2, 1, 1)]:
@@ -450,10 +450,10 @@ def test_two_constructors_per_closed_loop(models, monkeypatch):
     K = models.design_gains()
     states = list(mission_states(4, 6))
     for st, qs in states:
-        models.closed_loop(st, qs, K)  # wires the cached plants
+        closed_loop(models, st, qs, K)  # wires the cached plants
     checked, unchecked = count_constructors(monkeypatch)
     for st, qs in states:
-        models.closed_loop(st, qs, K)
+        closed_loop(models, st, qs, K)
     assert len(checked) == 0
     assert len(unchecked) == 2 * len(states)
 
@@ -497,7 +497,7 @@ def test_prepared_closure_matches_a_fresh_validated_copy(cfg):
     assert_same_system(linss.StaticClosure(sub, "W_r", "xdd_C")(K),
                        linss.StaticClosure(fresh(sub), "W_r", "xdd_C")(K))
     with pytest.raises(ValueError):
-        models.closed_loop(st, qs, models.design_gains()).A[0, 0] = 1.0
+        closed_loop(models, st, qs, models.design_gains()).A[0, 0] = 1.0
 
 
 def test_closure_rcond_equals_numpy_cond_on_desk_port_plants():
@@ -611,7 +611,7 @@ def test_rigid_loop_input_sensitivity_analytic(models):
 
 def test_zero_gains_leave_loop_open(models):
     st = sc.AssemblyState(1, 1, 2, 0)
-    cl = models.closed_loop(st, HOME, np.zeros((3, 6)))
+    cl = closed_loop(models, st, HOME, np.zeros((3, 6)))
     sub = cl.subsystem(outputs=["e_t"], inputs=["d_t"])
     for w in (1e-2, 1.0, 50.0):
         assert np.allclose(sub.transfer_at(1j * w), np.eye(3), atol=1e-12)
@@ -621,7 +621,7 @@ def test_integrator_chain_outputs(models):
     st = sc.AssemblyState(1, 1, 1, 0)
     K = sc.attitude_gains(models.total_inertia([(st, HOME)])[0], models.cfg.xi_att,
                           models.cfg.f_att_hz)
-    cl = models.closed_loop(st, HOME, K)
+    cl = closed_loop(models, st, HOME, K)
     w = 0.5
     G = cl.transfer_at(1j * w)
     wd = G[cl.out_slice("omega_dot_G"), :][:, cl.in_slice("W_ext")]
@@ -643,7 +643,7 @@ def test_design_gains_stabilize_rigid_family():
 def test_flexible_loop_stable(models):
     st = sc.AssemblyState(4, 3, 2, 0)
     K = models.design_gains()
-    cl = models.closed_loop(st, HOME, K)
+    cl = closed_loop(models, st, HOME, K)
     assert linss.spectral_abscissa(cl.A) < -linss.STAB_TOL
 
 

@@ -9,7 +9,9 @@ for the tests:
   the robot hub as a port-inverted rigid n-port
   (:func:`rigid_nport_inverted`), from which ``chain_cluster`` in
   ``test_scenario`` wires the independent oracle for ``M_C``;
-* the tile stack as a flexible body with no modes
+* the flexible body at its port P written out from its modal equations
+  (:func:`titop_one_port`), the oracle for the P-port block of the
+  library's body models, and the tile stack as such a body with no modes
   (:func:`wired_stack_block`), the oracle for the library's port-mass
   gain;
 * the robot as a stateless one-port block, the whole spacecraft
@@ -30,8 +32,8 @@ from flexasm.errors import SingularInertia
 from flexasm.linss import (W_CHANNEL, Z_CHANNEL, StateSpace, gain, interconnect,
                            split_channel)
 from flexasm.multibody import (ModalBodyData, RigidBodyData, apply_frame,
-                               dcm_about_axis, mode_freq_lfr, rigid_mass_matrix,
-                               rigid_nport, tau_kinematic, titop_one_port,
+                               dcm_about_axis, mode_freq_lfr, residual_mass,
+                               rigid_mass_matrix, rigid_nport, tau_kinematic,
                                titop_two_port, transport_inertia)
 from flexasm.robot import ArmGeometry
 
@@ -146,6 +148,20 @@ def replace_modes(data: ModalBodyData, n_modes: int) -> ModalBodyData:
         L_P=data.L_P[:n_modes, :],
         phi_C=None if data.phi_C is None else data.phi_C[:, :n_modes],
         pc=data.pc, name=data.name)
+
+
+def titop_one_port(data):
+    """The clamped-free flexible body at its port P, ``xdd_P -> W_P``,
+    written out from its modal equations: with states ``(eta, eta')``,
+    ``eta'' + 2 xi omega eta' + omega^2 eta = -L_P xdd_P`` and
+    ``W_P = L_P^T (omega^2 eta + 2 xi omega eta') - R_P xdd_P``."""
+    n, L = data.n_modes, data.L_P
+    om = data.freqs
+    stiff, damp = np.diag(om * om), np.diag(2.0 * data.dampings * om)
+    A = np.block([[np.zeros((n, n)), np.eye(n)], [-stiff, -damp]])
+    B = np.vstack([np.zeros((n, 6)), -L])
+    C = L.T @ np.hstack([stiff, damp])
+    return StateSpace(A, B, C, -residual_mass(data), (("xdd_P", 6),), (("W_P", 6),))
 
 
 def wired_robot_block(models, state, qs):
