@@ -56,10 +56,6 @@ class UnknownPort(FlexasmError):
     """Rigid body port name has no declared offset."""
 
 
-class UnknownPoint(FlexasmError):
-    """Lattice point (clamp or output) not present in the model."""
-
-
 class SingularInertia(FlexasmError):
     """Rigid body mass matrix is not invertible."""
 

@@ -22,7 +22,10 @@ mode shapes ``phi`` and the rigid transport ``T`` from the clamp point,
     L_P = phi^T M T,      D_P = T^T M T,
 
 so that retaining all modes gives ``L_P^T L_P = D_P`` exactly and any
-truncation leaves a positive-semidefinite residual.
+truncation leaves a positive-semidefinite residual.  The structure is
+clamped at P, so its modes, ``L_P`` and ``D_P`` depend on the structure
+alone: :func:`modal_reduce` solves them once and gives every tile its own
+docking port C, which only picks that tile's rows of the mode shapes.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .errors import (
     ParseError,
     SchemaError,
     UnitError,
-    UnknownPoint,
 )
 from .multibody import ModalBodyData, tau_kinematic, transport_inertia
 
@@ -271,28 +273,21 @@ def clamped_free_modes(model: LatticeModel, n_modes: int):
     return np.sqrt(vals), Linv.T @ Y[:, :n_modes]
 
 
-def _rigid_transport(model: LatticeModel, point) -> np.ndarray:
-    """Free-dof displacements from a unit rigid twist at ``point``: one
-    transport per node, its free rows kept."""
-    T = np.vstack([tau_kinematic(point - x) for x in model.node_positions])
-    return T[model.free_dofs]
+def modal_reduce(model: LatticeModel, n_modes: int, xi: float) -> list:
+    """Condense a lattice into port-level modal data, one entry per tile.
 
-
-def modal_reduce(model: LatticeModel, output_tile: int, n_modes: int,
-                 xi: float) -> ModalBodyData:
-    """Condense a lattice into port-level modal data.
-
-    The clamp node is the parent port P; ``output_tile`` names the tile,
-    and so the node, whose center acts as the child port C (the docking
-    port).  Every mode takes the damping ratio ``xi``.
+    The clamp node is the parent port P; entry ``t - 1`` takes tile t's
+    center as the child port C (the docking port).  The modes, ``L_P`` and
+    ``D_P`` are the structure's alone, so one eigen-solve serves every
+    entry, and each port only picks its rows of the mode shapes.  Every
+    mode takes the damping ratio ``xi``.
     """
     n_tiles = len(model.node_positions) - 1
-    if not 1 <= output_tile <= n_tiles:
-        raise UnknownPoint(f"tile {output_tile} not in the lattice (tiles 1..{n_tiles})")
     free = model.free_dofs
     Mff = model.M[np.ix_(free, free)]
     P = model.node_positions[0]
-    T = _rigid_transport(model, P)
+    # free-dof displacements from a unit rigid twist at P, one transport per node
+    T = np.vstack([tau_kinematic(P - x) for x in model.node_positions])[free]
 
     omegas, phi = clamped_free_modes(model, n_modes)
     L = phi.T @ Mff @ T
@@ -301,17 +296,12 @@ def modal_reduce(model: LatticeModel, output_tile: int, n_modes: int,
     mass = float(D_P[0, 0])
     S = -D_P[0:3, 3:6] / mass
     com = np.array([S[2, 1], S[0, 2], S[1, 0]])
-    inertia_P = D_P[3:6, 3:6]
 
-    phi_C = phi[free // 6 == output_tile]
-    pc = model.node_positions[output_tile] - P
-
-    return ModalBodyData(
-        mass=mass, com=com, inertia_P=inertia_P,
+    return [ModalBodyData(
+        mass=mass, com=com, inertia_P=D_P[3:6, 3:6],
         freqs=omegas, dampings=[xi] * len(omegas),
-        L_P=L, phi_C=phi_C, pc=pc,
-        name=f"lattice_{n_tiles}t_port{output_tile}",
-    )
+        L_P=L, phi_C=phi[free // 6 == t], pc=model.node_positions[t] - P,
+        name=f"lattice_{n_tiles}t_port{t}") for t in range(1, n_tiles + 1)]
 
 
 # ---------------------------------------------------------------------------

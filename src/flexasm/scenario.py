@@ -29,7 +29,9 @@ structure sizes and every home waypoint of one ``(arm, delta)`` is the
 same.  The rest of the spacecraft -- hub, array, tile stack and structure,
 its hub translation pinned -- is wired once per ``(n, j, delta)`` with the robot
 port left open and cached, from hub and array blocks built once per
-scenario.  Beside each cached plant sits its prepared robot-port closure
+scenario and a two-port block of ``F_n`` built once per ``(n, j)``, whose
+modal data is reduced once per size for all docking tiles.  Beside each
+cached plant sits its prepared robot-port closure
 (:class:`flexasm.linss.StaticClosure`), so a waypoint's open loop is one
 6x6 solve and a few products on operands gathered once, and the loop
 closure and the attitude loop are built without re-validating
@@ -172,9 +174,10 @@ class AssemblyState:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All physical data and modeling knobs for one mission scenario;
-    out-of-range numbers, a mount-DCM table that does not name exactly
-    arms 1..3, and a mount DCM more than ``DCM_TOL`` off a rotation raise
-    ``SchemaError``."""
+    out-of-range numbers, a hub or tile without mass, a hub without ports
+    P1..P3 or a robot hub without mounts A1..A3, a mount-DCM table that
+    does not name exactly arms 1..3, and a mount DCM more than ``DCM_TOL``
+    off a rotation raise ``SchemaError``."""
 
     hub: RigidBodyData
     array: ModalBodyData
@@ -218,9 +221,16 @@ class ScenarioConfig:
                  "finite and > 0"),
                 ("k_trans", k.k_trans, 0.0 < k.k_trans < np.inf, "finite and > 0"),
                 ("k_rot", k.k_rot, 0.0 < k.k_rot < np.inf, "finite and > 0"),
-                ("diag_scale", k.diag_scale, 0.0 <= k.diag_scale < np.inf, "finite and >= 0")]:
+                ("diag_scale", k.diag_scale, 0.0 <= k.diag_scale < np.inf, "finite and >= 0"),
+                ("hub mass_kg", c.hub.mass, c.hub.mass > 0.0, "> 0"),
+                ("tile mass_kg", c.tile.mass, c.tile.mass > 0.0, "> 0")]:
             if not ok:
                 raise SchemaError(f"{name} = {value} must be {want}")
+        for name, need in (("hub", ("P1", "P2", "P3")), ("robot_hub", ("A1", "A2", "A3"))):
+            missing = [p for p in need if p not in getattr(self, name).port_offsets]
+            if missing:
+                raise SchemaError(f"body {name!r} has no port {', '.join(missing)}; "
+                                  f"it needs {', '.join(need)}")
         if set(self.arm_mount_dcms) != {1, 2, 3}:
             raise SchemaError(f"mount DCMs given for arms {list(self.arm_mount_dcms)}; "
                               "need exactly arms 1, 2 and 3")
@@ -303,14 +313,15 @@ def attitude_gains(J_tot: np.ndarray, xi_att: float, f_att_hz: float) -> np.ndar
 # ---------------------------------------------------------------------------
 
 class ScenarioModels:
-    """Model factory with a per-size cache of generated structure data,
-    a cache of port-exposed plants with their robot-port closures, and
-    memos of the robot's mass matrix and of walking-IK solves."""
+    """Model factory with caches of structure data (reduced once per size
+    for all its docking tiles), of two-port blocks (one per ``(n, j)``) and
+    of port-exposed plants with their robot-port closures, and memos of the
+    robot's mass matrix and of walking-IK solves."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self._lattices = {}
-        self._modal = {}
+        self._structures = {}
+        self._two_ports = {}
         self._plants = {}
         self._masses = {}
         self._reach = {}
@@ -320,20 +331,19 @@ class ScenarioModels:
     # -- structure supply ----------------------------------------------------
 
     def structure_data(self, n: int, j: int) -> ModalBodyData:
+        """Modal data of ``F_n`` docked at tile ``j``: ``F_n`` is reduced
+        once, for all its tiles, on the first call for ``n``."""
         if not 1 <= n <= self.cfg.n_tiles:
             raise MissingStructureData(f"no structure F_{n} in a {self.cfg.n_tiles}-tile run")
         if not 1 <= j <= n:
             raise MissingStructureData(f"docking tile {j} not part of F_{n}")
-        key = (n, j)
-        if key not in self._modal:
-            if n not in self._lattices:
-                self._lattices[n] = build_lattice(
-                    self.cfg.layout.head(n), self.cfg.tile.mass,
-                    self.cfg.tile.inertia_G, self.cfg.stiffness)
-            n_modes = min(self.cfg.n_struct_modes, 6 * n)
-            self._modal[key] = modal_reduce(self._lattices[n], j, n_modes,
-                                            self.cfg.xi_struct)
-        return self._modal[key]
+        if n not in self._structures:
+            cfg = self.cfg
+            lattice = build_lattice(cfg.layout.head(n), cfg.tile.mass,
+                                    cfg.tile.inertia_G, cfg.stiffness)
+            self._structures[n] = modal_reduce(lattice, min(cfg.n_struct_modes, 6 * n),
+                                               cfg.xi_struct)
+        return self._structures[n][j - 1]
 
     # -- open loop -------------------------------------------------------------
 
@@ -364,8 +374,9 @@ class ScenarioModels:
 
         Hub, array, tile stack and structure ``F_n`` docked at tile ``j``,
         wired once, pinned (:func:`pin_translation`) and cached on
-        ``(n, j, delta)``; the rigid tile stack is the static gain
-        ``W_P = -M_P xdd_P`` of its port mass matrix.  Besides the channels
+        ``(n, j, delta)``; the structure's two-port block is cached on
+        ``(n, j)``, as both deltas share it; the rigid tile stack is the
+        static gain ``W_P = -M_P xdd_P`` of its port mass matrix.  Besides the channels
         of :meth:`open_loop` it carries the robot port: input ``W_r``, the
         robot's wrench on the docking port C, and output ``xdd_C``, the
         acceleration twist of C.
@@ -385,7 +396,9 @@ class ScenarioModels:
         J_P = transport_inertia(count * cfg.tile.inertia_G, mass, STACK_OFFSET)
         stk = gain(-port_mass_matrix(mass, STACK_OFFSET, J_P), (("xdd_P", 6),), (("W_P", 6),))
 
-        fn = titop_two_port(self.structure_data(n, j))
+        if (n, j) not in self._two_ports:
+            self._two_ports[n, j] = titop_two_port(self.structure_data(n, j))
+        fn = self._two_ports[n, j]
 
         blocks = [("hub", hub), ("arr", arr), ("stk", stk), ("fn", fn)]
         wiring = [

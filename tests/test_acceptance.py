@@ -270,7 +270,7 @@ def test_ac6_composition_physics():
                                    k_rot=0.25 * modal.DEFAULT_K_TRANS * 1e6)
     data = modal.modal_reduce(modal.build_lattice(lay, modal.DEFAULT_TILE_MASS,
                                                   modal.DEFAULT_TILE_INERTIA, stiff),
-                              3, 18, modal.DEFAULT_DAMPING)
+                              18, modal.DEFAULT_DAMPING)[2]
     flex = mb.titop_two_port(data)
     mass, com, J = mb.compose_rigid(
         [(modal.DEFAULT_TILE_MASS, lay.center(t), modal.DEFAULT_TILE_INERTIA, None)

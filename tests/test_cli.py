@@ -248,6 +248,32 @@ def test_negative_body_mass_exits_2(tmp_path, capsys, block, fields):
     assert f"error: {block}: " in err and "negative" in err
 
 
+HUB_PORTS = {f"P{k}": v.tolist() for k, v in enumerate((sc.GP1, sc.GP2, sc.GP3), start=1)}
+ROBOT_MOUNTS = {f"A{k}": v.tolist() for k, v in sc.ARM_MOUNTS.items()}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"hub": {**body(166.0), "ports_m": {k: HUB_PORTS[k] for k in ("P1", "P2")}}},
+     "body 'hub' has no port P3"),
+    ({"robot": {"hub": {**body(10.0), "mounts_m": {k: ROBOT_MOUNTS[k] for k in ("A1", "A3")}}}},
+     "body 'robot_hub' has no port A2"),
+    ({"hub": {**body(0.0), "ports_m": HUB_PORTS}}, "hub mass_kg = 0.0 must be > 0"),
+    ({"tile": body(0.0)}, "tile mass_kg = 0.0 must be > 0"),
+], ids=["hub-without-P3", "robot-hub-without-A2", "massless-hub", "massless-tile"])
+@pytest.mark.parametrize("command", [
+    ["validate"], ["full-assembly", "--cost", "h2-theta"], ["analyze", "--points", "2"]],
+    ids=lambda c: c[0])
+def test_body_every_plant_needs_is_checked_as_the_file_loads(tmp_path, capsys, command,
+                                                             fields, message):
+    # a schema error naming the body as the scenario loads, from every
+    # command, not a model error where the first plant is built
+    p = write_scenario(tmp_path, **fields)
+    assert exit_code(["--scenario", p, "--out", tmp_path / "o", *command]) == 2
+    captured = capsys.readouterr()
+    assert message in (captured.out if command == ["validate"] else captured.err)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("block, fields", [
     ("hub", {"hub": {**body(166.0), "inertia_convention": "POI"}}),
     ("tile", {"tile": {**body(6.0), "inertia_convention": "POI"}}),

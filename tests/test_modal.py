@@ -20,7 +20,6 @@ from flexasm.errors import (
     ParseError,
     SchemaError,
     UnitError,
-    UnknownPoint,
 )
 
 import tabledata as td
@@ -255,7 +254,7 @@ def test_generated_26_tile_structure_against_the_published_one():
     reduced = {}
     for name, layout in [("corner", modal.default_layout(26)),
                          ("mid-edge", mid_edge_layout_26())]:
-        data = modal.modal_reduce(default_lattice(layout), 26, 3, modal.DEFAULT_DAMPING)
+        data = modal.modal_reduce(default_lattice(layout), 3, modal.DEFAULT_DAMPING)[25]
         assert data.mass == pytest.approx(published.mass, abs=0.05), name
         reduced[name] = data
     assert np.abs(reduced["mid-edge"].inertia_P - published.inertia_P).max() <= 0.1
@@ -270,7 +269,7 @@ def test_generated_26_tile_structure_against_the_published_one():
 
 def test_reduce_single_tile_rigid_block():
     m = default_lattice(modal.TileLayout([(0, 0)]))
-    data = modal.modal_reduce(m, 1, 0, modal.DEFAULT_DAMPING)
+    data = modal.modal_reduce(m, 0, modal.DEFAULT_DAMPING)[0]
     assert data.n_modes == 0
     assert data.mass == pytest.approx(6.0423)
     assert np.allclose(data.com, [0.5, 0.5, 0.0])
@@ -282,19 +281,32 @@ def test_reduce_single_tile_rigid_block():
 def test_reduce_mass_completeness_with_all_modes():
     lay = modal.default_layout(4)
     m = default_lattice(lay)
-    data = modal.modal_reduce(m, 3, 24, modal.DEFAULT_DAMPING)
+    data = modal.modal_reduce(m, 24, modal.DEFAULT_DAMPING)[2]
     D_P = mb.d_p_matrix(data)
     assert np.max(np.abs(data.L_P.T @ data.L_P - D_P)) < 1e-8 * np.max(np.abs(D_P))
     # truncation keeps the residual positive semidefinite
-    trunc = modal.modal_reduce(m, 3, 6, modal.DEFAULT_DAMPING)
+    trunc = modal.modal_reduce(m, 6, modal.DEFAULT_DAMPING)[2]
     ev = np.linalg.eigvalsh(mb.residual_mass(trunc))
     assert ev.min() > -1e-10 * max(1.0, ev.max())
 
 
-def test_reduce_unknown_tile():
-    m = default_lattice(modal.TileLayout([(0, 0)]))
-    with pytest.raises(UnknownPoint):
-        modal.modal_reduce(m, 9, 0, modal.DEFAULT_DAMPING)
+def test_reduce_serves_every_port_from_one_eigen_solve(monkeypatch):
+    # clamped at P, F_n has the same modes whichever tile the robot docks
+    # on: one eigen-solve, one L_P, and each port picks its tile's rows of
+    # the mode shapes
+    m = default_lattice(modal.default_layout(4))
+    solve, solves = modal.clamped_free_modes, []
+    monkeypatch.setattr(modal, "clamped_free_modes",
+                        lambda *a: solves.append(1) or solve(*a))
+    ports = modal.modal_reduce(m, 6, modal.DEFAULT_DAMPING)
+    assert len(solves) == 1 and len(ports) == 4
+    freqs, phi = solve(m, 6)
+    for t, data in enumerate(ports, start=1):
+        assert data.name == f"lattice_4t_port{t}"
+        assert data.freqs.tobytes() == freqs.tobytes()
+        assert data.L_P.tobytes() == ports[0].L_P.tobytes()
+        assert data.phi_C.tobytes() == phi[m.free_dofs // 6 == t].tobytes()
+        assert data.pc.tobytes() == (m.node_positions[t] - m.node_positions[0]).tobytes()
 
 
 def test_reduce_stiff_limit_matches_rigid_two_port():
@@ -304,7 +316,7 @@ def test_reduce_stiff_limit_matches_rigid_two_port():
         k_rot=0.25 * modal.DEFAULT_K_TRANS * 1e6)
     m = modal.build_lattice(lay, modal.DEFAULT_TILE_MASS,
                             modal.DEFAULT_TILE_INERTIA, stiff)
-    data = modal.modal_reduce(m, 2, 12, modal.DEFAULT_DAMPING)
+    data = modal.modal_reduce(m, 12, modal.DEFAULT_DAMPING)[1]
     flex = mb.titop_two_port(data)
 
     # composite rigid body clamped at the same port

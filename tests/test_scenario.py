@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
-from flexasm import data_path, linss, robot
+from flexasm import data_path, linss, modal, robot
 from flexasm import pathopt as po
 from flexasm import scenario as sc
 from flexasm.cli import load_scenario
@@ -365,6 +365,24 @@ def test_a_c_port_on_the_array_leaves_the_plant_unchanged():
                sc.AssemblyState(3, 2, 2, 0), sc.AssemblyState(3, 3, 1, 1)]:
         qs = [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
         assert_same_system(with_c.open_loop(st, qs), models.open_loop(st, qs))
+
+
+def test_cold_plan_reduces_each_size_and_builds_each_two_port_once(monkeypatch):
+    # F_n is clamped at P, so its modes serve every docking tile: a cold
+    # plan makes one eigen-solve per structure size and one two-port block
+    # per docked (n, j), whichever deltas it plans there
+    cfg = sc.table_scenario(4, z_grid=2)
+    solve, sizes = modal.clamped_free_modes, []
+    monkeypatch.setattr(modal, "clamped_free_modes", lambda model, k: sizes.append(
+        len(model.node_positions) - 1) or solve(model, k))
+    two_port, ports = sc.titop_two_port, []
+    monkeypatch.setattr(sc, "titop_two_port",
+                        lambda data: ports.append(data.name) or two_port(data))
+    planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
+    planner.plan_full_assembly(po.CostSpec("h2-theta"))
+    docked = {f"lattice_{n}t_port{j}" for n, j, _ in planner.models._plants}
+    assert sorted(sizes) == [1, 2, 3, 4]
+    assert sorted(ports) == sorted(docked) and len(docked) == 9
 
 
 @pytest.mark.parametrize("which", ["table", "desk"])
