@@ -1,4 +1,6 @@
-"""Configuration-driven command line front end.
+"""Configuration-driven command line front end: argv, the four commands and
+their outputs.  Each command reads its scenario file through
+:func:`flexasm.scenario.load_scenario`.
 
 Commands
 --------
@@ -32,29 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _svg, data_path
-from .errors import (
-    FlexasmError,
-    InvalidModalData,
-    ParseError,
-    SchemaError,
-    StateInvalid,
-    UnitError,
-    Unreachable,
-)
+from .errors import FlexasmError, ParseError, SchemaError, StateInvalid, UnitError, Unreachable
 from .linss import freq_response, lft_upper
-from .modal import (
-    _BODY_KEYS,
-    LatticeStiffness,
-    TileLayout,
-    _body_inertia,
-    _count,
-    _floats,
-    _real,
-    load_body_file,
-    load_yaml,
-    read_block,
-)
-from .multibody import RigidBodyData, residual_mass
+from .multibody import residual_mass
 from .pathopt import (
     COST_KINDS,
     AssemblyPlanner,
@@ -63,130 +45,9 @@ from .pathopt import (
     build_node_graphs,
     shortest_path,
 )
-from .robot import default_arm_geometry
-from .scenario import ARM_MOUNT_DCMS, HOME_JOINTS, AssemblyState, ScenarioModels, table_scenario
+from .scenario import HOME_JOINTS, AssemblyState, ScenarioModels, load_scenario
 
-__all__ = ["main", "load_scenario"]
-
-
-# ---------------------------------------------------------------------------
-# scenario files
-# ---------------------------------------------------------------------------
-
-def _read(doc, block):
-    """``{field: value}`` for the keys the scenario block ``block`` names,
-    read through its table in ``SCENARIO_BLOCKS``."""
-    return read_block(doc, SCENARIO_BLOCKS[block], block)
-
-
-def _body(value, label):
-    """Rigid body of the block ``label``; bad mass, inertia or ports are a
-    ``SchemaError`` naming the block."""
-    given = _read(value, label)
-    try:
-        J = _body_inertia(given)
-        offsets = given.pop("port_offsets", {})
-        if not isinstance(offsets, dict):
-            raise SchemaError(f"ports must be a mapping, got {offsets!r}")
-        offsets = {k: _floats(v, f"{label}.{k}") for k, v in offsets.items()}
-        return RigidBodyData(inertia_G=J, port_offsets=offsets,
-                             name=label.replace(".", "_"), **given)
-    except (InvalidModalData, SchemaError) as exc:
-        raise SchemaError(f"{label}: {exc}") from exc
-
-
-def _structure(value, label):
-    """Structure fields, the stiffness keys gathered in a ``LatticeStiffness``."""
-    given = _read(value, label)
-    stiffness = {k: given.pop(k) for k in ("k_trans", "k_rot", "diag_scale")
-                 if k in given}
-    return {**given, "stiffness": LatticeStiffness(**stiffness)} if stiffness else given
-
-
-def _arm(value, label):
-    """The default arm with the link data the block names; a link's joint
-    offset left out is twice its CoM, as on the default arm."""
-    given = _read(value, label)
-    if "coms" in given:
-        given.setdefault("joint_offsets", 2.0 * given["coms"])
-    return replace(default_arm_geometry(), **given)
-
-
-# Each block's table for :func:`~flexasm.modal.read_block`.  Only the keys a
-# file names are passed on, so every default stays with the field it fills.
-SCENARIO_BLOCKS = {
-    "": {
-        "name": ("name", None), "seed": ("seed", _count),
-        "n_tiles": ("n_tiles", _count), "z_grid": ("z_grid", _count),
-        "layout": ("layout", lambda v, label: TileLayout(**_read(v, label))),
-        "controller": (None, _read), "uncertainty": (None, _read),
-        "structure": (None, _structure), "robot": (None, _read),
-        "hub": ("hub", _body), "tile": ("tile", _body),
-        "solar_array_file": ("array", None)},
-    "layout": {"cells": ("cells", None)},
-    "controller": {"xi": ("xi_att", _real), "freq_hz": ("f_att_hz", _real)},
-    "uncertainty": {"r_omega": ("r_omega", _real),
-                    "mode": ("uncertain_mode", lambda v, label: _count(v, label) - 1)},
-    "structure": {"n_modes": ("n_struct_modes", _count), "damping": ("xi_struct", _real),
-                  "k_trans": ("k_trans", _real), "k_rot": ("k_rot", _real),
-                  "diag_scale": ("diag_scale", _real),
-                  "stack_reach_m": ("stack_reach", _real)},
-    "hub": {**_BODY_KEYS, "ports_m": ("port_offsets", None)},
-    "tile": {**_BODY_KEYS, "ports_m": ("port_offsets", None)},
-    "robot": {"hub": ("robot_hub", _body),
-              "mount_dcms": ("arm_mount_dcms",
-                             lambda v, label: {**ARM_MOUNT_DCMS, **_read(v, label)}),
-              "arm": ("arm_geometry", _arm)},
-    "robot.hub": {**_BODY_KEYS, "mounts_m": ("port_offsets", None)},
-    "robot.mount_dcms": {f"A{k}": (k, _floats) for k in (1, 2, 3)},
-    "robot.arm": {
-        "link_masses_kg": ("masses", _floats), "link_com_m": ("coms", _floats),
-        "joint_offsets_m": ("joint_offsets", _floats), "joint_axes": ("joint_axes", _floats),
-        "link_inertia_kgm2": ("inertias", lambda v, label: np.array(
-            [j * np.eye(3) for j in _floats(v, label)]))},
-}
-
-DEFAULT_SEED = 0   # the seed of a scenario file that names none
-
-
-def load_scenario(path) -> tuple:
-    """Read a scenario file; returns ``(ScenarioConfig, seed)``.
-
-    Each block is read through its table in ``SCENARIO_BLOCKS``, and only
-    the keys a file names reach :func:`~flexasm.scenario.table_scenario`,
-    so a minimal scenario is just ``n_tiles``.  A known key without its
-    unit suffix (kg, m, hz, kgm2) raises ``UnitError``; any other unknown
-    key, in any block, raises ``SchemaError`` naming the block and the
-    key, as do a block that is not a mapping, a count that is not a YAML
-    integer (``int()`` would truncate it), a boolean or a quoted string
-    where a real number belongs (``float()`` would read ``true`` as 1 and
-    ``"0.5"`` as 0.5) and any value a constructor rejects.  The body file
-    ``solar_array_file`` names is read under the same rules by
-    :func:`~flexasm.modal.load_body_file`; a relative name is looked up
-    next to the scenario, then in the packaged data, and found in neither
-    it raises ``ParseError`` naming it as written and both places.
-    """
-    path = Path(path)
-    doc = load_yaml(path)
-    try:
-        fields = _read(doc, "")
-        fields.pop("name", None)
-        seed = fields.pop("seed", DEFAULT_SEED)
-        if "array" in fields:
-            ref = Path(fields["array"])
-            if not ref.is_absolute():
-                # next to the scenario, else in the packaged data
-                tried = [path.parent / ref, Path(str(data_path(str(ref))))]
-                ref = next((p for p in tried if p.exists()), None)
-                if ref is None:
-                    raise ParseError(
-                        f"cannot find solar_array_file {fields['array']} next to the "
-                        f"scenario ({tried[0]}) or in the packaged data ({tried[1]})")
-            fields["array"] = load_body_file(ref)
-        cfg = table_scenario(**fields)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    return cfg, seed
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +176,7 @@ def _graph_dump(out_dir: Path, graph):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> int:
     cfg, _ = load_scenario(args.scenario)
     state = args.state
     if state.n > cfg.n_tiles:
@@ -361,7 +222,7 @@ def _compare_plot(out_dir: Path, series, series_baseline, title: str):
                    xlog=False, ylog=bool(np.all(w > 0) and np.all(u > 0)))
 
 
-def cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> int:
     cfg, _ = load_scenario(args.scenario)
     spec = CostSpec(args.cost, hard_cap=args.hard_cap)
     n = cfg.n_tiles if args.n is None else args.n
@@ -400,7 +261,7 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_full_assembly(args) -> int:
+def _cmd_full_assembly(args) -> int:
     cfg, _ = load_scenario(args.scenario)
     spec = CostSpec(args.cost, hard_cap=args.hard_cap)
     _check_node("--start", args.start, 1)   # the plan starts on one tile
@@ -433,7 +294,7 @@ def cmd_full_assembly(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
+def _cmd_validate(args) -> int:
     """What no constructor checks: the array's residual mass.  Loading
     the file checks the rest, the layout's tie to the clamp included
     (:class:`~flexasm.modal.TileLayout`), and a file that fails it exits
@@ -510,8 +371,8 @@ def main(argv=None) -> int:
         if not args.scenario.exists():
             print(f"error: scenario file {args.scenario} not found", file=sys.stderr)
             return 2
-        handler = {"analyze": cmd_analyze, "optimize": cmd_optimize,
-                   "full-assembly": cmd_full_assembly, "validate": cmd_validate}
+        handler = {"analyze": _cmd_analyze, "optimize": _cmd_optimize,
+                   "full-assembly": _cmd_full_assembly, "validate": _cmd_validate}
         return handler[args.command](args)
     except Unreachable as exc:
         print(f"error: {exc}", file=sys.stderr)

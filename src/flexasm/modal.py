@@ -3,7 +3,7 @@ reduction to port-level modal data, and the reading of input files.
 
 Every input file, scenario or body, is read by :func:`load_yaml` and its
 blocks by :func:`read_block` through a table of the keys they may hold
-(``BODY_FILE_KEYS`` here, ``cli.SCENARIO_BLOCKS`` for scenarios), so an
+(``BODY_FILE_KEYS`` here, ``scenario.SCENARIO_BLOCKS`` for scenarios), so an
 unknown key and a key without its unit suffix are refused by one rule.
 Counts and mode rows are read by one integer rule (:func:`_count`), and
 no real value may be a boolean or a quoted string.

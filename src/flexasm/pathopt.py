@@ -204,7 +204,8 @@ def shortest_path(graph: NodeGraph, src, dst, mode: str):
             if not np.isfinite(w):
                 continue
             heapq.heappush(heap, (cost + w, hops + 1, path + (nxt,)))
-    raise Unreachable(f"no path from node {s} to node {t} in {graph.kind} graph")
+    raise Unreachable(f"no path from node {graph.nodes[s]} to node {graph.nodes[t]} "
+                      f"in {graph.kind} graph")
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,11 @@ built on the plant's matrices: ``u`` reads only the integrator states, so
 no algebraic loop has to be solved.  :func:`close_loop` closes a list of
 plants (the open loops of one trajectory edge's two legs, or a list of
 one) in one pass of stacked arithmetic per run of equal shapes.
+
+A mission is one :class:`ScenarioConfig`: :func:`table_scenario` fills it
+from the published tables, and :func:`load_scenario` reads a scenario YAML
+file into it through the key table ``SCENARIO_BLOCKS``, so this module
+alone knows the scenario file format.
 """
 
 from __future__ import annotations
@@ -60,14 +65,18 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import data_path
 from .errors import (
     IkNotConverged,
     IkUnreachable,
+    InvalidModalData,
     MissingStructureData,
+    ParseError,
     SchemaError,
     StateInvalid,
     WidthMismatch,
@@ -75,15 +84,22 @@ from .errors import (
 from .linss import (W_CHANNEL, Z_CHANNEL, StateSpace, StaticClosure, _shape_runs, gain,
                     interconnect, split_channel)
 from .modal import (
+    _BODY_KEYS,
     DEFAULT_DAMPING,
     DEFAULT_TILE_INERTIA,
     DEFAULT_TILE_MASS,
     LatticeStiffness,
     TileLayout,
+    _body_inertia,
+    _count,
+    _floats,
+    _real,
     build_lattice,
     default_layout,
     load_body_file,
+    load_yaml,
     modal_reduce,
+    read_block,
 )
 from .multibody import (
     ModalBodyData,
@@ -112,6 +128,7 @@ __all__ = [
     "AssemblyState",
     "ScenarioModels",
     "table_scenario",
+    "load_scenario",
     "attitude_gains",
     "close_loop",
     "enumerate_model_family",
@@ -264,8 +281,6 @@ def table_scenario(n_tiles: int = 4, layout: Optional[TileLayout] = None,
     its tile properties and layout are inputs.  ``overrides`` replace
     :class:`ScenarioConfig` fields; the others keep their defaults there.
     """
-    from . import data_path
-
     hub = RigidBodyData(HUB_MASS, HUB_INERTIA,
                         {"P1": GP1, "P2": GP2, "P3": GP3}, name="hub")
     if array is None:
@@ -281,6 +296,126 @@ def table_scenario(n_tiles: int = 4, layout: Optional[TileLayout] = None,
         arm_geometry=default_arm_geometry(), robot_hub=robot_hub,
         arm_mount_dcms=dict(ARM_MOUNT_DCMS))
     return replace(cfg, **overrides) if overrides else cfg
+
+
+# ---------------------------------------------------------------------------
+# scenario files
+# ---------------------------------------------------------------------------
+
+def _read(doc, block):
+    """``{field: value}`` for the keys the scenario block ``block`` names,
+    read through its table in ``SCENARIO_BLOCKS``."""
+    return read_block(doc, SCENARIO_BLOCKS[block], block)
+
+
+def _body(value, label):
+    """Rigid body of the block ``label``; bad mass, inertia or ports are a
+    ``SchemaError`` naming the block."""
+    given = _read(value, label)
+    try:
+        J = _body_inertia(given)
+        offsets = given.pop("port_offsets", {})
+        if not isinstance(offsets, dict):
+            raise SchemaError(f"ports must be a mapping, got {offsets!r}")
+        offsets = {k: _floats(v, f"{label}.{k}") for k, v in offsets.items()}
+        return RigidBodyData(inertia_G=J, port_offsets=offsets,
+                             name=label.replace(".", "_"), **given)
+    except (InvalidModalData, SchemaError) as exc:
+        raise SchemaError(f"{label}: {exc}") from exc
+
+
+def _structure(value, label):
+    """Structure fields, the stiffness keys gathered in a ``LatticeStiffness``."""
+    given = _read(value, label)
+    stiffness = {k: given.pop(k) for k in ("k_trans", "k_rot", "diag_scale")
+                 if k in given}
+    return {**given, "stiffness": LatticeStiffness(**stiffness)} if stiffness else given
+
+
+def _arm(value, label):
+    """The default arm with the link data the block names; a link's joint
+    offset left out is twice its CoM, as on the default arm."""
+    given = _read(value, label)
+    if "coms" in given:
+        given.setdefault("joint_offsets", 2.0 * given["coms"])
+    return replace(default_arm_geometry(), **given)
+
+
+# Each block's table for :func:`~flexasm.modal.read_block`.  Only the keys a
+# file names are passed on, so every default stays with the field it fills.
+SCENARIO_BLOCKS = {
+    "": {
+        "name": ("name", None), "seed": ("seed", _count),
+        "n_tiles": ("n_tiles", _count), "z_grid": ("z_grid", _count),
+        "layout": ("layout", lambda v, label: TileLayout(**_read(v, label))),
+        "controller": (None, _read), "uncertainty": (None, _read),
+        "structure": (None, _structure), "robot": (None, _read),
+        "hub": ("hub", _body), "tile": ("tile", _body),
+        "solar_array_file": ("array", None)},
+    "layout": {"cells": ("cells", None)},
+    "controller": {"xi": ("xi_att", _real), "freq_hz": ("f_att_hz", _real)},
+    "uncertainty": {"r_omega": ("r_omega", _real),
+                    "mode": ("uncertain_mode", lambda v, label: _count(v, label) - 1)},
+    "structure": {"n_modes": ("n_struct_modes", _count), "damping": ("xi_struct", _real),
+                  "k_trans": ("k_trans", _real), "k_rot": ("k_rot", _real),
+                  "diag_scale": ("diag_scale", _real),
+                  "stack_reach_m": ("stack_reach", _real)},
+    "hub": {**_BODY_KEYS, "ports_m": ("port_offsets", None)},
+    "tile": {**_BODY_KEYS, "ports_m": ("port_offsets", None)},
+    "robot": {"hub": ("robot_hub", _body),
+              "mount_dcms": ("arm_mount_dcms",
+                             lambda v, label: {**ARM_MOUNT_DCMS, **_read(v, label)}),
+              "arm": ("arm_geometry", _arm)},
+    "robot.hub": {**_BODY_KEYS, "mounts_m": ("port_offsets", None)},
+    "robot.mount_dcms": {f"A{k}": (k, _floats) for k in (1, 2, 3)},
+    "robot.arm": {
+        "link_masses_kg": ("masses", _floats), "link_com_m": ("coms", _floats),
+        "joint_offsets_m": ("joint_offsets", _floats), "joint_axes": ("joint_axes", _floats),
+        "link_inertia_kgm2": ("inertias", lambda v, label: np.array(
+            [j * np.eye(3) for j in _floats(v, label)]))},
+}
+
+DEFAULT_SEED = 0   # the seed of a scenario file that names none
+
+
+def load_scenario(path) -> tuple:
+    """Read a scenario file; returns ``(ScenarioConfig, seed)``.
+
+    Each block is read through its table in ``SCENARIO_BLOCKS``, and only
+    the keys a file names reach :func:`table_scenario`, so a minimal
+    scenario is just ``n_tiles``.  A known key without its
+    unit suffix (kg, m, hz, kgm2) raises ``UnitError``; any other unknown
+    key, in any block, raises ``SchemaError`` naming the block and the
+    key, as do a block that is not a mapping, a count that is not a YAML
+    integer (``int()`` would truncate it), a boolean or a quoted string
+    where a real number belongs (``float()`` would read ``true`` as 1 and
+    ``"0.5"`` as 0.5) and any value a constructor rejects.  The body file
+    ``solar_array_file`` names is read under the same rules by
+    :func:`~flexasm.modal.load_body_file`; a relative name is looked up
+    next to the scenario, then in the packaged data, and found in neither
+    it raises ``ParseError`` naming it as written and both places.
+    """
+    path = Path(path)
+    doc = load_yaml(path)
+    try:
+        fields = _read(doc, "")
+        fields.pop("name", None)
+        seed = fields.pop("seed", DEFAULT_SEED)
+        if "array" in fields:
+            ref = Path(fields["array"])
+            if not ref.is_absolute():
+                # next to the scenario, else in the packaged data
+                tried = [path.parent / ref, Path(str(data_path(str(ref))))]
+                ref = next((p for p in tried if p.exists()), None)
+                if ref is None:
+                    raise ParseError(
+                        f"cannot find solar_array_file {fields['array']} next to the "
+                        f"scenario ({tried[0]}) or in the packaged data ({tried[1]})")
+            fields["array"] = load_body_file(ref)
+        cfg = table_scenario(**fields)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    return cfg, seed
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,11 @@ def exit_code(args):
 # scenario loading
 # ---------------------------------------------------------------------------
 
+def test_cli_keeps_the_scenario_loader_import_path():
+    # callers outside the package import the loader from flexasm.cli
+    assert cli.load_scenario is sc.load_scenario
+
+
 def test_load_packaged_desk_scenario():
     cfg, seed = cli.load_scenario(flexasm.data_path("scenario_desk.yaml"))
     assert cfg.n_tiles == 4
@@ -817,6 +822,16 @@ def test_optimize_hard_cap_unreachable_exits_4(tmp_path):
               "--cost", "h2-theta", "--hard-cap", "1e-12",
               "--from", "1,1", "--to", "2,2"])
     assert rc == 4
+
+
+def test_unreachable_goal_names_its_nodes_and_exits_4(tmp_path, capsys):
+    # the message names the (tile, arm) nodes the user gave, not the
+    # graph's row indices
+    p = write_scenario(tmp_path)
+    assert run(["--scenario", p, "--out", tmp_path / "o", "optimize",
+                "--cost", "h2-theta", "--from", "1,1", "--to", "2,1"]) == 4
+    err = capsys.readouterr().err
+    assert "error: no path from node (1, 1) to node (2, 1)" in err
 
 
 def test_full_assembly_small(tmp_path, capsys):

@@ -15,6 +15,7 @@ from flexasm import scenario as sc
 from flexasm.errors import (
     EigenFailure,
     IllPosedLoop,
+    NonSquareSelection,
     NonzeroFeedthrough,
     SingularDBlock,
     UnknownChannel,
@@ -163,6 +164,13 @@ def test_invert_static_gain():
 def test_invert_strictly_proper_rejected():
     with pytest.raises(SingularDBlock):
         linss.invert_channels(first_order_lag(), ["u"], ["y"])
+
+
+def test_invert_non_square_selection_rejected():
+    # one input against two outputs: no feedthrough block to invert
+    g = linss.gain([[1.0], [2.0]], (("u", 1),), (("y", 2),))
+    with pytest.raises(NonSquareSelection, match="invert widths 1 vs 2"):
+        linss.invert_channels(g, ["u"], ["y"])
 
 
 def test_invert_roundtrip_identity_on_response():
