@@ -33,8 +33,15 @@ Conventions
   ``(k, n, n)`` stacks, ``_prime_modes`` fills their eigendecomposition
   caches from one stacked ``np.linalg.eig`` and one stacked ``inv``, and
   :func:`h2_norm` prices a list of systems in one pass, each per run of
-  equal shapes (``_shape_runs``).  Each result has the bits of computing
-  it for its system alone; a single system is a list of one.
+  equal shapes (``_shape_runs``).  The two stages of the H-infinity peak
+  search, the seed-grid bound (``_seed_bound``) and the Brent polish
+  (``_polish``), run for a list of systems in one lockstep: every step
+  evaluates the transfers of all systems of one shape that ask for as
+  many frequencies as one stacked product (``_gains``).
+  ``_prime_peaks`` runs them for the H-infinity channels of a chunk of
+  the planner's edges and leaves each peak for :func:`hinf_norm`, which
+  certifies it.  Each result has the bits of computing it for its system
+  alone; a single system is a list of one.
 """
 
 from __future__ import annotations
@@ -42,8 +49,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -140,7 +146,7 @@ class StateSpace:
 
     The eigendecomposition ``A = V diag(lambda) V^-1`` (:meth:`eig`), the
     modal inverse ``V^-1`` with its one gate (:meth:`modal_inverse`) and
-    the H-infinity seed grid with its resolvent (``_seed_grid``) are each
+    the H-infinity seed grid (``_seed_grid``) are each
     computed at most once, on first use, and :meth:`subsystem` slices share
     A and all three with their parent: every norm and margin priced on one
     closed loop reads one ``np.linalg.eig(A)`` and one ``np.linalg.inv(V)``,
@@ -720,46 +726,97 @@ def _modal_form(sys: StateSpace):
     return sys.C @ sys.eig()[1], W @ sys.B
 
 
-def _seed_grid(sys: StateSpace):
-    """The H-infinity seed grid ``_seed_frequencies`` of A's poles and its
-    resolvent ``1 / (jw - eigs)``, one row per frequency, computed once
-    per A and shared with every slice: both H-infinity channels of a loop
-    read them."""
+def _seed_grid(sys: StateSpace) -> np.ndarray:
+    """The H-infinity seed grid ``_seed_frequencies`` of A's poles,
+    computed once per A and shared with every slice: both H-infinity
+    channels of a loop read it."""
     modes = sys._modes
     if "seeds" not in modes:
-        eigs = sys.eig()[0]
-        ws = _seed_frequencies(eigs)
-        modes["seeds"] = ws, 1.0 / (1j * ws[:, None] - eigs)
+        modes["seeds"] = _seed_frequencies(sys.eig()[0])
     return modes["seeds"]
 
 
-def _transfer_kernel(sys: StateSpace):
-    """Evaluator ``ws -> C (jwI - A)^-1 B + D`` stacked over angular
-    frequencies, from the poles and the modal form of A (``_modal_form``).
+class _Kernel(NamedTuple):
+    """Evaluator ``ws -> C (jwI - A)^-1 B + D`` of one system, stacked over
+    angular frequencies, from the poles and the modal form of A
+    (``_modal_form``).
 
     With ``A V = V diag(eigs)`` the transfer is the pole-residue sum
     ``sum_k (C V)[:, k] (V^-1 B)[k, :] / (jw - eigs[k]) + D`` (Laub 1981).
-    The residues are built once per channel as the n x pm matrix ``Res[k,
+    The residues are built once per channel as the n x pm matrix ``res[k,
     i*m + j] = (C V)[i, k] (V^-1 B)[k, j]``, so any stack of frequencies is
-    one matrix product ``(R @ Res).reshape(-1, p, m) + D`` with the
-    resolvent ``R = 1 / (jw - eigs)``; the seed grid's resolvent is read
-    from the cache (``_seed_grid``).  A defective or nearly defective A
-    (no modal form) falls back to the stacked solve ``_transfer_batch``.
+    one matrix product with the resolvent ``R = 1 / (jw - eigs)``, and the
+    kernels of one shape stack (``_gains``).  A defective or nearly
+    defective A (no modal form) has ``res`` None and falls back to the
+    stacked solve ``_transfer_batch``.
     """
+
+    sys: StateSpace
+    eigs: np.ndarray
+    res: Optional[np.ndarray]
+
+    def __call__(self, ws) -> np.ndarray:
+        if self.res is None:
+            return _transfer_batch(self.sys, ws)
+        return _stacked_transfer([self], np.array(ws, dtype=float)[None])[0]
+
+
+def _transfer_kernel(sys: StateSpace) -> _Kernel:
+    """The :class:`_Kernel` of ``sys``: its poles and residue matrix, or
+    the stacked solve when :meth:`StateSpace.modal_inverse` gates the
+    modal form out."""
+    eigs = sys.eig()[0]
     modal = _modal_form(sys)
     if modal is None:
-        return partial(_transfer_batch, sys)
+        return _Kernel(sys, eigs, None)
     CV, VB = modal
-    eigs = sys.eig()[0]
     p, m = sys.D.shape
-    res = (CV.T[:, :, None] * VB[:, None, :]).reshape(eigs.size, p * m)
-    seeds, seed_resolvent = _seed_grid(sys)
+    return _Kernel(sys, eigs, (CV.T[:, :, None] * VB[:, None, :]).reshape(eigs.size, p * m))
 
-    def transfer(ws):
-        R = (seed_resolvent if ws is seeds
-             else 1.0 / (1j * np.array(ws, dtype=float)[:, None] - eigs))
-        return (R @ res).reshape(R.shape[0], p, m) + sys.D
-    return transfer
+
+def _stacked_transfer(kernels, W: np.ndarray) -> np.ndarray:
+    """The ``(S, k, p, m)`` transfers of ``S`` kernels with residues and
+    one shape, each at its row of the ``(S, k)`` angular frequencies
+    ``W``: one ``(S, k, n) @ (S, n, pm)`` product of the resolvents and
+    the residue matrices, plus D.  Each slice has the bits of its
+    kernel's own ``(k, n) @ (n, pm)`` product, because each slice keeps
+    that row count: one row takes another BLAS path than several."""
+    R = 1.0 / (1j * W[:, :, None] - np.stack([k.eigs for k in kernels])[:, None, :])
+    D = np.stack([k.sys.D for k in kernels])
+    return ((R @ np.stack([k.res for k in kernels])).reshape(W.shape + D.shape[1:])
+            + D[:, None])
+
+
+# Complex bytes of the resolvents of one stacked evaluation (``_gains``):
+# a seed grid of a mission channel has hundreds of points, so this bounds
+# the transfers a stack of them holds.
+_STACK_BYTES = 1 << 16
+
+
+def _gains(kernels, wss, gain) -> list:
+    """``gain`` of each kernel's transfers at its own angular frequencies
+    ``wss[i]``, as a list of arrays.  ``gain`` maps an ``(S, k, p, m)``
+    stack of transfers to ``(S, k)`` gains.  Kernels with residues, one
+    shape and as many frequencies are evaluated as one stack
+    (``_stacked_transfer``, at most ``_STACK_BYTES`` of resolvents) and
+    one ``gain`` call, so each array has the bits of its kernel alone; a
+    kernel without a modal form takes its stacked solve alone."""
+    out = [None] * len(kernels)
+    groups = {}
+    for i, (kern, ws) in enumerate(zip(kernels, wss)):
+        if kern.res is None:
+            out[i] = gain(kern(ws)[None])[0]
+        else:
+            groups.setdefault((kern.res.shape, kern.sys.D.shape, len(ws)), []).append(i)
+    for (shape, _, rows), idx in groups.items():
+        step = max(1, _STACK_BYTES // (16 * rows * shape[0]))
+        for c in range(0, len(idx), step):
+            part = idx[c:c + step]
+            vals = gain(_stacked_transfer([kernels[i] for i in part],
+                                          np.array([wss[i] for i in part], dtype=float)))
+            for i, v in zip(part, vals):
+                out[i] = v
+    return out
 
 
 def spectral_abscissa(A) -> float:
@@ -906,67 +963,85 @@ def _brent_max(a: float, b: float, x: float, fx: float):
 
 
 def _gram_sigma_max(G: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of the stack ``G``: the square
+    """Largest singular value of each matrix of the stack ``G``, of any
+    number of stacked dimensions: the square
     root of the top eigenvalue of ``G G^H``, which has relative error about
     eps for any shape of ``G`` (squaring halves the exponent range, which
     still spans every transfer gain here).  It takes about half an SVD's
     time on a seed grid and about the same on one to three frequencies."""
-    return np.sqrt(np.linalg.eigvalsh(G @ G.conj().swapaxes(1, 2))[:, -1])
+    return np.sqrt(np.linalg.eigvalsh(G @ G.conj().swapaxes(-1, -2))[..., -1])
 
 
-def _polish(sigma, ws: np.ndarray, vals: np.ndarray, idx) -> float:
-    """Largest gain seen by Brent searches from the points ``ws[idx]``
-    between their neighbours (0 below the first point, twice the last
-    above it).  Its callers pass only local maxima of ``vals``: a
-    search from beside a higher neighbour crawls to its bracket edge and
-    the lockstep waits for it.  ``sigma`` maps a list of angular
-    frequencies to an array of gains; the searches run in
-    lockstep, so each step is one call of it.  The searches and their
-    brackets are Python lists and floats, and each step's best is a plain
-    ``max``: a step costs the one ``sigma`` call and little else, and
-    every abscissa and value has the bits numpy scalars give it."""
-    wl = ws.tolist()
-    edges = [0.0] + wl + [2.0 * wl[-1]]
-    starts = [(int(k), float(vals[k])) for k in idx]
-    best = max(f for _, f in starts)
-    searches, xs = [], []
-    for k, f in starts:
-        search = _brent_max(edges[k], edges[k + 2], wl[k], f)
-        searches.append(search)
-        xs.append(next(search))
+def _polish(kernels, gain, grids) -> list:
+    """Largest gain of each kernel seen by Brent searches from its grid's
+    points ``ws[idx]`` between their neighbours (0 below the first point,
+    twice the last above it), ``grids[i] = (ws, vals, idx)``.  Its callers
+    pass only local maxima of ``vals``: a search from beside a higher
+    neighbour crawls to its bracket edge and the lockstep waits for it.
+
+    Every search of every kernel runs in one lockstep, so each step is one
+    ``_gains`` call: the live searches of kernels of one shape stack,
+    grouped by how many each kernel still runs, which keeps every gain's
+    bits.  ``gain`` maps an ``(S, k, p, m)`` stack of transfers to ``(S,
+    k)`` gains.  The searches and their brackets are Python lists and
+    floats, and each kernel's best is a plain ``max``: a step costs the
+    ``_gains`` call and little else, and every abscissa and value has the
+    bits numpy scalars give it."""
+    best, owners, searches, xs = [], [], [], []
+    for i, (ws, vals, idx) in enumerate(grids):
+        wl = ws.tolist()
+        edges = [0.0] + wl + [2.0 * wl[-1]]
+        starts = [(int(k), float(vals[k])) for k in idx]
+        best.append(max(f for _, f in starts))
+        for k, f in starts:
+            search = _brent_max(edges[k], edges[k + 2], wl[k], f)
+            owners.append(i)
+            searches.append(search)
+            xs.append(next(search))
     while searches:
-        fs = sigma(xs).tolist()
-        best = max(best, max(fs))
-        live, xs = [], []
-        for search, f in zip(searches, fs):
+        asked = {}
+        for i, x in zip(owners, xs):
+            asked.setdefault(i, []).append(x)
+        answers = {}
+        for i, fs in zip(asked, _gains([kernels[i] for i in asked], list(asked.values()), gain)):
+            fs = fs.tolist()
+            best[i] = max(best[i], max(fs))
+            answers[i] = iter(fs)
+        step = list(zip(owners, searches))
+        owners, searches, xs = [], [], []
+        for i, search in step:
+            f = next(answers[i])
             try:
                 xs.append(search.send(f))
-                live.append(search)
+                owners.append(i)
+                searches.append(search)
             except StopIteration:
                 pass
-        searches = live
     return best
 
 
-def _seed_bound(sys: StateSpace, gain):
-    """Bound stage of a frequency-peak search: the evaluator ``transfer``
-    (``_transfer_kernel``), the seed grid ``ws`` (``_seed_grid``), the
-    grid gains ``vals = gain(transfer(ws))`` and the indices ``starts`` of
-    those of the three best grid points that are local maxima (the global
-    maximum always is), where the exact stage polishes (:func:`_polish`).
-    ``gain`` maps a stack of transfers to an array: ``_screened_sigma_max``
-    for :func:`hinf_norm`, the spectral radius for ``robust.mu_upper_bound``.
-    ``vals.max()`` is a lower bound on the peak."""
-    transfer = _transfer_kernel(sys)
-    ws = _seed_grid(sys)[0]
-    vals = gain(transfer(ws))
-    peak = np.ones(vals.size, dtype=bool)
-    peak[1:] &= vals[1:] >= vals[:-1]
-    peak[:-1] &= vals[:-1] >= vals[1:]
-    # a stable sort breaks ties by index alone, so the screen's -inf
-    # entries cannot change which of several equal gains is kept
-    top = np.argsort(vals, kind="stable")[-3:]
-    return transfer, ws, vals, top[peak[top]]
+def _seed_bound(kernels, gain) -> list:
+    """Bound stage of the frequency-peak search of each of a list of
+    kernels (:class:`_Kernel`): the seed grid ``ws`` (``_seed_grid``), the
+    grid gains ``vals`` and the indices ``starts`` of those of the three
+    best grid points that are local maxima (the global maximum always is),
+    where the exact stage polishes (:func:`_polish`), as a list of ``(ws,
+    vals, starts)``.  The grids are evaluated as stacks (``_gains``), and
+    ``gain`` maps a stack of seed-grid transfers to its gains:
+    ``_screened_sigma_max`` for :func:`hinf_norm`, the spectral radius for
+    ``robust.mu_upper_bound``.  ``vals.max()`` is a lower bound on the
+    peak."""
+    grids = [_seed_grid(k.sys) for k in kernels]
+    out = []
+    for ws, vals in zip(grids, _gains(kernels, grids, gain)):
+        peak = np.ones(vals.size, dtype=bool)
+        peak[1:] &= vals[1:] >= vals[:-1]
+        peak[:-1] &= vals[:-1] >= vals[1:]
+        # a stable sort breaks ties by index alone, so the screen's -inf
+        # entries cannot change which of several equal gains is kept
+        top = np.argsort(vals, kind="stable")[-3:]
+        out.append((ws, vals, top[peak[top]]))
+    return out
 
 
 # Relative slack on both Frobenius bounds of the seed screen: far above
@@ -975,27 +1050,56 @@ _SCREEN_SLACK = 1e-9
 
 
 def _screened_sigma_max(G: np.ndarray) -> np.ndarray:
-    """sigma_max of the seed-grid stack ``G`` wherever it can decide the
-    grid's three best points or their local-maximum tests; -inf elsewhere.
+    """sigma_max of each seed-grid row of the ``(S, g, p, m)`` stack ``G``
+    wherever it can decide the row's three best points or their
+    local-maximum tests; -inf elsewhere.
 
     With ``F^2 = ||G||_F^2`` and ``r = min(p, m)``, ``F^2 / r <= sigma_max^2
     <= F^2``.  A point whose upper bound lies below the third-largest lower
-    bound (each with ``_SCREEN_SLACK`` relative slack) is beaten by three
-    points, so it is not among the three best; ``_gram_sigma_max`` runs
-    only at the other points and at their grid neighbours.  ``G`` is not
-    empty (``r >= 1``) and holds at least the four decade points of
-    ``_seed_frequencies``.
+    bound of its row (each with ``_SCREEN_SLACK`` relative slack) is beaten
+    by three points, so it is not among the three best; one
+    ``_gram_sigma_max`` runs only at the other points and at their grid
+    neighbours, over every row.  ``G`` is not empty (``r >= 1``) and each
+    row holds at least the four decade points of ``_seed_frequencies``.
     """
-    r = min(G.shape[1:])
-    f2 = np.square(G.view(np.float64)).sum(axis=(1, 2))
-    third = np.partition(f2, -3)[-3] / r
+    r = min(G.shape[2:])
+    f2 = np.square(G.view(np.float64)).sum(axis=(2, 3))
+    third = np.partition(f2, -3, axis=1)[:, -3:-2] / r
     keep = f2 * (1.0 + _SCREEN_SLACK) >= third * (1.0 - _SCREEN_SLACK)
     near = keep.copy()
-    near[1:] |= keep[:-1]
-    near[:-1] |= keep[1:]
-    vals = np.full(G.shape[0], -np.inf)
+    near[:, 1:] |= keep[:, :-1]
+    near[:, :-1] |= keep[:, 1:]
+    vals = np.full(f2.shape, -np.inf)
     vals[near] = _gram_sigma_max(G[near])
     return vals
+
+
+def _hinf_peaks(kernels) -> list:
+    """The polished H-infinity peak of each kernel: the bound stage with
+    the screened sigma_max, then the polish, both in one lockstep."""
+    return _polish(kernels, _gram_sigma_max, _seed_bound(kernels, _screened_sigma_max))
+
+
+def _peak_key(sys: StateSpace):
+    """The key under which ``_prime_peaks`` leaves ``sys``'s polished peak
+    in the ``_modes`` cache its loop shares with every slice: slices of
+    one loop with the same channels have the same matrices."""
+    return "peak", sys.in_channels, sys.out_channels
+
+
+def _prime_peaks(systems) -> None:
+    """Polish the H-infinity peaks of a list of channel slices in one
+    lockstep (``_hinf_peaks``) and leave each in its loop's ``_modes``
+    cache, where :func:`hinf_norm` takes it.  A system :func:`hinf_norm`
+    would not polish through a modal form is left to its own call: one
+    with no states, no input or no output, a pole with Re >= -STAB_TOL, or
+    a gated-out modal inverse."""
+    ready = [s for s in systems
+             if s.n_states and min(s.D.shape)
+             and float(np.max(s.eig()[0].real)) < -STAB_TOL
+             and s.modal_inverse() is not None]
+    for sys, peak in zip(ready, _hinf_peaks([_transfer_kernel(s) for s in ready])):
+        sys._modes[_peak_key(sys)] = peak
 
 
 def hinf_norm(sys: StateSpace) -> float:
@@ -1013,12 +1117,16 @@ def hinf_norm(sys: StateSpace) -> float:
     in one call, with sigma_max only where Frobenius bounds leave it able to
     change the answer (``_screened_sigma_max``).  The exact stage polishes
     the grid's best local maxima by Brent searches in lockstep
-    (:func:`_polish`) and keeps the larger of that peak and sigma_max(D),
-    the gain at infinity.  One
-    Hamiltonian level-set test at ``gamma * (1 + 2 HINF_RTOL)``, on the
-    state-space matrices and not on the eigenvectors, then certifies that no
-    frequency reaches that level (Boyd-Balakrishnan-Kabamba 1989,
-    Bruinsma-Steinbuch 1990).  If it finds crossings, the crossings and
+    (:func:`_polish`).  Both stages run for a list of systems at once
+    (``_hinf_peaks``); this call runs them for the list of one, unless
+    ``_prime_peaks`` has left the peak in the cache, polished in one
+    lockstep with those of other channels (the planner primes a chunk of
+    edges at a time): then it takes that peak, which has the same bits.
+    It keeps the larger of the peak and sigma_max(D), the gain at
+    infinity.  One Hamiltonian level-set test at ``gamma * (1 + 2
+    HINF_RTOL)``, on the state-space matrices and not on the
+    eigenvectors, then certifies that no frequency reaches that level
+    (Boyd-Balakrishnan-Kabamba 1989, Bruinsma-Steinbuch 1990).  If it finds crossings, the crossings and
     their midpoints are evaluated, the best is polished, and the test runs
     again.  The result is the largest gain evaluated: a lower bound within
     ``2 HINF_RTOL`` of the norm.  Crossings where no evaluated gain exceeds
@@ -1031,22 +1139,23 @@ def hinf_norm(sys: StateSpace) -> float:
     _stable_eig(sys, "H-infinity")
     if min(sys.D.shape) == 0:
         return 0.0      # no input or no output: an empty transfer
-    transfer, ws, vals, starts = _seed_bound(sys, _screened_sigma_max)
-
-    def sigma(ws):
-        return _gram_sigma_max(transfer(ws))
-
-    gamma = max(float(np.linalg.svd(sys.D, compute_uv=False)[0]),
-                _polish(sigma, ws, vals, starts))
+    peak = sys._modes.pop(_peak_key(sys), None)
+    kernel = None
+    if peak is None:
+        kernel = _transfer_kernel(sys)
+        (peak,) = _hinf_peaks([kernel])
+    gamma = max(float(np.linalg.svd(sys.D, compute_uv=False)[0]), peak)
     if gamma <= 0.0:
         return 0.0
     for _ in range(_MAX_ROUNDS):
         cross = _hamiltonian_imag_crossings(sys, gamma * (1.0 + 2.0 * HINF_RTOL))
         if not cross.size:
             return gamma
+        if kernel is None:
+            kernel = _transfer_kernel(sys)
         ws = _distinct(np.concatenate([cross, 0.5 * (cross[:-1] + cross[1:])]))
-        vals = sigma(ws)
-        best = _polish(sigma, ws, vals, [int(np.argmax(vals))])
+        (vals,) = _gains([kernel], [ws], _gram_sigma_max)
+        (best,) = _polish([kernel], _gram_sigma_max, [(ws, vals, [int(np.argmax(vals))])])
         if best <= gamma:
             return gamma
         gamma = best

@@ -34,6 +34,12 @@ its waypoints are weighed in one call.  Then it builds each edge's loops
 (:func:`grid_edge_models`) and prices them under every planned kind at
 once, so one eigendecomposition per loop serves every kind, and keeps only
 the prices, under edge ids it numbers itself: the rest follows from the key.
+When it plans an H-infinity kind, the built edges wait in chunks of about
+``PEAK_LOOPS`` loops: the seed-grid bounds and the Brent polish of all
+their H-infinity channels run in one lockstep (``linss._prime_peaks``),
+then each edge of the chunk is priced and its loops dropped, in build
+order, and each ``hinf_norm`` call certifies its primed peak.  With no
+H-infinity kind, each edge is priced and dropped as soon as it is built.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from .errors import (
 )
 from .linss import (
     _prime_modes,
+    _prime_peaks,
     _subsystems,
     h2_norm,
     hinf_norm,
@@ -92,6 +99,10 @@ ASSEMBLE = "assemble"
 # targets in lockstep and the 3 arm chains of each of its edges' 2z
 # waypoints in one call, so this bounds what one call holds.
 POSE_BATCH = 64
+# Loops per chunk whose H-infinity peaks the planner polishes in one
+# lockstep (``linss._prime_peaks``) before it prices them: a chunk holds
+# whole edges, and their loops live until the chunk is priced.
+PEAK_LOOPS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +337,13 @@ _PRICED_CHANNELS = {
 }
 
 
+def _channels(loops, kind: str) -> list:
+    """The channel pair ``kind`` prices, sliced from each of an edge's
+    loops at once (``linss._subsystems``)."""
+    inp, out = _PRICED_CHANNELS[kind]
+    return _subsystems(loops, [out], [inp])
+
+
 def _loop_values(loops, spec: CostSpec) -> np.ndarray:
     """Per-loop values of an edge's closed loops (both legs' loops, with
     the same channels) under ``spec.kind``.
@@ -337,8 +355,7 @@ def _loop_values(loops, spec: CostSpec) -> np.ndarray:
     """
     if spec.kind == "mu":
         return np.array([mu_real_repeated(s).mu_lower for s in loops])
-    inp, out = _PRICED_CHANNELS[spec.kind]
-    channels = _subsystems(loops, [out], [inp])
+    channels = _channels(loops, spec.kind)
     if spec.kind == "h2-theta":
         return h2_norm(channels)
     return np.array([hinf_norm(s) for s in channels])
@@ -470,7 +487,10 @@ class AssemblyPlanner:
     kind) and dropped, and the cache keeps an :class:`EdgePrices` per edge,
     which every reader prices through :meth:`_priced`.  A loop's channel
     slices share its eigendecomposition, so one stacked ``eig`` per edge
-    serves every kind.
+    serves every kind.  With an H-infinity kind planned, edges are priced
+    and dropped a chunk of about ``PEAK_LOOPS`` loops at a time, once the
+    chunk's H-infinity peaks are polished in one lockstep
+    (:meth:`_price`); otherwise one edge at a time.
     """
 
     def __init__(self, cfg: ScenarioConfig, costs=COST_KINDS):
@@ -482,6 +502,7 @@ class AssemblyPlanner:
             raise ValueError(f"cost kinds {list(self.costs)} repeat a kind: "
                              "each is priced once per edge")
         self._specs = tuple(CostSpec(kind) for kind in self.costs)
+        self._hinf = [kind for kind in self.costs if kind.startswith("hinf-")]
         self.models = ScenarioModels(cfg)
         self.K_att = self.models.design_gains()
         self._edges = {}
@@ -490,10 +511,12 @@ class AssemblyPlanner:
         """Build and price the unbuilt edges ``(kind, n, src, dst)`` of
         ``keys`` in order, ``POSE_BATCH`` at a time: one ``solve_reaches``
         of a batch's reach targets, one ``robot_mass_matrices`` of its
-        waypoints, then :func:`grid_edge_models` and one :func:`edge_cost`
-        per planned kind for each edge.  An edge whose action pose has no
-        IK solution is a hard constraint, stored as None (the inferred arm
-        geometry cannot span every diagonal).  Edge ids follow build
+        waypoints, then :func:`grid_edge_models` for each edge, priced by
+        :meth:`_price` in chunks of whole edges: at least ``PEAK_LOOPS``
+        loops or the batch's rest with an H-infinity kind planned, else one
+        edge.  An edge whose action pose has no IK solution is a hard
+        constraint, stored as None (the inferred arm geometry cannot span
+        every diagonal).  Edge ids and the cache's order follow build
         order."""
         cfg, models = self.cfg, self.models
         todo = [key for key in dict.fromkeys(keys) if key not in self._edges]
@@ -504,14 +527,32 @@ class AssemblyPlanner:
             models.robot_mass_matrices(
                 [wp for p, hit in zip(poses, reaches) if not isinstance(hit, IkNotConverged)
                  for wp in p.waypoints(*hit, cfg.z_grid)])
+            chunk, loops = [], 0
             for key in batch:
                 try:
                     arr = grid_edge_models(models, *key, self.K_att)
                 except IkNotConverged:
-                    self._edges[key] = None
-                    continue
-                values = np.stack([edge_cost(arr, spec)[1] for spec in self._specs], axis=1)
-                self._edges[key] = EdgePrices(len(self._edges), values)
+                    arr = None
+                chunk.append((key, arr))
+                loops += 0 if arr is None else len(arr.systems)
+                if not self._hinf or loops >= PEAK_LOOPS:
+                    self._price(chunk)
+                    chunk, loops = [], 0
+            self._price(chunk)
+
+    def _price(self, chunk) -> None:
+        """Store the prices of a chunk of built edges ``(key, arr)``, in
+        order; ``arr`` None is an edge without IK.  The chunk's H-infinity
+        channels are primed first (``linss._prime_peaks``), so each
+        :func:`edge_cost` finds its loops' peaks polished."""
+        _prime_peaks([ch for _, arr in chunk if arr is not None for kind in self._hinf
+                      for ch in _channels(arr.systems, kind)])
+        for key, arr in chunk:
+            if arr is None:
+                self._edges[key] = None
+                continue
+            values = np.stack([edge_cost(arr, spec)[1] for spec in self._specs], axis=1)
+            self._edges[key] = EdgePrices(len(self._edges), values)
 
     def _column(self, spec: CostSpec) -> int:
         """``spec.kind``'s index in ``costs``, or :class:`CostNotPlanned`."""

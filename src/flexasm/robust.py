@@ -48,8 +48,9 @@ The complex upper bound, :func:`mu_upper_bound`, is the peak over
 frequency of the spectral radius of the w->z transfer: the exact value for
 a repeated *complex* scalar (Packard & Doyle 1993), so it bounds the real
 one.  It runs ``linss.hinf_norm``'s two stages with the spectral radius
-for sigma_max: the seed-grid bound stage (``linss._seed_bound``, on the
-loop's grid and residue kernel), then the polish (``linss._polish``).
+for sigma_max, for a list of one: the seed-grid bound stage
+(``linss._seed_bound``, on the loop's grid and residue kernel), then the
+polish (``linss._polish``).
 The ``mu`` edge cost reads only the margin and never runs the bound.
 
 Only the search range ``delta_max`` is a parameter; the channel pair
@@ -65,8 +66,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NominalUnstable, WidthMismatch
-from .linss import (StateSpace, _polish, _rcond, _seed_bound, spectral_abscissa,
-                    STAB_TOL, WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL)
+from .linss import (StateSpace, _polish, _rcond, _seed_bound, _transfer_kernel,
+                    spectral_abscissa, STAB_TOL, WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL)
 
 __all__ = ["mu_real_repeated", "mu_upper_bound"]
 
@@ -241,12 +242,9 @@ def mu_upper_bound(sys: StateSpace) -> float:
     sub = sys.subsystem(outputs=[Z_CHANNEL], inputs=[W_CHANNEL])
     bound = float(_spectral_radius(sub.D))
     if sub.n_states:
-        transfer, ws, vals, starts = _seed_bound(sub, _spectral_radius)
-
-        def rho(ws):
-            return _spectral_radius(transfer(ws))
-
-        bound = max(bound, float(rho([0.0])[0]), _polish(rho, ws, vals, starts))
+        kernel = _transfer_kernel(sub)
+        (peak,) = _polish([kernel], _spectral_radius, _seed_bound([kernel], _spectral_radius))
+        bound = max(bound, float(_spectral_radius(kernel([0.0]))[0]), peak)
     return bound
 
 

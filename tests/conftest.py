@@ -87,7 +87,7 @@ def dense_spectral_radius_peak(sys, points=20_000):
     grid's range, at w = 0 (the static gain) and at infinity (D): the
     oracle for ``robust.mu_upper_bound``."""
     sub = sys.subsystem(outputs=["z_omega"], inputs=["w_omega"])
-    seeds = linss._seed_grid(sub)[0]
+    seeds = linss._seed_grid(sub)
     ws = np.geomspace(seeds.min(), seeds.max(), points)
     stack = np.concatenate([linss._transfer_batch(sub, ws), [sub.dc_gain(), sub.D]])
     return float(np.abs(np.linalg.eigvals(stack)).max())

@@ -781,17 +781,18 @@ def three_best_polish(sys):
     the seed grid's three best points, sigma_max by SVD.  Returns the
     polished gain and the number of sigma calls."""
     eigs, _ = sys.eig()
-    transfer = linss._transfer_kernel(sys)
+    kernel = linss._transfer_kernel(sys)
     calls = []
 
-    def sigma(ws):
-        calls.append(ws)
-        return np.linalg.svd(transfer(ws), compute_uv=False)[:, 0]
+    def sigma(G):
+        calls.append(G)
+        return np.linalg.svd(G, compute_uv=False)[..., 0]
 
     ws = linss._seed_frequencies(eigs)
-    vals = sigma(ws)
+    (vals,) = linss._gains([kernel], [ws], sigma)
     sd = float(np.linalg.svd(sys.D, compute_uv=False)[0])
-    return max(sd, linss._polish(sigma, ws, vals, np.argsort(vals)[-3:])), len(calls)
+    (polished,) = linss._polish([kernel], sigma, [(ws, vals, np.argsort(vals)[-3:])])
+    return max(sd, polished), len(calls)
 
 
 def test_peak_only_polish_matches_three_best_polish(hinf_channels, monkeypatch):
@@ -820,19 +821,22 @@ def test_peak_only_polish_matches_three_best_polish(hinf_channels, monkeypatch):
 def every_point_hinf(sys):
     """``hinf_norm`` of a system with states, with sigma_max taken at
     every seed point: no screen."""
-    transfer = linss._transfer_kernel(sys)
+    kernel = linss._transfer_kernel(sys)
 
     def sigma(ws):
-        return linss._gram_sigma_max(transfer(ws))
+        return linss._gains([kernel], [ws], linss._gram_sigma_max)[0]
+
+    def polish(ws, vals, idx):
+        return linss._polish([kernel], linss._gram_sigma_max, [(ws, vals, idx)])[0]
 
     sd = float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
-    ws = linss._seed_grid(sys)[0]
+    ws = linss._seed_grid(sys)
     vals = sigma(ws)
     peak = np.ones(vals.size, dtype=bool)
     peak[1:] &= vals[1:] >= vals[:-1]
     peak[:-1] &= vals[:-1] >= vals[1:]
     top = np.argsort(vals, kind="stable")[-3:]
-    gamma = max(sd, linss._polish(sigma, ws, vals, top[peak[top]]))
+    gamma = max(sd, polish(ws, vals, top[peak[top]]))
     if gamma <= 0.0:
         return 0.0
     for _ in range(linss._MAX_ROUNDS):
@@ -841,7 +845,7 @@ def every_point_hinf(sys):
             return gamma
         ws = np.unique(np.concatenate([cross, 0.5 * (cross[:-1] + cross[1:])]))
         vals = sigma(ws)
-        best = linss._polish(sigma, ws, vals, [int(np.argmax(vals))])
+        best = polish(ws, vals, [int(np.argmax(vals))])
         if best <= gamma:
             return gamma
         gamma = best
@@ -873,12 +877,12 @@ def test_seed_screen_keeps_the_grid_answer(hinf_channels, monkeypatch):
         if sys is constant:
             assert norm == pytest.approx(np.linalg.svd(base.D, compute_uv=False)[0],
                                          rel=1e-14)
-            assert screened[0] == linss._seed_grid(sys)[0].size
+            assert screened[0] == linss._seed_grid(sys).size
         elif sys is no_input:
             assert norm == 0.0
         else:
             kept += screened[0]
-            seeds += linss._seed_grid(sys)[0].size
+            seeds += linss._seed_grid(sys).size
     assert kept < 0.5 * seeds
     no_output = linss.StateSpace(base.A, base.B, np.zeros((0, 6)), np.zeros((0, 2)),
                                  base.in_channels, ())
@@ -949,8 +953,8 @@ def reference_hinf(sys):
         return polishes[-1][-1]
 
     sd = float(np.linalg.svd(sys.D, compute_uv=False)[0])
-    ws = linss._seed_grid(sys)[0]
-    vals = linss._screened_sigma_max(transfer(ws))
+    ws = linss._seed_grid(sys)
+    vals = linss._screened_sigma_max(transfer(ws)[None])[0]
     peak = np.ones(vals.size, dtype=bool)
     peak[1:] &= vals[1:] >= vals[:-1]
     peak[:-1] &= vals[:-1] >= vals[1:]
@@ -991,13 +995,16 @@ def test_lean_norm_pieces_keep_the_bits_of_the_old_ones(hinf_channels, monkeypat
     assert refs[len(hinf_channels)][0] == 1.0
     rounds = 0
     for sys, (_, polishes, levels) in zip(systems, refs):
-        transfer = linss._transfer_kernel(sys)
+        kernel = linss._transfer_kernel(sys)
 
         def sigma(ws):
-            return linss._gram_sigma_max(transfer(ws))
+            return linss._gram_sigma_max(kernel(ws))
+
+        def polish(ws, vals, idx):
+            return linss._polish([kernel], linss._gram_sigma_max, [(ws, vals, idx)])[0]
 
         for ws, vals, idx, best in polishes:
-            assert linss._polish(sigma, ws, vals, idx).hex() == best.hex()
+            assert polish(ws, vals, idx).hex() == best.hex()
         # below the norm the level set crosses: polish from the best of
         # the crossings and their midpoints, as a certificate round does
         for level in levels + [0.5 * levels[0], 0.9 * levels[0]]:
@@ -1008,7 +1015,7 @@ def test_lean_norm_pieces_keep_the_bits_of_the_old_ones(hinf_channels, monkeypat
                 ws = np.unique(np.concatenate([got, 0.5 * (got[:-1] + got[1:])]))
                 vals = sigma(ws)
                 idx = [int(np.argmax(vals))]
-                assert (linss._polish(sigma, ws, vals, idx).hex()
+                assert (polish(ws, vals, idx).hex()
                         == dict_polish(sigma, ws, vals, idx).hex())
                 rounds += 1
     assert rounds > len(systems)
@@ -1142,7 +1149,7 @@ def test_hinf_prices_match_a_dense_stacked_solve_grid_on_mission_scale_loops():
                 continue
             price = pathopt._loop_values([cl], pathopt.CostSpec(kind))[0]
             sys = cl.subsystem([out], [inp])
-            seeds = linss._seed_grid(sys)[0]
+            seeds = linss._seed_grid(sys)
             ws = np.geomspace(seeds.min(), seeds.max(), 20_000)
             peak = np.linalg.svd(linss._transfer_batch(sys, ws),
                                  compute_uv=False)[:, 0].max()
@@ -1183,13 +1190,13 @@ def test_bound_stage_lies_below_both_exact_stages(mission_scale_loops, monkeypat
     stages = []
     bound, polish = linss._seed_bound, linss._polish
 
-    def recorded_bound(sys, gain):
-        stages.append((sys, gain, bound(sys, gain)))
+    def recorded_bound(kernels, gain):
+        stages.append((kernels, gain, bound(kernels, gain)))
         return stages[-1][-1]
 
-    def recorded_polish(f, ws, vals, idx):
-        stages.append(idx)
-        return polish(f, ws, vals, idx)
+    def recorded_polish(kernels, gain, grids):
+        stages.append(grids)
+        return polish(kernels, gain, grids)
 
     for module in (linss, robust):
         monkeypatch.setattr(module, "_seed_bound", recorded_bound)
@@ -1200,10 +1207,11 @@ def test_bound_stage_lies_below_both_exact_stages(mission_scale_loops, monkeypat
             for sys in systems:
                 stages.clear()
                 value = price(sys)
-                (sub, used, (_, ws, vals, starts)), polished = stages[:2]
+                ((kernel,), used, grids), polished = stages[:2]
+                ((ws, vals, starts),) = grids
                 assert used is gain
-                assert ws is linss._seed_grid(sub)[0]
-                assert polished is starts and vals[starts[-1]] == vals.max()
+                assert ws is linss._seed_grid(kernel.sys)
+                assert polished is grids and vals[starts[-1]] == vals.max()
                 assert vals.max() <= value
 
 
@@ -1248,6 +1256,72 @@ def test_two_stage_peaks_keep_their_bits_on_mission_scale_loops(mission_scale_lo
     got = [[linss.hinf_norm(cl.subsystem([out], [inp])).hex() for inp, out in HINF_PAIRS]
            + [robust.mu_upper_bound(cl).hex()] for cl in mission_scale_loops]
     assert got == [MISSION_SCALE_PEAKS[key] for key in keys]
+
+
+def fresh(sys):
+    """``sys`` with its own empty ``_modes`` cache."""
+    return linss.StateSpace._unchecked(sys.A, sys.B, sys.C, sys.D,
+                                       sys.in_channels, sys.out_channels)
+
+
+def test_primed_peaks_keep_the_bits_of_each_norm_alone(hinf_channels, mission_scale_loops,
+                                                       monkeypatch):
+    # _prime_peaks polishes the peaks of a whole list in one lockstep, as
+    # the planner does per chunk of edges; hinf_norm then takes each primed
+    # peak and certifies it, and every norm has the bits of hinf_norm
+    # alone.  The list mixes both channel shapes (3 x 6 and 3 x 3), the
+    # state counts of the N = 4 and N = 28 loops and of random systems, and
+    # grids with 1, 2 and 3 polish starts.  It also holds systems the list
+    # leaves to their own call, which hinf_norm prices as before: a
+    # defective A (the stacked-solve fallback), an unstable system, a
+    # static gain and a channel with no input
+    rng = make_rng(53)
+    randoms = [random_stable_system(rng, n, m, 3, margin=float(rng.choice([0.01, 0.2])),
+                                    feedthrough=bool(k % 2))
+               for n in (5, 11) for m in (6, 3) for k in range(3)]
+    base = random_stable_system(rng, 6, 2, 3)
+    left_out = [
+        siso([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]),
+        siso([[1.0]], [[1.0]], [[1.0]], [[0.0]]),
+        linss.gain([[3.0, 0.0], [0.0, 1.0]], (("u", 2),), (("y", 2),)),
+        linss.StateSpace(base.A, np.zeros((6, 0)), base.C, np.zeros((3, 0)),
+                         (), base.out_channels),
+    ]
+    mission = [cl.subsystem([out], [inp]) for cl in mission_scale_loops
+               for inp, out in HINF_PAIRS]
+    systems = list(hinf_channels) + mission + randoms + left_out
+    assert len({(s.n_states, s.D.shape) for s in systems[:-len(left_out)]}) >= 4
+
+    def alone(sys):
+        try:
+            return linss.hinf_norm(fresh(sys)).hex()
+        except UnstableSystem:
+            return "unstable"
+
+    want = [alone(s) for s in systems]
+    batch = linss._transfer_batch
+    fallback = []
+    monkeypatch.setattr(linss, "_transfer_batch",
+                        lambda sys, ws: fallback.append(sys) or batch(sys, ws))
+    bound, starts = linss._seed_bound, []
+    monkeypatch.setattr(linss, "_seed_bound",
+                        lambda kernels, gain: [starts.append(len(g[2])) or g
+                                               for g in bound(kernels, gain)])
+    listed = [fresh(s) for s in systems]
+    linss._prime_peaks(listed)
+    assert {1, 2, 3} <= set(starts) and len(starts) == len(systems) - len(left_out)
+    assert not fallback
+    primed = [linss._peak_key(s) in s._modes for s in listed]
+    assert primed == [True] * (len(systems) - len(left_out)) + [False] * len(left_out)
+    got = []
+    for sys in listed:
+        try:
+            got.append(linss.hinf_norm(sys).hex())
+        except UnstableSystem:
+            got.append("unstable")
+        assert linss._peak_key(sys) not in sys._modes
+    assert got == want and want[-3] == "unstable"
+    assert fallback and all(sys is listed[-4] for sys in fallback)
 
 
 def test_h2_defective_state_matrix_takes_the_kronecker_solve(monkeypatch):

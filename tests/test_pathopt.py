@@ -247,8 +247,16 @@ def test_edge_weighs_its_mass_matrix_misses_in_one_link_poses_call(cfg, monkeypa
 def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
     # a cold planner weighing a graph makes one solve_reaches per batch
     # besides each built edge's own solve_reach, and keeps the edge ids and
-    # price bits of building each edge alone
+    # price bits of building each edge alone.  With both H-infinity kinds
+    # planned it prices chunks of whole edges (here two edges of 2z loops
+    # each), whose peaks are polished in one lockstep, yet each built loop
+    # still makes one hinf_norm call per H-infinity kind and keeps no
+    # primed peak.  On a 4-tile graph the edges without IK keep their place
+    # as None.  A planner of no H-infinity kind prices each edge before it
+    # builds the next
     monkeypatch.setattr(po, "POSE_BATCH", 3)
+    monkeypatch.setattr(po, "PEAK_LOOPS", 2 * cfg.z_grid + 1)
+    costs = ("hinf-wrench", "h2-theta", "hinf-isens")
     graph = po.build_node_graphs(cfg, 2)[0]
     keys = po._edge_keys(graph)
     assert len(keys) > 2 * po.POSE_BATCH
@@ -259,7 +267,7 @@ def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
     monkeypatch.setattr(sc.ScenarioModels, "solve_reaches",
                         lambda self, problems: events.append(len(problems))
                         or solve_reaches(self, problems))
-    batched = po.AssemblyPlanner(cfg, costs=("hinf-wrench", "h2-theta"))
+    batched = po.AssemblyPlanner(cfg, costs=costs)
     batched.weight_graph(graph, po.CostSpec("h2-theta"))
     batches, calls = [], iter(events)
     for event in calls:
@@ -269,14 +277,51 @@ def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
             batches.append(event)
     assert batches == [3] * (len(keys) // 3) + [len(keys) % 3] * (len(keys) % 3 > 0)
     assert events.count("edge") == len(keys)
-    alone = po.AssemblyPlanner(cfg, costs=("hinf-wrench", "h2-theta"))
-    for key in keys:
-        alone._build([key])
-    assert list(alone._edges) == list(batched._edges) == keys
-    for key in keys:
-        got, want = batched._edges[key], alone._edges[key]
-        assert got.edge_id == want.edge_id
-        assert got.values.tobytes() == want.values.tobytes()
+
+    def same_as_alone(planner, keys):
+        alone = po.AssemblyPlanner(planner.cfg, costs=planner.costs)
+        for key in keys:
+            alone._build([key])
+        assert list(alone._edges) == list(planner._edges) == keys
+        for key in keys:
+            got, want = planner._edges[key], alone._edges[key]
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.edge_id == want.edge_id
+                assert got.values.tobytes() == want.values.tobytes()
+
+    same_as_alone(batched, keys)
+    steps, loops = [], []
+    hinf, grid, cost = po.hinf_norm, po.grid_edge_models, po.edge_cost
+
+    def built(*args):
+        steps.append("build")
+        arr = grid(*args)
+        loops.extend(arr.systems)
+        return arr
+
+    monkeypatch.setattr(po, "hinf_norm", lambda sys: steps.append("hinf") or hinf(sys))
+    monkeypatch.setattr(po, "grid_edge_models", built)
+    monkeypatch.setattr(po, "edge_cost",
+                        lambda arr, spec: steps.append("price") or cost(arr, spec))
+    wide = sc.table_scenario(4, z_grid=2)
+    monkeypatch.setattr(po, "PEAK_LOOPS", 2 * wide.z_grid + 1)
+    graph4 = po.build_node_graphs(wide, 3)[0]
+    keys4 = po._edge_keys(graph4)
+    chunked = po.AssemblyPlanner(wide, costs=costs)
+    chunked.weight_graph(graph4, po.CostSpec("hinf-wrench"))
+    built_edges = len(loops) // (2 * wide.z_grid)
+    assert None in chunked._edges.values() and 0 < built_edges < len(keys4)
+    assert steps.count("hinf") == 2 * len(loops)
+    assert not [s for s in loops for kind in chunked._hinf
+                for ch in po._channels([s], kind) if linss._peak_key(ch) in s._modes]
+    order = [step for step in steps if step != "hinf"]
+    assert order[:2] == ["build", "build"]
+    assert order.count("price") == len(costs) * built_edges
+    same_as_alone(chunked, keys4)
+    steps.clear()
+    po.AssemblyPlanner(cfg, costs=("h2-theta",)).weight_graph(graph, po.CostSpec("h2-theta"))
+    assert steps == ["build", "price"] * len(keys)
 
 
 def _desk_z2():
