@@ -37,11 +37,17 @@ Conventions
   search, the seed-grid bound (``_seed_bound``) and the Brent polish
   (``_polish``), run for a list of systems in one lockstep: every step
   evaluates the transfers of all systems of one shape that ask for as
-  many frequencies as one stacked product (``_gains``).
-  ``_prime_peaks`` runs them for the H-infinity channels of a chunk of
-  the planner's edges and leaves each peak for :func:`hinf_norm`, which
-  certifies it.  Each result has the bits of computing it for its system
-  alone; a single system is a list of one.
+  many frequencies as one stacked product (``_gains``), and a polish
+  keeps each such stack for as long as its members stay the same.  The
+  Hamiltonian level-set test of the certificate
+  (``_hamiltonian_imag_crossings``) builds the matrices of a list of
+  systems as stacks per shape and solves each stack with one stacked
+  ``np.linalg.eigvals``.  ``_prime_peaks`` runs the bound stage, the
+  polish and round 1 of the certificate for the H-infinity channels of a
+  chunk of the planner's edges, with sigma_max(D) from one stacked SVD
+  per shape, and leaves each certified norm, or else the peak, for
+  :func:`hinf_norm`.  Each result has the bits of computing it for its
+  system alone; a single system is a list of one.
 """
 
 from __future__ import annotations
@@ -758,7 +764,7 @@ class _Kernel(NamedTuple):
     def __call__(self, ws) -> np.ndarray:
         if self.res is None:
             return _transfer_batch(self.sys, ws)
-        return _stacked_transfer([self], np.array(ws, dtype=float)[None])[0]
+        return _stacked_transfer(_stack([self]), np.array(ws, dtype=float)[None])[0]
 
 
 def _transfer_kernel(sys: StateSpace) -> _Kernel:
@@ -774,33 +780,43 @@ def _transfer_kernel(sys: StateSpace) -> _Kernel:
     return _Kernel(sys, eigs, (CV.T[:, :, None] * VB[:, None, :]).reshape(eigs.size, p * m))
 
 
-def _stacked_transfer(kernels, W: np.ndarray) -> np.ndarray:
-    """The ``(S, k, p, m)`` transfers of ``S`` kernels with residues and
-    one shape, each at its row of the ``(S, k)`` angular frequencies
-    ``W``: one ``(S, k, n) @ (S, n, pm)`` product of the resolvents and
-    the residue matrices, plus D.  Each slice has the bits of its
-    kernel's own ``(k, n) @ (n, pm)`` product, because each slice keeps
-    that row count: one row takes another BLAS path than several."""
-    R = 1.0 / (1j * W[:, :, None] - np.stack([k.eigs for k in kernels])[:, None, :])
-    D = np.stack([k.sys.D for k in kernels])
-    return ((R @ np.stack([k.res for k in kernels])).reshape(W.shape + D.shape[1:])
-            + D[:, None])
+def _stack(kernels):
+    """The stacked poles, residue matrices and feedthroughs of kernels with
+    residues and one shape, which ``_stacked_transfer`` evaluates."""
+    return (np.stack([k.eigs for k in kernels]), np.stack([k.res for k in kernels]),
+            np.stack([k.sys.D for k in kernels]))
+
+
+def _stacked_transfer(stack, W: np.ndarray) -> np.ndarray:
+    """The ``(S, k, p, m)`` transfers of the ``S`` kernels of a ``_stack``,
+    each at its row of the ``(S, k)`` angular frequencies ``W``: one
+    ``(S, k, n) @ (S, n, pm)`` product of the resolvents and the residue
+    matrices, plus D.  Each slice has the bits of its kernel's own ``(k,
+    n) @ (n, pm)`` product, because each slice keeps that row count: one
+    row takes another BLAS path than several."""
+    eigs, res, D = stack
+    R = 1.0 / (1j * W[:, :, None] - eigs[:, None, :])
+    return (R @ res).reshape(W.shape + D.shape[1:]) + D[:, None]
 
 
 # Complex bytes of the resolvents of one stacked evaluation (``_gains``):
 # a seed grid of a mission channel has hundreds of points, so this bounds
-# the transfers a stack of them holds.
+# the transfers a stack of them holds.  It also bounds the real bytes of
+# one stack of level-set Hamiltonians (``_hamiltonian_imag_crossings``).
 _STACK_BYTES = 1 << 16
 
 
-def _gains(kernels, wss, gain) -> list:
+def _gains(kernels, wss, gain, stacks=None) -> list:
     """``gain`` of each kernel's transfers at its own angular frequencies
     ``wss[i]``, as a list of arrays.  ``gain`` maps an ``(S, k, p, m)``
     stack of transfers to ``(S, k)`` gains.  Kernels with residues, one
     shape and as many frequencies are evaluated as one stack
     (``_stacked_transfer``, at most ``_STACK_BYTES`` of resolvents) and
     one ``gain`` call, so each array has the bits of its kernel alone; a
-    kernel without a modal form takes its stacked solve alone."""
+    kernel without a modal form takes its stacked solve alone.  A caller
+    that asks again and again passes a dict ``stacks``: it maps the
+    members of each stack of the last call (their ids) to its ``_stack``,
+    so a stack whose members stay the same is not stacked again."""
     out = [None] * len(kernels)
     groups = {}
     for i, (kern, ws) in enumerate(zip(kernels, wss)):
@@ -808,14 +824,20 @@ def _gains(kernels, wss, gain) -> list:
             out[i] = gain(kern(ws)[None])[0]
         else:
             groups.setdefault((kern.res.shape, kern.sys.D.shape, len(ws)), []).append(i)
+    last, kept = stacks or {}, {}
     for (shape, _, rows), idx in groups.items():
         step = max(1, _STACK_BYTES // (16 * rows * shape[0]))
         for c in range(0, len(idx), step):
             part = idx[c:c + step]
-            vals = gain(_stacked_transfer([kernels[i] for i in part],
-                                          np.array([wss[i] for i in part], dtype=float)))
+            members = [kernels[i] for i in part]
+            key = tuple(map(id, members))
+            stack = kept[key] = last[key] if key in last else _stack(members)
+            vals = gain(_stacked_transfer(stack, np.array([wss[i] for i in part], dtype=float)))
             for i, v in zip(part, vals):
                 out[i] = v
+    if stacks is not None:
+        stacks.clear()
+        stacks.update(kept)
     return out
 
 
@@ -851,30 +873,44 @@ def minimal_stable_projection(sys: StateSpace, in_channel: str,
 # System norms
 # ---------------------------------------------------------------------------
 
-def _hamiltonian_imag_crossings(sys: StateSpace, g: float):
-    """Imaginary-axis eigenfrequencies of the H-infinity test Hamiltonian,
-    sorted and without repeats.  The 2n x 2n matrix is filled block by
-    block in place, ``I + D R^-1 D^T`` by adding 1 to the diagonal; one
-    identity serves ``R`` and its inverse.  With no imaginary eigenvalue,
-    which is the certificate's usual answer, the result is the empty array
-    without rounding or sorting."""
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    n = sys.n_states
-    eye = np.eye(sys.n_inputs)
-    Rinv = np.linalg.solve(g * g * eye - D.T @ D, eye)
-    BR = B @ Rinv
-    Q = D @ Rinv @ D.T
-    Q.flat[::Q.shape[0] + 1] += 1.0
-    H = np.empty((2 * n, 2 * n))
-    H[:n, :n] = A + BR @ D.T @ C
-    H[:n, n:] = BR @ B.T
-    H[n:, :n] = -C.T @ Q @ C
-    H[n:, n:] = -H[:n, :n].T
-    ev = np.linalg.eigvals(H)
-    keep = np.abs(ev.real) <= 1e-8 * np.maximum(1.0, np.abs(ev.imag))
-    if not keep.any():
-        return np.empty(0)
-    return _distinct(np.round(np.abs(ev.imag[keep]), 12))
+def _hamiltonian_imag_crossings(systems, levels) -> list:
+    """Imaginary-axis eigenfrequencies of the H-infinity test Hamiltonian of
+    each of a list of systems at its level ``levels[i]``, sorted and without
+    repeats, as a list of arrays.  The 2n x 2n matrices of the systems of
+    one shape (states, inputs, outputs) are built as stacks of at most
+    ``_STACK_BYTES``, block by block in place, ``I + D R^-1 D^T`` by adding
+    1 to the diagonals; one identity serves each ``R`` and its inverse.
+    Each stack is solved by one stacked ``np.linalg.eigvals``, and every
+    slice has the bits of building and solving its system alone, the list
+    of one that :func:`hinf_norm`'s rounds pass.  With no imaginary
+    eigenvalue, which is the certificate's usual answer, the result is the
+    empty array without rounding or sorting."""
+    out = [None] * len(systems)
+    groups = {}
+    for i, sys in enumerate(systems):
+        groups.setdefault((sys.n_states,) + sys.D.shape, []).append(i)
+    for (n, p, m), idx in groups.items():
+        eye = np.eye(m)
+        step = max(1, _STACK_BYTES // (32 * n * n))
+        for c in range(0, len(idx), step):
+            part = idx[c:c + step]
+            A, B, C, D = (np.stack([getattr(systems[i], name) for i in part]) for name in "ABCD")
+            g = np.array([levels[i] for i in part])
+            Bt, Ct, Dt = B.swapaxes(1, 2), C.swapaxes(1, 2), D.swapaxes(1, 2)
+            Rinv = np.linalg.solve((g * g)[:, None, None] * eye - Dt @ D, eye)
+            BR = B @ Rinv
+            Q = D @ Rinv @ Dt
+            Q.reshape(len(part), p * p)[:, ::p + 1] += 1.0
+            H = np.empty((len(part), 2 * n, 2 * n))
+            H[:, :n, :n] = A + BR @ Dt @ C
+            H[:, :n, n:] = BR @ Bt
+            H[:, n:, :n] = -Ct @ Q @ C
+            H[:, n:, n:] = -H[:, :n, :n].swapaxes(1, 2)
+            ev = np.linalg.eigvals(H)
+            keep = np.abs(ev.real) <= 1e-8 * np.maximum(1.0, np.abs(ev.imag))
+            for i, e, k in zip(part, ev, keep):
+                out[i] = _distinct(np.round(np.abs(e.imag[k]), 12)) if k.any() else np.empty(0)
+    return out
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -983,10 +1019,11 @@ def _polish(kernels, gain, grids) -> list:
     ``_gains`` call: the live searches of kernels of one shape stack,
     grouped by how many each kernel still runs, which keeps every gain's
     bits.  ``gain`` maps an ``(S, k, p, m)`` stack of transfers to ``(S,
-    k)`` gains.  The searches and their brackets are Python lists and
-    floats, and each kernel's best is a plain ``max``: a step costs the
-    ``_gains`` call and little else, and every abscissa and value has the
-    bits numpy scalars give it."""
+    k)`` gains.  A stack whose members stay the same from one step to the
+    next is not stacked again (``_gains``'s ``stacks``).  The searches and
+    their brackets are Python lists and floats, and each kernel's best is
+    a plain ``max``: a step costs the ``_gains`` call and little else, and
+    every abscissa and value has the bits numpy scalars give it."""
     best, owners, searches, xs = [], [], [], []
     for i, (ws, vals, idx) in enumerate(grids):
         wl = ws.tolist()
@@ -998,12 +1035,14 @@ def _polish(kernels, gain, grids) -> list:
             owners.append(i)
             searches.append(search)
             xs.append(next(search))
+    stacks = {}
     while searches:
         asked = {}
         for i, x in zip(owners, xs):
             asked.setdefault(i, []).append(x)
         answers = {}
-        for i, fs in zip(asked, _gains([kernels[i] for i in asked], list(asked.values()), gain)):
+        for i, fs in zip(asked, _gains([kernels[i] for i in asked], list(asked.values()), gain,
+                                       stacks)):
             fs = fs.tolist()
             best[i] = max(best[i], max(fs))
             answers[i] = iter(fs)
@@ -1082,24 +1121,51 @@ def _hinf_peaks(kernels) -> list:
 
 def _peak_key(sys: StateSpace):
     """The key under which ``_prime_peaks`` leaves ``sys``'s polished peak
-    in the ``_modes`` cache its loop shares with every slice: slices of
-    one loop with the same channels have the same matrices."""
+    and certified norm in the ``_modes`` cache its loop shares with every
+    slice: slices of one loop with the same channels have the same
+    matrices."""
     return "peak", sys.in_channels, sys.out_channels
 
 
 def _prime_peaks(systems) -> None:
-    """Polish the H-infinity peaks of a list of channel slices in one
-    lockstep (``_hinf_peaks``) and leave each in its loop's ``_modes``
-    cache, where :func:`hinf_norm` takes it.  A system :func:`hinf_norm`
-    would not polish through a modal form is left to its own call: one
-    with no states, no input or no output, a pole with Re >= -STAB_TOL, or
-    a gated-out modal inverse."""
+    """Polish and certify the H-infinity norms of a list of channel slices
+    in one pass, and leave each channel's ``(peak, norm)`` in its loop's
+    ``_modes`` cache, where :func:`hinf_norm` takes it.
+
+    The peaks are polished in one lockstep (``_hinf_peaks``), and
+    ``gamma = max(sigma_max(D), peak)`` takes sigma_max(D) from one
+    stacked SVD per D shape.  Round 1 of the certificate then runs for
+    the whole list: one stacked level-set test at ``gamma * (1 + 2
+    HINF_RTOL)`` per shape (``_hamiltonian_imag_crossings``).  ``norm``
+    is ``gamma`` where it finds no crossing and None elsewhere, which
+    leaves the crossing rounds to :func:`hinf_norm`; with ``_MAX_ROUNDS``
+    0 no round runs and every norm is None.  Each value has the bits of
+    :func:`hinf_norm` alone.  A system :func:`hinf_norm` would not polish
+    through a modal form is left to its own call: one with no states, no
+    input or no output, a pole with Re >= -STAB_TOL, or a gated-out modal
+    inverse."""
     ready = [s for s in systems
              if s.n_states and min(s.D.shape)
              and float(np.max(s.eig()[0].real)) < -STAB_TOL
              and s.modal_inverse() is not None]
-    for sys, peak in zip(ready, _hinf_peaks([_transfer_kernel(s) for s in ready])):
-        sys._modes[_peak_key(sys)] = peak
+    peaks = _hinf_peaks([_transfer_kernel(s) for s in ready])
+    shapes, sds = {}, [None] * len(ready)
+    for i, sys in enumerate(ready):
+        shapes.setdefault(sys.D.shape, []).append(i)
+    for idx in shapes.values():
+        top = np.linalg.svd(np.stack([ready[i].D for i in idx]), compute_uv=False)[:, 0]
+        for i, sd in zip(idx, top.tolist()):
+            sds[i] = sd
+    gammas = [max(sd, peak) for sd, peak in zip(sds, peaks)]
+    tested = [i for i, g in enumerate(gammas) if g > 0.0] if _MAX_ROUNDS > 0 else []
+    crossings = _hamiltonian_imag_crossings(
+        [ready[i] for i in tested], [gammas[i] * (1.0 + 2.0 * HINF_RTOL) for i in tested])
+    norms = [None] * len(ready)
+    for i, cross in zip(tested, crossings):
+        if not cross.size:
+            norms[i] = gammas[i]
+    for sys, peak, norm in zip(ready, peaks, norms):
+        sys._modes[_peak_key(sys)] = peak, norm
 
 
 def hinf_norm(sys: StateSpace) -> float:
@@ -1118,28 +1184,34 @@ def hinf_norm(sys: StateSpace) -> float:
     change the answer (``_screened_sigma_max``).  The exact stage polishes
     the grid's best local maxima by Brent searches in lockstep
     (:func:`_polish`).  Both stages run for a list of systems at once
-    (``_hinf_peaks``); this call runs them for the list of one, unless
-    ``_prime_peaks`` has left the peak in the cache, polished in one
-    lockstep with those of other channels (the planner primes a chunk of
-    edges at a time): then it takes that peak, which has the same bits.
-    It keeps the larger of the peak and sigma_max(D), the gain at
-    infinity.  One Hamiltonian level-set test at ``gamma * (1 + 2
-    HINF_RTOL)``, on the state-space matrices and not on the
-    eigenvectors, then certifies that no frequency reaches that level
-    (Boyd-Balakrishnan-Kabamba 1989, Bruinsma-Steinbuch 1990).  If it finds crossings, the crossings and
+    (``_hinf_peaks``); this call runs them for the list of one.  It keeps
+    the larger of the peak and sigma_max(D), the gain at infinity.  One
+    Hamiltonian level-set test at ``gamma * (1 + 2 HINF_RTOL)``, on the
+    state-space matrices and not on the eigenvectors, then certifies that
+    no frequency reaches that level (Boyd-Balakrishnan-Kabamba 1989,
+    Bruinsma-Steinbuch 1990).  If it finds crossings, the crossings and
     their midpoints are evaluated, the best is polished, and the test runs
     again.  The result is the largest gain evaluated: a lower bound within
     ``2 HINF_RTOL`` of the norm.  Crossings where no evaluated gain exceeds
     the bound are an artefact of the eigenvalue test, and the bound is
     returned as it stands.  A norm still uncertified after ``_MAX_ROUNDS``
     rounds raises :class:`EigenFailure`.
+
+    The planner primes a chunk of edges at a time (``_prime_peaks``): it
+    polishes their peaks in one lockstep and runs round 1 of their
+    certificates as stacked tests.  This call then takes the certified
+    norm from the cache after its stability test, or, where round 1 found
+    crossings, the primed peak, and runs its rounds from there.  Either
+    way the result has the bits of computing it here alone.
     """
     if sys.n_states == 0:
         return float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
     _stable_eig(sys, "H-infinity")
     if min(sys.D.shape) == 0:
         return 0.0      # no input or no output: an empty transfer
-    peak = sys._modes.pop(_peak_key(sys), None)
+    peak, norm = sys._modes.pop(_peak_key(sys), (None, None))
+    if norm is not None:
+        return norm
     kernel = None
     if peak is None:
         kernel = _transfer_kernel(sys)
@@ -1148,7 +1220,7 @@ def hinf_norm(sys: StateSpace) -> float:
     if gamma <= 0.0:
         return 0.0
     for _ in range(_MAX_ROUNDS):
-        cross = _hamiltonian_imag_crossings(sys, gamma * (1.0 + 2.0 * HINF_RTOL))
+        (cross,) = _hamiltonian_imag_crossings([sys], [gamma * (1.0 + 2.0 * HINF_RTOL)])
         if not cross.size:
             return gamma
         if kernel is None:

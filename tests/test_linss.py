@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -488,10 +489,16 @@ def test_hinf_unstable_rejected():
 
 
 def test_hinf_uncertified_norm_is_an_eigen_failure(monkeypatch):
-    # no certificate round left: the typed error the CLI maps to exit 3
+    # no certificate round left: the typed error the CLI maps to exit 3,
+    # also for a primed channel, since the stacked test is round 1
     monkeypatch.setattr(linss, "_MAX_ROUNDS", 0)
     with pytest.raises(EigenFailure, match="certificate failed after 0 rounds"):
         linss.hinf_norm(first_order_lag())
+    primed = first_order_lag()
+    linss._prime_peaks([primed])
+    assert primed._modes[linss._peak_key(primed)][1] is None
+    with pytest.raises(EigenFailure, match="certificate failed after 0 rounds"):
+        linss.hinf_norm(primed)
 
 
 def test_hinf_certificate_round_polishes_a_peak_the_seeds_missed(monkeypatch):
@@ -509,7 +516,7 @@ def test_hinf_certificate_round_polishes_a_peak_the_seeds_missed(monkeypatch):
                         lambda eigs: np.array([1e-6, 1e-3, 1.0, 1e3]))
     found, crossings = [], linss._hamiltonian_imag_crossings
     monkeypatch.setattr(linss, "_hamiltonian_imag_crossings",
-                        lambda s, g: found.append(crossings(s, g)) or found[-1])
+                        lambda ss, gs: [found.append(c) or c for c in crossings(ss, gs)])
     norm = linss.hinf_norm(sys)
     # one round ran, and after its polish the certificate passes
     assert [c.size > 0 for c in found] == [True, False]
@@ -634,7 +641,7 @@ def test_hinf_matches_oracle_tightly_on_mission_loops():
             sys = cl.subsystem([out], [inp])
             norm = linss.hinf_norm(sys)
             assert norm == pytest.approx(peak_gain(sys), rel=1e-9, abs=0.0)
-            assert linss._hamiltonian_imag_crossings(sys, norm * (1.0 + 2e-6)).size == 0
+            assert linss._hamiltonian_imag_crossings([sys], [norm * (1.0 + 2e-6)])[0].size == 0
 
 
 def block_hamiltonian(sys, g):
@@ -652,25 +659,32 @@ def block_hamiltonian(sys, g):
 def test_hamiltonian_crossings_match_the_loop_filter(monkeypatch):
     # the array filter keeps, rounds and deduplicates exactly the
     # eigenvalues a per-eigenvalue loop keeps, and the Hamiltonian filled in
-    # place has the bits of the np.block form, feedthrough or none
+    # place has the bits of the np.block form, feedthrough or none; each
+    # test here is a list of one, and the last slice of the last stack is
+    # its Hamiltonian
     spectra, matrices = [], []
     eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda H: matrices.append(H) or spectra.append(eigvals(H))
-                        or spectra[-1])
+
+    def recorded(H):
+        ev = eigvals(H)
+        matrices.append(H[-1])
+        spectra.append(ev[-1])
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
     found = 0
     rng = make_rng(17)
     with_d = random_stable_system(rng, 5, 2, 3)
     assert np.all(with_d.D != 0.0)
     level = 2.0 * linss.hinf_norm(with_d)
-    linss._hamiltonian_imag_crossings(with_d, level)
+    linss._hamiltonian_imag_crossings([with_d], [level])
     assert np.array_equal(matrices[-1], block_hamiltonian(with_d, level))
     for cl in mission_loops(4, 5):
         for inp, out in (("W_ext", "omega_dot_G"), ("d_t", "e_t")):
             sys = cl.subsystem([out], [inp])
             norm = linss.hinf_norm(sys)
             for level in (0.5 * norm, 0.9 * norm, norm * (1.0 + 2e-6)):
-                got = linss._hamiltonian_imag_crossings(sys, level)
+                (got,) = linss._hamiltonian_imag_crossings([sys], [level])
                 assert np.array_equal(matrices[-1], block_hamiltonian(sys, level))
                 loop = [abs(l.imag) for l in spectra[-1]
                         if abs(l.real) <= 1e-8 * max(1.0, abs(l.imag))]
@@ -808,7 +822,7 @@ def test_peak_only_polish_matches_three_best_polish(hinf_channels, monkeypatch):
     monkeypatch.setattr(linss, "_gram_sigma_max",
                         lambda G: sigma_calls.append(G) or gram(G))
     monkeypatch.setattr(linss, "_hamiltonian_imag_crossings",
-                        lambda sys, g: certificates.append(g) or crossings(sys, g))
+                        lambda ss, gs: certificates.extend(gs) or crossings(ss, gs))
     for sys, (gamma, _) in zip(hinf_channels, old):
         certificates.clear()
         assert linss.hinf_norm(sys) == pytest.approx(gamma, rel=1e-12, abs=0.0)
@@ -840,7 +854,8 @@ def every_point_hinf(sys):
     if gamma <= 0.0:
         return 0.0
     for _ in range(linss._MAX_ROUNDS):
-        cross = linss._hamiltonian_imag_crossings(sys, gamma * (1.0 + 2.0 * linss.HINF_RTOL))
+        level = gamma * (1.0 + 2.0 * linss.HINF_RTOL)
+        (cross,) = linss._hamiltonian_imag_crossings([sys], [level])
         if not cross.size:
             return gamma
         ws = np.unique(np.concatenate([cross, 0.5 * (cross[:-1] + cross[1:])]))
@@ -1008,7 +1023,7 @@ def test_lean_norm_pieces_keep_the_bits_of_the_old_ones(hinf_channels, monkeypat
         # below the norm the level set crosses: polish from the best of
         # the crossings and their midpoints, as a certificate round does
         for level in levels + [0.5 * levels[0], 0.9 * levels[0]]:
-            got = linss._hamiltonian_imag_crossings(sys, level)
+            (got,) = linss._hamiltonian_imag_crossings([sys], [level])
             want = block_filled_crossings(sys, level)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             if got.size:
@@ -1264,17 +1279,14 @@ def fresh(sys):
                                        sys.in_channels, sys.out_channels)
 
 
-def test_primed_peaks_keep_the_bits_of_each_norm_alone(hinf_channels, mission_scale_loops,
-                                                       monkeypatch):
-    # _prime_peaks polishes the peaks of a whole list in one lockstep, as
-    # the planner does per chunk of edges; hinf_norm then takes each primed
-    # peak and certifies it, and every norm has the bits of hinf_norm
-    # alone.  The list mixes both channel shapes (3 x 6 and 3 x 3), the
-    # state counts of the N = 4 and N = 28 loops and of random systems, and
-    # grids with 1, 2 and 3 polish starts.  It also holds systems the list
-    # leaves to their own call, which hinf_norm prices as before: a
-    # defective A (the stacked-solve fallback), an unstable system, a
-    # static gain and a channel with no input
+def primed_cases(hinf_channels, mission_scale_loops):
+    """The channels of ``test_primed_peaks_keep_the_bits_of_each_norm_alone``
+    that ``_prime_peaks`` primes, and those it leaves to their own call.
+    The first list mixes both channel shapes (3 x 6 and 3 x 3), the state
+    counts of the N = 4 and N = 28 loops and of random systems with and
+    without feedthrough; the second holds a defective A (the stacked-solve
+    fallback), an unstable system, a static gain and a channel with no
+    input."""
     rng = make_rng(53)
     randoms = [random_stable_system(rng, n, m, 3, margin=float(rng.choice([0.01, 0.2])),
                                     feedthrough=bool(k % 2))
@@ -1289,8 +1301,20 @@ def test_primed_peaks_keep_the_bits_of_each_norm_alone(hinf_channels, mission_sc
     ]
     mission = [cl.subsystem([out], [inp]) for cl in mission_scale_loops
                for inp, out in HINF_PAIRS]
-    systems = list(hinf_channels) + mission + randoms + left_out
-    assert len({(s.n_states, s.D.shape) for s in systems[:-len(left_out)]}) >= 4
+    return list(hinf_channels) + mission + randoms, left_out
+
+
+def test_primed_peaks_keep_the_bits_of_each_norm_alone(hinf_channels, mission_scale_loops,
+                                                       monkeypatch):
+    # _prime_peaks polishes the peaks of a whole list in one lockstep and
+    # certifies them in stacked level-set tests, as the planner does per
+    # chunk of edges; hinf_norm then takes each certified norm, with no
+    # further Hamiltonian test, and every norm has the bits of hinf_norm
+    # alone.  The polish runs from grids with 1, 2 and 3 starts.  The
+    # systems the list leaves to their own call are priced as before
+    primed_systems, left_out = primed_cases(hinf_channels, mission_scale_loops)
+    systems = primed_systems + left_out
+    assert len({(s.n_states, s.D.shape) for s in primed_systems}) >= 4
 
     def alone(sys):
         try:
@@ -1307,21 +1331,90 @@ def test_primed_peaks_keep_the_bits_of_each_norm_alone(hinf_channels, mission_sc
     monkeypatch.setattr(linss, "_seed_bound",
                         lambda kernels, gain: [starts.append(len(g[2])) or g
                                                for g in bound(kernels, gain)])
+    crossings, tested = linss._hamiltonian_imag_crossings, []
+    monkeypatch.setattr(linss, "_hamiltonian_imag_crossings",
+                        lambda ss, gs: tested.append(len(ss)) or crossings(ss, gs))
     listed = [fresh(s) for s in systems]
     linss._prime_peaks(listed)
-    assert {1, 2, 3} <= set(starts) and len(starts) == len(systems) - len(left_out)
+    assert {1, 2, 3} <= set(starts) and len(starts) == len(primed_systems)
+    assert tested == [len(primed_systems)]
     assert not fallback
-    primed = [linss._peak_key(s) in s._modes for s in listed]
-    assert primed == [True] * (len(systems) - len(left_out)) + [False] * len(left_out)
+    primed = [s._modes.get(linss._peak_key(s), (None, None)) for s in listed]
+    # every primed norm is certified by the stacked round 1
+    assert [norm is not None for _, norm in primed] == ([True] * len(primed_systems)
+                                                       + [False] * len(left_out))
     got = []
-    for sys in listed:
+    for sys, (_, norm) in zip(listed, primed):
+        tested.clear()
         try:
             got.append(linss.hinf_norm(sys).hex())
         except UnstableSystem:
             got.append("unstable")
         assert linss._peak_key(sys) not in sys._modes
+        if norm is not None:
+            assert tested == []
     assert got == want and want[-3] == "unstable"
     assert fallback and all(sys is listed[-4] for sys in fallback)
+
+
+def test_stacked_hamiltonians_keep_the_bits_of_each_alone(hinf_channels, mission_scale_loops,
+                                                          monkeypatch):
+    # every slice of a stacked level-set Hamiltonian is the matrix of its
+    # system built alone, and its crossings are those of its test alone, at
+    # levels above the norm (no crossing) and below it (crossings).  The
+    # 24 channels of each mission shape span several _STACK_BYTES stacks
+    systems, _ = primed_cases(hinf_channels, mission_scale_loops)
+    levels = [linss.hinf_norm(fresh(s)) * f for s, f in
+              zip(systems, itertools.cycle((1.0 + 2.0 * linss.HINF_RTOL, 0.9, 0.5)))]
+    stacks, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda H: stacks.append(H) or eigvals(H))
+    together = linss._hamiltonian_imag_crossings(systems, levels)
+    slices = [H for stack in stacks for H in stack]
+    assert len(slices) == len(systems)
+    shapes = {}
+    for i, s in enumerate(systems):
+        shapes.setdefault((s.n_states, s.D.shape), []).append(i)
+    per_stack = linss._STACK_BYTES // (32 * systems[0].n_states ** 2)
+    assert len(shapes[(systems[0].n_states, systems[0].D.shape)]) > per_stack
+    assert len(stacks) > len(shapes) and max(len(H) for H in stacks) == per_stack
+    order = [i for idx in shapes.values() for i in idx]
+    stacks.clear()
+    crossed = 0
+    for k, i in enumerate(order):
+        (alone,) = linss._hamiltonian_imag_crossings([systems[i]], [levels[i]])
+        assert np.array_equal(slices[k], stacks[-1][0])
+        assert alone.dtype == together[i].dtype and np.array_equal(alone, together[i])
+        crossed += alone.size > 0
+    assert 0 < crossed < len(systems)
+
+
+def test_a_primed_peak_with_crossings_takes_the_rounds_of_hinf_norm(hinf_channels,
+                                                                    monkeypatch):
+    # a peak the stacked test cannot certify (here one polished to 0.9 of
+    # its value) is left to hinf_norm, which runs its crossing rounds from
+    # it and returns the bits of hinf_norm alone from the same low peak
+    low = hinf_channels[4]
+    peaks = linss._hinf_peaks
+    monkeypatch.setattr(linss, "_hinf_peaks",
+                        lambda kernels: [0.9 * p if k.sys.B is low.B else p
+                                         for k, p in zip(kernels, peaks(kernels))])
+    (true_peak,) = peaks([linss._transfer_kernel(low)])
+    assert np.linalg.svd(low.D, compute_uv=False)[0] < 0.9 * true_peak
+    want = [linss.hinf_norm(fresh(s)).hex() for s in hinf_channels]
+    listed = [fresh(s) for s in hinf_channels]
+    linss._prime_peaks(listed)
+    norms = [s._modes[linss._peak_key(s)][1] for s in listed]
+    assert [norm is None for norm in norms] == [s.B is low.B for s in hinf_channels]
+    crossings, tested = linss._hamiltonian_imag_crossings, []
+    monkeypatch.setattr(linss, "_hamiltonian_imag_crossings",
+                        lambda ss, gs: tested.append(len(ss)) or crossings(ss, gs))
+    got = []
+    for sys in listed:
+        tested.clear()
+        got.append(linss.hinf_norm(sys).hex())
+        assert len(tested) == (2 if sys.B is low.B else 0)
+    assert got == want
+    assert float.fromhex(got[4]) == pytest.approx(true_peak, rel=2.0 * linss.HINF_RTOL)
 
 
 def test_h2_defective_state_matrix_takes_the_kronecker_solve(monkeypatch):

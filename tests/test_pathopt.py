@@ -251,9 +251,10 @@ def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
     # planned it prices chunks of whole edges (here two edges of 2z loops
     # each), whose peaks are polished in one lockstep, yet each built loop
     # still makes one hinf_norm call per H-infinity kind and keeps no
-    # primed peak.  On a 4-tile graph the edges without IK keep their place
-    # as None.  A planner of no H-infinity kind prices each edge before it
-    # builds the next
+    # primed peak.  Each chunk's certificates run as stacked Hamiltonian
+    # tests, and no hinf_norm call makes a test of its own.  On a 4-tile
+    # graph the edges without IK keep their place as None.  A planner of no
+    # H-infinity kind prices each edge before it builds the next
     monkeypatch.setattr(po, "POSE_BATCH", 3)
     monkeypatch.setattr(po, "PEAK_LOOPS", 2 * cfg.z_grid + 1)
     costs = ("hinf-wrench", "h2-theta", "hinf-isens")
@@ -291,8 +292,9 @@ def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
                 assert got.values.tobytes() == want.values.tobytes()
 
     same_as_alone(batched, keys)
-    steps, loops = [], []
+    steps, loops, tests, inside = [], [], [], []
     hinf, grid, cost = po.hinf_norm, po.grid_edge_models, po.edge_cost
+    crossings = linss._hamiltonian_imag_crossings
 
     def built(*args):
         steps.append("build")
@@ -300,7 +302,17 @@ def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
         loops.extend(arr.systems)
         return arr
 
-    monkeypatch.setattr(po, "hinf_norm", lambda sys: steps.append("hinf") or hinf(sys))
+    def traced_hinf(sys):
+        steps.append("hinf")
+        inside.append(sys)
+        try:
+            return hinf(sys)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(po, "hinf_norm", traced_hinf)
+    monkeypatch.setattr(linss, "_hamiltonian_imag_crossings",
+                        lambda ss, gs: tests.append(bool(inside)) or crossings(ss, gs))
     monkeypatch.setattr(po, "grid_edge_models", built)
     monkeypatch.setattr(po, "edge_cost",
                         lambda arr, spec: steps.append("price") or cost(arr, spec))
@@ -313,6 +325,7 @@ def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
     built_edges = len(loops) // (2 * wide.z_grid)
     assert None in chunked._edges.values() and 0 < built_edges < len(keys4)
     assert steps.count("hinf") == 2 * len(loops)
+    assert tests and not any(tests)
     assert not [s for s in loops for kind in chunked._hinf
                 for ch in po._channels([s], kind) if linss._peak_key(ch) in s._modes]
     order = [step for step in steps if step != "hinf"]
