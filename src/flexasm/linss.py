@@ -42,12 +42,12 @@ Conventions
   Hamiltonian level-set test of the certificate
   (``_hamiltonian_imag_crossings``) builds the matrices of a list of
   systems as stacks per shape and solves each stack with one stacked
-  ``np.linalg.eigvals``.  ``_prime_peaks`` runs the bound stage, the
-  polish and round 1 of the certificate for the H-infinity channels of a
-  chunk of the planner's edges, with sigma_max(D) from one stacked SVD
-  per shape, and leaves each certified norm, or else the peak, for
-  :func:`hinf_norm`.  Each result has the bits of computing it for its
-  system alone; a single system is a list of one.
+  ``np.linalg.eigvals``.  ``_prime_peaks`` is the one place an
+  H-infinity norm is computed: it runs all of :func:`hinf_norm`'s
+  algorithm for a list of channels, every certificate round for the
+  channels still open, and leaves each norm for :func:`hinf_norm`.  Each
+  result has the bits of computing it for its system alone; a single
+  system is a list of one.
 """
 
 from __future__ import annotations
@@ -881,10 +881,9 @@ def _hamiltonian_imag_crossings(systems, levels) -> list:
     ``_STACK_BYTES``, block by block in place, ``I + D R^-1 D^T`` by adding
     1 to the diagonals; one identity serves each ``R`` and its inverse.
     Each stack is solved by one stacked ``np.linalg.eigvals``, and every
-    slice has the bits of building and solving its system alone, the list
-    of one that :func:`hinf_norm`'s rounds pass.  With no imaginary
-    eigenvalue, which is the certificate's usual answer, the result is the
-    empty array without rounding or sorting."""
+    slice has the bits of building and solving its system alone.  With no
+    imaginary eigenvalue, which is the certificate's usual answer, the
+    result is the empty array without rounding or sorting."""
     out = [None] * len(systems)
     groups = {}
     for i, sys in enumerate(systems):
@@ -1120,52 +1119,62 @@ def _hinf_peaks(kernels) -> list:
 
 
 def _peak_key(sys: StateSpace):
-    """The key under which ``_prime_peaks`` leaves ``sys``'s polished peak
-    and certified norm in the ``_modes`` cache its loop shares with every
-    slice: slices of one loop with the same channels have the same
-    matrices."""
+    """The key under which ``_prime_peaks`` leaves ``sys``'s norm in the
+    ``_modes`` cache its loop shares with every slice: slices of one loop
+    with the same channels have the same matrices."""
     return "peak", sys.in_channels, sys.out_channels
 
 
 def _prime_peaks(systems) -> None:
-    """Polish and certify the H-infinity norms of a list of channel slices
-    in one pass, and leave each channel's ``(peak, norm)`` in its loop's
-    ``_modes`` cache, where :func:`hinf_norm` takes it.
-
-    The peaks are polished in one lockstep (``_hinf_peaks``), and
-    ``gamma = max(sigma_max(D), peak)`` takes sigma_max(D) from one
-    stacked SVD per D shape.  Round 1 of the certificate then runs for
-    the whole list: one stacked level-set test at ``gamma * (1 + 2
-    HINF_RTOL)`` per shape (``_hamiltonian_imag_crossings``).  ``norm``
-    is ``gamma`` where it finds no crossing and None elsewhere, which
-    leaves the crossing rounds to :func:`hinf_norm`; with ``_MAX_ROUNDS``
-    0 no round runs and every norm is None.  Each value has the bits of
-    :func:`hinf_norm` alone.  A system :func:`hinf_norm` would not polish
-    through a modal form is left to its own call: one with no states, no
-    input or no output, a pole with Re >= -STAB_TOL, or a gated-out modal
-    inverse."""
+    """Compute the H-infinity norms of a list of channel slices in one pass,
+    as :func:`hinf_norm` describes, and leave each in its loop's
+    ``_modes`` cache under ``_peak_key``: the norm, or None where
+    ``_MAX_ROUNDS`` rounds leave it uncertified.  sigma_max(D) comes from
+    one stacked SVD per D shape, and each certificate round runs for the
+    channels still open: one stacked level-set test, then one ``_gains``
+    and one ``_polish`` call for those with crossings.  Each value has
+    the bits of its system alone.  A system with no states, no input or
+    no output, or a pole with Re >= -STAB_TOL, is left to
+    :func:`hinf_norm`."""
     ready = [s for s in systems
              if s.n_states and min(s.D.shape)
-             and float(np.max(s.eig()[0].real)) < -STAB_TOL
-             and s.modal_inverse() is not None]
-    peaks = _hinf_peaks([_transfer_kernel(s) for s in ready])
-    shapes, sds = {}, [None] * len(ready)
+             and float(np.max(s.eig()[0].real)) < -STAB_TOL]
+    kernels = [_transfer_kernel(s) for s in ready]
+    gammas = _hinf_peaks(kernels)
+    shapes = {}
     for i, sys in enumerate(ready):
         shapes.setdefault(sys.D.shape, []).append(i)
     for idx in shapes.values():
         top = np.linalg.svd(np.stack([ready[i].D for i in idx]), compute_uv=False)[:, 0]
         for i, sd in zip(idx, top.tolist()):
-            sds[i] = sd
-    gammas = [max(sd, peak) for sd, peak in zip(sds, peaks)]
-    tested = [i for i, g in enumerate(gammas) if g > 0.0] if _MAX_ROUNDS > 0 else []
-    crossings = _hamiltonian_imag_crossings(
-        [ready[i] for i in tested], [gammas[i] * (1.0 + 2.0 * HINF_RTOL) for i in tested])
-    norms = [None] * len(ready)
-    for i, cross in zip(tested, crossings):
-        if not cross.size:
-            norms[i] = gammas[i]
-    for sys, peak, norm in zip(ready, peaks, norms):
-        sys._modes[_peak_key(sys)] = peak, norm
+            gammas[i] = max(sd, gammas[i])
+    norms = [0.0 if g <= 0.0 else None for g in gammas]
+    live = [i for i, g in enumerate(gammas) if g > 0.0]
+    for _ in range(_MAX_ROUNDS):
+        if not live:
+            break
+        hit, wss = [], []
+        for i, cross in zip(live, _hamiltonian_imag_crossings(
+                [ready[i] for i in live], [gammas[i] * (1.0 + 2.0 * HINF_RTOL) for i in live])):
+            if cross.size:
+                hit.append(i)
+                wss.append(_distinct(np.concatenate([cross, 0.5 * (cross[:-1] + cross[1:])])))
+            else:
+                norms[i] = gammas[i]
+        if not hit:
+            break
+        crossed = [kernels[i] for i in hit]
+        grids = [(ws, vals, [int(np.argmax(vals))])
+                 for ws, vals in zip(wss, _gains(crossed, wss, _gram_sigma_max))]
+        live = []
+        for i, best in zip(hit, _polish(crossed, _gram_sigma_max, grids)):
+            if best <= gammas[i]:
+                norms[i] = gammas[i]
+            else:
+                gammas[i] = best
+                live.append(i)
+    for sys, norm in zip(ready, norms):
+        sys._modes[_peak_key(sys)] = norm
 
 
 def hinf_norm(sys: StateSpace) -> float:
@@ -1183,55 +1192,37 @@ def hinf_norm(sys: StateSpace) -> float:
     in one call, with sigma_max only where Frobenius bounds leave it able to
     change the answer (``_screened_sigma_max``).  The exact stage polishes
     the grid's best local maxima by Brent searches in lockstep
-    (:func:`_polish`).  Both stages run for a list of systems at once
-    (``_hinf_peaks``); this call runs them for the list of one.  It keeps
-    the larger of the peak and sigma_max(D), the gain at infinity.  One
-    Hamiltonian level-set test at ``gamma * (1 + 2 HINF_RTOL)``, on the
-    state-space matrices and not on the eigenvectors, then certifies that
-    no frequency reaches that level (Boyd-Balakrishnan-Kabamba 1989,
-    Bruinsma-Steinbuch 1990).  If it finds crossings, the crossings and
-    their midpoints are evaluated, the best is polished, and the test runs
-    again.  The result is the largest gain evaluated: a lower bound within
-    ``2 HINF_RTOL`` of the norm.  Crossings where no evaluated gain exceeds
-    the bound are an artefact of the eigenvalue test, and the bound is
-    returned as it stands.  A norm still uncertified after ``_MAX_ROUNDS``
-    rounds raises :class:`EigenFailure`.
+    (:func:`_polish`).  ``gamma`` is the larger of the peak and
+    sigma_max(D), the gain at infinity.  One Hamiltonian level-set test
+    at ``gamma * (1 + 2 HINF_RTOL)``, on the state-space matrices and not
+    on the eigenvectors, then certifies that no frequency reaches that
+    level (Boyd-Balakrishnan-Kabamba 1989, Bruinsma-Steinbuch 1990).  If
+    it finds crossings, the crossings and their midpoints are evaluated,
+    the best is polished, and the test runs again.  The result is the
+    largest gain evaluated: a lower bound within ``2 HINF_RTOL`` of the
+    norm.  Crossings where no evaluated gain exceeds the bound are an
+    artefact of the eigenvalue test, and the bound is returned as it
+    stands.  A norm still uncertified after ``_MAX_ROUNDS`` rounds raises
+    :class:`EigenFailure`.
 
-    The planner primes a chunk of edges at a time (``_prime_peaks``): it
-    polishes their peaks in one lockstep and runs round 1 of their
-    certificates as stacked tests.  This call then takes the certified
-    norm from the cache after its stability test, or, where round 1 found
-    crossings, the primed peak, and runs its rounds from there.  Either
-    way the result has the bits of computing it here alone.
+    All of it runs in ``_prime_peaks``, for a list of channels at once:
+    the planner primes a chunk of edges at a time, and this call primes
+    the list of one unless the norm is cached already.  It runs the
+    stability test, then takes the norm from the cache; it has the bits
+    of computing it alone either way.
     """
     if sys.n_states == 0:
         return float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
     _stable_eig(sys, "H-infinity")
     if min(sys.D.shape) == 0:
         return 0.0      # no input or no output: an empty transfer
-    peak, norm = sys._modes.pop(_peak_key(sys), (None, None))
-    if norm is not None:
-        return norm
-    kernel = None
-    if peak is None:
-        kernel = _transfer_kernel(sys)
-        (peak,) = _hinf_peaks([kernel])
-    gamma = max(float(np.linalg.svd(sys.D, compute_uv=False)[0]), peak)
-    if gamma <= 0.0:
-        return 0.0
-    for _ in range(_MAX_ROUNDS):
-        (cross,) = _hamiltonian_imag_crossings([sys], [gamma * (1.0 + 2.0 * HINF_RTOL)])
-        if not cross.size:
-            return gamma
-        if kernel is None:
-            kernel = _transfer_kernel(sys)
-        ws = _distinct(np.concatenate([cross, 0.5 * (cross[:-1] + cross[1:])]))
-        (vals,) = _gains([kernel], [ws], _gram_sigma_max)
-        (best,) = _polish([kernel], _gram_sigma_max, [(ws, vals, [int(np.argmax(vals))])])
-        if best <= gamma:
-            return gamma
-        gamma = best
-    raise EigenFailure(f"H-infinity certificate failed after {_MAX_ROUNDS} rounds")
+    key = _peak_key(sys)
+    if key not in sys._modes:
+        _prime_peaks([sys])
+    norm = sys._modes.pop(key)
+    if norm is None:
+        raise EigenFailure(f"H-infinity certificate failed after {_MAX_ROUNDS} rounds")
+    return norm
 
 
 def h2_norm(systems) -> np.ndarray:

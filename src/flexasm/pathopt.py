@@ -35,14 +35,13 @@ its waypoints are weighed in one call.  Then it builds each edge's loops
 once, so one eigendecomposition per loop serves every kind, and keeps only
 the prices, under edge ids it numbers itself: the rest follows from the key.
 When it plans an H-infinity kind, the built edges wait in chunks of about
-``PEAK_LOOPS`` loops: the seed-grid bounds and the Brent polish of all
-their H-infinity channels run in one lockstep, and their Hamiltonian
-certificates in stacked tests (``linss._prime_peaks``).  Then each edge
-of the chunk is priced and its loops dropped, in build order, and each
-``hinf_norm`` call takes its channel's certified norm after its
-stability test; only a peak the stacked test could not certify goes
-through ``hinf_norm``'s own crossing rounds.  With no H-infinity kind,
-each edge is priced and dropped as soon as it is built.
+``PEAK_LOOPS`` loops, and the H-infinity norms of all their channels are
+computed in one pass (``linss._prime_peaks``): the seed-grid bounds and
+the Brent polish in one lockstep, each certificate round as stacked
+tests.  Then each edge of the chunk is priced and its loops dropped, in
+build order, and each ``hinf_norm`` call takes its channel's norm after
+its stability test.  With no H-infinity kind, each edge is priced and
+dropped as soon as it is built.
 """
 
 from __future__ import annotations
@@ -102,10 +101,9 @@ ASSEMBLE = "assemble"
 # targets in lockstep and the 3 arm chains of each of its edges' 2z
 # waypoints in one call, so this bounds what one call holds.
 POSE_BATCH = 64
-# Loops per chunk whose H-infinity peaks the planner polishes in one
-# lockstep and certifies in stacked tests (``linss._prime_peaks``) before
-# it prices them: a chunk holds whole edges, and their loops live until
-# the chunk is priced.
+# Loops per chunk whose H-infinity norms the planner computes in one pass
+# (``linss._prime_peaks``) before it prices them: a chunk holds whole
+# edges, and their loops live until the chunk is priced.
 PEAK_LOOPS = 32
 
 
@@ -547,8 +545,8 @@ class AssemblyPlanner:
     def _price(self, chunk) -> None:
         """Store the prices of a chunk of built edges ``(key, arr)``, in
         order; ``arr`` None is an edge without IK.  The chunk's H-infinity
-        channels are primed first (``linss._prime_peaks``), so each
-        :func:`edge_cost` finds its loops' norms polished and certified."""
+        norms are computed first (``linss._prime_peaks``), so each
+        :func:`edge_cost` finds them in its loops' caches."""
         _prime_peaks([ch for _, arr in chunk if arr is not None for kind in self._hinf
                       for ch in _channels(arr.systems, kind)])
         for key, arr in chunk:

@@ -47,10 +47,10 @@ and is exact for this block, so the name keeps only the conventional
 The complex upper bound, :func:`mu_upper_bound`, is the peak over
 frequency of the spectral radius of the w->z transfer: the exact value for
 a repeated *complex* scalar (Packard & Doyle 1993), so it bounds the real
-one.  It runs ``linss.hinf_norm``'s two stages with the spectral radius
-for sigma_max, for a list of one: the seed-grid bound stage
+one.  It runs the peak search of ``linss.hinf_norm`` with the spectral
+radius for sigma_max, for a list of one: the seed-grid bound stage
 (``linss._seed_bound``, on the loop's grid and residue kernel), then the
-polish (``linss._polish``).
+polish (``linss._polish``), without the certificate.
 The ``mu`` edge cost reads only the margin and never runs the bound.
 
 Only the search range ``delta_max`` is a parameter; the channel pair

@@ -490,30 +490,38 @@ def test_hinf_unstable_rejected():
 
 def test_hinf_uncertified_norm_is_an_eigen_failure(monkeypatch):
     # no certificate round left: the typed error the CLI maps to exit 3,
-    # also for a primed channel, since the stacked test is round 1
+    # also for a primed channel, whose cached value is then None
     monkeypatch.setattr(linss, "_MAX_ROUNDS", 0)
     with pytest.raises(EigenFailure, match="certificate failed after 0 rounds"):
         linss.hinf_norm(first_order_lag())
     primed = first_order_lag()
     linss._prime_peaks([primed])
-    assert primed._modes[linss._peak_key(primed)][1] is None
+    assert primed._modes[linss._peak_key(primed)] is None
     with pytest.raises(EigenFailure, match="certificate failed after 0 rounds"):
         linss.hinf_norm(primed)
+
+
+SHARP_MODES = [(2.0, 0.3), (13.0, 1e-3)]     # (omega, xi), unit static gains
+
+
+def sharp_mode_system(monkeypatch):
+    """The two-mode system of ``SHARP_MODES``, with the seed grid cut to
+    its four decade points, which miss the sharp mode at 13 rad/s."""
+    A, B = np.zeros((4, 4)), np.zeros((4, 1))
+    for k, (w, xi) in enumerate(SHARP_MODES):
+        A[2 * k, 2 * k + 1] = 1.0
+        A[2 * k + 1, 2 * k:2 * k + 2] = -w * w, -2.0 * xi * w
+        B[2 * k + 1, 0] = w * w
+    monkeypatch.setattr(linss, "_seed_frequencies",
+                        lambda eigs: np.array([1e-6, 1e-3, 1.0, 1e3]))
+    return siso(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
 
 
 def test_hinf_certificate_round_polishes_a_peak_the_seeds_missed(monkeypatch):
     # decade seeds alone miss the sharp mode at 13 rad/s: the first
     # Hamiltonian test finds its crossings, one round evaluates them and
     # their midpoints and polishes the best, and the next test certifies
-    modes = [(2.0, 0.3), (13.0, 1e-3)]     # (omega, xi), unit static gains
-    A, B = np.zeros((4, 4)), np.zeros((4, 1))
-    for k, (w, xi) in enumerate(modes):
-        A[2 * k, 2 * k + 1] = 1.0
-        A[2 * k + 1, 2 * k:2 * k + 2] = -w * w, -2.0 * xi * w
-        B[2 * k + 1, 0] = w * w
-    sys = siso(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
-    monkeypatch.setattr(linss, "_seed_frequencies",
-                        lambda eigs: np.array([1e-6, 1e-3, 1.0, 1e3]))
+    sys = sharp_mode_system(monkeypatch)
     found, crossings = [], linss._hamiltonian_imag_crossings
     monkeypatch.setattr(linss, "_hamiltonian_imag_crossings",
                         lambda ss, gs: [found.append(c) or c for c in crossings(ss, gs)])
@@ -522,7 +530,7 @@ def test_hinf_certificate_round_polishes_a_peak_the_seeds_missed(monkeypatch):
     assert [c.size > 0 for c in found] == [True, False]
     ws = np.linspace(0.99 * 13.0, 1.01 * 13.0, 200_001)
     peak = np.abs(sum(w * w / (w * w - ws * ws + 2j * xi * w * ws)
-                      for w, xi in modes)).max()
+                      for w, xi in SHARP_MODES)).max()
     assert peak <= norm <= peak * (1.0 + 2.0 * linss.HINF_RTOL)
     assert norm == pytest.approx(500.0024988, abs=1e-6)
 
@@ -1281,19 +1289,19 @@ def fresh(sys):
 
 def primed_cases(hinf_channels, mission_scale_loops):
     """The channels of ``test_primed_peaks_keep_the_bits_of_each_norm_alone``
-    that ``_prime_peaks`` primes, and those it leaves to their own call.
+    that ``_prime_peaks`` primes, and those it leaves to ``hinf_norm``.
     The first list mixes both channel shapes (3 x 6 and 3 x 3), the state
     counts of the N = 4 and N = 28 loops and of random systems with and
-    without feedthrough; the second holds a defective A (the stacked-solve
-    fallback), an unstable system, a static gain and a channel with no
-    input."""
+    without feedthrough, and ends with a defective A (the stacked-solve
+    fallback); the second holds an unstable system, a static gain and a
+    channel with no input."""
     rng = make_rng(53)
     randoms = [random_stable_system(rng, n, m, 3, margin=float(rng.choice([0.01, 0.2])),
                                     feedthrough=bool(k % 2))
                for n in (5, 11) for m in (6, 3) for k in range(3)]
     base = random_stable_system(rng, 6, 2, 3)
+    jordan = siso([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
     left_out = [
-        siso([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]),
         siso([[1.0]], [[1.0]], [[1.0]], [[0.0]]),
         linss.gain([[3.0, 0.0], [0.0, 1.0]], (("u", 2),), (("y", 2),)),
         linss.StateSpace(base.A, np.zeros((6, 0)), base.C, np.zeros((3, 0)),
@@ -1301,17 +1309,18 @@ def primed_cases(hinf_channels, mission_scale_loops):
     ]
     mission = [cl.subsystem([out], [inp]) for cl in mission_scale_loops
                for inp, out in HINF_PAIRS]
-    return list(hinf_channels) + mission + randoms, left_out
+    return list(hinf_channels) + mission + randoms + [jordan], left_out
 
 
 def test_primed_peaks_keep_the_bits_of_each_norm_alone(hinf_channels, mission_scale_loops,
                                                        monkeypatch):
     # _prime_peaks polishes the peaks of a whole list in one lockstep and
     # certifies them in stacked level-set tests, as the planner does per
-    # chunk of edges; hinf_norm then takes each certified norm, with no
-    # further Hamiltonian test, and every norm has the bits of hinf_norm
-    # alone.  The polish runs from grids with 1, 2 and 3 starts.  The
-    # systems the list leaves to their own call are priced as before
+    # chunk of edges; hinf_norm then takes each norm, with no Hamiltonian
+    # test of its own, and every norm has the bits of hinf_norm alone.
+    # The polish runs from grids with 1, 2 and 3 starts, and the defective
+    # A takes its stacked solve inside the pass.  The systems the list
+    # leaves to hinf_norm are priced as before
     primed_systems, left_out = primed_cases(hinf_channels, mission_scale_loops)
     systems = primed_systems + left_out
     assert len({(s.n_states, s.D.shape) for s in primed_systems}) >= 4
@@ -1338,23 +1347,23 @@ def test_primed_peaks_keep_the_bits_of_each_norm_alone(hinf_channels, mission_sc
     linss._prime_peaks(listed)
     assert {1, 2, 3} <= set(starts) and len(starts) == len(primed_systems)
     assert tested == [len(primed_systems)]
-    assert not fallback
-    primed = [s._modes.get(linss._peak_key(s), (None, None)) for s in listed]
+    assert fallback and all(sys is listed[len(primed_systems) - 1] for sys in fallback)
     # every primed norm is certified by the stacked round 1
-    assert [norm is not None for _, norm in primed] == ([True] * len(primed_systems)
-                                                       + [False] * len(left_out))
+    primed = [s._modes.get(linss._peak_key(s), "absent") for s in listed]
+    assert [type(norm) for norm in primed] == ([float] * len(primed_systems)
+                                               + [str] * len(left_out))
+    fallback.clear()
     got = []
-    for sys, (_, norm) in zip(listed, primed):
+    for sys in listed:
         tested.clear()
         try:
             got.append(linss.hinf_norm(sys).hex())
         except UnstableSystem:
             got.append("unstable")
         assert linss._peak_key(sys) not in sys._modes
-        if norm is not None:
-            assert tested == []
+        assert tested == []
     assert got == want and want[-3] == "unstable"
-    assert fallback and all(sys is listed[-4] for sys in fallback)
+    assert not fallback
 
 
 def test_stacked_hamiltonians_keep_the_bits_of_each_alone(hinf_channels, mission_scale_loops,
@@ -1390,31 +1399,53 @@ def test_stacked_hamiltonians_keep_the_bits_of_each_alone(hinf_channels, mission
 
 def test_a_primed_peak_with_crossings_takes_the_rounds_of_hinf_norm(hinf_channels,
                                                                     monkeypatch):
-    # a peak the stacked test cannot certify (here one polished to 0.9 of
-    # its value) is left to hinf_norm, which runs its crossing rounds from
-    # it and returns the bits of hinf_norm alone from the same low peak
-    low = hinf_channels[4]
+    # peaks the stacked round 1 cannot certify (here two, of different
+    # shapes, polished to 0.9 of their values) run hinf_norm's crossing
+    # rounds inside _prime_peaks, both in one stacked test per round; the
+    # bits are those of hinf_norm alone from the same low peaks, and
+    # hinf_norm then makes no Hamiltonian test
+    low = [hinf_channels[4], hinf_channels[7]]
+    assert low[0].D.shape != low[1].D.shape
+    lowered = {id(s.B) for s in low}
     peaks = linss._hinf_peaks
     monkeypatch.setattr(linss, "_hinf_peaks",
-                        lambda kernels: [0.9 * p if k.sys.B is low.B else p
+                        lambda kernels: [0.9 * p if id(k.sys.B) in lowered else p
                                          for k, p in zip(kernels, peaks(kernels))])
-    (true_peak,) = peaks([linss._transfer_kernel(low)])
-    assert np.linalg.svd(low.D, compute_uv=False)[0] < 0.9 * true_peak
+    true_peaks = peaks([linss._transfer_kernel(s) for s in low])
+    for sys, peak in zip(low, true_peaks):
+        assert np.linalg.svd(sys.D, compute_uv=False)[0] < 0.9 * peak
     want = [linss.hinf_norm(fresh(s)).hex() for s in hinf_channels]
-    listed = [fresh(s) for s in hinf_channels]
-    linss._prime_peaks(listed)
-    norms = [s._modes[linss._peak_key(s)][1] for s in listed]
-    assert [norm is None for norm in norms] == [s.B is low.B for s in hinf_channels]
     crossings, tested = linss._hamiltonian_imag_crossings, []
     monkeypatch.setattr(linss, "_hamiltonian_imag_crossings",
                         lambda ss, gs: tested.append(len(ss)) or crossings(ss, gs))
+    listed = [fresh(s) for s in hinf_channels]
+    linss._prime_peaks(listed)
+    assert tested == [len(listed), 2]
     got = []
     for sys in listed:
         tested.clear()
         got.append(linss.hinf_norm(sys).hex())
-        assert len(tested) == (2 if sys.B is low.B else 0)
+        assert tested == []
     assert got == want
-    assert float.fromhex(got[4]) == pytest.approx(true_peak, rel=2.0 * linss.HINF_RTOL)
+    for i, peak in zip((4, 7), true_peaks):
+        assert float.fromhex(got[i]) == pytest.approx(peak, rel=2.0 * linss.HINF_RTOL)
+
+
+def test_prime_peaks_runs_each_certificate_round_for_the_channels_still_open(monkeypatch):
+    # the sharp-mode system, whose seeds miss its sharp mode, needs one
+    # crossing round; primed with a channel that round 1 certifies, round
+    # 1 tests both and round 2 only the open one, and each norm has the
+    # bits of hinf_norm alone
+    systems = [first_order_lag(), sharp_mode_system(monkeypatch)]
+    want = [linss.hinf_norm(fresh(s)).hex() for s in systems]
+    crossings, tested = linss._hamiltonian_imag_crossings, []
+    monkeypatch.setattr(linss, "_hamiltonian_imag_crossings",
+                        lambda ss, gs: tested.append(len(ss)) or crossings(ss, gs))
+    listed = [fresh(s) for s in systems]
+    linss._prime_peaks(listed)
+    assert tested == [2, 1]
+    assert [s._modes[linss._peak_key(s)].hex() for s in listed] == want
+    assert float.fromhex(want[1]) == pytest.approx(500.0024988, abs=1e-6)
 
 
 def test_h2_defective_state_matrix_takes_the_kronecker_solve(monkeypatch):
