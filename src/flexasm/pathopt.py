@@ -17,31 +17,14 @@ picks minimum-cost paths; a unit-weight breadth-first search provides the
 step-count baseline the optimized plans are measured against.
 
 Each edge is built as one stack (two, ``linss._shape_runs``, where its
-legs differ in state count): the open loop per waypoint, then the attitude
-loop closed on all 2z waypoints in one :func:`~flexasm.scenario.close_loop`
-call, and the eigendecompositions and modal inverses in one stacked ``eig``
-and one stacked ``inv``.  Every cost kind prices an edge at a time
-(``_loop_values``): a norm-priced kind slices the edge's channel pair once,
-the H2 cost prices the slices in one :func:`~flexasm.linss.h2_norm` call,
-each H-infinity cost makes one :func:`~flexasm.linss.hinf_norm` call per
-loop and the margin one :func:`~flexasm.robust.mu_real_repeated` per
-loop, all from the same cached eigendecompositions.
+legs differ in state count): the open loop per waypoint, one
+:func:`~flexasm.scenario.close_loop` call, one stacked ``eig`` and one
+stacked ``inv``.  Every cost kind prices an edge at a time
+(``_loop_values``) from those cached eigendecompositions.
 
-The planner is built for the cost kinds it will plan, and builds its edges
-in batches of at most ``POSE_BATCH``: the walking IK of a batch's distinct
-reach targets descends in lockstep, and the robot's mass matrices at all
-its waypoints are weighed in one call.  Then it builds each edge's loops
-(:func:`grid_edge_models`) and prices them under every planned kind at
-once, so one eigendecomposition per loop serves every kind, and keeps only
-the prices, under edge ids it numbers itself: the rest follows from the key.
-When it plans an H-infinity kind, the built edges wait in chunks of about
-``PEAK_LOOPS`` loops, and the H-infinity norms of all their channels are
-computed in one pass (``linss._prime_peaks``): the seed-grid bounds and
-the Brent polish in one lockstep, each certificate round as stacked
-tests.  Then each edge of the chunk is priced and its loops dropped, in
-build order, and each ``hinf_norm`` call takes its channel's norm after
-its stability test.  With no H-infinity kind, each edge is priced and
-dropped as soon as it is built.
+The planner, :class:`AssemblyPlanner`, builds the edges it reads in
+batches, prices their loops under every planned kind at once and keeps
+only the prices.
 """
 
 from __future__ import annotations
@@ -61,6 +44,7 @@ from .errors import (
     Unreachable,
 )
 from .linss import (
+    _peak_key,
     _prime_modes,
     _prime_peaks,
     _subsystems,
@@ -69,7 +53,7 @@ from .linss import (
 )
 from .modal import _adjacent
 from .robot import quintic_waypoints
-from .robust import mu_real_repeated
+from .robust import _prime_margin, mu_real_repeated
 from .scenario import (
     HOME_JOINTS,
     AssemblyState,
@@ -347,14 +331,12 @@ def _channels(loops, kind: str) -> list:
 
 
 def _loop_values(loops, spec: CostSpec) -> np.ndarray:
-    """Per-loop values of an edge's closed loops (both legs' loops, with
-    the same channels) under ``spec.kind``.
-
-    A norm-priced kind slices the edge's channel pair once
-    (``linss._subsystems``); H2 prices the slices in one :func:`h2_norm`
-    call, H-infinity in one :func:`hinf_norm` call per loop.  The margin
-    runs one :func:`~flexasm.robust.mu_real_repeated` per loop.
-    """
+    """Per-loop values of an edge's loops (with the same channels) under
+    ``spec.kind``: H2 prices the edge's channel slices (``linss._subsystems``,
+    sliced once) in one :func:`h2_norm` call, H-infinity in one
+    :func:`hinf_norm` call per loop and the margin in one
+    :func:`~flexasm.robust.mu_real_repeated` per loop.  Each call pops a
+    value primed in the loop's cache (the planner's chunks and edge ends)."""
     if spec.kind == "mu":
         return np.array([mu_real_repeated(s).mu_lower for s in loops])
     channels = _channels(loops, spec.kind)
@@ -364,12 +346,9 @@ def _loop_values(loops, spec: CostSpec) -> np.ndarray:
 
 
 def edge_cost(array: EdgeModelArray, spec: CostSpec):
-    """Sum of the per-system metric over the 2z models.
-
-    Returns ``(cost, values)``; any value beyond the hard cap makes the
-    whole edge infinite, which Dijkstra treats as impassable.  The 2z
-    loops are priced together (:func:`_loop_values`).
-    """
+    """``(cost, values)``: the metric of each of the edge's 2z loops,
+    priced together (:func:`_loop_values`), and their sum, infinite when
+    any value is beyond the hard cap (``_edge_price``)."""
     values = _loop_values(array.systems, spec)
     return _edge_price(values, spec), values
 
@@ -485,14 +464,20 @@ class AssemblyPlanner:
     once: an empty tuple or a repeated kind raises ``ValueError``.
 
     Each edge is built once, on demand (:meth:`_build`): its 2z closed
-    loops are priced under every planned kind (:func:`edge_cost`, once per
-    kind) and dropped, and the cache keeps an :class:`EdgePrices` per edge,
-    which every reader prices through :meth:`_priced`.  A loop's channel
-    slices share its eigendecomposition, so one stacked ``eig`` per edge
-    serves every kind.  With an H-infinity kind planned, edges are priced
-    and dropped a chunk of about ``PEAK_LOOPS`` loops at a time, once the
-    chunk's H-infinity peaks are polished in one lockstep
-    (:meth:`_price`); otherwise one edge at a time.
+    loops are priced under every planned kind (:func:`edge_cost`) and
+    dropped, and the cache keeps an :class:`EdgePrices` per edge, which
+    every reader prices through :meth:`_priced`.  A loop's channel slices
+    share its eigendecomposition, so one stacked ``eig`` per edge serves
+    every kind.  With an H-infinity kind planned, edges are
+    priced a chunk of about ``PEAK_LOOPS`` loops at a time, whose
+    H-infinity norms are computed in one pass (:meth:`_price`).
+
+    The memo prices each distinct loop at an edge end once.  Its key is
+    the end's waypoint ``(state, joint-angle bytes)``, the first under
+    ``pre`` or the last under ``post``: ``open_loop`` is a function of it,
+    and a loop closes with the bits of closing it alone, so a repeat has
+    its leader's bits.  Its value holds only the leader's H-infinity norms
+    and margin, never a loop; every loop is still built and priced.
     """
 
     def __init__(self, cfg: ScenarioConfig, costs=COST_KINDS):
@@ -508,34 +493,37 @@ class AssemblyPlanner:
         self.models = ScenarioModels(cfg)
         self.K_att = self.models.design_gains()
         self._edges = {}
+        self._memo = {}
 
     def _build(self, keys) -> None:
         """Build and price the unbuilt edges ``(kind, n, src, dst)`` of
         ``keys`` in order, ``POSE_BATCH`` at a time: one ``solve_reaches``
         of a batch's reach targets, one ``robot_mass_matrices`` of its
         waypoints, then :func:`grid_edge_models` for each edge, priced by
-        :meth:`_price` in chunks of whole edges: at least ``PEAK_LOOPS``
-        loops or the batch's rest with an H-infinity kind planned, else one
-        edge.  An edge whose action pose has no IK solution is a hard
-        constraint, stored as None (the inferred arm geometry cannot span
-        every diagonal).  Edge ids and the cache's order follow build
-        order."""
+        :meth:`_price` in chunks of whole edges (of at least ``PEAK_LOOPS``
+        loops with an H-infinity kind planned, else of one).  An edge
+        without IK for its action pose is a hard constraint, stored as None
+        (the inferred arm geometry cannot span every diagonal).  Edge ids
+        and the cache's order follow build order."""
         cfg, models = self.cfg, self.models
         todo = [key for key in dict.fromkeys(keys) if key not in self._edges]
         for b in range(0, len(todo), POSE_BATCH):
             batch = todo[b:b + POSE_BATCH]
             poses = [_EdgePose.of(cfg, *key) for key in batch]
             reaches = models.solve_reaches([(p.pre, p.reach_arm, p.target) for p in poses])
-            models.robot_mass_matrices(
-                [wp for p, hit in zip(poses, reaches) if not isinstance(hit, IkNotConverged)
-                 for wp in p.waypoints(*hit, cfg.z_grid)])
+            wps = [None if isinstance(hit, IkNotConverged) else p.waypoints(*hit, cfg.z_grid)
+                   for p, hit in zip(poses, reaches)]
+            models.robot_mass_matrices([wp for w in wps if w for wp in w])
+            ends = [w and [(state, np.concatenate(qs).tobytes()) for state, qs in (w[0], w[-1])]
+                    for w in wps]
+            del wps
             chunk, loops = [], 0
-            for key in batch:
+            for key, end in zip(batch, ends):
                 try:
                     arr = grid_edge_models(models, *key, self.K_att)
                 except IkNotConverged:
                     arr = None
-                chunk.append((key, arr))
+                chunk.append((key, arr, end))
                 loops += 0 if arr is None else len(arr.systems)
                 if not self._hinf or loops >= PEAK_LOOPS:
                     self._price(chunk)
@@ -543,16 +531,36 @@ class AssemblyPlanner:
             self._price(chunk)
 
     def _price(self, chunk) -> None:
-        """Store the prices of a chunk of built edges ``(key, arr)``, in
-        order; ``arr`` None is an edge without IK.  The chunk's H-infinity
-        norms are computed first (``linss._prime_peaks``), so each
-        :func:`edge_cost` finds them in its loops' caches."""
-        _prime_peaks([ch for _, arr in chunk if arr is not None for kind in self._hinf
-                      for ch in _channels(arr.systems, kind)])
-        for key, arr in chunk:
+        """Store the prices of a chunk of built edges ``(key, arr, ends)``
+        in order: ``arr`` None has no IK, and ``ends`` are the memo keys of
+        its first and last loop.  An end loop repeats when its key is in
+        the memo or an earlier loop of the chunk leads it.  The H-infinity
+        norms of every other loop are computed first (``_prime_peaks``),
+        then each leader's margin (``robust._prime_margin``), and the memo
+        keeps the leaders' prices.  Each end loop is seeded with its key's,
+        so its ``hinf_norm`` and ``mu_real_repeated`` calls in
+        :func:`edge_cost` pop them."""
+        memo, lead, primed = self._memo, {}, []
+        for _, arr, ends in chunk:
+            if arr is not None:
+                loops = arr.systems
+                new = [end not in memo and lead.setdefault(end, loop) is loop
+                       for loop, end in zip((loops[0], loops[-1]), ends)]
+                # every loop of the edge but a repeat at either end
+                primed += [ch for kind in self._hinf
+                           for ch in _channels(loops[1 - new[0]:len(loops) - 1 + new[1]], kind)]
+        _prime_peaks(primed)
+        for end, loop in lead.items():
+            keys = [_peak_key(ch) for kind in self._hinf for ch in _channels([loop], kind)]
+            if "mu" in self.costs:
+                keys.append(_prime_margin(loop))
+            memo[end] = {k: loop._modes[k] for k in keys if k in loop._modes}
+        for key, arr, ends in chunk:
             if arr is None:
                 self._edges[key] = None
                 continue
+            for loop, end in zip((arr.systems[0], arr.systems[-1]), ends):
+                loop._modes.update(memo[end])
             values = np.stack([edge_cost(arr, spec)[1] for spec in self._specs], axis=1)
             self._edges[key] = EdgePrices(len(self._edges), values)
 

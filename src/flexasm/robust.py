@@ -51,7 +51,8 @@ one.  It runs the peak search of ``linss.hinf_norm`` with the spectral
 radius for sigma_max, for a list of one: the seed-grid bound stage
 (``linss._seed_bound``, on the loop's grid and residue kernel), then the
 polish (``linss._polish``), without the certificate.
-The ``mu`` edge cost reads only the margin and never runs the bound.
+The ``mu`` edge cost reads only the margin and never runs the bound; the
+planner primes it once per distinct edge-end loop (``_prime_margin``).
 
 Only the search range ``delta_max`` is a parameter; the channel pair
 (``linss.W_CHANNEL``/``linss.Z_CHANNEL``), the scan density and the
@@ -248,6 +249,24 @@ def mu_upper_bound(sys: StateSpace) -> float:
     return bound
 
 
+def _prime_margin(sys: StateSpace, delta_max: float = 20.0):
+    """Leave the margin of a loop past :func:`mu_real_repeated`'s checks in
+    its ``_modes`` cache, under the key returned, for that call to pop."""
+    certified = False
+    if sys.n_states:
+        eigs, V = sys.eig()
+        w, z = sys.in_slice(W_CHANNEL), sys.out_slice(Z_CHANNEL)
+        W = None if sys.D[z, w].any() else sys.modal_inverse()
+        if W is not None:
+            certified, delta_crit = _certified_crossing(sys, eigs, V, W, delta_max)
+    if not certified:
+        delta_crit = _scan_crossing(sys, delta_max)
+    mu_lower = 1.0 / abs(delta_crit) if delta_crit is not None else 0.0
+    key = "mu", delta_max
+    sys._modes[key] = MuResult(mu_lower, delta_crit)
+    return key
+
+
 def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
     """Exact real margin for ``delta * I``.
 
@@ -259,18 +278,13 @@ def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
     the module docstring); no crossing means ``mu_lower = 0`` and
     ``delta_crit = None``.  A ``delta_max`` that is not finite and > 0
     raises ``ValueError``.
+    After both checks it pops the loop's primed margin, as ``hinf_norm``
+    pops a primed peak, priming it first (``_prime_margin``) if absent.
     """
     if not (math.isfinite(delta_max) and delta_max > 0.0):
         raise ValueError(f"delta_max must be finite and > 0, got {delta_max}")
     _check_nominal(sys)
-    certified = False
-    if sys.n_states:
-        eigs, V = sys.eig()
-        w, z = sys.in_slice(W_CHANNEL), sys.out_slice(Z_CHANNEL)
-        W = None if sys.D[z, w].any() else sys.modal_inverse()
-        if W is not None:
-            certified, delta_crit = _certified_crossing(sys, eigs, V, W, delta_max)
-    if not certified:
-        delta_crit = _scan_crossing(sys, delta_max)
-    mu_lower = 1.0 / abs(delta_crit) if delta_crit is not None else 0.0
-    return MuResult(mu_lower, delta_crit)
+    key = "mu", delta_max
+    if key not in sys._modes:
+        _prime_margin(sys, delta_max)
+    return sys._modes.pop(key)

@@ -1,16 +1,18 @@
 """Graphs, search, edge costs and the full-assembly planner."""
 
 import gc
+import hashlib
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from flexasm import linss
+from flexasm import linss, robust
 from flexasm import pathopt as po
 from flexasm import scenario as sc
-from flexasm.errors import (CostNotPlanned, IkNotConverged, NonzeroFeedthrough,
-                            StateInvalid, Unreachable, UnstableSystem)
+from flexasm.errors import (CostNotPlanned, IkNotConverged, NominalUnstable,
+                            NonzeroFeedthrough, StateInvalid, Unreachable, UnstableSystem)
 from flexasm.linss import StateSpace
 from flexasm.modal import TileLayout
 
@@ -460,15 +462,19 @@ def test_planner_keeps_prices_not_loops(planner):
     built = [rec for rec in planner._edges.values() if rec is not None]
     assert built and all(rec.values.shape == (2 * planner.cfg.z_grid,
                                               len(po.COST_KINDS)) for rec in built)
-    # walk the cache's references, classes aside (they lead to modules)
-    seen, todo = set(), [planner._edges]
-    while todo:
-        obj = todo.pop()
-        if id(obj) in seen or isinstance(obj, type):
-            continue
-        seen.add(id(obj))
-        assert not isinstance(obj, (StateSpace, po.EdgeModelArray)), type(obj)
-        todo.extend(gc.get_referents(obj))
+    # walk the caches' references, classes aside (they lead to modules);
+    # the memo of edge-end prices holds no array at all
+    assert planner._memo
+    for cache, kept in ((planner._edges, (StateSpace, po.EdgeModelArray)),
+                        (planner._memo, (StateSpace, po.EdgeModelArray, np.ndarray))):
+        seen, todo = set(), [cache]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, kept), type(obj)
+            todo.extend(gc.get_referents(obj))
 
 
 def test_stage_derives_the_dock_distances_of_its_edges():
@@ -525,6 +531,105 @@ def test_stored_prices_are_edge_cost_bits(planner, key):
             got = planner._priced(key, spec)
             assert got[0] == want[0] and np.array_equal(got[1], want[1]), (kind, cap)
             assert np.isinf(got[0]) == (cap is not None and cap < np.max(values))
+
+
+def loop_digest(sys) -> bytes:
+    """SHA-256 over a system's channels and the shapes and bits of its
+    matrices."""
+    h = hashlib.sha256(repr((sys.in_channels, sys.out_channels)).encode())
+    for a in (sys.A, sys.B, sys.C, sys.D):
+        h.update(repr(a.shape).encode() + np.ascontiguousarray(a).tobytes())
+    return h.digest()
+
+
+def test_planner_prices_each_distinct_loop_once(monkeypatch):
+    # desk z = 2, all kinds, from both arms: 122 of the 184 loops built are
+    # distinct, and the H-infinity pass and the margin see each of them
+    # once (the repeats are edge ends, priced from the memo).  Every stored
+    # price has the bits of edge_cost on the edge built afresh
+    built, peaks, margins = [], [], []
+    grid, prime_peaks, prime_margin = po.grid_edge_models, linss._prime_peaks, robust._prime_margin
+
+    def build(*args):
+        arr = grid(*args)
+        built.extend(loop_digest(s) for s in arr.systems)
+        return arr
+
+    def primed_peaks(systems):
+        peaks.extend(loop_digest(s) for s in systems)
+        return prime_peaks(systems)
+
+    def primed_margin(sys, *args):
+        margins.append(loop_digest(sys))
+        return prime_margin(sys, *args)
+
+    monkeypatch.setattr(po, "grid_edge_models", build)
+    for module in (po, linss):
+        monkeypatch.setattr(module, "_prime_peaks", primed_peaks)
+    for module in (po, robust):
+        monkeypatch.setattr(module, "_prime_margin", primed_margin)
+    planner = po.AssemblyPlanner(desk(2))
+    for arm in (1, 2):
+        for kind in po.COST_KINDS:
+            planner.plan_full_assembly(po.CostSpec(kind), start=(1, arm))
+    assert (len(built), len(set(built))) == (184, 122)
+    assert len(peaks) == len(set(peaks)) == 2 * 122
+    assert len(margins) == 122 and set(margins) == set(built)
+    monkeypatch.undo()
+    for key, rec in planner._edges.items():
+        if rec is not None:
+            arr = po.grid_edge_models(planner.models, *key, planner.K_att)
+            want = np.stack([po.edge_cost(arr, spec)[1] for spec in planner._specs], axis=1)
+            assert rec.values.tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("make, repeats", [
+    (lambda: desk(2), 62), (lambda: strip(4), 58),
+    (lambda: sc.table_scenario(8, z_grid=3), 430)],
+    ids=["desk-z2", "strip-z4", "table8-z3"])
+def test_memo_hits_are_bitwise_copies_of_their_leaders(make, repeats, monkeypatch):
+    # the memo key of an edge end, its waypoint's state and joint bytes, is
+    # exact: each hit has its leader's matrices, every bitwise repeat of a
+    # loop is a hit, and no loop between an edge's ends repeats
+    cfg = make()
+    leaders, hits, counts, inner = {}, [], Counter(), []
+    price = po.AssemblyPlanner._price
+
+    def spy(self, chunk):
+        for _, arr, ends in chunk:
+            if arr is None:
+                continue
+            loops = arr.systems
+            for loop, end in zip((loops[0], loops[-1]), ends):
+                mats = (loop.A, loop.B, loop.C, loop.D)
+                if end in leaders:
+                    hits.append(all(np.array_equal(a, b) for a, b in zip(mats, leaders[end])))
+                else:
+                    leaders[end] = [a.copy() for a in mats]
+            digests = [loop_digest(s) for s in loops]
+            counts.update(digests)
+            inner.extend(digests[1:-1])
+        return price(self, chunk)
+
+    monkeypatch.setattr(po.AssemblyPlanner, "_price", spy)
+    planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
+    planner._build(plan_keys(cfg))
+    assert len(hits) == repeats and all(hits)
+    assert set(planner._memo) == set(leaders)
+    assert sum(counts.values()) - len(counts) == repeats
+    assert all(counts[d] == 1 for d in inner)
+
+
+def test_an_open_attitude_loop_raises_in_pricing_order(cfg):
+    # with no attitude gain every loop has poles at 0: a leader's margin is
+    # primed all the same, yet the planner raises what pricing the first
+    # edge kind by kind raises, as without the memo
+    key = ("pickup", 1, (1, 1), "stack")
+    for costs, error in ((("mu",), NominalUnstable), (po.COST_KINDS, UnstableSystem)):
+        planner = po.AssemblyPlanner(cfg, costs=costs)
+        planner.K_att = np.zeros_like(planner.K_att)
+        with pytest.raises(error, match="unstable"):
+            planner._build([key])
 
 
 def test_plan_for_an_unplanned_kind_raises(cfg):

@@ -258,6 +258,40 @@ def test_width_mismatch_rejected():
         robust.mu_upper_bound(sys)
 
 
+def margin_bits(res):
+    return np.float64(res.mu_lower).tobytes(), repr(res.delta_crit)
+
+
+def test_a_primed_margin_is_popped_once_after_the_checks():
+    # the planner's edge ends hold a primed margin: one mu_real_repeated
+    # call pops it, the next computes again with the same bits, and a call
+    # for another range leaves it in place
+    cl = next(mission_loops(1, 6))
+    want = robust.mu_real_repeated(StateSpace(cl.A, cl.B, cl.C, cl.D,
+                                              cl.in_channels, cl.out_channels))
+    key = robust._prime_margin(cl)
+    primed = cl._modes[key]
+    assert margin_bits(primed) == margin_bits(want)
+    assert robust.mu_real_repeated(cl) is primed and key not in cl._modes
+    again = robust.mu_real_repeated(cl)
+    assert again is not primed and margin_bits(again) == margin_bits(want)
+    robust._prime_margin(cl)
+    kept = cl._modes[key]
+    robust.mu_real_repeated(cl, delta_max=10.0)
+    assert cl._modes[key] is kept
+    # the range and nominal checks run before the pop, as on an unprimed loop
+    with pytest.raises(ValueError, match="delta_max"):
+        robust.mu_real_repeated(cl, 0.0)
+    unstable = wz_system([[0.5]], [[1.0]], [[1.0]], [[0.0]])
+    mismatch = StateSpace([[-1.0]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]],
+                          (("w_omega", 2),), (("z_omega", 1),))
+    for sys, error in ((unstable, NominalUnstable), (mismatch, WidthMismatch)):
+        sys._modes[key] = primed
+        with pytest.raises(error):
+            robust.mu_real_repeated(sys)
+        assert sys._modes[key] is primed
+
+
 def test_margin_search_runs_no_interconnect(monkeypatch):
     loops = list(mission_loops(2, 5))
     # the same search with every probe closed through lft_upper
