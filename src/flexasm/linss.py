@@ -555,21 +555,26 @@ def invert_channels(sys: StateSpace, in_names, out_names) -> StateSpace:
     return StateSpace(A_n, B_n, C_n, D_n, new_in, new_out)
 
 
-def _rcond(loop: np.ndarray) -> float:
+def _rcond(loop: np.ndarray):
     """``1 / cond_1(loop)`` with the arithmetic of ``np.linalg.cond(loop,
     1)``, and its bits: one inverse and two 1-norms.  A loop whose inverse
-    fails is singular, rcond 0.0, as ``cond`` reports it."""
+    fails is singular, rcond 0.0, as ``cond`` reports it.  A ``(k, n, n)``
+    stack gives a list from one stacked ``inv``; when one loop fails the
+    stacked ``inv``, each is taken alone."""
     try:
         inv = np.linalg.inv(loop)
     except np.linalg.LinAlgError:
-        return 0.0
+        return 0.0 if loop.ndim == 2 else [_rcond(x) for x in loop]
     # Python floats: an overflowing product is inf, as in ``cond``
-    return 1.0 / (float(np.linalg.norm(loop, 1)) * float(np.linalg.norm(inv, 1)))
+    norms = (np.linalg.norm(x, 1, (-2, -1)).reshape(-1).tolist() for x in (loop, inv))
+    rconds = [1.0 / (a * b) for a, b in zip(*norms)]
+    return rconds[0] if loop.ndim == 2 else rconds
 
 
 class StaticClosure:
-    """Close ``w = K z`` with a static gain and drop the channel pair:
-    ``StaticClosure(sys, w_channel, z_channel)(K)``.
+    """Close ``w = K z`` with static gains and drop the channel pair:
+    ``StaticClosure(sys, w_channel, z_channel)(Ks)`` closes a ``(S, w,
+    z)`` stack of gains into a list of ``S`` systems.
 
     Works on the matrices alone: with ``Z = (I - D_zw K)^-1``, the closed
     system is ``A + B_w K Z C_z``, ``B_u + B_w K Z D_zu``,
@@ -580,14 +585,15 @@ class StaticClosure:
     Building it gathers every operand that does not depend on ``K``: the
     channel slices, ``[C_z, D_zu]``, ``[A, B_u]``, ``[C_y, D_yu]``, the
     columns ``B_w`` and ``D_yw`` and the remaining channels, so a caller
-    closing many gains on one system builds it once.  Calling it with a
-    gain checks its shape (else :class:`WidthMismatch`), then raises
+    closing many gains on one system builds it once.  Calling it checks
+    the stack's shape (else :class:`WidthMismatch`), then raises
     :class:`IllPosedLoop` for a non-finite gain or an ill-posed loop:
-    ``rcond(I - D_zw K)``, from one inverse (:func:`_rcond`), below
-    ``WELLPOSED_RCOND``.
-    It closes the loop with one solve and a few products.  It reads its
-    own system's channels: a :meth:`StateSpace.subsystem` slice gets its
-    own closure, never its parent's.
+    ``rcond(I - D_zw K)``, from one stacked inverse (:func:`_rcond`),
+    below ``WELLPOSED_RCOND``.  It closes the stack with one stacked solve
+    and stacked products; each system is a view of the stack with the bits
+    of closing its gain alone, a stack of one.  It reads its own system's
+    channels: a :meth:`StateSpace.subsystem` slice gets its own closure,
+    never its parent's.
     """
 
     __slots__ = ("_w_channel", "_z_channel", "_shape", "_n", "_D_zw", "_z_rows",
@@ -609,25 +615,27 @@ class StaticClosure:
         self._ins = tuple(c for c in sys.in_channels if c[0] != w_channel)
         self._outs = tuple(c for c in sys.out_channels if c[0] != z_channel)
 
-    def __call__(self, K) -> StateSpace:
-        K = np.asarray(K, dtype=float)
-        if K.shape != self._shape:
+    def __call__(self, Ks) -> list:
+        Ks = np.asarray(Ks, dtype=float)
+        if Ks.ndim != 3 or Ks.shape[1:] != self._shape:
             raise WidthMismatch(
-                f"gain {K.shape} does not map {self._z_channel!r} "
+                f"gain stack {Ks.shape} does not map {self._z_channel!r} "
                 f"({self._shape[1]}) to {self._w_channel!r} ({self._shape[0]})")
-        if not np.isfinite(K).all():
-            raise IllPosedLoop(f"static gain {K.tolist()} is not finite")
-        loop = np.eye(self._shape[1]) - self._D_zw @ K
-        rcond = _rcond(loop)
-        if rcond < WELLPOSED_RCOND:
-            raise IllPosedLoop(f"static loop is ill posed (rcond={rcond:.2e})")
-        # the closed loop's w as a function of [x; u]
-        G = K @ np.linalg.solve(loop, self._z_rows)
-        top = self._top + self._B_w @ G
-        bottom = self._bottom + self._D_yw @ G
+        finite = np.isfinite(Ks).all(axis=(1, 2))
+        if not finite.all():
+            raise IllPosedLoop(f"static gain {Ks[finite.argmin()].tolist()} is not finite")
+        loops = np.eye(self._shape[1]) - self._D_zw @ Ks
+        for rcond in _rcond(loops):
+            if rcond < WELLPOSED_RCOND:
+                raise IllPosedLoop(f"static loop is ill posed (rcond={rcond:.2e})")
+        # the closed loops' w as a function of [x; u]
+        G = Ks @ np.linalg.solve(loops, self._z_rows)
+        tops = self._top + self._B_w @ G
+        bottoms = self._bottom + self._D_yw @ G
         n = self._n
-        return StateSpace._unchecked(top[:, :n], top[:, n:], bottom[:, :n],
-                                     bottom[:, n:], self._ins, self._outs)
+        return [StateSpace._unchecked(top[:, :n], top[:, n:], bottom[:, :n], bottom[:, n:],
+                                      self._ins, self._outs)
+                for top, bottom in zip(tops, bottoms)]
 
 
 def lft_upper(plant: StateSpace, delta: float) -> StateSpace:
@@ -636,7 +644,7 @@ def lft_upper(plant: StateSpace, delta: float) -> StateSpace:
     :class:`StaticClosure` (unequal widths raise :class:`WidthMismatch`, a
     non-finite delta or an ill-posed loop :class:`IllPosedLoop`)."""
     K = np.diag(np.full(plant.in_width(W_CHANNEL), float(delta)))
-    return StaticClosure(plant, W_CHANNEL, Z_CHANNEL)(K)
+    return StaticClosure(plant, W_CHANNEL, Z_CHANNEL)([K])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -499,12 +499,13 @@ class AssemblyPlanner:
         """Build and price the unbuilt edges ``(kind, n, src, dst)`` of
         ``keys`` in order, ``POSE_BATCH`` at a time: one ``solve_reaches``
         of a batch's reach targets, one ``robot_mass_matrices`` of its
-        waypoints, then :func:`grid_edge_models` for each edge, priced by
-        :meth:`_price` in chunks of whole edges (of at least ``PEAK_LOOPS``
-        loops with an H-infinity kind planned, else of one).  An edge
-        without IK for its action pose is a hard constraint, stored as None
-        (the inferred arm geometry cannot span every diagonal).  Edge ids
-        and the cache's order follow build order."""
+        waypoints, then per edge one ``ScenarioModels._prime_open_loops``
+        of its 2z waypoints, whose open loops :func:`grid_edge_models` pops,
+        priced by :meth:`_price` in chunks of whole edges (of at least
+        ``PEAK_LOOPS`` loops with an H-infinity kind planned, else of one).
+        An edge without IK for its action pose is a hard constraint, stored
+        as None (the inferred arm geometry cannot span every diagonal).
+        Edge ids and the cache's order follow build order."""
         cfg, models = self.cfg, self.models
         todo = [key for key in dict.fromkeys(keys) if key not in self._edges]
         for b in range(0, len(todo), POSE_BATCH):
@@ -514,11 +515,12 @@ class AssemblyPlanner:
             wps = [None if isinstance(hit, IkNotConverged) else p.waypoints(*hit, cfg.z_grid)
                    for p, hit in zip(poses, reaches)]
             models.robot_mass_matrices([wp for w in wps if w for wp in w])
-            ends = [w and [(state, np.concatenate(qs).tobytes()) for state, qs in (w[0], w[-1])]
-                    for w in wps]
-            del wps
             chunk, loops = [], 0
-            for key, end in zip(batch, ends):
+            for key in batch:
+                w = wps.pop(0)  # each edge's waypoints go once it is built
+                end = w and [(state, np.concatenate(qs).tobytes()) for state, qs in (w[0], w[-1])]
+                if w:
+                    models._prime_open_loops(w)
                 try:
                     arr = grid_edge_models(models, *key, self.K_att)
                 except IkNotConverged:

@@ -27,7 +27,6 @@ self-consistent inference and is overridable in configuration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -151,9 +150,10 @@ def link_poses(geom: ArmGeometry, q):
     Each joint rotation is built raw, ``I + sin(a) K + (1 - cos a) K^2``
     with the geometry's precomputed ``K`` and ``K^2``: the same arithmetic
     as :func:`~flexasm.multibody.dcm_about_axis`, for every joint of the
-    stack at once.  Angles outside +-2*pi, or not finite, raise
-    :class:`JointOutOfRange`; any other shape than ``(k, 5)`` raises
-    ``ValueError``.
+    stack at once (``np.sin`` and ``np.cos``, which round as ``math.sin``
+    and ``math.cos`` do within the joint limits).  Angles outside +-2*pi,
+    or not finite, raise :class:`JointOutOfRange`; any other shape than
+    ``(k, 5)`` raises ``ValueError``.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[1] != 5:
@@ -162,10 +162,8 @@ def link_poses(geom: ArmGeometry, q):
     if not np.all(np.abs(q) <= JOINT_LIMIT + 1e-12):
         raise JointOutOfRange(f"joint angles {q} must be finite and within +-2*pi")
     k = len(q)
-    angles = q.ravel().tolist()
-    sin = np.array([math.sin(a) for a in angles]).reshape(k, 5, 1, 1)
-    vers = np.array([1.0 - math.cos(a) for a in angles]).reshape(k, 5, 1, 1)
-    turns = _EYE3 + sin * geom.axis_K + vers * geom.axis_KK
+    angles = q.reshape(k, 5, 1, 1)
+    turns = _EYE3 + np.sin(angles) * geom.axis_K + (1.0 - np.cos(angles)) * geom.axis_KK
     joints = np.zeros((k, 7, 3))
     joints[:, 1] = geom.joint_offsets[0]
     rots = np.empty((k, 6, 3, 3))

@@ -32,9 +32,10 @@ port left open and cached, from hub and array blocks built once per
 scenario and a two-port block of ``F_n`` built once per ``(n, j)``, whose
 modal data is reduced once per size for all docking tiles.  Beside each
 cached plant sits its prepared robot-port closure
-(:class:`flexasm.linss.StaticClosure`), so a waypoint's open loop is one
-6x6 solve and a few products on operands gathered once, and the loop
-closure and the attitude loop are built without re-validating
+(:class:`flexasm.linss.StaticClosure`): the open loops of an edge's
+waypoints on one plant are one stacked 6x6 solve and stacked products on
+operands gathered once (``ScenarioModels._prime_open_loops``), and the
+loop closure and the attitude loop are built without re-validating
 constructors.  The independent
 reference for ``M_C`` lives in the tests (``tests/wired.py``): the robot
 wired link by link from port-based arm chains and a port-inverted hub,
@@ -458,6 +459,7 @@ class ScenarioModels:
         self._structures = {}
         self._two_ports = {}
         self._plants = {}
+        self._open = {}
         self._masses = {}
         self._reach = {}
         self._bounds = {}
@@ -496,12 +498,27 @@ class ScenarioModels:
 
         The locked robot closes ``W_r = -M_C xdd_C`` on the cached
         port-exposed plant of :meth:`_port_plant`, through the closure
-        prepared beside it.
+        prepared beside it: a primed loop (:meth:`_prime_open_loops`) is
+        popped, else the waypoint is primed as a list of one.  ``n`` above
+        the tile count raises :class:`StateInvalid`.
         """
-        if state.n > self.cfg.n_tiles:
-            raise StateInvalid(f"state has n={state.n} > N={self.cfg.n_tiles}")
-        _, close = self._port_plant(state.n, state.j, state.delta)
-        return close(-self.robot_mass_matrices([(state, qs)])[0])
+        key = state, np.asarray(qs, dtype=float).tobytes()
+        if key not in self._open:
+            self._prime_open_loops([(state, qs)])
+        return self._open.pop(key)
+
+    def _prime_open_loops(self, waypoints) -> None:
+        """Close the robot port at each ``(state, qs)`` of a list, one
+        stacked closure call per cached ``(n, j, delta)`` plant, each loop
+        with the bits of closing it alone, and keep it under the state and
+        the joint-angle bytes until :meth:`open_loop` pops it."""
+        groups = {}
+        for (state, qs), M in zip(waypoints, self.robot_mass_matrices(waypoints)):
+            key = state, np.asarray(qs, dtype=float).tobytes()
+            groups.setdefault((state.n, state.j, state.delta), {})[key] = M
+        for plant, group in groups.items():
+            _, close = self._port_plant(*plant)
+            self._open.update(zip(group, close(-np.stack(list(group.values())))))
 
     def _port_plant(self, n: int, j: int, delta: int):
         """The spacecraft without the robot, with its docking port open,
@@ -523,6 +540,8 @@ class ScenarioModels:
         key = (n, j, delta)
         if key in self._plants:
             return self._plants[key]
+        if n > self.cfg.n_tiles:
+            raise StateInvalid(f"state has n={n} > N={self.cfg.n_tiles}")
         cfg = self.cfg
         hub, arr = self._fixed_blocks
 

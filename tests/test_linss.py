@@ -219,7 +219,7 @@ def test_lft_upper_is_a_static_closure(monkeypatch):
         monkeypatch.setattr(linss, name, lambda *a, name=name: pytest.fail(name))
     unequal = linss.split_channel(plant, "y", [("y", 2), ("z_omega", 1)])
     plant = linss.split_channel(plant, "y", [("y", 1), ("z_omega", 2)])
-    want = linss.StaticClosure(plant, "w_omega", "z_omega")(0.5 * np.eye(2))
+    [want] = linss.StaticClosure(plant, "w_omega", "z_omega")([0.5 * np.eye(2)])
     assert_same_system(linss.lft_upper(plant, 0.5), want)
     with pytest.raises(WidthMismatch):
         linss.lft_upper(unequal, 0.5)
@@ -245,7 +245,7 @@ def test_static_closure_matches_interconnect():
     sys = linss.split_channel(sys, "u", [("a", 1), ("w", 3), ("b", 2)])
     sys = linss.split_channel(sys, "y", [("c", 2), ("z", 3), ("d", 1)])
     K = 0.3 * rng.standard_normal((3, 3))
-    got = linss.StaticClosure(sys, "w", "z")(K)
+    [got] = linss.StaticClosure(sys, "w", "z")([K])
     ref = linss.interconnect(
         [("p", sys), ("k", linss.gain(K, (("z", 3),), (("w", 3),)))],
         [("p.z", "k.z"), ("k.w", "p.w")],
@@ -263,11 +263,35 @@ def test_static_closure_rejects_singular_and_misshaped_loops():
     plant = linss.gain(D, (("u", 1), ("w", 2)), (("y", 1), ("z", 2)))
     # np.linalg.inv raises on the singular loop: rcond 0, as cond reports it
     with pytest.raises(IllPosedLoop, match=r"ill posed \(rcond=0\.00e\+00\)"):
-        linss.StaticClosure(plant, "w", "z")(np.eye(2))
+        linss.StaticClosure(plant, "w", "z")([np.eye(2)])
     assert linss._rcond(np.zeros((2, 2))) == 0.0
-    linss.StaticClosure(plant, "w", "z")(0.5 * np.eye(2))
+    linss.StaticClosure(plant, "w", "z")([0.5 * np.eye(2)])
     with pytest.raises(WidthMismatch):
-        linss.StaticClosure(plant, "w", "z")(np.eye(3))
+        linss.StaticClosure(plant, "w", "z")([np.eye(3)])
+
+
+def test_a_gain_stack_fails_as_its_failing_slice_alone():
+    # D_zw = I, so the loop of a slice K is I - K: one non-finite or
+    # ill-posed slice fails the whole stack with the error and message of
+    # closing it alone, whether the stacked inverse fails (a singular
+    # loop) or not (rcond 1e-12)
+    D = np.zeros((3, 3))
+    D[1:, 1:] = np.eye(2)
+    plant = linss.gain(D, (("u", 1), ("w", 2)), (("y", 1), ("z", 2)))
+    close = linss.StaticClosure(plant, "w", "z")
+    good = 0.5 * np.eye(2)
+    for bad in (np.array([[0.5, np.inf], [0.0, 0.5]]), np.eye(2), np.diag([0.0, 1.0 - 1e-12])):
+        with pytest.raises(IllPosedLoop) as alone:
+            close([bad])
+        with pytest.raises(IllPosedLoop) as stacked:
+            close([good, bad, good])
+        assert str(stacked.value) == str(alone.value)
+    loops = np.eye(2) - np.stack([good, np.diag([0.0, 1.0 - 1e-12]), 0.1 * np.ones((2, 2))])
+    assert linss._rcond(loops) == [linss._rcond(loop) for loop in loops]
+    assert linss._rcond(loops)[1] < linss.WELLPOSED_RCOND
+    for misshaped in (good, np.stack([np.eye(3)] * 2), np.ones((2, 2, 3))):
+        with pytest.raises(WidthMismatch):
+            close(misshaped)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +480,7 @@ def test_unchecked_systems_are_read_only():
     sys = random_stable_system(rng, 5, 4, 4)
     sys = linss.split_channel(sys, "u", [("a", 1), ("w", 3)])
     sys = linss.split_channel(sys, "y", [("z", 3), ("c", 1)])
-    closed = linss.StaticClosure(sys, "w", "z")(0.2 * rng.standard_normal((3, 3)))
+    [closed] = linss.StaticClosure(sys, "w", "z")([0.2 * rng.standard_normal((3, 3))])
     for built in (closed, sys.subsystem(["c"], ["w", "a"])):
         for M in (built.A, built.B, built.C, built.D):
             with pytest.raises(ValueError):

@@ -453,6 +453,25 @@ def test_hard_cap_soundness_on_returned_path(planner):
         planner.plan_full_assembly(po.CostSpec("hinf-wrench", hard_cap=1e-12))
 
 
+def test_each_built_edge_primes_its_open_loops_once(monkeypatch):
+    # _build closes each built edge's open loops from its 2z waypoints;
+    # grid_edge_models's per-waypoint open_loop calls only pop them, so no
+    # list of one is primed and no open loop is left behind
+    prime, primed = sc.ScenarioModels._prime_open_loops, []
+    monkeypatch.setattr(sc.ScenarioModels, "_prime_open_loops",
+                        lambda self, waypoints: primed.append(len(waypoints))
+                        or prime(self, waypoints))
+    planner = po.AssemblyPlanner(sc.table_scenario(3, z_grid=2), costs=("h2-theta",))
+    planner.plan_full_assembly(po.CostSpec("h2-theta"))
+    built = [rec for rec in planner._edges.values() if rec is not None]
+    assert built and primed == [2 * planner.cfg.z_grid] * len(built)
+    assert planner.models._open == {}
+    # a state beyond the tile count fails its prime and leaves nothing
+    with pytest.raises(StateInvalid):
+        planner.models.open_loop(sc.AssemblyState(4, 1, 1, 0), (sc.HOME_JOINTS,) * 3)
+    assert planner.models._open == {}
+
+
 def test_planner_keeps_prices_not_loops(planner):
     # the store and the logs hold only what no key derives
     assert po.EdgePrices._fields == ("edge_id", "values")

@@ -1,5 +1,7 @@
 """Arm geometry, link poses, the arm-chain oracle, quintic trajectories."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,22 @@ def test_stacked_link_poses_equal_row_by_row_oracle(base):
                 ref_joints, ref_rots = oracle_link_poses(geom, q, base)
                 assert J.tobytes() == np.asarray(ref_joints).tobytes()
                 assert R.tobytes() == np.asarray(ref_rots).tobytes()
+
+
+def test_numpy_trig_rounds_as_math_within_the_joint_limits():
+    # link_poses takes its sines and cosines from np.sin and np.cos, the
+    # DCM-chain oracle and dcm_about_axis from math.sin and math.cos: the
+    # poses, and every price, keep their bits only where the two agree
+    limit = robot.JOINT_LIMIT + 1e-12
+    grid = np.concatenate([np.linspace(-limit, limit, 1_000_001),
+                           make_rng(14).uniform(-limit, limit, 200_000),
+                           np.arange(-8, 9) * (np.pi / 4)])
+    angles = grid.tolist()
+    strided = np.stack([grid, grid], axis=1)[:, 0]
+    for vectorized, scalar in ((np.sin, math.sin), (np.cos, math.cos)):
+        want = np.array([scalar(a) for a in angles]).tobytes()
+        for x in (grid, strided):
+            assert vectorized(x).tobytes() == want, (scalar.__name__, x.strides)
 
 
 def test_rebase_j6_of_j0_rows_equals_j6_poses_bitwise():

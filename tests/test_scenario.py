@@ -300,20 +300,27 @@ def test_edge_mass_matrices_equal_per_arm_poses_bitwise(which, monkeypatch):
     cfg = replace(cfg, z_grid=3)
     planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
     models = planner.models
-    passes = []
+    passes, primed = [], []
     weigh = sc.ScenarioModels.robot_mass_matrices
+    prime = sc.ScenarioModels._prime_open_loops
     monkeypatch.setattr(sc.ScenarioModels, "robot_mass_matrices",
                         lambda self, waypoints: passes.append(waypoints)
                         or weigh(self, waypoints))
+    monkeypatch.setattr(sc.ScenarioModels, "_prime_open_loops",
+                        lambda self, waypoints: primed.append(waypoints)
+                        or prime(self, waypoints))
     keys = plan_keys(cfg)
     planner._build(keys)
-    # each open loop weighs its one waypoint, a memo hit; a batch's pass
-    # holds the 2z waypoints of each of its edges with an IK solution
-    batch_passes = [p for p in passes if len(p) != 1]
+    # each built edge's open loops are primed from its 2z waypoints, one
+    # more pass of memo hits; a batch's pass holds the 2z waypoints of
+    # each of its edges with an IK solution, and nothing else weighs
+    batch_passes = [p for p in passes if not any(p is w for w in primed)]
     assert len(batch_passes) == -(-len(keys) // po.POSE_BATCH)
+    assert len(passes) == len(batch_passes) + len(primed)
     waypoints = [wp for p in batch_passes for wp in p]
     built = [key for key in keys if planner._edges[key] is not None]
     assert len(waypoints) == 2 * cfg.z_grid * len(built)
+    assert [len(w) for w in primed] == [2 * cfg.z_grid] * len(built)
     seen = set()
     for e, (kind, n, src, dst) in enumerate(built):
         edge_pass = waypoints[2 * cfg.z_grid * e:2 * cfg.z_grid * (e + 1)]
@@ -322,6 +329,44 @@ def test_edge_mass_matrices_equal_per_arm_poses_bitwise(which, monkeypatch):
             ref = per_arm_mass_matrix(models, state, qs)
             assert M.tobytes() == ref.tobytes(), (label, state)
             seen.add((label, state.arm, state.delta))
+    assert seen == {(label, arm, delta) for label in ("walk", "pickup", "assemble")
+                    for arm in (1, 2) for delta in (0, 1)}
+
+
+@pytest.mark.parametrize("which", ["desk", "skewed"])
+def test_primed_open_loops_equal_stacks_of_one_bitwise(which, monkeypatch):
+    # the planner closes each built edge's open loops as one stack per
+    # (n, j, delta) plant: every slice has the bits of closing its waypoint
+    # alone, a stack of one, on walking, pickup and assemble edges from
+    # both gripping arms, with and without a carried tile
+    if which == "desk":
+        cfg = load_scenario(data_path("scenario_desk.yaml"))[0]
+    else:
+        cfg = skewed_robot_scenario()
+    cfg = replace(cfg, z_grid=3)
+    planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
+    prime, primed = sc.ScenarioModels._prime_open_loops, []
+
+    def checked(self, waypoints):
+        prime(self, waypoints)
+        for state, qs in waypoints:
+            _, close = self._port_plant(state.n, state.j, state.delta)
+            [M] = self.robot_mass_matrices([(state, qs)])
+            [alone] = close(-M[None])
+            assert_same_system(self._open[state, np.asarray(qs, dtype=float).tobytes()], alone)
+        primed.append([state for state, _ in waypoints])
+
+    monkeypatch.setattr(sc.ScenarioModels, "_prime_open_loops", checked)
+    keys = plan_keys(cfg)
+    planner._build(keys)
+    built = [key for key in keys if planner._edges[key] is not None]
+    assert len(primed) == len(built)
+    seen = set()
+    for (kind, n, src, dst), states in zip(built, primed):
+        # leg 1 under pre, leg 2 under post: two plants of z waypoints
+        assert len(set(states)) == 2 and len(states) == 2 * cfg.z_grid
+        label = "walk" if isinstance(dst, tuple) else kind
+        seen |= {(label, state.arm, state.delta) for state in states}
     assert seen == {(label, arm, delta) for label in ("walk", "pickup", "assemble")
                     for arm in (1, 2) for delta in (0, 1)}
 
@@ -506,14 +551,14 @@ def test_prepared_closure_matches_a_fresh_validated_copy(cfg):
         return linss.StateSpace(sys.A.copy(), sys.B.copy(), sys.C.copy(),
                                 sys.D.copy(), sys.in_channels, sys.out_channels)
 
-    want = linss.StaticClosure(fresh(plant), "W_r", "xdd_C")(K)
-    assert_same_system(close(K), want)
+    [want] = linss.StaticClosure(fresh(plant), "W_r", "xdd_C")([K])
+    assert_same_system(close([K])[0], want)
     assert_same_system(models.open_loop(st, qs), want)
     # a slice with other channels, in another order, closes on its own
     # operands, not on its parent's
     sub = plant.subsystem(["z_omega", "xdd_C", "omega_dot_G"], ["W_r", "T_G"])
-    assert_same_system(linss.StaticClosure(sub, "W_r", "xdd_C")(K),
-                       linss.StaticClosure(fresh(sub), "W_r", "xdd_C")(K))
+    assert_same_system(linss.StaticClosure(sub, "W_r", "xdd_C")([K])[0],
+                       linss.StaticClosure(fresh(sub), "W_r", "xdd_C")([K])[0])
     with pytest.raises(ValueError):
         closed_loop(models, st, qs, models.design_gains()).A[0, 0] = 1.0
 
