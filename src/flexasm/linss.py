@@ -25,11 +25,14 @@ Conventions
 * The public constructor ``StateSpace(...)`` copies and checks its
   matrices and channels.  The results of :meth:`StateSpace.subsystem`
   (and ``_subsystems``, its form for a list of systems),
-  :class:`StaticClosure` (and so :func:`lft_upper`) and
-  ``scenario.close_loop`` are built from already-checked systems through
-  the private ``StateSpace._unchecked``, which only marks the arrays read
-  only: the loops the planner prices run no validating constructor.
-* Stacks: ``scenario.close_loop`` builds a list of loops as views of
+  :func:`interconnect`, :func:`invert_channels`, :class:`StaticClosure`
+  (and so :func:`lft_upper`) and ``scenario.close_loop`` are built from
+  already-checked systems through the private ``StateSpace._unchecked``,
+  which only marks the arrays read only: the plants and loops the planner
+  builds run no validating constructor.
+* Stacks: ``_interconnects`` and ``_invert_channels`` build the port
+  plants of a list as stacks (the public forms are lists of one).
+  ``scenario.close_loop`` builds a list of loops as views of
   ``(k, n, n)`` stacks, ``_prime_modes`` fills their eigendecomposition
   caches from one stacked ``np.linalg.eig`` and one stacked ``inv``, and
   :func:`h2_norm` prices a list of systems in one pass, each per run of
@@ -303,10 +306,13 @@ class StateSpace:
 def _subsystems(systems, outputs, inputs) -> list:
     """:meth:`StateSpace.subsystem` of each of a list of systems with the
     same channels, the channel positions found once: an edge's loops, of
-    one or two state counts, slice their priced channel in one call."""
+    one or two state counts, slice their priced channel in one call.  An
+    empty list gives an empty list."""
     for kind, names in (("input", inputs), ("output", outputs)):
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate {kind} channel name in {list(names)}")
+    if not systems:
+        return []
     first = systems[0]
     cols, ins = first._index(first.in_channels, inputs)
     rows, outs = first._index(first.out_channels, outputs)
@@ -339,10 +345,11 @@ def _gated_inverse(V):
 def _shape_runs(systems) -> list:
     """Slices cutting a list into runs of consecutive systems with equal
     matrix shapes, the stacks of stacked arithmetic: one per edge, or two
-    where its legs load structures of different state counts."""
+    where its legs load structures of different state counts.  An empty
+    list has no runs."""
     shapes = [(s.A.shape, s.D.shape) for s in systems]
     cuts = [k for k in range(1, len(shapes)) if shapes[k] != shapes[k - 1]]
-    return [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(shapes)])]
+    return [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(shapes)]) if a < b]
 
 
 def _prime_modes(systems) -> None:
@@ -417,15 +424,22 @@ def _resolve(blocks, ref: str, direction: str):
 
 
 def _block_diag(mats) -> np.ndarray:
-    """Block-diagonal float array of 2-D blocks.  A zero-size block still
-    takes its rows or columns: a (0, m) block adds m empty columns."""
-    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    """Block-diagonal float array of 2-D blocks, or stack of them from
+    ``(k, p, q)`` stacks of blocks.  A zero-size block still takes its rows
+    or columns: a (0, m) block adds m empty columns."""
+    lead = mats[0].shape[:-2] if mats else ()
+    out = np.zeros(lead + (sum(m.shape[-2] for m in mats), sum(m.shape[-1] for m in mats)))
     r = c = 0
     for m in mats:
-        p, q = m.shape
-        out[r:r + p, c:c + q] = m
+        p, q = m.shape[-2:]
+        out[..., r:r + p, c:c + q] = m
         r, c = r + p, c + q
     return out
+
+
+def _layout(sys: StateSpace) -> tuple:
+    """What a system of a list shares with the others of a stack."""
+    return sys.A.shape, sys.D.shape, sys.in_channels, sys.out_channels
 
 
 def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
@@ -450,18 +464,38 @@ def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
 
     Notes
     -----
-    The static loop ``I - D_loop`` must be well posed: it is solved once,
-    so the result has exactly ``sum(n_states)`` states.
+    The static loop ``I - D_loop`` must be well posed (``rcond`` at least
+    ``WELLPOSED_RCOND``, else :class:`IllPosedLoop`): it is solved once, so
+    the result has exactly ``sum(n_states)`` states.  It is the list of
+    one of ``_interconnects``.
     """
-    blocks = list(blocks)
+    return _interconnects([blocks], wiring, external_in, external_out)[0]
+
+
+def _interconnects(diagrams, wiring, external_in, external_out) -> list:
+    """:func:`interconnect` of each of a list of diagrams with the same
+    blocks, channels and shapes (else ``ValueError``), wired alike.
+
+    The wiring, its ``S``, ``E`` and ``F`` and the channels are resolved
+    once.  The loops ``I - D S`` stack, at most ``_STACK_BYTES`` of them at
+    a time, each stack gated by one :func:`_rcond` and solved by one
+    ``solve``.  Each system is a read-only view of the stacked products
+    with the bits of closing its diagram alone; an ill-posed loop raises
+    :class:`IllPosedLoop` as it does alone.  No diagram gives no system."""
+    if not diagrams:
+        return []
+    diagrams = [list(blocks) for blocks in diagrams]
+    blocks = diagrams[0]
     names = [n for n, _ in blocks]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate block names in {names}")
+    layout = [(n, _layout(b)) for n, b in blocks]
+    if any([(n, _layout(b)) for n, b in d] != layout for d in diagrams[1:]):
+        raise ValueError("the diagrams of a list must name the same blocks, "
+                         "with the same channels and shapes")
 
     m_all = sum(b.n_inputs for _, b in blocks)
     p_all = sum(b.n_outputs for _, b in blocks)
-    A, B, C, D = (_block_diag([getattr(b, k) for _, b in blocks]) for k in "ABCD")
-
     S = np.zeros((m_all, p_all))
     for src, dst in wiring:
         so = _resolve(blocks, src, "out")
@@ -494,20 +528,24 @@ def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
         F[row:row + width, s] = np.eye(width)
         row += width
 
-    loop = np.eye(p_all) - D @ S
-    rcond = _rcond(loop) if p_all else np.inf
-    if rcond < WELLPOSED_RCOND:
-        raise IllPosedLoop(f"static loop is ill posed (rcond={rcond:.2e})")
-    psi = np.linalg.solve(loop, np.eye(p_all)) if p_all else loop
-
-    A_cl = A + B @ S @ psi @ C
-    B_cl = B @ (np.eye(m_all) + S @ psi @ D) @ E
-    C_cl = F @ psi @ C
-    D_cl = F @ psi @ D @ E
-
-    return StateSpace(A_cl, B_cl, C_cl, D_cl,
-                      tuple((nm, w) for nm, w, _ in ext_in),
-                      tuple((nm, w) for nm, w, _ in ext_out))
+    closed = []
+    step = max(1, _STACK_BYTES // (8 * p_all * p_all or 1))
+    for c in range(0, len(diagrams), step):
+        # per block, the stack of its matrices
+        columns = list(zip(*([b for _, b in d] for d in diagrams[c:c + step])))
+        A, B, C, D = (_block_diag([np.stack([getattr(b, x) for b in col]) for col in columns])
+                      for x in "ABCD")
+        psi = loop = np.eye(p_all) - D @ S
+        if p_all:
+            for rcond in _rcond(loop):
+                if rcond < WELLPOSED_RCOND:
+                    raise IllPosedLoop(f"static loop is ill posed (rcond={rcond:.2e})")
+            psi = np.linalg.solve(loop, np.eye(p_all))
+        closed += zip(A + B @ S @ psi @ C, B @ (np.eye(m_all) + S @ psi @ D) @ E,
+                      F @ psi @ C, F @ psi @ D @ E)
+    ins = _norm_channels([(nm, w) for nm, w, _ in ext_in], m_ext, "input")
+    outs = _norm_channels([(nm, w) for nm, w, _ in ext_out], p_ext, "output")
+    return [StateSpace._unchecked(*mats, ins, outs) for mats in closed]
 
 
 def invert_channels(sys: StateSpace, in_names, out_names) -> StateSpace:
@@ -515,9 +553,27 @@ def invert_channels(sys: StateSpace, in_names, out_names) -> StateSpace:
     the output channels listed in ``out_names``.
 
     The feedthrough block from the selected inputs to the selected outputs
-    must be square and invertible.  New inputs are the former outputs (in
-    listed order) followed by the untouched inputs; dually for outputs.
+    must be square (else :class:`NonSquareSelection`) and invertible, its
+    2-norm condition number finite and at most 1e12 (else
+    :class:`SingularDBlock`).  New inputs are the former outputs (in listed
+    order) followed by the untouched inputs; dually for outputs.  It is the
+    list of one of ``_invert_channels``.
     """
+    return _invert_channels([sys], in_names, out_names)[0]
+
+
+def _invert_channels(systems, in_names, out_names) -> list:
+    """:func:`invert_channels` of each of a list of systems with the same
+    channels and shapes (else ``ValueError``): the channels are found once,
+    the feedthrough blocks take one stacked ``cond`` and one ``solve``, and
+    each system is a read-only view of the stacked products with the bits
+    of inverting it alone; a singular block raises :class:`SingularDBlock`
+    as it does alone.  No system gives no system."""
+    if not systems:
+        return []
+    sys = systems[0]
+    if any(_layout(s) != _layout(sys) for s in systems[1:]):
+        raise ValueError("the systems of a list must have the same channels and shapes")
     w_in = sum(sys.in_width(c) for c in in_names)
     w_out = sum(sys.out_width(c) for c in out_names)
     if w_in != w_out:
@@ -528,31 +584,32 @@ def invert_channels(sys: StateSpace, in_names, out_names) -> StateSpace:
     cols2 = np.array([i for i in range(sys.n_inputs) if i not in set(cols1)], dtype=int)
     rows2 = np.array([i for i in range(sys.n_outputs) if i not in set(rows1)], dtype=int)
 
-    B1, B2 = sys.B[:, cols1], sys.B[:, cols2]
-    C1, C2 = sys.C[rows1, :], sys.C[rows2, :]
-    D11 = sys.D[np.ix_(rows1, cols1)]
-    D12 = sys.D[np.ix_(rows1, cols2)]
-    D21 = sys.D[np.ix_(rows2, cols1)]
-    D22 = sys.D[np.ix_(rows2, cols2)]
+    A, B, C, D = (np.stack([getattr(s, k) for s in systems]) for k in "ABCD")
+    B1, B2 = B[:, :, cols1], B[:, :, cols2]
+    C1, C2 = C[:, rows1, :], C[:, rows2, :]
+    D11 = D[:, rows1[:, None], cols1]
+    D12 = D[:, rows1[:, None], cols2]
+    D21 = D[:, rows2[:, None], cols1]
+    D22 = D[:, rows2[:, None], cols2]
 
-    cond = np.linalg.cond(D11) if D11.size else np.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularDBlock(f"feedthrough block not invertible (cond={cond:.3e})")
-    _log.debug("invert_channels %s -> %s: feedthrough condition %.3e",
-               in_names, out_names, cond)
+    for cond in (np.linalg.cond(D11).tolist() if w_in else [np.inf]):
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SingularDBlock(f"feedthrough block not invertible (cond={cond:.3e})")
+        _log.debug("invert_channels %s -> %s: feedthrough condition %.3e",
+                   in_names, out_names, cond)
+    new_in = _norm_channels(tuple((c, sys.out_width(c)) for c in out_names) + tuple(
+        (c, w) for c, w in sys.in_channels if c not in in_names), sys.n_inputs, "input")
+    new_out = _norm_channels(tuple((c, sys.in_width(c)) for c in in_names) + tuple(
+        (c, w) for c, w in sys.out_channels if c not in out_names), sys.n_outputs, "output")
     Dinv = np.linalg.solve(D11, np.eye(w_in))
 
-    A_n = sys.A - B1 @ Dinv @ C1
-    B_n = np.hstack([B1 @ Dinv, B2 - B1 @ Dinv @ D12])
-    C_n = np.vstack([-Dinv @ C1, C2 - D21 @ Dinv @ C1])
+    BD, DD = B1 @ Dinv, D21 @ Dinv
+    A_n = A - BD @ C1
+    B_n = np.concatenate([BD, B2 - BD @ D12], axis=2)
+    C_n = np.concatenate([-Dinv @ C1, C2 - DD @ C1], axis=1)
     D_n = np.block([[Dinv, -Dinv @ D12],
-                    [D21 @ Dinv, D22 - D21 @ Dinv @ D12]])
-
-    new_in = tuple((c, sys.out_width(c)) for c in out_names) + tuple(
-        (c, w) for c, w in sys.in_channels if c not in in_names)
-    new_out = tuple((c, sys.in_width(c)) for c in in_names) + tuple(
-        (c, w) for c, w in sys.out_channels if c not in out_names)
-    return StateSpace(A_n, B_n, C_n, D_n, new_in, new_out)
+                    [DD, D22 - DD @ D12]])
+    return [StateSpace._unchecked(*mats, new_in, new_out) for mats in zip(A_n, B_n, C_n, D_n)]
 
 
 def _rcond(loop: np.ndarray):
@@ -617,6 +674,8 @@ class StaticClosure:
 
     def __call__(self, Ks) -> list:
         Ks = np.asarray(Ks, dtype=float)
+        if Ks.shape[:1] == (0,):
+            return []
         if Ks.ndim != 3 or Ks.shape[1:] != self._shape:
             raise WidthMismatch(
                 f"gain stack {Ks.shape} does not map {self._z_channel!r} "
@@ -810,7 +869,8 @@ def _stacked_transfer(stack, W: np.ndarray) -> np.ndarray:
 # Complex bytes of the resolvents of one stacked evaluation (``_gains``):
 # a seed grid of a mission channel has hundreds of points, so this bounds
 # the transfers a stack of them holds.  It also bounds the real bytes of
-# one stack of level-set Hamiltonians (``_hamiltonian_imag_crossings``).
+# one stack of level-set Hamiltonians (``_hamiltonian_imag_crossings``)
+# and of static loops (``_interconnects``).
 _STACK_BYTES = 1 << 16
 
 

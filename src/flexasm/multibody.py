@@ -153,8 +153,8 @@ def transport_inertia(J_com: np.ndarray, mass: float, c) -> np.ndarray:
     """Parallel-axis transport: inertia about a point offset by c from the CoM.
 
     ``c`` and ``J_com`` may carry the same leading batch axes, ``(..., 3)``
-    and ``(..., 3, 3)``, with one mass for the batch; each member gets the
-    bits of transporting it alone.
+    and ``(..., 3, 3)``, with one mass for the batch or a ``(..., 1, 1)``
+    mass per member; each member gets the bits of transporting it alone.
     """
     c = np.asarray(c, dtype=float)
     cc = c[..., None, :] @ c[..., :, None]

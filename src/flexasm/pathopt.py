@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -237,6 +237,12 @@ class EdgeModelArray:
 
     systems: list
 
+    @cached_property
+    def _slices(self):
+        """The loops' priced channel slices per cost kind, once taken
+        (``_channels``)."""
+        return {}
+
 
 class _EdgePose(NamedTuple):
     """What an edge's poses read besides its IK solution: the pre- and
@@ -323,23 +329,26 @@ _PRICED_CHANNELS = {
 }
 
 
-def _channels(loops, kind: str) -> list:
+def _channels(array, kind: str) -> list:
     """The channel pair ``kind`` prices, sliced from each of an edge's
-    loops at once (``linss._subsystems``)."""
-    inp, out = _PRICED_CHANNELS[kind]
-    return _subsystems(loops, [out], [inp])
+    loops at once (``linss._subsystems``) on the first call for ``kind``
+    and kept on the edge: the planner primes and prices the same slices."""
+    if kind not in array._slices:
+        inp, out = _PRICED_CHANNELS[kind]
+        array._slices[kind] = _subsystems(array.systems, [out], [inp])
+    return array._slices[kind]
 
 
-def _loop_values(loops, spec: CostSpec) -> np.ndarray:
+def _loop_values(array, spec: CostSpec) -> np.ndarray:
     """Per-loop values of an edge's loops (with the same channels) under
-    ``spec.kind``: H2 prices the edge's channel slices (``linss._subsystems``,
-    sliced once) in one :func:`h2_norm` call, H-infinity in one
-    :func:`hinf_norm` call per loop and the margin in one
-    :func:`~flexasm.robust.mu_real_repeated` per loop.  Each call pops a
-    value primed in the loop's cache (the planner's chunks and edge ends)."""
+    ``spec.kind``: H2 prices the edge's channel slices (``_channels``) in
+    one :func:`h2_norm` call, H-infinity in one :func:`hinf_norm` call per
+    loop and the margin in one :func:`~flexasm.robust.mu_real_repeated`
+    per loop.  Each call pops a value primed in the loop's cache (the
+    planner's chunks and edge ends)."""
     if spec.kind == "mu":
-        return np.array([mu_real_repeated(s).mu_lower for s in loops])
-    channels = _channels(loops, spec.kind)
+        return np.array([mu_real_repeated(s).mu_lower for s in array.systems])
+    channels = _channels(array, spec.kind)
     if spec.kind == "h2-theta":
         return h2_norm(channels)
     return np.array([hinf_norm(s) for s in channels])
@@ -349,7 +358,7 @@ def edge_cost(array: EdgeModelArray, spec: CostSpec):
     """``(cost, values)``: the metric of each of the edge's 2z loops,
     priced together (:func:`_loop_values`), and their sum, infinite when
     any value is beyond the hard cap (``_edge_price``)."""
-    values = _loop_values(array.systems, spec)
+    values = _loop_values(array, spec)
     return _edge_price(values, spec), values
 
 
@@ -499,7 +508,8 @@ class AssemblyPlanner:
         """Build and price the unbuilt edges ``(kind, n, src, dst)`` of
         ``keys`` in order, ``POSE_BATCH`` at a time: one ``solve_reaches``
         of a batch's reach targets, one ``robot_mass_matrices`` of its
-        waypoints, then per edge one ``ScenarioModels._prime_open_loops``
+        waypoints, one ``ScenarioModels._port_plants`` of its distinct
+        plant keys, then per edge one ``ScenarioModels._prime_open_loops``
         of its 2z waypoints, whose open loops :func:`grid_edge_models` pops,
         priced by :meth:`_price` in chunks of whole edges (of at least
         ``PEAK_LOOPS`` loops with an H-infinity kind planned, else of one).
@@ -514,18 +524,19 @@ class AssemblyPlanner:
             reaches = models.solve_reaches([(p.pre, p.reach_arm, p.target) for p in poses])
             wps = [None if isinstance(hit, IkNotConverged) else p.waypoints(*hit, cfg.z_grid)
                    for p, hit in zip(poses, reaches)]
-            models.robot_mass_matrices([wp for w in wps if w for wp in w])
+            weighed = [wp for w in wps if w for wp in w]
+            models.robot_mass_matrices(weighed)
+            models._port_plants((s.n, s.j, s.delta) for s, _ in weighed)
             chunk, loops = [], 0
             for key in batch:
                 w = wps.pop(0)  # each edge's waypoints go once it is built
-                end = w and [(state, np.concatenate(qs).tobytes()) for state, qs in (w[0], w[-1])]
-                if w:
-                    models._prime_open_loops(w)
+                # the open-loop keys of its first and last waypoint are its memo keys
+                opened = w and models._prime_open_loops(w)
                 try:
                     arr = grid_edge_models(models, *key, self.K_att)
                 except IkNotConverged:
                     arr = None
-                chunk.append((key, arr, end))
+                chunk.append((key, arr, opened and (opened[0], opened[-1])))
                 loops += 0 if arr is None else len(arr.systems)
                 if not self._hinf or loops >= PEAK_LOOPS:
                     self._price(chunk)
@@ -541,22 +552,23 @@ class AssemblyPlanner:
         then each leader's margin (``robust._prime_margin``), and the memo
         keeps the leaders' prices.  Each end loop is seeded with its key's,
         so its ``hinf_norm`` and ``mu_real_repeated`` calls in
-        :func:`edge_cost` pop them."""
+        :func:`edge_cost` pop them.  An edge's channels are sliced once per
+        kind (``_channels``), for the pass and the prices alike."""
         memo, lead, primed = self._memo, {}, []
         for _, arr, ends in chunk:
             if arr is not None:
-                loops = arr.systems
-                new = [end not in memo and lead.setdefault(end, loop) is loop
-                       for loop, end in zip((loops[0], loops[-1]), ends)]
+                new = [end not in memo and lead.setdefault(end, place) is place
+                       for place, end in zip(((arr, 0), (arr, -1)), ends)]
                 # every loop of the edge but a repeat at either end
-                primed += [ch for kind in self._hinf
-                           for ch in _channels(loops[1 - new[0]:len(loops) - 1 + new[1]], kind)]
+                primed += [ch for kind in self._hinf for ch in
+                           _channels(arr, kind)[1 - new[0]:len(arr.systems) - 1 + new[1]]]
         _prime_peaks(primed)
-        for end, loop in lead.items():
-            keys = [_peak_key(ch) for kind in self._hinf for ch in _channels([loop], kind)]
+        for end, (arr, k) in lead.items():
+            loop = arr.systems[k]
+            keys = [_peak_key(_channels(arr, kind)[k]) for kind in self._hinf]
             if "mu" in self.costs:
                 keys.append(_prime_margin(loop))
-            memo[end] = {k: loop._modes[k] for k in keys if k in loop._modes}
+            memo[end] = {key: loop._modes[key] for key in keys if key in loop._modes}
         for key, arr, ends in chunk:
             if arr is None:
                 self._edges[key] = None

@@ -30,8 +30,9 @@ same.  The rest of the spacecraft -- hub, array, tile stack and structure,
 its hub translation pinned -- is wired once per ``(n, j, delta)`` with the robot
 port left open and cached, from hub and array blocks built once per
 scenario and a two-port block of ``F_n`` built once per ``(n, j)``, whose
-modal data is reduced once per size for all docking tiles.  Beside each
-cached plant sits its prepared robot-port closure
+modal data is reduced once per size for all docking tiles; the missing
+plants of a list are built as stacks (``ScenarioModels._port_plants``).
+Beside each cached plant sits its prepared robot-port closure
 (:class:`flexasm.linss.StaticClosure`): the open loops of an edge's
 waypoints on one plant are one stacked 6x6 solve and stacked products on
 operands gathered once (``ScenarioModels._prime_open_loops``), and the
@@ -82,8 +83,8 @@ from .errors import (
     StateInvalid,
     WidthMismatch,
 )
-from .linss import (W_CHANNEL, Z_CHANNEL, StateSpace, StaticClosure, _shape_runs, gain,
-                    interconnect, split_channel)
+from .linss import (W_CHANNEL, Z_CHANNEL, StateSpace, StaticClosure, _interconnects,
+                    _invert_channels, _shape_runs, _subsystems, gain, split_channel)
 from .modal import (
     _BODY_KEYS,
     DEFAULT_DAMPING,
@@ -507,54 +508,71 @@ class ScenarioModels:
             self._prime_open_loops([(state, qs)])
         return self._open.pop(key)
 
-    def _prime_open_loops(self, waypoints) -> None:
+    def _prime_open_loops(self, waypoints) -> list:
         """Close the robot port at each ``(state, qs)`` of a list, one
-        stacked closure call per cached ``(n, j, delta)`` plant, each loop
-        with the bits of closing it alone, and keep it under the state and
-        the joint-angle bytes until :meth:`open_loop` pops it."""
+        stacked closure call per ``(n, j, delta)`` plant (built by one
+        :meth:`_port_plants` call), each loop with the bits of closing it
+        alone, and keep it under ``(state, joint-angle bytes)`` until
+        :meth:`open_loop` pops it.  Returns those keys, whose bytes also
+        key the mass memo: they are taken once per waypoint."""
+        keys = [(state, np.asarray(qs, dtype=float).tobytes()) for state, qs in waypoints]
         groups = {}
-        for (state, qs), M in zip(waypoints, self.robot_mass_matrices(waypoints)):
-            key = state, np.asarray(qs, dtype=float).tobytes()
-            groups.setdefault((state.n, state.j, state.delta), {})[key] = M
+        for (s, q), M in zip(keys, self._mass_matrices([(s.arm, s.delta, q) for s, q in keys])):
+            groups.setdefault((s.n, s.j, s.delta), {})[s, q] = M
+        self._port_plants(list(groups))
         for plant, group in groups.items():
-            _, close = self._port_plant(*plant)
+            _, close = self._plants[plant]
             self._open.update(zip(group, close(-np.stack(list(group.values())))))
+        return keys
 
     def _port_plant(self, n: int, j: int, delta: int):
-        """The spacecraft without the robot, with its docking port open,
+        """``(plant, close)`` of :meth:`_port_plants` for one key, the list
+        of one."""
+        key = (n, j, delta)
+        if key not in self._plants:
+            self._port_plants([key])
+        return self._plants[key]
+
+    def _port_plants(self, keys) -> None:
+        """Build and cache, for each ``(n, j, delta)`` of a list not cached
+        yet, the spacecraft without the robot, with its docking port open,
         and the prepared closure of that port.
 
         Hub, array, tile stack and structure ``F_n`` docked at tile ``j``,
-        wired once, pinned (:func:`pin_translation`) and cached on
-        ``(n, j, delta)``; the structure's two-port block is cached on
-        ``(n, j)``, as both deltas share it; the rigid tile stack is the
-        static gain ``W_P = -M_P xdd_P`` of its port mass matrix.  Besides the channels
-        of :meth:`open_loop` it carries the robot port: input ``W_r``, the
-        robot's wrench on the docking port C, and output ``xdd_C``, the
-        acceleration twist of C.
+        wired and pinned (:func:`pin_translation`); the structure's
+        two-port block is cached on ``(n, j)``, as both deltas share it;
+        the rigid tile stack is the static gain ``W_P = -M_P xdd_P`` of its
+        port mass matrix.  Besides the channels of :meth:`open_loop` it
+        carries the robot port: input ``W_r``, the robot's wrench on the
+        docking port C, and output ``xdd_C``, the acceleration twist of C.
         The gripping arm and the joint angles are not in the key: only the
-        robot's mass matrix reads them.  Returns ``(plant, close)``, where
-        ``close`` is the plant's :class:`~flexasm.linss.StaticClosure` of
-        ``W_r = K xdd_C``, cached with it.
+        robot's mass matrix reads them.  The cache holds ``(plant, close)``,
+        ``close`` the plant's :class:`~flexasm.linss.StaticClosure` of
+        ``W_r = K xdd_C``.  The plants of one structure state count are
+        wired in one ``linss._interconnects`` and pinned in one
+        ``_pin_translations`` call, each with the bits of building it alone.
+        ``n`` above the tile count raises :class:`StateInvalid` before any
+        plant is built.
         """
-        key = (n, j, delta)
-        if key in self._plants:
-            return self._plants[key]
-        if n > self.cfg.n_tiles:
-            raise StateInvalid(f"state has n={n} > N={self.cfg.n_tiles}")
         cfg = self.cfg
+        missing = [key for key in dict.fromkeys(keys) if key not in self._plants]
+        for n, _, _ in missing:
+            if n > cfg.n_tiles:
+                raise StateInvalid(f"state has n={n} > N={cfg.n_tiles}")
+        if not missing:
+            return
         hub, arr = self._fixed_blocks
-
-        count = max(cfg.n_tiles - n - delta, 0)
-        mass = count * cfg.tile.mass
-        J_P = transport_inertia(count * cfg.tile.inertia_G, mass, STACK_OFFSET)
-        stk = gain(-port_mass_matrix(mass, STACK_OFFSET, J_P), (("xdd_P", 6),), (("W_P", 6),))
-
-        if (n, j) not in self._two_ports:
-            self._two_ports[n, j] = titop_two_port(self.structure_data(n, j))
-        fn = self._two_ports[n, j]
-
-        blocks = [("hub", hub), ("arr", arr), ("stk", stk), ("fn", fn)]
+        groups = {}
+        for n, j, delta in missing:
+            count = max(cfg.n_tiles - n - delta, 0)
+            mass = count * cfg.tile.mass
+            J_P = transport_inertia(count * cfg.tile.inertia_G, mass, STACK_OFFSET)
+            stk = gain(-port_mass_matrix(mass, STACK_OFFSET, J_P), (("xdd_P", 6),), (("W_P", 6),))
+            if (n, j) not in self._two_ports:
+                self._two_ports[n, j] = titop_two_port(self.structure_data(n, j))
+            fn = self._two_ports[n, j]
+            groups.setdefault(fn.A.shape, []).append(
+                ((n, j, delta), [("hub", hub), ("arr", arr), ("stk", stk), ("fn", fn)]))
         wiring = [
             ("hub.xdd_P1", "arr.xdd_P"), ("arr.W_P", "hub.W_P1"),
             ("hub.xdd_P3", "stk.xdd_P"), ("stk.W_P", "hub.W_P3"),
@@ -564,10 +582,11 @@ class ScenarioModels:
                   (W_CHANNEL, f"arr.{W_CHANNEL}"), ("W_r", "fn.W_C")]
         ext_out = [("a_G", "hub.a_G"), ("omega_dot_G", "hub.omega_dot_G"),
                    (Z_CHANNEL, f"arr.{Z_CHANNEL}"), ("xdd_C", "fn.xdd_C")]
-
-        plant = pin_translation(interconnect(blocks, wiring, ext_in, ext_out))
-        self._plants[key] = plant, StaticClosure(plant, "W_r", "xdd_C")
-        return self._plants[key]
+        for group in groups.values():
+            plants = _pin_translations(_interconnects([blocks for _, blocks in group],
+                                                      wiring, ext_in, ext_out))
+            for (key, _), plant in zip(group, plants):
+                self._plants[key] = plant, StaticClosure(plant, "W_r", "xdd_C")
 
     @cached_property
     def _fixed_blocks(self):
@@ -598,7 +617,10 @@ class ScenarioModels:
         ``(arm, delta)``, each with the bits of weighing it alone, which is
         the list of one.
         """
-        keys = [_robot_key(state, qs) for state, qs in waypoints]
+        return self._mass_matrices([_robot_key(state, qs) for state, qs in waypoints])
+
+    def _mass_matrices(self, keys) -> list:
+        """:meth:`robot_mass_matrices` of a list of :func:`_robot_key` keys."""
         missing = [key for key in dict.fromkeys(keys) if key not in self._masses]
         if missing:
             for group, parts in self._robot_parts(missing):
@@ -624,8 +646,11 @@ class ScenarioModels:
         call, gripping arms first, and the hanging arms are re-expressed
         from their J6 in one :func:`rebase_j6` call.  The mount table and
         the carried tile depend on ``(arm, delta)``, so the keys are
-        grouped on it; every key keeps the bits of posing it alone.
+        grouped on it; every key keeps the bits of posing it alone.  No key
+        gives no group.
         """
+        if not keys:
+            return []
         cfg = self.cfg
         geom = cfg.arm_geometry
         k = len(keys)
@@ -670,10 +695,13 @@ class ScenarioModels:
 
         Pure mass bookkeeping through the kinematic chain.  The robot's
         parts are those of :meth:`robot_mass_matrices`, each distinct
-        ``(arm, delta, joint angles)`` weighed once for the whole list, so
+        ``(arm, delta, joint angles)`` posed once for the whole list, so
         the DC reciprocity checks cover the rest of the assembly; the
         robot's mass matrix itself is checked against the wired arm chains
-        by ``test_robot_block_matches_arm_chain_cluster``.
+        by ``test_robot_block_matches_arm_chain_cluster``.  The waypoints
+        of one part list, one ``(n, delta)``, are composed in one batched
+        :func:`~flexasm.multibody.compose_rigid` call, each with the bits
+        of composing it alone.
         """
         cfg = self.cfg
         keys = [_robot_key(state, qs) for state, qs in waypoints]
@@ -684,35 +712,49 @@ class ScenarioModels:
         # the array's inertia moved from its port P back to its CoM
         array_J_com = transport_inertia(cfg.array.inertia_P, -cfg.array.mass,
                                         cfg.array.com)
-        out = []
-        for (state, _), key in zip(waypoints, keys):
-            parts = [
-                (cfg.hub.mass, np.zeros(3), cfg.hub.inertia_G, None),
-                (cfg.array.mass, cfg.hub.offset("P1") + ARRAY_DCM @ cfg.array.com,
-                 array_J_com, ARRAY_DCM),
-            ]
-            count = max(cfg.n_tiles - state.n - state.delta, 0)
+        groups = {}
+        for r, (state, _) in enumerate(waypoints):
+            groups.setdefault((state.n, state.delta), []).append(r)
+        out = [None] * len(waypoints)
+        for (n, delta), rows in groups.items():
+            parts = [(cfg.hub.mass, np.zeros(3), cfg.hub.inertia_G, None),
+                     (cfg.array.mass, cfg.hub.offset("P1") + ARRAY_DCM @ cfg.array.com,
+                      array_J_com, ARRAY_DCM)]
+            count = max(cfg.n_tiles - n - delta, 0)
             if count > 0:
                 parts.append((count * cfg.tile.mass, cfg.stack_center(),
                               count * np.asarray(cfg.tile.inertia_G), None))
-            for t in range(1, state.n + 1):
-                parts.append((cfg.tile.mass, cfg.tile_center(t),
-                              cfg.tile.inertia_G, None))
-            base = cfg.tile_center(state.j)
-            parts += [(m, base + c, J, R) for m, c, J, R in robot[key]]
-            out.append(compose_rigid(parts))
+            parts += [(cfg.tile.mass, cfg.tile_center(t), cfg.tile.inertia_G, None)
+                      for t in range(1, n + 1)]
+            # the parts shared by the group, then each waypoint's robot, on a
+            # batch axis
+            k = len(rows)
+            parts = [(m, np.broadcast_to(c, (k, 3)), J,
+                      None if R is None else np.broadcast_to(R, (k, 3, 3)))
+                     for m, c, J, R in parts]
+            bases = [cfg.tile_center(waypoints[r][0].j) for r in rows]
+            for i, (m, _, J, _) in enumerate(robot[keys[rows[0]]]):
+                parts.append((m, np.stack([base + robot[keys[r]][i][1]
+                                           for base, r in zip(bases, rows)]),
+                              J, np.stack([robot[keys[r]][i][3] for r in rows])))
+            m, coms, Js = compose_rigid(parts)
+            for r, com, J in zip(rows, coms, Js):
+                out[r] = m, com, J
         return out
 
     def total_inertia(self, waypoints) -> list:
         """Composite inertia about the hub CoM G, hub frame, at each
-        ``(state, qs)`` of a list.
+        ``(state, qs)`` of a list, transported from :meth:`mass_properties`
+        as one stack.
 
         The translation-pinned plant shows exactly the inverse of this
         tensor as its DC gain from hub torque to angular acceleration, so
         it is also the tensor the attitude gains are sized with.
         """
-        return [transport_inertia(J_com, m, com)
-                for m, com, J_com in self.mass_properties(waypoints)]
+        if not waypoints:
+            return []
+        m, com, J = (np.array(x) for x in zip(*self.mass_properties(waypoints)))
+        return list(transport_inertia(J, m[:, None, None], com))
 
     def design_gains(self) -> np.ndarray:
         """Baseline gains sized on the worst-case (largest) inertia state.
@@ -927,13 +969,20 @@ def _link_coms(geom: ArmGeometry, joints, rots) -> np.ndarray:
 
 def pin_translation(plant: StateSpace) -> StateSpace:
     """Constrain the hub translation: close a_G = 0 and hide the
-    constraint-force channel (attitude-only boundary condition)."""
-    from .linss import invert_channels
+    constraint-force channel (attitude-only boundary condition).  One
+    plant is the list of one of ``_pin_translations``."""
+    return _pin_translations([plant])[0]
 
-    inv = invert_channels(plant, ["F_G"], ["a_G"])
-    return inv.subsystem(
-        outputs=[c for c, _ in inv.out_channels if c != "F_G"],
-        inputs=[c for c, _ in inv.in_channels if c != "a_G"])
+
+def _pin_translations(plants) -> list:
+    """:func:`pin_translation` of each of a list of plants with the same
+    channels and shapes, as one ``linss._invert_channels`` and one
+    ``linss._subsystems`` call; an empty list gives an empty list."""
+    inv = _invert_channels(plants, ["F_G"], ["a_G"])
+    if not inv:
+        return []
+    return _subsystems(inv, [c for c, _ in inv[0].out_channels if c != "F_G"],
+                       [c for c, _ in inv[0].in_channels if c != "a_G"])
 
 
 def close_loop(plants, K_att: np.ndarray) -> list:

@@ -152,6 +152,102 @@ def test_interconnect_ill_posed_loop():
                            [("u", "a.u")], [("y", "a.y")])
 
 
+def feedback_diagram(rng, lag):
+    """A random plant in a loop with a random static gain and the shared
+    first-order lag ``lag``, as ``(name, block)`` pairs: every diagram of
+    this form has the same blocks, channels and shapes."""
+    plant = linss.split_channel(random_stable_system(rng, 5, 3, 3), "u",
+                                [("u", 2), ("v", 1)])
+    K = 0.3 * rng.standard_normal((2, 3))
+    return [("p", plant), ("k", linss.gain(K, (("y", 3),), (("u", 2),))), ("f", lag)]
+
+
+FEEDBACK_WIRING = ([("p.y", "k.y"), ("k.u", "p.u"), ("p.y", "f.u")],
+                   [("r", "p.v"), ("d", "p.u")], [("y", "p.y"), ("yf", "f.y")])
+
+
+def test_interconnect_list_equals_each_diagram_alone_bitwise():
+    # the stacked closure of a list gives each diagram the bits of its
+    # list of one, a block the diagrams share included
+    rng = make_rng(30)
+    lag = linss.StateSpace([[-2.0]], [[1.0, 0.0, 0.0]], [[1.0]], [[0.0, 0.0, 0.0]],
+                           (("u", 3),), (("y", 1),))
+    diagrams = [feedback_diagram(rng, lag) for _ in range(5)]
+    got = linss._interconnects(diagrams, *FEEDBACK_WIRING)
+    assert len(got) == len(diagrams)
+    for sys, blocks in zip(got, diagrams):
+        alone = linss.interconnect(blocks, *FEEDBACK_WIRING)
+        assert_same_system(sys, alone)
+        for a, b in zip((sys.A, sys.B, sys.C, sys.D), (alone.A, alone.B, alone.C, alone.D)):
+            assert np.array_equal(a, b) and not a.flags.writeable
+    # the list of one is the public form: same channels as the wired ones
+    assert got[0].in_channels == (("r", 1), ("d", 2))
+    assert got[0].out_channels == (("y", 3), ("yf", 1))
+    # an ill-posed member raises as it does alone; unlike diagrams are refused
+    # (K = pinv(D_pu) leaves I - D_pu K of rank 1)
+    bad = list(diagrams[1])
+    bad[1] = ("k", linss.gain(np.linalg.pinv(bad[0][1].D[:, :2]), (("y", 3),), (("u", 2),)))
+    with pytest.raises(IllPosedLoop) as alone:
+        linss.interconnect(bad, *FEEDBACK_WIRING)
+    with pytest.raises(IllPosedLoop) as stacked:
+        linss._interconnects(diagrams[:2] + [bad] + diagrams[2:], *FEEDBACK_WIRING)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ValueError, match="same blocks"):
+        linss._interconnects([diagrams[0], diagrams[1][:2]], *FEEDBACK_WIRING)
+
+
+def test_invert_channels_list_equals_each_system_alone_bitwise():
+    # a list of systems with one singular feedthrough block raises
+    # SingularDBlock as that system does alone; the others keep their bits
+    rng = make_rng(31)
+
+    def hub_like(D):
+        sys = random_stable_system(rng, 4, 6, 6)
+        sys = linss.StateSpace(sys.A, sys.B, sys.C, D, sys.in_channels, sys.out_channels)
+        sys = linss.split_channel(sys, "u", [("F_G", 3), ("T_G", 3)])
+        return linss.split_channel(sys, "y", [("a_G", 3), ("omega_dot_G", 3)])
+
+    systems = [hub_like(rng.standard_normal((6, 6))) for _ in range(4)]
+    for got, sys in zip(linss._invert_channels(systems, ["F_G"], ["a_G"]), systems):
+        assert_same_system(got, linss.invert_channels(sys, ["F_G"], ["a_G"]))
+    for got, sys in zip(sc._pin_translations(systems), systems):
+        assert_same_system(got, sc.pin_translation(sys))
+    D = rng.standard_normal((6, 6))
+    D[:3, 2] = D[:3, 0] + D[:3, 1]      # rank 2 from F_G to a_G
+    singular = hub_like(D)
+    with pytest.raises(SingularDBlock) as alone:
+        sc.pin_translation(singular)
+    with pytest.raises(SingularDBlock) as stacked:
+        sc._pin_translations(systems[:1] + [singular] + systems[1:])
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_stacked_helpers_are_no_ops_on_an_empty_list():
+    rng = make_rng(32)
+    sys = random_stable_system(rng, 3, 2, 2)
+    assert linss._shape_runs([]) == []
+    assert linss._prime_modes([]) is None
+    assert linss._subsystems([], ["y"], ["u"]) == []
+    assert linss._interconnects([], *FEEDBACK_WIRING) == []
+    assert linss._invert_channels([], ["u"], ["y"]) == []
+    assert linss.StaticClosure(sys, "u", "y")([]) == []
+    assert linss.h2_norm([]).shape == (0,)
+    assert linss._prime_peaks([]) is None
+    assert linss._hamiltonian_imag_crossings([], []) == []
+    assert linss._rcond(np.zeros((0, 2, 2))) == []
+    assert linss._gated_inverse(np.zeros((0, 2, 2))) == []
+    assert sc._pin_translations([]) == []
+    assert sc.close_loop([], np.zeros((3, 6))) == []
+    models = sc.ScenarioModels(sc.table_scenario(2))
+    models._port_plants([])
+    models._prime_open_loops([])
+    assert models._plants == {} and models._open == {}
+    for weigh in (models.robot_mass_matrices, models.mass_properties, models.total_inertia,
+                  models.solve_reaches):
+        assert weigh([]) == []
+    assert models._masses == {}
+
+
 # ---------------------------------------------------------------------------
 # invert_channels
 # ---------------------------------------------------------------------------
@@ -741,7 +837,8 @@ def test_priced_norms_match_unprojected_channel_on_mission_loops():
         for kind, (inp, out) in zip(PRICED_KINDS, PRICED_CHANNELS):
             if kind == "h2-theta" and k % 3:
                 continue
-            price = pathopt._loop_values([cl], pathopt.CostSpec(kind))[0]
+            price = pathopt._loop_values(pathopt.EdgeModelArray([cl]),
+                                         pathopt.CostSpec(kind))[0]
             oracle = oracles[kind](cl.subsystem([out], [inp]))
             assert price == pytest.approx(oracle, rel=1e-9, abs=0.0), (k, kind)
 
@@ -766,7 +863,7 @@ def test_one_state_eigensolve_per_loop_for_every_cost(monkeypatch):
     monkeypatch.setattr(linss, "_seed_frequencies",
                         lambda eigs: seeds.append(1) or seed(eigs))
     for kind in pathopt.COST_KINDS:
-        pathopt._loop_values([cl], pathopt.CostSpec(kind))
+        pathopt._loop_values(pathopt.EdgeModelArray([cl]), pathopt.CostSpec(kind))
     # the margin's closed-loop probes and the Hamiltonian level-set tests
     # solve other matrices: not counted
     assert of_A.count(True) == 1
@@ -1155,7 +1252,8 @@ def test_priced_norms_and_margin_match_oracles_on_mission_scale_loops():
         cl = closed_loop(models, state, qs, K)
         assert cl.modal_inverse() is not None
         for kind, (inp, out) in zip(PRICED_KINDS, PRICED_CHANNELS):
-            price = pathopt._loop_values([cl], pathopt.CostSpec(kind))[0]
+            price = pathopt._loop_values(pathopt.EdgeModelArray([cl]),
+                                         pathopt.CostSpec(kind))[0]
             oracle = oracles[kind](cl.subsystem([out], [inp]))
             assert price == pytest.approx(oracle, rel=1e-9, abs=0.0), (k, kind)
         assert robust.mu_real_repeated(cl).delta_crit == robust._scan_crossing(cl, 20.0)
@@ -1194,7 +1292,8 @@ def test_hinf_prices_match_a_dense_stacked_solve_grid_on_mission_scale_loops():
         for kind, (inp, out) in zip(PRICED_KINDS, PRICED_CHANNELS):
             if kind == "h2-theta":
                 continue
-            price = pathopt._loop_values([cl], pathopt.CostSpec(kind))[0]
+            price = pathopt._loop_values(pathopt.EdgeModelArray([cl]),
+                                         pathopt.CostSpec(kind))[0]
             sys = cl.subsystem([out], [inp])
             seeds = linss._seed_grid(sys)
             ws = np.geomspace(seeds.min(), seeds.max(), 20_000)

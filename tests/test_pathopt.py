@@ -329,7 +329,8 @@ def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
     assert steps.count("hinf") == 2 * len(loops)
     assert tests and not any(tests)
     assert not [s for s in loops for kind in chunked._hinf
-                for ch in po._channels([s], kind) if linss._peak_key(ch) in s._modes]
+                for ch in po._channels(po.EdgeModelArray([s]), kind)
+                if linss._peak_key(ch) in s._modes]
     order = [step for step in steps if step != "hinf"]
     assert order[:2] == ["build", "build"]
     assert order.count("price") == len(costs) * built_edges
@@ -729,6 +730,24 @@ def test_leg_stacks_equal_loops_built_and_priced_alone(make, monkeypatch):
                     assert np.float64(price).tobytes() == np.float64(want).tobytes()
                     loops += 1
     assert loops > 0
+
+
+def test_plan_slices_each_edge_channel_once_per_kind(monkeypatch):
+    # the H-infinity pass and the prices read one slice list per edge and
+    # norm-priced kind: its chunk, its memo leaders and its values alike
+    cfg = sc.table_scenario(3, z_grid=2)
+    planner = po.AssemblyPlanner(cfg)
+    slices, cut = [], po._subsystems
+    monkeypatch.setattr(po, "_subsystems", lambda loops, outputs, inputs: slices.append(
+        (loops, outputs[0])) or cut(loops, outputs, inputs))
+    for kind in po.COST_KINDS:
+        planner.plan_full_assembly(po.CostSpec(kind))
+    built = sum(rec is not None for rec in planner._edges.values())
+    assert built > 0
+    # every edge's whole list of 2z loops, once per priced channel
+    assert {len(loops) for loops, _ in slices} == {2 * cfg.z_grid}
+    assert len({(id(loops[0]), out) for loops, out in slices}) == len(slices)
+    assert len(slices) == built * len(po._PRICED_CHANNELS)
 
 
 def test_plan_makes_one_stacked_eig_per_edge(monkeypatch):

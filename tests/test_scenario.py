@@ -309,15 +309,17 @@ def test_edge_mass_matrices_equal_per_arm_poses_bitwise(which, monkeypatch):
     monkeypatch.setattr(sc.ScenarioModels, "_prime_open_loops",
                         lambda self, waypoints: primed.append(waypoints)
                         or prime(self, waypoints))
+    posed, parts = [], sc.ScenarioModels._robot_parts
+    monkeypatch.setattr(sc.ScenarioModels, "_robot_parts",
+                        lambda self, keys: posed.append(keys) or parts(self, keys))
     keys = plan_keys(cfg)
     planner._build(keys)
-    # each built edge's open loops are primed from its 2z waypoints, one
-    # more pass of memo hits; a batch's pass holds the 2z waypoints of
-    # each of its edges with an IK solution, and nothing else weighs
-    batch_passes = [p for p in passes if not any(p is w for w in primed)]
-    assert len(batch_passes) == -(-len(keys) // po.POSE_BATCH)
-    assert len(passes) == len(batch_passes) + len(primed)
-    waypoints = [wp for p in batch_passes for wp in p]
+    # each built edge's open loops are primed from its 2z waypoints, whose
+    # masses the prime reads from the memo by the keys it takes once per
+    # waypoint; a batch's pass holds the 2z waypoints of each of its edges
+    # with an IK solution, and nothing else weighs
+    assert len(passes) == len(posed) == -(-len(keys) // po.POSE_BATCH)
+    waypoints = [wp for p in passes for wp in p]
     built = [key for key in keys if planner._edges[key] is not None]
     assert len(waypoints) == 2 * cfg.z_grid * len(built)
     assert [len(w) for w in primed] == [2 * cfg.z_grid] * len(built)
@@ -348,13 +350,16 @@ def test_primed_open_loops_equal_stacks_of_one_bitwise(which, monkeypatch):
     prime, primed = sc.ScenarioModels._prime_open_loops, []
 
     def checked(self, waypoints):
-        prime(self, waypoints)
+        keys = prime(self, waypoints)
+        # the keys the prime returns are the planner's memo keys
+        assert keys == [(state, np.concatenate(qs).tobytes()) for state, qs in waypoints]
         for state, qs in waypoints:
             _, close = self._port_plant(state.n, state.j, state.delta)
             [M] = self.robot_mass_matrices([(state, qs)])
             [alone] = close(-M[None])
             assert_same_system(self._open[state, np.asarray(qs, dtype=float).tobytes()], alone)
         primed.append([state for state, _ in waypoints])
+        return keys
 
     monkeypatch.setattr(sc.ScenarioModels, "_prime_open_loops", checked)
     keys = plan_keys(cfg)
@@ -369,6 +374,26 @@ def test_primed_open_loops_equal_stacks_of_one_bitwise(which, monkeypatch):
         seen |= {(label, state.arm, state.delta) for state in states}
     assert seen == {(label, arm, delta) for label in ("walk", "pickup", "assemble")
                     for arm in (1, 2) for delta in (0, 1)}
+
+
+def test_a_prime_takes_each_waypoints_bytes_once(monkeypatch):
+    # one bytes string per waypoint keys both its open loop and its mass:
+    # the prime makes no _robot_key of its own
+    models = sc.ScenarioModels(sc.table_scenario(2))
+    rng = make_rng(34)
+    waypoints = [(sc.AssemblyState(2, j, arm, delta), tuple(rng.uniform(-1.0, 1.0, 5)
+                                                            for _ in range(3)))
+                 for j in (1, 2) for arm in (1, 2) for delta in (0, 1)]
+    made, robot_key = [], sc._robot_key
+    monkeypatch.setattr(sc, "_robot_key", lambda *a: made.append(1) or robot_key(*a))
+    keys = models._prime_open_loops(waypoints)
+    assert not made and len(keys) == len(models._masses) == len(waypoints)
+    for state, q in keys:
+        [mass_key] = [k for k in models._masses if k[2] is q]
+        assert mass_key == robot_key(state, np.frombuffer(q).reshape(3, 5))
+        assert np.array_equal(models.open_loop(state, np.frombuffer(q).reshape(3, 5)).A,
+                              models._port_plant(state.n, state.j, state.delta)[1](
+                                  -models._masses[mass_key][None])[0].A)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +468,9 @@ def test_stack_block_is_the_zero_mode_body_bitwise(which, monkeypatch):
         for j in range(1, n + 1):
             models.structure_data(n, j)
     stacks, bodies = [], []
-    wire = sc.interconnect
-    monkeypatch.setattr(sc, "interconnect", lambda blocks, *a: stacks.append(
-        dict(blocks)["stk"]) or wire(blocks, *a))
+    wire = sc._interconnects
+    monkeypatch.setattr(sc, "_interconnects", lambda diagrams, *a: stacks.extend(
+        dict(blocks)["stk"] for blocks in diagrams) or wire(diagrams, *a))
     post_init = ModalBodyData.__post_init__
     monkeypatch.setattr(ModalBodyData, "__post_init__",
                         lambda self: bodies.append(1) or post_init(self))
@@ -484,9 +509,10 @@ def test_port_plant_cache_keys(cfg, monkeypatch):
     # and the joints reach the model through M_C alone
     models = sc.ScenarioModels(cfg)
     calls = []
-    wire = sc.interconnect
-    monkeypatch.setattr(sc, "interconnect",
-                        lambda *a, **k: calls.append(1) or wire(*a, **k))
+    wire = sc._interconnects
+    monkeypatch.setattr(sc, "_interconnects",
+                        lambda diagrams, *a: calls.extend([1] * len(diagrams))
+                        or wire(diagrams, *a))
     rng = make_rng(9)
     K = models.design_gains()
 
@@ -586,6 +612,86 @@ def test_hub_and_array_blocks_are_built_once(cfg, monkeypatch):
     # sharing the blocks leaves every plant as a factory of its own wires it
     for key, plant in zip(keys, plants):
         assert_same_system(plant, sc.ScenarioModels(cfg)._port_plant(*key)[0])
+
+
+@pytest.mark.parametrize("make, shapes", [
+    (lambda: sc.table_scenario(8, z_grid=3), 1),
+    (lambda: sc.table_scenario(3, z_grid=2, n_struct_modes=8), 2)],
+    ids=["table8-z3", "table3-z2-modes8"])
+def test_batched_port_plants_equal_plants_built_one_at_a_time(make, shapes, monkeypatch):
+    # every (n, j, delta) plant of the model family built in one call, one
+    # stack per block shape (F_1 carries 6 modes when 8 are asked for), has
+    # the bits of its plant built alone, and so has its closure
+    cfg = make()
+    keys = [(s.n, s.j, s.delta) for s in sc.enumerate_model_family(cfg.n_tiles)]
+    batched, alone = sc.ScenarioModels(cfg), sc.ScenarioModels(cfg)
+    wire, stacks = sc._interconnects, []
+    monkeypatch.setattr(sc, "_interconnects", lambda diagrams, *a: stacks.append(
+        len(diagrams)) or wire(diagrams, *a))
+    batched._port_plants(keys)
+    distinct = len(dict.fromkeys(keys))
+    assert len(stacks) == shapes and sum(stacks) == distinct == len(batched._plants)
+    K = -batched.robot_mass_matrices([(sc.AssemblyState(1, 1, 1, 1), HOME)])[0]
+    for key in keys:
+        plant, close = batched._port_plant(*key)
+        ref, ref_close = alone._port_plant(*key)
+        assert_same_system(plant, ref)
+        for a, b in zip((plant.A, plant.B, plant.C, plant.D), (ref.A, ref.B, ref.C, ref.D)):
+            assert np.array_equal(a, b)
+        assert_same_system(close([K])[0], ref_close([K])[0])
+    assert len(stacks) == shapes + distinct
+    # a key beyond the tile count fails the call before any plant is built
+    with pytest.raises(StateInvalid):
+        sc.ScenarioModels(cfg)._port_plants([(1, 1, 0), (cfg.n_tiles + 1, 1, 0)])
+
+
+def per_state_composition(models, state, qs):
+    """``(mass, com, inertia at com)`` of one waypoint, its parts placed as
+    2-D entries and composed alone: the hub, the array, the tile stack, the
+    built tiles and the locked robot standing on tile j."""
+    cfg = models.cfg
+    [(_, parts)] = models._robot_parts([sc._robot_key(state, qs)])
+    array_J = transport_inertia(cfg.array.inertia_P, -cfg.array.mass, cfg.array.com)
+    entries = [(cfg.hub.mass, np.zeros(3), cfg.hub.inertia_G, None),
+               (cfg.array.mass, cfg.hub.offset("P1") + sc.ARRAY_DCM @ cfg.array.com,
+                array_J, sc.ARRAY_DCM)]
+    count = max(cfg.n_tiles - state.n - state.delta, 0)
+    if count > 0:
+        entries.append((count * cfg.tile.mass, cfg.stack_center(),
+                        count * np.asarray(cfg.tile.inertia_G), None))
+    entries += [(cfg.tile.mass, cfg.tile_center(t), cfg.tile.inertia_G, None)
+                for t in range(1, state.n + 1)]
+    base = cfg.tile_center(state.j)
+    entries += [(m, base + c[0], J, R[0]) for m, c, J, R in parts]
+    return compose_rigid(entries)
+
+
+def test_grouped_mass_properties_equal_per_state_composition_bitwise():
+    # every state of the 8-tile family at its home pose and at a random
+    # pose, each (n, delta) group composed in one batched call: each
+    # member has the bits of composing its own part list alone, and the
+    # attitude gains keep the bits of the per-state heaviest inertia
+    cfg = sc.table_scenario(8)
+    models = sc.ScenarioModels(cfg)
+    rng = make_rng(33)
+    family = sc.enumerate_model_family(cfg.n_tiles)
+    waypoints = [(s, HOME) for s in family]
+    waypoints += [(s, tuple(rng.uniform(-1.0, 1.0, 5) for _ in range(3))) for s in family]
+    got, inertias = models.mass_properties(waypoints), models.total_inertia(waypoints)
+    assert len(got) == len(inertias) == len(waypoints)
+    best = None
+    for (state, qs), (m, com, J), J_G in zip(waypoints, got, inertias):
+        want_m, want_com, want_J = per_state_composition(models, state, qs)
+        assert np.float64(m).tobytes() == np.float64(want_m).tobytes()
+        assert np.array_equal(com, want_com) and com.tobytes() == want_com.tobytes()
+        assert np.array_equal(J, want_J) and J.tobytes() == want_J.tobytes()
+        want_J_G = transport_inertia(want_J, want_m, want_com)
+        assert J_G.tobytes() == want_J_G.tobytes(), state
+        if qs is HOME and (best is None or np.trace(want_J_G) > np.trace(best)):
+            best = want_J_G
+    K = models.design_gains()
+    want = sc.attitude_gains(best, cfg.xi_att, cfg.f_att_hz)
+    assert np.array_equal(K, want) and K.tobytes() == want.tobytes()
 
 
 def test_close_loop_rejects_misshaped_gain(models):
