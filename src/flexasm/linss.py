@@ -437,11 +437,6 @@ def _block_diag(mats) -> np.ndarray:
     return out
 
 
-def _layout(sys: StateSpace) -> tuple:
-    """What a system of a list shares with the others of a stack."""
-    return sys.A.shape, sys.D.shape, sys.in_channels, sys.out_channels
-
-
 def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
     """Close a block diagram of labeled systems into one system.
 
@@ -473,11 +468,11 @@ def interconnect(blocks, wiring, external_in, external_out) -> StateSpace:
 
 
 def _interconnects(diagrams, wiring, external_in, external_out) -> list:
-    """:func:`interconnect` of each of a list of diagrams with the same
-    blocks, channels and shapes (else ``ValueError``), wired alike.
+    """:func:`interconnect` of each of a list of diagrams wired alike,
+    whose blocks have the names, channels and shapes of the first's.
 
     The wiring, its ``S``, ``E`` and ``F`` and the channels are resolved
-    once.  The loops ``I - D S`` stack, at most ``_STACK_BYTES`` of them at
+    once, on the first diagram.  The loops ``I - D S`` stack, at most ``_STACK_BYTES`` of them at
     a time, each stack gated by one :func:`_rcond` and solved by one
     ``solve``.  Each system is a read-only view of the stacked products
     with the bits of closing its diagram alone; an ill-posed loop raises
@@ -489,10 +484,6 @@ def _interconnects(diagrams, wiring, external_in, external_out) -> list:
     names = [n for n, _ in blocks]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate block names in {names}")
-    layout = [(n, _layout(b)) for n, b in blocks]
-    if any([(n, _layout(b)) for n, b in d] != layout for d in diagrams[1:]):
-        raise ValueError("the diagrams of a list must name the same blocks, "
-                         "with the same channels and shapes")
 
     m_all = sum(b.n_inputs for _, b in blocks)
     p_all = sum(b.n_outputs for _, b in blocks)
@@ -563,8 +554,8 @@ def invert_channels(sys: StateSpace, in_names, out_names) -> StateSpace:
 
 
 def _invert_channels(systems, in_names, out_names) -> list:
-    """:func:`invert_channels` of each of a list of systems with the same
-    channels and shapes (else ``ValueError``): the channels are found once,
+    """:func:`invert_channels` of each of a list of systems with the
+    channels and shapes of the first: the channels are found once on it,
     the feedthrough blocks take one stacked ``cond`` and one ``solve``, and
     each system is a read-only view of the stacked products with the bits
     of inverting it alone; a singular block raises :class:`SingularDBlock`
@@ -572,8 +563,6 @@ def _invert_channels(systems, in_names, out_names) -> list:
     if not systems:
         return []
     sys = systems[0]
-    if any(_layout(s) != _layout(sys) for s in systems[1:]):
-        raise ValueError("the systems of a list must have the same channels and shapes")
     w_in = sum(sys.in_width(c) for c in in_names)
     w_out = sum(sys.out_width(c) for c in out_names)
     if w_in != w_out:

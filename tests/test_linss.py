@@ -183,7 +183,7 @@ def test_interconnect_list_equals_each_diagram_alone_bitwise():
     # the list of one is the public form: same channels as the wired ones
     assert got[0].in_channels == (("r", 1), ("d", 2))
     assert got[0].out_channels == (("y", 3), ("yf", 1))
-    # an ill-posed member raises as it does alone; unlike diagrams are refused
+    # an ill-posed member raises as it does alone
     # (K = pinv(D_pu) leaves I - D_pu K of rank 1)
     bad = list(diagrams[1])
     bad[1] = ("k", linss.gain(np.linalg.pinv(bad[0][1].D[:, :2]), (("y", 3),), (("u", 2),)))
@@ -192,8 +192,6 @@ def test_interconnect_list_equals_each_diagram_alone_bitwise():
     with pytest.raises(IllPosedLoop) as stacked:
         linss._interconnects(diagrams[:2] + [bad] + diagrams[2:], *FEEDBACK_WIRING)
     assert str(stacked.value) == str(alone.value)
-    with pytest.raises(ValueError, match="same blocks"):
-        linss._interconnects([diagrams[0], diagrams[1][:2]], *FEEDBACK_WIRING)
 
 
 def test_invert_channels_list_equals_each_system_alone_bitwise():
