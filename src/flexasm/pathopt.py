@@ -20,7 +20,8 @@ Each edge is built as one stack (two, ``linss._shape_runs``, where its
 legs differ in state count): the open loop per waypoint, one
 :func:`~flexasm.scenario.close_loop` call, one stacked ``eig`` and one
 stacked ``inv``.  Every cost kind prices an edge at a time
-(``_loop_values``) from those cached eigendecompositions.
+(``_loop_values``) from those cached eigendecompositions, popping the
+H-infinity norms and margins that the planner computed a chunk at a time.
 
 The planner, :class:`AssemblyPlanner`, builds the edges it reads in
 batches, prices their loops under every planned kind at once and keeps
@@ -53,12 +54,13 @@ from .linss import (
 )
 from .modal import _adjacent
 from .robot import quintic_waypoints
-from .robust import _prime_margin, mu_real_repeated
+from .robust import _prime_margins, mu_real_repeated
 from .scenario import (
     HOME_JOINTS,
     AssemblyState,
     ScenarioConfig,
     ScenarioModels,
+    _waypoint_key,
     close_loop,
 )
 
@@ -85,9 +87,10 @@ ASSEMBLE = "assemble"
 # targets in lockstep and the 3 arm chains of each of its edges' 2z
 # waypoints in one call, so this bounds what one call holds.
 POSE_BATCH = 64
-# Loops per chunk whose H-infinity norms the planner computes in one pass
-# (``linss._prime_peaks``) before it prices them: a chunk holds whole
-# edges, and their loops live until the chunk is priced.
+# Loops per chunk whose H-infinity norms and margins the planner computes
+# in one pass each (``linss._prime_peaks``, ``robust._prime_margins``)
+# before it prices them: a chunk holds whole edges, and their loops live
+# until the chunk is priced.
 PEAK_LOOPS = 32
 
 
@@ -477,9 +480,10 @@ class AssemblyPlanner:
     dropped, and the cache keeps an :class:`EdgePrices` per edge, which
     every reader prices through :meth:`_priced`.  A loop's channel slices
     share its eigendecomposition, so one stacked ``eig`` per edge serves
-    every kind.  With an H-infinity kind planned, edges are
+    every kind.  With an H-infinity kind or ``mu`` planned, edges are
     priced a chunk of about ``PEAK_LOOPS`` loops at a time, whose
-    H-infinity norms are computed in one pass (:meth:`_price`).
+    H-infinity norms and margins are computed in one pass each
+    (:meth:`_price`).
 
     The memo prices each distinct loop at an edge end once.  Its key is
     the end's waypoint ``(state, joint-angle bytes)``, the first under
@@ -507,12 +511,16 @@ class AssemblyPlanner:
     def _build(self, keys) -> None:
         """Build and price the unbuilt edges ``(kind, n, src, dst)`` of
         ``keys`` in order, ``POSE_BATCH`` at a time: one ``solve_reaches``
-        of a batch's reach targets, one ``robot_mass_matrices`` of its
-        waypoints, one ``ScenarioModels._port_plants`` of its distinct
-        plant keys, then per edge one ``ScenarioModels._prime_open_loops``
-        of its 2z waypoints, whose open loops :func:`grid_edge_models` pops,
+        of a batch's reach targets, one ``ScenarioModels._mass_matrices``
+        (the robot mass matrices) of its waypoints, one
+        ``ScenarioModels._port_plants`` of its distinct plant keys, then per
+        edge one ``ScenarioModels._prime_open_loops`` of its 2z waypoints,
+        whose open loops :func:`grid_edge_models` pops,
         priced by :meth:`_price` in chunks of whole edges (of at least
-        ``PEAK_LOOPS`` loops with an H-infinity kind planned, else of one).
+        ``PEAK_LOOPS`` loops with an H-infinity kind or ``mu`` planned,
+        else of one).  Each waypoint's joint angles become bytes once, in
+        its key (``scenario._waypoint_key``), which the batch's
+        ``_mass_matrices`` call and the edge's prime both take.
         An edge without IK for its action pose is a hard constraint, stored
         as None (the inferred arm geometry cannot span every diagonal).
         Edge ids and the cache's order follow build order."""
@@ -522,23 +530,25 @@ class AssemblyPlanner:
             batch = todo[b:b + POSE_BATCH]
             poses = [_EdgePose.of(cfg, *key) for key in batch]
             reaches = models.solve_reaches([(p.pre, p.reach_arm, p.target) for p in poses])
-            wps = [None if isinstance(hit, IkNotConverged) else p.waypoints(*hit, cfg.z_grid)
+            wps = [None if isinstance(hit, IkNotConverged) else
+                   [_waypoint_key(*wp) for wp in p.waypoints(*hit, cfg.z_grid)]
                    for p, hit in zip(poses, reaches)]
             weighed = [wp for w in wps if w for wp in w]
-            models.robot_mass_matrices(weighed)
+            models._mass_matrices([(s.arm, s.delta, q) for s, q in weighed])
             models._port_plants((s.n, s.j, s.delta) for s, _ in weighed)
             chunk, loops = [], 0
             for key in batch:
                 w = wps.pop(0)  # each edge's waypoints go once it is built
-                # the open-loop keys of its first and last waypoint are its memo keys
-                opened = w and models._prime_open_loops(w)
+                if w:
+                    models._prime_open_loops(w)
                 try:
                     arr = grid_edge_models(models, *key, self.K_att)
                 except IkNotConverged:
                     arr = None
-                chunk.append((key, arr, opened and (opened[0], opened[-1])))
+                # the keys of its first and last waypoint are its memo keys
+                chunk.append((key, arr, w and (w[0], w[-1])))
                 loops += 0 if arr is None else len(arr.systems)
-                if not self._hinf or loops >= PEAK_LOOPS:
+                if not (self._hinf or "mu" in self.costs) or loops >= PEAK_LOOPS:
                     self._price(chunk)
                     chunk, loops = [], 0
             self._price(chunk)
@@ -547,28 +557,31 @@ class AssemblyPlanner:
         """Store the prices of a chunk of built edges ``(key, arr, ends)``
         in order: ``arr`` None has no IK, and ``ends`` are the memo keys of
         its first and last loop.  An end loop repeats when its key is in
-        the memo or an earlier loop of the chunk leads it.  The H-infinity
-        norms of every other loop are computed first (``_prime_peaks``),
-        then each leader's margin (``robust._prime_margin``), and the memo
-        keeps the leaders' prices.  Each end loop is seeded with its key's,
-        so its ``hinf_norm`` and ``mu_real_repeated`` calls in
-        :func:`edge_cost` pop them.  An edge's channels are sliced once per
-        kind (``_channels``), for the pass and the prices alike."""
-        memo, lead, primed = self._memo, {}, []
+        the memo or an earlier loop of the chunk leads it.  Every other loop
+        of the chunk, the leaders and the loops between an edge's ends, is
+        priced in one pass per kind: the H-infinity norms
+        (``_prime_peaks``), then the margins (``robust._prime_margins``),
+        and the memo keeps the leaders' prices.  Each end loop is seeded
+        with its key's, so the ``hinf_norm`` and ``mu_real_repeated`` calls
+        of every loop in :func:`edge_cost` pop them.  An edge's channels
+        are sliced once per kind (``_channels``), for the pass and the
+        prices alike."""
+        memo, lead, primed, loops = self._memo, {}, [], []
         for _, arr, ends in chunk:
             if arr is not None:
                 new = [end not in memo and lead.setdefault(end, place) is place
                        for place, end in zip(((arr, 0), (arr, -1)), ends)]
                 # every loop of the edge but a repeat at either end
-                primed += [ch for kind in self._hinf for ch in
-                           _channels(arr, kind)[1 - new[0]:len(arr.systems) - 1 + new[1]]]
+                own = slice(1 - new[0], len(arr.systems) - 1 + new[1])
+                primed += [ch for kind in self._hinf for ch in _channels(arr, kind)[own]]
+                loops += arr.systems[own]
         _prime_peaks(primed)
+        keys = [_prime_margins(loops)] if "mu" in self.costs else []
         for end, (arr, k) in lead.items():
             loop = arr.systems[k]
-            keys = [_peak_key(_channels(arr, kind)[k]) for kind in self._hinf]
-            if "mu" in self.costs:
-                keys.append(_prime_margin(loop))
-            memo[end] = {key: loop._modes[key] for key in keys if key in loop._modes}
+            memo[end] = {key: loop._modes[key] for key in
+                         [_peak_key(_channels(arr, kind)[k]) for kind in self._hinf] + keys
+                         if key in loop._modes}
         for key, arr, ends in chunk:
             if arr is None:
                 self._edges[key] = None

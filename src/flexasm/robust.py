@@ -16,29 +16,43 @@ points, ``+t`` then ``-t`` at each, and a bisection to relative width
 ``TOL`` of the sign or signs that hit in the first hit bin, so it is a
 dyadic bracket end of the probe predicate and not the exact crossing.
 When ``D_zw = 0`` those bits are found from one eigendecomposition of A
-instead of probing the way there:
+instead of probing the way there.  ``_prime_margins`` does so for a
+chunk of loops at a time, in three stacked rounds; the planner runs it
+once per chunk, and a single loop is a list of one:
 
 * **Candidates.** Two eigenvalues of ``A + delta B_w C_z`` sum to zero
   (a crossing at 0 or at ``+-jw``) exactly when ``delta = -1/phi`` for a
   real eigenvalue ``phi`` of a 2n x 2n matrix built in the eigenbasis of
   A (Fu & Barmish 1988, see :func:`_crossings`).  No pair can sum to zero
   while the loop is stable, so the candidate of smallest magnitude on
-  each sign is that sign's first loss of stability.
+  each sign is that sign's first loss of stability.  The matrices of the
+  loops of one size are assembled as stacks, each solved by one stacked
+  ``eigvals``.
 * **Threshold.** One secant probe refines that candidate to the
-  magnitude where the predicate flips (:func:`_threshold`), and the
+  magnitude where the predicate flips (:func:`_thresholds`), and the
   threshold answers the scan points and the bisection midpoints: the
-  same loop, :func:`_bisect`, with a comparison for a predicate.
+  same loop, :func:`_bisect`, with a comparison for a predicate.  The
+  probes of every ``(loop, sign)`` close as one stack
+  (:func:`_closures`) and are solved by one stacked ``eigvals``
+  (:func:`_abscissas`).
 * **Certificate.** Real probes must agree at the final bracket of each
   hit sign (stable below, destabilized above), at the hit scan point on
-  the other sign, and at ``+-delta_max`` when nothing hits.  That is three
-  probes on a mission loop, where the scan makes 58.
+  the other sign, and at ``+-delta_max`` when nothing hits
+  (:func:`_certificate`).  That is three probes on a mission loop, where
+  the scan makes 58, and every loop's probes run as one more stacked
+  round.
 * **Fallback.** If a certificate disagrees, ``D_zw != 0`` or the
   eigenvectors of A are ill conditioned (the loop's modal inverse
   ``V^-1``, :meth:`linss.StateSpace.modal_inverse`, is gated out at
-  ``cond_1(V) >= linss.MODAL_COND_MAX``), the scan runs as it stands.
+  ``cond_1(V) >= linss.MODAL_COND_MAX``), the scan runs as it stands,
+  for that loop alone.
   The eigendecomposition and ``V^-1`` are the loop's cached ones, shared
   with the H-infinity and H2 prices of its channel slices, so the margin
   computes neither again.
+
+Every stack is grouped by state count, width (and, for the candidates,
+the eigenvector type) and holds at most ``linss._STACK_BYTES``, and every
+slice has the bits of its loop alone.
 
 ``mu_lower`` is the reciprocal of the smallest destabilizing magnitude
 and is exact for this block, so the name keeps only the conventional
@@ -52,7 +66,8 @@ radius for sigma_max, for a list of one: the seed-grid bound stage
 (``linss._seed_bound``, on the loop's grid and residue kernel), then the
 polish (``linss._polish``), without the certificate.
 The ``mu`` edge cost reads only the margin and never runs the bound; the
-planner primes it once per distinct edge-end loop (``_prime_margin``).
+planner primes it once per distinct loop, a chunk at a time
+(``_prime_margins``).
 
 Only the search range ``delta_max`` is a parameter; the channel pair
 (``linss.W_CHANNEL``/``linss.Z_CHANNEL``), the scan density and the
@@ -68,7 +83,8 @@ import numpy as np
 
 from .errors import NominalUnstable, WidthMismatch
 from .linss import (StateSpace, _polish, _rcond, _seed_bound, _transfer_kernel,
-                    spectral_abscissa, STAB_TOL, WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL)
+                    spectral_abscissa, STAB_TOL, WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL,
+                    _STACK_BYTES)
 
 __all__ = ["mu_real_repeated", "mu_upper_bound"]
 
@@ -144,9 +160,27 @@ def _scan_crossing(sys, delta_max):
     return None
 
 
-def _crossings(sys, eigs, V, W):
+def _stacks(systems, key, nbytes):
+    """Index lists into ``systems`` to stack: equal ``key(sys)``, and at most
+    ``_STACK_BYTES // nbytes(sys)`` systems (at least one) per list."""
+    groups = {}
+    for i, sys in enumerate(systems):
+        groups.setdefault(key(sys), []).append(i)
+    for idx in groups.values():
+        step = max(1, _STACK_BYTES // nbytes(systems[idx[0]]))
+        for c in range(0, len(idx), step):
+            yield idx[c:c + step]
+
+
+def _shape(sys):
+    """State count and w/z width: what a stack of probes shares."""
+    return sys.n_states, sys.in_width(W_CHANNEL)
+
+
+def _crossings(systems) -> list:
     """Every real delta at which two eigenvalues of ``A + delta B_w C_z``
-    sum to zero, from the eigendecomposition ``A = V diag(eigs) W``.
+    sum to zero, for each of a list of systems, from its cached
+    eigendecomposition ``A = V diag(eigs) W`` (``W`` the modal inverse).
 
     That happens exactly when ``(A + delta M) X + X (A + delta M)^T = 0``
     has a symmetric ``X != 0`` (``M = B_w C_z``), and with ``Y = C_z X`` it
@@ -155,69 +189,104 @@ def _crossings(sys, eigs, V, W):
     ``S^-1`` divides entry ``(i, l)`` by ``eigs[i] + eigs[l]``, so the
     matrix of ``Phi`` on ``Y`` is assembled block by block ``[b, a]`` from
     n x n products; its real eigenvalues ``phi`` (imaginary part within
-    ``TOL`` of the modulus) give ``delta = -1 / phi``.
+    ``TOL`` of the modulus) give ``delta = -1 / phi``.  The systems of one
+    size and eigenvector type are assembled in stacks of at most
+    ``_STACK_BYTES`` of complex blocks, one ``eigvals`` per stack.
     """
-    w, z = sys.in_slice(W_CHANNEL), sys.out_slice(Z_CHANNEL)
-    Bt = W @ sys.B[:, w]
-    Ct = sys.C[z, :] @ V
-    m, n = Ct.shape
-    G = 1.0 / (eigs[:, None] + eigs)
-    q = (Ct[:, None, :] * Bt.T) @ G            # [b, a, l]: sum_i Ct[b,i] Bt[i,a] G[i,l]
-    VBG = (V * Bt.T[:, None, :]) @ G           # [a]: V diag(Bt[:, a]) G
-    CW = Ct[:, :, None] * W                    # [b]: diag(Ct[b]) W
-    blocks = (V * q[:, :, None, :]) @ W + VBG @ CW[:, None]
-    phi = np.linalg.eigvals(blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n).real)
-    phi = phi[(np.abs(phi.imag) <= TOL * np.abs(phi)) & (phi != 0.0)].real
-    return -1.0 / phi
+    out = [None] * len(systems)
+    for part in _stacks(systems, lambda s: _shape(s) + (s.eig()[1].dtype,),
+                        lambda s: 16 * (s.in_width(W_CHANNEL) * s.n_states) ** 2):
+        group = [systems[i] for i in part]
+        eigs, V = (np.stack(a) for a in zip(*(s.eig() for s in group)))
+        W = np.stack([s.modal_inverse() for s in group])
+        Bt = W @ np.stack([s.B[:, s.in_slice(W_CHANNEL)] for s in group])
+        Ct = np.stack([s.C[s.out_slice(Z_CHANNEL), :] for s in group]) @ V
+        k, m, n = Ct.shape
+        G = (1.0 / (eigs[:, :, None] + eigs[:, None, :]))[:, None]
+        BtT = Bt.swapaxes(1, 2)
+        q = (Ct[:, :, None, :] * BtT[:, None]) @ G             # [b, a, l]
+        VBG = (V[:, None] * BtT[:, :, None, :]) @ G            # [a]: V diag(Bt[:, a]) G
+        CW = Ct[:, :, :, None] * W[:, None]                    # [b]: diag(Ct[b]) W
+        blocks = ((V[:, None, None] * q[:, :, :, None, :]) @ W[:, None, None]
+                  + VBG[:, None] @ CW[:, :, None])
+        phis = np.linalg.eigvals(blocks.transpose(0, 1, 3, 2, 4).reshape(k, m * n, m * n).real)
+        for i, phi in zip(part, phis):
+            phi = phi[(np.abs(phi.imag) <= TOL * np.abs(phi)) & (phi != 0.0)].real
+            out[i] = -1.0 / phi
+    return out
 
 
-def _threshold(sys, sign, c):
-    """Magnitude where the probe predicate flips on the crossing ``sign *
-    c``: the secant through ``(c, 0)`` and one abscissa probe a bisection
-    width below ``c``, solved for ``-STAB_TOL``; None unless the probe
-    reads stable."""
-    t = c - TOL * max(1.0, c)
-    alpha = spectral_abscissa(_closed_A(sys, sign * t))
-    if not alpha < 0.0:
-        return None
-    return c - (c - t) * STAB_TOL / -alpha
+def _closures(systems, deltas) -> np.ndarray:
+    """The ``(k, n, n)`` stack of ``A + delta B_w C_z``, the closures of a
+    list of systems of one :func:`_shape` with ``D_zw = 0`` at their
+    ``deltas``, each slice with the bits of :func:`_closed_A`."""
+    A = np.stack([s.A for s in systems])
+    Bw = np.stack([s.B[:, s.in_slice(W_CHANNEL)] for s in systems])
+    Cz = np.stack([s.C[s.out_slice(Z_CHANNEL), :] for s in systems])
+    return A + (np.asarray(deltas, dtype=float)[:, None, None] * Bw) @ Cz
 
 
-def _certified_crossing(sys, eigs, V, W, delta_max):
-    """``(True, delta_crit)`` with the bits of :func:`_scan_crossing`, or
-    ``(False, None)`` when a certificate disagrees.
+def _abscissas(probes) -> list:
+    """``spectral_abscissa(_closed_A(sys, delta))`` of each probe ``(sys,
+    delta)`` (``D_zw = 0``), from stacks of at most ``_STACK_BYTES`` of
+    :func:`_closures`, one ``eigvals`` per stack."""
+    out = [None] * len(probes)
+    for part in _stacks([sys for sys, _ in probes], _shape, lambda s: 8 * s.n_states ** 2):
+        A = _closures([probes[i][0] for i in part], [probes[i][1] for i in part])
+        for i, alpha in zip(part, np.linalg.eigvals(A).real.max(axis=-1).tolist()):
+            out[i] = alpha
+    return out
 
-    On each sign the crossing candidate of smallest magnitude within
-    ``delta_max`` is refined to the predicate's threshold, which answers
-    the scan points and the bisection midpoints.  Real probes then certify
-    the final bracket of each hit sign, the other sign at the hit scan
-    point, or ``+-delta_max`` when nothing hits.
+
+def _thresholds(systems, crossings, delta_max) -> list:
+    """For each system, the magnitude where the probe predicate flips on
+    each sign whose crossing candidate of smallest magnitude ``c`` lies
+    within ``delta_max``: the secant through ``(c, 0)`` and one abscissa
+    probe a bisection width below ``c``, solved for ``-STAB_TOL``.  A dict
+    ``{sign: threshold}``, or None when a probe does not read stable.  All
+    probes run in one stacked round (:func:`_abscissas`)."""
+    first = {}
+    for i, deltas in enumerate(crossings):
+        for sign in (1.0, -1.0):
+            c = np.abs(deltas[np.sign(deltas) == sign])
+            if c.size and c.min() <= delta_max:
+                c = float(c.min())
+                first[i, sign] = c, c - TOL * max(1.0, c)
+    out = [{} for _ in systems]
+    probes = [(systems[i], sign * t) for (i, sign), (_, t) in first.items()]
+    for ((i, sign), (c, t)), alpha in zip(first.items(), _abscissas(probes)):
+        if alpha < 0.0 and out[i] is not None:
+            out[i][sign] = c - (c - t) * STAB_TOL / -alpha
+        else:
+            out[i] = None
+    return out
+
+
+def _certificate(thresholds, ts):
+    """``(delta_crit, checks)``: the crossing of one loop with the bits of
+    :func:`_scan_crossing` on the scan grid ``ts``, found from its
+    thresholds, and the probes ``(delta, destabilized)`` that certify it.
+
+    The thresholds answer the scan points and the bisection midpoints.
+    The checks are the final bracket of each hit sign (stable below,
+    destabilized above), the other sign at the hit scan point, or
+    ``+-delta_max`` when nothing hits.
     """
-    deltas = _crossings(sys, eigs, V, W)
-    thresholds = {}
-    for sign in (1.0, -1.0):
-        c = np.abs(deltas[np.sign(deltas) == sign])
-        if c.size and c.min() <= delta_max:
-            thresholds[sign] = _threshold(sys, sign, float(c.min()))
-            if thresholds[sign] is None:
-                return False, None
-    ts = _scan_grid(delta_max)
     bins = {sign: int(np.searchsorted(ts, thr)) for sign, thr in thresholds.items()}
     k = min(bins.values(), default=ts.size)
     if k == ts.size:
-        return not (_destabilized(sys, ts[-1]) or _destabilized(sys, -ts[-1])), None
+        return None, [(ts[-1], False), (-ts[-1], False)]
     lo, t = (ts[k - 1] if k else 0.0), ts[k]
-    hits = []
+    hits, checks = [], []
     for sign in (1.0, -1.0):
         if bins.get(sign) == k:
             thr = thresholds[sign]
             a, b = _bisect(lo, t, lambda mid: mid >= thr)
-            if _destabilized(sys, sign * a) or not _destabilized(sys, sign * b):
-                return False, None
+            checks += [(sign * a, False), (sign * b, True)]
             hits.append(sign * b)
-        elif _destabilized(sys, sign * t):
-            return False, None
-    return True, min(hits, key=abs)
+        else:
+            checks.append((sign * t, False))
+    return min(hits, key=abs), checks
 
 
 def _check_nominal(sys: StateSpace) -> None:
@@ -249,21 +318,32 @@ def mu_upper_bound(sys: StateSpace) -> float:
     return bound
 
 
-def _prime_margin(sys: StateSpace, delta_max: float = 20.0):
-    """Leave the margin of a loop past :func:`mu_real_repeated`'s checks in
-    its ``_modes`` cache, under the key returned, for that call to pop."""
-    certified = False
-    if sys.n_states:
-        eigs, V = sys.eig()
-        w, z = sys.in_slice(W_CHANNEL), sys.out_slice(Z_CHANNEL)
-        W = None if sys.D[z, w].any() else sys.modal_inverse()
-        if W is not None:
-            certified, delta_crit = _certified_crossing(sys, eigs, V, W, delta_max)
-    if not certified:
-        delta_crit = _scan_crossing(sys, delta_max)
-    mu_lower = 1.0 / abs(delta_crit) if delta_crit is not None else 0.0
+def _prime_margins(loops, delta_max: float = 20.0):
+    """Compute the margins of a list of loops in one pass of the stacked
+    rounds of the module docstring, past :func:`mu_real_repeated`'s
+    checks, and leave each in its loop's ``_modes`` cache, under the key
+    returned, for that call to pop.  A loop without states, with ``D_zw !=
+    0`` or without a modal inverse, and a loop whose threshold probe or
+    certificate disagrees, runs :func:`_scan_crossing` alone."""
+    ready, crits = [], []
+    for sys in loops:
+        if (sys.n_states and not sys.D[sys.out_slice(Z_CHANNEL), sys.in_slice(W_CHANNEL)].any()
+                and sys.modal_inverse() is not None):
+            ready.append(sys)
+        else:
+            crits.append((sys, _scan_crossing(sys, delta_max)))
+    ts = _scan_grid(delta_max)
+    plans = [None if thr is None else _certificate(thr, ts)
+             for thr in _thresholds(ready, _crossings(ready), delta_max)]
+    alphas = iter(_abscissas([(sys, delta) for sys, plan in zip(ready, plans) if plan
+                              for delta, _ in plan[1]]))
+    for sys, plan in zip(ready, plans):
+        certified = plan and all([(next(alphas) >= -STAB_TOL) == hit for _, hit in plan[1]])
+        crits.append((sys, plan[0] if certified else _scan_crossing(sys, delta_max)))
     key = "mu", delta_max
-    sys._modes[key] = MuResult(mu_lower, delta_crit)
+    for sys, delta_crit in crits:
+        sys._modes[key] = MuResult(1.0 / abs(delta_crit) if delta_crit is not None else 0.0,
+                                   delta_crit)
     return key
 
 
@@ -279,12 +359,13 @@ def mu_real_repeated(sys: StateSpace, delta_max: float = 20.0) -> MuResult:
     ``delta_crit = None``.  A ``delta_max`` that is not finite and > 0
     raises ``ValueError``.
     After both checks it pops the loop's primed margin, as ``hinf_norm``
-    pops a primed peak, priming it first (``_prime_margin``) if absent.
+    pops a primed peak, priming it first (``_prime_margins`` of the list
+    of one) if absent.
     """
     if not (math.isfinite(delta_max) and delta_max > 0.0):
         raise ValueError(f"delta_max must be finite and > 0, got {delta_max}")
     _check_nominal(sys)
     key = "mu", delta_max
     if key not in sys._modes:
-        _prime_margin(sys, delta_max)
+        _prime_margins([sys], delta_max)
     return sys._modes.pop(key)

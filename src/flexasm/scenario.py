@@ -503,19 +503,22 @@ class ScenarioModels:
         popped, else the waypoint is primed as a list of one.  ``n`` above
         the tile count raises :class:`StateInvalid`.
         """
-        key = state, np.asarray(qs, dtype=float).tobytes()
+        key = _waypoint_key(state, qs)
         if key not in self._open:
-            self._prime_open_loops([(state, qs)])
+            self._prime_open_loops([key])
         return self._open.pop(key)
 
     def _prime_open_loops(self, waypoints) -> list:
         """Close the robot port at each ``(state, qs)`` of a list, one
         stacked closure call per ``(n, j, delta)`` plant (built by one
         :meth:`_port_plants` call), each loop with the bits of closing it
-        alone, and keep it under ``(state, joint-angle bytes)`` until
-        :meth:`open_loop` pops it.  Returns those keys, whose bytes also
+        alone, and keep it under its key ``(state, joint-angle bytes)``
+        (:func:`_waypoint_key`) until :meth:`open_loop` pops it.  ``qs`` are
+        the three joint vectors, or their bytes when the waypoint is a key
+        already, as the planner's are.  Returns the keys, whose bytes also
         key the mass memo: they are taken once per waypoint."""
-        keys = [(state, np.asarray(qs, dtype=float).tobytes()) for state, qs in waypoints]
+        keys = [(state, qs) if isinstance(qs, bytes) else _waypoint_key(state, qs)
+                for state, qs in waypoints]
         groups = {}
         for (s, q), M in zip(keys, self._mass_matrices([(s.arm, s.delta, q) for s, q in keys])):
             groups.setdefault((s.n, s.j, s.delta), {})[s, q] = M
@@ -953,6 +956,12 @@ def _mount_table(cfg: ScenarioConfig) -> dict:
             table[g][k] = (to_g @ cfg.arm_mount_dcms[k],
                            to_g @ (hub.offset(f"A{k}") - off_g))
     return table
+
+
+def _waypoint_key(state: AssemblyState, qs) -> tuple:
+    """What an open loop reads of a waypoint, its key: the state and the
+    bytes of the (3, 5) joint angles."""
+    return state, np.asarray(qs, dtype=float).tobytes()
 
 
 def _robot_key(state: AssemblyState, qs) -> tuple:

@@ -232,6 +232,7 @@ def test_stacked_helpers_are_no_ops_on_an_empty_list():
     assert linss.h2_norm([]).shape == (0,)
     assert linss._prime_peaks([]) is None
     assert linss._hamiltonian_imag_crossings([], []) == []
+    assert robust._crossings([]) == [] and robust._abscissas([]) == []
     assert linss._rcond(np.zeros((0, 2, 2))) == []
     assert linss._gated_inverse(np.zeros((0, 2, 2))) == []
     assert sc._pin_translations([]) == []
@@ -1255,7 +1256,7 @@ def test_priced_norms_and_margin_match_oracles_on_mission_scale_loops():
             oracle = oracles[kind](cl.subsystem([out], [inp]))
             assert price == pytest.approx(oracle, rel=1e-9, abs=0.0), (k, kind)
         assert robust.mu_real_repeated(cl).delta_crit == robust._scan_crossing(cl, 20.0)
-        deltas = robust._crossings(cl, *cl.eig(), cl.modal_inverse())
+        [deltas] = robust._crossings([cl])
         deltas = deltas[np.abs(deltas) < 1e6]
         pencil = pencil_crossings(cl)
         assert np.any(deltas < 0.0), k

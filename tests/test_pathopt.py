@@ -340,6 +340,29 @@ def test_weight_graph_builds_its_edges_in_batches(cfg, monkeypatch):
     assert steps == ["build", "price"] * len(keys)
 
 
+def test_a_mu_planner_prices_chunks_with_the_all_kinds_bits(monkeypatch):
+    # a planner of mu alone cuts its chunks at PEAK_LOOPS, as one with an
+    # H-infinity kind does: it runs the margin pass as often, on the same
+    # loops, and stores the bits of the all-kinds planner's mu column
+    cfg = _desk_z2()
+    passes, prime = [], robust._prime_margins
+    monkeypatch.setattr(po, "_prime_margins",
+                        lambda loops: passes.append(len(loops)) or prime(loops))
+    full = po.AssemblyPlanner(cfg)
+    full._build(plan_keys(cfg))
+    full_passes = list(passes)
+    passes.clear()
+    alone = po.AssemblyPlanner(cfg, costs=("mu",))
+    alone._build(plan_keys(cfg))
+    built = [key for key, rec in full._edges.items() if rec is not None]
+    assert passes == full_passes and len(passes) < len(built)
+    assert list(alone._edges) == list(full._edges)
+    column = full.costs.index("mu")
+    for key in built:
+        assert (alone._edges[key].values[:, 0].tobytes()
+                == np.ascontiguousarray(full._edges[key].values[:, column]).tobytes()), key
+
+
 def _desk_z2():
     from flexasm import data_path
     from flexasm.cli import load_scenario
@@ -564,11 +587,13 @@ def loop_digest(sys) -> bytes:
 
 def test_planner_prices_each_distinct_loop_once(monkeypatch):
     # desk z = 2, all kinds, from both arms: 122 of the 184 loops built are
-    # distinct, and the H-infinity pass and the margin see each of them
-    # once (the repeats are edge ends, priced from the memo).  Every stored
-    # price has the bits of edge_cost on the edge built afresh
-    built, peaks, margins = [], [], []
-    grid, prime_peaks, prime_margin = po.grid_edge_models, linss._prime_peaks, robust._prime_margin
+    # distinct, and the H-infinity pass and the margin pass see each of
+    # them once (the repeats are edge ends, priced from the memo); no
+    # mu_real_repeated call primes a margin of its own.  Every stored price
+    # has the bits of edge_cost on the edge built afresh
+    built, peaks, margins, alone = [], [], [], []
+    grid, prime_peaks = po.grid_edge_models, linss._prime_peaks
+    prime_margins = robust._prime_margins
 
     def build(*args):
         arr = grid(*args)
@@ -579,22 +604,24 @@ def test_planner_prices_each_distinct_loop_once(monkeypatch):
         peaks.extend(loop_digest(s) for s in systems)
         return prime_peaks(systems)
 
-    def primed_margin(sys, *args):
-        margins.append(loop_digest(sys))
-        return prime_margin(sys, *args)
+    def primed_margins(loops, *args):
+        margins.extend(loop_digest(s) for s in loops)
+        return prime_margins(loops, *args)
 
     monkeypatch.setattr(po, "grid_edge_models", build)
     for module in (po, linss):
         monkeypatch.setattr(module, "_prime_peaks", primed_peaks)
-    for module in (po, robust):
-        monkeypatch.setattr(module, "_prime_margin", primed_margin)
+    monkeypatch.setattr(po, "_prime_margins", primed_margins)
+    monkeypatch.setattr(robust, "_prime_margins",
+                        lambda loops, *args: alone.extend(loops) or prime_margins(loops, *args))
     planner = po.AssemblyPlanner(desk(2))
     for arm in (1, 2):
         for kind in po.COST_KINDS:
             planner.plan_full_assembly(po.CostSpec(kind), start=(1, arm))
     assert (len(built), len(set(built))) == (184, 122)
     assert len(peaks) == len(set(peaks)) == 2 * 122
-    assert len(margins) == 122 and set(margins) == set(built)
+    assert len(margins) == len(set(margins)) == 122 and set(margins) == set(built)
+    assert alone == []
     monkeypatch.undo()
     for key, rec in planner._edges.items():
         if rec is not None:

@@ -5,13 +5,17 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from flexasm import linss, robust
-from flexasm.errors import IllPosedLoop, NominalUnstable, WidthMismatch
+from dataclasses import replace
+
+from flexasm import data_path, linss, robust
+from flexasm import pathopt as po
+from flexasm import scenario as sc
+from flexasm.errors import IkNotConverged, IllPosedLoop, NominalUnstable, WidthMismatch
 from flexasm.linss import StateSpace, gain, lft_upper, spectral_abscissa
 from flexasm.multibody import ModalBodyData, mode_freq_lfr
 from flexasm.pathopt import CostSpec, EdgeModelArray, _loop_values
 
-from conftest import (dense_spectral_radius_peak, make_rng, mission_loops,
+from conftest import (dense_spectral_radius_peak, make_rng, mission_loops, plan_keys,
                       random_stable_system, state_transform)
 
 
@@ -211,12 +215,20 @@ def general_closed_A(sys, delta):
     return sys.A + (delta * sys.B[:, w]) @ np.linalg.solve(loop, sys.C[z, :])
 
 
+def stacked(closed_A):
+    """A stand-in for ``robust._closures`` that closes each probe by
+    ``closed_A``."""
+    return lambda systems, deltas: np.stack([closed_A(s, d) for s, d in zip(systems, deltas)])
+
+
 def test_margin_probe_skips_the_identity_solve(monkeypatch):
     # D_zw = 0 on every mission loop, so I - delta D_zw is I: a probe needs
-    # neither the conditioning test nor the solve, and gives the same bits
+    # neither the conditioning test nor the solve, and gives the same bits,
+    # in the stacked probes of the margin pass and in the scan alike
     loops = list(mission_loops(4, 22))
     with monkeypatch.context() as m:
         m.setattr(robust, "_closed_A", general_closed_A)
+        m.setattr(robust, "_closures", stacked(general_closed_A))
         ref = [robust.mu_real_repeated(cl) for cl in loops]
 
     def no_call(*args, **kwargs):
@@ -224,10 +236,13 @@ def test_margin_probe_skips_the_identity_solve(monkeypatch):
 
     monkeypatch.setattr(robust.np.linalg, "cond", no_call)
     monkeypatch.setattr(robust.np.linalg, "solve", no_call)
+    key = robust._prime_margins(loops)
     for cl, r in zip(loops, ref):
         assert not cl.D[cl.out_slice("z_omega"), cl.in_slice("w_omega")].any()
         res = robust.mu_real_repeated(cl)
+        assert key not in cl._modes
         assert (res.mu_lower, res.delta_crit) == (r.mu_lower, r.delta_crit)
+        assert robust._scan_crossing(cl, 20.0) == r.delta_crit
 
 
 def test_ill_posed_closure_counts_as_destabilized():
@@ -269,13 +284,13 @@ def test_a_primed_margin_is_popped_once_after_the_checks():
     cl = next(mission_loops(1, 6))
     want = robust.mu_real_repeated(StateSpace(cl.A, cl.B, cl.C, cl.D,
                                               cl.in_channels, cl.out_channels))
-    key = robust._prime_margin(cl)
+    key = robust._prime_margins([cl])
     primed = cl._modes[key]
     assert margin_bits(primed) == margin_bits(want)
     assert robust.mu_real_repeated(cl) is primed and key not in cl._modes
     again = robust.mu_real_repeated(cl)
     assert again is not primed and margin_bits(again) == margin_bits(want)
-    robust._prime_margin(cl)
+    robust._prime_margins([cl])
     kept = cl._modes[key]
     robust.mu_real_repeated(cl, delta_max=10.0)
     assert cl._modes[key] is kept
@@ -297,15 +312,19 @@ def test_margin_search_runs_no_interconnect(monkeypatch):
     # the same search with every probe closed through lft_upper
     with monkeypatch.context() as m:
         m.setattr(robust, "_closed_A", lft_closed_A)
+        m.setattr(robust, "_closures", stacked(lft_closed_A))
         ref = [robust.mu_real_repeated(cl) for cl in loops]
 
     def no_interconnect(*args, **kwargs):
         raise AssertionError("margin search ran linss.interconnect")
 
     monkeypatch.setattr(linss, "interconnect", no_interconnect)
+    key = robust._prime_margins(loops)
     for cl, r in zip(loops, ref):
         res = robust.mu_real_repeated(cl)
+        assert key not in cl._modes
         assert (res.mu_lower, res.delta_crit) == (r.mu_lower, r.delta_crit)
+        assert robust._scan_crossing(cl, 20.0) == r.delta_crit
 
 
 def two_pass_margin(sys, delta_max=20.0):
@@ -369,23 +388,25 @@ def test_one_pass_scan_matches_two_pass_oracle_on_mission_loops():
 
 def test_one_pass_scan_halves_the_probes(monkeypatch):
     # the mission loops lose stability only at delta = -5, the 16th scan
-    # point: the certified crossing probes the final bracket and the
-    # positive sign at the hit scan point (3 probes; the scan alone makes
-    # 58), where scanning each sign alone probes all 64 positive points as
-    # well (106 probes)
+    # point: the certified crossing probes one threshold, the final bracket
+    # and the positive sign at the hit scan point (4 probes, all stacked;
+    # the scan alone makes 58), where scanning each sign alone probes all
+    # 64 positive points as well (106 probes)
     cl = next(mission_loops(1, 13))
-    probes = []
-    real = robust._destabilized
+    probes, stacked_probes = [], []
+    real, closures = robust._destabilized, robust._closures
 
     def counted(sys, delta):
         probes.append(delta)
         return real(sys, delta)
 
     monkeypatch.setattr(robust, "_destabilized", counted)
+    monkeypatch.setattr(robust, "_closures",
+                        lambda systems, deltas: stacked_probes.extend(deltas)
+                        or closures(systems, deltas))
     res = robust.mu_real_repeated(cl, delta_max=20.0)
     assert res.delta_crit < 0.0
-    assert len(probes) <= 4
-    probes.clear()
+    assert probes == [] and len(stacked_probes) == 4
     assert two_pass_margin(cl, 20.0) == (res.mu_lower, res.delta_crit)
     assert len(probes) == 106
 
@@ -424,8 +445,7 @@ def kronecker_crossings(sys):
 
 
 def candidates(sys):
-    eigs, V = np.linalg.eig(sys.A)
-    return robust._crossings(sys, eigs, V, np.linalg.inv(V))
+    return robust._crossings([sys])[0]
 
 
 def assert_same_set(got, ref, bound):
@@ -437,12 +457,14 @@ def assert_same_set(got, ref, bound):
 
 
 def test_crossings_match_kronecker_pencil():
+    # the candidates of a list of systems of several sizes, computed in
+    # stacks, are those of each system alone, bitwise
     rng = make_rng(41)
     systems = [random_wz_system(rng) for _ in range(10)] + list(mission_loops(3, 7))
     crossing = 0
-    for sys in systems:
-        got, ref = candidates(sys), kronecker_crossings(sys)
-        assert_same_set(got, ref, 50.0)
+    for sys, got in zip(systems, robust._crossings(systems)):
+        assert np.array_equal(got, candidates(sys))
+        assert_same_set(got, kronecker_crossings(sys), 50.0)
         crossing += np.any(np.abs(got) <= 50.0)
     assert crossing >= 8
     # the mission loops' collapse at delta = -5 is among the candidates
@@ -454,7 +476,7 @@ def count_scans(monkeypatch):
     real = robust._scan_crossing
 
     def counted(sys, delta_max):
-        scans.append(delta_max)
+        scans.append(sys)
         return real(sys, delta_max)
 
     monkeypatch.setattr(robust, "_scan_crossing", counted)
@@ -498,47 +520,167 @@ def test_fallback_runs_the_scan(monkeypatch, make):
     assert ref[1] is not None and len(scans) == 1
 
 
+def chunk_around(target, seed):
+    """``target`` in the middle of a chunk of mission loops and random
+    systems, some of them of its own size."""
+    rng = make_rng(seed)
+    loops = list(mission_loops(3, seed))
+    return loops[:2] + [random_wz_system(rng) for _ in range(3)] + [target] + loops[2:]
+
+
+def assert_chunk_margins(chunk, scanned, scans, key):
+    """Every margin of ``chunk`` is that of the two-pass scan, and only the
+    loops of ``scanned`` ran the scan, once each."""
+    for sys in chunk:
+        res = sys._modes.pop(key)
+        assert (res.mu_lower, res.delta_crit) == two_pass_margin(sys, 20.0)
+    assert [id(s) for s in scans] == [id(s) for s in scanned]
+
+
+def test_fallback_loops_scan_alone_in_a_chunk(monkeypatch):
+    # a loop with D_zw != 0 and one without a modal inverse run the scan
+    # inside a chunk; the other loops keep their stacked rounds
+    feed, jordan = feedthrough_system(), jordan_system()
+    chunk = chunk_around(feed, 44)
+    chunk.insert(3, jordan)
+    scans = count_scans(monkeypatch)
+    key = robust._prime_margins(chunk)
+    assert_chunk_margins(chunk, [jordan, feed], scans, key)
+
+
+def only_for(target, real, fault):
+    """``real`` of a list of systems, with ``fault`` applied to the result
+    of ``target`` alone."""
+    def patched(systems, *args):
+        out = real(systems, *args)
+        return [fault(o) if s is target else o for s, o in zip(systems, out)]
+    return patched
+
+
 def test_certificate_catches_a_crossing_missed_on_the_other_sign(monkeypatch):
     # A + delta B_w C_z = diag(delta - 1, -2 - delta) crosses at +1 and -2;
     # with the + candidates dropped only -2 is refined, and the probe of
-    # + at the hit scan point finds the loop already unstable there
+    # + at the hit scan point finds the loop already unstable there.  The
+    # other loops of the chunk certify their own crossings
     sys = wz_system(np.diag([-1.0, -2.0]), np.eye(2), np.diag([1.0, -1.0]),
                     np.zeros((2, 2)))
-    crossings, certified = robust._crossings, robust._certified_crossing
-
-    def minus_only(*args):
-        deltas = crossings(*args)
-        return deltas[deltas < 0.0]
-
-    monkeypatch.setattr(robust, "_crossings", minus_only)
-    verdicts = []
-    monkeypatch.setattr(robust, "_certified_crossing",
-                        lambda *args: verdicts.append(certified(*args)) or verdicts[-1])
+    monkeypatch.setattr(robust, "_crossings",
+                        only_for(sys, robust._crossings, lambda deltas: deltas[deltas < 0.0]))
+    certificates, certificate = [], robust._certificate
+    monkeypatch.setattr(robust, "_certificate",
+                        lambda *args: certificates.append(certificate(*args)) or certificates[-1])
     scans = count_scans(monkeypatch)
-    res = robust.mu_real_repeated(sys, delta_max=20.0)
-    assert verdicts == [(False, None)] and len(scans) == 1
+    chunk = chunk_around(sys, 45)
+    key = robust._prime_margins(chunk)
+    # the target's thresholds give -2, refuted by the probe of + at the hit
+    # scan point; every loop of the chunk reached its certificate
+    assert len(certificates) == len(chunk)
+    [target] = [c for s, c in zip(chunk, certificates) if s is sys]
+    assert target[0] == pytest.approx(-2.0, rel=1e-8)
     ref = robust._scan_crossing(sys, 20.0)
-    assert res.delta_crit == ref and res.mu_lower == 1.0 / abs(ref)
-    assert ref == pytest.approx(1.0, rel=1e-8)
+    scans.pop()
+    assert sys._modes[key].delta_crit == ref == pytest.approx(1.0, rel=1e-8)
+    assert_chunk_margins(chunk, [sys], scans, key)
 
 
 @pytest.mark.parametrize("patch", [
-    pytest.param(("_threshold", lambda real: lambda sys, sign, c: 0.999 * real(sys, sign, c)),
+    pytest.param(("_thresholds", lambda thr: thr and {s: 0.999 * t for s, t in thr.items()}),
                  id="early-threshold"),
-    pytest.param(("_threshold", lambda real: lambda sys, sign, c: real(sys, sign, c) + 1e-8),
+    pytest.param(("_thresholds", lambda thr: thr and {s: t + 1e-8 for s, t in thr.items()}),
                  id="late-threshold"),
-    pytest.param(("_crossings", lambda real: lambda *args: np.zeros(0)), id="no-candidate"),
-    pytest.param(("_crossings", lambda real: lambda *args: -real(*args)), id="wrong-sign"),
+    pytest.param(("_crossings", lambda deltas: np.zeros(0)), id="no-candidate"),
+    pytest.param(("_crossings", lambda deltas: -deltas), id="wrong-sign"),
     # past the true crossing the secant probe itself reads unstable
-    pytest.param(("_crossings", lambda real: lambda *args: 1.5 * real(*args)),
-                 id="late-candidate"),
+    pytest.param(("_crossings", lambda deltas: 1.5 * deltas), id="late-candidate"),
 ])
 def test_failed_certificate_runs_the_scan(monkeypatch, patch):
-    name, wrap = patch
+    # each fault, injected into one mission loop of a chunk, sends that loop
+    # alone to the scan, with the scan's bits
+    name, fault = patch
     cl = next(mission_loops(1, 13))
-    ref = two_pass_margin(cl, 20.0)
-    monkeypatch.setattr(robust, name, wrap(getattr(robust, name)))
+    monkeypatch.setattr(robust, name, only_for(cl, getattr(robust, name), fault))
     scans = count_scans(monkeypatch)
-    res = robust.mu_real_repeated(cl, delta_max=20.0)
-    assert (res.mu_lower, res.delta_crit) == ref
-    assert len(scans) == 1
+    chunk = chunk_around(cl, 46)
+    key = robust._prime_margins(chunk)
+    assert_chunk_margins(chunk, [cl], scans, key)
+
+
+def plan_loops(cfg, every=1):
+    """The closed loops of every ``every``-th edge of a full-assembly plan
+    of ``cfg`` with an IK solution, as the planner builds them."""
+    models = sc.ScenarioModels(cfg)
+    K = models.design_gains()
+    loops = []
+    for key in plan_keys(cfg)[::every]:
+        try:
+            loops += po.grid_edge_models(models, *key, K).systems
+        except IkNotConverged:
+            pass
+    return loops
+
+
+def desk_loops():
+    return plan_loops(replace(sc.load_scenario(data_path("scenario_desk.yaml"))[0], z_grid=2))
+
+
+def table8_loops():
+    return plan_loops(sc.table_scenario(8, z_grid=3), every=9)
+
+
+def mixed_modes_loops():
+    # with 8 structure modes F_1 carries 6 and F_2 and F_3 8: loops of two
+    # state counts, within one edge too
+    return plan_loops(replace(sc.table_scenario(3, z_grid=2), n_struct_modes=8))
+
+
+def random_loops():
+    rng = make_rng(49)
+    return ([random_wz_system(rng) for _ in range(16)] + list(mission_loops(4, 50))
+            + [scaled_lag(0.37), scaled_lag(-0.37), scaled_lag(0.01),
+               two_sided_lag(0.1, 0.4), two_sided_lag(1.0 / 3.0, 1.0 / 3.0)])
+
+
+@pytest.mark.parametrize("make, shapes", [
+    (desk_loops, 1), (table8_loops, 1), (mixed_modes_loops, 2), (random_loops, 6)],
+    ids=["desk-z2", "table8-z3", "table3-z2-modes8", "random"])
+def test_a_chunk_gives_each_loop_its_margin_alone(make, shapes):
+    # the margins of a chunk, computed in one stacked pass, are bitwise
+    # those of each loop's list of one and of the two-pass scan
+    loops = make()
+    assert len({robust._shape(s) for s in loops}) >= shapes
+    key = robust._prime_margins(loops)
+    chunked = [sys._modes.pop(key) for sys in loops]
+    for sys, res in zip(loops, chunked):
+        robust._prime_margins([sys])
+        assert margin_bits(sys._modes.pop(key)) == margin_bits(res)
+        assert (res.mu_lower, res.delta_crit) == two_pass_margin(sys, 20.0)
+
+
+def test_stacked_probe_closure_equals_closed_A_of_each_slice():
+    rng = make_rng(47)
+    systems = list(mission_loops(6, 48)) + [random_wz_system(rng) for _ in range(12)]
+    probes = [(sys, float(d)) for sys in systems for d in rng.uniform(-20.0, 20.0, 3)]
+    groups = {}
+    for probe in probes:
+        groups.setdefault(robust._shape(probe[0]), []).append(probe)
+    assert max(len({id(s) for s, _ in group}) for group in groups.values()) > 1
+    for group in groups.values():
+        stack = robust._closures([s for s, _ in group], [d for _, d in group])
+        for (sys, delta), A in zip(group, stack):
+            assert np.array_equal(A, robust._closed_A(sys, delta))
+    for (sys, delta), alpha in zip(probes, robust._abscissas(probes)):
+        assert alpha == spectral_abscissa(robust._closed_A(sys, delta))
+
+
+def test_every_stack_the_margin_pass_solves_fits_the_stack_bound(monkeypatch):
+    # a stack of more than one loop holds at most linss._STACK_BYTES
+    loops = desk_loops() + mixed_modes_loops() + random_loops()
+    stacks, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(robust.np.linalg, "eigvals",
+                        lambda a: stacks.append(a) or eigvals(a))
+    key = robust._prime_margins(loops)
+    monkeypatch.undo()
+    assert all(key in sys._modes for sys in loops)
+    sizes = [(a.shape[0] if a.ndim == 3 else 1, a.nbytes) for a in stacks]
+    assert max(count for count, _ in sizes) > 1
+    assert all(nbytes <= linss._STACK_BYTES for count, nbytes in sizes if count > 1)

@@ -300,35 +300,42 @@ def test_edge_mass_matrices_equal_per_arm_poses_bitwise(which, monkeypatch):
     cfg = replace(cfg, z_grid=3)
     planner = po.AssemblyPlanner(cfg, costs=("h2-theta",))
     models = planner.models
-    passes, primed = [], []
-    weigh = sc.ScenarioModels.robot_mass_matrices
+    events = []
+    weigh = sc.ScenarioModels._mass_matrices
     prime = sc.ScenarioModels._prime_open_loops
-    monkeypatch.setattr(sc.ScenarioModels, "robot_mass_matrices",
-                        lambda self, waypoints: passes.append(waypoints)
-                        or weigh(self, waypoints))
+    monkeypatch.setattr(sc.ScenarioModels, "_mass_matrices",
+                        lambda self, keys: events.append(("weigh", keys)) or weigh(self, keys))
     monkeypatch.setattr(sc.ScenarioModels, "_prime_open_loops",
-                        lambda self, waypoints: primed.append(waypoints)
+                        lambda self, waypoints: events.append(("prime", waypoints))
                         or prime(self, waypoints))
     posed, parts = [], sc.ScenarioModels._robot_parts
     monkeypatch.setattr(sc.ScenarioModels, "_robot_parts",
                         lambda self, keys: posed.append(keys) or parts(self, keys))
     keys = plan_keys(cfg)
     planner._build(keys)
-    # each built edge's open loops are primed from its 2z waypoints, whose
-    # masses the prime reads from the memo by the keys it takes once per
-    # waypoint; a batch's pass holds the 2z waypoints of each of its edges
-    # with an IK solution, and nothing else weighs
+    # each built edge's open loops are primed from the keys of its 2z
+    # waypoints; a batch's pass (a weighing not made by a prime) holds the
+    # keys of each of its edges with an IK solution, whose bytes objects the
+    # primes take again: each waypoint's joint angles become bytes once, and
+    # nothing else weighs
+    passes = [w for (event, w), before in zip(events, [("", None)] + events)
+              if event == "weigh" and before[0] != "prime"]
     assert len(passes) == len(posed) == -(-len(keys) // po.POSE_BATCH)
-    waypoints = [wp for p in passes for wp in p]
+    primed = [w for event, w in events if event == "prime"]
     built = [key for key in keys if planner._edges[key] is not None]
-    assert len(waypoints) == 2 * cfg.z_grid * len(built)
     assert [len(w) for w in primed] == [2 * cfg.z_grid] * len(built)
+    waypoints = [wp for w in primed for wp in w]
+    weighed = [key for p in passes for key in p]
+    assert len(weighed) == len(waypoints) == 2 * cfg.z_grid * len(built)
+    assert all(key[:2] == (state.arm, state.delta) and key[2] is q
+               for key, (state, q) in zip(weighed, waypoints))
     seen = set()
     for e, (kind, n, src, dst) in enumerate(built):
         edge_pass = waypoints[2 * cfg.z_grid * e:2 * cfg.z_grid * (e + 1)]
         label = "walk" if isinstance(dst, tuple) else kind
-        for (state, qs), M in zip(edge_pass, weigh(models, edge_pass)):
-            ref = per_arm_mass_matrix(models, state, qs)
+        for state, q in edge_pass:
+            ref = per_arm_mass_matrix(models, state, np.frombuffer(q).reshape(3, 5))
+            M = models._masses[state.arm, state.delta, q]
             assert M.tobytes() == ref.tobytes(), (label, state)
             seen.add((label, state.arm, state.delta))
     assert seen == {(label, arm, delta) for label in ("walk", "pickup", "assemble")
@@ -351,13 +358,14 @@ def test_primed_open_loops_equal_stacks_of_one_bitwise(which, monkeypatch):
 
     def checked(self, waypoints):
         keys = prime(self, waypoints)
-        # the keys the prime returns are the planner's memo keys
-        assert keys == [(state, np.concatenate(qs).tobytes()) for state, qs in waypoints]
-        for state, qs in waypoints:
+        # the planner hands the prime the keys of its waypoints, which are
+        # also its memo keys
+        assert keys == waypoints
+        for state, q in waypoints:
             _, close = self._port_plant(state.n, state.j, state.delta)
-            [M] = self.robot_mass_matrices([(state, qs)])
+            [M] = self.robot_mass_matrices([(state, np.frombuffer(q).reshape(3, 5))])
             [alone] = close(-M[None])
-            assert_same_system(self._open[state, np.asarray(qs, dtype=float).tobytes()], alone)
+            assert_same_system(self._open[state, q], alone)
         primed.append([state for state, _ in waypoints])
         return keys
 

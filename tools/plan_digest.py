@@ -20,9 +20,9 @@ Configurations: the packaged desk layout at z = 2 and z = 7, a 4-tile
 straight strip at z = 4 and ``table_scenario(8, z_grid=3)``.  With
 ``--mission`` the digest covers the mission scale instead,
 ``table_scenario(28, z_grid=7)``, in the same way.  The script reports; it
-gates nothing.  On a two-core x86-64 box with one BLAS thread and no
-bytecode cache, the default run took 4 s and the mission run 90 s (peak
-RSS 65 MB).
+gates nothing.  On a shared two-core x86-64 box with one BLAS thread and
+no bytecode cache, the default run took 4.7-6.4 s and the mission run
+93-97 s (peak RSS 64 MB).
 
 The mission digest depends on the BLAS thread count: some N = 28 loops
 close with other bits under one OpenBLAS thread than under two, so quote
