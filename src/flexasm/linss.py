@@ -30,13 +30,16 @@ Conventions
   already-checked systems through the private ``StateSpace._unchecked``,
   which only marks the arrays read only: the plants and loops the planner
   builds run no validating constructor.
-* Stacks: ``_interconnects`` and ``_invert_channels`` build the port
-  plants of a list as stacks (the public forms are lists of one).
+* Stacks: ``_stacks`` is the one rule by which every stacked pass
+  groups a list (by a key, in order of first appearance) and cuts each
+  group (at ``_STACK_BYTES``), so each slice keeps the bits of its
+  system alone.  ``_interconnects`` and ``_invert_channels`` build the
+  port plants of a list as stacks (the public forms are lists of one).
   ``scenario.close_loop`` builds a list of loops as views of
   ``(k, n, n)`` stacks, ``_prime_modes`` fills their eigendecomposition
   caches from one stacked ``np.linalg.eig`` and one stacked ``inv``, and
-  :func:`h2_norm` prices a list of systems in one pass, each per run of
-  equal shapes (``_shape_runs``).  The two stages of the H-infinity peak
+  :func:`h2_norm` prices a list of systems in one pass, each per stack of
+  equal shapes.  The two stages of the H-infinity peak
   search, the seed-grid bound (``_seed_bound``) and the Brent polish
   (``_polish``), run for a list of systems in one lockstep: every step
   evaluates the transfers of all systems of one shape that ask for as
@@ -342,27 +345,43 @@ def _gated_inverse(V):
     return [w if good else None for w, good in zip(W, ok)]
 
 
-def _shape_runs(systems) -> list:
-    """Slices cutting a list into runs of consecutive systems with equal
-    matrix shapes, the stacks of stacked arithmetic: one per edge, or two
-    where its legs load structures of different state counts.  An empty
-    list has no runs."""
-    shapes = [(s.A.shape, s.D.shape) for s in systems]
-    cuts = [k for k in range(1, len(shapes)) if shapes[k] != shapes[k - 1]]
-    return [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(shapes)]) if a < b]
+# Bytes of one stack of stacked arithmetic: a seed grid of a mission
+# channel has hundreds of points, so this bounds the resolvents of one
+# stacked evaluation (``_gains``), and likewise every other stack.
+# ``_stacks`` alone groups and cuts the stacks by it.
+_STACK_BYTES = 1 << 16
+
+
+def _stacks(items, key, nbytes) -> list:
+    """Index lists into ``items`` to stack: the items of equal ``key(item)``,
+    groups in order of first appearance and members in list order, cut
+    into lists of ``_STACK_BYTES // nbytes(first member)`` items (at least
+    one).  Every stacked pass groups and cuts its stacks here, and each
+    slice of a stack has the bits of its item alone.  An edge's loops come
+    in at most two consecutive runs of equal shapes, so grouping them by
+    shape gives the runs.  An empty list gives no stacks."""
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    out = []
+    for idx in groups.values():
+        step = max(1, _STACK_BYTES // max(1, nbytes(items[idx[0]])))
+        out += [idx[c:c + step] for c in range(0, len(idx), step)]
+    return out
 
 
 def _prime_modes(systems) -> None:
     """Fill the :meth:`StateSpace.eig` and :meth:`StateSpace.modal_inverse`
-    caches of a list of systems, per run of equal shapes (``_shape_runs``),
+    caches of a list of systems, per stack of equal shapes (``_stacks``),
     from one stacked ``np.linalg.eig`` of their A and one stacked ``inv`` of
     the eigenvectors (``_gated_inverse``).  Each system's share has the bits
     its own calls give it.  ``np.linalg.eig`` returns real arrays for a
     matrix whose poles are all real, which a complex stack cannot share,
     so such a system is left to its own calls."""
-    for run in _shape_runs(systems):
-        eigs, V = np.linalg.eig(np.stack([s.A for s in systems[run]]))
-        for sys, w, v, W in zip(systems[run], eigs, V, _gated_inverse(V)):
+    for part in _stacks(systems, lambda s: s.A.shape, lambda s: 8 * s.n_states ** 2):
+        stack = [systems[i] for i in part]
+        eigs, V = np.linalg.eig(np.stack([s.A for s in stack]))
+        for sys, w, v, W in zip(stack, eigs, V, _gated_inverse(V)):
             if w.imag.any():
                 sys._modes["eig"] = w, v
                 sys._modes["inv"] = W
@@ -472,11 +491,12 @@ def _interconnects(diagrams, wiring, external_in, external_out) -> list:
     whose blocks have the names, channels and shapes of the first's.
 
     The wiring, its ``S``, ``E`` and ``F`` and the channels are resolved
-    once, on the first diagram.  The loops ``I - D S`` stack, at most ``_STACK_BYTES`` of them at
-    a time, each stack gated by one :func:`_rcond` and solved by one
-    ``solve``.  Each system is a read-only view of the stacked products
-    with the bits of closing its diagram alone; an ill-posed loop raises
-    :class:`IllPosedLoop` as it does alone.  No diagram gives no system."""
+    once, on the first diagram.  The loops ``I - D S`` stack
+    (``_stacks``, at most ``_STACK_BYTES`` of them at a time), each stack
+    gated by one :func:`_rcond` and solved by one ``solve``.  Each system
+    is a read-only view of the stacked products with the bits of closing
+    its diagram alone; an ill-posed loop raises :class:`IllPosedLoop` as it
+    does alone.  No diagram gives no system."""
     if not diagrams:
         return []
     diagrams = [list(blocks) for blocks in diagrams]
@@ -520,10 +540,9 @@ def _interconnects(diagrams, wiring, external_in, external_out) -> list:
         row += width
 
     closed = []
-    step = max(1, _STACK_BYTES // (8 * p_all * p_all or 1))
-    for c in range(0, len(diagrams), step):
+    for part in _stacks(diagrams, lambda d: None, lambda d: 8 * p_all * p_all):
         # per block, the stack of its matrices
-        columns = list(zip(*([b for _, b in d] for d in diagrams[c:c + step])))
+        columns = list(zip(*([b for _, b in diagrams[i]] for i in part)))
         A, B, C, D = (_block_diag([np.stack([getattr(b, x) for b in col]) for col in columns])
                       for x in "ABCD")
         psi = loop = np.eye(p_all) - D @ S
@@ -740,18 +759,15 @@ def sigma_max(sys: StateSpace, w: float) -> float:
     return float(np.linalg.svd(sys.transfer_at(1j * w), compute_uv=False)[0])
 
 
-# Complex bytes of the stacked (jw I - A) matrices in one batched solve.
-# The planner prices through ``_transfer_kernel``; this chunk only bounds
-# the memory of long sweeps such as ``analyze --points``.
-_BATCH_BYTES = 1 << 16
-
-
 def _transfer_batch(sys: StateSpace, ws) -> np.ndarray:
     """``C (jwI - A)^-1 B + D`` stacked over the angular frequencies ``ws``.
 
     Each slice has the bits of ``sys.transfer_at(1j * w)``: the stacked
     solve and product run the same LAPACK/BLAS call per frequency.  The
-    stack is cut into chunks of at most ``_BATCH_BYTES`` of matrices.
+    frequencies are cut into stacks of at most ``_STACK_BYTES`` of complex
+    matrices (``_stacks``): the planner prices through ``_transfer_kernel``,
+    so this only bounds the memory of long sweeps such as ``analyze
+    --points``.
     """
     ws = np.asarray(ws, dtype=float).ravel()
     n = sys.n_states
@@ -759,11 +775,9 @@ def _transfer_batch(sys: StateSpace, ws) -> np.ndarray:
         return np.repeat(sys.D.astype(complex)[None], ws.size, axis=0)
     out = np.empty((ws.size,) + sys.D.shape, dtype=complex)
     eye = np.eye(n)
-    step = max(1, _BATCH_BYTES // (16 * n * n))
-    for k in range(0, ws.size, step):
-        s = 1j * ws[k:k + step]
-        X = np.linalg.solve(s[:, None, None] * eye - sys.A, sys.B)
-        out[k:k + step] = sys.C @ X + sys.D
+    for part in _stacks(ws, lambda w: None, lambda w: 16 * n * n):
+        X = np.linalg.solve((1j * ws[part])[:, None, None] * eye - sys.A, sys.B)
+        out[part] = sys.C @ X + sys.D
     return out
 
 
@@ -855,43 +869,33 @@ def _stacked_transfer(stack, W: np.ndarray) -> np.ndarray:
     return (R @ res).reshape(W.shape + D.shape[1:]) + D[:, None]
 
 
-# Complex bytes of the resolvents of one stacked evaluation (``_gains``):
-# a seed grid of a mission channel has hundreds of points, so this bounds
-# the transfers a stack of them holds.  It also bounds the real bytes of
-# one stack of level-set Hamiltonians (``_hamiltonian_imag_crossings``)
-# and of static loops (``_interconnects``).
-_STACK_BYTES = 1 << 16
-
-
 def _gains(kernels, wss, gain, stacks=None) -> list:
     """``gain`` of each kernel's transfers at its own angular frequencies
     ``wss[i]``, as a list of arrays.  ``gain`` maps an ``(S, k, p, m)``
     stack of transfers to ``(S, k)`` gains.  Kernels with residues, one
-    shape and as many frequencies are evaluated as one stack
-    (``_stacked_transfer``, at most ``_STACK_BYTES`` of resolvents) and
+    shape and as many frequencies are evaluated as one stack (``_stacks``,
+    at most ``_STACK_BYTES`` of resolvents, ``_stacked_transfer``) and
     one ``gain`` call, so each array has the bits of its kernel alone; a
     kernel without a modal form takes its stacked solve alone.  A caller
     that asks again and again passes a dict ``stacks``: it maps the
     members of each stack of the last call (their ids) to its ``_stack``,
     so a stack whose members stay the same is not stacked again."""
     out = [None] * len(kernels)
-    groups = {}
-    for i, (kern, ws) in enumerate(zip(kernels, wss)):
-        if kern.res is None:
-            out[i] = gain(kern(ws)[None])[0]
-        else:
-            groups.setdefault((kern.res.shape, kern.sys.D.shape, len(ws)), []).append(i)
     last, kept = stacks or {}, {}
-    for (shape, _, rows), idx in groups.items():
-        step = max(1, _STACK_BYTES // (16 * rows * shape[0]))
-        for c in range(0, len(idx), step):
-            part = idx[c:c + step]
-            members = [kernels[i] for i in part]
-            key = tuple(map(id, members))
-            stack = kept[key] = last[key] if key in last else _stack(members)
-            vals = gain(_stacked_transfer(stack, np.array([wss[i] for i in part], dtype=float)))
-            for i, v in zip(part, vals):
-                out[i] = v
+    for part in _stacks(list(zip(kernels, wss)),
+                        lambda kw: (kw[0].res is None, kw[0].eigs.size, kw[0].sys.D.shape,
+                                    len(kw[1])),
+                        lambda kw: 16 * len(kw[1]) * kw[0].eigs.size):
+        members = [kernels[i] for i in part]
+        if members[0].res is None:
+            for i, kern in zip(part, members):
+                out[i] = gain(kern(wss[i])[None])[0]
+            continue
+        key = tuple(map(id, members))
+        stack = kept[key] = last[key] if key in last else _stack(members)
+        vals = gain(_stacked_transfer(stack, np.array([wss[i] for i in part], dtype=float)))
+        for i, v in zip(part, vals):
+            out[i] = v
     if stacks is not None:
         stacks.clear()
         stacks.update(kept)
@@ -934,38 +938,35 @@ def _hamiltonian_imag_crossings(systems, levels) -> list:
     """Imaginary-axis eigenfrequencies of the H-infinity test Hamiltonian of
     each of a list of systems at its level ``levels[i]``, sorted and without
     repeats, as a list of arrays.  The 2n x 2n matrices of the systems of
-    one shape (states, inputs, outputs) are built as stacks of at most
-    ``_STACK_BYTES``, block by block in place, ``I + D R^-1 D^T`` by adding
-    1 to the diagonals; one identity serves each ``R`` and its inverse.
+    one shape (states, inputs, outputs) are built as stacks (``_stacks``)
+    of at most ``_STACK_BYTES``, block by block in place, ``I + D R^-1
+    D^T`` by adding 1 to the diagonals; one identity serves each ``R`` and
+    its inverse.
     Each stack is solved by one stacked ``np.linalg.eigvals``, and every
     slice has the bits of building and solving its system alone.  With no
     imaginary eigenvalue, which is the certificate's usual answer, the
     result is the empty array without rounding or sorting."""
     out = [None] * len(systems)
-    groups = {}
-    for i, sys in enumerate(systems):
-        groups.setdefault((sys.n_states,) + sys.D.shape, []).append(i)
-    for (n, p, m), idx in groups.items():
+    for part in _stacks(systems, lambda s: (s.n_states,) + s.D.shape,
+                        lambda s: 32 * s.n_states ** 2):
+        A, B, C, D = (np.stack([getattr(systems[i], name) for i in part]) for name in "ABCD")
+        n, (p, m) = A.shape[1], D.shape[1:]
         eye = np.eye(m)
-        step = max(1, _STACK_BYTES // (32 * n * n))
-        for c in range(0, len(idx), step):
-            part = idx[c:c + step]
-            A, B, C, D = (np.stack([getattr(systems[i], name) for i in part]) for name in "ABCD")
-            g = np.array([levels[i] for i in part])
-            Bt, Ct, Dt = B.swapaxes(1, 2), C.swapaxes(1, 2), D.swapaxes(1, 2)
-            Rinv = np.linalg.solve((g * g)[:, None, None] * eye - Dt @ D, eye)
-            BR = B @ Rinv
-            Q = D @ Rinv @ Dt
-            Q.reshape(len(part), p * p)[:, ::p + 1] += 1.0
-            H = np.empty((len(part), 2 * n, 2 * n))
-            H[:, :n, :n] = A + BR @ Dt @ C
-            H[:, :n, n:] = BR @ Bt
-            H[:, n:, :n] = -Ct @ Q @ C
-            H[:, n:, n:] = -H[:, :n, :n].swapaxes(1, 2)
-            ev = np.linalg.eigvals(H)
-            keep = np.abs(ev.real) <= 1e-8 * np.maximum(1.0, np.abs(ev.imag))
-            for i, e, k in zip(part, ev, keep):
-                out[i] = _distinct(np.round(np.abs(e.imag[k]), 12)) if k.any() else np.empty(0)
+        g = np.array([levels[i] for i in part])
+        Bt, Ct, Dt = B.swapaxes(1, 2), C.swapaxes(1, 2), D.swapaxes(1, 2)
+        Rinv = np.linalg.solve((g * g)[:, None, None] * eye - Dt @ D, eye)
+        BR = B @ Rinv
+        Q = D @ Rinv @ Dt
+        Q.reshape(len(part), p * p)[:, ::p + 1] += 1.0
+        H = np.empty((len(part), 2 * n, 2 * n))
+        H[:, :n, :n] = A + BR @ Dt @ C
+        H[:, :n, n:] = BR @ Bt
+        H[:, n:, :n] = -Ct @ Q @ C
+        H[:, n:, n:] = -H[:, :n, :n].swapaxes(1, 2)
+        ev = np.linalg.eigvals(H)
+        keep = np.abs(ev.real) <= 1e-8 * np.maximum(1.0, np.abs(ev.imag))
+        for i, e, k in zip(part, ev, keep):
+            out[i] = _distinct(np.round(np.abs(e.imag[k]), 12)) if k.any() else np.empty(0)
     return out
 
 
@@ -1187,9 +1188,10 @@ def _prime_peaks(systems) -> None:
     as :func:`hinf_norm` describes, and leave each in its loop's
     ``_modes`` cache under ``_peak_key``: the norm, or None where
     ``_MAX_ROUNDS`` rounds leave it uncertified.  sigma_max(D) comes from
-    one stacked SVD per D shape, and each certificate round runs for the
-    channels still open: one stacked level-set test, then one ``_gains``
-    and one ``_polish`` call for those with crossings.  Each value has
+    one stacked SVD per stack of equal D shapes (``_stacks``), and each
+    certificate round runs for the channels still open: one stacked
+    level-set test, then one ``_gains`` and one ``_polish`` call for those
+    with crossings.  Each value has
     the bits of its system alone.  A system with no states, no input or
     no output, or a pole with Re >= -STAB_TOL, is left to
     :func:`hinf_norm`."""
@@ -1198,10 +1200,7 @@ def _prime_peaks(systems) -> None:
              and float(np.max(s.eig()[0].real)) < -STAB_TOL]
     kernels = [_transfer_kernel(s) for s in ready]
     gammas = _hinf_peaks(kernels)
-    shapes = {}
-    for i, sys in enumerate(ready):
-        shapes.setdefault(sys.D.shape, []).append(i)
-    for idx in shapes.values():
+    for idx in _stacks(ready, lambda s: s.D.shape, lambda s: 8 * s.D.size):
         top = np.linalg.svd(np.stack([ready[i].D for i in idx]), compute_uv=False)[:, 0]
         for i, sd in zip(idx, top.tolist()):
             gammas[i] = max(sd, gammas[i])
@@ -1299,10 +1298,10 @@ def h2_norm(systems) -> np.ndarray:
     Gramian is diagonal in the eigenbasis, ``P = V X V^H`` with ``X_ij =
     -(B~ B~^H)_ij / (lambda_i + conj(lambda_j))``, ``B~ = V^-1 B``, so
     ``H2^2 = Re sum_ij (C~^H C~)_ji X_ij`` with ``C~ = C V``; the systems
-    that pass are priced as one stack of ``(k, n, n)`` products per run of
-    equal shapes.  A defective or nearly defective A solves the Kronecker
-    form ``(I (x) A + A (x) I) vec P = -vec(B B^T)`` instead
-    (``_h2_kronecker``), for that system only.
+    that pass are priced as one stack of ``(k, n, n)`` products per stack
+    of equal shapes (``_stacks``).  A defective or nearly defective A
+    solves the Kronecker form ``(I (x) A + A (x) I) vec P = -vec(B B^T)``
+    instead (``_h2_kronecker``), for that system only.
     """
     for s in systems:
         if np.max(np.abs(s.D)) > 1e-12 if s.D.size else False:
@@ -1310,20 +1309,21 @@ def h2_norm(systems) -> np.ndarray:
         if s.n_states:
             _stable_eig(s, "H2")
     squares = np.zeros(len(systems))
-    # one stack per run of equal shapes (``_shape_runs``) and per dtype: a
-    # system whose poles are all real has a real modal inverse and is
-    # priced in real arithmetic, as on its own
-    stacks = {}
-    for run in _shape_runs(systems):
-        for k in range(len(systems))[run]:
-            if systems[k].n_states:
-                W = systems[k].modal_inverse()
-                stacks.setdefault((run.start, None if W is None else W.dtype), []).append(k)
-    for (_, dtype), idx in stacks.items():
-        if dtype is None:
-            squares[idx] = [_h2_kronecker(systems[k]) for k in idx]
-            continue
+
+    def kind(s):
+        # one stack per shape and modal-inverse dtype: a system whose poles
+        # are all real has a real modal inverse and is priced in real
+        # arithmetic, as on its own
+        W = s.modal_inverse() if s.n_states else None
+        return s.A.shape, s.D.shape, None if W is None else W.dtype
+
+    for idx in _stacks(systems, kind, lambda s: 8 * s.n_states ** 2):
         stack = [systems[k] for k in idx]
+        if not stack[0].n_states:
+            continue        # no states: norm 0
+        if stack[0].modal_inverse() is None:
+            squares[idx] = [_h2_kronecker(s) for s in stack]
+            continue
         eigs = np.stack([s.eig()[0] for s in stack])
         V = np.stack([s.eig()[1] for s in stack])
         W = np.stack([s.modal_inverse() for s in stack])

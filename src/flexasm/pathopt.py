@@ -16,8 +16,8 @@ margin.  A hard cap turns any offending edge infinite.  Dijkstra then
 picks minimum-cost paths; a unit-weight breadth-first search provides the
 step-count baseline the optimized plans are measured against.
 
-Each edge is built as one stack (two, ``linss._shape_runs``, where its
-legs differ in state count): the open loop per waypoint, one
+Each edge is built as one stack (two, one per shape, ``linss._stacks``,
+where its legs differ in state count): the open loop per waypoint, one
 :func:`~flexasm.scenario.close_loop` call, one stacked ``eig`` and one
 stacked ``inv``.  Every cost kind prices an edge at a time
 (``_loop_values``) from those cached eigendecompositions, popping the

@@ -50,8 +50,9 @@ once per chunk, and a single loop is a list of one:
   with the H-infinity and H2 prices of its channel slices, so the margin
   computes neither again.
 
-Every stack is grouped by state count, width (and, for the candidates,
-the eigenvector type) and holds at most ``linss._STACK_BYTES``, and every
+Every stack is grouped and cut by ``linss._stacks``, the rule of every
+stacked pass: by state count, width (and, for the candidates, the
+eigenvector type), at most ``linss._STACK_BYTES`` a stack, and every
 slice has the bits of its loop alone.
 
 ``mu_lower`` is the reciprocal of the smallest destabilizing magnitude
@@ -82,9 +83,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NominalUnstable, WidthMismatch
-from .linss import (StateSpace, _polish, _rcond, _seed_bound, _transfer_kernel,
-                    spectral_abscissa, STAB_TOL, WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL,
-                    _STACK_BYTES)
+from .linss import (StateSpace, _polish, _rcond, _seed_bound, _stacks, _transfer_kernel,
+                    spectral_abscissa, STAB_TOL, WELLPOSED_RCOND, W_CHANNEL, Z_CHANNEL)
 
 __all__ = ["mu_real_repeated", "mu_upper_bound"]
 
@@ -160,18 +160,6 @@ def _scan_crossing(sys, delta_max):
     return None
 
 
-def _stacks(systems, key, nbytes):
-    """Index lists into ``systems`` to stack: equal ``key(sys)``, and at most
-    ``_STACK_BYTES // nbytes(sys)`` systems (at least one) per list."""
-    groups = {}
-    for i, sys in enumerate(systems):
-        groups.setdefault(key(sys), []).append(i)
-    for idx in groups.values():
-        step = max(1, _STACK_BYTES // nbytes(systems[idx[0]]))
-        for c in range(0, len(idx), step):
-            yield idx[c:c + step]
-
-
 def _shape(sys):
     """State count and w/z width: what a stack of probes shares."""
     return sys.n_states, sys.in_width(W_CHANNEL)
@@ -190,8 +178,9 @@ def _crossings(systems) -> list:
     matrix of ``Phi`` on ``Y`` is assembled block by block ``[b, a]`` from
     n x n products; its real eigenvalues ``phi`` (imaginary part within
     ``TOL`` of the modulus) give ``delta = -1 / phi``.  The systems of one
-    size and eigenvector type are assembled in stacks of at most
-    ``_STACK_BYTES`` of complex blocks, one ``eigvals`` per stack.
+    size and eigenvector type are assembled in stacks (``_stacks``) of at
+    most ``linss._STACK_BYTES`` of complex blocks, one ``eigvals`` per
+    stack.
     """
     out = [None] * len(systems)
     for part in _stacks(systems, lambda s: _shape(s) + (s.eig()[1].dtype,),
@@ -228,8 +217,9 @@ def _closures(systems, deltas) -> np.ndarray:
 
 def _abscissas(probes) -> list:
     """``spectral_abscissa(_closed_A(sys, delta))`` of each probe ``(sys,
-    delta)`` (``D_zw = 0``), from stacks of at most ``_STACK_BYTES`` of
-    :func:`_closures`, one ``eigvals`` per stack."""
+    delta)`` (``D_zw = 0``), from stacks (``_stacks``) of at most
+    ``linss._STACK_BYTES`` of :func:`_closures`, one ``eigvals`` per
+    stack."""
     out = [None] * len(probes)
     for part in _stacks([sys for sys, _ in probes], _shape, lambda s: 8 * s.n_states ** 2):
         A = _closures([probes[i][0] for i in part], [probes[i][1] for i in part])

@@ -54,7 +54,7 @@ whose transfer from d_t is the classical input sensitivity.  The loop is
 built on the plant's matrices: ``u`` reads only the integrator states, so
 no algebraic loop has to be solved.  :func:`close_loop` closes a list of
 plants (the open loops of one trajectory edge's two legs, or a list of
-one) in one pass of stacked arithmetic per run of equal shapes.
+one) in one pass of stacked arithmetic per stack of equal shapes.
 
 A mission is one :class:`ScenarioConfig`: :func:`table_scenario` fills it
 from the published tables, and :func:`load_scenario` reads a scenario YAML
@@ -84,7 +84,7 @@ from .errors import (
     WidthMismatch,
 )
 from .linss import (W_CHANNEL, Z_CHANNEL, StateSpace, StaticClosure, _interconnects,
-                    _invert_channels, _shape_runs, _subsystems, gain, split_channel)
+                    _invert_channels, _stacks, _subsystems, gain, split_channel)
 from .modal import (
     _BODY_KEYS,
     DEFAULT_DAMPING,
@@ -491,14 +491,14 @@ class ScenarioModels:
         ``qs`` holds the three joint vectors (arm 1, arm 2, arm 3).  The
         array's first-mode frequency is the uncertainty channel
         ``w_omega -> z_omega``, and the hub translation is constrained at
-        G (:func:`pin_translation`), matching the mission scope in which
+        G (``_pin_translations``), matching the mission scope in which
         translational control is out of the loop.  Pinning puts the
         torque-channel antiresonances exactly at the appendages'
         cantilever frequencies and makes the DC gain the inverse of the
         composite inertia *about G*.
 
         The locked robot closes ``W_r = -M_C xdd_C`` on the cached
-        port-exposed plant of :meth:`_port_plant`, through the closure
+        port-exposed plant of :meth:`_port_plants`, through the closure
         prepared beside it: a primed loop (:meth:`_prime_open_loops`) is
         popped, else the waypoint is primed as a list of one.  ``n`` above
         the tile count raises :class:`StateInvalid`.
@@ -528,21 +528,13 @@ class ScenarioModels:
             self._open.update(zip(group, close(-np.stack(list(group.values())))))
         return keys
 
-    def _port_plant(self, n: int, j: int, delta: int):
-        """``(plant, close)`` of :meth:`_port_plants` for one key, the list
-        of one."""
-        key = (n, j, delta)
-        if key not in self._plants:
-            self._port_plants([key])
-        return self._plants[key]
-
     def _port_plants(self, keys) -> None:
         """Build and cache, for each ``(n, j, delta)`` of a list not cached
         yet, the spacecraft without the robot, with its docking port open,
         and the prepared closure of that port.
 
         Hub, array, tile stack and structure ``F_n`` docked at tile ``j``,
-        wired and pinned (:func:`pin_translation`); the structure's
+        wired and pinned (``_pin_translations``); the structure's
         two-port block is cached on ``(n, j)``, as both deltas share it;
         the rigid tile stack is the static gain ``W_P = -M_P xdd_P`` of its
         port mass matrix.  Besides the channels of :meth:`open_loop` it
@@ -976,17 +968,12 @@ def _link_coms(geom: ArmGeometry, joints, rots) -> np.ndarray:
     return joints[..., :6, :] + np.einsum("...kij,kj->...ki", rots, geom.coms)
 
 
-def pin_translation(plant: StateSpace) -> StateSpace:
-    """Constrain the hub translation: close a_G = 0 and hide the
-    constraint-force channel (attitude-only boundary condition).  One
-    plant is the list of one of ``_pin_translations``."""
-    return _pin_translations([plant])[0]
-
-
 def _pin_translations(plants) -> list:
-    """:func:`pin_translation` of each of a list of plants with the same
-    channels and shapes, as one ``linss._invert_channels`` and one
-    ``linss._subsystems`` call; an empty list gives an empty list."""
+    """Constrain the hub translation of each of a list of plants with the
+    same channels and shapes: close a_G = 0 and hide the constraint-force
+    channel (attitude-only boundary condition), as one
+    ``linss._invert_channels`` and one ``linss._subsystems`` call.  An
+    empty list gives an empty list."""
     inv = _invert_channels(plants, ["F_G"], ["a_G"])
     if not inv:
         return []
@@ -1005,10 +992,11 @@ def close_loop(plants, K_att: np.ndarray) -> list:
     :class:`~flexasm.errors.WidthMismatch`.
 
     The plants are checked systems with the same channels, such as an
-    edge's open loops: each run of equal shapes (``linss._shape_runs``) is
+    edge's open loops: each stack of equal shapes (``linss._stacks``) is
     closed in one pass of stacked arithmetic on ``(k, n, n)`` arrays,
     without re-validating the matrices, and each loop is a read-only view
-    of those arrays with the bits of closing its plant alone.
+    of those arrays, at its plant's index, with the bits of closing its
+    plant alone.
 
     The states are the plant's, then ``omega_G``, then ``Theta_G``; the
     inputs are ``d_t, W_ext, w_omega`` and the outputs
@@ -1020,10 +1008,14 @@ def close_loop(plants, K_att: np.ndarray) -> list:
     K_att = np.asarray(K_att, dtype=float)
     if K_att.shape != (3, 6):
         raise WidthMismatch(f"attitude gain must be 3 x 6, got {K_att.shape}")
-    return [loop for run in _shape_runs(plants) for loop in _close_run(plants[run], K_att)]
+    loops = [None] * len(plants)
+    for part in _stacks(plants, lambda p: (p.A.shape, p.D.shape), lambda p: 8 * p.n_states ** 2):
+        for i, loop in zip(part, _close_stack([plants[i] for i in part], K_att)):
+            loops[i] = loop
+    return loops
 
 
-def _close_run(plants, K_att: np.ndarray) -> list:
+def _close_stack(plants, K_att: np.ndarray) -> list:
     """:func:`close_loop` of plants with the same shapes, as one stack."""
     first = plants[0]
     P_A, P_B, P_C, P_D = (np.stack([getattr(p, x) for p in plants]) for x in "ABCD")

@@ -209,21 +209,39 @@ def test_invert_channels_list_equals_each_system_alone_bitwise():
     for got, sys in zip(linss._invert_channels(systems, ["F_G"], ["a_G"]), systems):
         assert_same_system(got, linss.invert_channels(sys, ["F_G"], ["a_G"]))
     for got, sys in zip(sc._pin_translations(systems), systems):
-        assert_same_system(got, sc.pin_translation(sys))
+        assert_same_system(got, sc._pin_translations([sys])[0])
     D = rng.standard_normal((6, 6))
     D[:3, 2] = D[:3, 0] + D[:3, 1]      # rank 2 from F_G to a_G
     singular = hub_like(D)
     with pytest.raises(SingularDBlock) as alone:
-        sc.pin_translation(singular)
+        sc._pin_translations([singular])
     with pytest.raises(SingularDBlock) as stacked:
         sc._pin_translations(systems[:1] + [singular] + systems[1:])
     assert str(stacked.value) == str(alone.value)
 
 
+def test_stacks_group_by_key_in_first_appearance_order_and_cut_at_the_byte_bound():
+    items = ["b1", "a1", "b2", "c1", "a2", "b3"]
+    assert linss._stacks(items, lambda s: s[0], len) == [[0, 2, 5], [1, 4], [3]]
+    # each group is cut at _STACK_BYTES // nbytes(first member), in order
+    cap = 3
+    nbytes = linss._STACK_BYTES // cap
+    stacks = linss._stacks(list(range(8)), lambda i: i % 2, lambda i: nbytes)
+    assert stacks == [[0, 2, 4], [6], [1, 3, 5], [7]]
+    assert linss._stacks(list(range(7)), lambda i: 0, lambda i: nbytes + 1) == [
+        [0, 1], [2, 3], [4, 5], [6]]
+    # a member larger than _STACK_BYTES stacks alone, and members of no
+    # bytes (a system without states) do not cut their group
+    big = linss._STACK_BYTES + 1
+    assert linss._stacks([big] * 3, lambda b: 0, lambda b: b) == [[0], [1], [2]]
+    assert linss._stacks([0, 0], lambda b: 0, lambda b: b) == [[0, 1]]
+    assert linss._stacks([], lambda b: 0, lambda b: b) == []
+
+
 def test_stacked_helpers_are_no_ops_on_an_empty_list():
     rng = make_rng(32)
     sys = random_stable_system(rng, 3, 2, 2)
-    assert linss._shape_runs([]) == []
+    assert linss._stacks([], len, len) == []
     assert linss._prime_modes([]) is None
     assert linss._subsystems([], ["y"], ["u"]) == []
     assert linss._interconnects([], *FEEDBACK_WIRING) == []
@@ -443,7 +461,7 @@ def test_transfer_batch_equals_per_point_transfer():
                               [linss.sigma_max(sys, w) for w in ws])
     # more frequencies than one chunk holds
     big = systems[-2]
-    ws = np.geomspace(1e-3, 1e3, 3 * linss._BATCH_BYTES // (16 * big.n_states ** 2) + 5)
+    ws = np.geomspace(1e-3, 1e3, 3 * linss._STACK_BYTES // (16 * big.n_states ** 2) + 5)
     assert np.array_equal(linss._transfer_batch(big, ws), per_point_transfer(big, ws))
 
 

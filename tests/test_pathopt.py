@@ -791,20 +791,22 @@ def test_plan_makes_one_stacked_eig_per_edge(monkeypatch):
     assert all(len(s) == 3 and s[0] == 2 * cfg.z_grid for s in shapes)
 
 
-def test_a_list_of_two_state_counts_is_stacked_by_runs(monkeypatch):
-    # runs of equal shapes, in order: each run is one stacked eig, and
-    # every loop's modes and H2 price keep the bits of its own calls
+def test_a_list_of_two_state_counts_is_stacked_by_shape(monkeypatch):
+    # groups of equal shapes, in order of first appearance: each group is
+    # one stacked eig, and every loop's modes and H2 price keep the bits
+    # of its own calls
     rng = make_rng(11)
     systems = ([stable_system(rng, complex_poles(rng, 4)) for _ in range(2)]
                + [stable_system(rng, complex_poles(rng, 6)) for _ in range(3)]
                + [stable_system(rng, complex_poles(rng, 4))])
-    assert linss._shape_runs(systems) == [slice(0, 2), slice(2, 5), slice(5, 6)]
-    assert linss._shape_runs(systems[:2]) == [slice(0, 2)]
+    by_shape = (lambda s: s.A.shape), (lambda s: 8 * s.n_states ** 2)
+    assert linss._stacks(systems, *by_shape) == [[0, 1, 5], [2, 3, 4]]
+    assert linss._stacks(systems[:2], *by_shape) == [[0, 1]]
     shapes = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(np.shape(a)) or eig(a))
     linss._prime_modes(systems)
-    assert shapes == [(2, 4, 4), (3, 6, 6), (1, 4, 4)]
+    assert shapes == [(3, 4, 4), (3, 6, 6)]
     got = linss.h2_norm(systems)
     alone = copies(systems)
     for sys, ref in zip(systems, alone):

@@ -362,7 +362,7 @@ def test_primed_open_loops_equal_stacks_of_one_bitwise(which, monkeypatch):
         # also its memo keys
         assert keys == waypoints
         for state, q in waypoints:
-            _, close = self._port_plant(state.n, state.j, state.delta)
+            _, close = self._plants[state.n, state.j, state.delta]
             [M] = self.robot_mass_matrices([(state, np.frombuffer(q).reshape(3, 5))])
             [alone] = close(-M[None])
             assert_same_system(self._open[state, q], alone)
@@ -400,7 +400,7 @@ def test_a_prime_takes_each_waypoints_bytes_once(monkeypatch):
         [mass_key] = [k for k in models._masses if k[2] is q]
         assert mass_key == robot_key(state, np.frombuffer(q).reshape(3, 5))
         assert np.array_equal(models.open_loop(state, np.frombuffer(q).reshape(3, 5)).A,
-                              models._port_plant(state.n, state.j, state.delta)[1](
+                              models._plants[state.n, state.j, state.delta][1](
                                   -models._masses[mass_key][None])[0].A)
 
 
@@ -485,7 +485,7 @@ def test_stack_block_is_the_zero_mode_body_bitwise(which, monkeypatch):
     counts = []
     for n in range(1, N + 1):
         for delta in (0, 1):
-            models._port_plant(n, 1, delta)
+            models._port_plants([(n, 1, delta)])
             counts.append(max(N - n - delta, 0))
     assert not bodies
     assert len(stacks) == len(counts) and set(counts) == set(range(N))
@@ -578,7 +578,8 @@ def test_mass_matrix_memo_is_shared_across_structure_sizes(cfg):
 def test_prepared_closure_matches_a_fresh_validated_copy(cfg):
     models = sc.ScenarioModels(cfg)
     st, qs = next(mission_states(1, 11))
-    plant, close = models._port_plant(st.n, st.j, st.delta)
+    models._port_plants([(st.n, st.j, st.delta)])
+    plant, close = models._plants[st.n, st.j, st.delta]
     K = -models.robot_mass_matrices([(st, qs)])[0]
 
     def fresh(sys):
@@ -601,7 +602,9 @@ def test_closure_rcond_equals_numpy_cond_on_desk_port_plants():
     # the loops I - D_zw K that the robot-port closures check, K = -M_C
     models = sc.ScenarioModels(desk_scenario())
     for state, qs in mission_states(24, 41):
-        plant, _ = models._port_plant(state.n, state.j, state.delta)
+        key = (state.n, state.j, state.delta)
+        models._port_plants([key])
+        plant, _ = models._plants[key]
         D_zw = plant.D[plant.out_slice("xdd_C"), plant.in_slice("W_r")]
         loop = np.eye(6) + D_zw @ models.robot_mass_matrices([(state, qs)])[0]
         want = 1.0 / np.linalg.cond(loop, 1)
@@ -615,11 +618,14 @@ def test_hub_and_array_blocks_are_built_once(cfg, monkeypatch):
     models = sc.ScenarioModels(cfg)
     keys = [(n, j, delta) for n in range(1, cfg.n_tiles + 1)
             for j in range(1, n + 1) for delta in (0, 1)]
-    plants = [models._port_plant(*key)[0] for key in keys]
+    for key in keys:
+        models._port_plants([key])
     assert len(calls) == 1
     # sharing the blocks leaves every plant as a factory of its own wires it
-    for key, plant in zip(keys, plants):
-        assert_same_system(plant, sc.ScenarioModels(cfg)._port_plant(*key)[0])
+    for key in keys:
+        alone = sc.ScenarioModels(cfg)
+        alone._port_plants([key])
+        assert_same_system(models._plants[key][0], alone._plants[key][0])
 
 
 @pytest.mark.parametrize("make, shapes", [
@@ -641,8 +647,9 @@ def test_batched_port_plants_equal_plants_built_one_at_a_time(make, shapes, monk
     assert len(stacks) == shapes and sum(stacks) == distinct == len(batched._plants)
     K = -batched.robot_mass_matrices([(sc.AssemblyState(1, 1, 1, 1), HOME)])[0]
     for key in keys:
-        plant, close = batched._port_plant(*key)
-        ref, ref_close = alone._port_plant(*key)
+        plant, close = batched._plants[key]
+        alone._port_plants([key])
+        ref, ref_close = alone._plants[key]
         assert_same_system(plant, ref)
         for a, b in zip((plant.A, plant.B, plant.C, plant.D), (ref.A, ref.B, ref.C, ref.D)):
             assert np.array_equal(a, b)
@@ -708,6 +715,27 @@ def test_close_loop_rejects_misshaped_gain(models):
     for bad in (K.T, K.ravel(), K[:, :3]):
         with pytest.raises(WidthMismatch):
             sc.close_loop([plant], bad)
+
+
+def test_close_loop_of_interleaved_state_counts_keeps_input_order(monkeypatch):
+    # with 8 structure modes F_1 has 16 plant states and F_2 20: plants at
+    # n = 1, 2, 1, 2, 1 close as one stack per state count, and each loop
+    # comes back at its plant's index with the bits of closing it alone
+    models = sc.ScenarioModels(sc.table_scenario(3, z_grid=2, n_struct_modes=8))
+    plants = [models.open_loop(sc.AssemblyState(n, 1, 1, 0), HOME) for n in (1, 2, 1, 2, 1)]
+    assert [p.n_states for p in plants] == [16, 20, 16, 20, 16]
+    K = models.design_gains()
+    stacks, close = [], sc._close_stack
+    monkeypatch.setattr(sc, "_close_stack", lambda group, K_att: stacks.append(
+        [p.n_states for p in group]) or close(group, K_att))
+    loops = sc.close_loop(plants, K)
+    assert stacks == [[16, 16, 16], [20, 20]]
+    assert [loop.n_states for loop in loops] == [22, 26, 22, 26, 22]
+    for loop, plant in zip(loops, plants):
+        [alone] = sc.close_loop([plant], K)
+        assert (loop.in_channels, loop.out_channels) == (alone.in_channels, alone.out_channels)
+        for a, b in zip((loop.A, loop.B, loop.C, loop.D), (alone.A, alone.B, alone.C, alone.D)):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

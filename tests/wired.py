@@ -226,7 +226,7 @@ def wired_open_loop(models, state, qs, rigid=False, pinned=True):
         ext_out.append(("z_omega", "wz.z_omega"))
 
     plant = interconnect(blocks, wiring, ext_in, ext_out)
-    return sc.pin_translation(plant) if pinned else plant
+    return sc._pin_translations([plant])[0] if pinned else plant
 
 
 def wired_lft_upper(plant, delta):
